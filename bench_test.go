@@ -320,10 +320,10 @@ func BenchmarkTreecodeTheta(b *testing.B) {
 	}
 }
 
-// BenchmarkForceEngines races the three force-evaluation engines —
-// the recursive walk, the bit-identical interaction-list engine, and
-// the amortized group walk — single-threaded over a prebuilt tree, at
-// the two sizes EXPERIMENTS.md records (one op = a full force sweep).
+// BenchmarkForceEngines races the two force-evaluation engines — the
+// bit-exact recursive walk and the amortized dual-tree walk —
+// single-threaded over a prebuilt tree, at the two sizes
+// EXPERIMENTS.md records (one op = a full force sweep).
 func BenchmarkForceEngines(b *testing.B) {
 	for _, n := range []int{4096, 65536} {
 		sys := nbody.NewPlummer(n, 1, 2001)
@@ -335,35 +335,16 @@ func BenchmarkForceEngines(b *testing.B) {
 		b.Run(fmt.Sprintf("recursive/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for j := 0; j < n; j++ {
-					sys.AX[j], sys.AY[j], sys.AZ[j] = tr.ForceAtRecursive(sys.X[j], sys.Y[j], sys.Z[j], j, 0.7, sys.Eps, &st)
+					sys.AX[j], sys.AY[j], sys.AZ[j] = tr.ForceAt(sys.X[j], sys.Y[j], sys.Z[j], j, 0.7, sys.Eps, &st)
 				}
 			}
 		})
 		ar := treecode.NewWalkArena()
-		b.Run(fmt.Sprintf("list/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < n; j++ {
-					sys.AX[j], sys.AY[j], sys.AZ[j] = tr.ForceAtList(sys.X[j], sys.Y[j], sys.Z[j], j, 0.7, sys.Eps, &st, ar)
-				}
-			}
-		})
-		groups := tr.AppendGroups(nil, treecode.DefaultGroupSize)
-		b.Run(fmt.Sprintf("groupwalk/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, li := range groups {
-					tr.GroupForceLeaf(li, 0.7, sys.Eps, ar, &st)
-					for k := 0; k < ar.NumTargets(); k++ {
-						j, ax, ay, az := ar.Target(k)
-						sys.AX[j], sys.AY[j], sys.AZ[j] = ax, ay, az
-					}
-				}
-			}
-		})
 		tasks := tr.AppendGroups(nil, treecode.DualTaskSize)
 		b.Run(fmt.Sprintf("dual/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, ti := range tasks {
-					tr.DualForceWalk(ti, 0.7, sys.Eps, 0, nil, ar, &st)
+					tr.DualForceWalk(ti, 0.7, sys.Eps, nil, ar, &st)
 					for k := 0; k < ar.NumTargets(); k++ {
 						j, ax, ay, az := ar.Target(k)
 						sys.AX[j], sys.AY[j], sys.AZ[j] = ax, ay, az

@@ -186,8 +186,8 @@ func treecodeStepEntry() Entry {
 	return e
 }
 
-// treecodeStepExactEntry benchmarks the PR 5 default — the bit-exact
-// interaction-list engine — on the same full force step. It is the
+// treecodeStepExactEntry benchmarks the bit-exact recursive walk on
+// the same full force step. It is the
 // uniform-stepping baseline the block-timestep guard prices against:
 // an exact integrator stepping every particle at the finest occupied
 // dt pays this once per tick.
@@ -195,7 +195,7 @@ func treecodeStepExactEntry() Entry {
 	const n = 20000
 	sys := nbody.NewPlummer(n, 1, 2001)
 	sys.Eps = blockStepEps
-	f := &treecode.Forcer{Theta: 0.7, Workers: runtime.GOMAXPROCS(0), Engine: treecode.EngineList,
+	f := &treecode.Forcer{Theta: 0.7, Workers: runtime.GOMAXPROCS(0), Engine: treecode.EngineRecursive,
 		Reuse: treecode.ReuseOff}
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -404,14 +404,12 @@ func blockStepEntries() []Entry {
 	return out
 }
 
-// forceEngineEntries benchmarks the force-evaluation engines head to
-// head on a prebuilt tree, single-threaded: one op is a full force
+// forceEngineEntries benchmarks the two force-evaluation engines head
+// to head on a prebuilt tree, single-threaded: one op is a full force
 // sweep over every particle. The recursive walk is the golden
-// baseline; the bit-identical list engine must match it (zero
-// allocations, no throughput regression beyond noise), and the
-// group-walk engine — where the interaction-list architecture pays,
-// by amortizing one traversal over a whole target group — carries the
-// ≥1.5x single-thread throughput guard.
+// baseline; the dual-tree engine — which amortizes each MAC decision
+// over a whole target subtree — carries the ≥1.5x single-thread
+// throughput guard.
 func forceEngineEntries() []Entry {
 	const n = 20000
 	sys := nbody.NewPlummer(n, 1, 2001)
@@ -441,7 +439,7 @@ func forceEngineEntries() []Entry {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < n; j++ {
-				ax, ay, az := tr.ForceAtRecursive(sys.X[j], sys.Y[j], sys.Z[j], j, 0.7, sys.Eps, &st)
+				ax, ay, az := tr.ForceAt(sys.X[j], sys.Y[j], sys.Z[j], j, 0.7, sys.Eps, &st)
 				sys.AX[j], sys.AY[j], sys.AZ[j] = ax, ay, az
 			}
 		}
@@ -453,66 +451,22 @@ func forceEngineEntries() []Entry {
 		Metrics:     map[string]float64{"rms_error": rmsError()},
 	})
 
+	// The dual-tree engine: mutual traversal over coarse target tasks,
+	// refined to group frames — the default, guarded to at least match
+	// the recursive walk's accuracy with zero steady-state allocations.
+	tasks := tr.AppendGroups(nil, treecode.DualTaskSize)
 	ar := treecode.NewWalkArena()
 	r = testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		// Warm the arena to its high-water capacity, then measure the
 		// allocation-free steady state.
-		for j := 0; j < n; j++ {
-			tr.ForceAtList(sys.X[j], sys.Y[j], sys.Z[j], j, 0.7, sys.Eps, &st, ar)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < n; j++ {
-				ax, ay, az := tr.ForceAtList(sys.X[j], sys.Y[j], sys.Z[j], j, 0.7, sys.Eps, &st, ar)
-				sys.AX[j], sys.AY[j], sys.AZ[j] = ax, ay, az
-			}
-		}
-	})
-	out = append(out, Entry{
-		Name:        fmt.Sprintf("force/list/n=%d", n),
-		NsPerOp:     float64(r.NsPerOp()),
-		AllocsPerOp: r.AllocsPerOp(),
-	})
-
-	groups := tr.AppendGroups(nil, treecode.DefaultGroupSize)
-	r = testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for _, li := range groups {
-			tr.GroupForceLeaf(li, 0.7, sys.Eps, ar, &st)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, li := range groups {
-				tr.GroupForceLeaf(li, 0.7, sys.Eps, ar, &st)
-				for k := 0; k < ar.NumTargets(); k++ {
-					j, ax, ay, az := ar.Target(k)
-					sys.AX[j], sys.AY[j], sys.AZ[j] = ax, ay, az
-				}
-			}
-		}
-	})
-	out = append(out, Entry{
-		Name:        fmt.Sprintf("force/groupwalk/n=%d", n),
-		NsPerOp:     float64(r.NsPerOp()),
-		AllocsPerOp: r.AllocsPerOp(),
-		Metrics:     map[string]float64{"rms_error": rmsError()},
-	})
-
-	// The dual-tree engine: mutual traversal over coarse target tasks,
-	// refined to group frames — the new default, guarded to at least
-	// match the recursive walk's accuracy with zero steady-state
-	// allocations.
-	tasks := tr.AppendGroups(nil, treecode.DualTaskSize)
-	r = testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
 		for _, ti := range tasks {
-			tr.DualForceWalk(ti, 0.7, sys.Eps, treecode.DefaultGroupSize, nil, ar, &st)
+			tr.DualForceWalk(ti, 0.7, sys.Eps, nil, ar, &st)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, ti := range tasks {
-				tr.DualForceWalk(ti, 0.7, sys.Eps, treecode.DefaultGroupSize, nil, ar, &st)
+				tr.DualForceWalk(ti, 0.7, sys.Eps, nil, ar, &st)
 				for k := 0; k < ar.NumTargets(); k++ {
 					j, ax, ay, az := ar.Target(k)
 					sys.AX[j], sys.AY[j], sys.AZ[j] = ax, ay, az
@@ -940,39 +894,25 @@ func guardReport(rep *Report) error {
 				variant, off.Metrics["sim_cycles"], on.Metrics["sim_cycles"])
 		}
 	}
-	// The interaction-list engine's bars. The group-walk mode — where
-	// the list architecture amortizes one traversal over a whole target
-	// group — must deliver ≥1.5x single-thread force throughput over the
-	// recursive walk. The default per-particle list engine's wins are
-	// bit-exactness and allocation-free arenas, not raw single-thread
-	// speed (a fused recursion evaluates while it walks; a per-particle
-	// list pays for its appends), so its bars are the alloc count and
-	// the group engine it feeds, not a ratio of its own.
+	// The force engines' bars. The dual-tree engine — which amortizes
+	// each MAC decision over a whole target subtree — must deliver ≥1.5x
+	// single-thread force throughput over the recursive walk, in an
+	// allocation-free steady state, with at least the recursive walk's
+	// accuracy (mutual acceptance is conservative relative to the
+	// per-particle MAC, so dual must never be the less accurate engine).
+	// The recursive walk's own bar is zero allocations.
 	recEntry := find(rep, "force/recursive/n=20000")
-	listEntry := find(rep, "force/list/n=20000")
-	grpEntry := find(rep, "force/groupwalk/n=20000")
-	if recEntry == nil || listEntry == nil || grpEntry == nil {
+	dualEntry := find(rep, "force/dual/n=20000")
+	if recEntry == nil || dualEntry == nil {
 		return fmt.Errorf("guard: missing force engine entries")
 	}
-	if recEntry.NsPerOp < 1.5*grpEntry.NsPerOp {
-		return fmt.Errorf("guard: group-walk engine under 1.5x recursive throughput: %.0f vs %.0f ns/op (%.2fx)",
-			grpEntry.NsPerOp, recEntry.NsPerOp, recEntry.NsPerOp/grpEntry.NsPerOp)
+	if recEntry.NsPerOp < 1.5*dualEntry.NsPerOp {
+		return fmt.Errorf("guard: dual-tree engine under 1.5x recursive throughput: %.0f vs %.0f ns/op (%.2fx)",
+			dualEntry.NsPerOp, recEntry.NsPerOp, recEntry.NsPerOp/dualEntry.NsPerOp)
 	}
-	if listEntry.AllocsPerOp != 0 {
-		return fmt.Errorf("guard: list engine force sweep allocates: %d allocs/op, want 0",
-			listEntry.AllocsPerOp)
-	}
-	if grpEntry.AllocsPerOp != 0 {
-		return fmt.Errorf("guard: group-walk force sweep allocates: %d allocs/op, want 0",
-			grpEntry.AllocsPerOp)
-	}
-	// The dual-tree engine's bars: allocation-free steady state and at
-	// least the recursive walk's accuracy (mutual acceptance is
-	// conservative relative to the per-particle MAC, so dual must never
-	// be the least accurate engine).
-	dualEntry := find(rep, "force/dual/n=20000")
-	if dualEntry == nil {
-		return fmt.Errorf("guard: missing force/dual entry")
+	if recEntry.AllocsPerOp != 0 {
+		return fmt.Errorf("guard: recursive force sweep allocates: %d allocs/op, want 0",
+			recEntry.AllocsPerOp)
 	}
 	if dualEntry.AllocsPerOp != 0 {
 		return fmt.Errorf("guard: dual-tree force sweep allocates: %d allocs/op, want 0",
@@ -983,11 +923,11 @@ func guardReport(rep *Report) error {
 			dualEntry.Metrics["rms_error"], recEntry.Metrics["rms_error"])
 	}
 	// The PR 6 headline: dual-tree traversal plus hierarchical block
-	// timesteps must deliver ≥3x the PR 5 default per unit of simulated
+	// timesteps must deliver ≥3x the exact engine per unit of simulated
 	// time. The exact baseline steps every particle at the finest
-	// occupied dt, paying one list-engine force step per tick — 2^rung
-	// of them per base step; the block integrator covers the same base
-	// step in NsPerOp.
+	// occupied dt, paying one recursive-walk force step per tick —
+	// 2^rung of them per base step; the block integrator covers the
+	// same base step in NsPerOp.
 	exact := find(rep, "treecode/step-exact/n=20000")
 	blk := find(rep, "treecode/blockstep/n=20000")
 	if exact == nil || blk == nil {

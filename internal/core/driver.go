@@ -10,7 +10,6 @@ import (
 	"runtime/metrics"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/cpu"
 	"repro/internal/nbody"
@@ -23,7 +22,7 @@ import (
 // Every driver gets the same observability surface:
 //
 //	-procs N         host worker count for parallel phases
-//	-engine E        treecode force engine (auto/list/recursive/group/dual)
+//	-engine E        treecode force engine (auto/recursive/dual)
 //	-error-budget B  force-error budget steering the auto engine choice
 //	-obs-json PATH   write the run's obs snapshot as JSON
 //	-obs-csv PATH    write the run's obs snapshot as CSV
@@ -43,11 +42,10 @@ type Driver struct {
 	Format    string
 	DebugAddr string
 
-	// EngineName/ErrorBudget/GroupWalk mirror the shared force-engine
-	// flags; Engine is the parsed selection, valid after Setup.
+	// EngineName/ErrorBudget mirror the shared force-engine flags;
+	// Engine is the parsed selection, valid after Setup.
 	EngineName  string
 	ErrorBudget float64
-	GroupWalk   bool
 	Engine      treecode.Engine
 	// TreeReuseName mirrors -tree-reuse; TreeReuse is the parsed mode,
 	// valid after Setup.
@@ -79,9 +77,8 @@ func (d *Driver) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&d.TracePath, "trace", "", "write a Chrome trace_event JSON trace to this `path` (load in chrome://tracing or Perfetto)")
 	fs.StringVar(&d.Format, "format", "text", "output `format`: text or json")
 	fs.StringVar(&d.DebugAddr, "debug-addr", "", "serve net/http/pprof and runtime/metrics on this `address` (e.g. localhost:6060)")
-	fs.StringVar(&d.EngineName, "engine", "auto", "treecode force `engine`: auto, list, recursive, group, or dual")
-	fs.Float64Var(&d.ErrorBudget, "error-budget", treecode.DefaultErrorBudget, "force-error budget for -engine auto, in units of the exact walk's own RMS error (< 1 pins the bit-exact list engine)")
-	fs.BoolVar(&d.GroupWalk, "groupwalk", false, "deprecated alias for -engine group")
+	fs.StringVar(&d.EngineName, "engine", "auto", "treecode force `engine`: auto, recursive (bit-exact), or dual")
+	fs.Float64Var(&d.ErrorBudget, "error-budget", treecode.DefaultErrorBudget, "force-error budget for -engine auto, in units of the exact walk's own RMS error (< 1 pins the bit-exact recursive walk)")
 	fs.StringVar(&d.TreeReuseName, "tree-reuse", "auto", "incremental tree maintenance across steps: auto, on, or off (auto maintains the tree; results are bit-identical either way)")
 }
 
@@ -102,12 +99,6 @@ func (d *Driver) Setup() error {
 	engine, err := treecode.ParseEngine(d.EngineName)
 	if err != nil {
 		return fmt.Errorf("%s: %w", d.Name, err)
-	}
-	if engine == treecode.EngineAuto && d.GroupWalk {
-		engine = treecode.EngineGroup
-		groupWalkWarnOnce.Do(func() {
-			fmt.Fprintf(os.Stderr, "%s: warning: -groupwalk is deprecated; use -engine group\n", d.Name)
-		})
 	}
 	d.Engine = treecode.ResolveEngine(engine, d.ErrorBudget)
 	reuse, err := treecode.ParseReuseMode(d.TreeReuseName)
@@ -174,17 +165,12 @@ func (d *Driver) startDebugServer() {
 	}()
 }
 
-// groupWalkWarnOnce keeps the -groupwalk deprecation notice to a single
-// line per process, however many drivers or flag sets parse it.
-var groupWalkWarnOnce sync.Once
-
 // SpecEngine returns the driver's force-engine flags as the spec API's
 // engine selection, unresolved: the spec's own normalization folds the
-// deprecated -groupwalk alias and the error budget exactly as Setup
-// does, so CLI and HTTP submissions of the same selection hash alike.
+// "list" spelling and the error budget, so CLI and HTTP submissions of
+// the same selection hash alike.
 func (d *Driver) SpecEngine() EngineSpec {
-	return EngineSpec{Engine: d.EngineName, ErrorBudget: d.ErrorBudget, GroupWalk: d.GroupWalk,
-		TreeReuse: d.TreeReuseName}
+	return EngineSpec{Engine: d.EngineName, ErrorBudget: d.ErrorBudget, TreeReuse: d.TreeReuseName}
 }
 
 // RunSpec canonicalizes, validates and executes a spec on the driver's

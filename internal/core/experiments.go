@@ -96,10 +96,9 @@ type Table2Config struct {
 	Workers int
 	// Engine selects each rank's force-evaluation engine (dual by
 	// default); ErrorBudget steers the auto choice (< 1 pins the
-	// bit-exact list engine); GroupWalk is the deprecated group alias.
+	// bit-exact recursive walk).
 	Engine      treecode.Engine
 	ErrorBudget float64
-	GroupWalk   bool
 	// Fabric names the interconnect topology (see NASSweepConfig.Fabric).
 	Fabric string
 	// Mode selects the rank scheduler (see NASSweepConfig.Mode).
@@ -169,7 +168,7 @@ func (r *Run) Table2(cfg Table2Config) ([]Table2Row, *metrics.Table, error) {
 		o.w = w
 		o.res, o.err = treecode.ParallelForces(w, s, treecode.ParallelConfig{
 			Theta: cfg.Theta, Eps: s.Eps, Cost: cm,
-			Engine: cfg.Engine, ErrorBudget: cfg.ErrorBudget, GroupWalk: cfg.GroupWalk,
+			Engine: cfg.Engine, ErrorBudget: cfg.ErrorBudget,
 		})
 	}
 	if cfg.Concurrent {
@@ -498,10 +497,9 @@ type Figure3Config struct {
 	Width     int
 	Height    int
 	// Engine selects the force engine (dual by default); ErrorBudget
-	// steers the auto choice; GroupWalk is the deprecated group alias.
+	// steers the auto choice.
 	Engine      treecode.Engine
 	ErrorBudget float64
-	GroupWalk   bool
 }
 
 // DefaultFigure3Config is sized for a quick run; the sc01demo example
@@ -526,7 +524,7 @@ func (r *Run) Figure3(cfg Figure3Config) (*nbody.DensityImage, *nbody.System, er
 		s.VZ[i] *= 0.3
 	}
 	f := &treecode.Forcer{Theta: 0.7, Tracer: r.Tracer,
-		Engine: cfg.Engine, ErrorBudget: cfg.ErrorBudget, GroupWalk: cfg.GroupWalk}
+		Engine: cfg.Engine, ErrorBudget: cfg.ErrorBudget}
 	if cfg.Steps > 0 {
 		if err := s.Leapfrog(f, 0.01, cfg.Steps); err != nil {
 			return nil, nil, err

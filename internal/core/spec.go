@@ -21,11 +21,11 @@ import (
 //
 // Specs are canonically hashable. CanonicalSpec clones a spec through
 // its JSON form and normalizes it, so two specs that differ only in
-// JSON field order, in defaulted-versus-omitted fields, or in a
-// deprecated alias (GroupWalk versus Engine "group") canonicalize to
-// the same value — and SpecHash, the SHA-256 of the canonical envelope,
-// is the cache key the gateway uses to serve repeated submissions of a
-// deterministic experiment for free.
+// JSON field order, in defaulted-versus-omitted fields, or in an
+// alias with identical results (Engine "list" versus "recursive")
+// canonicalize to the same value — and SpecHash, the SHA-256 of the
+// canonical envelope, is the cache key the gateway uses to serve
+// repeated submissions of a deterministic experiment for free.
 
 // SpecAPI is the version string of the experiment-spec envelope.
 const SpecAPI = "repro/spec/v1"
@@ -165,7 +165,7 @@ func EncodeSpec(s ExperimentSpec) ([]byte, error) {
 
 // SpecHash returns the canonical SHA-256 cache key of a spec, as hex.
 // Two specs describing the same experiment — regardless of JSON field
-// order, omitted defaults, or deprecated aliases — hash identically.
+// order, omitted defaults, or equivalent spellings — hash identically.
 func SpecHash(s ExperimentSpec) (string, error) {
 	enc, err := EncodeSpec(s)
 	if err != nil {

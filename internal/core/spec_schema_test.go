@@ -38,7 +38,7 @@ func TestValidateSpecJSON(t *testing.T) {
 	good := [][]byte{
 		[]byte(`{"api":"repro/spec/v1","kind":"table1"}`),
 		[]byte(`{"api":"repro/spec/v1","kind":"tco","spec":{"blade":true}}`),
-		[]byte(`{"api":"repro/spec/v1","kind":"nbody","spec":{"n":1000,"engine":"group"}}`),
+		[]byte(`{"api":"repro/spec/v1","kind":"nbody","spec":{"n":1000,"engine":"dual"}}`),
 	}
 	for _, doc := range good {
 		if err := ValidateSpecJSON(schemaJSON, doc); err != nil {

@@ -177,13 +177,14 @@ func TestTCOExplicitZeroHonored(t *testing.T) {
 	}
 }
 
-// TestGroupWalkAliasEquivalence covers the -groupwalk deprecation: the
-// alias canonicalizes to the engine field, hashes identically to the
-// spelled-out form, and resolves to the same engine both through the
-// spec API and through the driver flags.
-func TestGroupWalkAliasEquivalence(t *testing.T) {
-	alias := &Table2Spec{EngineSpec: EngineSpec{GroupWalk: true}}
-	spelled := &Table2Spec{EngineSpec: EngineSpec{Engine: "group"}}
+// TestListAliasEquivalence covers the "list" spelling: it names a
+// retired engine that gave the recursive walk's bits, so it
+// canonicalizes to "recursive", hashes identically to it, and resolves
+// to the same engine both through the spec API and through the driver
+// flags.
+func TestListAliasEquivalence(t *testing.T) {
+	alias := &NBodySpec{EngineSpec: EngineSpec{Engine: "list"}}
+	spelled := &NBodySpec{EngineSpec: EngineSpec{Engine: "recursive"}}
 	ha, err := SpecHash(alias)
 	if err != nil {
 		t.Fatal(err)
@@ -193,52 +194,83 @@ func TestGroupWalkAliasEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ha != hb {
-		t.Errorf("groupwalk alias hashes differently from engine=group: %s vs %s", ha, hb)
+		t.Errorf("engine=list hashes differently from engine=recursive: %s vs %s", ha, hb)
 	}
 	c, err := CanonicalSpec(alias)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ce := c.(*Table2Spec)
-	if ce.Engine != "group" || ce.GroupWalk {
-		t.Errorf("canonical alias = {engine:%q groupwalk:%v}, want {engine:\"group\" groupwalk:false}", ce.Engine, ce.GroupWalk)
+	ce := c.(*NBodySpec)
+	if ce.Engine != "recursive" {
+		t.Errorf("canonical engine %q, want \"recursive\"", ce.Engine)
 	}
-	if got := ce.EngineSpec.resolve(); got != treecode.EngineGroup {
-		t.Errorf("alias resolves to %v, want EngineGroup", got)
-	}
-	// An explicit engine wins over the alias, exactly like the flags.
-	mixed := &Table2Spec{EngineSpec: EngineSpec{Engine: "list", GroupWalk: true}}
-	cm, err := CanonicalSpec(mixed)
-	if err != nil {
+	if err := ce.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := cm.(*Table2Spec).EngineSpec.resolve(); got != treecode.EngineList {
-		t.Errorf("explicit engine lost to the alias: %v", got)
+	if got := ce.EngineSpec.resolve(); got != treecode.EngineRecursive {
+		t.Errorf("list resolves to %v, want EngineRecursive", got)
 	}
 
-	// Driver flags: -groupwalk and -engine group select the same engine.
-	mk := func(args ...string) *Driver {
-		d := &Driver{Name: "test"}
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		d.RegisterFlags(fs)
-		if err := fs.Parse(args); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Setup(); err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-	dAlias := mk("-groupwalk")
-	dSpelled := mk("-engine", "group")
-	if dAlias.Engine != dSpelled.Engine {
-		t.Errorf("-groupwalk resolves to %v, -engine group to %v", dAlias.Engine, dSpelled.Engine)
+	// Driver flags: -engine list and -engine recursive select the same
+	// engine and build specs with the same hash.
+	dAlias := setupDriver(t, "-engine", "list")
+	dSpelled := setupDriver(t, "-engine", "recursive")
+	if dAlias.Engine != treecode.EngineRecursive || dSpelled.Engine != treecode.EngineRecursive {
+		t.Errorf("-engine list resolves to %v, -engine recursive to %v", dAlias.Engine, dSpelled.Engine)
 	}
 	hFlagAlias, _ := SpecHash(&Table2Spec{EngineSpec: dAlias.SpecEngine()})
 	hFlagSpelled, _ := SpecHash(&Table2Spec{EngineSpec: dSpelled.SpecEngine()})
 	if hFlagAlias != hFlagSpelled {
 		t.Errorf("driver-built specs hash differently: %s vs %s", hFlagAlias, hFlagSpelled)
+	}
+}
+
+// setupDriver parses args into a Driver on a private flag set and runs
+// Setup.
+func setupDriver(t *testing.T, args ...string) *Driver {
+	t.Helper()
+	d, err := parseDriver(args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func parseDriver(args ...string) (*Driver, error) {
+	d := &Driver{Name: "test"}
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	d.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	return d, d.Setup()
+}
+
+// TestRemovedGroupEngineRejected: the group engine and its groupwalk
+// alias are gone. Asking for them is an error at every entry point —
+// never a silent substitution of the dual engine, whose results would
+// then be cached under a request for a different computation.
+func TestRemovedGroupEngineRejected(t *testing.T) {
+	s, err := DecodeSpec([]byte(`{"api":"repro/spec/v1","kind":"nbody","spec":{"n":1000,"engine":"group"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := CanonicalSpec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Validate(); err == nil {
+		t.Error(`"engine":"group" validated`)
+	}
+	if _, err := DecodeSpec([]byte(`{"api":"repro/spec/v1","kind":"table2","spec":{"groupwalk":true}}`)); err == nil {
+		t.Error(`"groupwalk":true decoded`)
+	}
+	if _, err := parseDriver("-engine", "group"); err == nil {
+		t.Error("-engine group accepted")
+	}
+	if _, err := parseDriver("-groupwalk"); err == nil {
+		t.Error("-groupwalk accepted")
 	}
 }
 

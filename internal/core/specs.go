@@ -40,13 +40,12 @@ func init() {
 
 // EngineSpec is the force-engine selection shared by the treecode
 // experiments, in flag spelling. The zero value means "auto" at the
-// default error budget. GroupWalk is the deprecated PR 5 alias for
-// Engine "group": Normalize folds it into the engine field, so the
-// alias and the spelled-out form canonicalize — and hash — identically.
+// default error budget. Engine "list" names a retired engine that gave
+// the recursive walk's bits: Normalize rewrites it to "recursive", so
+// the two canonicalize — and hash — identically.
 type EngineSpec struct {
 	Engine      string  `json:"engine,omitempty"`
 	ErrorBudget float64 `json:"error_budget,omitempty"`
-	GroupWalk   bool    `json:"groupwalk,omitempty"`
 	// TreeReuse selects incremental tree maintenance across steps
 	// ("auto", "on", "off"; see treecode.TreeCache). Normalize folds
 	// the default "auto" to the empty string — like FabricModeSpec's
@@ -56,14 +55,11 @@ type EngineSpec struct {
 }
 
 func (e *EngineSpec) normalize() {
-	if e.Engine == "" {
+	switch e.Engine {
+	case "":
 		e.Engine = "auto"
-	}
-	if e.GroupWalk {
-		if e.Engine == "auto" {
-			e.Engine = "group"
-		}
-		e.GroupWalk = false
+	case "list":
+		e.Engine = "recursive"
 	}
 	if e.ErrorBudget == 0 {
 		e.ErrorBudget = treecode.DefaultErrorBudget
@@ -102,9 +98,6 @@ func (e *EngineSpec) resolve() treecode.Engine {
 	eng, err := treecode.ParseEngine(e.Engine)
 	if err != nil {
 		eng = treecode.EngineAuto
-	}
-	if eng == treecode.EngineAuto && e.GroupWalk {
-		eng = treecode.EngineGroup
 	}
 	return treecode.ResolveEngine(eng, e.ErrorBudget)
 }

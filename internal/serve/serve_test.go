@@ -286,6 +286,33 @@ func TestBadSubmissions(t *testing.T) {
 	}
 }
 
+// TestRemovedEngineNotServed: after a dual N-body result is cached, a
+// request for the removed group engine — spelled "engine":"group" or
+// with the retired "groupwalk" field — is a 4xx, never a replay of the
+// dual document.
+func TestRemovedEngineNotServed(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp, env := submit(t, ts, "", `{"api":"repro/spec/v1","kind":"nbody","spec":{"n":300,"steps":1,"engine":"dual"}}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("dual run: status %d (error %q)", resp.StatusCode, env.Error)
+	}
+	for _, tc := range []struct {
+		body string
+		code int
+	}{
+		{`{"api":"repro/spec/v1","kind":"nbody","spec":{"n":300,"steps":1,"engine":"group"}}`, http.StatusUnprocessableEntity},
+		{`{"api":"repro/spec/v1","kind":"nbody","spec":{"n":300,"steps":1,"groupwalk":true}}`, http.StatusBadRequest},
+	} {
+		resp, env := submit(t, ts, "", tc.body)
+		if resp.StatusCode != tc.code {
+			t.Errorf("%s: status %d, want %d (error %q)", tc.body, resp.StatusCode, tc.code, env.Error)
+		}
+		if env.Cached || len(env.Doc) > 0 {
+			t.Errorf("%s: served a result document", tc.body)
+		}
+	}
+}
+
 // TestAsyncSubmitAndPoll takes the 202 + poll path.
 func TestAsyncSubmitAndPoll(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})

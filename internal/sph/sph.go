@@ -87,11 +87,10 @@ type Gas struct {
 	SelfGravity bool
 	// Theta is the gravity MAC (used only with SelfGravity).
 	Theta float64
-	// Engine selects the gravity force engine (list by default);
-	// GroupWalk amortizes one traversal per leaf bucket. Both apply
-	// only with SelfGravity.
-	Engine    treecode.Engine
-	GroupWalk bool
+	// Engine selects the gravity force engine; the zero value
+	// (EngineAuto) resolves to the dual-tree engine. Applies only with
+	// SelfGravity.
+	Engine treecode.Engine
 	// grav is the lazily created persistent gravity forcer; keeping it
 	// across steps lets its per-worker walk arenas stay warm, so the
 	// steady-state gravity sweep allocates nothing per walk.
@@ -237,7 +236,7 @@ func (g *Gas) Accelerations() ([]float64, error) {
 	})
 	if g.SelfGravity {
 		if g.grav == nil {
-			g.grav = &treecode.Forcer{Theta: g.Theta, Workers: g.Workers, Engine: g.Engine, GroupWalk: g.GroupWalk}
+			g.grav = &treecode.Forcer{Theta: g.Theta, Workers: g.Workers, Engine: g.Engine}
 		}
 		gx := make([]float64, n)
 		gy := make([]float64, n)

@@ -6,39 +6,20 @@ import (
 	"repro/internal/nbody"
 )
 
-// TestForceAtListZeroAlloc pins the steady-state per-particle force
-// path at zero allocations per call: after a warm-up walk sizes the
-// arena, traversal and evaluation run entirely inside reused storage.
-func TestForceAtListZeroAlloc(t *testing.T) {
+// TestForceAtZeroAlloc pins the exact per-particle force path at zero
+// allocations per call: the recursive walk keeps its state on the
+// stack.
+func TestForceAtZeroAlloc(t *testing.T) {
 	s := nbody.NewPlummer(4000, 1, 13)
 	tr := buildFromSystem(t, s, BuildOptions{Quadrupole: true})
-	ar := NewWalkArena()
 	var st Stats
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		tr.ForceAtList(s.X[i], s.Y[i], s.Z[i], i, 0.7, s.Eps, &st, ar)
+		tr.ForceAt(s.X[i], s.Y[i], s.Z[i], i, 0.7, s.Eps, &st)
 		i = (i + 37) % s.N()
 	})
 	if allocs != 0 {
-		t.Fatalf("ForceAtList allocates %.1f times per call, want 0", allocs)
-	}
-}
-
-// TestGroupForceLeafZeroAlloc pins the group-walk leaf evaluation at
-// zero allocations per call once the arena is warm.
-func TestGroupForceLeafZeroAlloc(t *testing.T) {
-	s := nbody.NewPlummer(4000, 1, 13)
-	tr := buildFromSystem(t, s, BuildOptions{Quadrupole: true})
-	leaves := tr.AppendLeaves(nil)
-	ar := NewWalkArena()
-	var st Stats
-	k := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		tr.GroupForceLeaf(leaves[k], 0.7, s.Eps, ar, &st)
-		k = (k + 1) % len(leaves)
-	})
-	if allocs != 0 {
-		t.Fatalf("GroupForceLeaf allocates %.1f times per call, want 0", allocs)
+		t.Fatalf("ForceAt allocates %.1f times per call, want 0", allocs)
 	}
 }
 
@@ -52,11 +33,11 @@ func TestDualForceWalkZeroAlloc(t *testing.T) {
 	ar := NewWalkArena()
 	var st Stats
 	for _, ti := range tasks {
-		tr.DualForceWalk(ti, 0.7, s.Eps, 0, nil, ar, &st)
+		tr.DualForceWalk(ti, 0.7, s.Eps, nil, ar, &st)
 	}
 	k := 0
 	allocs := testing.AllocsPerRun(50, func() {
-		tr.DualForceWalk(tasks[k], 0.7, s.Eps, 0, nil, ar, &st)
+		tr.DualForceWalk(tasks[k], 0.7, s.Eps, nil, ar, &st)
 		k = (k + 1) % len(tasks)
 	})
 	if allocs != 0 {
@@ -64,25 +45,22 @@ func TestDualForceWalkZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestForceSweepZeroAlloc runs a full warm sweep over every particle
-// with a single arena — the exact shape of one worker's chunk loop in
-// Forcer.Forces — and pins it at zero allocations. (The whole Forces
-// call still allocates for the fresh tree build, which is by design:
-// particles move between steps.)
+// TestForceSweepZeroAlloc runs a full sweep over every particle — the
+// exact shape of one worker's chunk loop in the exact engine — and pins
+// it at zero allocations. (The whole Forces call still allocates for
+// the fresh tree build, which is by design: particles move between
+// steps.)
 func TestForceSweepZeroAlloc(t *testing.T) {
 	s := nbody.NewPlummer(2000, 1, 29)
 	tr := buildFromSystem(t, s, BuildOptions{})
-	ar := NewWalkArena()
 	var st Stats
-	// Warm the arena on the deepest walks before measuring.
-	sweepList(tr, s, 0.7)
 	allocs := testing.AllocsPerRun(3, func() {
 		for i := 0; i < s.N(); i++ {
-			ax, ay, az := tr.ForceAtList(s.X[i], s.Y[i], s.Z[i], i, 0.7, s.Eps, &st, ar)
+			ax, ay, az := tr.ForceAt(s.X[i], s.Y[i], s.Z[i], i, 0.7, s.Eps, &st)
 			s.AX[i], s.AY[i], s.AZ[i] = ax, ay, az
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm force sweep allocates %.1f times per pass, want 0", allocs)
+		t.Fatalf("force sweep allocates %.1f times per pass, want 0", allocs)
 	}
 }

@@ -9,13 +9,13 @@ import (
 
 // sweepDual evaluates forces for every particle with serial dual-tree
 // traversals over the standard task decomposition.
-func sweepDual(tr *Tree, s *nbody.System, theta float64, groupSize int) ([]float64, Stats) {
+func sweepDual(tr *Tree, s *nbody.System, theta float64) ([]float64, Stats) {
 	var st Stats
 	ar := NewWalkArena()
 	out := make([]float64, 3*s.N())
 	filled := 0
 	for _, ti := range tr.AppendGroups(nil, DualTaskSize) {
-		tr.DualForceWalk(ti, theta, s.Eps, groupSize, nil, ar, &st)
+		tr.DualForceWalk(ti, theta, s.Eps, nil, ar, &st)
 		for k := 0; k < ar.NumTargets(); k++ {
 			i, ax, ay, az := ar.Target(k)
 			out[3*i], out[3*i+1], out[3*i+2] = ax, ay, az
@@ -30,18 +30,17 @@ func sweepDual(tr *Tree, s *nbody.System, theta float64, groupSize int) ([]float
 
 // TestDualEngineAccuracyBounded: every cell the dual traversal accepts
 // — whether hoisted at an ancestor target or resolved at the group —
-// passes the group MAC for the group's own box, and rejected cells
-// opened above group level are evaluated at *finer* granularity than
-// the group walk would use. So the dual engine's RMS error against
-// direct summation is bounded by the group engine's, which is bounded
-// by the recursive walk's.
+// passes the conservative box MAC for the group's own box, which
+// implies the per-particle MAC for every target in it. So the dual
+// engine's RMS error against direct summation is bounded by the
+// recursive walk's, and it does at least as many PP interactions.
 func TestDualEngineAccuracyBounded(t *testing.T) {
 	const n = 4000
 	s := nbody.NewPlummer(n, 1, 5)
 	tr := buildFromSystem(t, s, BuildOptions{})
 
 	rec, recSt := sweepRecursive(tr, s, 0.7)
-	dual, dualSt := sweepDual(tr, s, 0.7, DefaultGroupSize)
+	dual, dualSt := sweepDual(tr, s, 0.7)
 
 	recRMS := rmsError(s, rec)
 	dualRMS := rmsError(s, dual)
@@ -72,17 +71,19 @@ func TestForcerDefaultResolvesDual(t *testing.T) {
 	if defSt != expSt {
 		t.Fatalf("stats differ: %+v vs %+v", defSt, expSt)
 	}
-	// A sub-1 budget demands exactness: bit-identical to the list engine.
+	// A sub-1 budget demands exactness: bit-identical to the recursive
+	// walk.
 	tight, _ := forcerAccels(t, &Forcer{Theta: 0.7, ErrorBudget: 0.5, Workers: 2}, n)
-	list, _ := forcerAccels(t, &Forcer{Theta: 0.7, Engine: EngineList, Workers: 2}, n)
-	if i := bitsEqual(tight, list); i >= 0 {
-		t.Fatalf("ErrorBudget=0.5 fallback differs from list engine at component %d", i)
+	exact, _ := forcerAccels(t, &Forcer{Theta: 0.7, Engine: EngineRecursive, Workers: 2}, n)
+	if i := bitsEqual(tight, exact); i >= 0 {
+		t.Fatalf("ErrorBudget=0.5 fallback differs from recursive engine at component %d", i)
 	}
 }
 
 // TestDualWorkersBitIdentical: dual tasks partition the particles and
 // per-chunk sharded counters fold in chunk order, so accelerations and
-// stats must not depend on the worker width.
+// stats must not depend on the worker width (at DefaultGroupSize, the
+// only group granularity).
 func TestDualWorkersBitIdentical(t *testing.T) {
 	const n = 6000
 	ref, refSt := forcerAccels(t, &Forcer{Theta: 0.7, Engine: EngineDual, Workers: 1}, n)
@@ -97,41 +98,9 @@ func TestDualWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestGroupSizesDeterministic pins the group and dual engines at
-// non-default group granularities (1 below the bucket, 3, the default
-// 64, and 65 just past it): per (engine, size, workers) the results
-// must be bit-identical across worker counts 1/2/8, and every size
-// must stay RMS-bounded by the recursive walk.
-func TestGroupSizesDeterministic(t *testing.T) {
-	const n = 2500
-	s := nbody.NewPlummer(n, 1, 99)
-	tr := buildFromSystem(t, s, BuildOptions{})
-	rec, _ := sweepRecursive(tr, s, 0.7)
-	recRMS := rmsError(s, rec)
-	for _, engine := range []Engine{EngineGroup, EngineDual} {
-		for _, size := range []int{1, 3, 64, 65} {
-			ref, refSt := forcerAccels(t, &Forcer{Theta: 0.7, Engine: engine, GroupSize: size, Workers: 1}, n)
-			for _, w := range []int{2, 8} {
-				got, gotSt := forcerAccels(t, &Forcer{Theta: 0.7, Engine: engine, GroupSize: size, Workers: w}, n)
-				if i := bitsEqual(ref, got); i >= 0 {
-					t.Fatalf("%v size=%d workers=%d: component %d differs from serial", engine, size, w, i)
-				}
-				if refSt != gotSt {
-					t.Fatalf("%v size=%d workers=%d: stats differ: %+v vs %+v", engine, size, w, refSt, gotSt)
-				}
-			}
-			// forcerAccels uses seed 99 too, so ref is comparable to rec.
-			if rms := rmsError(s, ref); rms > recRMS*1.05+1e-12 {
-				t.Fatalf("%v size=%d: RMS %.3e exceeds recursive %.3e", engine, size, rms, recRMS)
-			}
-		}
-	}
-}
-
-// TestSofteningAgreesWithRecursive is the satellite regression for the
-// hoisted softening helper: at eps = 0 and eps > 0 alike, the list
-// engine must match the recursive walk bit for bit, and the group and
-// dual engines must stay RMS-bounded by it. A wrong eps² in any engine
+// TestSofteningAgreesWithRecursive is the regression for the hoisted
+// softening helper: at eps = 0 and eps > 0 alike, the dual engine must
+// stay RMS-bounded by the recursive walk. A wrong eps² in either engine
 // blows the comparison up immediately.
 func TestSofteningAgreesWithRecursive(t *testing.T) {
 	const n = 2000
@@ -141,38 +110,21 @@ func TestSofteningAgreesWithRecursive(t *testing.T) {
 		s := *base
 		s.Eps = eps
 		rec, _ := sweepRecursive(tr, &s, 0.7)
-		list, _ := sweepList(tr, &s, 0.7)
-		if i := bitsEqual(rec, list); i >= 0 {
-			t.Fatalf("eps=%g: list engine differs from recursive at component %d", eps, i)
-		}
 		recRMS := rmsError(&s, rec)
-		grp := make([]float64, 3*n)
-		var grpSt Stats
-		ar := NewWalkArena()
-		for _, li := range tr.AppendLeaves(nil) {
-			tr.GroupForceLeaf(li, 0.7, s.Eps, ar, &grpSt)
-			for k := 0; k < ar.NumTargets(); k++ {
-				i, ax, ay, az := ar.Target(k)
-				grp[3*i], grp[3*i+1], grp[3*i+2] = ax, ay, az
-			}
-		}
-		if rms := rmsError(&s, grp); rms > recRMS*1.05+1e-12 {
-			t.Fatalf("eps=%g: group engine RMS %.3e exceeds recursive %.3e", eps, rms, recRMS)
-		}
-		dual, _ := sweepDual(tr, &s, 0.7, DefaultGroupSize)
+		dual, _ := sweepDual(tr, &s, 0.7)
 		if rms := rmsError(&s, dual); rms > recRMS*1.05+1e-12 {
 			t.Fatalf("eps=%g: dual engine RMS %.3e exceeds recursive %.3e", eps, rms, recRMS)
 		}
 	}
 }
 
-// TestForcesActiveList: with the exact engine, a masked ForcesActive
+// TestForcesActiveExact: with the exact engine, a masked ForcesActive
 // call must reproduce the full run's bits on the active subset and
 // leave inactive accelerations untouched.
-func TestForcesActiveList(t *testing.T) {
+func TestForcesActiveExact(t *testing.T) {
 	const n = 2000
 	full := nbody.NewPlummer(n, 1, 31)
-	f := &Forcer{Theta: 0.7, Engine: EngineList, Workers: 4}
+	f := &Forcer{Theta: 0.7, Engine: EngineRecursive, Workers: 4}
 	if err := f.Forces(full); err != nil {
 		t.Fatal(err)
 	}

@@ -7,23 +7,75 @@ import "math"
 // undecided *source* nodes, so a single MAC decision made high up —
 // "this source cell is far enough from this whole target box" — is
 // inherited by every target group below it instead of being re-tested
-// once per group (the group engine) or once per particle (the list
-// engine). Sources are scanned through PR 5's rope-threaded walk
-// index; accepted cells, opened leaf sources and the per-group target
-// outputs all live in the per-worker zero-alloc WalkArena.
+// once per particle. Sources are scanned through the rope-threaded
+// walk index; accepted cells, opened leaf sources and the per-group
+// target outputs all live in the per-worker zero-alloc WalkArena.
 //
-// Acceptance uses exactly the group engine's conservative criterion —
-// the per-particle MAC evaluated at the worst-case point of the target
-// box, plus box disjointness — so the inheritance argument is a
-// monotonicity one: a cell accepted against an ancestor's box passes
-// the same test against every descendant box it contains (dmin² only
-// grows as the box shrinks, and disjointness is inherited). When a
-// rejected source cell is *opened* above group level, its children are
-// tested where the group engine would have kept the parent, so the
-// dual engine evaluates the same or finer cells than the group walk:
-// its error is bounded by the group engine's, which is bounded by the
-// recursive walk's. Like the group engine it is RMS-bounded, not
-// bit-identical (accumulation order differs).
+// Acceptance is conservative: the per-particle MAC evaluated at the
+// worst-case (closest) point of the target box, plus box disjointness
+// in place of the point walk's containment guard. Both tests quantify
+// over every actual target, so a cell accepted for a box passes the
+// per-particle MAC for each target in it individually, and the engine
+// only ever opens more cells than the recursive walk — its error is
+// bounded by the recursive walk's. Inheritance is sound by
+// monotonicity: a cell accepted against an ancestor's box passes the
+// same test against every descendant box it contains (dmin² only grows
+// as the box shrinks, and disjointness is inherited). The engine is
+// RMS-bounded, not bit-identical (accumulation order differs).
+
+// Selection restricts a force computation to a subset of target
+// particles — the block-timestep integrator's active rung. A nil
+// *Selection means every real target. The prefix counts over the
+// tree's key-sorted source order let traversals prune whole subtrees
+// with no selected target in O(1).
+type Selection struct {
+	active []bool
+	pfx    []int32
+}
+
+// Select builds a Selection over the tree's sources from a mask indexed
+// by particle index (nil returns nil: all real targets selected).
+func (t *Tree) Select(active []bool) *Selection {
+	if active == nil {
+		return nil
+	}
+	pfx := make([]int32, len(t.Sources)+1)
+	for i := range t.Sources {
+		pfx[i+1] = pfx[i]
+		if s := &t.Sources[i]; s.Index >= 0 && active[s.Index] {
+			pfx[i+1]++
+		}
+	}
+	return &Selection{active: active, pfx: pfx}
+}
+
+// count returns the selected targets among sorted sources [lo, hi) —
+// for a nil selection an upper bound (real-target filtering happens at
+// evaluation), which is all pruning needs.
+func (sel *Selection) count(lo, hi int32) int32 {
+	if sel == nil {
+		return hi - lo
+	}
+	return sel.pfx[hi] - sel.pfx[lo]
+}
+
+// selected reports whether source s is an evaluated target.
+func (sel *Selection) selected(s *Source) bool {
+	if s.Index < 0 {
+		return false
+	}
+	return sel == nil || sel.active[s.Index]
+}
+
+// DefaultGroupSize is the target-group granularity of the dual engine:
+// a target subtree of at most this many particles stops splitting and
+// evaluates one shared interaction list for all of them. Decoupled
+// from the tree's leaf bucket — groups want to be coarser than the
+// force-accuracy-driven bucket size. Coarser groups only *improve*
+// accuracy (the conservative MAC opens more), at the cost of longer
+// per-target lists; 64 is the throughput sweet spot measured on the
+// default bucket-8 tree.
+const DefaultGroupSize = 64
 
 // DualTaskSize is the particle granularity of the dual engine's
 // parallel work list: each task is a maximal subtree of at most this
@@ -39,17 +91,14 @@ const DualTaskSize = 1024
 // nothing. The undecided list u is a flat stack: each target level
 // appends its refined list above its parent's and truncates on exit.
 type dualState struct {
-	t   *Tree
-	wn  []walkNode
-	wb  []Box
-	wq  []float64
-	sel *Selection
-	ar  *WalkArena
-	th2 float64
-	// groupSize is the particle count at or below which a target
-	// subtree stops splitting and evaluates as one group.
-	groupSize int32
-	quad      bool
+	t    *Tree
+	wn   []walkNode
+	wb   []Box
+	wq   []float64
+	sel  *Selection
+	ar   *WalkArena
+	th2  float64
+	quad bool
 
 	// u is the undecided-source stack, levels delimited by the target
 	// recursion.
@@ -64,31 +113,26 @@ type dualState struct {
 // DualForceWalk computes softened accelerations for every selected
 // real target under tree node ni with one dual traversal: the walk
 // index is refined down the target subtree, cells accepted at internal
-// levels are shared by every group below, and each group evaluates the
-// accumulated list through the same blocked kernels as the group
-// engine. Results land in the arena's target buffers (NumTargets /
-// Target), exactly as GroupForceLeaf's do.
-func (t *Tree) DualForceWalk(ni int32, theta, eps float64, groupSize int, sel *Selection, ar *WalkArena, st *Stats) {
+// levels are shared by every group below, and each group of at most
+// DefaultGroupSize particles evaluates the accumulated list through
+// the blocked kernels of evalTargets. Results land in the arena's
+// target buffers (NumTargets / Target).
+func (t *Tree) DualForceWalk(ni int32, theta, eps float64, sel *Selection, ar *WalkArena, st *Stats) {
 	ar.tIdx = ar.tIdx[:0]
 	ar.tax, ar.tay, ar.taz = ar.tax[:0], ar.tay[:0], ar.taz[:0]
 	wn, wb, wq := t.walkIndex()
 	if len(wn) == 0 {
 		return
 	}
-	if groupSize <= 0 {
-		groupSize = DefaultGroupSize
-	}
 	ar.cx, ar.cy, ar.cz, ar.cm = ar.cx[:0], ar.cy[:0], ar.cz[:0], ar.cm[:0]
 	ar.qxx, ar.qyy, ar.qzz = ar.qxx[:0], ar.qyy[:0], ar.qzz[:0]
 	ar.qxy, ar.qxz, ar.qyz = ar.qxy[:0], ar.qxz[:0], ar.qyz[:0]
 	ar.px, ar.py, ar.pz, ar.pm = ar.px[:0], ar.py[:0], ar.pz[:0], ar.pm[:0]
 	ar.pidx = ar.pidx[:0]
-	ar.segs = ar.segs[:0]
 	d := &ar.dual
 	d.t, d.wn, d.wb, d.wq = t, wn, wb, wq
 	d.sel, d.ar = sel, ar
 	d.th2 = theta * theta
-	d.groupSize = int32(groupSize)
 	d.quad = t.Quadrupole
 	d.u = append(d.u[:0], 0) // the whole tree, undecided
 	d.target(ni, 0, 1, eps, st)
@@ -114,11 +158,12 @@ func (d *dualState) target(ni int32, ulo, uhi int, eps float64, st *Stats) {
 	}
 	ar := d.ar
 	cellMark := len(ar.cm)
-	group := n.Leaf || count <= d.groupSize
+	group := n.Leaf || count <= DefaultGroupSize
 	if group {
 		// Tight AABB over the group's selected real targets — tighter
-		// than the octree box, so the inherited-plus-refined list is at
-		// least as sharp as a fresh group walk's.
+		// than the octree box, which is mostly empty space.
+		// Pseudo-particle and unselected sources are never evaluated, so
+		// they don't constrain the MAC.
 		var lx, ly, lz, hx, hy, hz float64
 		none := true
 		for j := first; j < first+count; j++ {
@@ -237,4 +282,89 @@ func (d *dualState) refine(u int32) {
 		return
 	}
 	d.u = append(d.u, u)
+}
+
+// boxDisjointAABB reports whether cube b and the axis-aligned box
+// (centre tx/ty/tz, half-extents hx/hy/hz) are separated on some axis —
+// strictly positive distance, the box analog of the point walk's
+// !Contains guard.
+func boxDisjointAABB(b Box, tx, ty, tz, hx, hy, hz float64) bool {
+	return math.Abs(b.CX-tx) > b.Half+hx ||
+		math.Abs(b.CY-ty) > b.Half+hy ||
+		math.Abs(b.CZ-tz) > b.Half+hz
+}
+
+// evalTargets evaluates the arena's current shared interaction list —
+// all cells, then all leaf sources with per-target self-exclusion —
+// for every selected real target in the key-sorted source range
+// [first, first+count), appending (index, acceleration) rows to the
+// arena's target buffers. It is the dual engine's single evaluation
+// path, and the one place its softening handling lives. Stats count
+// per-target interactions exactly as the per-particle walk would
+// (self-matches are excluded from PP).
+func (t *Tree) evalTargets(first, count int32, eps float64, sel *Selection, ar *WalkArena, st *Stats) {
+	eps2 := softening2(eps)
+	cells := len(ar.cm)
+	parts := len(ar.pm)
+	quad := t.Quadrupole
+	targets := 0
+	for i := first; i < first+count; i++ {
+		s := &t.Sources[i]
+		if !sel.selected(s) {
+			continue
+		}
+		var ax, ay, az float64
+		if quad {
+			ax, ay, az = ar.evalCellsQuad(s.X, s.Y, s.Z, eps2, 0, cells, ax, ay, az)
+		} else {
+			ax, ay, az = ar.evalCellsMono(s.X, s.Y, s.Z, eps2, 0, cells, ax, ay, az)
+		}
+		var skipped int
+		ax, ay, az, skipped = ar.evalPartsExcept(s.X, s.Y, s.Z, eps2, int32(s.Index), 0, parts, ax, ay, az)
+		st.PC += uint64(cells)
+		st.PP += uint64(parts - skipped)
+		ar.tIdx = append(ar.tIdx, int32(s.Index))
+		ar.tax = append(ar.tax, ax)
+		ar.tay = append(ar.tay, ay)
+		ar.taz = append(ar.taz, az)
+		targets++
+	}
+	if targets > 1 {
+		// One traversal served `targets` particles: targets−1 walks saved.
+		ar.pendSaved += uint64(targets - 1)
+	}
+}
+
+// NumTargets reports how many targets the last DualForceWalk filled.
+func (ar *WalkArena) NumTargets() int { return len(ar.tIdx) }
+
+// Target returns the k-th target's particle index and acceleration.
+func (ar *WalkArena) Target(k int) (idx int, ax, ay, az float64) {
+	return int(ar.tIdx[k]), ar.tax[k], ar.tay[k], ar.taz[k]
+}
+
+// AppendGroups appends, in DFS preorder, the node indices of the
+// maximal subtrees holding at most maxParts particles — a disjoint
+// cover of all sources. Each returned node is a valid DualForceWalk
+// task: its particles are the contiguous source range
+// [First, First+Count). maxParts below the leaf bucket yields every
+// leaf.
+func (t *Tree) AppendGroups(out []int32, maxParts int) []int32 {
+	var emit func(ni int32)
+	emit = func(ni int32) {
+		n := &t.Nodes[ni]
+		if n.Leaf || n.Count <= maxParts {
+			out = append(out, ni)
+			return
+		}
+		for oct := 0; oct < 8; oct++ {
+			if ci := n.Children[oct]; ci >= 0 {
+				emit(ci)
+			}
+		}
+	}
+	if len(t.Nodes) > 0 {
+		emit(0)
+	}
+	return out
 }

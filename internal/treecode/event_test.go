@@ -17,7 +17,7 @@ import (
 // observability counter — across rank counts and engines.
 func TestEventModeBitIdenticalForces(t *testing.T) {
 	cost := CostModel{SecondsPerInteraction: 200e-9, SecondsPerBuildSource: 300e-9}
-	for _, engine := range []Engine{EngineList, EngineGroup, EngineDual} {
+	for _, engine := range []Engine{EngineRecursive, EngineDual} {
 		for _, p := range []int{2, 8, 24, 64} {
 			run := func(event bool) (*nbody.System, *ParallelResult, []byte) {
 				s := nbody.NewPlummer(1200, 1, 55)

@@ -72,25 +72,25 @@ var parallelMetrics = append(append([]obs.Metric(nil), statsMetrics...),
 // Describe implements obs.Source.
 func (r *ParallelResult) Describe() []obs.Metric { return parallelMetrics }
 
-// The list-engine telemetry lives in a package-wide registry: walks
-// are instrumented through per-arena pending counts (no atomics in the
+// The walk telemetry lives in a package-wide registry: walks are
+// instrumented through per-arena pending counts (no atomics in the
 // hot loops) flushed in batches, so the counters are cheap enough to
 // stay on permanently.
 var (
 	listReg        = obs.NewRegistry()
-	listWalks      = listReg.Counter("treecode.list.walks", "", "interaction-list traversals (per-particle and group)")
+	listWalks      = listReg.Counter("treecode.list.walks", "", "dual-tree interaction-list traversals")
 	listCells      = listReg.Counter("treecode.list.cells", "", "cells appended to interaction lists")
 	listParts      = listReg.Counter("treecode.list.parts", "", "leaf sources appended to interaction lists")
 	listArenaAlloc = listReg.Counter("treecode.list.arena.alloc", "", "walk arenas allocated")
 	listArenaReuse = listReg.Counter("treecode.list.arena.reuse", "", "walk-arena acquisitions served by an existing arena")
-	listGroupSaved = listReg.Counter("treecode.list.groupwalk.saved", "", "tree traversals saved by group walks (targets beyond the first per leaf)")
+	listGroupSaved = listReg.Counter("treecode.list.groupwalk.saved", "", "tree traversals saved by group evaluation (targets beyond the first per group)")
 	dualTasks      = listReg.Counter("treecode.dual.tasks", "", "dual-tree traversal tasks run")
 	dualMAC        = listReg.Counter("treecode.dual.mac", "", "MAC tests performed by dual traversals")
 	dualHoisted    = listReg.Counter("treecode.dual.hoisted", "", "cells accepted above group level (one test shared by every group below)")
 	dualGroups     = listReg.Counter("treecode.dual.groups", "", "target groups evaluated by dual traversals")
 )
 
-// ListTelemetry returns the obs source for the list engine's
+// ListTelemetry returns the obs source for the interaction-list walks'
 // process-wide counters (live cumulative semantics, like the cpu
 // calibration memo).
 func ListTelemetry() obs.Source { return listReg }

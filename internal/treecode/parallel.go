@@ -71,22 +71,6 @@ type ParallelConfig struct {
 	Engine Engine
 	// ErrorBudget tunes EngineAuto (see Forcer.ErrorBudget).
 	ErrorBudget float64
-	// GroupSize is the target-group granularity of the group and dual
-	// engines (0 = DefaultGroupSize).
-	GroupSize int
-	// GroupWalk is the deprecated spelling of Engine = EngineGroup,
-	// honoured only when Engine is EngineAuto.
-	GroupWalk bool
-}
-
-// resolve maps the config's engine selection and error budget to the
-// engine each rank runs.
-func (cfg *ParallelConfig) resolve() Engine {
-	e := cfg.Engine
-	if e == EngineAuto && cfg.GroupWalk {
-		e = EngineGroup
-	}
-	return ResolveEngine(e, cfg.ErrorBudget)
 }
 
 // Decompose returns each rank's particle indices: contiguous runs of the
@@ -122,7 +106,7 @@ func Decompose(s *nbody.System, p int) ([][]int, error) {
 
 // boxToBoxDist2 returns the squared minimum distance between two boxes
 // (0 if they overlap) — the geometry of Salmon's locally-essential-tree
-// pruning and the group MAC's disjointness guard. The squared form is
+// pruning. The squared form is
 // the primitive; takers of actual distances wrap it in a square root.
 func boxToBoxDist2(a, b Box) float64 {
 	gap := func(ca, ha, cb, hb float64) float64 {
@@ -400,33 +384,13 @@ func (st *forcesState) finish(c *mpi.Comm) error {
 	st.span(c, "force_build", tb0, map[string]any{"sources": len(st.sources)})
 	tf0 := c.Now()
 	var stats Stats
-	gsize := cfg.GroupSize
-	if gsize <= 0 {
-		gsize = DefaultGroupSize
-	}
-	switch cfg.resolve() {
-	case EngineGroup:
-		// One traversal per target group. Imported pseudo-particles
-		// (Index < 0) are sources but never targets, so exactly the
-		// rank's own particles receive accelerations.
-		ar := NewWalkArena()
-		for _, li := range ft.AppendGroups(nil, gsize) {
-			ft.GroupForceLeaf(li, cfg.Theta, cfg.Eps, ar, &stats)
-			for k := 0; k < ar.NumTargets(); k++ {
-				pi, ax, ay, az := ar.Target(k)
-				s.AX[pi] = s.G * ax
-				s.AY[pi] = s.G * ay
-				s.AZ[pi] = s.G * az
-			}
-		}
-		ar.FlushTelemetry()
-	case EngineDual:
+	if ResolveEngine(cfg.Engine, cfg.ErrorBudget) == EngineDual {
 		// Dual-tree traversal over the rank's LET: targets are the
 		// rank's own particles (imported sources are Index < 0 and
 		// never evaluated), sources the whole local + imported tree.
 		ar := NewWalkArena()
 		for _, ti := range ft.AppendGroups(nil, DualTaskSize) {
-			ft.DualForceWalk(ti, cfg.Theta, cfg.Eps, gsize, nil, ar, &stats)
+			ft.DualForceWalk(ti, cfg.Theta, cfg.Eps, nil, ar, &stats)
 			for k := 0; k < ar.NumTargets(); k++ {
 				pi, ax, ay, az := ar.Target(k)
 				s.AX[pi] = s.G * ax
@@ -435,22 +399,13 @@ func (st *forcesState) finish(c *mpi.Comm) error {
 			}
 		}
 		ar.FlushTelemetry()
-	case EngineRecursive:
+	} else {
 		for _, pi := range st.mine {
-			ax, ay, az := ft.ForceAtRecursive(s.X[pi], s.Y[pi], s.Z[pi], pi, cfg.Theta, cfg.Eps, &stats)
+			ax, ay, az := ft.ForceAt(s.X[pi], s.Y[pi], s.Z[pi], pi, cfg.Theta, cfg.Eps, &stats)
 			s.AX[pi] = s.G * ax
 			s.AY[pi] = s.G * ay
 			s.AZ[pi] = s.G * az
 		}
-	default:
-		ar := NewWalkArena()
-		for _, pi := range st.mine {
-			ax, ay, az := ft.ForceAtList(s.X[pi], s.Y[pi], s.Z[pi], pi, cfg.Theta, cfg.Eps, &stats, ar)
-			s.AX[pi] = s.G * ax
-			s.AY[pi] = s.G * ay
-			s.AZ[pi] = s.G * az
-		}
-		ar.FlushTelemetry()
 	}
 	c.AddCompute(cfg.Cost.SecondsPerInteraction * float64(stats.Interactions()))
 	st.span(c, "forces", tf0, map[string]any{"pp": stats.PP, "pc": stats.PC})

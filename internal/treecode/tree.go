@@ -50,7 +50,7 @@ type Tree struct {
 	MaxDepth int
 
 	// walkOnce guards the lazily built rope-threaded walk index the
-	// list engine traverses (derived state; see buildWalkIndex).
+	// dual engine scans for sources (derived state; see buildWalkIndex).
 	walkOnce sync.Once
 	walk     []walkNode
 	walkB    []Box
@@ -388,27 +388,10 @@ func (st Stats) Flops() uint64 { return st.Interactions() * nbody.FlopsPerIntera
 // Barnes–Hut criterion: accept a cell when size/distance < theta. selfIdx
 // excludes one local particle (pass -1 to include everything).
 //
-// ForceAt is a thin wrapper over the list engine with a pooled arena;
-// callers on a hot loop should hold their own WalkArena and call
-// ForceAtList directly (one pool round-trip and telemetry flush per
-// call is the wrapper's only overhead — the results are identical).
+// ForceAt is the exact engine (EngineRecursive): a closure-recursive
+// depth-first walk, the bit-exact reference the dual engine's error is
+// measured against. It allocates nothing.
 func (t *Tree) ForceAt(x, y, z float64, selfIdx int, theta, eps float64, st *Stats) (ax, ay, az float64) {
-	ar, ok := forceArenas.Get().(*WalkArena)
-	if !ok {
-		ar = NewWalkArena()
-	} else {
-		listArenaReuse.Inc()
-	}
-	ax, ay, az = t.ForceAtList(x, y, z, selfIdx, theta, eps, st, ar)
-	ar.FlushTelemetry()
-	forceArenas.Put(ar)
-	return ax, ay, az
-}
-
-// ForceAtRecursive is the original closure-recursive walk, retained as
-// the bit-exact golden reference the list engine is tested against and
-// as the benchmark baseline (Forcer.Engine = EngineRecursive).
-func (t *Tree) ForceAtRecursive(x, y, z float64, selfIdx int, theta, eps float64, st *Stats) (ax, ay, az float64) {
 	eps2 := softening2(eps)
 	var walk func(ni int32)
 	walk = func(ni int32) {
@@ -487,28 +470,22 @@ type Forcer struct {
 	Quadrupole bool
 	// Workers is the host worker-pool width for the build and the force
 	// loop; 0 follows par.Workers(). Forces are bit-identical at every
-	// width (each particle's tree walk is independent).
+	// width (each particle's or task's tree walk is independent).
 	Workers int
 	// Tracer, when non-nil, records wall-clock spans for the build and
 	// force phases of every call (obs.PidHost).
 	Tracer *obs.Tracer
 	// Engine selects the force-evaluation engine. The zero value is
 	// EngineAuto: ErrorBudget picks the amortized dual-tree engine by
-	// default, or the bit-identical list engine when the budget demands
+	// default, or the bit-exact recursive walk when the budget demands
 	// exactness. See ResolveEngine.
 	Engine Engine
 	// ErrorBudget tunes EngineAuto, in units of the exact theta-walk's
 	// own RMS force error against direct summation: 0 means
 	// DefaultErrorBudget (1, "no worse than the reference engine",
 	// which the dual engine's conservative MAC guarantees); anything
-	// below 1 demands bit-exactness and falls back to EngineList.
+	// below 1 demands bit-exactness and falls back to EngineRecursive.
 	ErrorBudget float64
-	// GroupSize is the target-group granularity of the group and dual
-	// engines (0 = DefaultGroupSize).
-	GroupSize int
-	// GroupWalk is the deprecated PR 5 spelling of Engine = EngineGroup;
-	// it is honoured only when Engine is EngineAuto.
-	GroupWalk bool
 	// Reuse selects incremental tree maintenance across Forces calls
 	// (see TreeCache). The zero value is ReuseAuto: the forcer keeps a
 	// tree maintainer alive, so a one-shot call still pays exactly one
@@ -523,12 +500,12 @@ type Forcer struct {
 	// (a multi-step Leapfrog integration sums here).
 	Total Stats
 
-	// arenas are the per-worker walk arenas, grown to the pool width on
-	// first use and reused across Forces calls so the steady-state
-	// force path allocates nothing per walk.
+	// arenas are the per-worker dual-walk arenas, grown to the pool
+	// width on first use and reused across Forces calls so the
+	// steady-state force path allocates nothing per walk.
 	arenas []*WalkArena
-	// groups is the reusable group-walk work list.
-	groups []int32
+	// tasks is the reusable dual-walk work list.
+	tasks []int32
 	// cache is the persistent tree maintainer (when Reuse enables it)
 	// and srcBuf the reusable source-conversion buffer it reads, so the
 	// steady-state tree refresh allocates nothing.
@@ -536,32 +513,9 @@ type Forcer struct {
 	srcBuf []Source
 }
 
-// forceGrain is the per-chunk particle count of the parallel force
-// loop; groupGrain is the per-chunk *group* count of the group walk
-// (groups hold up to DefaultGroupSize particles, so chunks stay
-// comparable to forceGrain).
-const (
-	forceGrain = 512
-	groupGrain = 8
-)
-
-// resolve maps the Forcer's engine selection (including the deprecated
-// GroupWalk bool) and error budget to the engine a call runs.
-func (f *Forcer) resolve() Engine {
-	e := f.Engine
-	if e == EngineAuto && f.GroupWalk {
-		e = EngineGroup
-	}
-	return ResolveEngine(e, f.ErrorBudget)
-}
-
-// groupSize returns the configured target-group granularity.
-func (f *Forcer) groupSize() int {
-	if f.GroupSize > 0 {
-		return f.GroupSize
-	}
-	return DefaultGroupSize
-}
+// forceGrain is the per-chunk particle count of the exact engine's
+// parallel force loop.
+const forceGrain = 512
 
 // Forces implements nbody.Forcer: builds a fresh tree over the system and
 // fills its acceleration arrays.
@@ -601,59 +555,12 @@ func (f *Forcer) ForcesActive(s *nbody.System, active []bool) error {
 	}
 	sp.End(map[string]any{"sources": nsrc, "nodes": len(t.Nodes)})
 	pool := par.New(f.Workers)
-	n := s.N()
-	// Grow the per-worker arena set to the pool width; arenas that
-	// survive from a previous Forces call are warm (their buffers keep
-	// capacity), which is what makes the steady-state path alloc-free.
-	width := pool.Width()
-	if reused := min(len(f.arenas), width); reused > 0 {
-		listArenaReuse.Add(uint64(reused))
-	}
-	for len(f.arenas) < width {
-		f.arenas = append(f.arenas, NewWalkArena())
-	}
 	sp = f.Tracer.Begin(obs.PidHost, 0, "treecode", "forces")
-	sel := t.Select(active)
 	var st Stats
-	switch engine := f.resolve(); engine {
-	case EngineGroup:
-		st = f.groupForces(t, s, pool, theta, sel)
-	case EngineDual:
-		st = f.dualForces(t, s, pool, theta, sel)
-	default:
-		// Per-chunk sharded interaction counters: chunk c owns slot c,
-		// the merge folds slots in slot order, so the counts are
-		// race-free and bit-identical at any worker width (the obs
-		// determinism rule). Each walk's result depends only on the
-		// particle, so which worker's arena serves it cannot matter.
-		nc := par.NumChunks(n, forceGrain)
-		pp := obs.NewShardedCounter(nc)
-		pc := obs.NewShardedCounter(nc)
-		recursive := engine == EngineRecursive
-		pool.ForChunksWorker(n, forceGrain, func(w, c, lo, hi int) {
-			ar := f.arenas[w]
-			var cst Stats
-			for i := lo; i < hi; i++ {
-				if active != nil && !active[i] {
-					continue
-				}
-				var ax, ay, az float64
-				if recursive {
-					ax, ay, az = t.ForceAtRecursive(s.X[i], s.Y[i], s.Z[i], i, theta, s.Eps, &cst)
-				} else {
-					ax, ay, az = t.ForceAtList(s.X[i], s.Y[i], s.Z[i], i, theta, s.Eps, &cst, ar)
-				}
-				s.AX[i] = s.G * ax
-				s.AY[i] = s.G * ay
-				s.AZ[i] = s.G * az
-			}
-			pp.Add(c, cst.PP)
-			pc.Add(c, cst.PC)
-		})
-		st = Stats{PP: pp.Value(), PC: pc.Value()}
-	}
-	for _, ar := range f.arenas[:width] {
-		ar.FlushTelemetry()
+	if ResolveEngine(f.Engine, f.ErrorBudget) == EngineDual {
+		st = f.dualForces(t, s, pool, theta, t.Select(active))
+	} else {
+		st = exactForces(t, s, pool, theta, active)
 	}
 	sp.End(map[string]any{"pp": st.PP, "pc": st.PC})
 	f.LastStats = st
@@ -663,33 +570,26 @@ func (f *Forcer) ForcesActive(s *nbody.System, active []bool) error {
 	return nil
 }
 
-// groupForces runs the group-walk engine: the work list is the tree's
-// maximal ≤DefaultGroupSize-particle subtrees, each group shares one
-// traversal, and every particle is a target of exactly one group — so
-// acceleration writes are disjoint, each particle's value is
-// independent of scheduling, and the per-chunk sharded counters keep
-// the stats deterministic at any worker width.
-func (f *Forcer) groupForces(t *Tree, s *nbody.System, pool *par.Pool, theta float64, sel *Selection) Stats {
-	f.groups = t.AppendGroups(f.groups[:0], f.groupSize())
-	nl := len(f.groups)
-	nc := par.NumChunks(nl, groupGrain)
+// exactForces runs the exact engine: one ForceAt walk per active
+// particle. Per-chunk sharded interaction counters — chunk c owns slot
+// c, the merge folds slots in slot order — keep the counts race-free
+// and bit-identical at any worker width (the obs determinism rule);
+// each walk's result depends only on the particle.
+func exactForces(t *Tree, s *nbody.System, pool *par.Pool, theta float64, active []bool) Stats {
+	n := s.N()
+	nc := par.NumChunks(n, forceGrain)
 	pp := obs.NewShardedCounter(nc)
 	pc := obs.NewShardedCounter(nc)
-	pool.ForChunksWorker(nl, groupGrain, func(w, c, lo, hi int) {
-		ar := f.arenas[w]
+	pool.ForChunks(n, forceGrain, func(c, lo, hi int) {
 		var cst Stats
-		for li := lo; li < hi; li++ {
-			n := &t.Nodes[f.groups[li]]
-			if sel.count(int32(n.First), int32(n.First+n.Count)) == 0 {
+		for i := lo; i < hi; i++ {
+			if active != nil && !active[i] {
 				continue
 			}
-			t.groupForceLeaf(f.groups[li], theta, s.Eps, sel, ar, &cst)
-			for k := 0; k < ar.NumTargets(); k++ {
-				i, ax, ay, az := ar.Target(k)
-				s.AX[i] = s.G * ax
-				s.AY[i] = s.G * ay
-				s.AZ[i] = s.G * az
-			}
+			ax, ay, az := t.ForceAt(s.X[i], s.Y[i], s.Z[i], i, theta, s.Eps, &cst)
+			s.AX[i] = s.G * ax
+			s.AY[i] = s.G * ay
+			s.AZ[i] = s.G * az
 		}
 		pp.Add(c, cst.PP)
 		pc.Add(c, cst.PC)
@@ -703,21 +603,30 @@ func (f *Forcer) groupForces(t *Tree, s *nbody.System, pool *par.Pool, theta flo
 // acceleration writes are disjoint and — with per-chunk sharded
 // counters — results and stats are bit-identical at any worker width.
 func (f *Forcer) dualForces(t *Tree, s *nbody.System, pool *par.Pool, theta float64, sel *Selection) Stats {
-	f.groups = t.AppendGroups(f.groups[:0], DualTaskSize)
-	nl := len(f.groups)
+	// Grow the per-worker arena set to the pool width; arenas that
+	// survive from a previous Forces call are warm (their buffers keep
+	// capacity), which is what makes the steady-state path alloc-free.
+	width := pool.Width()
+	if reused := min(len(f.arenas), width); reused > 0 {
+		listArenaReuse.Add(uint64(reused))
+	}
+	for len(f.arenas) < width {
+		f.arenas = append(f.arenas, NewWalkArena())
+	}
+	f.tasks = t.AppendGroups(f.tasks[:0], DualTaskSize)
+	nl := len(f.tasks)
 	nc := par.NumChunks(nl, 1)
 	pp := obs.NewShardedCounter(nc)
 	pc := obs.NewShardedCounter(nc)
-	gsize := f.groupSize()
 	pool.ForChunksWorker(nl, 1, func(w, c, lo, hi int) {
 		ar := f.arenas[w]
 		var cst Stats
 		for li := lo; li < hi; li++ {
-			n := &t.Nodes[f.groups[li]]
+			n := &t.Nodes[f.tasks[li]]
 			if sel.count(int32(n.First), int32(n.First+n.Count)) == 0 {
 				continue
 			}
-			t.DualForceWalk(f.groups[li], theta, s.Eps, gsize, sel, ar, &cst)
+			t.DualForceWalk(f.tasks[li], theta, s.Eps, sel, ar, &cst)
 			for k := 0; k < ar.NumTargets(); k++ {
 				i, ax, ay, az := ar.Target(k)
 				s.AX[i] = s.G * ax
@@ -728,6 +637,9 @@ func (f *Forcer) dualForces(t *Tree, s *nbody.System, pool *par.Pool, theta floa
 		pp.Add(c, cst.PP)
 		pc.Add(c, cst.PC)
 	})
+	for _, ar := range f.arenas[:width] {
+		ar.FlushTelemetry()
+	}
 	return Stats{PP: pp.Value(), PC: pc.Value()}
 }
 

@@ -158,24 +158,6 @@ func (f *FieldTrees) VelocityStats(x, y, z, theta float64, st *treecode.Stats) (
 	return ux, uy, uz
 }
 
-// VelocityArena is VelocityStats evaluated through the interaction-list
-// engine with a caller-owned walk arena: the six component walks per
-// point reuse the arena's storage, so a warm sweep over many points
-// allocates nothing. Bit-identical to VelocityStats.
-func (f *FieldTrees) VelocityArena(x, y, z, theta float64, st *treecode.Stats, ar *treecode.WalkArena) (ux, uy, uz float64) {
-	var fc [3][3]float64
-	for c := 0; c < 3; c++ {
-		px, py, pz := f.pos[c].ForceAtList(x, y, z, -1, theta, f.eps, st, ar)
-		nx, ny, nz := f.neg[c].ForceAtList(x, y, z, -1, theta, f.eps, st, ar)
-		fc[c] = [3]float64{px - nx, py - ny, pz - nz}
-	}
-	s := 1 / (4 * math.Pi)
-	ux = s * (fc[2][1] - fc[1][2])
-	uy = s * (fc[0][2] - fc[2][0])
-	uz = s * (fc[1][0] - fc[0][1])
-	return ux, uy, uz
-}
-
 // velGrain is the per-chunk particle count of the parallel Biot–Savart
 // evaluation loop.
 const velGrain = 128
@@ -193,26 +175,13 @@ func (p *Particles) SelfVelocities(theta float64, opt treecode.BuildOptions) (ux
 	ux = make([]float64, n)
 	uy = make([]float64, n)
 	uz = make([]float64, n)
-	pool := par.New(opt.Workers)
 	chunkStats := make([]treecode.Stats, par.NumChunks(n, velGrain))
-	// Per-worker walk arenas: each worker owns one reusable interaction
-	// list across all six component walks of all its chunks, so the
-	// sweep is allocation-free after the first few walks. Results stay
-	// bit-identical at any width (the arena is scratch, never state).
-	arenas := make([]*treecode.WalkArena, pool.Width())
-	for w := range arenas {
-		arenas[w] = treecode.NewWalkArena()
-	}
-	pool.ForChunksWorker(n, velGrain, func(w, c, lo, hi int) {
+	par.New(opt.Workers).ForChunks(n, velGrain, func(c, lo, hi int) {
 		st := &chunkStats[c]
-		ar := arenas[w]
 		for i := lo; i < hi; i++ {
-			ux[i], uy[i], uz[i] = trees.VelocityArena(p.X[i], p.Y[i], p.Z[i], theta, st, ar)
+			ux[i], uy[i], uz[i] = trees.VelocityStats(p.X[i], p.Y[i], p.Z[i], theta, st)
 		}
 	})
-	for _, ar := range arenas {
-		ar.FlushTelemetry()
-	}
 	for _, cs := range chunkStats {
 		trees.Stats.PP += cs.PP
 		trees.Stats.PC += cs.PC
