@@ -25,23 +25,46 @@ func TestForceAtZeroAlloc(t *testing.T) {
 
 // TestDualForceWalkZeroAlloc pins the dual-tree task walk at zero
 // allocations per call once the arena (lists, target buffers, and the
-// undecided-source stack) is warm.
+// undecided-source stack) is warm — on monopole trees, which take the
+// lane kernels where the CPU has them, and on quadrupole trees.
 func TestDualForceWalkZeroAlloc(t *testing.T) {
 	s := nbody.NewPlummer(4000, 1, 13)
-	tr := buildFromSystem(t, s, BuildOptions{Quadrupole: true})
-	tasks := tr.AppendGroups(nil, DualTaskSize)
-	ar := NewWalkArena()
-	var st Stats
-	for _, ti := range tasks {
-		tr.DualForceWalk(ti, 0.7, s.Eps, nil, ar, &st)
+	for _, quad := range []bool{false, true} {
+		tr := buildFromSystem(t, s, BuildOptions{Quadrupole: quad})
+		tasks := tr.AppendGroups(nil, DualTaskSize)
+		ar := NewWalkArena()
+		var st Stats
+		for _, ti := range tasks {
+			tr.DualForceWalk(ti, 0.7, s.Eps, nil, ar, &st)
+		}
+		k := 0
+		allocs := testing.AllocsPerRun(50, func() {
+			tr.DualForceWalk(tasks[k], 0.7, s.Eps, nil, ar, &st)
+			k = (k + 1) % len(tasks)
+		})
+		if allocs != 0 {
+			t.Fatalf("quadrupole=%v: DualForceWalk allocates %.1f times per call, want 0", quad, allocs)
+		}
 	}
-	k := 0
-	allocs := testing.AllocsPerRun(50, func() {
-		tr.DualForceWalk(tasks[k], 0.7, s.Eps, nil, ar, &st)
-		k = (k + 1) % len(tasks)
-	})
+}
+
+// TestSelectZeroAlloc pins a masked force call's target selection at
+// zero allocations once its prefix buffer has grown to the tree.
+func TestSelectZeroAlloc(t *testing.T) {
+	s := nbody.NewPlummer(4000, 1, 13)
+	tr := buildFromSystem(t, s, BuildOptions{})
+	active := make([]bool, s.N())
+	for i := range active {
+		active[i] = i%3 == 0
+	}
+	var sel Selection
+	tr.Select(active, &sel)
+	allocs := testing.AllocsPerRun(50, func() { tr.Select(active, &sel) })
 	if allocs != 0 {
-		t.Fatalf("DualForceWalk allocates %.1f times per call, want 0", allocs)
+		t.Fatalf("Select allocates %.1f times per call, want 0", allocs)
+	}
+	if got, want := sel.count(0, int32(len(tr.Sources))), int32((s.N()+2)/3); got != want {
+		t.Fatalf("selection counts %d targets, want %d", got, want)
 	}
 }
 

@@ -33,20 +33,23 @@ type Selection struct {
 	pfx    []int32
 }
 
-// Select builds a Selection over the tree's sources from a mask indexed
-// by particle index (nil returns nil: all real targets selected).
-func (t *Tree) Select(active []bool) *Selection {
+// Select fills sel with the selection of the tree's sources under a
+// mask indexed by particle index, reusing sel's prefix buffer, and
+// returns it (nil active returns nil: all real targets selected).
+func (t *Tree) Select(active []bool, sel *Selection) *Selection {
 	if active == nil {
 		return nil
 	}
-	pfx := make([]int32, len(t.Sources)+1)
+	pfx := append(sel.pfx[:0], 0)
 	for i := range t.Sources {
-		pfx[i+1] = pfx[i]
+		c := pfx[i]
 		if s := &t.Sources[i]; s.Index >= 0 && active[s.Index] {
-			pfx[i+1]++
+			c++
 		}
+		pfx = append(pfx, c)
 	}
-	return &Selection{active: active, pfx: pfx}
+	sel.active, sel.pfx = active, pfx
+	return sel
 }
 
 // count returns the selected targets among sorted sources [lo, hi) —
@@ -294,6 +297,23 @@ func boxDisjointAABB(b Box, tx, ty, tz, hx, hy, hz float64) bool {
 		math.Abs(b.CZ-tz) > b.Half+hz
 }
 
+// laneBlock is the lane kernels' operand block: four targets, one per
+// 64-bit lane, with their accumulators. self holds each lane's particle
+// index in both 32-bit halves, so one dword broadcast of a list index
+// compares against all four lanes (kernel_amd64.s).
+type laneBlock struct {
+	x, y, z    [4]float64
+	ax, ay, az [4]float64
+	self       [4]uint64
+	skipped    [4]int64
+}
+
+// set loads target (x, y, z) with particle index idx into lane k.
+func (lb *laneBlock) set(k int, x, y, z float64, idx int32) {
+	lb.x[k], lb.y[k], lb.z[k] = x, y, z
+	lb.self[k] = uint64(uint32(idx)) * 0x1_0000_0001
+}
+
 // evalTargets evaluates the arena's current shared interaction list —
 // all cells, then all leaf sources with per-target self-exclusion —
 // for every selected real target in the key-sorted source range
@@ -301,16 +321,30 @@ func boxDisjointAABB(b Box, tx, ty, tz, hx, hy, hz float64) bool {
 // arena's target buffers. It is the dual engine's single evaluation
 // path, and the one place its softening handling lives. Stats count
 // per-target interactions exactly as the per-particle walk would
-// (self-matches are excluded from PP).
+// (self-matches are excluded from PP). Monopole lists go through the
+// lane kernels four targets at a time when the CPU has them; they give
+// the Go kernels' bits.
 func (t *Tree) evalTargets(first, count int32, eps float64, sel *Selection, ar *WalkArena, st *Stats) {
 	eps2 := softening2(eps)
 	cells := len(ar.cm)
 	parts := len(ar.pm)
 	quad := t.Quadrupole
+	lanes := vecKernels && !quad
+	var lb laneBlock
+	live := 0
 	targets := 0
 	for i := first; i < first+count; i++ {
 		s := &t.Sources[i]
 		if !sel.selected(s) {
+			continue
+		}
+		targets++
+		if lanes {
+			lb.set(live, s.X, s.Y, s.Z, int32(s.Index))
+			if live++; live == 4 {
+				ar.evalLanes(&lb, live, eps2, st)
+				live = 0
+			}
 			continue
 		}
 		var ax, ay, az float64
@@ -327,11 +361,38 @@ func (t *Tree) evalTargets(first, count int32, eps float64, sel *Selection, ar *
 		ar.tax = append(ar.tax, ax)
 		ar.tay = append(ar.tay, ay)
 		ar.taz = append(ar.taz, az)
-		targets++
+	}
+	if live > 0 {
+		// Pad the idle lanes with the first target, so they compute on
+		// real data at the live lanes' speed; their rows are dropped.
+		for k := live; k < 4; k++ {
+			lb.x[k], lb.y[k], lb.z[k], lb.self[k] = lb.x[0], lb.y[0], lb.z[0], lb.self[0]
+		}
+		ar.evalLanes(&lb, live, eps2, st)
 	}
 	if targets > 1 {
 		// One traversal served `targets` particles: targets−1 walks saved.
 		ar.pendSaved += uint64(targets - 1)
+	}
+}
+
+// evalLanes runs the lane kernels over the arena's list for the
+// targets loaded in lb and appends the first live lanes' rows. Each
+// accumulator starts at +0 and so never holds −0 (a sum is −0 only
+// when both addends are), which makes adding a masked self term's +0.0
+// leave it unchanged — the Go kernel's skip, bit for bit.
+func (ar *WalkArena) evalLanes(lb *laneBlock, live int, eps2 float64, st *Stats) {
+	lb.ax, lb.ay, lb.az = [4]float64{}, [4]float64{}, [4]float64{}
+	lb.skipped = [4]int64{}
+	cellsMono4(lb, eps2, ar.cx, ar.cy, ar.cz, ar.cm)
+	partsExcept4(lb, eps2, ar.px, ar.py, ar.pz, ar.pm, ar.pidx)
+	for k := 0; k < live; k++ {
+		st.PC += uint64(len(ar.cm))
+		st.PP += uint64(int64(len(ar.pm)) - lb.skipped[k])
+		ar.tIdx = append(ar.tIdx, int32(uint32(lb.self[k])))
+		ar.tax = append(ar.tax, lb.ax[k])
+		ar.tay = append(ar.tay, lb.ay[k])
+		ar.taz = append(ar.taz, lb.az[k])
 	}
 }
 

@@ -511,6 +511,8 @@ type Forcer struct {
 	// steady-state tree refresh allocates nothing.
 	cache  *TreeCache
 	srcBuf []Source
+	// sel is the reusable target selection of masked force calls.
+	sel Selection
 }
 
 // forceGrain is the per-chunk particle count of the exact engine's
@@ -558,7 +560,7 @@ func (f *Forcer) ForcesActive(s *nbody.System, active []bool) error {
 	sp = f.Tracer.Begin(obs.PidHost, 0, "treecode", "forces")
 	var st Stats
 	if ResolveEngine(f.Engine, f.ErrorBudget) == EngineDual {
-		st = f.dualForces(t, s, pool, theta, t.Select(active))
+		st = f.dualForces(t, s, pool, theta, t.Select(active, &f.sel))
 	} else {
 		st = exactForces(t, s, pool, theta, active)
 	}
