@@ -326,33 +326,46 @@ func BenchmarkTreecodeTheta(b *testing.B) {
 // EXPERIMENTS.md records (one op = a full force sweep).
 func BenchmarkForceEngines(b *testing.B) {
 	for _, n := range []int{4096, 65536} {
-		sys := nbody.NewPlummer(n, 1, 2001)
-		tr, err := treecode.Build(treecode.SourcesFromSystem(sys), treecode.BuildOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var st treecode.Stats
+		recursive, dual := forceSweeps(b, n)
 		b.Run(fmt.Sprintf("recursive/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				for j := 0; j < n; j++ {
-					sys.AX[j], sys.AY[j], sys.AZ[j] = tr.ForceAt(sys.X[j], sys.Y[j], sys.Z[j], j, 0.7, sys.Eps, &st)
-				}
+				recursive()
 			}
 		})
-		ar := treecode.NewWalkArena()
-		tasks := tr.AppendGroups(nil, treecode.DualTaskSize)
 		b.Run(fmt.Sprintf("dual/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				for _, ti := range tasks {
-					tr.DualForceWalk(ti, 0.7, sys.Eps, nil, ar, &st)
-					for k := 0; k < ar.NumTargets(); k++ {
-						j, ax, ay, az := ar.Target(k)
-						sys.AX[j], sys.AY[j], sys.AZ[j] = ax, ay, az
-					}
-				}
+				dual()
 			}
 		})
 	}
+}
+
+// forceSweeps returns one full single-threaded force sweep per engine
+// over a prebuilt tree of an n-particle Plummer sphere.
+func forceSweeps(tb testing.TB, n int) (recursive, dual func()) {
+	sys := nbody.NewPlummer(n, 1, 2001)
+	tr, err := treecode.Build(treecode.SourcesFromSystem(sys), treecode.BuildOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var st treecode.Stats
+	recursive = func() {
+		for j := 0; j < n; j++ {
+			sys.AX[j], sys.AY[j], sys.AZ[j] = tr.ForceAt(sys.X[j], sys.Y[j], sys.Z[j], j, 0.7, sys.Eps, &st)
+		}
+	}
+	ar := treecode.NewWalkArena()
+	tasks := tr.AppendGroups(nil, treecode.DualTaskSize)
+	dual = func() {
+		for _, ti := range tasks {
+			tr.DualForceWalk(ti, 0.7, sys.Eps, nil, ar, &st)
+			for k := 0; k < ar.NumTargets(); k++ {
+				j, ax, ay, az := ar.Target(k)
+				sys.AX[j], sys.AY[j], sys.AZ[j] = ax, ay, az
+			}
+		}
+	}
+	return recursive, dual
 }
 
 // BenchmarkDirectVsTree locates the O(N²)/O(N log N) crossover.
@@ -470,26 +483,22 @@ func BenchmarkAmbientTemperature(b *testing.B) {
 // real host cores — the two axes are independent (DESIGN.md §8).
 func BenchmarkHostParallel(b *testing.B) {
 	const n = 30000
-	s := nbody.NewPlummer(n, 1, 2001)
-	srcs := treecode.SourcesFromSystem(s)
 	widths := []int{1}
 	if g := runtime.GOMAXPROCS(0); g > 1 {
 		widths = append(widths, g)
 	}
 	for _, w := range widths {
+		build, forces := hostParallelOps(n, w)
 		b.Run(fmt.Sprintf("treebuild/workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := treecode.Build(srcs, treecode.BuildOptions{Workers: w}); err != nil {
+				if err := build(); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("treeforces/workers=%d", w), func(b *testing.B) {
-			sys := nbody.NewPlummer(n, 1, 2001)
-			f := &treecode.Forcer{Theta: 0.7, Workers: w}
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := f.Forces(sys); err != nil {
+				if err := forces(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -503,6 +512,20 @@ func BenchmarkHostParallel(b *testing.B) {
 			}
 		})
 	}
+}
+
+// hostParallelOps returns a tree build and a treecode force call over
+// an n-particle Plummer sphere, each on the given worker count.
+func hostParallelOps(n, workers int) (build, forces func() error) {
+	srcs := treecode.SourcesFromSystem(nbody.NewPlummer(n, 1, 2001))
+	build = func() error {
+		_, err := treecode.Build(srcs, treecode.BuildOptions{Workers: workers})
+		return err
+	}
+	sys := nbody.NewPlummer(n, 1, 2001)
+	f := &treecode.Forcer{Theta: 0.7, Workers: workers}
+	forces = func() error { return f.Forces(sys) }
+	return build, forces
 }
 
 // BenchmarkGears compares the single-gear CMS pipeline with the tiered
@@ -676,29 +699,40 @@ func BenchmarkMPIAllreduce(b *testing.B) {
 	}{{"pooled", false}, {"unpooled", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
-			w, err := mpi.NewWorldWithConfig(8, mpi.Config{
-				Fabric:       netsim.FastEthernet(),
-				DisablePool:  mode.disable,
-				ChannelDepth: 256,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
+			w := allreduceWorld(b, mode.disable)
 			b.ResetTimer()
-			err = w.Run(func(c *mpi.Comm) error {
-				buf := make([]float64, 512)
-				for i := 0; i < b.N; i++ {
-					buf[0] = float64(c.Rank() + i)
-					c.AllreduceInto(mpi.Sum, buf)
-				}
-				return nil
-			})
-			if err != nil {
+			if err := allreduces(w, b.N); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportMetric(w.MaxTime()/float64(b.N), "sim-seconds/op")
 		})
 	}
+}
+
+// allreduceWorld is the 8-rank Fast Ethernet world of the allreduce
+// hot path, with buffer pooling on or off.
+func allreduceWorld(tb testing.TB, disablePool bool) *mpi.World {
+	w, err := mpi.NewWorldWithConfig(8, mpi.Config{
+		Fabric:       netsim.FastEthernet(),
+		DisablePool:  disablePool,
+		ChannelDepth: 256,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return w
+}
+
+// allreduces runs ops in-place allreduces of 512 float64s on w.
+func allreduces(w *mpi.World, ops int) error {
+	return w.Run(func(c *mpi.Comm) error {
+		buf := make([]float64, 512)
+		for i := 0; i < ops; i++ {
+			buf[0] = float64(c.Rank() + i)
+			c.AllreduceInto(mpi.Sum, buf)
+		}
+		return nil
+	})
 }
 
 // BenchmarkMPICollectives compares the classic collective algorithms
@@ -746,9 +780,7 @@ func BenchmarkNASSweep(b *testing.B) {
 		concurrent bool
 	}{{"serial", false}, {"concurrent", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			cfg := core.DefaultNASSweepConfig()
-			cfg.Ranks = cfg.Ranks[:8]
-			cfg.Concurrent = mode.concurrent
+			cfg := nasSweepConfig(mode.concurrent)
 			var sim float64
 			for i := 0; i < b.N; i++ {
 				rows, _, err := core.NewRun().NASSweep(cfg)
@@ -763,6 +795,14 @@ func BenchmarkNASSweep(b *testing.B) {
 			b.ReportMetric(sim, "sim-makespan-sum")
 		})
 	}
+}
+
+// nasSweepConfig is the class S rank sweep over p = 1..8.
+func nasSweepConfig(concurrent bool) core.NASSweepConfig {
+	cfg := core.DefaultNASSweepConfig()
+	cfg.Ranks = cfg.Ranks[:8]
+	cfg.Concurrent = concurrent
+	return cfg
 }
 
 // BenchmarkParallelEP scales the NPB EP kernel across simulated blades

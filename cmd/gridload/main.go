@@ -1,21 +1,17 @@
-// Command gridload drives the experiment gateway with a replayed
-// workload and reports its service metrics: requests per second, cache
-// hit rate, and p50/p99 latency. By default it load-tests an in-process
-// gateway; -target points it at a running gridd over HTTP.
+// Command gridload is the experiment gateway's HTTP smoke test: it
+// submits one spec twice and checks that the resubmission is a cache
+// hit returning the first run's result document byte for byte — the
+// gateway's core promise. By default it boots an in-process gateway;
+// -target points it at a running gridd.
 //
 // Usage:
 //
-//	gridload                               # in-process load test
-//	gridload -merge BENCH_pr10.json -guard # merge entries + regression gate
-//	gridload -target http://:8440 -smoke   # CI smoke: submit, resubmit,
-//	                                       # assert the hit is bit-identical
+//	gridload -smoke                        # in-process gateway
+//	gridload -target http://:8440 -smoke   # a running gridd (CI)
 //
-// The workload is a cold round of distinct specs followed by -rounds
-// hot rounds of the same specs from -clients concurrent clients across
-// -tenants tenants. Every hot response must be a cache hit whose result
-// document is byte-identical to the cold run's — the gateway's core
-// promise — and -guard fails the run otherwise, alongside latency and
-// throughput floors.
+// The gateway's load behaviour (cache hit rate, byte-identical replays,
+// cached p99 and throughput under concurrent clients) is held by
+// TestHotLoadServedFromCache in internal/serve.
 package main
 
 import (
@@ -24,43 +20,30 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
-	"repro/internal/benchfmt"
 	"repro/internal/serve"
 )
 
 func main() {
 	target := flag.String("target", "", "gateway base `URL`; empty runs an in-process gateway")
-	specs := flag.Int("specs", 8, "distinct specs in the workload")
-	rounds := flag.Int("rounds", 6, "hot rounds over all specs")
-	clients := flag.Int("clients", 8, "concurrent client workers")
-	tenants := flag.Int("tenants", 3, "tenants to spread submissions across")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "in-process gateway worker pool size")
-	merge := flag.String("merge", "", "merge gateway entries into the report at this `path` (created if missing)")
-	guard := flag.Bool("guard", false, "fail on service-level regressions (hit rate, bit-identity, latency, throughput)")
-	smoke := flag.Bool("smoke", false, "smoke mode: submit one spec twice, assert a bit-identical cache hit")
+	smoke := flag.Bool("smoke", false, "submit one spec twice, assert a bit-identical cache hit (required)")
 	smokeKind := flag.String("smoke-kind", "table1", "experiment kind the smoke submits")
 	wait := flag.Duration("wait", 10*time.Second, "how long to wait for -target to become healthy")
 	flag.Parse()
+	if !*smoke {
+		fmt.Fprintln(os.Stderr, "gridload: -smoke is the only mode")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	base := *target
 	if base == "" {
-		gw := serve.New(serve.Config{
-			Workers: *workers,
-			// Deep queues: the load test intentionally floods.
-			QueueDepth: *specs * (*rounds) * 2,
-			Logger:     slog.New(slog.NewTextHandler(io.Discard, nil)),
-		})
+		gw := serve.New(serve.Config{})
 		ts := httptest.NewServer(gw.Handler())
 		defer ts.Close()
 		defer gw.Close(context.Background())
@@ -68,45 +51,7 @@ func main() {
 	} else {
 		check(waitReady(base, *wait))
 	}
-	base = strings.TrimRight(base, "/")
-
-	if *smoke {
-		check(runSmoke(base, *smokeKind))
-		return
-	}
-
-	res, err := runLoad(base, *specs, *rounds, *clients, *tenants)
-	check(err)
-	entries := res.entries()
-	for _, e := range entries {
-		fmt.Printf("%-24s %14.0f ns/op", e.Name, e.NsPerOp)
-		for _, k := range []string{"requests_per_sec", "hit_rate", "p50_ns", "p99_ns", "requests"} {
-			if v, ok := e.Metrics[k]; ok {
-				fmt.Printf("  %s=%.6g", k, v)
-			}
-		}
-		fmt.Println()
-	}
-
-	if *merge != "" {
-		rep, err := benchfmt.Read(*merge)
-		if os.IsNotExist(err) {
-			rep = &benchfmt.Report{
-				Schema:     benchfmt.Schema,
-				GoVersion:  runtime.Version(),
-				GOMAXPROCS: runtime.GOMAXPROCS(0),
-			}
-			err = nil
-		}
-		check(err)
-		rep.Merge(entries)
-		check(rep.Write(*merge))
-		fmt.Printf("merged %d gateway entries into %s\n", len(entries), *merge)
-	}
-	if *guard {
-		check(res.guard())
-		fmt.Println("guard: gateway service checks passed")
-	}
+	check(runSmoke(strings.TrimRight(base, "/"), *smokeKind))
 }
 
 func check(err error) {
@@ -125,29 +70,25 @@ type envelope struct {
 	Doc      json.RawMessage `json:"doc"`
 }
 
-func submit(base, tenant, body string) (time.Duration, *envelope, error) {
+func submit(base, body string) (*envelope, error) {
 	req, err := http.NewRequest("POST", base+"/v1/experiments", strings.NewReader(body))
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	if tenant != "" {
-		req.Header.Set("X-Tenant", tenant)
-	}
-	t0 := time.Now()
+	req.Header.Set("X-Tenant", "smoke")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	lat := time.Since(t0)
 	var env envelope
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		return lat, nil, fmt.Errorf("decode response: %w", err)
+		return nil, fmt.Errorf("decode response: %w", err)
 	}
 	if resp.StatusCode != http.StatusOK || env.Status != "done" {
-		return lat, &env, fmt.Errorf("status %d %q: %s", resp.StatusCode, env.Status, env.Error)
+		return nil, fmt.Errorf("status %d %q: %s", resp.StatusCode, env.Status, env.Error)
 	}
-	return lat, &env, nil
+	return &env, nil
 }
 
 func waitReady(base string, patience time.Duration) error {
@@ -167,15 +108,15 @@ func waitReady(base string, patience time.Duration) error {
 	}
 }
 
-// runSmoke is the CI path: one spec, submitted twice; the resubmission
-// must be a cache hit returning the first run's document byte for byte.
+// runSmoke submits one spec twice; the resubmission must be a cache hit
+// returning the first run's document byte for byte.
 func runSmoke(base, kind string) error {
 	body := fmt.Sprintf(`{"api":"repro/spec/v1","kind":%q}`, kind)
-	_, first, err := submit(base, "smoke", body)
+	first, err := submit(base, body)
 	if err != nil {
 		return fmt.Errorf("first submit: %w", err)
 	}
-	_, second, err := submit(base, "smoke", body)
+	second, err := submit(base, body)
 	if err != nil {
 		return fmt.Errorf("resubmit: %w", err)
 	}
@@ -186,160 +127,5 @@ func runSmoke(base, kind string) error {
 		return fmt.Errorf("cached %q document differs from the first run", kind)
 	}
 	fmt.Printf("smoke ok: %s %s cached bit-identical (%d bytes)\n", kind, first.SpecHash[:12], len(first.Doc))
-	return nil
-}
-
-// loadResult aggregates one load run.
-type loadResult struct {
-	specs, hot   int
-	coldMean     time.Duration
-	hotLat       []time.Duration // sorted
-	hotWall      time.Duration
-	cachedHits   int
-	identityErrs int
-}
-
-// workloadSpec builds the i-th distinct spec body: TCO queries are pure
-// arithmetic, so the load test measures the gateway, not the simulator.
-func workloadSpec(i int) string {
-	return fmt.Sprintf(`{"api":"repro/spec/v1","kind":"tco","spec":{"nodes":%d}}`, 10+i)
-}
-
-func runLoad(base string, specs, rounds, clients, tenants int) (*loadResult, error) {
-	res := &loadResult{specs: specs}
-
-	// Cold round, sequential: every spec executes once and lands in the
-	// cache; its doc is the bit-identity reference for the hot phase.
-	docs := make([][]byte, specs)
-	var coldSum time.Duration
-	for i := 0; i < specs; i++ {
-		lat, env, err := submit(base, "t0", workloadSpec(i))
-		if err != nil {
-			return nil, fmt.Errorf("cold submit %d: %w", i, err)
-		}
-		coldSum += lat
-		docs[i] = env.Doc
-	}
-	res.coldMean = coldSum / time.Duration(specs)
-
-	// Hot phase: every submission is a replay, driven concurrently.
-	type shot struct {
-		lat      time.Duration
-		cached   bool
-		identity bool
-	}
-	total := specs * rounds
-	res.hot = total
-	work := make(chan int, total)
-	for r := 0; r < rounds; r++ {
-		for i := 0; i < specs; i++ {
-			work <- i
-		}
-	}
-	close(work)
-	shots := make([]shot, 0, total)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	errc := make(chan error, clients)
-	t0 := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			tenant := fmt.Sprintf("t%d", c%tenants)
-			for i := range work {
-				lat, env, err := submit(base, tenant, workloadSpec(i))
-				if err != nil {
-					errc <- fmt.Errorf("hot submit %d: %w", i, err)
-					return
-				}
-				mu.Lock()
-				shots = append(shots, shot{lat, env.Cached, bytes.Equal(env.Doc, docs[i])})
-				mu.Unlock()
-			}
-		}(c)
-	}
-	wg.Wait()
-	res.hotWall = time.Since(t0)
-	close(errc)
-	for err := range errc {
-		return nil, err
-	}
-	for _, s := range shots {
-		res.hotLat = append(res.hotLat, s.lat)
-		if s.cached {
-			res.cachedHits++
-		}
-		if !s.identity {
-			res.identityErrs++
-		}
-	}
-	sort.Slice(res.hotLat, func(i, j int) bool { return res.hotLat[i] < res.hotLat[j] })
-	return res, nil
-}
-
-func (r *loadResult) percentile(p float64) time.Duration {
-	if len(r.hotLat) == 0 {
-		return 0
-	}
-	idx := int(p * float64(len(r.hotLat)-1))
-	return r.hotLat[idx]
-}
-
-func (r *loadResult) hitRate() float64 {
-	return float64(r.cachedHits) / float64(r.hot)
-}
-
-func (r *loadResult) reqPerSec() float64 {
-	return float64(r.hot) / r.hotWall.Seconds()
-}
-
-func (r *loadResult) entries() []benchfmt.Entry {
-	var hotSum time.Duration
-	for _, l := range r.hotLat {
-		hotSum += l
-	}
-	hotMean := float64(hotSum.Nanoseconds()) / float64(len(r.hotLat))
-	return []benchfmt.Entry{
-		{
-			Name:    "serve/submit/cold",
-			NsPerOp: float64(r.coldMean.Nanoseconds()),
-			Metrics: map[string]float64{"requests": float64(r.specs)},
-		},
-		{
-			Name:    "serve/submit/cached",
-			NsPerOp: hotMean,
-			Metrics: map[string]float64{
-				"requests":         float64(r.hot),
-				"requests_per_sec": r.reqPerSec(),
-				"hit_rate":         r.hitRate(),
-				"p50_ns":           float64(r.percentile(0.50).Nanoseconds()),
-				"p99_ns":           float64(r.percentile(0.99).Nanoseconds()),
-			},
-		},
-	}
-}
-
-// guard applies the service-level checks. Hit rate and bit-identity
-// are exact — the cold round populated the cache, so every hot
-// submission must hit it and replay the same bytes. The latency and
-// throughput floors are deliberately loose: a cached submit is a map
-// lookup plus JSON copy, so even a loaded CI box clears them by orders
-// of magnitude.
-func (r *loadResult) guard() error {
-	if r.cachedHits != r.hot {
-		return fmt.Errorf("guard: %d of %d hot submissions missed the cache (hit rate %.3f, want 1.0)",
-			r.hot-r.cachedHits, r.hot, r.hitRate())
-	}
-	if r.identityErrs > 0 {
-		return fmt.Errorf("guard: %d of %d cached documents were not bit-identical to the first run",
-			r.identityErrs, r.hot)
-	}
-	if p99 := r.percentile(0.99); p99 > 250*time.Millisecond {
-		return fmt.Errorf("guard: cached submit p99 %s, want <= 250ms", p99)
-	}
-	if rps := r.reqPerSec(); rps < 20 {
-		return fmt.Errorf("guard: %.1f cached requests/sec, want >= 20", rps)
-	}
 	return nil
 }

@@ -47,10 +47,6 @@ type Driver struct {
 	EngineName  string
 	ErrorBudget float64
 	Engine      treecode.Engine
-	// TreeReuseName mirrors -tree-reuse; TreeReuse is the parsed mode,
-	// valid after Setup.
-	TreeReuseName string
-	TreeReuse     treecode.ReuseMode
 
 	// Run carries the snapshot and tracer every experiment records into;
 	// valid after Setup.
@@ -79,7 +75,6 @@ func (d *Driver) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&d.DebugAddr, "debug-addr", "", "serve net/http/pprof and runtime/metrics on this `address` (e.g. localhost:6060)")
 	fs.StringVar(&d.EngineName, "engine", "auto", "treecode force `engine`: auto, recursive (bit-exact), or dual")
 	fs.Float64Var(&d.ErrorBudget, "error-budget", treecode.DefaultErrorBudget, "force-error budget for -engine auto, in units of the exact walk's own RMS error (< 1 pins the bit-exact recursive walk)")
-	fs.StringVar(&d.TreeReuseName, "tree-reuse", "auto", "incremental tree maintenance across steps: auto, on, or off (auto maintains the tree; results are bit-identical either way)")
 }
 
 // Setup validates the flags, applies -procs, and creates the Run (with a
@@ -101,11 +96,6 @@ func (d *Driver) Setup() error {
 		return fmt.Errorf("%s: %w", d.Name, err)
 	}
 	d.Engine = treecode.ResolveEngine(engine, d.ErrorBudget)
-	reuse, err := treecode.ParseReuseMode(d.TreeReuseName)
-	if err != nil {
-		return fmt.Errorf("%s: %w", d.Name, err)
-	}
-	d.TreeReuse = reuse
 	if d.Gears {
 		cpu.SetGears(true)
 	}
@@ -114,7 +104,6 @@ func (d *Driver) Setup() error {
 	d.Run.Snap.SetMeta("args", strings.Join(os.Args[1:], " "))
 	d.Run.Snap.SetMeta("workers", fmt.Sprintf("%d", par.Workers()))
 	d.Run.Snap.SetMeta("engine", d.Engine.String())
-	d.Run.Snap.SetMeta("tree_reuse", d.TreeReuse.String())
 	if d.TracePath != "" {
 		t := obs.NewTracer()
 		t.NameProcess(obs.PidHost, "host (wall clock)")
@@ -170,7 +159,7 @@ func (d *Driver) startDebugServer() {
 // "list" spelling and the error budget, so CLI and HTTP submissions of
 // the same selection hash alike.
 func (d *Driver) SpecEngine() EngineSpec {
-	return EngineSpec{Engine: d.EngineName, ErrorBudget: d.ErrorBudget, TreeReuse: d.TreeReuseName}
+	return EngineSpec{Engine: d.EngineName, ErrorBudget: d.ErrorBudget}
 }
 
 // RunSpec canonicalizes, validates and executes a spec on the driver's

@@ -225,6 +225,47 @@ func TestListAliasEquivalence(t *testing.T) {
 	}
 }
 
+// TestTreeReuseNormalizesAway: tree_reuse names a retired switch whose
+// settings all gave the same bits. Every accepted spelling canonicalizes
+// away and hashes like a spec without the field; anything else is
+// rejected, and -tree-reuse is no longer a flag.
+func TestTreeReuseNormalizesAway(t *testing.T) {
+	want, err := SpecHash(&NBodySpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"", "auto", "AUTO", "on", "off"} {
+		s, err := DecodeSpec([]byte(`{"api":"repro/spec/v1","kind":"nbody","spec":{"tree_reuse":"` + v + `"}}`))
+		if err != nil {
+			t.Fatalf("%q: %v", v, err)
+		}
+		c, err := CanonicalSpec(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Validate(); err != nil {
+			t.Errorf("%q: %v", v, err)
+		}
+		if got, err := SpecHash(s); err != nil || got != want {
+			t.Errorf("tree_reuse %q hashes to %s (%v), want %s", v, got, err, want)
+		}
+	}
+	s, err := DecodeSpec([]byte(`{"api":"repro/spec/v1","kind":"nbody","spec":{"tree_reuse":"bogus"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := CanonicalSpec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Validate(); err == nil {
+		t.Error(`"tree_reuse":"bogus" validated`)
+	}
+	if _, err := parseDriver("-tree-reuse", "off"); err == nil {
+		t.Error("-tree-reuse accepted")
+	}
+}
+
 // setupDriver parses args into a Driver on a private flag set and runs
 // Setup.
 func setupDriver(t *testing.T, args ...string) *Driver {

@@ -46,11 +46,12 @@ func init() {
 type EngineSpec struct {
 	Engine      string  `json:"engine,omitempty"`
 	ErrorBudget float64 `json:"error_budget,omitempty"`
-	// TreeReuse selects incremental tree maintenance across steps
-	// ("auto", "on", "off"; see treecode.TreeCache). Normalize folds
-	// the default "auto" to the empty string — like FabricModeSpec's
-	// "star" — so specs that omit the field keep their historical
-	// hashes.
+	// TreeReuse names a retired switch between maintained and fresh
+	// trees, which gave identical bits. The strict decoder still meets
+	// it in stored specs, so "auto", "on" and "off" (any case) are
+	// accepted and Normalize folds them to the empty string: every
+	// spelling hashes like a spec without the field. Other values are
+	// rejected.
 	TreeReuse string `json:"tree_reuse,omitempty"`
 }
 
@@ -64,8 +65,8 @@ func (e *EngineSpec) normalize() {
 	if e.ErrorBudget == 0 {
 		e.ErrorBudget = treecode.DefaultErrorBudget
 	}
-	e.TreeReuse = strings.ToLower(e.TreeReuse)
-	if e.TreeReuse == "auto" {
+	switch strings.ToLower(e.TreeReuse) {
+	case "auto", "on", "off":
 		e.TreeReuse = ""
 	}
 }
@@ -77,19 +78,10 @@ func (e *EngineSpec) validate() error {
 	if e.ErrorBudget < 0 {
 		return fmt.Errorf("negative error_budget %g", e.ErrorBudget)
 	}
-	if _, err := treecode.ParseReuseMode(e.TreeReuse); err != nil {
-		return err
+	if e.TreeReuse != "" {
+		return fmt.Errorf("unknown tree_reuse %q (want auto, on or off)", e.TreeReuse)
 	}
 	return nil
-}
-
-// resolveReuse returns the concrete reuse mode the spec selects.
-func (e *EngineSpec) resolveReuse() treecode.ReuseMode {
-	m, err := treecode.ParseReuseMode(e.TreeReuse)
-	if err != nil {
-		return treecode.ReuseAuto
-	}
-	return m
 }
 
 // resolve returns the concrete engine the spec selects, mirroring the
@@ -834,7 +826,7 @@ func (s *NBodySpec) Run(r *Run) (*SpecResult, error) {
 		}}
 	default:
 		forcer = &treecode.Forcer{Theta: s.Theta, Quadrupole: s.Quadrupole, Tracer: r.Tracer,
-			Engine: engine, Reuse: s.resolveReuse()}
+			Engine: engine}
 	}
 
 	data := NBodyData{Particles: s.N, Steps: s.Steps}

@@ -5,7 +5,7 @@ import "testing"
 // TestEvalZeroAllocSteadyState pins the inner loop's allocation
 // contract: once the memo table is warm, scoring a candidate allocates
 // nothing — the property that lets the optimizer sustain production
-// request volume. benchreport guards the same bar (designopt/eval).
+// request volume.
 func TestEvalZeroAllocSteadyState(t *testing.T) {
 	g := DefaultGrid()
 	memo := NewMemo(g)

@@ -23,7 +23,7 @@
 //     contribute to the frontier and is skipped wholesale. Pruning is
 //     cross-checked against exhaustive enumeration by tests.
 //   - A zero-allocation steady-state inner loop (Evaluator.Eval),
-//     pinned by an AllocsPerRun test and a benchreport guard.
+//     pinned by an AllocsPerRun test.
 package designopt
 
 import (
@@ -88,7 +88,7 @@ func ParseCPU(name string) (CPUChoice, error) {
 // PackChoice is one packaging option.
 type PackChoice struct {
 	// Name is the axis label ("traditional", "blade").
-	Name string `json:"name"`
+	Name string            `json:"name"`
 	Pack cluster.Packaging `json:"-"`
 	// Blade selects the bladed admin/outage profile: managed chassis,
 	// per-failure repair billing, single-node outages.
@@ -118,10 +118,10 @@ func ParsePack(name string) (PackChoice, error) {
 // acquisition model charges (NIC + switch-port share; multi-stage
 // topologies buy more switches per host).
 type FabricChoice struct {
-	Name        string `json:"name"`
+	Name        string         `json:"name"`
 	Template    *netsim.Fabric `json:"-"`
-	Topology    string `json:"topology,omitempty"`
-	PortCostUSD float64 `json:"port_cost_usd"`
+	Topology    string         `json:"topology,omitempty"`
+	PortCostUSD float64        `json:"port_cost_usd"`
 }
 
 // ParseFabric resolves a fabric axis name of the form base[-topology]:

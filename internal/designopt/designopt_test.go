@@ -80,7 +80,8 @@ func TestPrunedFrontierMatchesExhaustive(t *testing.T) {
 
 // TestMemoCountersDeterministic pins that the hit/miss counters are a
 // pure function of the grid — even under a parallel sweep — and that
-// the default grid amortizes ≥90% of its network solves.
+// the default grid amortizes ≥90% of its network solves, pruned or
+// enumerated exhaustively.
 func TestMemoCountersDeterministic(t *testing.T) {
 	g := DefaultGrid()
 	_, a := fingerprintOf(t, g, Options{Workers: 8})
@@ -98,6 +99,12 @@ func TestMemoCountersDeterministic(t *testing.T) {
 	}
 	if hr := a.MemoHitRate(); hr < 0.9 {
 		t.Errorf("default-grid memo hit rate %.3f, want ≥ 0.9", hr)
+	}
+	// Exhaustive enumeration scores every candidate, so its hit rate
+	// measures the memo rather than the prune rate.
+	_, ex := fingerprintOf(t, g, Options{NoPrune: true})
+	if hr := ex.MemoHitRate(); hr < 0.9 {
+		t.Errorf("default-grid exhaustive memo hit rate %.3f, want ≥ 0.9", hr)
 	}
 }
 

@@ -3,7 +3,9 @@ package nas
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/cpu"
 	"repro/internal/mpi"
@@ -158,5 +160,115 @@ func TestEventModePoolInvariant(t *testing.T) {
 				t.Errorf("p=%d %s: must verify", p, pair.name)
 			}
 		}
+	}
+}
+
+// TestEventModeLargeP prices the event scheduler's reason to exist: a
+// p=4096 class-S EP world must verify, reproduce bit for bit across
+// fresh worlds, and run with at least 10x fewer host goroutines and
+// less live heap than the goroutine scheduler would need. That
+// footprint is extrapolated from a measured p=256 goroutine-mode run —
+// goroutines grow linearly in p, the per-pair channel matrix
+// quadratically — at a channel depth of 8, far below the sweep's 256,
+// which underprices the goroutine path and so biases the check against
+// the event loop.
+func TestEventModeLargeP(t *testing.T) {
+	const (
+		pBig      = 4096
+		pBase     = 256
+		baseDepth = 8
+	)
+	costs, err := cpu.CalibrateFor(cpu.NewTM5600(), cpu.MissRateClassW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	// extraGoroutines runs fn and returns the most goroutines alive
+	// beyond those before it, sampled every 2 ms.
+	extraGoroutines := func(fn func()) int {
+		g0 := runtime.NumGoroutine()
+		stop := make(chan struct{})
+		done := make(chan struct{})
+		peak := g0
+		go func() {
+			defer close(done)
+			tick := time.NewTicker(2 * time.Millisecond)
+			defer tick.Stop()
+			for {
+				if g := runtime.NumGoroutine(); g > peak {
+					peak = g
+				}
+				select {
+				case <-stop:
+					return
+				case <-tick.C:
+				}
+			}
+		}()
+		fn()
+		close(stop)
+		<-done
+		// The sampler itself is one of the extra goroutines on both
+		// sides of the ratio.
+		return peak - g0
+	}
+	run := func(w *mpi.World) (res *ParallelResult, goroutines int) {
+		goroutines = extraGoroutines(func() {
+			res, err = ParallelEP(w, ClassS, costs)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, goroutines
+	}
+
+	h0 := liveHeap()
+	wBase, err := mpi.NewWorldWithConfig(pBase, mpi.Config{Fabric: netsim.FastEthernet(), ChannelDepth: baseDepth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, gorBase := run(wBase)
+	heapBase := liveHeap() - h0
+	runtime.KeepAlive(wBase)
+	wBase = nil
+
+	mkEvent := func() *mpi.World {
+		w, err := mpi.NewWorldWithConfig(pBig, mpi.Config{Fabric: netsim.FastEthernet(), Event: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	h0 = liveHeap()
+	wEvent := mkEvent()
+	res, gorEvent := run(wEvent)
+	heapEvent := liveHeap() - h0
+	runtime.KeepAlive(wEvent)
+	gorEvent = max(gorEvent, 1) // the event loop runs in the caller's goroutine
+
+	scale := float64(pBig) / float64(pBase)
+	gorExtrap := float64(gorBase) * scale
+	heapExtrap := float64(heapBase) * scale * scale
+	t.Logf("p=%d: %d goroutines vs %.0f extrapolated (%.0fx), heap %d B vs %.0f B extrapolated",
+		pBig, gorEvent, gorExtrap, gorExtrap/float64(gorEvent), heapEvent, heapExtrap)
+	if !res.Verified {
+		t.Errorf("p=%d event-mode EP did not verify", pBig)
+	}
+	again, _ := run(mkEvent())
+	if math.Float64bits(res.SimTime) != math.Float64bits(again.SimTime) ||
+		math.Float64bits(res.Checksum) != math.Float64bits(again.Checksum) {
+		t.Errorf("p=%d event-mode EP is not bit-deterministic across fresh worlds", pBig)
+	}
+	if ratio := gorExtrap / float64(gorEvent); ratio < 10 {
+		t.Errorf("event core only %.1fx fewer goroutines than the goroutine path at p=%d (want ≥10x)", ratio, pBig)
+	}
+	if float64(heapEvent) >= heapExtrap {
+		t.Errorf("event core live heap %d B at p=%d is not below the goroutine path's extrapolated %.0f B",
+			heapEvent, pBig, heapExtrap)
 	}
 }

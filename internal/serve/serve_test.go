@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -310,6 +312,119 @@ func TestRemovedEngineNotServed(t *testing.T) {
 		if env.Cached || len(env.Doc) > 0 {
 			t.Errorf("%s: served a result document", tc.body)
 		}
+	}
+}
+
+// TestTreeReuseSpellingServedFromCache: tree_reuse names a retired
+// switch whose settings all gave the same bits, so a request spelling
+// it out is a cache hit on the default run, byte for byte.
+func TestTreeReuseSpellingServedFromCache(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp1, env1 := submit(t, ts, "", `{"api":"repro/spec/v1","kind":"nbody","spec":{"n":300,"steps":1}}`)
+	if resp1.StatusCode != http.StatusOK {
+		t.Fatalf("default run: status %d (error %q)", resp1.StatusCode, env1.Error)
+	}
+	resp2, env2 := submit(t, ts, "", `{"api":"repro/spec/v1","kind":"nbody","spec":{"n":300,"steps":1,"tree_reuse":"off"}}`)
+	if resp2.StatusCode != http.StatusOK || !env2.Cached {
+		t.Fatalf("tree_reuse off: status %d cached=%v (error %q)", resp2.StatusCode, env2.Cached, env2.Error)
+	}
+	if !bytes.Equal(env1.Doc, env2.Doc) {
+		t.Fatal("tree_reuse off replayed a different document")
+	}
+}
+
+// TestHotLoadServedFromCache is the gateway under concurrent replay
+// load: 8 distinct specs run once, then 8 clients across 3 tenants
+// resubmit them for 6 rounds. Every hot submission must be a cache hit
+// replaying the cold run's document byte for byte, with cached p99 at
+// most 250 ms and at least 20 requests/s — floors a map lookup plus a
+// JSON copy clears by orders of magnitude even on a loaded host.
+func TestHotLoadServedFromCache(t *testing.T) {
+	const (
+		specs   = 8
+		rounds  = 6
+		clients = 8
+		tenants = 3
+	)
+	_, ts := newTestServer(t, Config{Workers: runtime.GOMAXPROCS(0), QueueDepth: 2 * specs * rounds})
+	spec := func(i int) string {
+		return fmt.Sprintf(`{"api":"repro/spec/v1","kind":"tco","spec":{"nodes":%d}}`, 10+i)
+	}
+	docs := make([][]byte, specs)
+	for i := range docs {
+		resp, env := submit(t, ts, "t0", spec(i))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("cold submit %d: status %d (error %q)", i, resp.StatusCode, env.Error)
+		}
+		docs[i] = env.Doc
+	}
+
+	work := make(chan int, specs*rounds) // holds the whole hot workload
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < specs; i++ {
+			work <- i
+		}
+	}
+	close(work)
+	var mu sync.Mutex
+	var lat []time.Duration
+	var misses, differ int
+	var wg sync.WaitGroup
+	t0 := time.Now()
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(tenant string) {
+			defer wg.Done()
+			for i := range work {
+				start := time.Now()
+				req, err := http.NewRequest("POST", ts.URL+"/v1/experiments", strings.NewReader(spec(i)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				req.Header.Set("X-Tenant", tenant)
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var env Envelope
+				err = json.NewDecoder(resp.Body).Decode(&env)
+				resp.Body.Close()
+				d := time.Since(start)
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("hot submit %d: status %d, decode error %v", i, resp.StatusCode, err)
+					return
+				}
+				mu.Lock()
+				lat = append(lat, d)
+				if !env.Cached {
+					misses++
+				}
+				if !bytes.Equal(env.Doc, docs[i]) {
+					differ++
+				}
+				mu.Unlock()
+			}
+		}(fmt.Sprintf("t%d", c%tenants))
+	}
+	wg.Wait()
+	wall := time.Since(t0)
+	if t.Failed() {
+		return
+	}
+	if misses != 0 || differ != 0 {
+		t.Fatalf("%d of %d hot submissions missed the cache, %d replayed a different document", misses, len(lat), differ)
+	}
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	p99 := lat[int(0.99*float64(len(lat)-1))]
+	rps := float64(len(lat)) / wall.Seconds()
+	t.Logf("%d cached requests: p99 %s, %.0f requests/s", len(lat), p99, rps)
+	if p99 > 250*time.Millisecond {
+		t.Errorf("cached submit p99 %s, want <= 250ms", p99)
+	}
+	if rps < 20 {
+		t.Errorf("%.1f cached requests/s, want >= 20", rps)
 	}
 }
 

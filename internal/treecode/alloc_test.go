@@ -68,22 +68,41 @@ func TestSelectZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestForceSweepZeroAlloc runs a full sweep over every particle — the
-// exact shape of one worker's chunk loop in the exact engine — and pins
-// it at zero allocations. (The whole Forces call still allocates for
-// the fresh tree build, which is by design: particles move between
-// steps.)
+// TestForceSweepZeroAlloc runs full sweeps over every particle — the
+// exact shape of one worker's chunk loop in the exact engine, and every
+// dual task in turn on one warm arena — and pins both at zero
+// allocations, up to the n=20000 force-engine benchmark size. (The
+// first Forces call on a Forcer still allocates for its tree build.)
 func TestForceSweepZeroAlloc(t *testing.T) {
-	s := nbody.NewPlummer(2000, 1, 29)
-	tr := buildFromSystem(t, s, BuildOptions{})
-	var st Stats
-	allocs := testing.AllocsPerRun(3, func() {
-		for i := 0; i < s.N(); i++ {
-			ax, ay, az := tr.ForceAt(s.X[i], s.Y[i], s.Z[i], i, 0.7, s.Eps, &st)
-			s.AX[i], s.AY[i], s.AZ[i] = ax, ay, az
+	for _, tc := range []struct {
+		n    int
+		seed uint64
+	}{{2000, 29}, {20000, 2001}} {
+		s := nbody.NewPlummer(tc.n, 1, tc.seed)
+		tr := buildFromSystem(t, s, BuildOptions{})
+		var st Stats
+		allocs := testing.AllocsPerRun(3, func() {
+			for i := 0; i < s.N(); i++ {
+				ax, ay, az := tr.ForceAt(s.X[i], s.Y[i], s.Z[i], i, 0.7, s.Eps, &st)
+				s.AX[i], s.AY[i], s.AZ[i] = ax, ay, az
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("n=%d: recursive force sweep allocates %.1f times per pass, want 0", tc.n, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("force sweep allocates %.1f times per pass, want 0", allocs)
+		tasks := tr.AppendGroups(nil, DualTaskSize)
+		ar := NewWalkArena()
+		allocs = testing.AllocsPerRun(3, func() {
+			for _, ti := range tasks {
+				tr.DualForceWalk(ti, 0.7, s.Eps, nil, ar, &st)
+				for k := 0; k < ar.NumTargets(); k++ {
+					j, ax, ay, az := ar.Target(k)
+					s.AX[j], s.AY[j], s.AZ[j] = ax, ay, az
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("n=%d: dual force sweep allocates %.1f times per pass, want 0", tc.n, allocs)
+		}
 	}
 }

@@ -53,19 +53,24 @@ func TestBlockStepWorkerDeterminism(t *testing.T) {
 // production stack: dual-tree engine, live rung hierarchy, masked
 // force updates.
 func TestBlockStepTreecodeEnergyConservation(t *testing.T) {
-	s := nbody.NewPlummer(1000, 1, 8)
-	k0, p0 := s.Energy()
-	e0 := k0 + p0
-	f := &Forcer{Theta: 0.7}
-	var b nbody.BlockStepper
-	if err := b.Run(s, f, nbody.BlockConfig{DT: 0.01, MaxRung: 4}, 100); err != nil {
-		t.Fatal(err)
-	}
-	k1, p1 := s.Energy()
-	drift := math.Abs((k1 + p1 - e0) / e0)
-	t.Logf("energy drift %.3e over 100 base steps (max rung %d, updates %d, saved %d)",
-		drift, b.Stats.MaxRungUsed, b.Stats.Updates, b.Stats.Saved)
-	if drift > 1e-3 {
-		t.Fatalf("energy drift %g over 100 base steps, want <= 1e-3", drift)
+	for _, tc := range []struct {
+		n    int
+		seed uint64
+	}{{1000, 8}, {4096, 2001}} {
+		s := nbody.NewPlummer(tc.n, 1, tc.seed)
+		k0, p0 := s.Energy()
+		e0 := k0 + p0
+		f := &Forcer{Theta: 0.7}
+		var b nbody.BlockStepper
+		if err := b.Run(s, f, nbody.BlockConfig{DT: 0.01, MaxRung: 4}, 100); err != nil {
+			t.Fatal(err)
+		}
+		k1, p1 := s.Energy()
+		drift := math.Abs((k1 + p1 - e0) / e0)
+		t.Logf("n=%d: energy drift %.3e over 100 base steps (max rung %d, updates %d, saved %d)",
+			tc.n, drift, b.Stats.MaxRungUsed, b.Stats.Updates, b.Stats.Saved)
+		if drift > 1e-3 {
+			t.Fatalf("n=%d: energy drift %g over 100 base steps, want <= 1e-3", tc.n, drift)
+		}
 	}
 }

@@ -54,6 +54,35 @@ func TestDualEngineAccuracyBounded(t *testing.T) {
 	}
 }
 
+// TestDualEngineNoLessAccurateAtScale holds the same bound with no
+// slack at n=20000, the force-engine benchmark size: the dual engine's
+// per-particle relative RMS error against direct summation must not
+// exceed the recursive walk's.
+func TestDualEngineNoLessAccurateAtScale(t *testing.T) {
+	const n = 20000
+	s := nbody.NewPlummer(n, 1, 2001)
+	tr := buildFromSystem(t, s, BuildOptions{})
+	ref := nbody.NewPlummer(n, 1, 2001)
+	ref.DirectForces()
+	relRMS := func(acc []float64) float64 {
+		var sum float64
+		for i := 0; i < n; i++ {
+			dx := acc[3*i] - ref.AX[i]
+			dy := acc[3*i+1] - ref.AY[i]
+			dz := acc[3*i+2] - ref.AZ[i]
+			sum += (dx*dx + dy*dy + dz*dz) / (ref.AX[i]*ref.AX[i] + ref.AY[i]*ref.AY[i] + ref.AZ[i]*ref.AZ[i])
+		}
+		return math.Sqrt(sum / n)
+	}
+	rec, _ := sweepRecursive(tr, s, 0.7)
+	dual, _ := sweepDual(tr, s, 0.7)
+	recRMS, dualRMS := relRMS(rec), relRMS(dual)
+	t.Logf("n=%d: recursive RMS=%.4e, dual RMS=%.4e", n, recRMS, dualRMS)
+	if dualRMS > recRMS {
+		t.Fatalf("dual engine less accurate than the recursive walk: RMS %.4e vs %.4e", dualRMS, recRMS)
+	}
+}
+
 // TestForcerDefaultResolvesDual: the tentpole switch — a zero-valued
 // engine selection (EngineAuto, default error budget) must run the
 // dual engine, bit-identically to asking for it explicitly.

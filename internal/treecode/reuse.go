@@ -37,53 +37,6 @@ import (
 	"repro/internal/par"
 )
 
-// ReuseMode selects whether a Forcer keeps a tree maintainer alive
-// across Forces calls (the -tree-reuse flag).
-type ReuseMode int
-
-const (
-	// ReuseAuto is the default: maintain the tree. A one-shot call
-	// still pays exactly one fresh build, so there is nothing to turn
-	// off — the mode exists so benchmarks and bisection can pin the
-	// pre-maintainer behaviour.
-	ReuseAuto ReuseMode = iota
-	// ReuseOn maintains the tree unconditionally (explicit spelling of
-	// what auto resolves to).
-	ReuseOn
-	// ReuseOff builds a fresh tree every call — the pre-PR10 behaviour
-	// and the benchmark baseline.
-	ReuseOff
-)
-
-// enabled reports whether the mode keeps a maintainer alive.
-func (m ReuseMode) enabled() bool { return m != ReuseOff }
-
-// String returns the flag spelling of the mode.
-func (m ReuseMode) String() string {
-	switch m {
-	case ReuseAuto:
-		return "auto"
-	case ReuseOn:
-		return "on"
-	case ReuseOff:
-		return "off"
-	}
-	return fmt.Sprintf("reuse(%d)", int(m))
-}
-
-// ParseReuseMode parses a -tree-reuse flag value.
-func ParseReuseMode(s string) (ReuseMode, error) {
-	switch s {
-	case "", "auto":
-		return ReuseAuto, nil
-	case "on":
-		return ReuseOn, nil
-	case "off":
-		return ReuseOff, nil
-	}
-	return 0, fmt.Errorf("treecode: unknown tree-reuse mode %q (want auto, on or off)", s)
-}
-
 // ReuseStats counts the maintainer's work. TreeCache.Stats accumulates
 // across the cache's lifetime; TreeCache.Last holds the most recent
 // step's deltas.

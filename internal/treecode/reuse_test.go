@@ -1,6 +1,7 @@
 package treecode
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -241,53 +242,83 @@ func TestTreeCacheCleanStep(t *testing.T) {
 // over a *moving* system — keying, re-sort, patch, hash and walk-index
 // maintenance — performs zero allocations.
 func TestTreeCacheStepZeroAlloc(t *testing.T) {
-	s := nbody.NewPlummer(4000, 1, 13)
-	opt := BuildOptions{Quadrupole: true, Workers: 1}
-	c := NewTreeCache()
-	srcs := SourcesFromSystem(s)
-	// Warm: adopt, force the walk index alive (as a force sweep would),
-	// and run a few moving steps so every buffer reaches steady size.
-	for i := 0; i < 5; i++ {
-		tr, err := c.Step(AppendSources(srcs[:0], s), opt)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		n    int
+		seed uint64
+		quad bool
+		dt   float64
+	}{{4000, 13, true, 0.02}, {20000, 2001, false, 0.005}} {
+		s := nbody.NewPlummer(tc.n, 1, tc.seed)
+		opt := BuildOptions{Quadrupole: tc.quad, Workers: 1}
+		c := NewTreeCache()
+		srcs := SourcesFromSystem(s)
+		// Warm: adopt, force the walk index alive (as a force sweep
+		// would), and run a few moving steps so every buffer reaches
+		// steady size.
+		for i := 0; i < 5; i++ {
+			tr, err := c.Step(AppendSources(srcs[:0], s), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.walkIndex()
+			drift(s, tc.dt)
 		}
-		tr.walkIndex()
-		drift(s, 0.02)
+		allocs := testing.AllocsPerRun(100, func() {
+			drift(s, tc.dt)
+			if _, err := c.Step(AppendSources(srcs[:0], s), opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("n=%d: maintainer step allocates %.2f times per step, want 0", tc.n, allocs)
+		}
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		drift(s, 0.02)
-		if _, err := c.Step(AppendSources(srcs[:0], s), opt); err != nil {
-			t.Fatal(err)
+}
+
+// freshForcer is the fresh-build reference for the maintainer: every
+// call gets a new Forcer, so every call builds its tree from scratch.
+type freshForcer struct{ workers int }
+
+func (f freshForcer) Forces(s *nbody.System) error { return f.ForcesActive(s, nil) }
+
+func (f freshForcer) ForcesActive(s *nbody.System, active []bool) error {
+	return (&Forcer{Theta: 0.7, Workers: f.workers}).ForcesActive(s, active)
+}
+
+// requireSameState fails unless two systems agree bit for bit in
+// position, velocity and acceleration.
+func requireSameState(t *testing.T, got, want *nbody.System, label string) {
+	t.Helper()
+	fb := math.Float64bits
+	for i := 0; i < want.N(); i++ {
+		if fb(want.X[i]) != fb(got.X[i]) || fb(want.VX[i]) != fb(got.VX[i]) || fb(want.AX[i]) != fb(got.AX[i]) {
+			t.Fatalf("%s: particle %d diverged from the fresh-build reference", label, i)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("maintainer step allocates %.2f times per step, want 0", allocs)
 	}
 }
 
 // TestForcerReuseLeapfrogBitIdentical: the integration contract — a
-// multi-step Leapfrog with the maintainer on is bit-identical to the
-// fresh-build baseline, at worker widths 1, 2 and 8 (CI runs this under
-// -race).
+// multi-step Leapfrog on one Forcer, whose maintainer carries the tree
+// from step to step, is bit-identical to building every step's tree
+// fresh, at worker widths 1, 2 and 8 (CI runs this under -race).
 func TestForcerReuseLeapfrogBitIdentical(t *testing.T) {
-	run := func(mode ReuseMode, w int) *nbody.System {
-		s := nbody.NewPlummer(2000, 1, 12)
-		f := &Forcer{Theta: 0.7, Workers: w, Reuse: mode}
-		if err := s.Leapfrog(f, 0.01, 8); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	ref := run(ReuseOff, 1)
-	for _, w := range []int{1, 2, 8} {
-		got := run(ReuseOn, w)
-		for i := 0; i < ref.N(); i++ {
-			if math.Float64bits(ref.X[i]) != math.Float64bits(got.X[i]) ||
-				math.Float64bits(ref.VX[i]) != math.Float64bits(got.VX[i]) ||
-				math.Float64bits(ref.AX[i]) != math.Float64bits(got.AX[i]) {
-				t.Fatalf("reuse on, workers=%d: particle %d diverged from fresh-build baseline", w, i)
+	for _, tc := range []struct {
+		n     int
+		seed  uint64
+		dt    float64
+		steps int
+	}{{2000, 12, 0.01, 8}, {4096, 7, 0.005, 4}} {
+		run := func(f nbody.Forcer) *nbody.System {
+			s := nbody.NewPlummer(tc.n, 1, tc.seed)
+			if err := s.Leapfrog(f, tc.dt, tc.steps); err != nil {
+				t.Fatal(err)
 			}
+			return s
+		}
+		ref := run(freshForcer{workers: 1})
+		for _, w := range []int{1, 2, 8} {
+			requireSameState(t, run(&Forcer{Theta: 0.7, Workers: w}), ref,
+				fmt.Sprintf("n=%d workers=%d", tc.n, w))
 		}
 	}
 }
@@ -296,57 +327,23 @@ func TestForcerReuseLeapfrogBitIdentical(t *testing.T) {
 // timestep integrator, whose masked ForcesActive calls hit the
 // maintainer many times per base step.
 func TestForcerReuseBlockStepBitIdentical(t *testing.T) {
-	run := func(mode ReuseMode, w int) (*nbody.System, nbody.RungStats) {
+	run := func(f nbody.ActiveForcer) (*nbody.System, nbody.RungStats) {
 		s := nbody.NewPlummer(2000, 1, 12)
-		f := &Forcer{Theta: 0.7, Workers: w, Reuse: mode}
 		var b nbody.BlockStepper
 		if err := b.Run(s, f, nbody.BlockConfig{DT: 0.05, MaxRung: 4}, 3); err != nil {
 			t.Fatal(err)
 		}
 		return s, b.Stats
 	}
-	ref, refStats := run(ReuseOff, 1)
+	ref, refStats := run(freshForcer{workers: 1})
 	if refStats.MaxRungUsed == 0 {
 		t.Fatal("hierarchy never engaged — the determinism check would be vacuous")
 	}
 	for _, w := range []int{1, 2, 8} {
-		got, gotStats := run(ReuseOn, w)
+		got, gotStats := run(&Forcer{Theta: 0.7, Workers: w})
 		if gotStats != refStats {
-			t.Fatalf("reuse on, workers=%d: rung stats %+v differ from %+v", w, gotStats, refStats)
+			t.Fatalf("workers=%d: rung stats %+v differ from %+v", w, gotStats, refStats)
 		}
-		for i := 0; i < ref.N(); i++ {
-			if math.Float64bits(ref.X[i]) != math.Float64bits(got.X[i]) ||
-				math.Float64bits(ref.VX[i]) != math.Float64bits(got.VX[i]) ||
-				math.Float64bits(ref.AX[i]) != math.Float64bits(got.AX[i]) {
-				t.Fatalf("reuse on, workers=%d: particle %d diverged", w, i)
-			}
-		}
-	}
-}
-
-// TestParseReuseMode pins the flag grammar and the String round trip.
-func TestParseReuseMode(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want ReuseMode
-	}{
-		{"", ReuseAuto}, {"auto", ReuseAuto}, {"on", ReuseOn}, {"off", ReuseOff},
-	} {
-		got, err := ParseReuseMode(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseReuseMode(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	if _, err := ParseReuseMode("bogus"); err == nil {
-		t.Fatal("ParseReuseMode accepted bogus")
-	}
-	for _, m := range []ReuseMode{ReuseAuto, ReuseOn, ReuseOff} {
-		back, err := ParseReuseMode(m.String())
-		if err != nil || back != m {
-			t.Fatalf("round trip %v → %q → %v, %v", m, m.String(), back, err)
-		}
-	}
-	if !ReuseAuto.enabled() || !ReuseOn.enabled() || ReuseOff.enabled() {
-		t.Fatal("enabled() wiring wrong")
+		requireSameState(t, got, ref, fmt.Sprintf("workers=%d", w))
 	}
 }

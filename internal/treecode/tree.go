@@ -486,14 +486,6 @@ type Forcer struct {
 	// which the dual engine's conservative MAC guarantees); anything
 	// below 1 demands bit-exactness and falls back to EngineRecursive.
 	ErrorBudget float64
-	// Reuse selects incremental tree maintenance across Forces calls
-	// (see TreeCache). The zero value is ReuseAuto: the forcer keeps a
-	// tree maintainer alive, so a one-shot call still pays exactly one
-	// fresh build while multi-step integrations amortize keying,
-	// sorting and node construction — bit-identical to fresh builds
-	// either way. ReuseOff pins the pre-maintainer behaviour (a fresh
-	// Build every call).
-	Reuse ReuseMode
 	// LastStats reports the most recent force computation's work.
 	LastStats Stats
 	// Total accumulates stats across every Forces call on this Forcer
@@ -506,9 +498,11 @@ type Forcer struct {
 	arenas []*WalkArena
 	// tasks is the reusable dual-walk work list.
 	tasks []int32
-	// cache is the persistent tree maintainer (when Reuse enables it)
-	// and srcBuf the reusable source-conversion buffer it reads, so the
-	// steady-state tree refresh allocates nothing.
+	// cache is the persistent tree maintainer and srcBuf the reusable
+	// source-conversion buffer it reads: a one-shot call pays exactly
+	// one build, multi-step integrations amortize keying, sorting and
+	// node construction, and the tree is bit-identical to a fresh Build
+	// either way. The steady-state refresh allocates nothing.
 	cache  *TreeCache
 	srcBuf []Source
 	// sel is the reusable target selection of masked force calls.
@@ -519,8 +513,8 @@ type Forcer struct {
 // parallel force loop.
 const forceGrain = 512
 
-// Forces implements nbody.Forcer: builds a fresh tree over the system and
-// fills its acceleration arrays.
+// Forces implements nbody.Forcer: brings the tree up to the system's
+// current positions and fills its acceleration arrays.
 func (f *Forcer) Forces(s *nbody.System) error { return f.ForcesActive(s, nil) }
 
 // ForcesActive implements nbody.ActiveForcer: like Forces, but when
@@ -535,27 +529,15 @@ func (f *Forcer) ForcesActive(s *nbody.System, active []bool) error {
 	}
 	opt := BuildOptions{Bucket: f.Bucket, Quadrupole: f.Quadrupole, Workers: f.Workers}
 	sp := f.Tracer.Begin(obs.PidHost, 0, "treecode", "build")
-	var t *Tree
-	var err error
-	var nsrc int
-	if f.Reuse.enabled() {
-		// Step-aware path: the persistent maintainer refreshes last
-		// step's tree in place — bit-identical to the fresh build below.
-		f.srcBuf = AppendSources(f.srcBuf[:0], s)
-		nsrc = len(f.srcBuf)
-		if f.cache == nil {
-			f.cache = NewTreeCache()
-		}
-		t, err = f.cache.Step(f.srcBuf, opt)
-	} else {
-		srcs := SourcesFromSystem(s)
-		nsrc = len(srcs)
-		t, err = Build(srcs, opt)
+	f.srcBuf = AppendSources(f.srcBuf[:0], s)
+	if f.cache == nil {
+		f.cache = NewTreeCache()
 	}
+	t, err := f.cache.Step(f.srcBuf, opt)
 	if err != nil {
 		return err
 	}
-	sp.End(map[string]any{"sources": nsrc, "nodes": len(t.Nodes)})
+	sp.End(map[string]any{"sources": len(f.srcBuf), "nodes": len(t.Nodes)})
 	pool := par.New(f.Workers)
 	sp = f.Tracer.Begin(obs.PidHost, 0, "treecode", "forces")
 	var st Stats
