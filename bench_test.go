@@ -686,53 +686,31 @@ func BenchmarkLongRun(b *testing.B) {
 	}
 }
 
-// BenchmarkMPIAllreduce measures the substrate's allreduce hot path —
-// one op is a full 8-rank in-place allreduce of 512 float64s — with the
-// per-rank buffer pools on (the shipping path, allocation-free at
-// steady state) and off (the baseline -benchmem exposes the gap
-// against). Allocations in the rank goroutines count: the testing
-// package reads process-wide allocator statistics.
+// BenchmarkMPIAllreduce measures the substrate's allreduce hot path:
+// one op is a full 8-rank in-place allreduce of 512 float64s on Fast
+// Ethernet, allocation-free at steady state because every wire buffer
+// comes from the per-rank pools (mpi's TestAllreducePoolStatsExact pins
+// the hit counts). Allocations in the rank goroutines count: the
+// testing package reads process-wide allocator statistics.
 func BenchmarkMPIAllreduce(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"pooled", false}, {"unpooled", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			w := allreduceWorld(b, mode.disable)
-			b.ResetTimer()
-			if err := allreduces(w, b.N); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(w.MaxTime()/float64(b.N), "sim-seconds/op")
-		})
-	}
-}
-
-// allreduceWorld is the 8-rank Fast Ethernet world of the allreduce
-// hot path, with buffer pooling on or off.
-func allreduceWorld(tb testing.TB, disablePool bool) *mpi.World {
-	w, err := mpi.NewWorldWithConfig(8, mpi.Config{
-		Fabric:       netsim.FastEthernet(),
-		DisablePool:  disablePool,
-		ChannelDepth: 256,
-	})
+	b.ReportAllocs()
+	w, err := mpi.NewWorld(8, netsim.FastEthernet())
 	if err != nil {
-		tb.Fatal(err)
+		b.Fatal(err)
 	}
-	return w
-}
-
-// allreduces runs ops in-place allreduces of 512 float64s on w.
-func allreduces(w *mpi.World, ops int) error {
-	return w.Run(func(c *mpi.Comm) error {
+	b.ResetTimer()
+	err = w.Run(func(c *mpi.Comm) error {
 		buf := make([]float64, 512)
-		for i := 0; i < ops; i++ {
+		for i := 0; i < b.N; i++ {
 			buf[0] = float64(c.Rank() + i)
 			c.AllreduceInto(mpi.Sum, buf)
 		}
 		return nil
 	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(w.MaxTime()/float64(b.N), "sim-seconds/op")
 }
 
 // BenchmarkMPICollectives compares the classic collective algorithms
@@ -746,9 +724,8 @@ func BenchmarkMPICollectives(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			w, err := mpi.NewWorldWithConfig(16, mpi.Config{
-				Fabric:       netsim.FastEthernet(),
-				Native:       mode.native,
-				ChannelDepth: 256,
+				Fabric: netsim.FastEthernet(),
+				Native: mode.native,
 			})
 			if err != nil {
 				b.Fatal(err)

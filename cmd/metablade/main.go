@@ -10,15 +10,14 @@
 //	metablade -table 3 -class W
 //	metablade -table 2 -particles 60000
 //	metablade -table 2 -sweep     # run the sweep's worlds concurrently
-//	metablade -table 2 -fabric fattree -mpi-mode event
+//	metablade -table 2 -fabric fattree
 //	metablade -obs-json out.json -trace out.trace
 //
 // -sweep runs Table 2's independent per-CPU-count worlds concurrently
 // on the host pool (bounded by -procs); rows and observability output
 // are bit-identical to the serial sweep. -fabric selects the
-// interconnect topology (star, fattree, torus2d, torus3d) and
-// -mpi-mode the rank scheduler (auto, goroutine, event); schedulers
-// are bit-identical, topologies change simulated times.
+// interconnect topology (star, fattree, torus2d, torus3d), which
+// changes simulated times.
 //
 // With an observability output requested (-obs-json, -obs-csv, -trace,
 // or -format json) and no explicit table or figure selection, metablade
@@ -47,19 +46,15 @@ func main() {
 	particles := flag.Int("particles", 0, "particle count override for table 2 / figure 3")
 	sweep := flag.Bool("sweep", false, "run table 2's independent worlds concurrently on the host pool")
 	fabric := flag.String("fabric", "", "table 2 interconnect topology: star (default), fattree, torus2d, torus3d")
-	mode := flag.String("mpi-mode", "", "table 2 rank scheduler: auto (default: event at >= 256 ranks), goroutine, event")
 	flag.Parse()
 	d.Check(d.Setup())
 
 	table2Spec := func() *core.Table2Spec {
 		return &core.Table2Spec{
-			Particles:  *particles,
-			Concurrent: *sweep,
-			EngineSpec: d.SpecEngine(),
-			FabricModeSpec: core.FabricModeSpec{
-				Fabric: *fabric,
-				Mode:   *mode,
-			},
+			Particles:      *particles,
+			Concurrent:     *sweep,
+			EngineSpec:     d.SpecEngine(),
+			FabricModeSpec: core.FabricModeSpec{Fabric: *fabric},
 		}
 	}
 	runSpec := func(s core.ExperimentSpec) {

@@ -23,11 +23,10 @@
 // bit-identical rows either way. -native selects the native collective
 // algorithms and -contention the per-port fabric occupancy model (both
 // change simulated times and are off by default). -fabric picks the
-// interconnect topology (star, fattree, torus2d, torus3d) and
-// -mpi-mode the rank scheduler (auto, goroutine, event): shaped
-// fabrics use topology-aware hop counts and hierarchical collectives,
-// and the event scheduler runs 10k+ simulated ranks without goroutine
-// or channel cost. Results are bit-identical across schedulers.
+// interconnect topology (star, fattree, torus2d, torus3d): shaped
+// fabrics use topology-aware hop counts and hierarchical collectives.
+// Each simulated rank is a goroutine with its own inbox, so worlds of
+// thousands of ranks stay cheap on the host.
 //
 // The flags are a thin parse layer over core.NASKernelsSpec and
 // core.NASSweepSpec — the same experiment specs the gridd gateway
@@ -83,7 +82,6 @@ func main() {
 	native := flag.Bool("native", false, "sweep with native collectives (recursive doubling, pipelined ring)")
 	contention := flag.Bool("contention", false, "sweep with the per-port fabric occupancy model")
 	fabric := flag.String("fabric", "", "interconnect topology: star (default), fattree, torus2d, torus3d")
-	mode := flag.String("mpi-mode", "", "rank scheduler: auto (default: event at >= 256 ranks), goroutine, event")
 	epOnly := flag.Bool("ep-only", false, "sweep EP only (large-p sweeps: IS holds O(p²) live slices)")
 	flag.Parse()
 	d.Check(d.Setup())
@@ -96,24 +94,18 @@ func main() {
 		list, err := parseRanks(*ranks)
 		d.Check(err)
 		spec = &core.NASSweepSpec{
-			Class:      *class,
-			Ranks:      list,
-			Concurrent: !*serial,
-			Native:     *native,
-			Contention: *contention,
-			EPOnly:     *epOnly,
-			FabricModeSpec: core.FabricModeSpec{
-				Fabric: *fabric,
-				Mode:   *mode,
-			},
+			Class:          *class,
+			Ranks:          list,
+			Concurrent:     !*serial,
+			Native:         *native,
+			Contention:     *contention,
+			EPOnly:         *epOnly,
+			FabricModeSpec: core.FabricModeSpec{Fabric: *fabric},
 		}
 	} else {
 		s := &core.NASKernelsSpec{
 			Class: *class, Kernel: *kernel, Rate: rate,
-			FabricModeSpec: core.FabricModeSpec{
-				Fabric: *fabric,
-				Mode:   *mode,
-			},
+			FabricModeSpec: core.FabricModeSpec{Fabric: *fabric},
 		}
 		if *ranks != "" {
 			n, err := strconv.Atoi(*ranks)

@@ -225,19 +225,6 @@ func TestGuardConcurrentSweep(t *testing.T) {
 	noSlower(t, "concurrent NAS sweep", med[1], med[0])
 }
 
-// TestGuardPooledAllreduce: buffer pooling, which takes the allreduce
-// hot path to zero allocations, must not cost host time against the
-// unpooled world.
-func TestGuardPooledAllreduce(t *testing.T) {
-	const ops = 2000
-	pooled, unpooled := allreduceWorld(t, false), allreduceWorld(t, true)
-	med := medianTimes(t,
-		func() { must(t, allreduces(pooled, ops)) },
-		func() { must(t, allreduces(unpooled, ops)) },
-	)
-	noSlower(t, "pooled allreduce", med[0], med[1])
-}
-
 // TestGuardDesignSweep: the memoized design-space sweep must score at
 // least 100k candidates/s on the default grid (exhaustively, so the
 // rate measures the evaluator, not pruning), and the memo must speed a

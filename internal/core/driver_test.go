@@ -47,7 +47,7 @@ func TestDriverEnvelope(t *testing.T) {
 	// schema's required samples track what Collect actually emits.
 	d.Run.Snap.AddCounter("cms.cycles.total", "cycles", "", 12345)
 	d.Run.Snap.AddCounter("treecode.interactions", "", "", 90)
-	w, err := mpi.NewWorldWithConfig(2, mpi.Config{ChannelDepth: 16})
+	w, err := mpi.NewWorld(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,8 +101,6 @@ type Table2Config struct {
 	ErrorBudget float64
 	// Fabric names the interconnect topology (see NASSweepConfig.Fabric).
 	Fabric string
-	// Mode selects the rank scheduler (see NASSweepConfig.Mode).
-	Mode string
 }
 
 // DefaultTable2Config mirrors the paper's sweep of the 24-blade chassis.
@@ -147,19 +145,7 @@ func (r *Run) Table2(cfg Table2Config) ([]Table2Row, *metrics.Table, error) {
 			o.err = err
 			return
 		}
-		event, err := ResolveMPIMode(cfg.Mode, p)
-		if err != nil {
-			o.err = err
-			return
-		}
-		wcfg := mpi.Config{Fabric: f, Event: event}
-		if cfg.Concurrent {
-			// The concurrent sweep keeps every world's channels alive at
-			// once; the LET exchange never queues deeply, so cap the
-			// host-side buffers (virtual times are unaffected).
-			wcfg.ChannelDepth = sweepChannelDepth
-		}
-		w, err := mpi.NewWorldWithConfig(p, wcfg)
+		w, err := mpi.NewWorld(p, f)
 		if err != nil {
 			o.err = err
 			return

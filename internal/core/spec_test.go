@@ -266,6 +266,44 @@ func TestTreeReuseNormalizesAway(t *testing.T) {
 	}
 }
 
+// TestMPIModeNormalizesAway: mpi_mode names a retired choice of rank
+// scheduler whose settings all gave the same bits. Every accepted
+// spelling canonicalizes away and hashes like a spec without the field;
+// anything else is rejected.
+func TestMPIModeNormalizesAway(t *testing.T) {
+	want, err := SpecHash(&Table2Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"", "auto", "AUTO", "goroutine", "event"} {
+		s, err := DecodeSpec([]byte(`{"api":"repro/spec/v1","kind":"table2","spec":{"mpi_mode":"` + v + `"}}`))
+		if err != nil {
+			t.Fatalf("%q: %v", v, err)
+		}
+		c, err := CanonicalSpec(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Validate(); err != nil {
+			t.Errorf("%q: %v", v, err)
+		}
+		if got, err := SpecHash(s); err != nil || got != want {
+			t.Errorf("mpi_mode %q hashes to %s (%v), want %s", v, got, err, want)
+		}
+	}
+	s, err := DecodeSpec([]byte(`{"api":"repro/spec/v1","kind":"table2","spec":{"mpi_mode":"bogus"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := CanonicalSpec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Validate(); err == nil {
+		t.Error(`"mpi_mode":"bogus" validated`)
+	}
+}
+
 // setupDriver parses args into a Driver on a private flag set and runs
 // Setup.
 func setupDriver(t *testing.T, args ...string) *Driver {

@@ -112,16 +112,19 @@ func (*Table1Spec) Run(r *Run) (*SpecResult, error) {
 	return &SpecResult{Kind: "table1", Text: fmt.Sprintf("%s\n", t), Data: rows}, nil
 }
 
-// FabricModeSpec is the interconnect-topology and rank-scheduler
-// selection shared by the parallel experiment kinds, in flag spelling.
-// The zero value keeps the paper's star switch and the automatic
-// scheduler choice (event-driven at or above EventAutoThreshold
-// ranks); Normalize folds the explicit defaults ("star", "auto") into
-// the zero value so both spellings hash identically, and specs that
-// omit the fields keep their historical hashes.
+// FabricModeSpec is the interconnect-topology selection shared by the
+// parallel experiment kinds, in flag spelling. The zero value keeps the
+// paper's star switch; Normalize folds the explicit "star" into the
+// zero value so both spellings hash identically, and specs that omit
+// the field keep their historical hashes.
 type FabricModeSpec struct {
 	Fabric string `json:"fabric,omitempty"`
-	Mode   string `json:"mpi_mode,omitempty"`
+	// Mode names a retired choice of rank scheduler, which gave
+	// identical bits. The strict decoder still meets it in stored
+	// specs, so "auto", "goroutine" and "event" (any case) are accepted
+	// and Normalize folds them to the empty string: every spelling
+	// hashes like a spec without the field. Other values are rejected.
+	Mode string `json:"mpi_mode,omitempty"`
 }
 
 func (f *FabricModeSpec) normalize() {
@@ -129,8 +132,8 @@ func (f *FabricModeSpec) normalize() {
 	if f.Fabric == "star" {
 		f.Fabric = ""
 	}
-	f.Mode = strings.ToLower(f.Mode)
-	if f.Mode == "auto" {
+	switch strings.ToLower(f.Mode) {
+	case "auto", "goroutine", "event":
 		f.Mode = ""
 	}
 }
@@ -139,8 +142,8 @@ func (f *FabricModeSpec) validate() error {
 	if err := netsim.ApplyTopology(netsim.FastEthernet(), f.Fabric, 4); err != nil {
 		return err
 	}
-	if _, err := ResolveMPIMode(f.Mode, 1); err != nil {
-		return err
+	if f.Mode != "" {
+		return fmt.Errorf("unknown mpi_mode %q (want auto, goroutine or event)", f.Mode)
 	}
 	return nil
 }
@@ -205,7 +208,6 @@ func (s *Table2Spec) Run(r *Run) (*SpecResult, error) {
 		Workers:    s.Workers,
 		Engine:     s.resolve(),
 		Fabric:     s.Fabric,
-		Mode:       s.Mode,
 	}
 	rows, t, err := r.Table2(cfg)
 	if err != nil {
@@ -462,7 +464,6 @@ func (s *NASSweepSpec) Run(r *Run) (*SpecResult, error) {
 		Native:     s.Native,
 		Contention: s.Contention,
 		Fabric:     s.Fabric,
-		Mode:       s.Mode,
 		EPOnly:     s.EPOnly,
 	}
 	rows, t, err := r.NASSweep(cfg)
@@ -478,8 +479,8 @@ func (s *NASSweepSpec) Run(r *Run) (*SpecResult, error) {
 // rates them on the Table 3 processors. Rate is a pointer so an
 // omitted field means the flag default, true. Ranks > 0 switches to
 // the distributed kernels (EP and IS) on a simulated world of that
-// size, with the fabric topology and rank scheduler from
-// FabricModeSpec; rows then carry the simulated makespan.
+// size, with the fabric topology from FabricModeSpec; rows then carry
+// the simulated makespan.
 type NASKernelsSpec struct {
 	Class  string `json:"class,omitempty"`
 	Kernel string `json:"kernel,omitempty"`
@@ -549,20 +550,12 @@ func (s *NASKernelsSpec) runParallel(r *Run) (*SpecResult, error) {
 		return nil, err
 	}
 	p := s.Ranks
-	event, err := ResolveMPIMode(s.Mode, p)
-	if err != nil {
-		return nil, err
-	}
 	mk := func() (*mpi.World, error) {
 		f := netsim.FastEthernet()
 		if err := netsim.ApplyTopology(f, s.Fabric, p); err != nil {
 			return nil, err
 		}
-		w, err := mpi.NewWorldWithConfig(p, mpi.Config{
-			Fabric:       f,
-			ChannelDepth: sweepChannelDepth,
-			Event:        event,
-		})
+		w, err := mpi.NewWorld(p, f)
 		if err != nil {
 			return nil, err
 		}

@@ -22,12 +22,6 @@ import (
 // in a serial post-pass, so a sweep at any worker count produces
 // bit-identical rows and snapshots.
 
-// sweepChannelDepth bounds per-pair in-flight messages for sweep worlds.
-// A concurrent sweep keeps every world's channels alive at once, and the
-// kernels here never queue more than a few messages per pair, so the
-// deep default would only waste host memory.
-const sweepChannelDepth = 256
-
 // NASSweepConfig sizes the parallel NAS rank sweep.
 type NASSweepConfig struct {
 	// Class is the NPB problem class (S, W, A).
@@ -49,39 +43,10 @@ type NASSweepConfig struct {
 	// paper's switch), "fattree", "torus2d", "torus3d". Shaped fabrics
 	// get topology-aware hop counts and hierarchical collectives.
 	Fabric string
-	// Mode selects the rank scheduler: "goroutine", "event", or
-	// ""/"auto" (event at or above EventAutoThreshold ranks).
-	Mode string
 	// EPOnly skips the IS kernel. Large-p sweeps set it: IS keys scale
 	// with the key space per rank and its all-to-all holds O(p²) live
 	// slices, while EP stays lean at any p.
 	EPOnly bool
-}
-
-// EventAutoThreshold is the world size at which ""/"auto" scheduler
-// mode switches from goroutine ranks to the event-driven scheduler.
-// Below it the goroutine path is faster on multi-core hosts, because
-// the event loop runs every rank's host compute serially: on a 2-vCPU
-// host, Table 2 (20000 particles, p = 1..24) took 0.97–1.20 s with
-// goroutine ranks against 1.23–1.45 s with the event loop, and the
-// class S NAS sweep 1.47–1.80 s against 2.23–3.09 s. Above it size²
-// channels and host stacks dominate. Either choice yields
-// bit-identical results.
-const EventAutoThreshold = 256
-
-// ResolveMPIMode maps a scheduler-mode name and world size to
-// Config.Event: "event" and "goroutine" force, ""/"auto" picks the
-// event scheduler at or above EventAutoThreshold ranks.
-func ResolveMPIMode(mode string, p int) (bool, error) {
-	switch mode {
-	case "event":
-		return true, nil
-	case "goroutine":
-		return false, nil
-	case "", "auto":
-		return p >= EventAutoThreshold, nil
-	}
-	return false, fmt.Errorf("core: unknown MPI mode %q (want goroutine, event or auto)", mode)
 }
 
 // DefaultNASSweepConfig sweeps EP and IS over every blade count of the
@@ -130,16 +95,7 @@ func (r *Run) NASSweep(cfg NASSweepConfig) ([]NASSweepRow, *metrics.Table, error
 		if err := netsim.ApplyTopology(f, cfg.Fabric, p); err != nil {
 			return nil, err
 		}
-		event, err := ResolveMPIMode(cfg.Mode, p)
-		if err != nil {
-			return nil, err
-		}
-		w, err := mpi.NewWorldWithConfig(p, mpi.Config{
-			Fabric:       f,
-			Native:       cfg.Native,
-			ChannelDepth: sweepChannelDepth,
-			Event:        event,
-		})
+		w, err := mpi.NewWorldWithConfig(p, mpi.Config{Fabric: f, Native: cfg.Native})
 		if err != nil {
 			return nil, err
 		}

@@ -125,34 +125,27 @@ func TestTable2ConcurrentMatchesSerial(t *testing.T) {
 }
 
 // TestNASSweepSchedulersSameMakespans: the p=1..8 sweep BenchmarkNASSweep
-// times simulates the same cluster however the host runs it — serially,
-// concurrently, or on the event scheduler — so every row's EP and IS
+// times simulates the same cluster however the host schedules it —
+// one world at a time or all concurrently — so every row's EP and IS
 // makespans agree bit for bit.
 func TestNASSweepSchedulersSameMakespans(t *testing.T) {
-	sweep := func(concurrent bool, mode string) []NASSweepRow {
+	sweep := func(concurrent bool) []NASSweepRow {
 		cfg := DefaultNASSweepConfig()
 		cfg.Ranks = cfg.Ranks[:8]
 		cfg.Concurrent = concurrent
-		cfg.Mode = mode
 		rows, _, err := NewRun().NASSweep(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rows
 	}
-	serial := sweep(false, "")
-	for _, v := range []struct {
-		name       string
-		concurrent bool
-		mode       string
-	}{{"concurrent", true, ""}, {"event", true, "event"}} {
-		for i, row := range sweep(v.concurrent, v.mode) {
-			want := serial[i]
-			if math.Float64bits(row.EPTime) != math.Float64bits(want.EPTime) ||
-				math.Float64bits(row.ISTime) != math.Float64bits(want.ISTime) {
-				t.Errorf("%s sweep p=%d: makespans EP %g IS %g, serial EP %g IS %g",
-					v.name, row.Ranks, row.EPTime, row.ISTime, want.EPTime, want.ISTime)
-			}
+	serial := sweep(false)
+	for i, row := range sweep(true) {
+		want := serial[i]
+		if math.Float64bits(row.EPTime) != math.Float64bits(want.EPTime) ||
+			math.Float64bits(row.ISTime) != math.Float64bits(want.ISTime) {
+			t.Errorf("concurrent sweep p=%d: makespans EP %g IS %g, serial EP %g IS %g",
+				row.Ranks, row.EPTime, row.ISTime, want.EPTime, want.ISTime)
 		}
 	}
 }

@@ -215,8 +215,7 @@ func (c *Comm) groupBcastInto(base, stride, count, rootIdx int, buf []float64) {
 }
 
 // absorbBcast copies a received broadcast payload into buf and
-// recycles the wire buffer (shared by the blocking and event-mode
-// broadcast forms).
+// recycles the wire buffer.
 func (c *Comm) absorbBcast(buf, wire []float64) {
 	if len(wire) != len(buf) {
 		panic(fmt.Sprintf("mpi: bcast length mismatch %d vs %d", len(wire), len(buf)))
@@ -387,13 +386,7 @@ func (c *Comm) reduceIntoDisposable(root int, op Op, acc []float64) bool {
 // reduceFold receives a partial result from src and folds it into acc,
 // recycling the wire buffer.
 func (c *Comm) reduceFold(op Op, acc []float64, src int) {
-	m := c.recv(src, tagReduce)
-	c.foldReduce(op, acc, m.f64)
-}
-
-// foldReduce folds a received partial into acc and recycles the wire
-// buffer (shared by the blocking and event-mode reductions).
-func (c *Comm) foldReduce(op Op, acc, wire []float64) {
+	wire := c.recv(src, tagReduce).f64
 	if len(wire) != len(acc) {
 		panic(fmt.Sprintf("mpi: reduce length mismatch %d vs %d", len(wire), len(acc)))
 	}

@@ -1,10 +1,18 @@
 // Package mpi is the message-passing substrate the paper's parallel codes
-// (the treecode and the NAS benchmarks) run on. Ranks are goroutines that
-// exchange real data over per-pair FIFO channels, so parallel results are
-// genuinely computed in parallel; each rank additionally carries a virtual
-// clock, advanced by modelled compute time (via the CPU op-mix models) and
-// by message costs from a netsim.Fabric, so a run yields both a correct
-// answer and a simulated parallel runtime on the modelled cluster.
+// (the treecode and the NAS benchmarks) run on. Ranks are goroutines
+// running plain blocking MPI-style programs, so parallel results are
+// genuinely computed in parallel; each rank additionally carries a
+// virtual clock, advanced by modelled compute time (via the CPU op-mix
+// models) and by message costs from a netsim.Fabric, so a run yields
+// both a correct answer and a simulated parallel runtime on the
+// modelled cluster.
+//
+// Messages travel through per-rank inboxes (inbox.go): sends never
+// block, a receive waits only for its own sender, and lanes exist only
+// for rank pairs that talk, so worlds of thousands of ranks cost little
+// more than their goroutine stacks. Deadlocks are detected exactly —
+// the moment every rank is blocked or finished — and reported with
+// each rank's pending receive.
 //
 // Collectives are implemented on top of point-to-point sends (binomial
 // trees, rings, dissemination barriers), so their virtual-time behaviour
@@ -22,10 +30,7 @@ package mpi
 
 import (
 	"fmt"
-	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -71,24 +76,12 @@ var ctxNames = [numCtx]string{
 // memcpy.
 const DefaultRendezvousThreshold = 32 << 10
 
-// DefaultWatchdogTimeout is how long the deadlock watchdog waits without
-// any send or receive completing anywhere in the world before it aborts
-// the run with a per-rank diagnostic. Generous enough that modelled
-// compute phases never trip it; a genuinely mismatched send/recv fails
-// in about this much host time instead of hanging CI.
-const DefaultWatchdogTimeout = 60 * time.Second
-
 // Config selects the substrate's optional behaviours. The zero value is
-// the production default: pooling on, classic collectives, the default
-// rendezvous threshold, and the watchdog armed.
+// the production default: classic collectives and the default
+// rendezvous threshold.
 type Config struct {
 	// Fabric models the interconnect; nil = zero-cost network.
 	Fabric *netsim.Fabric
-	// DisablePool bypasses the buffer pools (every payload is a fresh
-	// allocation) — the baseline the equivalence tests and the allocs/op
-	// benchmarks compare the pooled path against. Results and virtual
-	// times are bit-identical either way.
-	DisablePool bool
 	// Native switches Allreduce/Bcast (and their Into variants) to the
 	// dedicated algorithms — recursive doubling, pipelined ring with
 	// segmentation — instead of the classic reduce+bcast / binomial
@@ -101,26 +94,6 @@ type Config struct {
 	// SegmentBytes is the native pipelined-broadcast segment size;
 	// 0 keeps the default (8 KiB).
 	SegmentBytes int
-	// WatchdogTimeout overrides DefaultWatchdogTimeout; 0 keeps the
-	// default, negative disables the watchdog.
-	WatchdogTimeout time.Duration
-	// ChannelDepth overrides the per-pair in-flight message bound (0
-	// keeps the package default). Purely host-side backpressure —
-	// virtual times never depend on it — but each world preallocates
-	// size²·depth message slots, so harnesses holding many worlds alive
-	// at once (the concurrent rank sweep) set it lower. Ignored in
-	// event mode, whose inboxes grow on demand.
-	ChannelDepth int
-	// Event switches the world to the event-driven scheduler: ranks run
-	// as resumable state machines (Proc) dispatched from a pending-op
-	// heap over the virtual clock, instead of one goroutine per rank.
-	// No per-pair channels are allocated (messages land in lazily
-	// created per-rank inboxes), so worlds of 10k+ ranks cost a few
-	// hundred bytes per rank instead of size² channels. Virtual times,
-	// results and observability counters are bit-identical to the
-	// goroutine path. Run an event world with RunEvent; blocking
-	// Recv/collective calls panic on it.
-	Event bool
 }
 
 // DefaultSegmentBytes is the native pipelined-broadcast segment size.
@@ -131,18 +104,16 @@ type World struct {
 	size   int
 	fabric *netsim.Fabric // nil = zero-cost network
 	cfg    Config
-	chans  []chan message // chans[src*size+dst]; nil in event mode
 	comms  []*Comm
 
-	// Event-mode state: per-rank inboxes (src → FIFO queue, created on
-	// first use) and the ready-rank heap, live during RunEvent.
-	queues []map[int]*msgQueue
-	sched  *evScheduler
-
-	// Watchdog plumbing, armed per Run.
-	progress  atomic.Uint64
-	stallCh   chan struct{}
-	stallDiag string
+	// Deadlock detection, reset per Run (inbox.go): how many ranks are
+	// parked in a receive or finished, and the channel closed, with its
+	// diagnostic, once no rank can send again.
+	mu       sync.Mutex
+	parked   int
+	finished int
+	dead     chan struct{}
+	deadDiag string
 
 	// Tracer, when non-nil, records every point-to-point send as a span
 	// in the simulated-cluster time domain (obs.PidSim, virtual seconds
@@ -152,13 +123,8 @@ type World struct {
 	Tracer *obs.Tracer
 }
 
-// ChannelDepth bounds in-flight messages per (src,dst) pair; deep enough
-// that the eager sends our codes use never deadlock.
-const ChannelDepth = 4096
-
-// NewWorld creates a world with the default configuration (pooled
-// buffers, classic collectives, watchdog armed). fabric may be nil for
-// an untimed run.
+// NewWorld creates a world with the default configuration (classic
+// collectives). fabric may be nil for an untimed run.
 func NewWorld(size int, fabric *netsim.Fabric) (*World, error) {
 	return NewWorldWithConfig(size, Config{Fabric: fabric})
 }
@@ -179,33 +145,16 @@ func NewWorldWithConfig(size int, cfg Config) (*World, error) {
 	if cfg.SegmentBytes == 0 {
 		cfg.SegmentBytes = DefaultSegmentBytes
 	}
-	if cfg.WatchdogTimeout == 0 {
-		cfg.WatchdogTimeout = DefaultWatchdogTimeout
-	}
 	if f := cfg.Fabric; f != nil {
 		if cap := f.Capacity(); cap > 0 && size > cap {
 			return nil, fmt.Errorf("mpi: world size %d exceeds fabric %q capacity %d", size, f.Name, cap)
 		}
 	}
-	depth := cfg.ChannelDepth
-	if depth <= 0 {
-		depth = ChannelDepth
-	}
 	w := &World{size: size, fabric: cfg.Fabric, cfg: cfg}
-	if cfg.Event {
-		// Event mode: no size² channels — inbox queues materialize on
-		// first message per (src,dst) pair.
-		w.queues = make([]map[int]*msgQueue, size)
-	} else {
-		w.chans = make([]chan message, size*size)
-		for i := range w.chans {
-			w.chans[i] = make(chan message, depth)
-		}
-	}
 	w.comms = make([]*Comm, size)
 	for r := 0; r < size; r++ {
 		w.comms[r] = &Comm{world: w, rank: r}
-		w.comms[r].pool.disabled = cfg.DisablePool
+		w.comms[r].in.wake = make(chan struct{}, 1)
 	}
 	return w, nil
 }
@@ -213,97 +162,47 @@ func NewWorldWithConfig(size int, cfg Config) (*World, error) {
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
 
-// Run executes fn on every rank concurrently and waits for completion. It
-// returns the first error any rank reported (panics are converted to
-// errors so a failing rank cannot take down the test harness silently).
-//
-// A deadlock watchdog (Config.WatchdogTimeout) monitors message-level
-// progress: if no send or receive completes anywhere in the world for
-// the timeout, every blocked rank aborts with a diagnostic naming each
-// rank's pending operation (rank, peer, tag), which Run returns as an
-// error — a mismatched send/recv fails loudly instead of hanging.
+// Run executes fn on every rank concurrently and waits for completion.
+// Panics are converted to errors so a failing rank cannot take down the
+// test harness silently. A deadlock — every rank parked in a receive or
+// finished — is detected exactly (inbox.go): each parked rank fails
+// with a diagnostic naming every rank's pending receive (peer, tag).
+// Run returns the first error in rank order, preferring a rank's own
+// error over the deadlock it leaves its peers in, so a failing rank
+// surfaces at once instead of stalling the ranks waiting on it.
 func (w *World) Run(fn func(c *Comm) error) error {
-	if w.cfg.Event {
-		return fmt.Errorf("mpi: Run on an event-driven world; use RunEvent")
-	}
-	var stopWatch chan struct{}
-	if w.cfg.WatchdogTimeout > 0 {
-		w.stallCh = make(chan struct{})
-		stopWatch = make(chan struct{})
-		go w.watch(w.cfg.WatchdogTimeout, w.stallCh, stopWatch)
-	} else {
-		w.stallCh = nil
-	}
+	w.parked, w.finished = 0, 0
+	w.dead, w.deadDiag = make(chan struct{}), ""
 	errs := make([]error, w.size)
+	for _, c := range w.comms {
+		c.in.waitSrc, c.aborted = -1, false
+	}
 	var wg sync.WaitGroup
-	for r := 0; r < w.size; r++ {
-		wg.Add(1)
-		go func(rank int) {
+	wg.Add(w.size)
+	for _, c := range w.comms {
+		go func() {
 			defer wg.Done()
+			defer w.settle(&w.finished)
 			defer func() {
 				if p := recover(); p != nil {
-					errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, p)
+					errs[c.rank] = fmt.Errorf("mpi: rank %d panicked: %v", c.rank, p)
 				}
 			}()
-			errs[rank] = fn(w.comms[rank])
-		}(r)
+			errs[c.rank] = fn(c)
+		}()
 	}
 	wg.Wait()
-	if stopWatch != nil {
-		close(stopWatch)
-	}
-	for _, err := range errs {
-		if err != nil {
+	var deadErr error
+	for r, err := range errs {
+		switch {
+		case err == nil:
+		case !w.comms[r].aborted:
 			return err
+		case deadErr == nil:
+			deadErr = err
 		}
 	}
-	return nil
-}
-
-// watch is the deadlock watchdog: it samples the world-wide progress
-// counter and, when it sees no completed send/recv for a full timeout
-// window, records a per-rank diagnostic and closes stall, which makes
-// every blocked rank panic (recovered into an error by Run).
-func (w *World) watch(timeout time.Duration, stall, stop chan struct{}) {
-	tick := timeout / 8
-	if tick < 2*time.Millisecond {
-		tick = 2 * time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	last := w.progress.Load()
-	lastChange := time.Now()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			cur := w.progress.Load()
-			if cur != last {
-				last = cur
-				lastChange = time.Now()
-				continue
-			}
-			if time.Since(lastChange) >= timeout {
-				w.stallDiag = w.describeRanks()
-				close(stall)
-				return
-			}
-		}
-	}
-}
-
-// describeRanks renders every rank's pending blocking operation for the
-// watchdog diagnostic.
-func (w *World) describeRanks() string {
-	var b strings.Builder
-	for r, c := range w.comms {
-		if r > 0 {
-			b.WriteString("; ")
-		}
-		fmt.Fprintf(&b, "rank %d: %s", r, c.pendingOp())
-	}
-	return b.String()
+	return deadErr
 }
 
 // MaxTime returns the parallel makespan: the maximum virtual clock over
@@ -368,10 +267,10 @@ type Comm struct {
 	portBusy float64
 	delay    float64
 
-	// Pending-operation fields the watchdog reads concurrently.
-	waitOp   atomic.Int32 // 0 none, 1 recv, 2 send
-	waitPeer atomic.Int32
-	waitTag  atomic.Int32
+	// in is the rank's receive side; aborted records that the rank
+	// failed because the world deadlocked.
+	in      inbox
+	aborted bool
 
 	scratch [1]float64 // AllreduceScalar's zero-alloc staging
 }
@@ -391,26 +290,6 @@ func (c *Comm) AddCompute(seconds float64) {
 		panic("mpi: negative compute time")
 	}
 	c.now += seconds
-}
-
-func (c *Comm) chanTo(dst int) chan message {
-	return c.world.chans[c.rank*c.world.size+dst]
-}
-
-func (c *Comm) chanFrom(src int) chan message {
-	return c.world.chans[src*c.world.size+c.rank]
-}
-
-// pendingOp renders the rank's current blocking operation (watchdog
-// diagnostic).
-func (c *Comm) pendingOp() string {
-	switch c.waitOp.Load() {
-	case 1:
-		return fmt.Sprintf("blocked in recv(src=%d, tag=%d)", c.waitPeer.Load(), c.waitTag.Load())
-	case 2:
-		return fmt.Sprintf("blocked in send(dst=%d, tag=%d)", c.waitPeer.Load(), c.waitTag.Load())
-	}
-	return "not blocked (computing or done)"
 }
 
 // enterCollective tags subsequent sends with the collective kind; nested
@@ -469,29 +348,7 @@ func (c *Comm) send(dst int, m message, copied bool) {
 			c.rdvMsgs++
 		}
 	}
-	if c.world.cfg.Event {
-		// Event mode: sends never block — append to the receiver's inbox
-		// and wake it if it is waiting on exactly this sender.
-		c.world.deliver(c.rank, dst, m)
-		c.world.progress.Add(1)
-		return
-	}
-	ch := c.chanTo(dst)
-	select {
-	case ch <- m:
-	default:
-		c.waitPeer.Store(int32(dst))
-		c.waitTag.Store(int32(m.tag))
-		c.waitOp.Store(2)
-		select {
-		case ch <- m:
-			c.waitOp.Store(0)
-		case <-c.world.stallCh:
-			panic(fmt.Sprintf("mpi: watchdog: no progress for %v; rank %d blocked in send(dst=%d, tag=%d); world state: %s",
-				c.world.cfg.WatchdogTimeout, c.rank, dst, m.tag, c.world.stallDiag))
-		}
-	}
-	c.world.progress.Add(1)
+	c.world.deliver(c.rank, dst, m)
 }
 
 // sendF64 is the typed internal send: owned transfers the buffer
@@ -525,33 +382,7 @@ func (c *Comm) recv(src, tag int) message {
 	if src < 0 || src >= c.world.size {
 		panic(fmt.Sprintf("mpi: rank %d receives from invalid rank %d", c.rank, src))
 	}
-	if c.world.cfg.Event {
-		panic(fmt.Sprintf("mpi: rank %d blocking recv on an event-driven world; use TryRecv from a Proc", c.rank))
-	}
-	ch := c.chanFrom(src)
-	var m message
-	select {
-	case m = <-ch:
-	default:
-		c.waitPeer.Store(int32(src))
-		c.waitTag.Store(int32(tag))
-		c.waitOp.Store(1)
-		select {
-		case m = <-ch:
-			c.waitOp.Store(0)
-		case <-c.world.stallCh:
-			panic(fmt.Sprintf("mpi: watchdog: no progress for %v; rank %d blocked in recv(src=%d, tag=%d); world state: %s",
-				c.world.cfg.WatchdogTimeout, c.rank, src, tag, c.world.stallDiag))
-		}
-	}
-	return c.finishRecv(m, src, tag)
-}
-
-// finishRecv is the shared post-pop accounting for the goroutine and
-// event receive paths: progress, tag check, egress-port contention, and
-// the arrival clamp — identical arithmetic in both modes.
-func (c *Comm) finishRecv(m message, src, tag int) message {
-	c.world.progress.Add(1)
+	m := c.take(src, tag)
 	if m.tag != tag {
 		panic(fmt.Sprintf("mpi: rank %d expected tag %d from %d, got %d", c.rank, tag, src, m.tag))
 	}
@@ -575,36 +406,6 @@ func (c *Comm) finishRecv(m message, src, tag int) message {
 		c.now = m.arrival
 	}
 	return m
-}
-
-// tryRecv is the event-mode receive: it pops the next message from src
-// if one is queued (the accounting is finishRecv, same as recv), or
-// records the pending operation and reports false so the scheduler
-// parks the rank until that sender delivers.
-func (c *Comm) tryRecv(src, tag int) (message, bool) {
-	if src < 0 || src >= c.world.size {
-		panic(fmt.Sprintf("mpi: rank %d receives from invalid rank %d", c.rank, src))
-	}
-	if !c.world.cfg.Event {
-		// Goroutine worlds have no inboxes; state machines degrade to
-		// the blocking path so the same Proc code runs in both modes.
-		return c.recv(src, tag), true
-	}
-	var m message
-	ok := false
-	if qm := c.world.queues[c.rank]; qm != nil {
-		if q := qm[src]; q != nil {
-			m, ok = q.pop()
-		}
-	}
-	if !ok {
-		c.waitPeer.Store(int32(src))
-		c.waitTag.Store(int32(tag))
-		c.waitOp.Store(1)
-		return message{}, false
-	}
-	c.waitOp.Store(0)
-	return c.finishRecv(m, src, tag), true
 }
 
 // Send transmits float64 data to dst with a tag. The slice is copied

@@ -34,15 +34,13 @@ const (
 )
 
 // bufPool is one rank's set of freelists. The zero value is ready to
-// use. disabled turns every acquire into a plain make (the unpooled
-// baseline the equivalence tests and benchmarks compare against).
+// use.
 type bufPool struct {
-	f64      [poolClasses][][]float64
-	i64      [poolClasses][][]int64
-	raw      [poolClasses][][]byte
-	disabled bool
-	hits     int64
-	misses   int64
+	f64    [poolClasses][][]float64
+	i64    [poolClasses][][]int64
+	raw    [poolClasses][][]byte
+	hits   int64
+	misses int64
 }
 
 // classFor returns the acquire class for a request of n elements: the
@@ -73,24 +71,22 @@ func (p *bufPool) acquireF64(n int) []float64 {
 	if n < 0 {
 		panic("mpi: negative buffer size")
 	}
-	if !p.disabled {
-		if k := classFor(n); k < poolClasses {
-			if l := p.f64[k]; len(l) > 0 {
-				buf := l[len(l)-1]
-				p.f64[k] = l[:len(l)-1]
-				p.hits++
-				return buf[:n]
-			}
-			p.misses++
-			return make([]float64, n, 1<<k)
+	if k := classFor(n); k < poolClasses {
+		if l := p.f64[k]; len(l) > 0 {
+			buf := l[len(l)-1]
+			p.f64[k] = l[:len(l)-1]
+			p.hits++
+			return buf[:n]
 		}
 		p.misses++
+		return make([]float64, n, 1<<k)
 	}
+	p.misses++
 	return make([]float64, n)
 }
 
 func (p *bufPool) releaseF64(buf []float64) {
-	if p.disabled || buf == nil {
+	if buf == nil {
 		return
 	}
 	k := storeClassFor(cap(buf))
@@ -104,24 +100,22 @@ func (p *bufPool) acquireI64(n int) []int64 {
 	if n < 0 {
 		panic("mpi: negative buffer size")
 	}
-	if !p.disabled {
-		if k := classFor(n); k < poolClasses {
-			if l := p.i64[k]; len(l) > 0 {
-				buf := l[len(l)-1]
-				p.i64[k] = l[:len(l)-1]
-				p.hits++
-				return buf[:n]
-			}
-			p.misses++
-			return make([]int64, n, 1<<k)
+	if k := classFor(n); k < poolClasses {
+		if l := p.i64[k]; len(l) > 0 {
+			buf := l[len(l)-1]
+			p.i64[k] = l[:len(l)-1]
+			p.hits++
+			return buf[:n]
 		}
 		p.misses++
+		return make([]int64, n, 1<<k)
 	}
+	p.misses++
 	return make([]int64, n)
 }
 
 func (p *bufPool) releaseI64(buf []int64) {
-	if p.disabled || buf == nil {
+	if buf == nil {
 		return
 	}
 	k := storeClassFor(cap(buf))
@@ -135,24 +129,22 @@ func (p *bufPool) acquireBytes(n int) []byte {
 	if n < 0 {
 		panic("mpi: negative buffer size")
 	}
-	if !p.disabled {
-		if k := classFor(n); k < poolClasses {
-			if l := p.raw[k]; len(l) > 0 {
-				buf := l[len(l)-1]
-				p.raw[k] = l[:len(l)-1]
-				p.hits++
-				return buf[:n]
-			}
-			p.misses++
-			return make([]byte, n, 1<<k)
+	if k := classFor(n); k < poolClasses {
+		if l := p.raw[k]; len(l) > 0 {
+			buf := l[len(l)-1]
+			p.raw[k] = l[:len(l)-1]
+			p.hits++
+			return buf[:n]
 		}
 		p.misses++
+		return make([]byte, n, 1<<k)
 	}
+	p.misses++
 	return make([]byte, n)
 }
 
 func (p *bufPool) releaseBytes(buf []byte) {
-	if p.disabled || buf == nil {
+	if buf == nil {
 		return
 	}
 	k := storeClassFor(cap(buf))

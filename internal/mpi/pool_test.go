@@ -71,19 +71,6 @@ func TestPoolTypedFreelistsAreIndependent(t *testing.T) {
 	}
 }
 
-func TestPoolDisabledNeverReuses(t *testing.T) {
-	p := bufPool{disabled: true}
-	a := p.acquireF64(64)
-	p.releaseF64(a)
-	b := p.acquireF64(64)
-	if &a[0] == &b[0] {
-		t.Fatal("disabled pool reused a buffer")
-	}
-	if p.hits != 0 {
-		t.Fatal("disabled pool recorded hits")
-	}
-}
-
 func TestPoolDepthBounded(t *testing.T) {
 	var p bufPool
 	bufs := make([][]float64, 0, poolDepth+10)

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -13,10 +14,6 @@ import (
 	"repro/internal/obs"
 )
 
-// testDepth keeps test worlds cheap: channel buffers are preallocated,
-// and these programs never queue more than a handful of messages.
-const testDepth = 64
-
 // allreduceMallocs runs iters in-place allreduces on every rank of a
 // p-rank world, after a warmup that fills the buffer pools, and returns
 // the process-wide allocation count across the measured phase. The
@@ -24,10 +21,9 @@ const testDepth = 64
 // dissemination barrier before every rank has entered it, so rank 0's
 // MemStats readings happen strictly before and strictly after all
 // measured work, and barrier messages themselves carry no payload.
-func allreduceMallocs(t *testing.T, cfg Config, p, n, iters int) uint64 {
+func allreduceMallocs(t *testing.T, p, n, iters int) uint64 {
 	t.Helper()
-	cfg.ChannelDepth = testDepth
-	w, err := NewWorldWithConfig(p, cfg)
+	w, err := NewWorld(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +58,7 @@ func allreduceMallocs(t *testing.T, cfg Config, p, n, iters int) uint64 {
 func TestAllreduceSteadyStateAllocFree(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const iters = 300
-	got := allreduceMallocs(t, Config{}, 8, 64, iters)
+	got := allreduceMallocs(t, 8, 64, iters)
 	// The steady state must be allocation-free: every wire buffer comes
 	// from a pool, and the reduce-down/bcast-up flow returns exactly as
 	// many buffers to each rank as it sends. The only slack allowed is
@@ -72,26 +68,42 @@ func TestAllreduceSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-func TestPooledAllreduceAllocAdvantage(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const iters = 200
-	// 512 float64s over 8 ranks is BenchmarkMPIAllreduce's op.
-	for _, n := range []int{64, 512} {
-		pooled := allreduceMallocs(t, Config{}, 8, n, iters)
-		unpooled := allreduceMallocs(t, Config{DisablePool: true}, 8, n, iters)
-		// The acceptance bar for this substrate: pooling cuts the hot-path
-		// allocation rate by at least 5x (in practice it goes to ~zero,
-		// against ~2 allocations per message unpooled).
-		if 5*(pooled+1) > unpooled {
-			t.Fatalf("n=%d: pooling advantage too small: pooled=%d unpooled=%d over %d iterations",
-				n, pooled, unpooled, iters)
+// TestAllreducePoolStatsExact pins the pool on BenchmarkMPIAllreduce's
+// program — 8 ranks on Fast Ethernet, in-place allreduces of 512
+// float64s — to exact hit and miss counts. Each allreduce draws 14
+// wire buffers (7 reduce sends up the binomial tree, 7 broadcast sends
+// down it). The first misses 4 of them and fills the pools; every later
+// one is served entirely from the pools. A world that stopped pooling
+// fails on hits, one that leaked buffers on misses.
+func TestAllreducePoolStatsExact(t *testing.T) {
+	const wirePerAllreduce, coldMisses = 14, 4
+	for _, ops := range []int{1, 2, 100} {
+		w, err := NewWorld(8, netsim.FastEthernet())
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = w.Run(func(c *Comm) error {
+			buf := make([]float64, 512)
+			for i := 0; i < ops; i++ {
+				buf[0] = float64(c.Rank() + i)
+				c.AllreduceInto(Sum, buf)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits, misses := w.PoolStats()
+		if wantHits := int64(wirePerAllreduce*ops - coldMisses); hits != wantHits || misses != coldMisses {
+			t.Errorf("%d allreduces: pool hits %d misses %d, want %d and %d",
+				ops, hits, misses, wantHits, coldMisses)
 		}
 	}
 }
 
 func TestPoolStatsDeterministic(t *testing.T) {
 	run := func() (int64, int64) {
-		w, err := NewWorldWithConfig(6, Config{ChannelDepth: testDepth})
+		w, err := NewWorldWithConfig(6, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +132,7 @@ func TestPoolStatsDeterministic(t *testing.T) {
 
 func TestEagerAndRendezvousAccounting(t *testing.T) {
 	big := DefaultRendezvousThreshold / 8 // floats: exactly at the threshold
-	w, err := NewWorldWithConfig(2, Config{ChannelDepth: testDepth})
+	w, err := NewWorldWithConfig(2, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +166,7 @@ func TestEagerAndRendezvousAccounting(t *testing.T) {
 }
 
 func TestSendOwnedTransfersBackingArray(t *testing.T) {
-	w, err := NewWorldWithConfig(2, Config{ChannelDepth: testDepth})
+	w, err := NewWorldWithConfig(2, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +191,7 @@ func TestSendOwnedTransfersBackingArray(t *testing.T) {
 }
 
 func TestCollectiveByteAccounting(t *testing.T) {
-	w, err := NewWorldWithConfig(4, Config{ChannelDepth: testDepth})
+	w, err := NewWorldWithConfig(4, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,49 +225,85 @@ func TestCollectiveByteAccounting(t *testing.T) {
 	}
 }
 
-func TestWatchdogBreaksDeadlockWithDiagnostic(t *testing.T) {
-	w, err := NewWorldWithConfig(2, Config{
-		WatchdogTimeout: 50 * time.Millisecond,
-		ChannelDepth:    testDepth,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Recv(1, 42) // never sent: rank 1 exits immediately
+// TestDeadlockDiagnostic: a receive no rank will ever satisfy fails at
+// once, with no timeout, and the error names every rank's state — for
+// a peer that exited and for a receive cycle with no rank finished.
+func TestDeadlockDiagnostic(t *testing.T) {
+	for _, tc := range []struct {
+		p    int
+		prog func(c *Comm)
+		want []string
+	}{
+		{2, func(c *Comm) {
+			if c.Rank() == 0 {
+				c.Recv(1, 42) // never sent: rank 1 exits immediately
+			}
+		}, []string{"rank 0: blocked in recv(src=1, tag=42)", "rank 1: finished"}},
+		{3, func(c *Comm) {
+			c.Recv((c.Rank()+1)%3, 7) // everyone waits, nobody sends
+		}, []string{"rank 0: blocked in recv(src=1, tag=7)", "rank 2: blocked in recv(src=0, tag=7)"}},
+	} {
+		w, err := NewWorld(tc.p, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("mismatched recv did not error")
-	}
-	for _, want := range []string{"watchdog", "rank 0", "recv(src=1, tag=42)"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("diagnostic %q missing from error: %v", want, err)
+		err = w.Run(func(c *Comm) error { tc.prog(c); return nil })
+		if err == nil {
+			t.Fatalf("p=%d: deadlocked run did not error", tc.p)
+		}
+		for _, want := range append(tc.want, "deadlock") {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("p=%d: diagnostic %q missing from error: %v", tc.p, want, err)
+			}
 		}
 	}
 }
 
-func TestWatchdogQuietOnHealthyRun(t *testing.T) {
-	// A slow-but-progressing program must not trip the watchdog: the
-	// timer watches message progress, not wall time of the whole run.
-	w, err := NewWorldWithConfig(2, Config{
-		WatchdogTimeout: 100 * time.Millisecond,
-		ChannelDepth:    testDepth,
-	})
+// TestRankErrorDoesNotStallPeers: when a rank fails while a peer waits
+// to receive from it, Run returns the failing rank's own error at once
+// — not after a timeout, and not the peer's deadlock report.
+func TestRankErrorDoesNotStallPeers(t *testing.T) {
+	boom := errors.New("boom")
+	for failing := 0; failing < 2; failing++ {
+		w, err := NewWorld(2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t0 := time.Now()
+		err = w.Run(func(c *Comm) error {
+			if c.Rank() == failing {
+				return boom
+			}
+			c.Recv(failing, 0)
+			return nil
+		})
+		if el := time.Since(t0); el > time.Second {
+			t.Errorf("rank %d failing: Run took %v", failing, el)
+		}
+		if !errors.Is(err, boom) {
+			t.Errorf("rank %d failing: Run returned %v, want the rank's own error", failing, err)
+		}
+	}
+}
+
+// TestSlowRanksNotDeadlock: ranks that sleep between barriers, each for
+// a different time, keep their peers parked for long stretches; a rank
+// that is computing is never counted as blocked, so this is never
+// flagged.
+func TestSlowRanksNotDeadlock(t *testing.T) {
+	w, err := NewWorld(3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	err = w.Run(func(c *Comm) error {
 		for i := 0; i < 4; i++ {
-			time.Sleep(40 * time.Millisecond)
+			time.Sleep(time.Duration(10*(c.Rank()+1)) * time.Millisecond)
 			c.Barrier()
 		}
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("healthy run tripped the watchdog: %v", err)
+		t.Fatalf("healthy run flagged: %v", err)
 	}
 }
 
@@ -265,7 +313,7 @@ func fanInTime(t *testing.T, p, n int, contended bool) float64 {
 	t.Helper()
 	f := netsim.FastEthernet()
 	f.PortContention = contended
-	w, err := NewWorldWithConfig(p, Config{Fabric: f, ChannelDepth: testDepth})
+	w, err := NewWorldWithConfig(p, Config{Fabric: f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +382,7 @@ func TestContentionOffMatchesLegacyWorld(t *testing.T) {
 func TestContentionDelayRecorded(t *testing.T) {
 	f := netsim.FastEthernet()
 	f.PortContention = true
-	w, err := NewWorldWithConfig(4, Config{Fabric: f, ChannelDepth: testDepth})
+	w, err := NewWorldWithConfig(4, Config{Fabric: f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +412,7 @@ func TestNativeBcastAllSizesAllRoots(t *testing.T) {
 	for _, p := range worldSizes() {
 		for root := 0; root < p; root++ {
 			w, err := NewWorldWithConfig(p, Config{
-				Native: true, SegmentBytes: 256, ChannelDepth: testDepth,
+				Native: true, SegmentBytes: 256,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -398,7 +446,7 @@ func TestNativeAllreduceCorrectAndBitIdenticalAcrossRanks(t *testing.T) {
 	// cross-rank equality only holds if every rank evaluates the same
 	// reduction tree.
 	for _, p := range worldSizes() {
-		w, err := NewWorldWithConfig(p, Config{Native: true, ChannelDepth: testDepth})
+		w, err := NewWorldWithConfig(p, Config{Native: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,7 +487,7 @@ func TestNativeAllreduceCorrectAndBitIdenticalAcrossRanks(t *testing.T) {
 
 func TestNativeAllreduceMaxMin(t *testing.T) {
 	for _, p := range []int{3, 8, 13} {
-		w, err := NewWorldWithConfig(p, Config{Native: true, ChannelDepth: testDepth})
+		w, err := NewWorldWithConfig(p, Config{Native: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -466,7 +514,7 @@ func TestNativeAllreduceMaxMin(t *testing.T) {
 func collectiveTime(t *testing.T, p, n int, native bool, body func(c *Comm, buf []float64)) float64 {
 	t.Helper()
 	w, err := NewWorldWithConfig(p, Config{
-		Fabric: netsim.FastEthernet(), Native: native, ChannelDepth: testDepth,
+		Fabric: netsim.FastEthernet(), Native: native,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -530,18 +578,14 @@ func TestEmergentTimesTrackAnalyticalFormulas(t *testing.T) {
 	}
 }
 
-func TestPooledDisabledCollectivesBitIdentical(t *testing.T) {
-	// Pooling is a pure transport optimization: every collective must
-	// produce bitwise-identical results and virtual times without it.
-	run := func(disable bool) (bits []uint64, maxT float64) {
-		w, err := NewWorldWithConfig(9, Config{
-			Fabric: netsim.FastEthernet(), DisablePool: disable, ChannelDepth: testDepth,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sums := make([]float64, 9)
-		err = w.Run(func(c *Comm) error {
+// TestWarmPoolCollectivesBitIdentical: a pooled buffer comes back with
+// whatever its last user left in it. Every collective must give the
+// same bits from warm pools, on the second run of a world, as from
+// the cold pools of a fresh one.
+func TestWarmPoolCollectivesBitIdentical(t *testing.T) {
+	run := func(w *World) []uint64 {
+		bits := make([]uint64, w.Size())
+		err := w.Run(func(c *Comm) error {
 			buf := make([]float64, 50)
 			for i := range buf {
 				buf[i] = math.Sqrt(float64(c.Rank()*100 + i + 2))
@@ -559,26 +603,32 @@ func TestPooledDisabledCollectivesBitIdentical(t *testing.T) {
 			for _, v := range buf {
 				s += v
 			}
-			sums[c.Rank()] = s
+			bits[c.Rank()] = math.Float64bits(s)
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bits = make([]uint64, 9)
-		for i, v := range sums {
-			bits[i] = math.Float64bits(v)
+		return bits
+	}
+	mk := func() *World {
+		w, err := NewWorld(9, netsim.FastEthernet())
+		if err != nil {
+			t.Fatal(err)
 		}
-		return bits, w.MaxTime()
+		return w
 	}
-	pb, pt := run(false)
-	ub, ut := run(true)
-	if math.Float64bits(pt) != math.Float64bits(ut) {
-		t.Fatalf("makespan differs: pooled %v vs unpooled %v", pt, ut)
+	cold := run(mk())
+	w := mk()
+	run(w)
+	h0, _ := w.PoolStats()
+	warm := run(w)
+	if h1, _ := w.PoolStats(); h1 == h0 {
+		t.Fatal("second run drew nothing from the pools")
 	}
-	for i := range pb {
-		if pb[i] != ub[i] {
-			t.Fatalf("rank %d results differ: pooled %x vs unpooled %x", i, pb[i], ub[i])
+	for i := range cold {
+		if cold[i] != warm[i] {
+			t.Fatalf("rank %d results differ: cold pools %x vs warm %x", i, cold[i], warm[i])
 		}
 	}
 }
@@ -591,5 +641,79 @@ func TestConfigValidation(t *testing.T) {
 	bad.ReduceOpSecPerElem = -1
 	if _, err := NewWorldWithConfig(2, Config{Fabric: bad}); err == nil {
 		t.Fatal("negative reduce-op cost accepted")
+	}
+}
+
+// TestExactPredictorsMatchEmergent pins the closed forms in netsim
+// against the emergent virtual times of the substrate: AllreduceTime,
+// BcastTime, ReduceTime and FanInTime must equal the measured makespan
+// bit-for-bit on every topology, with and without port contention,
+// across payload sizes (8 B – 4 MB) and world sizes 2..64.
+func TestExactPredictorsMatchEmergent(t *testing.T) {
+	mkFab := func(topo string, contended bool, p int) *netsim.Fabric {
+		f := netsim.FastEthernet()
+		f.PortContention = contended
+		if err := netsim.ApplyTopology(f, topo, p); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	measure := func(f *netsim.Fabric, p int, prog func(c *Comm)) float64 {
+		w, err := NewWorldWithConfig(p, Config{Fabric: f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = w.Run(func(c *Comm) error { prog(c); return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w.MaxTime()
+	}
+	for _, topo := range []string{"star", "fattree", "torus2d", "torus3d"} {
+		for _, contended := range []bool{false, true} {
+			for _, p := range []int{2, 3, 5, 8, 16, 24, 64} {
+				for _, elems := range []int{1, 512, 4096, 512 << 10} {
+					if elems == 512<<10 && p > 8 {
+						continue // 4 MB buffers: keep host memory sane
+					}
+					bytes := 8 * elems
+					f := mkFab(topo, contended, p)
+					cases := []struct {
+						name string
+						want float64
+						prog func(c *Comm)
+					}{
+						{"allreduce", f.AllreduceTime(p, bytes), func(c *Comm) {
+							buf := make([]float64, elems)
+							c.AllreduceInto(Sum, buf)
+						}},
+						{"bcast", f.BcastTime(p, bytes), func(c *Comm) {
+							buf := make([]float64, elems)
+							c.BcastInto(0, buf)
+						}},
+						{"reduce", f.ReduceTime(p, bytes), func(c *Comm) {
+							buf := make([]float64, elems)
+							c.ReduceInto(0, Sum, buf)
+						}},
+						{"fanin", f.FanInTime(p, bytes), func(c *Comm) {
+							if c.Rank() == 0 {
+								for src := 1; src < p; src++ {
+									c.ReleaseF64(c.Recv(src, 0))
+								}
+							} else {
+								c.Send(0, 0, make([]float64, elems))
+							}
+						}},
+					}
+					for _, tc := range cases {
+						got := measure(f, p, tc.prog)
+						if math.Float64bits(got) != math.Float64bits(tc.want) {
+							t.Errorf("%s/%s contended=%v p=%d bytes=%d: emergent %.17g, predicted %.17g",
+								topo, tc.name, contended, p, bytes, got, tc.want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

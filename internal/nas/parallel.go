@@ -38,10 +38,7 @@ func ParallelEP(w *mpi.World, class Class, costs cpu.EffCosts) (*ParallelResult,
 	outs := make([]EPOut, p)
 	sums := make([][]float64, p)
 
-	// local is the rank's pre-collective phase, shared verbatim by the
-	// goroutine closure and the event-mode state machine so both paths
-	// run the identical pool-op and compute sequence.
-	local := func(c *mpi.Comm) []float64 {
+	err := w.Run(func(c *mpi.Comm) error {
 		r := uint64(c.Rank())
 		first := r * total / uint64(p)
 		count := (r+1)*total/uint64(p) - first
@@ -57,21 +54,10 @@ func ParallelEP(w *mpi.World, class Class, costs cpu.EffCosts) (*ParallelResult,
 		buf := c.AcquireF64(3 + len(out.Q))
 		buf[0], buf[1], buf[2] = out.SX, out.SY, out.Pairs
 		copy(buf[3:], out.Q[:])
-		return buf
-	}
-	var err error
-	if w.EventMode() {
-		err = w.RunEvent(func(c *mpi.Comm) mpi.Proc {
-			return &epProc{local: local, sums: sums}
-		})
-	} else {
-		err = w.Run(func(c *mpi.Comm) error {
-			buf := local(c)
-			c.AllreduceInto(mpi.Sum, buf)
-			sums[c.Rank()] = buf
-			return nil
-		})
-	}
+		c.AllreduceInto(mpi.Sum, buf)
+		sums[c.Rank()] = buf
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -99,29 +85,6 @@ func ParallelEP(w *mpi.World, class Class, costs cpu.EffCosts) (*ParallelResult,
 		SimTime:  w.MaxTime(),
 		CommByte: w.TotalBytes(),
 	}, nil
-}
-
-// epProc is ParallelEP's resumable rank program for the event
-// scheduler: the shared local phase, then the allreduce state machine.
-type epProc struct {
-	pc    int
-	local func(c *mpi.Comm) []float64
-	sums  [][]float64
-	buf   []float64
-	ar    mpi.AllreduceState
-}
-
-func (p *epProc) Resume(c *mpi.Comm) (bool, error) {
-	if p.pc == 0 {
-		p.buf = p.local(c)
-		p.ar.Start(c, mpi.Sum, p.buf)
-		p.pc = 1
-	}
-	if !p.ar.Step(c) {
-		return false, nil
-	}
-	p.sums[c.Rank()] = p.buf
-	return true, nil
 }
 
 // epPairMix scales the per-pair operation mix of the EP kernel.
@@ -154,27 +117,76 @@ func ParallelIS(w *mpi.World, class Class, costs cpu.EffCosts) (*ParallelResult,
 	sortedParts := make([][]int64, p)
 	verified := make([]bool, p)
 
-	mkState := func() *isRankState {
-		return &isRankState{
-			n: n, maxKey: maxKey, p: p, costs: costs,
-			sortedParts: sortedParts, verified: verified,
+	err := w.Run(func(c *mpi.Comm) error {
+		r := c.Rank()
+		first := r * n / p
+		count := (r+1)*n/p - first
+		keys := isCreateSeqRange(first, count, maxKey)
+
+		// Local histogram over the full key space.
+		hist := make([]float64, maxKey)
+		for _, k := range keys {
+			hist[k]++
 		}
-	}
-	var err error
-	if w.EventMode() {
-		err = w.RunEvent(func(c *mpi.Comm) mpi.Proc {
-			return &isProc{st: mkState()}
-		})
-	} else {
-		err = w.Run(func(c *mpi.Comm) error {
-			st := mkState()
-			st.pre(c)
-			c.AllreduceInto(mpi.Sum, st.hist)
-			st.mid(c)
-			recv := c.AlltoallInts(st.send)
-			return st.post(c, recv)
-		})
-	}
+		// Global bucket counts, reduced in place.
+		c.AllreduceInto(mpi.Sum, hist)
+
+		// Bucket boundaries: contiguous key ranges with ~n/p keys each.
+		bounds := bucketBounds(hist, p, n)
+
+		// Personalized exchange: keys to their owning rank.
+		send := make([][]int64, p)
+		for _, k := range keys {
+			dst := sort.SearchInts(bounds[1:], int(k)+1)
+			if dst >= p {
+				dst = p - 1
+			}
+			send[dst] = append(send[dst], k)
+		}
+		var mine []int64
+		for _, part := range c.AlltoallInts(send) {
+			mine = append(mine, part...)
+			c.ReleaseI64(part) // recycle the wire buffers
+		}
+		// Local counting sort within the rank's key range.
+		lo := int64(bounds[r])
+		hi := int64(maxKey)
+		if r+1 < p {
+			hi = int64(bounds[r+1])
+		}
+		counts := make([]int64, hi-lo)
+		for _, k := range mine {
+			if k < lo || k >= hi {
+				return fmt.Errorf("nas: IS rank %d received key %d outside [%d,%d)", r, k, lo, hi)
+			}
+			counts[k-lo]++
+		}
+		sorted := mine[:0]
+		for k := lo; k < hi; k++ {
+			for i := int64(0); i < counts[k-lo]; i++ {
+				sorted = append(sorted, k)
+			}
+		}
+		sortedParts[r] = append([]int64(nil), sorted...)
+
+		if costs.ClockMHz > 0 {
+			mix := mixFromCounts(0, 0, 0, 0,
+				uint64(3*count+maxKey), uint64(count+maxKey),
+				uint64(5*count+2*maxKey), uint64(count/4))
+			c.AddCompute(costs.Seconds(&mix))
+		}
+
+		// Local sortedness; global boundary order is re-checked by the
+		// driver on the gathered parts.
+		okLocal := true
+		for i := 1; i < len(sorted); i++ {
+			if sorted[i-1] > sorted[i] {
+				okLocal = false
+			}
+		}
+		verified[r] = okLocal
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -226,132 +238,6 @@ func ParallelIS(w *mpi.World, class Class, costs cpu.EffCosts) (*ParallelResult,
 		CommByte: w.TotalBytes(),
 	}
 	return res, nil
-}
-
-// isRankState is one rank's IS program split at its two collectives,
-// so the goroutine closure and the event-mode isProc run the identical
-// phase sequence (pre → allreduce → mid → alltoall → post) with the
-// same allocations and pool traffic.
-type isRankState struct {
-	n, maxKey, p int
-	costs        cpu.EffCosts
-	sortedParts  [][]int64
-	verified     []bool
-
-	keys   []int64
-	hist   []float64
-	bounds []int
-	send   [][]int64
-}
-
-// pre builds the rank's keys and local histogram (the allreduce input).
-func (st *isRankState) pre(c *mpi.Comm) {
-	r := c.Rank()
-	first := r * st.n / st.p
-	count := (r+1)*st.n/st.p - first
-	st.keys = isCreateSeqRange(first, count, st.maxKey)
-
-	// Local histogram over the full key space.
-	st.hist = make([]float64, st.maxKey)
-	for _, k := range st.keys {
-		st.hist[k]++
-	}
-}
-
-// mid turns the reduced histogram into bucket bounds and the
-// personalized send lists (the alltoall input).
-func (st *isRankState) mid(c *mpi.Comm) {
-	// Bucket boundaries: contiguous key ranges with ~n/p keys each.
-	st.bounds = bucketBounds(st.hist, st.p, st.n)
-
-	// Personalized exchange: keys to their owning rank.
-	st.send = make([][]int64, st.p)
-	for _, k := range st.keys {
-		dst := sort.SearchInts(st.bounds[1:], int(k)+1)
-		if dst >= st.p {
-			dst = st.p - 1
-		}
-		st.send[dst] = append(st.send[dst], k)
-	}
-}
-
-// post sorts and verifies the received keys and records compute time.
-func (st *isRankState) post(c *mpi.Comm, recv [][]int64) error {
-	r := c.Rank()
-	count := len(st.keys)
-	var mine []int64
-	for _, part := range recv {
-		mine = append(mine, part...)
-		c.ReleaseI64(part) // recycle the wire buffers
-	}
-	// Local counting sort within the rank's key range.
-	lo := int64(st.bounds[r])
-	hi := int64(st.maxKey)
-	if r+1 < st.p {
-		hi = int64(st.bounds[r+1])
-	}
-	counts := make([]int64, hi-lo)
-	for _, k := range mine {
-		if k < lo || k >= hi {
-			return fmt.Errorf("nas: IS rank %d received key %d outside [%d,%d)", r, k, lo, hi)
-		}
-		counts[k-lo]++
-	}
-	sorted := mine[:0]
-	for k := lo; k < hi; k++ {
-		for i := int64(0); i < counts[k-lo]; i++ {
-			sorted = append(sorted, k)
-		}
-	}
-	st.sortedParts[r] = append([]int64(nil), sorted...)
-
-	if st.costs.ClockMHz > 0 {
-		mix := mixFromCounts(0, 0, 0, 0,
-			uint64(3*count+st.maxKey), uint64(count+st.maxKey),
-			uint64(5*count+2*st.maxKey), uint64(count/4))
-		c.AddCompute(st.costs.Seconds(&mix))
-	}
-
-	// Local sortedness; global boundary order is re-checked by the
-	// driver on the gathered parts.
-	okLocal := true
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i-1] > sorted[i] {
-			okLocal = false
-		}
-	}
-	st.verified[r] = okLocal
-	return nil
-}
-
-// isProc is ParallelIS's resumable rank program for the event
-// scheduler: the shared phases strung between the two collective
-// state machines.
-type isProc struct {
-	pc int
-	st *isRankState
-	ar mpi.AllreduceState
-	at mpi.AlltoallIntsState
-}
-
-func (p *isProc) Resume(c *mpi.Comm) (bool, error) {
-	if p.pc == 0 {
-		p.st.pre(c)
-		p.ar.Start(c, mpi.Sum, p.st.hist)
-		p.pc = 1
-	}
-	if p.pc == 1 {
-		if !p.ar.Step(c) {
-			return false, nil
-		}
-		p.st.mid(c)
-		p.at.Start(c, p.st.send)
-		p.pc = 2
-	}
-	if !p.at.Step(c) {
-		return false, nil
-	}
-	return true, p.st.post(c, p.at.Out())
 }
 
 // isCreateSeqRange generates keys [first, first+count) of the serial IS

@@ -10,55 +10,54 @@ import (
 )
 
 // TestParallelKernelsPoolInvariant pins the substrate's core contract:
-// buffer pooling is invisible in the physics. Results, checksums,
-// communication volumes and simulated times of the distributed kernels
-// must be bit-for-bit identical with pooling disabled.
+// host scheduling is invisible in the physics and in the pools. Results,
+// checksums, communication volumes, simulated times and buffer-pool
+// hit/miss counts of the distributed kernels must be bit-for-bit
+// identical across two fresh worlds, whose goroutine ranks interleave
+// differently.
 func TestParallelKernelsPoolInvariant(t *testing.T) {
 	costs, err := cpu.CalibrateFor(cpu.NewTM5600(), cpu.MissRateClassW)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(p int, disable bool) (*ParallelResult, *ParallelResult) {
-		mk := func() *mpi.World {
-			w, err := mpi.NewWorldWithConfig(p, mpi.Config{
-				Fabric:       netsim.FastEthernet(),
-				DisablePool:  disable,
-				ChannelDepth: 256,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return w
-		}
-		ep, err := ParallelEP(mk(), ClassS, costs)
-		if err != nil {
-			t.Fatalf("p=%d EP: %v", p, err)
-		}
-		is, err := ParallelIS(mk(), ClassS, costs)
-		if err != nil {
-			t.Fatalf("p=%d IS: %v", p, err)
-		}
-		return ep, is
+	type outcome struct {
+		res          *ParallelResult
+		hits, misses int64
 	}
-	same := func(name string, a, b *ParallelResult, p int) {
-		if math.Float64bits(a.SimTime) != math.Float64bits(b.SimTime) {
-			t.Errorf("p=%d %s: sim time %x vs %x", p, name,
-				math.Float64bits(a.SimTime), math.Float64bits(b.SimTime))
+	run := func(p int, kernel func(*mpi.World, Class, cpu.EffCosts) (*ParallelResult, error)) outcome {
+		w, err := mpi.NewWorld(p, netsim.FastEthernet())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if math.Float64bits(a.Checksum) != math.Float64bits(b.Checksum) {
-			t.Errorf("p=%d %s: checksum differs", p, name)
+		res, err := kernel(w, ClassS, costs)
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
 		}
-		if a.Ops != b.Ops || a.CommByte != b.CommByte || a.Verified != b.Verified {
-			t.Errorf("p=%d %s: ops/bytes/verified differ: %+v vs %+v", p, name, a, b)
-		}
+		o := outcome{res: res}
+		o.hits, o.misses = w.PoolStats()
+		return o
 	}
 	for _, p := range []int{2, 8, 24} {
-		epP, isP := run(p, false)
-		epU, isU := run(p, true)
-		same("EP", epP, epU, p)
-		same("IS", isP, isU, p)
-		if !epP.Verified || !isP.Verified {
-			t.Fatalf("p=%d: kernels must verify (EP %v, IS %v)", p, epP.Verified, isP.Verified)
+		for name, kernel := range map[string]func(*mpi.World, Class, cpu.EffCosts) (*ParallelResult, error){
+			"EP": ParallelEP, "IS": ParallelIS,
+		} {
+			a, b := run(p, kernel), run(p, kernel)
+			if math.Float64bits(a.res.SimTime) != math.Float64bits(b.res.SimTime) {
+				t.Errorf("p=%d %s: sim time %x vs %x", p, name,
+					math.Float64bits(a.res.SimTime), math.Float64bits(b.res.SimTime))
+			}
+			if math.Float64bits(a.res.Checksum) != math.Float64bits(b.res.Checksum) {
+				t.Errorf("p=%d %s: checksum differs", p, name)
+			}
+			if a.res.Ops != b.res.Ops || a.res.CommByte != b.res.CommByte {
+				t.Errorf("p=%d %s: ops/bytes differ: %+v vs %+v", p, name, a.res, b.res)
+			}
+			if a.hits != b.hits || a.misses != b.misses {
+				t.Errorf("p=%d %s: pool hits/misses %d/%d vs %d/%d", p, name, a.hits, a.misses, b.hits, b.misses)
+			}
+			if !a.res.Verified {
+				t.Errorf("p=%d %s: must verify", p, name)
+			}
 		}
 	}
 }

@@ -333,6 +333,24 @@ func TestTreeReuseSpellingServedFromCache(t *testing.T) {
 	}
 }
 
+// TestMPIModeSpellingServedFromCache: mpi_mode names a retired choice
+// of rank scheduler whose settings all gave the same bits, so a request
+// spelling it out is a cache hit on the default run, byte for byte.
+func TestMPIModeSpellingServedFromCache(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp1, env1 := submit(t, ts, "", `{"api":"repro/spec/v1","kind":"table2","spec":{"particles":2000,"cpu_counts":[1,2]}}`)
+	if resp1.StatusCode != http.StatusOK {
+		t.Fatalf("default run: status %d (error %q)", resp1.StatusCode, env1.Error)
+	}
+	resp2, env2 := submit(t, ts, "", `{"api":"repro/spec/v1","kind":"table2","spec":{"particles":2000,"cpu_counts":[1,2],"mpi_mode":"event"}}`)
+	if resp2.StatusCode != http.StatusOK || !env2.Cached {
+		t.Fatalf("mpi_mode event: status %d cached=%v (error %q)", resp2.StatusCode, env2.Cached, env2.Error)
+	}
+	if !bytes.Equal(env1.Doc, env2.Doc) {
+		t.Fatal("mpi_mode event replayed a different document")
+	}
+}
+
 // TestHotLoadServedFromCache is the gateway under concurrent replay
 // load: 8 distinct specs run once, then 8 clients across 3 tenants
 // resubmit them for 6 rounds. Every hot submission must be a cache hit

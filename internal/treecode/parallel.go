@@ -229,35 +229,116 @@ func ParallelForces(w *mpi.World, s *nbody.System, cfg ParallelConfig) (*Paralle
 			startSec*1e6, (c.Now()-startSec)*1e6, args)
 	}
 
-	mkState := func() *forcesState {
-		return &forcesState{
-			s: s, cfg: cfg, parts: parts,
-			perRank: perRank, imported: imported, span: span,
+	err = w.Run(func(c *mpi.Comm) error {
+		mine := parts[c.Rank()]
+		local := make([]Source, len(mine))
+		xs := make([]float64, len(mine))
+		ys := make([]float64, len(mine))
+		zs := make([]float64, len(mine))
+		for i, pi := range mine {
+			local[i] = Source{X: s.X[pi], Y: s.Y[pi], Z: s.Z[pi], M: s.M[pi], Index: pi}
+			xs[i], ys[i], zs[i] = s.X[pi], s.Y[pi], s.Z[pi]
 		}
-	}
-	if w.EventMode() {
-		err = w.RunEvent(func(c *mpi.Comm) mpi.Proc {
-			return &forcesProc{st: mkState()}
-		})
-	} else {
-		err = w.Run(func(c *mpi.Comm) error {
-			st := mkState()
-			st.setup(c)
-			c.AllgatherInto(st.myBoxBuf, st.boxes)
-			if err := st.afterGather(c); err != nil {
-				return err
+		// Exchange domain bounding boxes (allgather of 4 floats, into a
+		// flat pooled buffer: boxes[4r..4r+3] is rank r's box).
+		var myBox Box
+		if len(mine) > 0 {
+			myBox, _ = BoundingBox(xs, ys, zs)
+		}
+		myBoxBuf := c.AcquireF64(4)
+		myBoxBuf[0], myBoxBuf[1], myBoxBuf[2], myBoxBuf[3] = myBox.CX, myBox.CY, myBox.CZ, myBox.Half
+		boxes := c.AcquireF64(4 * c.Size())
+		c.AllgatherInto(myBoxBuf, boxes)
+		c.ReleaseF64(myBoxBuf)
+		defer c.ReleaseF64(boxes)
+
+		// Local tree for LET construction. (The error must stay
+		// rank-local: assigning the enclosing err from every rank
+		// goroutine is a data race.)
+		var localTree *Tree
+		if len(local) > 0 {
+			t0 := c.Now()
+			lt, berr := Build(local, BuildOptions{Bucket: cfg.Bucket, Quadrupole: cfg.Quadrupole})
+			if berr != nil {
+				return berr
 			}
-			p := c.Size()
-			for step := 1; step < p; step++ {
-				st.letSend(c, step)
-				wire := c.Recv((c.Rank()-step+p)%p, step)
-				if err := st.letAbsorb(c, wire); err != nil {
-					return err
+			localTree = lt
+			c.AddCompute(cfg.Cost.SecondsPerBuildSource * float64(len(local)))
+			span(c, "local_build", t0, map[string]any{"sources": len(local)})
+		}
+
+		// Pairwise LET exchange.
+		tx0 := c.Now()
+		sources := append([]Source(nil), local...)
+		p := c.Size()
+		for step := 1; step < p; step++ {
+			dst := (c.Rank() + step) % p
+			src := (c.Rank() - step + p) % p
+			var export []Source
+			if localTree != nil {
+				rb := boxes[4*dst : 4*dst+4]
+				remote := Box{CX: rb[0], CY: rb[1], CZ: rb[2], Half: rb[3]}
+				if remote.Half > 0 || len(parts[dst]) > 0 {
+					export = localTree.letExport(remote, cfg.Theta)
 				}
 			}
-			return st.finish(c)
-		})
-	}
+			// Encode into a pooled buffer and hand it over copy-free; the
+			// received buffer goes back to the pool once decoded.
+			out := c.AcquireF64(4 * len(export))
+			encodeSourcesInto(export, out)
+			c.SendOwned(dst, step, out)
+			wire := c.Recv(src, step)
+			in, err := decodeSources(wire)
+			c.ReleaseF64(wire)
+			if err != nil {
+				return err
+			}
+			sources = append(sources, in...)
+			imported[c.Rank()] += int64(len(in))
+		}
+		span(c, "let_exchange", tx0, map[string]any{"imported": imported[c.Rank()]})
+
+		if len(mine) == 0 {
+			return nil
+		}
+		// Force tree over local + imported sources.
+		tb0 := c.Now()
+		ft, err := Build(sources, BuildOptions{Bucket: cfg.Bucket, Quadrupole: cfg.Quadrupole})
+		if err != nil {
+			return err
+		}
+		c.AddCompute(cfg.Cost.SecondsPerBuildSource * float64(len(sources)))
+		span(c, "force_build", tb0, map[string]any{"sources": len(sources)})
+		tf0 := c.Now()
+		var stats Stats
+		if ResolveEngine(cfg.Engine, cfg.ErrorBudget) == EngineDual {
+			// Dual-tree traversal over the rank's LET: targets are the
+			// rank's own particles (imported sources are Index < 0 and
+			// never evaluated), sources the whole local + imported tree.
+			ar := NewWalkArena()
+			for _, ti := range ft.AppendGroups(nil, DualTaskSize) {
+				ft.DualForceWalk(ti, cfg.Theta, cfg.Eps, nil, ar, &stats)
+				for k := 0; k < ar.NumTargets(); k++ {
+					pi, ax, ay, az := ar.Target(k)
+					s.AX[pi] = s.G * ax
+					s.AY[pi] = s.G * ay
+					s.AZ[pi] = s.G * az
+				}
+			}
+			ar.FlushTelemetry()
+		} else {
+			for _, pi := range mine {
+				ax, ay, az := ft.ForceAt(s.X[pi], s.Y[pi], s.Z[pi], pi, cfg.Theta, cfg.Eps, &stats)
+				s.AX[pi] = s.G * ax
+				s.AY[pi] = s.G * ay
+				s.AZ[pi] = s.G * az
+			}
+		}
+		c.AddCompute(cfg.Cost.SecondsPerInteraction * float64(stats.Interactions()))
+		span(c, "forces", tf0, map[string]any{"pp": stats.PP, "pc": stats.PC})
+		perRank[c.Rank()] = stats
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -271,190 +352,4 @@ func ParallelForces(w *mpi.World, s *nbody.System, cfg ParallelConfig) (*Paralle
 	res.CommMessages = w.TotalMessages()
 	s.Interactions += res.Stats.Interactions()
 	return res, nil
-}
-
-// forcesState is one rank's ParallelForces program split at its
-// collectives and exchange receives, so the goroutine closure and the
-// event-mode forcesProc run the identical phase sequence (setup →
-// allgather → afterGather → LET exchange → finish) with the same pool
-// traffic, compute charges and tracer spans.
-type forcesState struct {
-	s        *nbody.System
-	cfg      ParallelConfig
-	parts    [][]int
-	perRank  []Stats
-	imported []int64
-	span     func(c *mpi.Comm, name string, startSec float64, args map[string]any)
-
-	mine      []int
-	local     []Source
-	myBoxBuf  []float64
-	boxes     []float64
-	localTree *Tree
-	sources   []Source
-	tx0       float64
-}
-
-// setup builds the rank's local sources and stages the bounding-box
-// allgather buffers (boxes[4r..4r+3] is rank r's box).
-func (st *forcesState) setup(c *mpi.Comm) {
-	st.mine = st.parts[c.Rank()]
-	st.local = make([]Source, len(st.mine))
-	xs := make([]float64, len(st.mine))
-	ys := make([]float64, len(st.mine))
-	zs := make([]float64, len(st.mine))
-	for i, pi := range st.mine {
-		st.local[i] = Source{X: st.s.X[pi], Y: st.s.Y[pi], Z: st.s.Z[pi], M: st.s.M[pi], Index: pi}
-		xs[i], ys[i], zs[i] = st.s.X[pi], st.s.Y[pi], st.s.Z[pi]
-	}
-	var myBox Box
-	if len(st.mine) > 0 {
-		myBox, _ = BoundingBox(xs, ys, zs)
-	}
-	st.myBoxBuf = c.AcquireF64(4)
-	st.myBoxBuf[0], st.myBoxBuf[1], st.myBoxBuf[2], st.myBoxBuf[3] = myBox.CX, myBox.CY, myBox.CZ, myBox.Half
-	st.boxes = c.AcquireF64(4 * c.Size())
-}
-
-// afterGather recycles the box buffer and builds the local tree for
-// LET construction, then opens the exchange phase.
-func (st *forcesState) afterGather(c *mpi.Comm) error {
-	c.ReleaseF64(st.myBoxBuf)
-	if len(st.local) > 0 {
-		t0 := c.Now()
-		lt, berr := Build(st.local, BuildOptions{Bucket: st.cfg.Bucket, Quadrupole: st.cfg.Quadrupole})
-		if berr != nil {
-			return berr
-		}
-		st.localTree = lt
-		c.AddCompute(st.cfg.Cost.SecondsPerBuildSource * float64(len(st.local)))
-		st.span(c, "local_build", t0, map[string]any{"sources": len(st.local)})
-	}
-	st.tx0 = c.Now()
-	st.sources = append([]Source(nil), st.local...)
-	return nil
-}
-
-// letSend exports the locally essential sources for the step's
-// destination and hands them over copy-free in a pooled buffer.
-func (st *forcesState) letSend(c *mpi.Comm, step int) {
-	dst := (c.Rank() + step) % c.Size()
-	var export []Source
-	if st.localTree != nil {
-		rb := st.boxes[4*dst : 4*dst+4]
-		remote := Box{CX: rb[0], CY: rb[1], CZ: rb[2], Half: rb[3]}
-		if remote.Half > 0 || len(st.parts[dst]) > 0 {
-			export = st.localTree.letExport(remote, st.cfg.Theta)
-		}
-	}
-	out := c.AcquireF64(4 * len(export))
-	encodeSourcesInto(export, out)
-	c.SendOwned(dst, step, out)
-}
-
-// letAbsorb decodes one received export, recycling the wire buffer.
-func (st *forcesState) letAbsorb(c *mpi.Comm, wire []float64) error {
-	in, err := decodeSources(wire)
-	c.ReleaseF64(wire)
-	if err != nil {
-		return err
-	}
-	st.sources = append(st.sources, in...)
-	st.imported[c.Rank()] += int64(len(in))
-	return nil
-}
-
-// finish builds the force tree over local + imported sources, runs the
-// configured engine over the rank's own particles, and records stats.
-func (st *forcesState) finish(c *mpi.Comm) error {
-	s, cfg := st.s, st.cfg
-	st.span(c, "let_exchange", st.tx0, map[string]any{"imported": st.imported[c.Rank()]})
-
-	if len(st.mine) == 0 {
-		c.ReleaseF64(st.boxes)
-		return nil
-	}
-	// Force tree over local + imported sources.
-	tb0 := c.Now()
-	ft, err := Build(st.sources, BuildOptions{Bucket: cfg.Bucket, Quadrupole: cfg.Quadrupole})
-	if err != nil {
-		return err
-	}
-	c.AddCompute(cfg.Cost.SecondsPerBuildSource * float64(len(st.sources)))
-	st.span(c, "force_build", tb0, map[string]any{"sources": len(st.sources)})
-	tf0 := c.Now()
-	var stats Stats
-	if ResolveEngine(cfg.Engine, cfg.ErrorBudget) == EngineDual {
-		// Dual-tree traversal over the rank's LET: targets are the
-		// rank's own particles (imported sources are Index < 0 and
-		// never evaluated), sources the whole local + imported tree.
-		ar := NewWalkArena()
-		for _, ti := range ft.AppendGroups(nil, DualTaskSize) {
-			ft.DualForceWalk(ti, cfg.Theta, cfg.Eps, nil, ar, &stats)
-			for k := 0; k < ar.NumTargets(); k++ {
-				pi, ax, ay, az := ar.Target(k)
-				s.AX[pi] = s.G * ax
-				s.AY[pi] = s.G * ay
-				s.AZ[pi] = s.G * az
-			}
-		}
-		ar.FlushTelemetry()
-	} else {
-		for _, pi := range st.mine {
-			ax, ay, az := ft.ForceAt(s.X[pi], s.Y[pi], s.Z[pi], pi, cfg.Theta, cfg.Eps, &stats)
-			s.AX[pi] = s.G * ax
-			s.AY[pi] = s.G * ay
-			s.AZ[pi] = s.G * az
-		}
-	}
-	c.AddCompute(cfg.Cost.SecondsPerInteraction * float64(stats.Interactions()))
-	st.span(c, "forces", tf0, map[string]any{"pp": stats.PP, "pc": stats.PC})
-	st.perRank[c.Rank()] = stats
-	c.ReleaseF64(st.boxes)
-	return nil
-}
-
-// forcesProc is ParallelForces's resumable rank program for the event
-// scheduler: the shared phases strung between the allgather state
-// machine and the LET exchange's pending receives.
-type forcesProc struct {
-	pc   int
-	st   *forcesState
-	ag   mpi.AllgatherIntoState
-	step int
-	sent bool
-}
-
-func (p *forcesProc) Resume(c *mpi.Comm) (bool, error) {
-	st := p.st
-	if p.pc == 0 {
-		st.setup(c)
-		p.ag.Start(c, st.myBoxBuf, st.boxes)
-		p.pc = 1
-	}
-	if p.pc == 1 {
-		if !p.ag.Step(c) {
-			return false, nil
-		}
-		if err := st.afterGather(c); err != nil {
-			return true, err
-		}
-		p.step = 1
-		p.pc = 2
-	}
-	for n := c.Size(); p.step < n; p.step++ {
-		if !p.sent {
-			st.letSend(c, p.step)
-			p.sent = true
-		}
-		wire, ok := c.TryRecvF64((c.Rank()-p.step+n)%n, p.step)
-		if !ok {
-			return false, nil
-		}
-		if err := st.letAbsorb(c, wire); err != nil {
-			return true, err
-		}
-		p.sent = false
-	}
-	return true, st.finish(c)
 }

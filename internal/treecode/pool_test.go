@@ -9,19 +9,21 @@ import (
 	"repro/internal/netsim"
 )
 
-// TestParallelForcesPoolInvariant pins pooling out of the physics for
-// the treecode: accelerations, interaction counts, communication
-// volumes and simulated times must be bit-for-bit identical with the
-// buffer pools disabled.
+// TestParallelForcesPoolInvariant pins host scheduling out of the
+// treecode's physics and pools: accelerations, interaction counts,
+// communication volumes, simulated times and buffer-pool hit/miss
+// counts must be bit-for-bit identical across two fresh worlds, whose
+// goroutine ranks interleave differently.
 func TestParallelForcesPoolInvariant(t *testing.T) {
 	const n = 3000
-	run := func(p int, disable bool) (*nbody.System, *ParallelResult) {
+	type outcome struct {
+		s            *nbody.System
+		res          *ParallelResult
+		hits, misses int64
+	}
+	run := func(p int) outcome {
 		s := nbody.NewPlummer(n, 1, 2001)
-		w, err := mpi.NewWorldWithConfig(p, mpi.Config{
-			Fabric:       netsim.FastEthernet(),
-			DisablePool:  disable,
-			ChannelDepth: 256,
-		})
+		w, err := mpi.NewWorld(p, netsim.FastEthernet())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,26 +31,22 @@ func TestParallelForcesPoolInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
-		return s, res
+		o := outcome{s: s, res: res}
+		o.hits, o.misses = w.PoolStats()
+		return o
 	}
 	for _, p := range []int{2, 8, 24} {
-		sP, rP := run(p, false)
-		sU, rU := run(p, true)
-		if math.Float64bits(rP.SimTime) != math.Float64bits(rU.SimTime) {
-			t.Errorf("p=%d: sim time %x vs %x", p,
-				math.Float64bits(rP.SimTime), math.Float64bits(rU.SimTime))
+		a, b := run(p), run(p)
+		if *a.res != *b.res {
+			t.Errorf("p=%d: results differ: %+v vs %+v", p, a.res, b.res)
 		}
-		if rP.CommBytes != rU.CommBytes || rP.CommMessages != rU.CommMessages ||
-			rP.ImportedSources != rU.ImportedSources {
-			t.Errorf("p=%d: comm stats differ: %+v vs %+v", p, rP, rU)
-		}
-		if rP.Stats != rU.Stats {
-			t.Errorf("p=%d: interaction stats differ: %+v vs %+v", p, rP.Stats, rU.Stats)
+		if a.hits != b.hits || a.misses != b.misses {
+			t.Errorf("p=%d: pool hits/misses %d/%d vs %d/%d", p, a.hits, a.misses, b.hits, b.misses)
 		}
 		for i := 0; i < n; i++ {
-			if math.Float64bits(sP.AX[i]) != math.Float64bits(sU.AX[i]) ||
-				math.Float64bits(sP.AY[i]) != math.Float64bits(sU.AY[i]) ||
-				math.Float64bits(sP.AZ[i]) != math.Float64bits(sU.AZ[i]) {
+			if math.Float64bits(a.s.AX[i]) != math.Float64bits(b.s.AX[i]) ||
+				math.Float64bits(a.s.AY[i]) != math.Float64bits(b.s.AY[i]) ||
+				math.Float64bits(a.s.AZ[i]) != math.Float64bits(b.s.AZ[i]) {
 				t.Fatalf("p=%d: acceleration of particle %d differs", p, i)
 			}
 		}
