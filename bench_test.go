@@ -16,7 +16,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/kernels"
-	"repro/internal/longrun"
 	"repro/internal/mpi"
 	"repro/internal/nas"
 	"repro/internal/nbody"
@@ -652,40 +651,6 @@ func BenchmarkIsaInterp(b *testing.B) {
 
 // --- Extensions beyond the paper's tables ---
 
-// BenchmarkLongRun sweeps the TM5600's LongRun ladder: the f·V² trade
-// between Mflops and Mflops/W (the trajectory the paper's conclusion
-// sketches toward Green Destiny).
-func BenchmarkLongRun(b *testing.B) {
-	build := func() (isa.Program, *isa.State, error) {
-		g := kernels.GravMicro{Variant: kernels.GravKarp, NBodies: 8, Iters: 60,
-			TableBits: 7, ChebDeg: 2, NRIters: 2, Seed: 3}
-		return g.Build()
-	}
-	for _, ladder := range []struct {
-		name   string
-		crusoe *cpu.Crusoe
-		states []longrun.State
-	}{
-		{"TM5600", cpu.NewTM5600(), longrun.TM5600States()},
-		{"TM5800", cpu.NewTM5800(), longrun.TM5800States()},
-	} {
-		b.Run(ladder.name, func(b *testing.B) {
-			var ms []longrun.Measurement
-			for i := 0; i < b.N; i++ {
-				var err error
-				ms, err = longrun.Sweep(ladder.crusoe, ladder.states, build)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			lo, hi := ms[0], ms[len(ms)-1]
-			b.ReportMetric(hi.Mflops, "Mflops@max")
-			b.ReportMetric(hi.MflopsPerWatt, "Mflops/W@max")
-			b.ReportMetric(lo.MflopsPerWatt, "Mflops/W@min")
-		})
-	}
-}
-
 // BenchmarkMPIAllreduce measures the substrate's allreduce hot path:
 // one op is a full 8-rank in-place allreduce of 512 float64s on Fast
 // Ethernet, allocation-free at steady state because every wire buffer
@@ -748,16 +713,19 @@ func BenchmarkMPICollectives(b *testing.B) {
 	}
 }
 
-// BenchmarkNASSweep runs the p=1..8 parallel NAS rank sweep serially
-// and concurrently on the host pool; the simulated makespans are
-// identical by construction, so the delta is pure host wall time.
+// BenchmarkNASSweep runs the p=1..8 parallel NAS rank sweep on a 1-wide
+// pool (serially) and at the default width (concurrently); the simulated
+// makespans are identical by construction, so the delta is pure host
+// wall time.
 func BenchmarkNASSweep(b *testing.B) {
 	for _, mode := range []struct {
-		name       string
-		concurrent bool
-	}{{"serial", false}, {"concurrent", true}} {
+		name  string
+		width int
+	}{{"serial", 1}, {"concurrent", 0}} {
 		b.Run(mode.name, func(b *testing.B) {
-			cfg := nasSweepConfig(mode.concurrent)
+			par.SetWorkers(mode.width)
+			defer par.SetWorkers(0)
+			cfg := nasSweepConfig()
 			var sim float64
 			for i := 0; i < b.N; i++ {
 				rows, _, err := core.NewRun().NASSweep(cfg)
@@ -775,10 +743,9 @@ func BenchmarkNASSweep(b *testing.B) {
 }
 
 // nasSweepConfig is the class S rank sweep over p = 1..8.
-func nasSweepConfig(concurrent bool) core.NASSweepConfig {
+func nasSweepConfig() core.NASSweepConfig {
 	cfg := core.DefaultNASSweepConfig()
 	cfg.Ranks = cfg.Ranks[:8]
-	cfg.Concurrent = concurrent
 	return cfg
 }
 

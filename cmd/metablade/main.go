@@ -9,13 +9,13 @@
 //	metablade -all            # everything
 //	metablade -table 3 -class W
 //	metablade -table 2 -particles 60000
-//	metablade -table 2 -sweep     # run the sweep's worlds concurrently
+//	metablade -table 2 -procs 1   # run the sweep's worlds one at a time
 //	metablade -table 2 -fabric fattree
 //	metablade -obs-json out.json -trace out.trace
 //
-// -sweep runs Table 2's independent per-CPU-count worlds concurrently
-// on the host pool (bounded by -procs); rows and observability output
-// are bit-identical to the serial sweep. -fabric selects the
+// Table 2's independent per-CPU-count worlds run concurrently on the
+// host pool, -procs wide; rows and snapshot samples are bit-identical
+// at any width. -fabric selects the
 // interconnect topology (star, fattree, torus2d, torus3d), which
 // changes simulated times.
 //
@@ -44,7 +44,6 @@ func main() {
 	all := flag.Bool("all", false, "regenerate every table and figure")
 	class := flag.String("class", "W", "NPB class for table 3 (S, W, A)")
 	particles := flag.Int("particles", 0, "particle count override for table 2 / figure 3")
-	sweep := flag.Bool("sweep", false, "run table 2's independent worlds concurrently on the host pool")
 	fabric := flag.String("fabric", "", "table 2 interconnect topology: star (default), fattree, torus2d, torus3d")
 	flag.Parse()
 	d.Check(d.Setup())
@@ -52,7 +51,6 @@ func main() {
 	table2Spec := func() *core.Table2Spec {
 		return &core.Table2Spec{
 			Particles:      *particles,
-			Concurrent:     *sweep,
 			EngineSpec:     d.SpecEngine(),
 			FabricModeSpec: core.FabricModeSpec{Fabric: *fabric},
 		}

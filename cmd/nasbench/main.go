@@ -10,7 +10,7 @@
 //	nasbench -sweep             # parallel EP/IS rank sweep, p=1..24
 //	nasbench -sweep -ranks 8    # sweep p=1..8
 //	nasbench -sweep -ranks 64,256,1024 -ep-only  # large-p list sweep
-//	nasbench -sweep -serial     # same sweep, one world at a time
+//	nasbench -sweep -procs 1    # same sweep, one world at a time
 //	nasbench -ranks 1024 -fabric torus2d         # one distributed run
 //
 // The -sweep mode runs the distributed EP and IS kernels at every rank
@@ -19,7 +19,7 @@
 // ("64,256,1024,4096"). Without -sweep, a -ranks value runs the
 // distributed kernels once at that single world size. The sweep's
 // worlds are independent, so they execute concurrently on the host
-// pool (bounded by -procs); -serial disables that, producing
+// pool, -procs wide; -procs 1 runs them one at a time, with
 // bit-identical rows either way. -native selects the native collective
 // algorithms and -contention the per-port fabric occupancy model (both
 // change simulated times and are off by default). -fabric picks the
@@ -78,7 +78,6 @@ func main() {
 	rate := flag.Bool("rate", true, "rate on the Table 3 processors")
 	sweep := flag.Bool("sweep", false, "run the parallel EP/IS rank sweep instead of the serial kernel table")
 	ranks := flag.String("ranks", "", "sweep rank counts: N for 1..N (default 24 with -sweep), or an exact comma-separated list; without -sweep, one distributed run at this world size")
-	serial := flag.Bool("serial", false, "run the sweep's worlds one at a time instead of concurrently")
 	native := flag.Bool("native", false, "sweep with native collectives (recursive doubling, pipelined ring)")
 	contention := flag.Bool("contention", false, "sweep with the per-port fabric occupancy model")
 	fabric := flag.String("fabric", "", "interconnect topology: star (default), fattree, torus2d, torus3d")
@@ -96,7 +95,6 @@ func main() {
 		spec = &core.NASSweepSpec{
 			Class:          *class,
 			Ranks:          list,
-			Concurrent:     !*serial,
 			Native:         *native,
 			Contention:     *contention,
 			EPOnly:         *epOnly,

@@ -2,7 +2,9 @@
 // for a user-described cluster, so the §4 analysis can be repeated with
 // your own numbers. With -optimize it instead sweeps the whole design
 // space (CPU × packaging × fabric × node count × ambient) and prints
-// the Pareto frontier for ToPPeR, perf/watt and perf/space.
+// the Pareto frontier for ToPPeR, perf/watt and perf/space. The search
+// runs on the host pool, -procs wide; its frontier and counters are
+// identical at any width.
 //
 // Usage:
 //
@@ -88,9 +90,6 @@ func main() {
 	maxPowerKW := flag.Float64("max-power-kw", 0, "optimizer budget: max total power in kW (0 = uncapped)")
 	maxSpaceSqFt := flag.Float64("max-space-sqft", 0, "optimizer budget: max floor space in ft² (0 = uncapped)")
 	maxTCO := flag.Float64("max-tco", 0, "optimizer budget: max TCO in $ (0 = uncapped)")
-	optWorkers := flag.Int("opt-workers", 0, "optimizer worker count (0 = all cores); the frontier is identical at any setting")
-	optNoMemo := flag.Bool("opt-no-memo", false, "disable the optimizer's network-solve memo (slower, same frontier)")
-	optNoPrune := flag.Bool("opt-no-prune", false, "disable the optimizer's dominance pruning (exhaustive, same frontier)")
 	flag.Parse()
 	d.Check(d.Setup())
 
@@ -111,9 +110,6 @@ func main() {
 			MaxTCOUSD:    *maxTCO,
 			Years:        *years,
 			KWh:          kwh,
-			Workers:      *optWorkers,
-			NoMemo:       *optNoMemo,
-			NoPrune:      *optNoPrune,
 		}
 		_, err = d.RunSpec(spec)
 		d.Check(err)

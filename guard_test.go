@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/designopt"
 	"repro/internal/nbody"
+	"repro/internal/par"
 	"repro/internal/treecode"
 )
 
@@ -209,56 +210,41 @@ func TestGuardHostParallel(t *testing.T) {
 }
 
 // TestGuardConcurrentSweep: running the p=1..8 NAS rank sweep's worlds
-// concurrently must not be slower than running them one by one.
+// concurrently at the default pool width must not be slower than
+// running them one by one on a 1-wide pool.
 func TestGuardConcurrentSweep(t *testing.T) {
 	if runtime.GOMAXPROCS(0) == 1 {
 		t.Skip("one CPU: no parallel path to compare")
 	}
-	sweep := func(concurrent bool) func() {
-		cfg := nasSweepConfig(concurrent)
+	cfg := nasSweepConfig()
+	sweep := func(width int) func() {
 		return func() {
+			par.SetWorkers(width)
+			defer par.SetWorkers(0)
 			_, _, err := core.NewRun().NASSweep(cfg)
 			must(t, err)
 		}
 	}
-	med := medianTimes(t, sweep(false), sweep(true))
+	med := medianTimes(t, sweep(1), sweep(0))
 	noSlower(t, "concurrent NAS sweep", med[1], med[0])
 }
 
-// TestGuardDesignSweep: the memoized design-space sweep must score at
-// least 100k candidates/s on the default grid (exhaustively, so the
-// rate measures the evaluator, not pruning), and the memo must speed a
-// fabric-heavy grid — six fabrics, up to 1024 nodes, where the O(p)
-// network solve dominates — at least 10x with identical candidate work
-// on both sides.
+// TestGuardDesignSweep: the design-space search must score at least
+// 100k candidates/s on the default grid. The rate counts only the
+// candidates it evaluates, so it measures the evaluator, not pruning.
+// (The memo's exact hit and miss counts on a fabric-heavy grid are
+// pinned by designopt's TestMemoCountersDeterministic.)
 func TestGuardDesignSweep(t *testing.T) {
-	optimize := func(g *designopt.Grid, opt designopt.Options) func() {
-		return func() {
-			_, err := designopt.Optimize(g, opt)
-			must(t, err)
-		}
-	}
 	def := designopt.DefaultGrid()
-	res, err := designopt.Optimize(def, designopt.Options{NoPrune: true})
+	res, err := designopt.Optimize(def)
 	must(t, err)
-	med := medianTimes(t, optimize(def, designopt.Options{NoPrune: true}))
-	rate := float64(res.Candidates) / med[0].Seconds()
-	t.Logf("default grid: %d candidates in %v (%.0f/s)", res.Candidates, med[0], rate)
-	if rate < 100_000 {
-		t.Errorf("memoized design sweep at %.0f candidates/s, want ≥100000", rate)
-	}
-
-	heavy := designopt.DefaultGrid()
-	heavy.Fabrics = heavy.Fabrics[:0]
-	for _, name := range []string{"fe", "ge", "fe-fattree", "ge-fattree", "ge-torus2d", "ge-torus3d"} {
-		f, err := designopt.ParseFabric(name)
+	med := medianTimes(t, func() {
+		_, err := designopt.Optimize(def)
 		must(t, err)
-		heavy.Fabrics = append(heavy.Fabrics, f)
+	})
+	rate := float64(res.Evaluated) / med[0].Seconds()
+	t.Logf("default grid: %d of %d candidates evaluated in %v (%.0f/s)", res.Evaluated, res.Candidates, med[0], rate)
+	if rate < 100_000 {
+		t.Errorf("design sweep at %.0f candidates/s, want ≥100000", rate)
 	}
-	heavy.Nodes = []int{64, 128, 256, 512, 1024}
-	med = medianTimes(t,
-		optimize(heavy, designopt.Options{NoPrune: true}),
-		optimize(heavy, designopt.Options{NoPrune: true, NoMemo: true}),
-	)
-	atLeast(t, "memo on the fabric-heavy grid", med[1], med[0], 10)
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/designopt"
 	"repro/internal/kernels"
+	"repro/internal/par"
 )
 
 // TestPinnedRatesMatchTable1 cross-checks designopt.PinnedKarpMflops —
@@ -125,14 +126,22 @@ func TestTopperOptSpecValidation(t *testing.T) {
 			t.Errorf("spec %+v validated", bad)
 		}
 	}
-	// Workers/NoMemo/NoPrune are execution knobs: different settings
-	// hash differently (they are spec fields) but produce the same
-	// frontier — the serve layer's cache stays coherent either way.
-	a, _ := RunSpec(NewRun(), &TopperOptSpec{Nodes: []int{8, 64}, NoPrune: true})
-	b, _ := RunSpec(NewRun(), &TopperOptSpec{Nodes: []int{8, 64}, Workers: 3})
+	// The search width follows the process pool and changes nothing
+	// the spec returns, so the serve layer's cache stays coherent at
+	// any -procs.
+	run := func(w int) *SpecResult {
+		par.SetWorkers(w)
+		defer par.SetWorkers(0)
+		res, err := RunSpec(NewRun(), &TopperOptSpec{Nodes: []int{8, 64}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(1), run(3)
 	fa := a.Data.(TopperOptResult).Frontier
 	fb := b.Data.(TopperOptResult).Frontier
-	if designopt.Fingerprint(fa) != designopt.Fingerprint(fb) {
-		t.Fatal("execution knobs changed the frontier")
+	if designopt.Fingerprint(fa) != designopt.Fingerprint(fb) || a.Text != b.Text {
+		t.Fatal("pool width changed the topperopt result")
 	}
 }

@@ -155,9 +155,9 @@ func (d *Driver) startDebugServer() {
 }
 
 // SpecEngine returns the driver's force-engine flags as the spec API's
-// engine selection, unresolved: the spec's own normalization folds the
-// "list" spelling and the error budget, so CLI and HTTP submissions of
-// the same selection hash alike.
+// engine selection, unresolved: the spec's own normalization fills the
+// default engine and error budget, so CLI and HTTP submissions of the
+// same selection hash alike.
 func (d *Driver) SpecEngine() EngineSpec {
 	return EngineSpec{Engine: d.EngineName, ErrorBudget: d.ErrorBudget}
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/nbody"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/tco"
 	"repro/internal/treecode"
 )
@@ -87,13 +86,6 @@ type Table2Config struct {
 	Particles int
 	CPUCounts []int
 	Theta     float64
-	// Concurrent runs the sweep's independent worlds concurrently on
-	// the internal/par pool (the -sweep mode); rows and snapshot are
-	// bit-identical to the serial sweep.
-	Concurrent bool
-	// Workers bounds host concurrency when Concurrent (0 = the
-	// process-wide default).
-	Workers int
 	// Engine selects each rank's force-evaluation engine (dual by
 	// default); ErrorBudget steers the auto choice (< 1 pins the
 	// bit-exact recursive walk).
@@ -117,7 +109,8 @@ func DefaultTable2Config() Table2Config {
 // from the TM5600's calibrated costs, communication from the 100 Mb/s
 // Fast Ethernet model. Each world's communication totals and each
 // sweep's interaction counts land in the run's snapshot; the tracer
-// records per-rank virtual-time phases (obs.PidSim) for every world.
+// records per-rank virtual-time phases (obs.PidSim) for every world and
+// one host span for the whole sweep.
 func (r *Run) Table2(cfg Table2Config) ([]Table2Row, *metrics.Table, error) {
 	if cfg.Particles <= 0 || len(cfg.CPUCounts) == 0 {
 		return nil, nil, fmt.Errorf("core: empty Table2 config")
@@ -157,20 +150,9 @@ func (r *Run) Table2(cfg Table2Config) ([]Table2Row, *metrics.Table, error) {
 			Engine: cfg.Engine, ErrorBudget: cfg.ErrorBudget,
 		})
 	}
-	if cfg.Concurrent {
-		tasks := make([]func(), len(cfg.CPUCounts))
-		for i := range tasks {
-			i := i
-			tasks[i] = func() { runOne(i) }
-		}
-		par.New(cfg.Workers).Do(tasks...)
-	} else {
-		for i, p := range cfg.CPUCounts {
-			sp := r.Tracer.Begin(obs.PidHost, 0, "table2", fmt.Sprintf("p%d", p))
-			runOne(i)
-			sp.End(map[string]any{"cpus": p})
-		}
-	}
+	sp := r.Tracer.Begin(obs.PidHost, 0, "table2", "sweep")
+	sweepWorlds(len(cfg.CPUCounts), runOne)
+	sp.End(nil)
 	// Deterministic post-pass in CPU-count order, independent of the
 	// workers' completion order.
 	var rows []Table2Row

@@ -21,9 +21,7 @@ import (
 //
 // Specs are canonically hashable. CanonicalSpec clones a spec through
 // its JSON form and normalizes it, so two specs that differ only in
-// JSON field order, in defaulted-versus-omitted fields, or in an
-// alias with identical results (Engine "list" versus "recursive")
-// canonicalize to the same value — and SpecHash, the SHA-256 of the
+// JSON field order or in defaulted-versus-omitted fields canonicalize to the same value — and SpecHash, the SHA-256 of the
 // canonical envelope, is the cache key the gateway uses to serve
 // repeated submissions of a deterministic experiment for free.
 
@@ -35,8 +33,8 @@ type ExperimentSpec interface {
 	// Kind returns the registry name of the experiment ("table1",
 	// "nbody", "tco", ...).
 	Kind() string
-	// Normalize fills defaulted fields in place and folds deprecated
-	// aliases, so canonical forms compare and hash identically.
+	// Normalize fills defaulted fields in place and folds equivalent
+	// spellings, so canonical forms compare and hash identically.
 	Normalize()
 	// Validate reports whether the (normalized) spec is runnable.
 	Validate() error

@@ -6,8 +6,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-
-	"repro/internal/treecode"
 )
 
 // goldenSpecHashes pins the canonical hash of every kind's default
@@ -87,8 +85,8 @@ func TestSpecRoundTripEveryKind(t *testing.T) {
 // TestSpecHashFieldOrderInvariant: two JSON documents differing only in
 // field order decode to specs with identical hashes.
 func TestSpecHashFieldOrderInvariant(t *testing.T) {
-	a := []byte(`{"api":"repro/spec/v1","kind":"table2","spec":{"particles":9000,"theta":0.8,"concurrent":true}}`)
-	b := []byte(`{"kind":"table2","spec":{"concurrent":true,"theta":0.8,"particles":9000},"api":"repro/spec/v1"}`)
+	a := []byte(`{"api":"repro/spec/v1","kind":"table2","spec":{"particles":9000,"theta":0.8,"fabric":"fattree"}}`)
+	b := []byte(`{"kind":"table2","spec":{"fabric":"fattree","theta":0.8,"particles":9000},"api":"repro/spec/v1"}`)
 	sa, err := DecodeSpec(a)
 	if err != nil {
 		t.Fatal(err)
@@ -177,144 +175,8 @@ func TestTCOExplicitZeroHonored(t *testing.T) {
 	}
 }
 
-// TestListAliasEquivalence covers the "list" spelling: it names a
-// retired engine that gave the recursive walk's bits, so it
-// canonicalizes to "recursive", hashes identically to it, and resolves
-// to the same engine both through the spec API and through the driver
-// flags.
-func TestListAliasEquivalence(t *testing.T) {
-	alias := &NBodySpec{EngineSpec: EngineSpec{Engine: "list"}}
-	spelled := &NBodySpec{EngineSpec: EngineSpec{Engine: "recursive"}}
-	ha, err := SpecHash(alias)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb, err := SpecHash(spelled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ha != hb {
-		t.Errorf("engine=list hashes differently from engine=recursive: %s vs %s", ha, hb)
-	}
-	c, err := CanonicalSpec(alias)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ce := c.(*NBodySpec)
-	if ce.Engine != "recursive" {
-		t.Errorf("canonical engine %q, want \"recursive\"", ce.Engine)
-	}
-	if err := ce.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := ce.EngineSpec.resolve(); got != treecode.EngineRecursive {
-		t.Errorf("list resolves to %v, want EngineRecursive", got)
-	}
-
-	// Driver flags: -engine list and -engine recursive select the same
-	// engine and build specs with the same hash.
-	dAlias := setupDriver(t, "-engine", "list")
-	dSpelled := setupDriver(t, "-engine", "recursive")
-	if dAlias.Engine != treecode.EngineRecursive || dSpelled.Engine != treecode.EngineRecursive {
-		t.Errorf("-engine list resolves to %v, -engine recursive to %v", dAlias.Engine, dSpelled.Engine)
-	}
-	hFlagAlias, _ := SpecHash(&Table2Spec{EngineSpec: dAlias.SpecEngine()})
-	hFlagSpelled, _ := SpecHash(&Table2Spec{EngineSpec: dSpelled.SpecEngine()})
-	if hFlagAlias != hFlagSpelled {
-		t.Errorf("driver-built specs hash differently: %s vs %s", hFlagAlias, hFlagSpelled)
-	}
-}
-
-// TestTreeReuseNormalizesAway: tree_reuse names a retired switch whose
-// settings all gave the same bits. Every accepted spelling canonicalizes
-// away and hashes like a spec without the field; anything else is
-// rejected, and -tree-reuse is no longer a flag.
-func TestTreeReuseNormalizesAway(t *testing.T) {
-	want, err := SpecHash(&NBodySpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []string{"", "auto", "AUTO", "on", "off"} {
-		s, err := DecodeSpec([]byte(`{"api":"repro/spec/v1","kind":"nbody","spec":{"tree_reuse":"` + v + `"}}`))
-		if err != nil {
-			t.Fatalf("%q: %v", v, err)
-		}
-		c, err := CanonicalSpec(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Validate(); err != nil {
-			t.Errorf("%q: %v", v, err)
-		}
-		if got, err := SpecHash(s); err != nil || got != want {
-			t.Errorf("tree_reuse %q hashes to %s (%v), want %s", v, got, err, want)
-		}
-	}
-	s, err := DecodeSpec([]byte(`{"api":"repro/spec/v1","kind":"nbody","spec":{"tree_reuse":"bogus"}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := CanonicalSpec(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(); err == nil {
-		t.Error(`"tree_reuse":"bogus" validated`)
-	}
-	if _, err := parseDriver("-tree-reuse", "off"); err == nil {
-		t.Error("-tree-reuse accepted")
-	}
-}
-
-// TestMPIModeNormalizesAway: mpi_mode names a retired choice of rank
-// scheduler whose settings all gave the same bits. Every accepted
-// spelling canonicalizes away and hashes like a spec without the field;
-// anything else is rejected.
-func TestMPIModeNormalizesAway(t *testing.T) {
-	want, err := SpecHash(&Table2Spec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []string{"", "auto", "AUTO", "goroutine", "event"} {
-		s, err := DecodeSpec([]byte(`{"api":"repro/spec/v1","kind":"table2","spec":{"mpi_mode":"` + v + `"}}`))
-		if err != nil {
-			t.Fatalf("%q: %v", v, err)
-		}
-		c, err := CanonicalSpec(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Validate(); err != nil {
-			t.Errorf("%q: %v", v, err)
-		}
-		if got, err := SpecHash(s); err != nil || got != want {
-			t.Errorf("mpi_mode %q hashes to %s (%v), want %s", v, got, err, want)
-		}
-	}
-	s, err := DecodeSpec([]byte(`{"api":"repro/spec/v1","kind":"table2","spec":{"mpi_mode":"bogus"}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := CanonicalSpec(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(); err == nil {
-		t.Error(`"mpi_mode":"bogus" validated`)
-	}
-}
-
-// setupDriver parses args into a Driver on a private flag set and runs
+// parseDriver parses args into a Driver on a private flag set and runs
 // Setup.
-func setupDriver(t *testing.T, args ...string) *Driver {
-	t.Helper()
-	d, err := parseDriver(args...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
-
 func parseDriver(args ...string) (*Driver, error) {
 	d := &Driver{Name: "test"}
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -350,6 +212,45 @@ func TestRemovedGroupEngineRejected(t *testing.T) {
 	}
 	if _, err := parseDriver("-groupwalk"); err == nil {
 		t.Error("-groupwalk accepted")
+	}
+}
+
+// TestRetiredSpellingsRejected: the spec fields that chose only how the
+// host ran an experiment (concurrent, workers, no_memo, no_prune) and
+// the retired aliases tree_reuse and mpi_mode are unknown fields to the
+// strict decoder, and the "list" engine is rejected by validation and
+// by the -engine flag. None of them folds into another spec's hash.
+func TestRetiredSpellingsRejected(t *testing.T) {
+	for _, tc := range []struct{ kind, field, value string }{
+		{"table2", "concurrent", "true"},
+		{"table2", "workers", "2"},
+		{"table2", "mpi_mode", `"event"`},
+		{"nassweep", "concurrent", "true"},
+		{"nassweep", "workers", "2"},
+		{"topperopt", "workers", "2"},
+		{"topperopt", "no_memo", "true"},
+		{"topperopt", "no_prune", "true"},
+		{"nbody", "tree_reuse", `"off"`},
+	} {
+		doc := `{"api":"repro/spec/v1","kind":"` + tc.kind + `","spec":{"` + tc.field + `":` + tc.value + `}}`
+		_, err := DecodeSpec([]byte(doc))
+		if err == nil || !strings.Contains(err.Error(), "unknown field") || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: err = %v, want an unknown-field error naming %q", doc, err, tc.field)
+		}
+	}
+	s, err := DecodeSpec([]byte(`{"api":"repro/spec/v1","kind":"nbody","spec":{"engine":"list"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := CanonicalSpec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Validate(); err == nil {
+		t.Error(`"engine":"list" validated`)
+	}
+	if _, err := parseDriver("-engine", "list"); err == nil {
+		t.Error("-engine list accepted")
 	}
 }
 

@@ -40,34 +40,18 @@ func init() {
 
 // EngineSpec is the force-engine selection shared by the treecode
 // experiments, in flag spelling. The zero value means "auto" at the
-// default error budget. Engine "list" names a retired engine that gave
-// the recursive walk's bits: Normalize rewrites it to "recursive", so
-// the two canonicalize — and hash — identically.
+// default error budget.
 type EngineSpec struct {
 	Engine      string  `json:"engine,omitempty"`
 	ErrorBudget float64 `json:"error_budget,omitempty"`
-	// TreeReuse names a retired switch between maintained and fresh
-	// trees, which gave identical bits. The strict decoder still meets
-	// it in stored specs, so "auto", "on" and "off" (any case) are
-	// accepted and Normalize folds them to the empty string: every
-	// spelling hashes like a spec without the field. Other values are
-	// rejected.
-	TreeReuse string `json:"tree_reuse,omitempty"`
 }
 
 func (e *EngineSpec) normalize() {
-	switch e.Engine {
-	case "":
+	if e.Engine == "" {
 		e.Engine = "auto"
-	case "list":
-		e.Engine = "recursive"
 	}
 	if e.ErrorBudget == 0 {
 		e.ErrorBudget = treecode.DefaultErrorBudget
-	}
-	switch strings.ToLower(e.TreeReuse) {
-	case "auto", "on", "off":
-		e.TreeReuse = ""
 	}
 }
 
@@ -77,9 +61,6 @@ func (e *EngineSpec) validate() error {
 	}
 	if e.ErrorBudget < 0 {
 		return fmt.Errorf("negative error_budget %g", e.ErrorBudget)
-	}
-	if e.TreeReuse != "" {
-		return fmt.Errorf("unknown tree_reuse %q (want auto, on or off)", e.TreeReuse)
 	}
 	return nil
 }
@@ -119,12 +100,6 @@ func (*Table1Spec) Run(r *Run) (*SpecResult, error) {
 // the field keep their historical hashes.
 type FabricModeSpec struct {
 	Fabric string `json:"fabric,omitempty"`
-	// Mode names a retired choice of rank scheduler, which gave
-	// identical bits. The strict decoder still meets it in stored
-	// specs, so "auto", "goroutine" and "event" (any case) are accepted
-	// and Normalize folds them to the empty string: every spelling
-	// hashes like a spec without the field. Other values are rejected.
-	Mode string `json:"mpi_mode,omitempty"`
 }
 
 func (f *FabricModeSpec) normalize() {
@@ -132,31 +107,19 @@ func (f *FabricModeSpec) normalize() {
 	if f.Fabric == "star" {
 		f.Fabric = ""
 	}
-	switch strings.ToLower(f.Mode) {
-	case "auto", "goroutine", "event":
-		f.Mode = ""
-	}
 }
 
 func (f *FabricModeSpec) validate() error {
-	if err := netsim.ApplyTopology(netsim.FastEthernet(), f.Fabric, 4); err != nil {
-		return err
-	}
-	if f.Mode != "" {
-		return fmt.Errorf("unknown mpi_mode %q (want auto, goroutine or event)", f.Mode)
-	}
-	return nil
+	return netsim.ApplyTopology(netsim.FastEthernet(), f.Fabric, 4)
 }
 
 // --- table2 ---
 
 // Table2Spec runs the MetaBlade N-body scalability sweep.
 type Table2Spec struct {
-	Particles  int     `json:"particles,omitempty"`
-	CPUCounts  []int   `json:"cpu_counts,omitempty"`
-	Theta      float64 `json:"theta,omitempty"`
-	Concurrent bool    `json:"concurrent,omitempty"`
-	Workers    int     `json:"workers,omitempty"`
+	Particles int     `json:"particles,omitempty"`
+	CPUCounts []int   `json:"cpu_counts,omitempty"`
+	Theta     float64 `json:"theta,omitempty"`
 	EngineSpec
 	FabricModeSpec
 }
@@ -190,9 +153,6 @@ func (s *Table2Spec) Validate() error {
 	if s.Theta <= 0 {
 		return fmt.Errorf("theta %g", s.Theta)
 	}
-	if s.Workers < 0 {
-		return fmt.Errorf("workers %d", s.Workers)
-	}
 	if err := s.FabricModeSpec.validate(); err != nil {
 		return err
 	}
@@ -201,13 +161,11 @@ func (s *Table2Spec) Validate() error {
 
 func (s *Table2Spec) Run(r *Run) (*SpecResult, error) {
 	cfg := Table2Config{
-		Particles:  s.Particles,
-		CPUCounts:  s.CPUCounts,
-		Theta:      s.Theta,
-		Concurrent: s.Concurrent,
-		Workers:    s.Workers,
-		Engine:     s.resolve(),
-		Fabric:     s.Fabric,
+		Particles: s.Particles,
+		CPUCounts: s.CPUCounts,
+		Theta:     s.Theta,
+		Engine:    s.resolve(),
+		Fabric:    s.Fabric,
 	}
 	rows, t, err := r.Table2(cfg)
 	if err != nil {
@@ -419,8 +377,6 @@ func (s *Figure3Spec) Run(r *Run) (*SpecResult, error) {
 type NASSweepSpec struct {
 	Class      string `json:"class,omitempty"`
 	Ranks      []int  `json:"ranks,omitempty"`
-	Concurrent bool   `json:"concurrent,omitempty"`
-	Workers    int    `json:"workers,omitempty"`
 	Native     bool   `json:"native,omitempty"`
 	Contention bool   `json:"contention,omitempty"`
 	EPOnly     bool   `json:"ep_only,omitempty"`
@@ -449,9 +405,6 @@ func (s *NASSweepSpec) Validate() error {
 			return fmt.Errorf("rank count %d", p)
 		}
 	}
-	if s.Workers < 0 {
-		return fmt.Errorf("workers %d", s.Workers)
-	}
 	return s.FabricModeSpec.validate()
 }
 
@@ -459,8 +412,6 @@ func (s *NASSweepSpec) Run(r *Run) (*SpecResult, error) {
 	cfg := NASSweepConfig{
 		Class:      nas.Class(s.Class[0]),
 		Ranks:      s.Ranks,
-		Concurrent: s.Concurrent,
-		Workers:    s.Workers,
 		Native:     s.Native,
 		Contention: s.Contention,
 		Fabric:     s.Fabric,
@@ -1038,10 +989,9 @@ func (s *TCOSpec) Run(r *Run) (*SpecResult, error) {
 // cluster → tco models with its parallel efficiency solved on the
 // candidate fabric, emitting the Pareto frontier for ToPPeR, perf/watt
 // and perf/space. Empty axes take the product defaults (the five
-// Table 1 CPUs, both packagings, Fast and Gigabit Ethernet). Workers,
-// NoMemo and NoPrune change only how fast the frontier is found, never
-// its contents — the frontier is bit-identical at any worker count,
-// which is what makes the spec safely cacheable by hash.
+// Table 1 CPUs, both packagings, Fast and Gigabit Ethernet). The
+// frontier is bit-identical at any -procs width, which is what makes
+// the spec safely cacheable by hash.
 type TopperOptSpec struct {
 	// CPUs, Packs and Fabrics are axis names resolved by the designopt
 	// parsers: CPUs from Table 1 ("PIII", "Alpha", "TM5600", "Power3",
@@ -1063,11 +1013,6 @@ type TopperOptSpec struct {
 	// explicit zero (free electricity) survives, like TCOSpec.KWh.
 	Years float64  `json:"years,omitempty"`
 	KWh   *float64 `json:"kwh,omitempty"`
-	// Workers sizes the search pool (0 = process default); NoMemo and
-	// NoPrune disable the two accelerations, for cross-checking.
-	Workers int  `json:"workers,omitempty"`
-	NoMemo  bool `json:"no_memo,omitempty"`
-	NoPrune bool `json:"no_prune,omitempty"`
 }
 
 func (*TopperOptSpec) Kind() string { return "topperopt" }
@@ -1175,11 +1120,7 @@ func (s *TopperOptSpec) Run(r *Run) (*SpecResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := designopt.Optimize(g, designopt.Options{
-		Workers: s.Workers,
-		NoMemo:  s.NoMemo,
-		NoPrune: s.NoPrune,
-	})
+	res, err := designopt.Optimize(g)
 	if err != nil {
 		return nil, err
 	}

@@ -14,13 +14,23 @@ import (
 
 // The rank-sweep harness: the p=1..24 sweeps behind the paper's
 // scalability results run many completely independent Worlds — one per
-// rank count — so the host can execute them concurrently on the
-// internal/par pool. Per the determinism contract, concurrency is
-// invisible in the results: every world's virtual times, byte counts and
-// pool statistics are pure functions of its own program, and the
-// harness folds rows, gauges and snapshot gathers in rank-count order
-// in a serial post-pass, so a sweep at any worker count produces
-// bit-identical rows and snapshots.
+// rank count — so the host executes them concurrently on the process
+// pool (-procs wide; at width 1 they run one after another in order).
+// Per the determinism contract, concurrency is invisible in the results:
+// every world's virtual times, byte counts and pool statistics are pure
+// functions of its own program, and the harness folds rows, gauges and
+// snapshot gathers in rank-count order in a serial post-pass, so a sweep
+// at any pool width produces bit-identical rows and snapshots.
+
+// sweepWorlds runs run(0), …, run(n-1) as independent tasks on the
+// process pool.
+func sweepWorlds(n int, run func(i int)) {
+	tasks := make([]func(), n)
+	for i := range tasks {
+		tasks[i] = func() { run(i) }
+	}
+	par.Default().Do(tasks...)
+}
 
 // NASSweepConfig sizes the parallel NAS rank sweep.
 type NASSweepConfig struct {
@@ -28,12 +38,6 @@ type NASSweepConfig struct {
 	Class nas.Class
 	// Ranks lists the world sizes to sweep.
 	Ranks []int
-	// Concurrent runs the sweep's independent worlds concurrently on
-	// the internal/par pool; results are identical either way.
-	Concurrent bool
-	// Workers bounds host concurrency when Concurrent (0 = the
-	// process-wide default).
-	Workers int
 	// Native selects the native collective algorithms (recursive
 	// doubling, pipelined ring) instead of the classic patterns.
 	Native bool
@@ -78,9 +82,8 @@ type nasSweepOut struct {
 
 // NASSweep runs ParallelEP and ParallelIS at every configured rank
 // count on the modelled cluster and reports simulated times, speedups
-// and substrate statistics. With cfg.Concurrent the independent worlds
-// run concurrently via internal/par; rows and snapshot contents are
-// bit-identical to the serial sweep.
+// and substrate statistics. The tracer sees one host span for the
+// whole sweep.
 func (r *Run) NASSweep(cfg NASSweepConfig) ([]NASSweepRow, *metrics.Table, error) {
 	if len(cfg.Ranks) == 0 {
 		return nil, nil, fmt.Errorf("core: empty NASSweep config")
@@ -126,20 +129,9 @@ func (r *Run) NASSweep(cfg NASSweepConfig) ([]NASSweepRow, *metrics.Table, error
 		o.wIS = wIS
 		o.is, o.err = nas.ParallelIS(wIS, cfg.Class, costs)
 	}
-	if cfg.Concurrent {
-		tasks := make([]func(), len(cfg.Ranks))
-		for i := range tasks {
-			i := i
-			tasks[i] = func() { runOne(i) }
-		}
-		par.New(cfg.Workers).Do(tasks...)
-	} else {
-		for i, p := range cfg.Ranks {
-			sp := r.Tracer.Begin(obs.PidHost, 0, "nassweep", fmt.Sprintf("p%d", p))
-			runOne(i)
-			sp.End(nil)
-		}
-	}
+	sp := r.Tracer.Begin(obs.PidHost, 0, "nassweep", "sweep")
+	sweepWorlds(len(cfg.Ranks), runOne)
+	sp.End(nil)
 
 	// Deterministic post-pass: rows, gauges and world gathers in
 	// rank-count order, independent of completion order.

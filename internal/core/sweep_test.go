@@ -6,43 +6,53 @@ import (
 	"testing"
 
 	"repro/internal/nas"
+	"repro/internal/par"
 )
+
+// atWidth runs fn with the process pool w wide (0: the default width)
+// and restores the default afterwards.
+func atWidth[T any](w int, fn func() T) T {
+	par.SetWorkers(w)
+	defer par.SetWorkers(0)
+	return fn()
+}
 
 // TestNASSweepConcurrentMatchesSerial pins the sweep harness's
 // determinism contract: running the independent worlds concurrently on
-// the host pool must produce bit-identical rows and an identical
-// snapshot (same counters, gauges and timers, same values).
+// a 4-wide pool must produce bit-identical rows and an identical
+// snapshot (same counters, gauges and timers, same values) to running
+// them one at a time on a 1-wide pool.
 func TestNASSweepConcurrentMatchesSerial(t *testing.T) {
 	cfg := DefaultNASSweepConfig()
 	cfg.Ranks = []int{1, 2, 3, 5, 8}
-	run := func(concurrent bool) ([]NASSweepRow, string) {
+	type out struct {
+		rows []NASSweepRow
+		snap string
+	}
+	run := func() out {
 		r := NewRun()
-		c := cfg
-		c.Concurrent = concurrent
-		c.Workers = 4
-		rows, tab, err := r.NASSweep(c)
+		rows, tab, err := r.NASSweep(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if tab == nil || len(rows) != len(cfg.Ranks) {
 			t.Fatalf("sweep returned %d rows", len(rows))
 		}
-		return rows, r.Snap.String()
+		return out{rows, r.Snap.String()}
 	}
-	rowsS, snapS := run(false)
-	rowsC, snapC := run(true)
-	if !reflect.DeepEqual(rowsS, rowsC) {
-		t.Fatalf("rows differ:\nserial:     %+v\nconcurrent: %+v", rowsS, rowsC)
+	serial := atWidth(1, run)
+	conc := atWidth(4, run)
+	if !reflect.DeepEqual(serial.rows, conc.rows) {
+		t.Fatalf("rows differ:\nserial:     %+v\nconcurrent: %+v", serial.rows, conc.rows)
 	}
-	if snapS != snapC {
-		t.Fatalf("snapshots differ:\nserial:\n%s\nconcurrent:\n%s", snapS, snapC)
+	if serial.snap != conc.snap {
+		t.Fatalf("snapshots differ:\nserial:\n%s\nconcurrent:\n%s", serial.snap, conc.snap)
 	}
 }
 
 func TestNASSweepSpeedupsAndSubstrateCounters(t *testing.T) {
 	cfg := DefaultNASSweepConfig()
 	cfg.Ranks = []int{1, 4, 8}
-	cfg.Concurrent = true
 	rows, _, err := NewRun().NASSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -99,48 +109,49 @@ func TestNASSweepEmptyConfigRejected(t *testing.T) {
 }
 
 // TestTable2ConcurrentMatchesSerial extends the determinism contract to
-// the paper's Table 2 sweep (the metablade -sweep mode).
+// the paper's Table 2 sweep: a 1-wide pool against the default width.
 func TestTable2ConcurrentMatchesSerial(t *testing.T) {
 	cfg := DefaultTable2Config()
 	cfg.Particles = 4000
 	cfg.CPUCounts = []int{1, 2, 4}
-	run := func(concurrent bool) ([]Table2Row, string) {
+	type out struct {
+		rows []Table2Row
+		snap string
+	}
+	run := func() out {
 		r := NewRun()
-		c := cfg
-		c.Concurrent = concurrent
-		rows, _, err := r.Table2(c)
+		rows, _, err := r.Table2(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rows, r.Snap.String()
+		return out{rows, r.Snap.String()}
 	}
-	rowsS, snapS := run(false)
-	rowsC, snapC := run(true)
-	if !reflect.DeepEqual(rowsS, rowsC) {
-		t.Fatalf("rows differ:\nserial:     %+v\nconcurrent: %+v", rowsS, rowsC)
+	serial := atWidth(1, run)
+	conc := atWidth(0, run)
+	if !reflect.DeepEqual(serial.rows, conc.rows) {
+		t.Fatalf("rows differ:\nserial:     %+v\nconcurrent: %+v", serial.rows, conc.rows)
 	}
-	if snapS != snapC {
+	if serial.snap != conc.snap {
 		t.Fatal("snapshots differ between serial and concurrent Table 2")
 	}
 }
 
 // TestNASSweepSchedulersSameMakespans: the p=1..8 sweep BenchmarkNASSweep
 // times simulates the same cluster however the host schedules it —
-// one world at a time or all concurrently — so every row's EP and IS
-// makespans agree bit for bit.
+// one world at a time on a 1-wide pool or concurrently on an 8-wide
+// one — so every row's EP and IS makespans agree bit for bit.
 func TestNASSweepSchedulersSameMakespans(t *testing.T) {
-	sweep := func(concurrent bool) []NASSweepRow {
+	sweep := func() []NASSweepRow {
 		cfg := DefaultNASSweepConfig()
 		cfg.Ranks = cfg.Ranks[:8]
-		cfg.Concurrent = concurrent
 		rows, _, err := NewRun().NASSweep(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rows
 	}
-	serial := sweep(false)
-	for i, row := range sweep(true) {
+	serial := atWidth(1, sweep)
+	for i, row := range atWidth(8, sweep) {
 		want := serial[i]
 		if math.Float64bits(row.EPTime) != math.Float64bits(want.EPTime) ||
 			math.Float64bits(row.ISTime) != math.Float64bits(want.ISTime) {

@@ -3,8 +3,6 @@ package cpu
 import (
 	"sync"
 	"testing"
-
-	"repro/internal/kernels"
 )
 
 // TestCalibrateForMemoized asserts the second calibration of the same
@@ -88,52 +86,5 @@ func TestCalibrateForUncachedBypassesMemo(t *testing.T) {
 	}
 	if hits, misses := CalibCacheCounters(); hits != 0 || misses != 0 {
 		t.Fatalf("bypass touched the memo: hits=%d misses=%d", hits, misses)
-	}
-}
-
-// TestCrusoeWarmStart asserts cold-cache stays the default (every
-// RunKernel pays translation again) while WarmStart reuses the
-// translation cache, runs faster from the second kernel on, and the
-// difference is visible in the CMS statistics.
-func TestCrusoeWarmStart(t *testing.T) {
-	k := kernels.CalibKernels()[0]
-	run := func(c *Crusoe) float64 {
-		prog, st, err := k.Build(2000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := c.RunKernel(prog, st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Cycles
-	}
-
-	cold := NewTM5600()
-	c1 := run(cold)
-	c2 := run(cold)
-	if c1 != c2 {
-		t.Fatalf("cold-cache default should repeat identically: %v vs %v", c1, c2)
-	}
-	if st := cold.WarmStats(); st.Runs != 0 {
-		t.Fatalf("cold default touched the warm machine: %+v", st)
-	}
-
-	warm := NewTM5600()
-	warm.WarmStart = true
-	w1 := run(warm)
-	if w1 != c1 {
-		t.Fatalf("first warm-start run should match a cold run: %v vs %v", w1, c1)
-	}
-	w2 := run(warm)
-	if w2 >= w1 {
-		t.Fatalf("second warm run should be cheaper: first %v, second %v", w1, w2)
-	}
-	st := warm.WarmStats()
-	if st.Runs != 2 || st.WarmRuns != 1 {
-		t.Fatalf("warm stats Runs=%d WarmRuns=%d, want 2/1", st.Runs, st.WarmRuns)
-	}
-	if st.Translations == 0 {
-		t.Fatalf("expected translations in warm stats: %+v", st)
 	}
 }

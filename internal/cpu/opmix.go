@@ -104,9 +104,12 @@ func CalibrateForUncached(p Processor, missRate float64) (EffCosts, error) {
 		}
 		return Calibrate(a.AsProcessor())
 	case *Crusoe:
-		c := pr.Clone()
+		// A copy of the model without its Tracer: the calibration
+		// kernels are not part of the caller's traced experiment.
+		c := *pr
+		c.Tracer = nil
 		c.Timing.LoadLatency += int(missRate*10 + 0.5)
-		return Calibrate(c)
+		return Calibrate(&c)
 	default:
 		return Calibrate(p)
 	}

@@ -1,7 +1,6 @@
 package cpu
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cms"
@@ -34,20 +33,13 @@ func (p archProcessor) RunKernel(prog isa.Program, st *isa.State) (RunResult, er
 }
 
 // Crusoe is the TM5600/TM5800 processor model: the CMS software layer over
-// the VLIW engine. By default each RunKernel starts with a cold translation
-// cache, as a freshly loaded benchmark binary would; WarmStart opts into
-// reusing the cache across kernels.
+// the VLIW engine. Each RunKernel starts with a cold translation cache, as
+// a freshly loaded benchmark binary would.
 type Crusoe struct {
 	ModelName string
 	MHz       float64
 	Params    cms.Params
 	Timing    vliw.Timing
-	// WarmStart reuses one CMS machine — and therefore its translation
-	// cache and profile — across RunKernel calls, modelling a long-lived
-	// process re-entering already-morphed code. The cold-cache default
-	// preserves the paper's "freshly loaded binary" semantics; warm runs
-	// are visible in WarmStats (cms.Stats.WarmRuns vs Runs).
-	WarmStart bool
 	// Gears enables the tiered CMS pipeline (interpret → quick translate
 	// → superblock reoptimize, with translation chaining): RunKernel
 	// applies Params.WithGears. A geared model reports a distinct Name so
@@ -57,23 +49,6 @@ type Crusoe struct {
 	// creates, recording the interpret→translate→cache pipeline in the
 	// CMS cycle domain (obs.PidCMS).
 	Tracer *obs.Tracer
-
-	warmMu sync.Mutex
-	warm   *cms.Machine
-}
-
-// Clone returns a Crusoe with the same model configuration and its own
-// (cold) warm-start state. Use this instead of copying a Crusoe by
-// value, which would copy its internal lock.
-func (c *Crusoe) Clone() *Crusoe {
-	return &Crusoe{
-		ModelName: c.ModelName,
-		MHz:       c.MHz,
-		Params:    c.Params,
-		Timing:    c.Timing,
-		WarmStart: c.WarmStart,
-		Gears:     c.Gears,
-	}
 }
 
 // gearsDefault makes newly constructed Crusoe models start with the
@@ -139,13 +114,9 @@ func (c *Crusoe) runParams() cms.Params {
 	return c.Params
 }
 
-// RunKernel runs the program through a CMS instance: a fresh one per
-// call by default (cold translation cache), or the persistent warm
-// machine when WarmStart is set.
+// RunKernel runs the program through a fresh CMS instance (cold
+// translation cache).
 func (c *Crusoe) RunKernel(p isa.Program, st *isa.State) (RunResult, error) {
-	if c.WarmStart {
-		return c.runWarm(p, st)
-	}
 	m := cms.NewMachine(c.runParams(), c.Timing)
 	m.Tracer = c.Tracer
 	cycles, tr, err := m.Run(p, st, 0)
@@ -160,42 +131,6 @@ func (c *Crusoe) RunKernel(p isa.Program, st *isa.State) (RunResult, error) {
 	res.CMS = &cst
 	res.Seconds = res.Cycles / (c.MHz * 1e6)
 	return res, nil
-}
-
-// runWarm executes on the persistent machine. Its cycle counters
-// accumulate across runs, so this run's cost is the delta.
-func (c *Crusoe) runWarm(p isa.Program, st *isa.State) (RunResult, error) {
-	c.warmMu.Lock()
-	defer c.warmMu.Unlock()
-	if c.warm == nil {
-		c.warm = cms.NewMachine(c.runParams(), c.Timing)
-	}
-	c.warm.Tracer = c.Tracer
-	before := c.warm.Stats().TotalCycles()
-	cycles, tr, err := c.warm.Run(p, st, 0)
-	if err != nil {
-		return RunResult{}, err
-	}
-	res := RunResult{
-		Cycles: float64(cycles - before),
-		Trace:  tr,
-	}
-	cst := c.warm.Stats()
-	res.CMS = &cst
-	res.Seconds = res.Cycles / (c.MHz * 1e6)
-	return res, nil
-}
-
-// WarmStats returns the persistent warm machine's accumulated CMS
-// statistics (the zero Stats before any warm-start run). Its Runs and
-// WarmRuns counters distinguish cold from warm executions.
-func (c *Crusoe) WarmStats() cms.Stats {
-	c.warmMu.Lock()
-	defer c.warmMu.Unlock()
-	if c.warm == nil {
-		return cms.Stats{}
-	}
-	return c.warm.Stats()
 }
 
 // Machine returns a fresh CMS machine with this model's parameters, for

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/par"
 )
 
 // testGrid is a small grid with every interesting feature: multiple
@@ -22,76 +23,103 @@ func testGrid() *Grid {
 	return g
 }
 
-func fingerprintOf(t *testing.T, g *Grid, opt Options) (uint64, *Result) {
+// fingerprintAt runs the search with the process pool w wide (0: the
+// default width) and restores the default afterwards.
+func fingerprintAt(t *testing.T, g *Grid, w int) (uint64, *Result) {
 	t.Helper()
-	res, err := Optimize(g, opt)
+	par.SetWorkers(w)
+	defer par.SetWorkers(0)
+	res, err := Optimize(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return Fingerprint(res.Frontier), res
 }
 
+// exhaustive is the reference the pruned parallel search is checked
+// against: every candidate scored serially through one Evaluator and
+// inserted into one Frontier, with no slab skipped. Its memo counters
+// measure the memo alone, since nothing is pruned.
+func exhaustive(g *Grid) *Result {
+	memo := NewMemo(g)
+	ev := NewEvaluator(g, memo)
+	res := &Result{Candidates: g.Candidates()}
+	var front Frontier
+	var pt Point
+	for ci := range g.CPUs {
+		for ki := range g.Packs {
+			for fi := range g.Fabrics {
+				for ni := range g.Nodes {
+					for ai := range g.Ambients {
+						res.Evaluated++
+						if ev.Eval(ci, ki, fi, ni, ai, &pt) {
+							res.Feasible++
+							front.Insert(pt)
+						}
+					}
+				}
+			}
+		}
+	}
+	res.Frontier = front.Sorted()
+	res.MemoHits, res.MemoMisses = memo.Hits(), memo.Misses()
+	return res
+}
+
 // TestOptimizeDeterministicAcrossWorkers pins the headline contract:
-// the frontier is bit-identical at workers 1, 2 and 8, memo on or off.
+// the frontier is bit-identical at pool widths 1, 2 and 8.
 func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 	g := testGrid()
-	ref, refRes := fingerprintOf(t, g, Options{Workers: 1})
+	ref, refRes := fingerprintAt(t, g, 1)
 	if len(refRes.Frontier) == 0 {
 		t.Fatal("empty frontier on the test grid")
 	}
 	for _, w := range []int{2, 8} {
-		fp, _ := fingerprintOf(t, g, Options{Workers: w})
+		fp, _ := fingerprintAt(t, g, w)
 		if fp != ref {
-			t.Errorf("workers=%d frontier differs from workers=1", w)
+			t.Errorf("width %d frontier differs from width 1", w)
 		}
-	}
-	fp, _ := fingerprintOf(t, g, Options{Workers: 8, NoMemo: true})
-	if fp != ref {
-		t.Error("memo-off frontier differs from memo-on")
 	}
 }
 
 // TestPrunedFrontierMatchesExhaustive is the pruning correctness
-// cross-check: at workers 1, 2 and 8, the pruned search's frontier is
+// cross-check: at widths 1, 2 and 8, the pruned search's frontier is
 // bit-identical to exhaustive enumeration, and on the default grid
 // pruning actually fires.
 func TestPrunedFrontierMatchesExhaustive(t *testing.T) {
 	for _, g := range []*Grid{DefaultGrid(), testGrid()} {
-		exhaustive, exRes := fingerprintOf(t, g, Options{Workers: 1, NoPrune: true})
-		if exRes.Pruned != 0 || exRes.Evaluated != exRes.Candidates {
-			t.Fatalf("exhaustive run pruned %d of %d", exRes.Pruned, exRes.Candidates)
-		}
+		ex := Fingerprint(exhaustive(g).Frontier)
 		for _, w := range []int{1, 2, 8} {
-			fp, res := fingerprintOf(t, g, Options{Workers: w})
-			if fp != exhaustive {
-				t.Errorf("workers=%d pruned frontier differs from exhaustive", w)
+			fp, res := fingerprintAt(t, g, w)
+			if fp != ex {
+				t.Errorf("width %d pruned frontier differs from exhaustive", w)
 			}
 			if res.Evaluated+res.Pruned != res.Candidates {
-				t.Errorf("workers=%d: evaluated %d + pruned %d != candidates %d",
+				t.Errorf("width %d: evaluated %d + pruned %d != candidates %d",
 					w, res.Evaluated, res.Pruned, res.Candidates)
 			}
 		}
 	}
-	_, res := fingerprintOf(t, DefaultGrid(), Options{})
+	_, res := fingerprintAt(t, DefaultGrid(), 0)
 	if res.Pruned == 0 || res.SlabsPruned == 0 {
 		t.Errorf("pruning never fired on the default grid (pruned=%d slabs=%d)", res.Pruned, res.SlabsPruned)
 	}
 }
 
 // TestMemoCountersDeterministic pins that the hit/miss counters are a
-// pure function of the grid — even under a parallel sweep — and that
-// the default grid amortizes ≥90% of its network solves, pruned or
-// enumerated exhaustively.
+// pure function of the grid — even under a parallel sweep — that the
+// default grid amortizes ≥90% of its network solves, pruned or
+// enumerated exhaustively, and the exact counts on a fabric-heavy grid.
 func TestMemoCountersDeterministic(t *testing.T) {
 	g := DefaultGrid()
-	_, a := fingerprintOf(t, g, Options{Workers: 8})
-	_, b := fingerprintOf(t, g, Options{Workers: 8})
-	_, serial := fingerprintOf(t, g, Options{Workers: 1})
+	_, a := fingerprintAt(t, g, 8)
+	_, b := fingerprintAt(t, g, 8)
+	_, serial := fingerprintAt(t, g, 1)
 	if a.MemoHits != b.MemoHits || a.MemoMisses != b.MemoMisses {
 		t.Errorf("memo counters raced: %d/%d vs %d/%d", a.MemoHits, a.MemoMisses, b.MemoHits, b.MemoMisses)
 	}
 	if a.MemoHits != serial.MemoHits || a.MemoMisses != serial.MemoMisses {
-		t.Errorf("memo counters depend on workers: %d/%d vs serial %d/%d",
+		t.Errorf("memo counters depend on width: %d/%d vs serial %d/%d",
 			a.MemoHits, a.MemoMisses, serial.MemoHits, serial.MemoMisses)
 	}
 	if max := uint64(len(g.Fabrics) * len(g.Nodes)); a.MemoMisses > max {
@@ -100,11 +128,31 @@ func TestMemoCountersDeterministic(t *testing.T) {
 	if hr := a.MemoHitRate(); hr < 0.9 {
 		t.Errorf("default-grid memo hit rate %.3f, want ≥ 0.9", hr)
 	}
-	// Exhaustive enumeration scores every candidate, so its hit rate
-	// measures the memo rather than the prune rate.
-	_, ex := fingerprintOf(t, g, Options{NoPrune: true})
-	if hr := ex.MemoHitRate(); hr < 0.9 {
+	if hr := exhaustive(g).MemoHitRate(); hr < 0.9 {
 		t.Errorf("default-grid exhaustive memo hit rate %.3f, want ≥ 0.9", hr)
+	}
+
+	// Six fabrics at 64..1024 nodes, where the O(p) network solve
+	// dominates a candidate's cost: 1200 candidates, 140 pruned in 7
+	// slabs, and each of the 1060 scored ones looks its solve up. The
+	// memo computes each of the 6×5 (fabric, p) cells once — 30
+	// misses — and serves the other 1030 lookups from the table.
+	heavy := DefaultGrid()
+	heavy.Fabrics = heavy.Fabrics[:0]
+	for _, name := range []string{"fe", "ge", "fe-fattree", "ge-fattree", "ge-torus2d", "ge-torus3d"} {
+		f, err := ParseFabric(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heavy.Fabrics = append(heavy.Fabrics, f)
+	}
+	heavy.Nodes = []int{64, 128, 256, 512, 1024}
+	for _, w := range []int{1, 8} {
+		_, res := fingerprintAt(t, heavy, w)
+		if res.Evaluated != 1060 || res.Pruned != 140 || res.MemoHits != 1030 || res.MemoMisses != 30 {
+			t.Errorf("heavy grid at width %d: evaluated %d pruned %d, memo %d hits / %d misses; want 1060, 140, 1030 / 30",
+				w, res.Evaluated, res.Pruned, res.MemoHits, res.MemoMisses)
+		}
 	}
 }
 
@@ -118,10 +166,7 @@ func TestDegenerateChoicesCannotNaN(t *testing.T) {
 		CPUChoice{Name: "NoWatts", Node: cluster.NodeSpec{Name: "w0", CPUModel: "w0", WattsLoad: 0}, MflopsPerCPU: 100, AcqPerNodeUSD: 500},
 	)
 	g.Rel.BaseMTBFHours = 0
-	res, err := Optimize(g, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pr, res := fingerprintAt(t, g, 4)
 	if len(res.Frontier) == 0 {
 		t.Fatal("degenerate choices emptied the frontier")
 	}
@@ -137,9 +182,7 @@ func TestDegenerateChoicesCannotNaN(t *testing.T) {
 		}
 	}
 	// And the pruned/exhaustive contract must survive the degenerates.
-	pr, _ := fingerprintOf(t, g, Options{Workers: 2})
-	ex, _ := fingerprintOf(t, g, Options{Workers: 2, NoPrune: true})
-	if pr != ex {
+	if pr != Fingerprint(exhaustive(g).Frontier) {
 		t.Error("degenerate slabs broke the pruned == exhaustive contract")
 	}
 }
@@ -219,7 +262,7 @@ func TestFrontierOrderIndependent(t *testing.T) {
 func TestBudgetCapsFeasibility(t *testing.T) {
 	g := testGrid()
 	g.Budget = Budget{MaxPowerKW: 3, MaxSpaceSqFt: 40, MaxTCOUSD: 120000}
-	res, err := Optimize(g, Options{})
+	res, err := Optimize(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,12 +275,11 @@ func TestBudgetCapsFeasibility(t *testing.T) {
 			t.Errorf("frontier point over TCO budget: %s", p.String())
 		}
 	}
-	fpB, _ := fingerprintOf(t, g, Options{NoPrune: true})
-	if fp := Fingerprint(res.Frontier); fp != fpB {
+	if Fingerprint(res.Frontier) != Fingerprint(exhaustive(g).Frontier) {
 		t.Error("budget-capped pruned frontier differs from exhaustive")
 	}
 	g.Budget = Budget{MaxTCOUSD: 1} // nothing fits
-	res, err = Optimize(g, Options{})
+	res, err = Optimize(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +337,7 @@ func TestGridValidate(t *testing.T) {
 	for i, mutate := range bad {
 		g := DefaultGrid()
 		mutate(g)
-		if _, err := Optimize(g, Options{}); err == nil {
+		if _, err := Optimize(g); err == nil {
 			t.Errorf("case %d: degenerate grid accepted", i)
 		}
 	}

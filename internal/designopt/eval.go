@@ -47,13 +47,16 @@ func (m *Memo) Misses() uint64 { return m.misses.Load() }
 // Evaluator per worker.
 type Evaluator struct {
 	g       *Grid
-	memo    *Memo // nil: recompute the network solve per candidate
+	memo    *Memo
 	scratch cluster.Cluster
 }
 
-// NewEvaluator builds a per-worker evaluator. A nil memo disables
-// memoization (every Eval pays the full network solve).
+// NewEvaluator builds a per-worker evaluator over a shared memo, which
+// must not be nil.
 func NewEvaluator(g *Grid, memo *Memo) *Evaluator {
+	if memo == nil {
+		panic("designopt: NewEvaluator needs a memo")
+	}
 	return &Evaluator{g: g, memo: memo}
 }
 
@@ -74,11 +77,8 @@ func (e *Evaluator) solveComm(fi, ni int) float64 {
 	return e.g.Workload.CommSecondsPerStep(&f, p)
 }
 
-// commSeconds returns the (possibly memoized) network solve.
+// commSeconds returns the memoized network solve.
 func (e *Evaluator) commSeconds(fi, ni int) float64 {
-	if e.memo == nil {
-		return e.solveComm(fi, ni)
-	}
 	c := &e.memo.cells[fi*e.memo.np+ni]
 	if c.done.Load() == 1 {
 		e.memo.hits.Add(1)

@@ -7,21 +7,9 @@ import (
 	"repro/internal/par"
 )
 
-// Options are the search's execution knobs. None of them change the
-// emitted frontier — worker count, memoization and pruning are all
-// result-invariant (tests pin this) — only how fast it is found.
-type Options struct {
-	// Workers sizes the par pool; 0 uses the process default.
-	Workers int
-	// NoMemo recomputes the network solve for every candidate
-	// (benchmark baseline for the memo's speedup guard).
-	NoMemo bool
-	// NoPrune disables slab dominance pruning (exhaustive
-	// enumeration, the correctness cross-check).
-	NoPrune bool
-	// Grain is candidates per chunk; 0 uses a default of 64.
-	Grain int
-}
+// searchGrain is the candidates per chunk of a slab's parallel
+// evaluation.
+const searchGrain = 64
 
 // Result is one optimization run's outcome and telemetry. Every field
 // is deterministic for a given grid — including the memo counters,
@@ -113,22 +101,16 @@ type chunkState struct {
 	feasible int
 }
 
-// Optimize runs the design-space search and returns the Pareto
-// frontier plus telemetry. The frontier is bit-identical at any worker
-// count, with or without memoization, and with or without pruning.
-func Optimize(g *Grid, opt Options) (*Result, error) {
+// Optimize runs the design-space search on the process pool and
+// returns the Pareto frontier plus telemetry. The frontier is
+// bit-identical at any pool width, and to exhaustive enumeration.
+func Optimize(g *Grid) (*Result, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	grain := opt.Grain
-	if grain <= 0 {
-		grain = 64
-	}
-	pool := par.New(opt.Workers)
-	var memo *Memo
-	if !opt.NoMemo {
-		memo = NewMemo(g)
-	}
+	// Fix the width once: evals is indexed by worker.
+	pool := par.New(par.Workers())
+	memo := NewMemo(g)
 	evals := make([]*Evaluator, pool.Width())
 	for i := range evals {
 		evals[i] = NewEvaluator(g, memo)
@@ -153,10 +135,10 @@ func Optimize(g *Grid, opt Options) (*Result, error) {
 	res := &Result{Candidates: g.Candidates(), Slabs: len(slabs)}
 	slabSize := nn * na
 	var front Frontier
-	chunks := par.NumChunks(slabSize, grain)
+	chunks := par.NumChunks(slabSize, searchGrain)
 	states := make([]chunkState, chunks)
 	for _, sb := range slabs {
-		if !opt.NoPrune && front.strictlyBeats(sb) {
+		if front.strictlyBeats(sb) {
 			res.Pruned += slabSize
 			res.SlabsPruned++
 			continue
@@ -166,7 +148,7 @@ func Optimize(g *Grid, opt Options) (*Result, error) {
 			states[c].feasible = 0
 		}
 		ci, ki, fi := sb.ci, sb.ki, sb.fi
-		pool.ForChunksWorker(slabSize, grain, func(w, c, lo, hi int) {
+		pool.ForChunksWorker(slabSize, searchGrain, func(w, c, lo, hi int) {
 			ev := evals[w]
 			st := &states[c]
 			var pt Point
@@ -185,10 +167,8 @@ func Optimize(g *Grid, opt Options) (*Result, error) {
 	}
 
 	res.Frontier = front.Sorted()
-	if memo != nil {
-		res.MemoHits = memo.Hits()
-		res.MemoMisses = memo.Misses()
-	}
+	res.MemoHits = memo.Hits()
+	res.MemoMisses = memo.Misses()
 	return res, nil
 }
 

@@ -315,39 +315,50 @@ func TestRemovedEngineNotServed(t *testing.T) {
 	}
 }
 
-// TestTreeReuseSpellingServedFromCache: tree_reuse names a retired
-// switch whose settings all gave the same bits, so a request spelling
-// it out is a cache hit on the default run, byte for byte.
-func TestTreeReuseSpellingServedFromCache(t *testing.T) {
+// TestRetiredSpellingsNotServed: after the default nbody and table2
+// runs are cached, a request that adds a deleted execution-only field
+// (concurrent, workers, no_memo, no_prune) or a retired alias field
+// (tree_reuse, mpi_mode) is a 400 naming the field, and "engine":"list"
+// is a 422. None of them replays a cached document.
+func TestRetiredSpellingsNotServed(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	resp1, env1 := submit(t, ts, "", `{"api":"repro/spec/v1","kind":"nbody","spec":{"n":300,"steps":1}}`)
-	if resp1.StatusCode != http.StatusOK {
-		t.Fatalf("default run: status %d (error %q)", resp1.StatusCode, env1.Error)
+	base := map[string]string{
+		"nbody":     `"n":300,"steps":1`,
+		"table2":    `"particles":2000,"cpu_counts":[1,2]`,
+		"nassweep":  `"ranks":[1,2]`,
+		"topperopt": `"nodes":[8]`,
 	}
-	resp2, env2 := submit(t, ts, "", `{"api":"repro/spec/v1","kind":"nbody","spec":{"n":300,"steps":1,"tree_reuse":"off"}}`)
-	if resp2.StatusCode != http.StatusOK || !env2.Cached {
-		t.Fatalf("tree_reuse off: status %d cached=%v (error %q)", resp2.StatusCode, env2.Cached, env2.Error)
+	body := func(kind, extra string) string {
+		return `{"api":"repro/spec/v1","kind":"` + kind + `","spec":{` + base[kind] + extra + `}}`
 	}
-	if !bytes.Equal(env1.Doc, env2.Doc) {
-		t.Fatal("tree_reuse off replayed a different document")
+	for _, kind := range []string{"nbody", "table2"} {
+		if resp, env := submit(t, ts, "", body(kind, "")); resp.StatusCode != http.StatusOK {
+			t.Fatalf("default %s run: status %d (error %q)", kind, resp.StatusCode, env.Error)
+		}
 	}
-}
-
-// TestMPIModeSpellingServedFromCache: mpi_mode names a retired choice
-// of rank scheduler whose settings all gave the same bits, so a request
-// spelling it out is a cache hit on the default run, byte for byte.
-func TestMPIModeSpellingServedFromCache(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	resp1, env1 := submit(t, ts, "", `{"api":"repro/spec/v1","kind":"table2","spec":{"particles":2000,"cpu_counts":[1,2]}}`)
-	if resp1.StatusCode != http.StatusOK {
-		t.Fatalf("default run: status %d (error %q)", resp1.StatusCode, env1.Error)
-	}
-	resp2, env2 := submit(t, ts, "", `{"api":"repro/spec/v1","kind":"table2","spec":{"particles":2000,"cpu_counts":[1,2],"mpi_mode":"event"}}`)
-	if resp2.StatusCode != http.StatusOK || !env2.Cached {
-		t.Fatalf("mpi_mode event: status %d cached=%v (error %q)", resp2.StatusCode, env2.Cached, env2.Error)
-	}
-	if !bytes.Equal(env1.Doc, env2.Doc) {
-		t.Fatal("mpi_mode event replayed a different document")
+	for _, tc := range []struct {
+		kind, extra, field string
+		code               int
+	}{
+		{"nbody", `,"tree_reuse":"off"`, "tree_reuse", http.StatusBadRequest},
+		{"table2", `,"mpi_mode":"event"`, "mpi_mode", http.StatusBadRequest},
+		{"table2", `,"concurrent":true`, "concurrent", http.StatusBadRequest},
+		{"table2", `,"workers":2`, "workers", http.StatusBadRequest},
+		{"nassweep", `,"concurrent":true`, "concurrent", http.StatusBadRequest},
+		{"nassweep", `,"workers":2`, "workers", http.StatusBadRequest},
+		{"topperopt", `,"workers":2`, "workers", http.StatusBadRequest},
+		{"topperopt", `,"no_memo":true`, "no_memo", http.StatusBadRequest},
+		{"topperopt", `,"no_prune":true`, "no_prune", http.StatusBadRequest},
+		{"nbody", `,"engine":"list"`, "list", http.StatusUnprocessableEntity},
+	} {
+		b := body(tc.kind, tc.extra)
+		resp, env := submit(t, ts, "", b)
+		if resp.StatusCode != tc.code || !strings.Contains(env.Error, tc.field) {
+			t.Errorf("%s: status %d error %q, want %d naming %q", b, resp.StatusCode, env.Error, tc.code, tc.field)
+		}
+		if env.Cached || len(env.Doc) > 0 {
+			t.Errorf("%s: served a result document", b)
+		}
 	}
 }
 

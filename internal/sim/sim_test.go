@@ -193,85 +193,6 @@ func TestEngineRandomOrderProperty(t *testing.T) {
 	}
 }
 
-func TestResourceSerialisesUse(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, 1)
-	var done []Time
-	r.Use(2, func() { done = append(done, e.Now()) })
-	r.Use(2, func() { done = append(done, e.Now()) })
-	r.Use(2, func() { done = append(done, e.Now()) })
-	e.Run()
-	want := []Time{2, 4, 6}
-	for i := range want {
-		if done[i] != want[i] {
-			t.Fatalf("done = %v, want %v", done, want)
-		}
-	}
-}
-
-func TestResourceParallelCapacity(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, 2)
-	var done []Time
-	for i := 0; i < 4; i++ {
-		r.Use(2, func() { done = append(done, e.Now()) })
-	}
-	e.Run()
-	want := []Time{2, 2, 4, 4}
-	for i := range want {
-		if done[i] != want[i] {
-			t.Fatalf("done = %v, want %v", done, want)
-		}
-	}
-}
-
-func TestResourceReleaseIdlePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("release of idle resource did not panic")
-		}
-	}()
-	e := NewEngine()
-	NewResource(e, 1).Release()
-}
-
-func TestResourceZeroCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero capacity did not panic")
-		}
-	}()
-	NewResource(NewEngine(), 0)
-}
-
-func TestResourceUtilisation(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, 1)
-	r.Use(3, nil)
-	e.Run()
-	if got := r.Utilisation(); math.Abs(got-3) > 1e-12 {
-		t.Fatalf("Utilisation = %v, want 3", got)
-	}
-}
-
-func TestResourceQueueLen(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, 1)
-	r.Use(1, nil)
-	r.Use(1, nil)
-	r.Use(1, nil)
-	if r.QueueLen() != 2 {
-		t.Fatalf("QueueLen = %d, want 2", r.QueueLen())
-	}
-	if r.InUse() != 1 {
-		t.Fatalf("InUse = %d, want 1", r.InUse())
-	}
-	e.Run()
-	if r.QueueLen() != 0 || r.InUse() != 0 {
-		t.Fatalf("after run: queue=%d inuse=%d, want 0,0", r.QueueLen(), r.InUse())
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {

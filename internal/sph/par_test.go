@@ -4,18 +4,20 @@ import (
 	"testing"
 
 	"repro/internal/nbody"
+	"repro/internal/par"
 )
 
 // TestAccelerationsBitIdentical asserts the parallel SPH density and
-// force loops are bit-identical to serial at worker counts 1, 2 and 8.
+// force loops are bit-identical to serial at pool widths 1, 2 and 8.
 func TestAccelerationsBitIdentical(t *testing.T) {
 	run := func(w int) (*Gas, []float64) {
+		par.SetWorkers(w)
+		defer par.SetWorkers(0)
 		s := nbody.NewPlummer(800, 0.4, 11)
 		g, err := NewGas(s, 0.1, 1.0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.Workers = w
 		dudt, err := g.Accelerations()
 		if err != nil {
 			t.Fatal(err)

@@ -95,16 +95,14 @@ type Gas struct {
 	// across steps lets its per-worker walk arenas stay warm, so the
 	// steady-state gravity sweep allocates nothing per walk.
 	grav *treecode.Forcer
-	// Workers is the host worker-pool width for the density and force
-	// loops; 0 follows par.Workers(). Both loops are gather-form (each
-	// particle accumulates only into its own slots), so results are
-	// bit-identical at every width.
-	Workers int
 	// NeighborCount reports the average neighbours in the last Step.
 	NeighborCount float64
 }
 
-// sphGrain is the per-chunk particle count of the parallel SPH loops.
+// sphGrain is the per-chunk particle count of the parallel SPH loops,
+// which run on the process pool. Both loops are gather-form (each
+// particle accumulates only into its own slots), so results are
+// bit-identical at every pool width.
 const sphGrain = 256
 
 // NewGas wraps a particle system with uniform specific internal energy.
@@ -137,13 +135,12 @@ func NewGas(s *nbody.System, h, u0 float64) (*Gas, error) {
 // ComputeDensity fills Rho (and P via the EOS) by kernel summation over
 // tree-found neighbours. Returns the tree for reuse.
 func (g *Gas) ComputeDensity() (*treecode.Tree, error) {
-	t, err := treecode.Build(treecode.SourcesFromSystem(g.System), treecode.BuildOptions{Bucket: 16, Workers: g.Workers})
+	t, err := treecode.Build(treecode.SourcesFromSystem(g.System), treecode.BuildOptions{Bucket: 16})
 	if err != nil {
 		return nil, err
 	}
 	support := g.Kernel.Support()
-	pool := par.New(g.Workers)
-	totalNbr := par.Reduce(pool, g.N(), sphGrain, 0,
+	totalNbr := par.Reduce(par.Default(), g.N(), sphGrain, 0,
 		func(lo, hi int) int {
 			nbr := 0
 			scratch := make([]int, 0, 64)
@@ -190,8 +187,7 @@ func (g *Gas) Accelerations() ([]float64, error) {
 	for i := 0; i < n; i++ {
 		cs[i] = math.Sqrt(g.Gamma * g.P[i] / math.Max(g.Rho[i], 1e-300))
 	}
-	pool := par.New(g.Workers)
-	pool.For(n, sphGrain, func(lo, hi int) {
+	par.Default().For(n, sphGrain, func(lo, hi int) {
 		scratch := make([]int, 0, 64)
 		for i := lo; i < hi; i++ {
 			scratch = g.neighborsOf(t, i, support, scratch[:0])
@@ -236,7 +232,7 @@ func (g *Gas) Accelerations() ([]float64, error) {
 	})
 	if g.SelfGravity {
 		if g.grav == nil {
-			g.grav = &treecode.Forcer{Theta: g.Theta, Workers: g.Workers, Engine: g.Engine}
+			g.grav = &treecode.Forcer{Theta: g.Theta, Engine: g.Engine}
 		}
 		gx := make([]float64, n)
 		gy := make([]float64, n)

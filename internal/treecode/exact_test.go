@@ -41,18 +41,13 @@ func packAccels(s *nbody.System) []float64 {
 	return out
 }
 
-// TestListEngineBitIdentical is the golden equivalence grid behind the
-// "list" spelling: it names a retired engine that gave the recursive
-// walk's bits, and now selects the recursive walk itself. A Forcer so
-// configured must reproduce ForceAt over a fresh build bit for bit —
-// and count the same interactions — across theta, eps, quadrupole and
-// bucket sizes. Floats are compared by their bit patterns, so any
-// reordering of float additions fails here.
+// TestListEngineBitIdentical is the golden equivalence grid of the
+// Forcer's exact path (named for the retired list engine it first
+// pinned): a Forcer on EngineRecursive must reproduce ForceAt over a
+// fresh build bit for bit — and count the same interactions — across
+// theta, eps, quadrupole and bucket sizes. Floats are compared by their
+// bit patterns, so any reordering of float additions fails here.
 func TestListEngineBitIdentical(t *testing.T) {
-	engine, err := ParseEngine("list")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, quad := range []bool{false, true} {
 		for _, bucket := range []int{1, 8, 16} {
 			for _, theta := range []float64{0.3, 0.7, 1.0} {
@@ -61,7 +56,7 @@ func TestListEngineBitIdentical(t *testing.T) {
 					s.Eps = eps
 					tr := buildFromSystem(t, s, BuildOptions{Bucket: bucket, Quadrupole: quad})
 					ref, refSt := sweepRecursive(tr, s, theta)
-					f := &Forcer{Theta: theta, Bucket: bucket, Quadrupole: quad, Engine: engine, Workers: 2}
+					f := &Forcer{Theta: theta, Bucket: bucket, Quadrupole: quad, Engine: EngineRecursive, Workers: 2}
 					if err := f.Forces(s); err != nil {
 						t.Fatal(err)
 					}
@@ -201,16 +196,16 @@ func TestArenaReuseTelemetry(t *testing.T) {
 	}
 }
 
-// TestParseEngine covers the flag parser and the default: "list" is
-// read as the recursive walk it was bit-identical to, and the removed
-// group engine's spellings are errors, not silently another engine.
+// TestParseEngine covers the flag parser and the default: the retired
+// "list" spelling and the removed group engine's spellings are errors,
+// not silently another engine.
 func TestParseEngine(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want Engine
 	}{
 		{"", EngineAuto}, {"auto", EngineAuto},
-		{"list", EngineRecursive}, {"recursive", EngineRecursive},
+		{"recursive", EngineRecursive},
 		{"dual", EngineDual},
 	} {
 		got, err := ParseEngine(tc.in)
@@ -218,7 +213,7 @@ func TestParseEngine(t *testing.T) {
 			t.Fatalf("ParseEngine(%q) = %v, %v", tc.in, got, err)
 		}
 	}
-	for _, bad := range []string{"turbo", "group", "groupwalk"} {
+	for _, bad := range []string{"turbo", "list", "group", "groupwalk"} {
 		if _, err := ParseEngine(bad); err == nil {
 			t.Fatalf("ParseEngine accepted %q", bad)
 		}

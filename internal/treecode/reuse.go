@@ -32,7 +32,6 @@ package treecode
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/par"
 )
@@ -248,15 +247,9 @@ func (c *TreeCache) flush() {
 	reuseKeysMoved.Add(c.Last.KeysMoved)
 }
 
-// fullBuild constructs the tree from scratch into cache-owned buffers —
-// Build's exact pipeline (same bounds fold, same keying, same total
-// order, same builder, including the parallel spine at width > 1) with
-// the intermediate state retained for future Steps.
+// fullBuild constructs the tree from scratch through Build's pipeline
+// (buildTree), into cache-owned buffers that the next Steps patch from.
 func (c *TreeCache) fullBuild(srcs []Source, opt BuildOptions) (*Tree, error) {
-	root, err := sourceBounds(srcs)
-	if err != nil {
-		return nil, err
-	}
 	n := len(srcs)
 	c.keys = growKeys(c.keys, n)
 	c.perm = growInts(c.perm, n)
@@ -266,49 +259,12 @@ func (c *TreeCache) fullBuild(srcs []Source, opt BuildOptions) (*Tree, error) {
 	if cap(c.movers) < maxMovers(n)+1 {
 		c.movers = make([]int, 0, maxMovers(n)+1)
 	}
-
-	keys, perm := c.keys, c.perm
-	c.pool.For(n, keyGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			keys[i] = MortonKey(srcs[i].X, srcs[i].Y, srcs[i].Z, root)
-			perm[i] = i
-		}
-	})
-	sort.Slice(perm, func(a, b int) bool {
-		ka, kb := keys[perm[a]], keys[perm[b]]
-		if ka != kb {
-			return ka < kb
-		}
-		return perm[a] < perm[b]
-	})
-
-	t := &Tree{
-		Root:       root,
-		ByKey:      map[Key]int32{},
-		Sources:    make([]Source, n),
-		Bucket:     opt.Bucket,
-		Quadrupole: opt.Quadrupole,
-		MaxDepth:   opt.MaxDepth,
-	}
-	for i, j := range perm {
-		t.Sources[i] = srcs[j]
-		c.sortedKeys[i] = keys[j]
-	}
-	b := &builder{
-		sources:  t.Sources,
-		keys:     c.sortedKeys,
-		bucket:   opt.Bucket,
-		maxDepth: opt.MaxDepth,
-		quad:     opt.Quadrupole,
-	}
-	if n >= parallelBuild && c.pool.Width() != 1 {
-		b.buildParallel(RootKey, root, &c.pool)
-	} else {
-		b.build(RootKey, root, 0, n, 0)
-	}
-	t.Nodes = b.nodes
-	for i := range t.Nodes {
-		t.ByKey[t.Nodes[i].Key] = int32(i)
+	t, err := buildTree(srcs, opt, &c.pool, c.keys, c.perm, c.sortedKeys)
+	if err != nil {
+		// The buffers no longer match the old tree: force a full
+		// build next step.
+		c.tree = nil
+		return nil, err
 	}
 
 	// Seed the double buffer with headroom so early growth steps don't

@@ -85,60 +85,67 @@ func Build(sources []Source, opt BuildOptions) (*Tree, error) {
 		return nil, fmt.Errorf("treecode: no sources")
 	}
 	opt = normalizeBuildOptions(opt)
-	pool := par.New(opt.Workers)
-	root, err := sourceBounds(sources)
+	n := len(sources)
+	return buildTree(sources, opt, par.New(opt.Workers), make([]Key, n), make([]int, n), make([]Key, n))
+}
+
+// buildTree is the one full-build pipeline, shared by Build and the
+// TreeCache's full builds: the root box fold, Morton keys into keys,
+// the (key, index) sort of perm, the permutation of the sources into
+// key order (sortedKeys[i] = keys[perm[i]]), the builder — with the
+// parallel spine when the pool is wider than one — and the node hash.
+// keys, perm and sortedKeys must each have len(srcs) elements; the
+// caller keeps them, so the maintainer can patch from them next step.
+func buildTree(srcs []Source, opt BuildOptions, pool *par.Pool, keys []Key, perm []int, sortedKeys []Key) (*Tree, error) {
+	root, err := sourceBounds(srcs)
 	if err != nil {
 		return nil, err
 	}
+	n := len(srcs)
+	// Key generation is embarrassingly parallel; the sort stays serial
+	// (it is not the dominant cost and serial pdqsort is deterministic).
+	// Equal keys — coincident or sub-cell-coincident particles —
+	// tie-break on the input index, so the permutation is the unique
+	// (key, index) total order: the same order the incremental
+	// maintainer's stable re-sort reproduces, which is what keeps a
+	// maintained tree bit-identical to Build.
+	pool.For(n, keyGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			keys[i] = MortonKey(srcs[i].X, srcs[i].Y, srcs[i].Z, root)
+			perm[i] = i
+		}
+	})
+	sort.Slice(perm, func(a, b int) bool {
+		ka, kb := keys[perm[a]], keys[perm[b]]
+		if ka != kb {
+			return ka < kb
+		}
+		return perm[a] < perm[b]
+	})
+
 	t := &Tree{
 		Root:       root,
 		ByKey:      map[Key]int32{},
-		Sources:    append([]Source(nil), sources...),
+		Sources:    make([]Source, n),
 		Bucket:     opt.Bucket,
 		Quadrupole: opt.Quadrupole,
 		MaxDepth:   opt.MaxDepth,
 	}
-	// Sort sources by Morton key. Key generation is embarrassingly
-	// parallel; the sort stays serial (it is not the dominant cost and
-	// serial pdqsort is deterministic). Equal keys — coincident or
-	// sub-cell-coincident particles — tie-break on the input index, so
-	// the permutation is the unique (key, index) total order: the same
-	// order the incremental maintainer's stable re-sort reproduces,
-	// which is what keeps a maintained tree bit-identical to Build.
-	keys := make([]Key, len(t.Sources))
-	idx := make([]int, len(t.Sources))
-	pool.For(len(t.Sources), keyGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			keys[i] = MortonKey(t.Sources[i].X, t.Sources[i].Y, t.Sources[i].Z, root)
-			idx[i] = i
-		}
-	})
-	sort.Slice(idx, func(a, b int) bool {
-		ka, kb := keys[idx[a]], keys[idx[b]]
-		if ka != kb {
-			return ka < kb
-		}
-		return idx[a] < idx[b]
-	})
-	sorted := make([]Source, len(t.Sources))
-	sortedKeys := make([]Key, len(t.Sources))
-	for i, j := range idx {
-		sorted[i] = t.Sources[j]
+	for i, j := range perm {
+		t.Sources[i] = srcs[j]
 		sortedKeys[i] = keys[j]
 	}
-	t.Sources = sorted
-
 	b := &builder{
 		sources:  t.Sources,
 		keys:     sortedKeys,
-		bucket:   t.Bucket,
-		maxDepth: t.MaxDepth,
-		quad:     t.Quadrupole,
+		bucket:   opt.Bucket,
+		maxDepth: opt.MaxDepth,
+		quad:     opt.Quadrupole,
 	}
-	if len(t.Sources) >= parallelBuild && pool.W != 1 {
+	if n >= parallelBuild && pool.Width() != 1 {
 		b.buildParallel(RootKey, root, pool)
 	} else {
-		b.build(RootKey, root, 0, len(t.Sources), 0)
+		b.build(RootKey, root, 0, n, 0)
 	}
 	t.Nodes = b.nodes
 	for i := range t.Nodes {

@@ -289,14 +289,12 @@ func (e Engine) String() string {
 	return fmt.Sprintf("engine(%d)", int(e))
 }
 
-// ParseEngine parses a -engine flag value. "list", the name of a
-// retired engine that gave the recursive walk's bits, still selects
-// the recursive walk.
+// ParseEngine parses a -engine flag value.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "", "auto":
 		return EngineAuto, nil
-	case "recursive", "list":
+	case "recursive":
 		return EngineRecursive, nil
 	case "dual":
 		return EngineDual, nil
