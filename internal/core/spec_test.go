@@ -215,29 +215,42 @@ func TestRemovedGroupEngineRejected(t *testing.T) {
 	}
 }
 
+// requireUnknownField checks that the strict decoder rejects a spec of
+// the given kind carrying field, with an error naming the field.
+func requireUnknownField(t *testing.T, kind, field, value string) {
+	t.Helper()
+	doc := `{"api":"repro/spec/v1","kind":"` + kind + `","spec":{"` + field + `":` + value + `}}`
+	_, err := DecodeSpec([]byte(doc))
+	if err == nil || !strings.Contains(err.Error(), "unknown field") || !strings.Contains(err.Error(), field) {
+		t.Errorf("%s: err = %v, want an unknown-field error naming %q", doc, err, field)
+	}
+}
+
 // TestRetiredSpellingsRejected: the spec fields that chose only how the
-// host ran an experiment (concurrent, workers, no_memo, no_prune) and
-// the retired aliases tree_reuse and mpi_mode are unknown fields to the
-// strict decoder, and the "list" engine is rejected by validation and
-// by the -engine flag. None of them folds into another spec's hash.
+// host ran an experiment (concurrent, workers, no_memo, no_prune) are
+// unknown fields to the strict decoder, so none of them folds into
+// another spec's hash. The retired aliases have tests of their own:
+// TestListAliasEquivalence, TestTreeReuseNormalizesAway and
+// TestMPIModeNormalizesAway.
 func TestRetiredSpellingsRejected(t *testing.T) {
 	for _, tc := range []struct{ kind, field, value string }{
 		{"table2", "concurrent", "true"},
 		{"table2", "workers", "2"},
-		{"table2", "mpi_mode", `"event"`},
 		{"nassweep", "concurrent", "true"},
 		{"nassweep", "workers", "2"},
 		{"topperopt", "workers", "2"},
 		{"topperopt", "no_memo", "true"},
 		{"topperopt", "no_prune", "true"},
-		{"nbody", "tree_reuse", `"off"`},
 	} {
-		doc := `{"api":"repro/spec/v1","kind":"` + tc.kind + `","spec":{"` + tc.field + `":` + tc.value + `}}`
-		_, err := DecodeSpec([]byte(doc))
-		if err == nil || !strings.Contains(err.Error(), "unknown field") || !strings.Contains(err.Error(), tc.field) {
-			t.Errorf("%s: err = %v, want an unknown-field error naming %q", doc, err, tc.field)
-		}
+		requireUnknownField(t, tc.kind, tc.field, tc.value)
 	}
+}
+
+// TestListAliasEquivalence: "list" once canonicalized to "recursive".
+// The alias is retired, so it is no longer equivalent to anything:
+// "engine":"list" decodes but fails validation, and -engine list fails
+// the driver's Setup.
+func TestListAliasEquivalence(t *testing.T) {
 	s, err := DecodeSpec([]byte(`{"api":"repro/spec/v1","kind":"nbody","spec":{"engine":"list"}}`))
 	if err != nil {
 		t.Fatal(err)
@@ -251,6 +264,30 @@ func TestRetiredSpellingsRejected(t *testing.T) {
 	}
 	if _, err := parseDriver("-engine", "list"); err == nil {
 		t.Error("-engine list accepted")
+	}
+}
+
+// TestTreeReuseNormalizesAway: tree_reuse once normalized away to the
+// default spec. The field is deleted, so every spelling it used to
+// accept is an unknown field to the strict decoder, and -tree-reuse is
+// not a flag.
+func TestTreeReuseNormalizesAway(t *testing.T) {
+	for _, v := range []string{`""`, `"auto"`, `"AUTO"`, `"on"`, `"off"`} {
+		requireUnknownField(t, "nbody", "tree_reuse", v)
+	}
+	if _, err := parseDriver("-tree-reuse", "off"); err == nil {
+		t.Error("-tree-reuse accepted")
+	}
+}
+
+// TestMPIModeNormalizesAway: mpi_mode once normalized away to the
+// default spec. The field is deleted, so every spelling it used to
+// accept is an unknown field to the strict decoder.
+func TestMPIModeNormalizesAway(t *testing.T) {
+	for _, kind := range []string{"table2", "nassweep"} {
+		for _, v := range []string{`""`, `"auto"`, `"AUTO"`, `"goroutine"`, `"event"`} {
+			requireUnknownField(t, kind, "mpi_mode", v)
+		}
 	}
 }
 

@@ -315,43 +315,20 @@ func TestRemovedEngineNotServed(t *testing.T) {
 	}
 }
 
-// TestRetiredSpellingsNotServed: after the default nbody and table2
-// runs are cached, a request that adds a deleted execution-only field
-// (concurrent, workers, no_memo, no_prune) or a retired alias field
-// (tree_reuse, mpi_mode) is a 400 naming the field, and "engine":"list"
-// is a 422. None of them replays a cached document.
-func TestRetiredSpellingsNotServed(t *testing.T) {
+// retiredSpellingNotServed caches the default run of each kind in
+// warm, then submits each request in reqs and checks that it gets the
+// given status with an error naming the given word, and never a
+// replayed document.
+func retiredSpellingNotServed(t *testing.T, warm []string, reqs []retiredSpelling) {
+	t.Helper()
 	_, ts := newTestServer(t, Config{Workers: 1})
-	base := map[string]string{
-		"nbody":     `"n":300,"steps":1`,
-		"table2":    `"particles":2000,"cpu_counts":[1,2]`,
-		"nassweep":  `"ranks":[1,2]`,
-		"topperopt": `"nodes":[8]`,
-	}
-	body := func(kind, extra string) string {
-		return `{"api":"repro/spec/v1","kind":"` + kind + `","spec":{` + base[kind] + extra + `}}`
-	}
-	for _, kind := range []string{"nbody", "table2"} {
-		if resp, env := submit(t, ts, "", body(kind, "")); resp.StatusCode != http.StatusOK {
+	for _, kind := range warm {
+		if resp, env := submit(t, ts, "", retiredBody(kind, "")); resp.StatusCode != http.StatusOK {
 			t.Fatalf("default %s run: status %d (error %q)", kind, resp.StatusCode, env.Error)
 		}
 	}
-	for _, tc := range []struct {
-		kind, extra, field string
-		code               int
-	}{
-		{"nbody", `,"tree_reuse":"off"`, "tree_reuse", http.StatusBadRequest},
-		{"table2", `,"mpi_mode":"event"`, "mpi_mode", http.StatusBadRequest},
-		{"table2", `,"concurrent":true`, "concurrent", http.StatusBadRequest},
-		{"table2", `,"workers":2`, "workers", http.StatusBadRequest},
-		{"nassweep", `,"concurrent":true`, "concurrent", http.StatusBadRequest},
-		{"nassweep", `,"workers":2`, "workers", http.StatusBadRequest},
-		{"topperopt", `,"workers":2`, "workers", http.StatusBadRequest},
-		{"topperopt", `,"no_memo":true`, "no_memo", http.StatusBadRequest},
-		{"topperopt", `,"no_prune":true`, "no_prune", http.StatusBadRequest},
-		{"nbody", `,"engine":"list"`, "list", http.StatusUnprocessableEntity},
-	} {
-		b := body(tc.kind, tc.extra)
+	for _, tc := range reqs {
+		b := retiredBody(tc.kind, tc.extra)
 		resp, env := submit(t, ts, "", b)
 		if resp.StatusCode != tc.code || !strings.Contains(env.Error, tc.field) {
 			t.Errorf("%s: status %d error %q, want %d naming %q", b, resp.StatusCode, env.Error, tc.code, tc.field)
@@ -360,6 +337,64 @@ func TestRetiredSpellingsNotServed(t *testing.T) {
 			t.Errorf("%s: served a result document", b)
 		}
 	}
+}
+
+// retiredSpelling is one request adding a retired spelling (extra) to
+// a small spec of kind, and the status and error word it must get.
+type retiredSpelling struct {
+	kind, extra, field string
+	code               int
+}
+
+func retiredBody(kind, extra string) string {
+	base := map[string]string{
+		"nbody":     `"n":300,"steps":1`,
+		"table2":    `"particles":2000,"cpu_counts":[1,2]`,
+		"nassweep":  `"ranks":[1,2]`,
+		"topperopt": `"nodes":[8]`,
+	}
+	return `{"api":"repro/spec/v1","kind":"` + kind + `","spec":{` + base[kind] + extra + `}}`
+}
+
+// TestRetiredSpellingsNotServed: after the default nbody and table2
+// runs are cached, a request that adds a deleted execution-only field
+// (concurrent, workers, no_memo, no_prune) is a 400 naming the field,
+// and "engine":"list" is a 422. None of them replays a cached document.
+func TestRetiredSpellingsNotServed(t *testing.T) {
+	retiredSpellingNotServed(t, []string{"nbody", "table2"}, []retiredSpelling{
+		{"table2", `,"concurrent":true`, "concurrent", http.StatusBadRequest},
+		{"table2", `,"workers":2`, "workers", http.StatusBadRequest},
+		{"nassweep", `,"concurrent":true`, "concurrent", http.StatusBadRequest},
+		{"nassweep", `,"workers":2`, "workers", http.StatusBadRequest},
+		{"topperopt", `,"workers":2`, "workers", http.StatusBadRequest},
+		{"topperopt", `,"no_memo":true`, "no_memo", http.StatusBadRequest},
+		{"topperopt", `,"no_prune":true`, "no_prune", http.StatusBadRequest},
+		{"nbody", `,"engine":"list"`, "list", http.StatusUnprocessableEntity},
+	})
+}
+
+// TestTreeReuseSpellingServedFromCache: tree_reuse once folded into the
+// default spec, so spelling it out was a cache hit on the default run.
+// The field is deleted: after the default nbody run is cached, every
+// spelling it used to accept is a 400 naming it, never a replay.
+func TestTreeReuseSpellingServedFromCache(t *testing.T) {
+	var reqs []retiredSpelling
+	for _, v := range []string{`""`, `"auto"`, `"on"`, `"off"`} {
+		reqs = append(reqs, retiredSpelling{"nbody", `,"tree_reuse":` + v, "tree_reuse", http.StatusBadRequest})
+	}
+	retiredSpellingNotServed(t, []string{"nbody"}, reqs)
+}
+
+// TestMPIModeSpellingServedFromCache: mpi_mode once folded into the
+// default spec, so spelling it out was a cache hit on the default run.
+// The field is deleted: after the default table2 run is cached, every
+// spelling it used to accept is a 400 naming it, never a replay.
+func TestMPIModeSpellingServedFromCache(t *testing.T) {
+	var reqs []retiredSpelling
+	for _, v := range []string{`""`, `"auto"`, `"goroutine"`, `"event"`} {
+		reqs = append(reqs, retiredSpelling{"table2", `,"mpi_mode":` + v, "mpi_mode", http.StatusBadRequest})
+	}
+	retiredSpellingNotServed(t, []string{"table2"}, reqs)
 }
 
 // TestHotLoadServedFromCache is the gateway under concurrent replay
