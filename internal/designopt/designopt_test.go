@@ -36,23 +36,51 @@ func fingerprintAt(t *testing.T, g *Grid, w int) (uint64, *Result) {
 	return Fingerprint(res.Frontier), res
 }
 
+// heavyGrid is the default grid cut to six fabrics at 64..1024 nodes,
+// where the O(p) network solve dominates a candidate's cost.
+func heavyGrid(t *testing.T) *Grid {
+	t.Helper()
+	g := DefaultGrid()
+	g.Fabrics = g.Fabrics[:0]
+	for _, name := range []string{"fe", "ge", "fe-fattree", "ge-fattree", "ge-torus2d", "ge-torus3d"} {
+		f, err := ParseFabric(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Fabrics = append(g.Fabrics, f)
+	}
+	g.Nodes = []int{64, 128, 256, 512, 1024}
+	return g
+}
+
 // exhaustive is the reference the pruned parallel search is checked
-// against: every candidate scored serially through one Evaluator and
-// inserted into one Frontier, with no slab skipped. Its memo counters
+// against: every candidate scored serially, with no slab skipped, and
+// inserted into one Frontier. The reference scores each candidate
+// through an evaluator over a fresh memo, so its network solve is
+// computed directly, never served from a cache. Each candidate is also
+// scored through one evaluator over a shared memo, which must agree
+// bit for bit; the result's memo counters are the shared memo's, and
 // measure the memo alone, since nothing is pruned.
-func exhaustive(g *Grid) *Result {
+func exhaustive(t *testing.T, g *Grid) *Result {
+	t.Helper()
 	memo := NewMemo(g)
-	ev := NewEvaluator(g, memo)
+	shared := NewEvaluator(g, memo)
 	res := &Result{Candidates: g.Candidates()}
 	var front Frontier
-	var pt Point
+	var pt, memoPt Point
 	for ci := range g.CPUs {
 		for ki := range g.Packs {
 			for fi := range g.Fabrics {
 				for ni := range g.Nodes {
 					for ai := range g.Ambients {
 						res.Evaluated++
-						if ev.Eval(ci, ki, fi, ni, ai, &pt) {
+						ok := NewEvaluator(g, NewMemo(g)).Eval(ci, ki, fi, ni, ai, &pt)
+						if shared.Eval(ci, ki, fi, ni, ai, &memoPt) != ok ||
+							ok && Fingerprint([]Point{pt}) != Fingerprint([]Point{memoPt}) {
+							t.Fatalf("candidate (%d,%d,%d,%d,%d): the memoized score differs from a direct solve's",
+								ci, ki, fi, ni, ai)
+						}
+						if ok {
 							res.Feasible++
 							front.Insert(pt)
 						}
@@ -88,7 +116,7 @@ func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 // pruning actually fires.
 func TestPrunedFrontierMatchesExhaustive(t *testing.T) {
 	for _, g := range []*Grid{DefaultGrid(), testGrid()} {
-		ex := Fingerprint(exhaustive(g).Frontier)
+		ex := Fingerprint(exhaustive(t, g).Frontier)
 		for _, w := range []int{1, 2, 8} {
 			fp, res := fingerprintAt(t, g, w)
 			if fp != ex {
@@ -128,7 +156,7 @@ func TestMemoCountersDeterministic(t *testing.T) {
 	if hr := a.MemoHitRate(); hr < 0.9 {
 		t.Errorf("default-grid memo hit rate %.3f, want ≥ 0.9", hr)
 	}
-	if hr := exhaustive(g).MemoHitRate(); hr < 0.9 {
+	if hr := exhaustive(t, g).MemoHitRate(); hr < 0.9 {
 		t.Errorf("default-grid exhaustive memo hit rate %.3f, want ≥ 0.9", hr)
 	}
 
@@ -137,21 +165,48 @@ func TestMemoCountersDeterministic(t *testing.T) {
 	// slabs, and each of the 1060 scored ones looks its solve up. The
 	// memo computes each of the 6×5 (fabric, p) cells once — 30
 	// misses — and serves the other 1030 lookups from the table.
-	heavy := DefaultGrid()
-	heavy.Fabrics = heavy.Fabrics[:0]
-	for _, name := range []string{"fe", "ge", "fe-fattree", "ge-fattree", "ge-torus2d", "ge-torus3d"} {
-		f, err := ParseFabric(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		heavy.Fabrics = append(heavy.Fabrics, f)
-	}
-	heavy.Nodes = []int{64, 128, 256, 512, 1024}
+	heavy := heavyGrid(t)
 	for _, w := range []int{1, 8} {
 		_, res := fingerprintAt(t, heavy, w)
 		if res.Evaluated != 1060 || res.Pruned != 140 || res.MemoHits != 1030 || res.MemoMisses != 30 {
 			t.Errorf("heavy grid at width %d: evaluated %d pruned %d, memo %d hits / %d misses; want 1060, 140, 1030 / 30",
 				w, res.Evaluated, res.Pruned, res.MemoHits, res.MemoMisses)
+		}
+	}
+}
+
+// TestMemoCellsMatchDirectSolve checks the memo against the solve it
+// caches: after the search at widths 1 and 8 on the default and the
+// fabric-heavy grids, every filled cell of the (fabric, p) table holds
+// bit for bit what a direct network solve for that cell gives, and the
+// filled cells number the misses.
+func TestMemoCellsMatchDirectSolve(t *testing.T) {
+	for _, g := range []*Grid{DefaultGrid(), heavyGrid(t)} {
+		direct := NewEvaluator(g, NewMemo(g))
+		for _, w := range []int{1, 8} {
+			par.SetWorkers(w)
+			res, memo, err := search(g)
+			par.SetWorkers(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var filled uint64
+			for fi := range g.Fabrics {
+				for ni := range g.Nodes {
+					c := &memo.cells[fi*len(g.Nodes)+ni]
+					if c.done.Load() == 0 {
+						continue
+					}
+					filled++
+					if got, want := c.comm, direct.solveComm(fi, ni); math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("width %d: memo cell (%s, p=%d) holds %v, direct solve gives %v",
+							w, g.Fabrics[fi].Name, g.Nodes[ni], got, want)
+					}
+				}
+			}
+			if filled == 0 || filled != res.MemoMisses {
+				t.Errorf("width %d: %d filled cells for %d misses", w, filled, res.MemoMisses)
+			}
 		}
 	}
 }
@@ -182,7 +237,7 @@ func TestDegenerateChoicesCannotNaN(t *testing.T) {
 		}
 	}
 	// And the pruned/exhaustive contract must survive the degenerates.
-	if pr != Fingerprint(exhaustive(g).Frontier) {
+	if pr != Fingerprint(exhaustive(t, g).Frontier) {
 		t.Error("degenerate slabs broke the pruned == exhaustive contract")
 	}
 }
@@ -275,7 +330,7 @@ func TestBudgetCapsFeasibility(t *testing.T) {
 			t.Errorf("frontier point over TCO budget: %s", p.String())
 		}
 	}
-	if Fingerprint(res.Frontier) != Fingerprint(exhaustive(g).Frontier) {
+	if Fingerprint(res.Frontier) != Fingerprint(exhaustive(t, g).Frontier) {
 		t.Error("budget-capped pruned frontier differs from exhaustive")
 	}
 	g.Budget = Budget{MaxTCOUSD: 1} // nothing fits

@@ -105,8 +105,14 @@ type chunkState struct {
 // returns the Pareto frontier plus telemetry. The frontier is
 // bit-identical at any pool width, and to exhaustive enumeration.
 func Optimize(g *Grid) (*Result, error) {
+	res, _, err := search(g)
+	return res, err
+}
+
+// search is Optimize, also returning the memo the search filled.
+func search(g *Grid) (*Result, *Memo, error) {
 	if err := g.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Fix the width once: evals is indexed by worker.
 	pool := par.New(par.Workers())
@@ -169,7 +175,7 @@ func Optimize(g *Grid) (*Result, error) {
 	res.Frontier = front.Sorted()
 	res.MemoHits = memo.Hits()
 	res.MemoMisses = memo.Misses()
-	return res, nil
+	return res, memo, nil
 }
 
 // MemoHitRate returns hits/(hits+misses), 0 when no lookups happened.
