@@ -10,7 +10,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/nas"
 	"repro/internal/nbody"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/tco"
 	"repro/internal/treecode"
@@ -115,13 +114,9 @@ func (r *Run) Table2(cfg Table2Config) ([]Table2Row, *metrics.Table, error) {
 	if cfg.Particles <= 0 || len(cfg.CPUCounts) == 0 {
 		return nil, nil, fmt.Errorf("core: empty Table2 config")
 	}
-	costs, err := cpu.CalibrateFor(cpu.NewTM5600(), cpu.MissRateTree)
+	cm, err := tm5600TreeCost()
 	if err != nil {
 		return nil, nil, err
-	}
-	cm := treecode.CostModel{
-		SecondsPerInteraction: costs.Seconds(treecode.InteractionMix()),
-		SecondsPerBuildSource: costs.Seconds(treecode.BuildMix()),
 	}
 	type t2out struct {
 		w   *mpi.World
@@ -133,17 +128,11 @@ func (r *Run) Table2(cfg Table2Config) ([]Table2Row, *metrics.Table, error) {
 		o := &outs[i]
 		p := cfg.CPUCounts[i]
 		s := nbody.NewPlummer(cfg.Particles, 1, 2001)
-		f := netsim.FastEthernet()
-		if err := netsim.ApplyTopology(f, cfg.Fabric, p); err != nil {
-			o.err = err
-			return
-		}
-		w, err := mpi.NewWorld(p, f)
+		w, err := r.newWorld(p, cfg.Fabric, false, false)
 		if err != nil {
 			o.err = err
 			return
 		}
-		w.Tracer = r.Tracer
 		o.w = w
 		o.res, o.err = treecode.ParallelForces(w, s, treecode.ParallelConfig{
 			Theta: cfg.Theta, Eps: s.Eps, Cost: cm,
@@ -184,6 +173,20 @@ func (r *Run) Table2(cfg Table2Config) ([]Table2Row, *metrics.Table, error) {
 		t.AddRowf("%.2f", fmt.Sprintf("%d", r.CPUs), r.TimeSec, r.Speedup)
 	}
 	return rows, t, nil
+}
+
+// tm5600TreeCost is the treecode cost model of one TM5600 blade: its
+// calibrated op costs, at the tree walk's miss rate, priced over the
+// interaction and build op mixes.
+func tm5600TreeCost() (treecode.CostModel, error) {
+	costs, err := cpu.CalibrateFor(cpu.NewTM5600(), cpu.MissRateTree)
+	if err != nil {
+		return treecode.CostModel{}, err
+	}
+	return treecode.CostModel{
+		SecondsPerInteraction: costs.Seconds(treecode.InteractionMix()),
+		SecondsPerBuildSource: costs.Seconds(treecode.BuildMix()),
+	}, nil
 }
 
 // --- Table 3: NPB 2.3 single-processor Mops ---

@@ -501,18 +501,6 @@ func (s *NASKernelsSpec) runParallel(r *Run) (*SpecResult, error) {
 		return nil, err
 	}
 	p := s.Ranks
-	mk := func() (*mpi.World, error) {
-		f := netsim.FastEthernet()
-		if err := netsim.ApplyTopology(f, s.Fabric, p); err != nil {
-			return nil, err
-		}
-		w, err := mpi.NewWorld(p, f)
-		if err != nil {
-			return nil, err
-		}
-		w.Tracer = r.Tracer
-		return w, nil
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-4s %-6s %-9s %-14s %-8s %-14s %-12s\n",
 		"Code", "Class", "Verified", "Checksum", "Ranks", "Sim (s)", "Wall")
@@ -521,7 +509,7 @@ func (s *NASKernelsSpec) runParallel(r *Run) (*SpecResult, error) {
 		if s.Kernel != "" && !strings.EqualFold(name, s.Kernel) {
 			return nil
 		}
-		w, err := mk()
+		w, err := r.newWorld(p, s.Fabric, false, false)
 		if err != nil {
 			return err
 		}
@@ -756,13 +744,9 @@ func (s *NBodySpec) Run(r *Run) (*SpecResult, error) {
 	case s.Direct:
 		forcer = nbody.DirectForcer{}
 	case s.Ranks > 0:
-		costs, err := cpu.CalibrateFor(cpu.NewTM5600(), cpu.MissRateTree)
+		cm, err := tm5600TreeCost()
 		if err != nil {
 			return nil, err
-		}
-		cm := treecode.CostModel{
-			SecondsPerInteraction: costs.Seconds(treecode.InteractionMix()),
-			SecondsPerBuildSource: costs.Seconds(treecode.BuildMix()),
 		}
 		forcer = &nbodyParallelForcer{ranks: s.Ranks, run: r, cfg: treecode.ParallelConfig{
 			Theta: s.Theta, Quadrupole: s.Quadrupole, Eps: sys.Eps, Cost: cm,
@@ -828,11 +812,10 @@ type nbodyParallelForcer struct {
 }
 
 func (p *nbodyParallelForcer) Forces(s *nbody.System) error {
-	w, err := mpi.NewWorld(p.ranks, netsim.FastEthernet())
+	w, err := p.run.newWorld(p.ranks, "", false, false)
 	if err != nil {
 		return err
 	}
-	w.Tracer = p.run.Tracer
 	sp := p.run.Tracer.Begin(obs.PidHost, 0, "nbodysim", fmt.Sprintf("step%d", p.step))
 	res, err := treecode.ParallelForces(w, s, p.cfg)
 	if err != nil {

@@ -32,6 +32,24 @@ func sweepWorlds(n int, run func(i int)) {
 	par.Default().Do(tasks...)
 }
 
+// newWorld builds a p-rank world on the paper's Fast Ethernet, shaped
+// as the named topology ("" keeps the star switch), with the port
+// contention model and native collectives as asked, traced by the
+// run's tracer.
+func (r *Run) newWorld(p int, fabric string, contention, native bool) (*mpi.World, error) {
+	f := netsim.FastEthernet()
+	f.PortContention = contention
+	if err := netsim.ApplyTopology(f, fabric, p); err != nil {
+		return nil, err
+	}
+	w, err := mpi.NewWorldWithConfig(p, mpi.Config{Fabric: f, Native: native})
+	if err != nil {
+		return nil, err
+	}
+	w.Tracer = r.Tracer
+	return w, nil
+}
+
 // NASSweepConfig sizes the parallel NAS rank sweep.
 type NASSweepConfig struct {
 	// Class is the NPB problem class (S, W, A).
@@ -92,24 +110,11 @@ func (r *Run) NASSweep(cfg NASSweepConfig) ([]NASSweepRow, *metrics.Table, error
 	if err != nil {
 		return nil, nil, err
 	}
-	mkWorld := func(p int) (*mpi.World, error) {
-		f := netsim.FastEthernet()
-		f.PortContention = cfg.Contention
-		if err := netsim.ApplyTopology(f, cfg.Fabric, p); err != nil {
-			return nil, err
-		}
-		w, err := mpi.NewWorldWithConfig(p, mpi.Config{Fabric: f, Native: cfg.Native})
-		if err != nil {
-			return nil, err
-		}
-		w.Tracer = r.Tracer
-		return w, nil
-	}
 	outs := make([]nasSweepOut, len(cfg.Ranks))
 	runOne := func(i int) {
 		o := &outs[i]
 		p := cfg.Ranks[i]
-		wEP, err := mkWorld(p)
+		wEP, err := r.newWorld(p, cfg.Fabric, cfg.Contention, cfg.Native)
 		if err != nil {
 			o.err = err
 			return
@@ -121,7 +126,7 @@ func (r *Run) NASSweep(cfg NASSweepConfig) ([]NASSweepRow, *metrics.Table, error
 		if cfg.EPOnly {
 			return
 		}
-		wIS, err := mkWorld(p)
+		wIS, err := r.newWorld(p, cfg.Fabric, cfg.Contention, cfg.Native)
 		if err != nil {
 			o.err = err
 			return

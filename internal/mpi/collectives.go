@@ -3,17 +3,16 @@ package mpi
 import "fmt"
 
 // Collective tags live in a reserved range so user point-to-point traffic
-// (tags ≥ 0) can never collide with them.
+// (tags ≥ 0) can never collide with them. The values are fixed, not
+// iota-numbered: trace spans and deadlock diagnostics print them.
 const (
-	tagBarrier = -1 - iota
-	tagBcast
-	tagReduce
-	tagGather
-	tagScatter
-	tagAllgather
-	tagAlltoall
-	tagAllreduce
-	tagBcastPipe
+	tagBarrier   = -1
+	tagBcast     = -2
+	tagReduce    = -3
+	tagAllgather = -6
+	tagAlltoall  = -7
+	tagAllreduce = -8
+	tagBcastPipe = -9
 )
 
 // Op is a reduction operator over float64 elements.
@@ -36,28 +35,26 @@ var (
 	}
 )
 
-// The collectives come in two layers. The public slice-returning APIs
-// (Bcast, Allreduce, Allgather, ...) keep their historical signatures and
-// — in the default classic mode — their historical message patterns, so
-// virtual times are bit-for-bit what they always were; internally they now
-// draw every wire copy from the rank's buffer pool. The Into variants
-// (AllreduceInto, BcastInto, AllgatherInto) additionally reduce into
-// caller-provided buffers, which is what the hot loops use: a steady-state
-// iteration allocates nothing.
+// The float64 collectives (AllreduceInto, BcastInto, ReduceInto,
+// AllgatherInto) work in place on caller-provided buffers and draw
+// every wire copy from the rank's buffer pool, so a steady-state
+// iteration allocates nothing. AlltoallInts returns pooled rows the
+// caller recycles with ReleaseI64.
 //
-// Config.Native switches Allreduce/Bcast to dedicated algorithms
-// (recursive doubling; pipelined segmented ring) whose virtual-time costs
-// follow the corresponding netsim formulas instead of the classic ones.
+// Config.Native switches AllreduceInto/BcastInto to dedicated
+// algorithms (recursive doubling; pipelined segmented ring) whose
+// virtual-time costs follow the corresponding netsim formulas instead
+// of the classic ones.
 //
-// On fabrics with a topology (fat-tree, torus) Allreduce and Bcast go
-// hierarchical automatically: the binomial schedules run over subgroups
-// shaped to the fabric's cheapest neighbourhood (netsim.Fabric.GroupWidth)
-// — first within each group, then across group leaders. The subgroup
-// forms (groupReduceInto/groupBcastInto) generalize the classic
-// schedules: over the whole world they send exactly the historical
-// message sequence, so flat fabrics are bit-for-bit unchanged, and the
-// emergent hierarchical times match netsim's exact predictors
-// (AllreduceTime/BcastTime) bit-for-bit.
+// On fabrics with a topology (fat-tree, torus) AllreduceInto and
+// BcastInto go hierarchical automatically: the binomial schedules run
+// over subgroups shaped to the fabric's cheapest neighbourhood
+// (netsim.Fabric.GroupWidth) — first within each group, then across
+// group leaders. The subgroup forms (groupReduceInto/groupBcastInto)
+// generalize the classic schedules: over the whole world they send
+// exactly the classic message sequence, so flat fabrics keep their
+// historical virtual times, and the emergent hierarchical times match
+// netsim's exact predictors (AllreduceTime/BcastTime) bit-for-bit.
 
 // groupMember maps virtual rank v of a collective subgroup — the
 // arithmetic sequence base, base+stride, … of count ranks, rotated so
@@ -83,12 +80,12 @@ func (c *Comm) hierWidth() int {
 }
 
 // sendDisposableF64 sends a pooled buffer the caller is finished with:
-// small payloads take the eager path (copied into a fresh pooled buffer,
-// modelling the transport's bounce buffer, and the original is recycled
-// immediately); payloads at or above the rendezvous threshold transfer
+// payloads under DefaultRendezvousThreshold take the eager path (copied
+// into a fresh pooled buffer, modelling the transport's bounce buffer,
+// and the original is recycled immediately); larger payloads transfer
 // ownership without a copy.
 func (c *Comm) sendDisposableF64(dst, tag int, buf []float64) {
-	if c.wantOwned(8 * len(buf)) {
+	if 8*len(buf) >= DefaultRendezvousThreshold {
 		c.sendF64(dst, tag, buf, true)
 		return
 	}
@@ -113,60 +110,9 @@ func (c *Comm) Barrier() {
 	}
 }
 
-// Bcast broadcasts root's buffer to every rank. Every rank passes its
-// own buf; non-roots receive into the returned slice (recyclable with
-// ReleaseF64). In native mode every rank's buf must have the root's
-// length.
-func (c *Comm) Bcast(root int, buf []float64) []float64 {
-	prev := c.enterCollective(ctxBcast)
-	defer c.exitCollective(prev)
-	if w := c.hierWidth(); w > 0 {
-		out := buf
-		if c.rank != root {
-			out = c.pool.acquireF64(len(buf))
-		}
-		c.hierBcastInto(root, out, w)
-		return out
-	}
-	if c.world.cfg.Native {
-		out := buf
-		if c.rank != root {
-			out = c.pool.acquireF64(len(buf))
-		}
-		c.bcastPipeInto(root, out)
-		return out
-	}
-	p := c.Size()
-	if p == 1 {
-		return buf
-	}
-	// Rotate so the root is virtual rank 0.
-	vrank := (c.rank - root + p) % p
-	data := buf
-	// Highest power of two ≥ p.
-	top := 1
-	for top < p {
-		top *= 2
-	}
-	// Canonical binomial tree: a rank receives exactly once, at the stage
-	// matching its highest set bit, then relays at all smaller distances.
-	for dist := top / 2; dist >= 1; dist /= 2 {
-		switch vrank % (2 * dist) {
-		case 0:
-			dst := vrank + dist
-			if dst < p {
-				c.sendF64((dst+root)%p, tagBcast, data, false)
-			}
-		case dist:
-			m := c.recv((vrank-dist+root)%p, tagBcast)
-			data = m.f64
-		}
-	}
-	return data
-}
-
 // BcastInto broadcasts root's buf into every rank's buf, in place. All
-// ranks must pass equal-length buffers.
+// ranks must pass equal-length buffers. Classic mode is a binomial
+// tree; native mode a pipelined ring.
 func (c *Comm) BcastInto(root int, buf []float64) {
 	prev := c.enterCollective(ctxBcast)
 	defer c.exitCollective(prev)
@@ -174,23 +120,17 @@ func (c *Comm) BcastInto(root int, buf []float64) {
 		c.hierBcastInto(root, buf, w)
 		return
 	}
-	if c.world.cfg.Native {
+	if c.world.native {
 		c.bcastPipeInto(root, buf)
 		return
 	}
-	c.bcastInto(root, buf)
-}
-
-// bcastInto is the classic binomial tree, receiving into buf: the
-// message sequence is identical to Bcast's, so virtual times match
-// bit-for-bit; the received pooled buffer is recycled after the copy.
-func (c *Comm) bcastInto(root int, buf []float64) {
 	c.groupBcastInto(0, 1, c.Size(), root, buf)
 }
 
 // groupBcastInto runs the classic binomial broadcast over a subgroup
-// (see groupMember), receiving into buf. Over the whole world it is
-// bcastInto, message for message.
+// (see groupMember), receiving into buf: a rank receives exactly once,
+// at the stage matching its highest set bit, then relays at all
+// smaller distances.
 func (c *Comm) groupBcastInto(base, stride, count, rootIdx int, buf []float64) {
 	if count <= 1 {
 		return
@@ -249,8 +189,8 @@ func (c *Comm) hierBcastInto(root int, buf []float64, w int) {
 	c.groupBcastInto(base, 1, n, 0, buf)
 }
 
-// bcastPipeInto is the native broadcast: a pipelined ring with
-// Config.SegmentBytes segmentation. Rank root feeds segments around the
+// bcastPipeInto is the native broadcast: a pipelined ring in
+// DefaultSegmentBytes segments. Rank root feeds segments around the
 // ring; every rank forwards a segment as soon as it lands, so the
 // virtual-time cost approaches (p-2+nseg)·PTP(segment) — the
 // netsim.BcastPipelined formula — instead of the binomial
@@ -260,18 +200,12 @@ func (c *Comm) bcastPipeInto(root int, buf []float64) {
 	if p == 1 || len(buf) == 0 {
 		return
 	}
-	seg := c.world.cfg.SegmentBytes / 8
-	if seg < 1 {
-		seg = 1
-	}
+	const seg = DefaultSegmentBytes / 8
 	vrank := (c.rank - root + p) % p
 	next := (c.rank + 1) % p
 	prevRank := (c.rank - 1 + p) % p
 	for off := 0; off < len(buf); off += seg {
-		end := off + seg
-		if end > len(buf) {
-			end = len(buf)
-		}
+		end := min(off+seg, len(buf))
 		if vrank > 0 {
 			m := c.recv(prevRank, tagBcastPipe)
 			if len(m.f64) != end-off {
@@ -286,40 +220,19 @@ func (c *Comm) bcastPipeInto(root int, buf []float64) {
 	}
 }
 
-// Reduce combines elementwise with op onto root (binomial tree). Returns
-// the combined slice at root (recyclable with ReleaseF64) and nil
-// elsewhere.
-func (c *Comm) Reduce(root int, op Op, data []float64) []float64 {
-	prev := c.enterCollective(ctxReduce)
-	defer c.exitCollective(prev)
-	acc := c.pool.copyF64(data)
-	if c.reduceIntoDisposable(root, op, acc) {
-		return acc
-	}
-	return nil
-}
-
-// ReduceInto combines elementwise with op onto root, in place in buf.
-// buf is left combined at root and holds intermediate partials
-// elsewhere. Returns true at root.
+// ReduceInto combines elementwise with op onto root (binomial tree), in
+// place in buf. buf is left combined at root and holds intermediate
+// partials elsewhere. Returns true at root.
 func (c *Comm) ReduceInto(root int, op Op, buf []float64) bool {
 	prev := c.enterCollective(ctxReduce)
 	defer c.exitCollective(prev)
-	return c.reduceInto(root, op, buf)
-}
-
-// reduceInto is the classic binomial reduction folding into buf. The
-// message sequence (sizes, order, tags) is identical to the historical
-// Reduce, so virtual times match bit-for-bit. Returns true at root.
-// buf belongs to the caller, so the non-root send copies it eagerly.
-func (c *Comm) reduceInto(root int, op Op, buf []float64) bool {
 	return c.groupReduceInto(0, 1, c.Size(), root, op, buf)
 }
 
 // groupReduceInto runs the classic binomial reduction over a subgroup
 // (see groupMember), folding into buf; returns true on the member at
-// rootIdx, which holds the result. Over the whole world it is
-// reduceInto, message for message.
+// rootIdx, which holds the result. buf belongs to the caller, so the
+// non-root send copies it eagerly.
 func (c *Comm) groupReduceInto(base, stride, count, rootIdx int, op Op, buf []float64) bool {
 	if count <= 1 {
 		return true
@@ -358,31 +271,6 @@ func (c *Comm) hierAllreduceInto(op Op, buf []float64, w int) {
 	c.groupBcastInto(base, 1, n, 0, buf)
 }
 
-// reduceIntoDisposable is reduceInto for a pooled buffer the caller
-// relinquishes on non-root ranks: the leaf send can transfer ownership
-// (rendezvous) when large. Returns true at root, where acc holds the
-// result.
-func (c *Comm) reduceIntoDisposable(root int, op Op, acc []float64) bool {
-	p := c.Size()
-	if p == 1 {
-		return true
-	}
-	vrank := (c.rank - root + p) % p
-	for dist := 1; dist < p; dist *= 2 {
-		if vrank%(2*dist) == 0 {
-			src := vrank + dist
-			if src < p {
-				c.reduceFold(op, acc, (src+root)%p)
-			}
-		} else {
-			dst := vrank - dist
-			c.sendDisposableF64((dst+root)%p, tagReduce, acc)
-			return false
-		}
-	}
-	return vrank == 0
-}
-
 // reduceFold receives a partial result from src and folds it into acc,
 // recycling the wire buffer.
 func (c *Comm) reduceFold(op Op, acc []float64, src int) {
@@ -396,38 +284,23 @@ func (c *Comm) reduceFold(op Op, acc []float64, src int) {
 	c.pool.releaseF64(wire)
 }
 
-// Allreduce combines elementwise with op, result on every rank. The
-// returned slice is freshly drawn from the pool (recyclable with
-// ReleaseF64). Classic mode is reduce-to-0 + broadcast (the MPICH
-// algorithm on Ethernet); native mode is recursive doubling.
-func (c *Comm) Allreduce(op Op, data []float64) []float64 {
-	prev := c.enterCollective(ctxAllreduce)
-	defer c.exitCollective(prev)
-	acc := c.pool.copyF64(data)
-	c.allreduceInto(op, acc)
-	return acc
-}
-
 // AllreduceInto combines elementwise with op in place: every rank's buf
-// holds the combined result on return. The hot-loop form — a
-// steady-state iteration allocates nothing.
+// holds the combined result on return. Classic mode is reduce-to-0 +
+// broadcast (the MPICH algorithm on Ethernet); native mode is
+// recursive doubling.
 func (c *Comm) AllreduceInto(op Op, buf []float64) {
 	prev := c.enterCollective(ctxAllreduce)
 	defer c.exitCollective(prev)
-	c.allreduceInto(op, buf)
-}
-
-func (c *Comm) allreduceInto(op Op, buf []float64) {
 	if w := c.hierWidth(); w > 0 {
 		c.hierAllreduceInto(op, buf, w)
 		return
 	}
-	if c.world.cfg.Native {
+	if c.world.native {
 		c.allreduceRecDbl(op, buf)
 		return
 	}
-	c.reduceInto(0, op, buf)
-	c.bcastInto(0, buf)
+	c.groupReduceInto(0, 1, c.Size(), 0, op, buf)
+	c.groupBcastInto(0, 1, c.Size(), 0, buf)
 }
 
 // allreduceRecDbl is the native allreduce: recursive doubling over the
@@ -500,84 +373,11 @@ func (c *Comm) allreduceRecDbl(op Op, buf []float64) {
 	}
 }
 
-// AllreduceScalar is Allreduce for a single value, staged through a
-// per-rank scratch word so it allocates nothing.
-func (c *Comm) AllreduceScalar(op Op, v float64) float64 {
-	prev := c.enterCollective(ctxAllreduce)
-	defer c.exitCollective(prev)
-	c.scratch[0] = v
-	c.allreduceInto(op, c.scratch[:1])
-	return c.scratch[0]
-}
-
-// Gather collects every rank's slice at root, concatenated in rank order.
-// Non-roots receive nil; the rows of the returned slice are recyclable
-// with ReleaseF64.
-func (c *Comm) Gather(root int, data []float64) [][]float64 {
-	prev := c.enterCollective(ctxGather)
-	defer c.exitCollective(prev)
-	if c.rank != root {
-		c.sendF64(root, tagGather, data, false)
-		return nil
-	}
-	out := make([][]float64, c.Size())
-	out[root] = c.pool.copyF64(data)
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		out[r] = c.recv(r, tagGather).f64
-	}
-	return out
-}
-
-// Scatter distributes root's per-rank slices; returns this rank's piece
-// (recyclable with ReleaseF64).
-func (c *Comm) Scatter(root int, pieces [][]float64) []float64 {
-	prev := c.enterCollective(ctxScatter)
-	defer c.exitCollective(prev)
-	if c.rank == root {
-		if len(pieces) != c.Size() {
-			panic("mpi: scatter needs one piece per rank")
-		}
-		for r := 0; r < c.Size(); r++ {
-			if r == root {
-				continue
-			}
-			c.sendF64(r, tagScatter, pieces[r], false)
-		}
-		return c.pool.copyF64(pieces[root])
-	}
-	return c.recv(root, tagScatter).f64
-}
-
-// Allgather gives every rank the concatenation (in rank order) of every
-// rank's data, via a ring. The rows of the returned slice are recyclable
-// with ReleaseF64.
-func (c *Comm) Allgather(data []float64) [][]float64 {
-	prev := c.enterCollective(ctxAllgather)
-	defer c.exitCollective(prev)
-	p := c.Size()
-	out := make([][]float64, p)
-	out[c.rank] = c.pool.copyF64(data)
-	cur := out[c.rank]
-	right := (c.rank + 1) % p
-	left := (c.rank - 1 + p) % p
-	for step := 0; step < p-1; step++ {
-		c.sendF64(right, tagAllgather, cur, false)
-		m := c.recv(left, tagAllgather)
-		src := (c.rank - step - 1 + p) % p
-		out[src] = m.f64
-		cur = m.f64
-	}
-	return out
-}
-
 // AllgatherInto gives every rank the concatenation (in rank order) of
 // every rank's equal-length data, written into the caller's flat out
-// buffer (len(out) == p*len(data)). Same ring and message sequence as
-// Allgather — virtual times match bit-for-bit — but the relay buffers
-// are recycled (or ownership-transferred when large), so a steady-state
+// buffer (len(out) == p*len(data)), via a ring: p-1 steps, each
+// relaying the block received in the previous one. Relay buffers are
+// recycled (or ownership-transferred when large), so a steady-state
 // iteration allocates nothing.
 func (c *Comm) AllgatherInto(data []float64, out []float64) {
 	prev := c.enterCollective(ctxAllgather)
@@ -613,27 +413,6 @@ func (c *Comm) AllgatherInto(data []float64, out []float64) {
 	if owned {
 		c.pool.releaseF64(cur)
 	}
-}
-
-// AllgatherInts is Allgather for int64 payloads; rows are recyclable
-// with ReleaseI64.
-func (c *Comm) AllgatherInts(data []int64) [][]int64 {
-	prev := c.enterCollective(ctxAllgather)
-	defer c.exitCollective(prev)
-	p := c.Size()
-	out := make([][]int64, p)
-	out[c.rank] = c.pool.copyI64(data)
-	cur := out[c.rank]
-	right := (c.rank + 1) % p
-	left := (c.rank - 1 + p) % p
-	for step := 0; step < p-1; step++ {
-		c.sendI64(right, tagAllgather, cur, false)
-		m := c.recv(left, tagAllgather)
-		src := (c.rank - step - 1 + p) % p
-		out[src] = m.i64
-		cur = m.i64
-	}
-	return out
 }
 
 // AlltoallInts performs a personalized exchange: element send[d] goes to

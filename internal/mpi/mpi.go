@@ -22,8 +22,8 @@
 // The substrate is built for throughput on the host as well as fidelity
 // on the modelled wire: payload buffers come from per-rank size-classed
 // pools (pool.go), small payloads are eagerly copied while large ones
-// take a rendezvous/ownership-transfer path, and the collectives have
-// in-place variants that reduce into caller buffers (collectives.go).
+// take a rendezvous/ownership-transfer path, and the float64
+// collectives work in place on caller buffers (collectives.go).
 // Sweeping a rank axis therefore measures the modelled fabric, not host
 // allocation churn.
 package mpi
@@ -41,13 +41,12 @@ type message struct {
 	tag     int
 	f64     []float64
 	i64     []int64
-	bytes   []byte
 	sent    float64 // virtual time the send was posted
 	arrival float64 // virtual time the payload is fully received (uncontended)
 }
 
 func (m *message) payloadBytes() int {
-	return 8*len(m.f64) + 8*len(m.i64) + len(m.bytes)
+	return 8*len(m.f64) + 8*len(m.i64)
 }
 
 // Collective kinds, for the per-collective traffic counters.
@@ -57,16 +56,13 @@ const (
 	ctxBcast
 	ctxReduce
 	ctxAllreduce
-	ctxGather
-	ctxScatter
 	ctxAllgather
 	ctxAlltoall
 	numCtx
 )
 
 var ctxNames = [numCtx]string{
-	"p2p", "barrier", "bcast", "reduce", "allreduce",
-	"gather", "scatter", "allgather", "alltoall",
+	"p2p", "barrier", "bcast", "reduce", "allreduce", "allgather", "alltoall",
 }
 
 // DefaultRendezvousThreshold is the payload size (bytes) at or above
@@ -76,34 +72,27 @@ var ctxNames = [numCtx]string{
 // memcpy.
 const DefaultRendezvousThreshold = 32 << 10
 
+// DefaultSegmentBytes is the native pipelined-broadcast segment size.
+const DefaultSegmentBytes = 8 << 10
+
 // Config selects the substrate's optional behaviours. The zero value is
-// the production default: classic collectives and the default
-// rendezvous threshold.
+// the production default: classic collectives on a zero-cost network.
 type Config struct {
 	// Fabric models the interconnect; nil = zero-cost network.
 	Fabric *netsim.Fabric
-	// Native switches Allreduce/Bcast (and their Into variants) to the
-	// dedicated algorithms — recursive doubling, pipelined ring with
-	// segmentation — instead of the classic reduce+bcast / binomial
-	// patterns. Off by default so historical virtual times stay
-	// bit-for-bit reproducible.
+	// Native switches AllreduceInto/BcastInto to the dedicated
+	// algorithms — recursive doubling, pipelined ring in
+	// DefaultSegmentBytes segments — instead of the classic
+	// reduce+bcast / binomial patterns. Off by default so historical
+	// virtual times stay bit-for-bit reproducible.
 	Native bool
-	// RendezvousThreshold overrides DefaultRendezvousThreshold (bytes);
-	// 0 keeps the default.
-	RendezvousThreshold int
-	// SegmentBytes is the native pipelined-broadcast segment size;
-	// 0 keeps the default (8 KiB).
-	SegmentBytes int
 }
-
-// DefaultSegmentBytes is the native pipelined-broadcast segment size.
-const DefaultSegmentBytes = 8 << 10
 
 // World is a communicator universe of Size ranks.
 type World struct {
 	size   int
 	fabric *netsim.Fabric // nil = zero-cost network
-	cfg    Config
+	native bool           // Config.Native
 	comms  []*Comm
 
 	// Deadlock detection, reset per Run (inbox.go): how many ranks are
@@ -134,23 +123,15 @@ func NewWorldWithConfig(size int, cfg Config) (*World, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("mpi: world size %d", size)
 	}
-	if cfg.Fabric != nil {
-		if err := cfg.Fabric.Validate(); err != nil {
+	if f := cfg.Fabric; f != nil {
+		if err := f.Validate(); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.RendezvousThreshold == 0 {
-		cfg.RendezvousThreshold = DefaultRendezvousThreshold
-	}
-	if cfg.SegmentBytes == 0 {
-		cfg.SegmentBytes = DefaultSegmentBytes
-	}
-	if f := cfg.Fabric; f != nil {
 		if cap := f.Capacity(); cap > 0 && size > cap {
 			return nil, fmt.Errorf("mpi: world size %d exceeds fabric %q capacity %d", size, f.Name, cap)
 		}
 	}
-	w := &World{size: size, fabric: cfg.Fabric, cfg: cfg}
+	w := &World{size: size, fabric: cfg.Fabric, native: cfg.Native}
 	w.comms = make([]*Comm, size)
 	for r := 0; r < size; r++ {
 		w.comms[r] = &Comm{world: w, rank: r}
@@ -271,8 +252,6 @@ type Comm struct {
 	// failed because the world deadlocked.
 	in      inbox
 	aborted bool
-
-	scratch [1]float64 // AllreduceScalar's zero-alloc staging
 }
 
 // Rank returns this rank's id.
@@ -304,12 +283,6 @@ func (c *Comm) enterCollective(kind int) int {
 }
 
 func (c *Comm) exitCollective(prev int) { c.ctx = prev }
-
-// wantOwned reports whether an internal send of the given payload size
-// should take the rendezvous (ownership-transfer) path.
-func (c *Comm) wantOwned(bytes int) bool {
-	return bytes >= c.world.cfg.RendezvousThreshold
-}
 
 // send transmits m to dst, advancing the virtual clocks per the fabric
 // model. copied says whether the payload was eagerly copied (false =
@@ -368,13 +341,6 @@ func (c *Comm) sendI64(dst, tag int, data []int64, owned bool) {
 	c.send(dst, message{tag: tag, i64: data}, !owned)
 }
 
-func (c *Comm) sendRaw(dst, tag int, data []byte, owned bool) {
-	if !owned {
-		data = c.pool.copyBytes(data)
-	}
-	c.send(dst, message{tag: tag, bytes: data}, !owned)
-}
-
 // recv receives the next message from src, which must carry the given
 // tag (our codes use deterministic matching), applying the contention
 // model and advancing the virtual clock.
@@ -429,39 +395,6 @@ func (c *Comm) Recv(src, tag int) []float64 {
 	return c.recv(src, tag).f64
 }
 
-// SendInts transmits int64 data (copied; the caller may reuse it).
-func (c *Comm) SendInts(dst, tag int, data []int64) {
-	c.sendI64(dst, tag, data, false)
-}
-
-// SendIntsOwned transmits int64 data by ownership transfer (no copy).
-func (c *Comm) SendIntsOwned(dst, tag int, data []int64) {
-	c.sendI64(dst, tag, data, true)
-}
-
-// RecvInts receives int64 data; the slice belongs to the caller
-// (recyclable with ReleaseI64).
-func (c *Comm) RecvInts(src, tag int) []int64 {
-	return c.recv(src, tag).i64
-}
-
-// SendBytes transmits raw bytes (for encoded structures; copied).
-func (c *Comm) SendBytes(dst, tag int, data []byte) {
-	c.sendRaw(dst, tag, data, false)
-}
-
-// RecvBytes receives raw bytes; the slice belongs to the caller
-// (recyclable with ReleaseBytes).
-func (c *Comm) RecvBytes(src, tag int) []byte {
-	return c.recv(src, tag).bytes
-}
-
-// Sendrecv exchanges float64 payloads with a partner without deadlock.
-func (c *Comm) Sendrecv(partner, tag int, data []float64) []float64 {
-	c.Send(partner, tag, data)
-	return c.Recv(partner, tag)
-}
-
 // worldMetrics is the World telemetry vocabulary. The byte/message
 // counters are per-world totals, so gathering the worlds of a CPU-count
 // sweep accumulates traffic across the sweep; the makespan gauge keeps
@@ -493,9 +426,9 @@ var worldMetrics = func() []obs.Metric {
 // Describe implements obs.Source.
 func (w *World) Describe() []obs.Metric { return worldMetrics }
 
-// Collect implements obs.Source: the deprecated-but-kept accessors
-// MaxTime/TotalBytes/TotalMessages remain thin views over the same
-// numbers. Call after Run.
+// Collect implements obs.Source. The mpi.bytes.total,
+// mpi.messages.total and mpi.time.max samples are the numbers
+// TotalBytes, TotalMessages and MaxTime return. Call after Run.
 func (w *World) Collect(s *obs.Snapshot) {
 	s.AddCounter("mpi.bytes.total", "bytes", "payload bytes sent across all ranks", uint64(w.TotalBytes()))
 	s.AddCounter("mpi.messages.total", "", "messages sent across all ranks", uint64(w.TotalMessages()))

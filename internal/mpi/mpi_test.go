@@ -76,27 +76,6 @@ func TestTagMismatchPanicsToError(t *testing.T) {
 	}
 }
 
-func TestIntAndByteP2P(t *testing.T) {
-	w, _ := NewWorld(2, nil)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.SendInts(1, 0, []int64{-1, 5})
-			c.SendBytes(1, 1, []byte("hello"))
-		} else {
-			if got := c.RecvInts(0, 0); got[1] != 5 {
-				return fmt.Errorf("ints: %v", got)
-			}
-			if got := c.RecvBytes(0, 1); string(got) != "hello" {
-				return fmt.Errorf("bytes: %q", got)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBarrierAllSizes(t *testing.T) {
 	for _, p := range worldSizes() {
 		w, _ := NewWorld(p, nil)
@@ -122,13 +101,13 @@ func TestBcastAllSizesAllRoots(t *testing.T) {
 		for root := 0; root < p; root++ {
 			w, _ := NewWorld(p, nil)
 			err := w.Run(func(c *Comm) error {
-				var buf []float64
+				buf := make([]float64, 2)
 				if c.Rank() == root {
-					buf = []float64{3.5, float64(root)}
+					buf[0], buf[1] = 3.5, float64(root)
 				}
-				got := c.Bcast(root, buf)
-				if len(got) != 2 || got[0] != 3.5 || got[1] != float64(root) {
-					return fmt.Errorf("rank %d got %v", c.Rank(), got)
+				c.BcastInto(root, buf)
+				if buf[0] != 3.5 || buf[1] != float64(root) {
+					return fmt.Errorf("rank %d got %v", c.Rank(), buf)
 				}
 				return nil
 			})
@@ -143,15 +122,16 @@ func TestReduceSum(t *testing.T) {
 	for _, p := range worldSizes() {
 		w, _ := NewWorld(p, nil)
 		err := w.Run(func(c *Comm) error {
-			data := []float64{float64(c.Rank()), 1}
-			got := c.Reduce(0, Sum, data)
-			if c.Rank() == 0 {
+			buf := []float64{float64(c.Rank()), 1}
+			isRoot := c.ReduceInto(0, Sum, buf)
+			if isRoot != (c.Rank() == 0) {
+				return fmt.Errorf("rank %d: ReduceInto reported root=%v", c.Rank(), isRoot)
+			}
+			if isRoot {
 				wantA := float64(p*(p-1)) / 2
-				if got[0] != wantA || got[1] != float64(p) {
-					return fmt.Errorf("reduce got %v", got)
+				if buf[0] != wantA || buf[1] != float64(p) {
+					return fmt.Errorf("reduce got %v", buf)
 				}
-			} else if got != nil {
-				return fmt.Errorf("non-root got %v", got)
 			}
 			return nil
 		})
@@ -163,7 +143,8 @@ func TestReduceSum(t *testing.T) {
 
 func TestAllreduceMatchesGatherReduceBcastProperty(t *testing.T) {
 	// Semantics property: allreduce(op) == what every rank would get from
-	// gather → fold → bcast.
+	// gathering every rank's values and folding them in rank order, and
+	// == ReduceInto onto rank 0 followed by BcastInto from it.
 	for _, p := range worldSizes() {
 		for _, op := range []struct {
 			name string
@@ -171,8 +152,11 @@ func TestAllreduceMatchesGatherReduceBcastProperty(t *testing.T) {
 		}{{"sum", Sum}, {"max", Max}, {"min", Min}} {
 			w, _ := NewWorld(p, nil)
 			err := w.Run(func(c *Comm) error {
-				v := []float64{float64((c.Rank()*7)%5) - 2, float64(c.Rank())}
-				all := c.Allreduce(op.op, v)
+				all := []float64{float64((c.Rank()*7)%5) - 2, float64(c.Rank())}
+				rb := append([]float64(nil), all...)
+				c.AllreduceInto(op.op, all)
+				c.ReduceInto(0, op.op, rb)
+				c.BcastInto(0, rb)
 				// Independent computation of the expected fold.
 				want0, want1 := float64((0*7)%5)-2, 0.0
 				for r := 1; r < p; r++ {
@@ -181,6 +165,9 @@ func TestAllreduceMatchesGatherReduceBcastProperty(t *testing.T) {
 				}
 				if all[0] != want0 || all[1] != want1 {
 					return fmt.Errorf("rank %d %s: got %v want [%v %v]", c.Rank(), op.name, all, want0, want1)
+				}
+				if rb[0] != all[0] || rb[1] != all[1] {
+					return fmt.Errorf("rank %d %s: reduce+bcast %v, allreduce %v", c.Rank(), op.name, rb, all)
 				}
 				return nil
 			})
@@ -191,47 +178,15 @@ func TestAllreduceMatchesGatherReduceBcastProperty(t *testing.T) {
 	}
 }
 
-func TestGatherScatter(t *testing.T) {
-	for _, p := range worldSizes() {
-		w, _ := NewWorld(p, nil)
-		err := w.Run(func(c *Comm) error {
-			parts := c.Gather(0, []float64{float64(c.Rank() * 10)})
-			if c.Rank() == 0 {
-				for r := 0; r < p; r++ {
-					if parts[r][0] != float64(r*10) {
-						return fmt.Errorf("gather parts %v", parts)
-					}
-				}
-				pieces := make([][]float64, p)
-				for r := range pieces {
-					pieces[r] = []float64{float64(r * 100)}
-				}
-				mine := c.Scatter(0, pieces)
-				if mine[0] != 0 {
-					return fmt.Errorf("root scatter piece %v", mine)
-				}
-			} else {
-				mine := c.Scatter(0, nil)
-				if mine[0] != float64(c.Rank()*100) {
-					return fmt.Errorf("rank %d scatter piece %v", c.Rank(), mine)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-	}
-}
-
 func TestAllgather(t *testing.T) {
 	for _, p := range worldSizes() {
 		w, _ := NewWorld(p, nil)
 		err := w.Run(func(c *Comm) error {
-			all := c.Allgather([]float64{float64(c.Rank()), float64(c.Rank() * 2)})
+			all := make([]float64, 2*p)
+			c.AllgatherInto([]float64{float64(c.Rank()), float64(c.Rank() * 2)}, all)
 			for r := 0; r < p; r++ {
-				if all[r][0] != float64(r) || all[r][1] != float64(r*2) {
-					return fmt.Errorf("rank %d: allgather[%d] = %v", c.Rank(), r, all[r])
+				if all[2*r] != float64(r) || all[2*r+1] != float64(r*2) {
+					return fmt.Errorf("rank %d: allgather[%d] = %v", c.Rank(), r, all[2*r:2*r+2])
 				}
 			}
 			return nil
@@ -239,22 +194,6 @@ func TestAllgather(t *testing.T) {
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
-	}
-}
-
-func TestAllgatherInts(t *testing.T) {
-	w, _ := NewWorld(5, nil)
-	err := w.Run(func(c *Comm) error {
-		all := c.AllgatherInts([]int64{int64(c.Rank() * 3)})
-		for r := 0; r < 5; r++ {
-			if all[r][0] != int64(r*3) {
-				return fmt.Errorf("allgather ints %v", all)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -334,11 +273,7 @@ func TestVirtualTimeBcastMatchesAnalyticalModel(t *testing.T) {
 		w, _ := NewWorld(p, fab)
 		const n = 1 << 12
 		err := w.Run(func(c *Comm) error {
-			var buf []float64
-			if c.Rank() == 0 {
-				buf = make([]float64, n)
-			}
-			c.Bcast(0, buf)
+			c.BcastInto(0, make([]float64, n))
 			return nil
 		})
 		if err != nil {
@@ -406,18 +341,5 @@ func TestRunPropagatesErrors(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("error not propagated")
-	}
-}
-
-func TestScalarAllreduce(t *testing.T) {
-	w, _ := NewWorld(6, nil)
-	err := w.Run(func(c *Comm) error {
-		if got := c.AllreduceScalar(Max, float64(c.Rank())); got != 5 {
-			return fmt.Errorf("max = %v", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

@@ -19,8 +19,8 @@ import "math/bits"
 // by the sender travels inside the message and is released by whoever
 // ends up owning it: internal collective code releases it as soon as the
 // payload is folded or copied out, while a payload handed to the caller
-// (Recv, Bcast's return) belongs to the caller, who may keep it forever
-// or hand it back with ReleaseF64/ReleaseI64/ReleaseBytes.
+// (Recv, the rows AlltoallInts returns) belongs to the caller, who may
+// keep it forever or hand it back with ReleaseF64/ReleaseI64.
 
 const (
 	// poolClasses bounds the size classes: class k holds buffers with
@@ -38,7 +38,6 @@ const (
 type bufPool struct {
 	f64    [poolClasses][][]float64
 	i64    [poolClasses][][]int64
-	raw    [poolClasses][][]byte
 	hits   int64
 	misses int64
 }
@@ -125,35 +124,6 @@ func (p *bufPool) releaseI64(buf []int64) {
 	p.i64[k] = append(p.i64[k], buf[:0])
 }
 
-func (p *bufPool) acquireBytes(n int) []byte {
-	if n < 0 {
-		panic("mpi: negative buffer size")
-	}
-	if k := classFor(n); k < poolClasses {
-		if l := p.raw[k]; len(l) > 0 {
-			buf := l[len(l)-1]
-			p.raw[k] = l[:len(l)-1]
-			p.hits++
-			return buf[:n]
-		}
-		p.misses++
-		return make([]byte, n, 1<<k)
-	}
-	p.misses++
-	return make([]byte, n)
-}
-
-func (p *bufPool) releaseBytes(buf []byte) {
-	if buf == nil {
-		return
-	}
-	k := storeClassFor(cap(buf))
-	if k < 0 || len(p.raw[k]) >= poolDepth {
-		return
-	}
-	p.raw[k] = append(p.raw[k], buf[:0])
-}
-
 // copyF64 acquires a pooled buffer and copies data into it — the eager
 // send path.
 func (p *bufPool) copyF64(data []float64) []float64 {
@@ -168,12 +138,6 @@ func (p *bufPool) copyI64(data []int64) []int64 {
 	return buf
 }
 
-func (p *bufPool) copyBytes(data []byte) []byte {
-	buf := p.acquireBytes(len(data))
-	copy(buf, data)
-	return buf
-}
-
 // AcquireF64 hands the caller a pooled float64 buffer of length n —
 // typically to fill and pass to SendOwned for a copy-free send.
 func (c *Comm) AcquireF64(n int) []float64 { return c.pool.acquireF64(n) }
@@ -184,11 +148,5 @@ func (c *Comm) AcquireF64(n int) []float64 { return c.pool.acquireF64(n) }
 // is a caller bug the pool cannot detect.
 func (c *Comm) ReleaseF64(buf []float64) { c.pool.releaseF64(buf) }
 
-// AcquireI64 hands the caller a pooled int64 buffer of length n.
-func (c *Comm) AcquireI64(n int) []int64 { return c.pool.acquireI64(n) }
-
 // ReleaseI64 returns an int64 buffer to this rank's pool.
 func (c *Comm) ReleaseI64(buf []int64) { c.pool.releaseI64(buf) }
-
-// ReleaseBytes returns a byte buffer to this rank's pool.
-func (c *Comm) ReleaseBytes(buf []byte) { c.pool.releaseBytes(buf) }

@@ -64,10 +64,14 @@ func TestPoolTypedFreelistsAreIndependent(t *testing.T) {
 		t.Fatal("i64 acquire hit the f64 freelist")
 	}
 	p.releaseI64(i)
-	raw := p.acquireBytes(10)
-	p.releaseBytes(raw)
-	if got := p.acquireBytes(9); &got[0] != &raw[:1][0] {
-		t.Fatal("byte freelist did not round-trip")
+	if got := p.acquireI64(9); &got[0] != &i[:1][0] {
+		t.Fatal("i64 freelist did not round-trip")
+	}
+	if got := p.acquireF64(9); &got[0] != &f[:1][0] {
+		t.Fatal("f64 freelist did not round-trip")
+	}
+	if p.hits != 2 {
+		t.Fatalf("hits = %d, want one per typed round trip", p.hits)
 	}
 }
 

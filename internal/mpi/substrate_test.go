@@ -225,6 +225,58 @@ func TestCollectiveByteAccounting(t *testing.T) {
 	}
 }
 
+// TestWorldDescribeMatchesCollect: Describe names exactly the metrics
+// Collect writes, with the same kind, unit and help, and the world
+// totals equal the accessors nas and treecode read.
+func TestWorldDescribeMatchesCollect(t *testing.T) {
+	w, err := NewWorld(5, netsim.FastEthernet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = w.Run(func(c *Comm) error {
+		buf := make([]float64, 16)
+		c.AllreduceInto(Sum, buf)
+		all := make([]float64, 2*c.Size())
+		c.AllgatherInto(buf[:2], all)
+		send := make([][]int64, c.Size())
+		for d := range send {
+			send[d] = []int64{int64(d)}
+		}
+		for _, row := range c.AlltoallInts(send) {
+			c.ReleaseI64(row)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := obs.NewSnapshot()
+	s.Gather(w)
+	described := map[string]obs.Metric{}
+	for _, m := range w.Describe() {
+		described[m.Name] = m
+	}
+	if got, want := s.Len(), len(described); got != want {
+		t.Errorf("Collect wrote %d samples, Describe names %d", got, want)
+	}
+	for _, sm := range s.Samples() {
+		if m, ok := described[sm.Name]; !ok {
+			t.Errorf("collected metric %q not in Describe()", sm.Name)
+		} else if m != sm.Metric {
+			t.Errorf("metric %q: described %+v, collected %+v", sm.Name, m, sm.Metric)
+		}
+	}
+	if got := s.Counter("mpi.bytes.total"); got != uint64(w.TotalBytes()) {
+		t.Errorf("mpi.bytes.total = %d, TotalBytes = %d", got, w.TotalBytes())
+	}
+	if got := s.Counter("mpi.messages.total"); got != uint64(w.TotalMessages()) {
+		t.Errorf("mpi.messages.total = %d, TotalMessages = %d", got, w.TotalMessages())
+	}
+	if m, _ := s.Lookup("mpi.time.max"); m.Float != w.MaxTime() {
+		t.Errorf("mpi.time.max = %v, MaxTime = %v", m.Float, w.MaxTime())
+	}
+}
+
 // TestDeadlockDiagnostic: a receive no rank will ever satisfy fails at
 // once, with no timeout, and the error names every rank's state — for
 // a peer that exited and for a receive cycle with no rank finished.
@@ -408,17 +460,16 @@ func TestContentionDelayRecorded(t *testing.T) {
 }
 
 func TestNativeBcastAllSizesAllRoots(t *testing.T) {
-	// Small segments force the pipelined ring through many segments.
+	// A buffer of several segments plus a partial one drives the
+	// pipelined ring through its full and short segments.
 	for _, p := range worldSizes() {
 		for root := 0; root < p; root++ {
-			w, err := NewWorldWithConfig(p, Config{
-				Native: true, SegmentBytes: 256,
-			})
+			w, err := NewWorldWithConfig(p, Config{Native: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			err = w.Run(func(c *Comm) error {
-				const n = 200 // 1600 B: several 256 B segments
+				const n = 3*DefaultSegmentBytes/8 + 100 // three 8 KiB segments and a short fourth
 				buf := make([]float64, n)
 				if c.Rank() == root {
 					for i := range buf {
@@ -492,12 +543,13 @@ func TestNativeAllreduceMaxMin(t *testing.T) {
 			t.Fatal(err)
 		}
 		err = w.Run(func(c *Comm) error {
-			v := []float64{float64(c.Rank()), -float64(c.Rank())}
-			got := c.Allreduce(Max, v)
+			got := []float64{float64(c.Rank()), -float64(c.Rank())}
+			c.AllreduceInto(Max, got)
 			if got[0] != float64(p-1) || got[1] != 0 {
 				return fmt.Errorf("max: %v", got)
 			}
-			got = c.Allreduce(Min, v)
+			got = []float64{float64(c.Rank()), -float64(c.Rank())}
+			c.AllreduceInto(Min, got)
 			if got[0] != 0 || got[1] != -float64(p-1) {
 				return fmt.Errorf("min: %v", got)
 			}
@@ -593,12 +645,11 @@ func TestWarmPoolCollectivesBitIdentical(t *testing.T) {
 			c.AllreduceInto(Sum, buf)
 			c.BcastInto(3, buf)
 			c.ReduceInto(0, Sum, buf)
-			all := c.Allgather(buf[:5])
+			all := make([]float64, 5*c.Size())
+			c.AllgatherInto(buf[:5], all)
 			var s float64
-			for _, row := range all {
-				for _, v := range row {
-					s += v
-				}
+			for _, v := range all {
+				s += v
 			}
 			for _, v := range buf {
 				s += v

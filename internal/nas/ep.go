@@ -115,9 +115,3 @@ func epCompute(seed uint64, first, count uint64) EPOut {
 	}
 	return out
 }
-
-// EPDebugCompute exposes the pair-range computation for tests and the
-// parallel version.
-func EPDebugCompute(seed, first, count uint64) EPOut {
-	return epCompute(seed, first, count)
-}

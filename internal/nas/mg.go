@@ -349,8 +349,3 @@ func mgFillCharges(v *grid) {
 		*v.at(c.i, c.j, c.k) = 1
 	}
 }
-
-// MGDebugRun exposes the residual history for development and tests.
-func MGDebugRun(n, nit int) (*Result, []float64, error) {
-	return (&MG{}).run(n, nit, ClassS)
-}

@@ -132,10 +132,10 @@ func ErrClass(kernel string, c Class) error {
 // AllKernels returns the Table 3 kernels in the paper's row order
 // (BT, SP, LU, MG, EP, IS) plus the bonus CG and FT.
 func AllKernels() []Kernel {
-	return append(Table3Kernels(), NewCG(), NewFT())
+	return append(Table3Kernels(), NewCGKernel(), NewFTKernel())
 }
 
 // Table3Kernels returns exactly the paper's Table 3 rows.
 func Table3Kernels() []Kernel {
-	return []Kernel{NewBT(), NewSP(), NewLU(), NewMG(), NewEP(), NewIS()}
+	return []Kernel{NewBTKernel(), NewSPKernel(), NewLUKernel(), NewMGKernel(), NewEP(), NewISKernel()}
 }

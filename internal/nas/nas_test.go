@@ -67,7 +67,7 @@ func TestEPClassSMatchesNPBReference(t *testing.T) {
 func TestEPGaussianMoments(t *testing.T) {
 	// The accepted deviates are standard normals: the acceptance rate is
 	// π/4 and the annulus counts decay.
-	out := EPDebugCompute(271828183, 0, 1<<18)
+	out := epCompute(271828183, 0, 1<<18)
 	n := float64(int(1) << 18)
 	rate := out.Pairs / n
 	if math.Abs(rate-math.Pi/4) > 0.01 {
@@ -86,10 +86,10 @@ func TestEPParallelDecompositionExact(t *testing.T) {
 	// Splitting the pair range across workers reproduces the serial sums
 	// bit-for-bit thanks to the LCG jump — EP's defining property.
 	const total = 1 << 16
-	serial := EPDebugCompute(271828183, 0, total)
+	serial := epCompute(271828183, 0, total)
 	var sx, sy, pairs float64
 	for _, span := range [][2]uint64{{0, total / 4}, {total / 4, total / 4}, {total / 2, total / 2}} {
-		part := EPDebugCompute(271828183, span[0], span[1])
+		part := epCompute(271828183, span[0], span[1])
 		sx += part.SX
 		sy += part.SY
 		pairs += part.Pairs
@@ -143,7 +143,7 @@ func TestMGConvergesAndVerifies(t *testing.T) {
 }
 
 func TestMGResidualMonotone(t *testing.T) {
-	_, norms, err := MGDebugRun(32, 6)
+	_, norms, err := (&MG{}).run(32, 6, ClassS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestMGRestrictionPreservesConstants(t *testing.T) {
 }
 
 func TestCFDKernelsConvergeClassS(t *testing.T) {
-	for _, k := range []Kernel{NewBT(), NewSP(), NewLU()} {
+	for _, k := range []Kernel{NewBTKernel(), NewSPKernel(), NewLUKernel()} {
 		r, err := k.Run(ClassS)
 		if err != nil {
 			t.Fatalf("%s: %v", k.Name(), err)
@@ -215,11 +215,11 @@ func TestCFDKernelsConvergeClassS(t *testing.T) {
 func TestCFDSolversAgreeOnSolution(t *testing.T) {
 	// BT and LU solve the same manufactured problem: their final
 	// checksums (≈ checksum of the exact solution) must agree closely.
-	bt, err := NewBT().Run(ClassS)
+	bt, err := NewBTKernel().Run(ClassS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lu, err := NewLU().Run(ClassS)
+	lu, err := NewLUKernel().Run(ClassS)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,26 +195,6 @@ func (f *Fabric) Allreduce(p, bytes int) float64 {
 	return f.Reduce(p, bytes) + f.Bcast(p, bytes)
 }
 
-// Allgather returns the time for a ring allgather where every node
-// contributes bytes and receives (p-1)·bytes: p-1 rounds of neighbour
-// exchanges, all links busy in parallel.
-func (f *Fabric) Allgather(p, bytes int) float64 {
-	if p <= 1 {
-		return 0
-	}
-	return float64(p-1) * f.PointToPoint(bytes)
-}
-
-// AllToAll returns the time for a full personalized exchange of bytes per
-// pair: p-1 rounds, each a simultaneous pairwise exchange (the NIC
-// serializes each node's send stream).
-func (f *Fabric) AllToAll(p, bytes int) float64 {
-	if p <= 1 {
-		return 0
-	}
-	return float64(p-1) * f.PointToPoint(bytes)
-}
-
 // FanIn returns the time for p-1 nodes to deliver bytes each to a single
 // destination. Without port contention every message lands after one
 // uncontended PointToPoint; with the occupancy model the egress port
@@ -273,14 +253,4 @@ func (f *Fabric) BcastPipelined(p, bytes, segBytes int) float64 {
 		}
 	}
 	return float64(p-1)*f.PointToPoint(segBytes) + (nseg-1)*gap
-}
-
-// EffectiveBandwidth reports the achieved payload bandwidth (bytes/s) for
-// a given message size — useful for validating the model against the
-// familiar half-bandwidth point.
-func (f *Fabric) EffectiveBandwidth(bytes int) float64 {
-	if bytes <= 0 {
-		return 0
-	}
-	return float64(bytes) / f.PointToPoint(bytes)
 }

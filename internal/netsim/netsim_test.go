@@ -53,7 +53,8 @@ func TestLargeMessageApproachesWireBandwidth(t *testing.T) {
 	f := FastEthernet()
 	// 10 MB on 100 Mb/s with store-and-forward over 2 hops: roughly
 	// 2 × 0.84 s; effective payload bandwidth ≈ 100e6/8/2 × payload ratio.
-	eff := f.EffectiveBandwidth(10 << 20)
+	const bytes = 10 << 20
+	eff := bytes / f.PointToPoint(bytes)
 	wire := f.BandwidthBps / 8 / float64(f.Hops)
 	if eff > wire {
 		t.Fatalf("effective bandwidth %g exceeds wire ceiling %g", eff, wire)
@@ -75,7 +76,7 @@ func TestFasterFabricIsFaster(t *testing.T) {
 func TestCollectivesDegenerateAtP1(t *testing.T) {
 	f := FastEthernet()
 	if f.Barrier(1) != 0 || f.Bcast(1, 100) != 0 || f.Allreduce(1, 100) != 0 ||
-		f.Allgather(1, 100) != 0 || f.AllToAll(1, 100) != 0 {
+		f.Reduce(1, 100) != 0 || f.FanIn(1, 100) != 0 || f.BcastPipelined(1, 100, 10) != 0 {
 		t.Fatal("single-node collectives must cost 0")
 	}
 }
@@ -89,8 +90,8 @@ func TestCollectiveScaling(t *testing.T) {
 	if f.Barrier(8) != 3*f.PointToPoint(0) {
 		t.Fatal("Barrier(8) != 3 rounds")
 	}
-	if f.Allgather(8, 1000) != 7*f.PointToPoint(1000) {
-		t.Fatal("Allgather(8) != 7 rounds")
+	if f.BcastPipelined(8, 1000, 1000) != 7*f.PointToPoint(1000) {
+		t.Fatal("one-segment BcastPipelined(8) != 7 ring hops")
 	}
 	if f.Allreduce(4, 64) != f.Reduce(4, 64)+f.Bcast(4, 64) {
 		t.Fatal("Allreduce != Reduce + Bcast")
@@ -112,8 +113,8 @@ func TestCollectivesMonotoneInP(t *testing.T) {
 	check("barrier", func(p int) float64 { return f.Barrier(p) })
 	check("bcast", func(p int) float64 { return f.Bcast(p, 4096) })
 	check("allreduce", func(p int) float64 { return f.Allreduce(p, 4096) })
-	check("allgather", func(p int) float64 { return f.Allgather(p, 4096) })
-	check("alltoall", func(p int) float64 { return f.AllToAll(p, 4096) })
+	check("reduce", func(p int) float64 { return f.Reduce(p, 4096) })
+	check("bcast/pipelined", func(p int) float64 { return f.BcastPipelined(p, 4096, 1024) })
 }
 
 func TestPointToPointPropertyPositive(t *testing.T) {
