@@ -2,96 +2,57 @@ package cms
 
 import "repro/internal/obs"
 
-// This file re-homes CMS telemetry onto the unified obs layer: Stats
-// (and therefore Machine) implement obs.Source, and the legacy
-// field-poking path — calling Machine.Stats() and reading struct
-// fields — remains as a thin view over the same numbers.
-
-// statsMetrics is the CMS stats vocabulary; counter values are per-run
-// deltas, so gathering several machines (or several runs) accumulates.
-var statsMetrics = []obs.Metric{
-	{Name: "cms.runs", Kind: obs.KindCounter, Help: "Run invocations"},
-	{Name: "cms.runs.warm", Kind: obs.KindCounter, Help: "runs entered with a non-empty translation cache"},
-	{Name: "cms.interp.instrs", Kind: obs.KindCounter, Help: "x86 instructions interpreted"},
-	{Name: "cms.interp.cycles", Kind: obs.KindCounter, Unit: "cycles", Help: "cycles spent interpreting"},
-	{Name: "cms.translate.regions", Kind: obs.KindCounter, Help: "regions translated"},
-	{Name: "cms.translate.instrs", Kind: obs.KindCounter, Help: "x86 instructions covered by translations"},
-	{Name: "cms.translate.cycles", Kind: obs.KindCounter, Unit: "cycles", Help: "cycles spent translating"},
-	{Name: "cms.native.executions", Kind: obs.KindCounter, Help: "translation executions"},
-	{Name: "cms.native.cycles", Kind: obs.KindCounter, Unit: "cycles", Help: "cycles inside translated code (VLIW accounting)"},
-	{Name: "cms.native.atoms", Kind: obs.KindCounter, Help: "VLIW atoms executed"},
-	{Name: "cms.native.molecules", Kind: obs.KindCounter, Help: "VLIW molecules issued"},
-	{Name: "cms.dispatch.cycles", Kind: obs.KindCounter, Unit: "cycles", Help: "translation-cache dispatch cycles"},
-	{Name: "cms.dispatch.chained", Kind: obs.KindCounter, Help: "chained dispatches"},
-	{Name: "cms.dispatch.cold", Kind: obs.KindCounter, Help: "cold dispatches through the CMS runtime"},
-	{Name: "cms.cache.evictions", Kind: obs.KindCounter, Help: "translation-cache evictions"},
-	{Name: "cms.gear.quick", Kind: obs.KindCounter, Help: "gear-1 quick block translations"},
-	{Name: "cms.gear.reopts", Kind: obs.KindCounter, Help: "gear-2 superblock reoptimizations"},
-	{Name: "cms.gear.reopt_instrs", Kind: obs.KindCounter, Help: "x86 instructions covered by superblocks"},
-	{Name: "cms.gear.reopt_cycles", Kind: obs.KindCounter, Unit: "cycles", Help: "cycles spent reoptimizing"},
-	{Name: "cms.superblock.execs", Kind: obs.KindCounter, Help: "gear-2 translation executions"},
-	{Name: "cms.superblock.side_exits", Kind: obs.KindCounter, Help: "superblock exits off the profiled-hot path"},
-	{Name: "cms.chain.patches", Kind: obs.KindCounter, Help: "translation exit links patched in"},
-	{Name: "cms.chain.hits", Kind: obs.KindCounter, Help: "native-to-native hops through chain links"},
-	{Name: "cms.chain.misses", Kind: obs.KindCounter, Help: "native exits with no cached successor"},
-	{Name: "cms.chain.unchains", Kind: obs.KindCounter, Help: "chain links severed by eviction or reoptimization"},
-	{Name: "cms.cycles.total", Kind: obs.KindCounter, Unit: "cycles", Help: "total simulated cycles, all categories"},
-	{Name: "cms.cache.atoms", Kind: obs.KindGauge, Unit: "atoms", Help: "current translation-cache occupancy"},
-	{Name: "cms.packing_density", Kind: obs.KindGauge, Unit: "atoms/molecule", Help: "ILP the translator extracted"},
-}
-
-// Describe implements obs.Source.
-func (s Stats) Describe() []obs.Metric { return statsMetrics }
-
-// counterValues maps the counter metrics to this snapshot's values.
-func (s Stats) counterValues() map[string]uint64 {
-	return map[string]uint64{
-		"cms.runs":                  s.Runs,
-		"cms.runs.warm":             s.WarmRuns,
-		"cms.interp.instrs":         s.InterpInstrs,
-		"cms.interp.cycles":         s.InterpCycles,
-		"cms.translate.regions":     s.Translations,
-		"cms.translate.instrs":      s.TranslatedInstrs,
-		"cms.translate.cycles":      s.TranslateCycles,
-		"cms.native.executions":     s.NativeExecutions,
-		"cms.native.cycles":         s.NativeCycles,
-		"cms.native.atoms":          s.NativeAtoms,
-		"cms.native.molecules":      s.NativeMolecules,
-		"cms.dispatch.cycles":       s.DispatchCycles,
-		"cms.dispatch.chained":      s.ChainedDispatches,
-		"cms.dispatch.cold":         s.ColdDispatches,
-		"cms.cache.evictions":       s.CacheEvictions,
-		"cms.gear.quick":            s.QuickTranslations,
-		"cms.gear.reopts":           s.Reopts,
-		"cms.gear.reopt_instrs":     s.ReoptInstrs,
-		"cms.gear.reopt_cycles":     s.ReoptCycles,
-		"cms.superblock.execs":      s.SuperblockExecs,
-		"cms.superblock.side_exits": s.SideExits,
-		"cms.chain.patches":         s.ChainPatches,
-		"cms.chain.hits":            s.ChainHits,
-		"cms.chain.misses":          s.ChainMisses,
-		"cms.chain.unchains":        s.Unchains,
-		"cms.cycles.total":          s.TotalCycles(),
-	}
-}
+// This file exports CMS telemetry through the unified obs layer: Stats
+// (and therefore Machine) implement obs.Source. Machine.Stats() returns
+// the same numbers as a struct.
 
 // Collect implements obs.Source with per-run delta semantics: counters
-// accumulate into the snapshot; the occupancy and packing-density
-// gauges overwrite.
+// accumulate into the snapshot, so gathering several machines (or
+// several runs) sums them; the occupancy and packing-density gauges
+// overwrite.
 func (s Stats) Collect(snap *obs.Snapshot) {
-	vals := s.counterValues()
-	for _, m := range statsMetrics {
-		if m.Kind == obs.KindCounter {
-			snap.AddCounter(m.Name, m.Unit, m.Help, vals[m.Name])
-		}
-	}
-	snap.SetGauge("cms.cache.atoms", "atoms", "current translation-cache occupancy", float64(s.CacheAtoms))
-	snap.SetGauge("cms.packing_density", "atoms/molecule", "ILP the translator extracted", s.PackingDensity())
+	snap.AddCounter("cms.runs", "", s.Runs)
+	// Runs entered with a non-empty translation cache.
+	snap.AddCounter("cms.runs.warm", "", s.WarmRuns)
+	snap.AddCounter("cms.interp.instrs", "", s.InterpInstrs)
+	snap.AddCounter("cms.interp.cycles", "cycles", s.InterpCycles)
+	snap.AddCounter("cms.translate.regions", "", s.Translations)
+	// x86 instructions covered by translations.
+	snap.AddCounter("cms.translate.instrs", "", s.TranslatedInstrs)
+	snap.AddCounter("cms.translate.cycles", "cycles", s.TranslateCycles)
+	snap.AddCounter("cms.native.executions", "", s.NativeExecutions)
+	// Cycles inside translated code (VLIW accounting).
+	snap.AddCounter("cms.native.cycles", "cycles", s.NativeCycles)
+	snap.AddCounter("cms.native.atoms", "", s.NativeAtoms)
+	snap.AddCounter("cms.native.molecules", "", s.NativeMolecules)
+	snap.AddCounter("cms.dispatch.cycles", "cycles", s.DispatchCycles)
+	snap.AddCounter("cms.dispatch.chained", "", s.ChainedDispatches)
+	// Cold dispatches go through the CMS runtime.
+	snap.AddCounter("cms.dispatch.cold", "", s.ColdDispatches)
+	snap.AddCounter("cms.cache.evictions", "", s.CacheEvictions)
+	// Gear-1 quick block translations; gear 2 reoptimizes superblocks.
+	snap.AddCounter("cms.gear.quick", "", s.QuickTranslations)
+	snap.AddCounter("cms.gear.reopts", "", s.Reopts)
+	snap.AddCounter("cms.gear.reopt_instrs", "", s.ReoptInstrs)
+	snap.AddCounter("cms.gear.reopt_cycles", "cycles", s.ReoptCycles)
+	snap.AddCounter("cms.superblock.execs", "", s.SuperblockExecs)
+	// Superblock exits off the profiled-hot path.
+	snap.AddCounter("cms.superblock.side_exits", "", s.SideExits)
+	snap.AddCounter("cms.chain.patches", "", s.ChainPatches)
+	// Native-to-native hops through chain links; misses are native exits
+	// with no cached successor; unchains are links severed by eviction
+	// or reoptimization.
+	snap.AddCounter("cms.chain.hits", "", s.ChainHits)
+	snap.AddCounter("cms.chain.misses", "", s.ChainMisses)
+	snap.AddCounter("cms.chain.unchains", "", s.Unchains)
+	// Total simulated cycles, all categories.
+	snap.AddCounter("cms.cycles.total", "cycles", s.TotalCycles())
+	// Current translation-cache occupancy.
+	snap.SetGauge("cms.cache.atoms", "atoms", float64(s.CacheAtoms))
+	// The ILP the translator extracted.
+	snap.SetGauge("cms.packing_density", "atoms/molecule", s.PackingDensity())
 }
 
-// Describe implements obs.Source for the machine (a view over its
+// Collect implements obs.Source for the machine (a view over its
 // accumulated stats).
-func (m *Machine) Describe() []obs.Metric { return statsMetrics }
-
-// Collect implements obs.Source for the machine.
 func (m *Machine) Collect(snap *obs.Snapshot) { m.stats.Collect(snap) }

@@ -49,14 +49,45 @@ func TestStatsCollect(t *testing.T) {
 	if got := snap.Counter("cms.cycles.total"); got != cycles+cycles2 {
 		t.Fatalf("accumulated cycles %d != %d", got, cycles+cycles2)
 	}
-	// Describe must cover exactly the metrics Collect writes.
-	named := map[string]bool{}
-	for _, mt := range m.Describe() {
-		named[mt.Name] = true
+	// The exported vocabulary, pinned: name, kind and unit of every
+	// sample, in the snapshot's sorted order.
+	want := []obs.Metric{
+		{Name: "cms.cache.atoms", Kind: obs.KindGauge, Unit: "atoms"},
+		{Name: "cms.cache.evictions", Kind: obs.KindCounter},
+		{Name: "cms.chain.hits", Kind: obs.KindCounter},
+		{Name: "cms.chain.misses", Kind: obs.KindCounter},
+		{Name: "cms.chain.patches", Kind: obs.KindCounter},
+		{Name: "cms.chain.unchains", Kind: obs.KindCounter},
+		{Name: "cms.cycles.total", Kind: obs.KindCounter, Unit: "cycles"},
+		{Name: "cms.dispatch.chained", Kind: obs.KindCounter},
+		{Name: "cms.dispatch.cold", Kind: obs.KindCounter},
+		{Name: "cms.dispatch.cycles", Kind: obs.KindCounter, Unit: "cycles"},
+		{Name: "cms.gear.quick", Kind: obs.KindCounter},
+		{Name: "cms.gear.reopt_cycles", Kind: obs.KindCounter, Unit: "cycles"},
+		{Name: "cms.gear.reopt_instrs", Kind: obs.KindCounter},
+		{Name: "cms.gear.reopts", Kind: obs.KindCounter},
+		{Name: "cms.interp.cycles", Kind: obs.KindCounter, Unit: "cycles"},
+		{Name: "cms.interp.instrs", Kind: obs.KindCounter},
+		{Name: "cms.native.atoms", Kind: obs.KindCounter},
+		{Name: "cms.native.cycles", Kind: obs.KindCounter, Unit: "cycles"},
+		{Name: "cms.native.executions", Kind: obs.KindCounter},
+		{Name: "cms.native.molecules", Kind: obs.KindCounter},
+		{Name: "cms.packing_density", Kind: obs.KindGauge, Unit: "atoms/molecule"},
+		{Name: "cms.runs", Kind: obs.KindCounter},
+		{Name: "cms.runs.warm", Kind: obs.KindCounter},
+		{Name: "cms.superblock.execs", Kind: obs.KindCounter},
+		{Name: "cms.superblock.side_exits", Kind: obs.KindCounter},
+		{Name: "cms.translate.cycles", Kind: obs.KindCounter, Unit: "cycles"},
+		{Name: "cms.translate.instrs", Kind: obs.KindCounter},
+		{Name: "cms.translate.regions", Kind: obs.KindCounter},
 	}
-	for _, sm := range snap.Samples() {
-		if !named[sm.Name] {
-			t.Fatalf("collected metric %q not in Describe()", sm.Name)
+	got := snap.Samples()
+	if len(got) != len(want) {
+		t.Fatalf("Collect wrote %d samples, want %d", len(got), len(want))
+	}
+	for i, sm := range got {
+		if sm.Metric != want[i] {
+			t.Errorf("sample %d: got %+v, want %+v", i, sm.Metric, want[i])
 		}
 	}
 }

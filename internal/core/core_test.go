@@ -281,6 +281,37 @@ func TestFigure3Validation(t *testing.T) {
 	}
 }
 
+// TestFigure3AfterTable2SumsTreecodeCounters: every treecode source has
+// delta semantics, so running Figure 3 after Table 2 on one Run (as
+// metablade -all does) must leave the sum of the two experiments'
+// treecode counters, not Figure 3's alone.
+func TestFigure3AfterTable2SumsTreecodeCounters(t *testing.T) {
+	t2 := Table2Config{Particles: 4000, CPUCounts: []int{1, 2}, Theta: 0.7}
+	f3 := Figure3Config{Particles: 2000, Steps: 1, Width: 16, Height: 8}
+	alone2, alone3, both := NewRun(), NewRun(), NewRun()
+	if _, _, err := alone2.Table2(t2); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := alone3.Figure3(f3); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := both.Table2(t2); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := both.Figure3(f3); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"treecode.pp", "treecode.pc", "treecode.interactions", "treecode.flops"} {
+		a, b := alone2.Snap.Counter(name), alone3.Snap.Counter(name)
+		if a == 0 || b == 0 {
+			t.Fatalf("%s: Table 2 alone %d, Figure 3 alone %d; want both nonzero", name, a, b)
+		}
+		if got := both.Snap.Counter(name); got != a+b {
+			t.Errorf("%s = %d after Table 2 then Figure 3, want %d + %d = %d", name, got, a, b, a+b)
+		}
+	}
+}
+
 func TestRegistryComplete(t *testing.T) {
 	machines, err := Registry()
 	if err != nil {

@@ -45,8 +45,8 @@ func TestDriverEnvelope(t *testing.T) {
 	// Stand in for an experiment: the cms/treecode contract metrics by
 	// hand, the mpi vocabulary gathered from a real (tiny) world so the
 	// schema's required samples track what Collect actually emits.
-	d.Run.Snap.AddCounter("cms.cycles.total", "cycles", "", 12345)
-	d.Run.Snap.AddCounter("treecode.interactions", "", "", 90)
+	d.Run.Snap.AddCounter("cms.cycles.total", "cycles", 12345)
+	d.Run.Snap.AddCounter("treecode.interactions", "", 90)
 	w, err := mpi.NewWorld(2, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -59,8 +59,8 @@ func (r *Run) Table1() ([]Table1Row, *metrics.Table, error) {
 		}
 		sp.End(map[string]any{"math_mflops": row.MathMflops, "karp_mflops": row.KarpMflops})
 		name := obs.SanitizeName(p.Name())
-		r.Snap.SetGauge("table1."+name+".math_mflops", "Mflops", "gravitational microkernel, math sqrt", row.MathMflops)
-		r.Snap.SetGauge("table1."+name+".karp_mflops", "Mflops", "gravitational microkernel, Karp sqrt", row.KarpMflops)
+		r.Snap.SetGauge("table1."+name+".math_mflops", "Mflops", row.MathMflops)
+		r.Snap.SetGauge("table1."+name+".karp_mflops", "Mflops", row.KarpMflops)
 		rows = append(rows, row)
 	}
 	t := metrics.NewTable("Table 1: Mflops on the gravitational microkernel",
@@ -163,8 +163,8 @@ func (r *Run) Table2(cfg Table2Config) ([]Table2Row, *metrics.Table, error) {
 			Speedup: metrics.Speedup(t1, res.SimTime),
 		}
 		r.gather(o.w, res)
-		r.Snap.SetGauge(fmt.Sprintf("table2.p%02d.time", p), "s", "simulated N-body force time", row.TimeSec)
-		r.Snap.SetGauge(fmt.Sprintf("table2.p%02d.speedup", p), "", "speedup over one blade", row.Speedup)
+		r.Snap.SetGauge(fmt.Sprintf("table2.p%02d.time", p), "s", row.TimeSec)
+		r.Snap.SetGauge(fmt.Sprintf("table2.p%02d.speedup", p), "", row.Speedup)
 		rows = append(rows, row)
 	}
 	t := metrics.NewTable("Table 2: scalability of the N-body simulation on MetaBlade",
@@ -232,8 +232,7 @@ func (r *Run) Table3(class nas.Class) (*Table3Data, *metrics.Table, error) {
 		for i, p := range procs {
 			m := costs[i].Mops(kr.Ops, &kr.Mix)
 			row = append(row, m)
-			r.Snap.SetGauge("table3."+kname+"."+obs.SanitizeName(p.Name())+".mops", "Mops",
-				"NPB kernel rating, class "+string(class), m)
+			r.Snap.SetGauge("table3."+kname+"."+obs.SanitizeName(p.Name())+".mops", "Mops", m)
 		}
 		data.Kernels = append(data.Kernels, k.Name())
 		data.Mops = append(data.Mops, row)
@@ -283,8 +282,8 @@ func (r *Run) Table4() ([]Table4Row, *metrics.Table, error) {
 			MflopPerProc: perProc,
 		}
 		mname := obs.SanitizeName(m.Name)
-		r.Snap.SetGauge("table4."+mname+".gflop", "Gflop", "treecode rating", row.Gflop)
-		r.Snap.SetGauge("table4."+mname+".mflop_per_proc", "Mflops", "treecode rating per processor", row.MflopPerProc)
+		r.Snap.SetGauge("table4."+mname+".gflop", "Gflop", row.Gflop)
+		r.Snap.SetGauge("table4."+mname+".mflop_per_proc", "Mflops", row.MflopPerProc)
 		rows = append(rows, row)
 	}
 	t := metrics.NewTable("Table 4: historical treecode performance",
@@ -323,8 +322,9 @@ func (r *Run) Table5() ([]Table5Row, *metrics.Table, error) {
 		}
 		rows = append(rows, Table5Row{Name: cfg.Name, B: b})
 		cname := obs.SanitizeName(cfg.Name)
-		r.Snap.SetGauge("table5."+cname+".acquisition", "$", "cluster acquisition cost", b.Acquisition)
-		r.Snap.SetGauge("table5."+cname+".tco", "$", "four-year total cost of ownership", b.TCO())
+		r.Snap.SetGauge("table5."+cname+".acquisition", "$", b.Acquisition)
+		// The four-year total cost of ownership.
+		r.Snap.SetGauge("table5."+cname+".tco", "$", b.TCO())
 		cells["Acquisition"] = append(cells["Acquisition"], b.Acquisition)
 		cells["System Admin"] = append(cells["System Admin"], b.SysAdmin)
 		cells["Power & Cooling"] = append(cells["Power & Cooling"], b.PowerCooling)
@@ -380,10 +380,11 @@ func (r *Run) ToPPeR() (*ToPPeRSummary, error) {
 	}
 	s.ToPPeRAdvantage = s.TradToPPeR / s.BladeToPPeR
 	s.PricePerfRatio = s.BladePricePerf / s.TradPricePerf
-	r.Snap.SetGauge("topper.trad", "$/Mflops", "traditional Beowulf $/Mflops over TCO", s.TradToPPeR)
-	r.Snap.SetGauge("topper.blade", "$/Mflops", "blade $/Mflops over TCO", s.BladeToPPeR)
-	r.Snap.SetGauge("topper.advantage", "", "traditional/blade ToPPeR ratio", s.ToPPeRAdvantage)
-	r.Snap.SetGauge("topper.priceperf_ratio", "", "blade/traditional price-performance ratio", s.PricePerfRatio)
+	// $/Mflops over the TCO, traditional Beowulf and blade.
+	r.Snap.SetGauge("topper.trad", "$/Mflops", s.TradToPPeR)
+	r.Snap.SetGauge("topper.blade", "$/Mflops", s.BladeToPPeR)
+	r.Snap.SetGauge("topper.advantage", "", s.ToPPeRAdvantage)
+	r.Snap.SetGauge("topper.priceperf_ratio", "", s.PricePerfRatio)
 	return s, nil
 }
 
@@ -445,8 +446,8 @@ func (r *Run) SpacePower() ([]SpacePowerRow, *metrics.Table, *metrics.Table, err
 	}
 	for _, row := range rows {
 		mname := obs.SanitizeName(row.Machine)
-		r.Snap.SetGauge("table6."+mname+".perf_space", "Mflop/ft2", "treecode performance per floor space", row.PerfSpace)
-		r.Snap.SetGauge("table7."+mname+".perf_power", "Gflop/kW", "treecode performance per kilowatt", row.PerfPower)
+		r.Snap.SetGauge("table6."+mname+".perf_space", "Mflop/ft2", row.PerfSpace)
+		r.Snap.SetGauge("table7."+mname+".perf_power", "Gflop/kW", row.PerfPower)
 	}
 	t6 := metrics.NewTable("Table 6: performance/space, traditional vs bladed Beowulfs",
 		"Machine", "Performance (Gflop)", "Area (ft^2)", "Perf/Space (Mflop/ft^2)")
@@ -481,8 +482,9 @@ func DefaultFigure3Config() Figure3Config {
 
 // Figure3 runs a self-gravitating collapse with the treecode and renders
 // the projected density — the reproduction of the paper's Figure 3 image.
-// The forcer's cumulative interaction counters land in the snapshot; the
-// tracer (if any) sees the per-step build/forces host spans.
+// The forcer's interaction totals accumulate into the snapshot's
+// treecode.* counters, on top of any earlier experiment's; the tracer
+// (if any) sees the per-step build/forces host spans.
 func (r *Run) Figure3(cfg Figure3Config) (*nbody.DensityImage, *nbody.System, error) {
 	if cfg.Particles <= 0 || cfg.Width <= 0 || cfg.Height <= 0 {
 		return nil, nil, fmt.Errorf("core: bad Figure3 config")
@@ -505,8 +507,8 @@ func (r *Run) Figure3(cfg Figure3Config) (*nbody.DensityImage, *nbody.System, er
 	if err != nil {
 		return nil, nil, err
 	}
-	r.gather(f)
-	r.Snap.SetGauge("figure3.particles", "", "collapse simulation size", float64(cfg.Particles))
-	r.Snap.SetGauge("figure3.steps", "", "leapfrog steps", float64(cfg.Steps))
+	r.gather(f.Total)
+	r.Snap.SetGauge("figure3.particles", "", float64(cfg.Particles))
+	r.Snap.SetGauge("figure3.steps", "", float64(cfg.Steps))
 	return img, s, nil
 }

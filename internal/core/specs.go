@@ -523,9 +523,9 @@ func (s *NASKernelsSpec) runParallel(r *Run) (*SpecResult, error) {
 		sp.End(map[string]any{"ranks": p, "verified": res.Verified})
 		r.gather(w)
 		kname := obs.SanitizeName(name)
-		r.Snap.SetGauge("nasbench."+kname+".sim", "s", "simulated parallel makespan", res.SimTime)
+		r.Snap.SetGauge("nasbench."+kname+".sim", "s", res.SimTime)
 		if res.Verified {
-			r.Snap.AddCounter("nasbench.verified", "", "kernels passing verification", 1)
+			r.Snap.AddCounter("nasbench.verified", "", 1)
 		}
 		fmt.Fprintf(&b, "%-4s %-6s %-9v %-14.6g %-8d %-14.6g %-12v\n",
 			res.Kernel, res.Class, res.Verified, res.Checksum, p, res.SimTime,
@@ -593,10 +593,11 @@ func (s *NASKernelsSpec) Run(r *Run) (*SpecResult, error) {
 		wall := time.Since(t0)
 		sp.End(map[string]any{"ops": kr.Ops, "verified": kr.Verified})
 		kname := obs.SanitizeName(k.Name())
-		snap.AddCounter("nasbench."+kname+".ops", "ops", "abstract operations executed", uint64(kr.Ops))
-		snap.AddTimer("nasbench."+kname+".wall", "host wall time running the kernel", wall.Seconds())
+		snap.AddCounter("nasbench."+kname+".ops", "ops", uint64(kr.Ops))
+		// Host wall time running the kernel.
+		snap.AddTimer("nasbench."+kname+".wall", wall.Seconds())
 		if kr.Verified {
-			snap.AddCounter("nasbench.verified", "", "kernels passing verification", 1)
+			snap.AddCounter("nasbench.verified", "", 1)
 		}
 		line := fmt.Sprintf("%-4s %-6s %-9v %-14.6g %-12v",
 			kr.Kernel, kr.Class, kr.Verified, kr.Checksum, wall.Round(time.Millisecond))
@@ -611,8 +612,7 @@ func (s *NASKernelsSpec) Run(r *Run) (*SpecResult, error) {
 			m := costs[i].Mops(kr.Ops, &kr.Mix)
 			line += fmt.Sprintf(" %15.1f Mops", m)
 			row.Mops = append(row.Mops, m)
-			snap.SetGauge("nasbench."+kname+"."+obs.SanitizeName(p.Name())+".mops", "Mops",
-				"kernel rating, class "+s.Class, m)
+			snap.SetGauge("nasbench."+kname+"."+obs.SanitizeName(p.Name())+".mops", "Mops", m)
 		}
 		fmt.Fprintf(&b, "%s\n", line)
 		rows = append(rows, row)
@@ -767,9 +767,9 @@ func (s *NBodySpec) Run(r *Run) (*SpecResult, error) {
 		st := stepper.Stats
 		fmt.Fprintf(&b, "block timesteps: %d substeps, %d force updates (%d saved vs uniform), max rung %d, histogram %v\n",
 			st.Substeps, st.Updates, st.Saved, st.MaxRungUsed, stepper.Histogram())
-		snap.SetGauge("nbodysim.rung.max_used", "", "highest block-timestep rung occupied", float64(st.MaxRungUsed))
-		snap.SetGauge("nbodysim.rung.updates", "", "per-particle force updates performed", float64(st.Updates))
-		snap.SetGauge("nbodysim.rung.saved", "", "force updates avoided vs uniform finest-dt stepping", float64(st.Saved))
+		snap.SetGauge("nbodysim.rung.max_used", "", float64(st.MaxRungUsed))
+		snap.SetGauge("nbodysim.rung.updates", "", float64(st.Updates))
+		snap.SetGauge("nbodysim.rung.saved", "", float64(st.Saved))
 	} else {
 		if err := sys.Leapfrog(forcer, s.DT, s.Steps); err != nil {
 			return nil, err
@@ -779,22 +779,23 @@ func (s *NBodySpec) Run(r *Run) (*SpecResult, error) {
 		s.N, s.Steps, sys.Interactions, float64(sys.Flops()))
 	data.Interactions = sys.Interactions
 	data.Flops = sys.Flops()
-	snap.SetGauge("nbodysim.particles", "", "particle count", float64(s.N))
-	snap.SetGauge("nbodysim.steps", "", "leapfrog steps", float64(s.Steps))
+	snap.SetGauge("nbodysim.particles", "", float64(s.N))
+	snap.SetGauge("nbodysim.steps", "", float64(s.Steps))
 	switch f := forcer.(type) {
 	case *treecode.Forcer:
-		snap.Gather(f)
+		snap.Gather(f.Total)
 	case *nbodyParallelForcer:
 		fmt.Fprintf(&b, "simulated MetaBlade time: %.3f s over %d blades → %.2f Gflops sustained\n",
 			f.simTime, s.Ranks, float64(sys.Flops())/f.simTime/1e9)
-		snap.SetGauge("nbodysim.sim_time", "s", "accumulated simulated cluster time", f.simTime)
+		snap.SetGauge("nbodysim.sim_time", "s", f.simTime)
 		data.SimTimeSec = f.simTime
 	}
 	if k0 != 0 || p0 != 0 {
 		k1, p1 := sys.Energy()
 		drift := math.Abs((k1 + p1 - k0 - p0) / (k0 + p0))
 		fmt.Fprintf(&b, "energy drift: |ΔE/E| = %.2e\n", drift)
-		snap.SetGauge("nbodysim.energy_drift", "", "relative energy drift over the run", drift)
+		// Relative energy drift over the run.
+		snap.SetGauge("nbodysim.energy_drift", "", drift)
 		data.EnergyDrift = drift
 	}
 	return &SpecResult{Kind: "nbody", Text: b.String(), Data: data, Extra: sys}, nil
@@ -950,16 +951,16 @@ func (s *TCOSpec) Run(r *Run) (*SpecResult, error) {
 
 	// The cost breakdown lives in the snapshot; the text rendering is the
 	// snapshot's own table over the topper.* prefix.
-	snap.SetGauge("topper.cost.acquisition", "$", "acquisition cost", b.Acquisition)
-	snap.SetGauge("topper.cost.sysadmin", "$", "system administration over the lifetime", b.SysAdmin)
-	snap.SetGauge("topper.cost.power_cooling", "$", "power and cooling over the lifetime", b.PowerCooling)
-	snap.SetGauge("topper.cost.space", "$", "floor space over the lifetime", b.Space)
-	snap.SetGauge("topper.cost.downtime", "$", "downtime charges over the lifetime", b.Downtime)
-	snap.SetGauge("topper.cost.tco", "$", "total cost of ownership", b.TCO())
-	snap.SetGauge("topper.priceperf", "$/Mflops", "acquisition price/performance", tco.PricePerf(b.Acquisition, s.Gflops))
-	snap.SetGauge("topper.topper", "$/Mflops", "total price-performance ratio", tco.ToPPeR(b.TCO(), s.Gflops))
-	snap.SetGauge("topper.perf_space", "Mflop/ft2", "performance per floor space", tco.PerfPerSpace(s.Gflops, cl.FootprintSqFt()))
-	snap.SetGauge("topper.perf_power", "Gflop/kW", "performance per kilowatt", tco.PerfPerPower(s.Gflops, cl.TotalPowerKW()))
+	snap.SetGauge("topper.cost.acquisition", "$", b.Acquisition)
+	snap.SetGauge("topper.cost.sysadmin", "$", b.SysAdmin)
+	snap.SetGauge("topper.cost.power_cooling", "$", b.PowerCooling)
+	snap.SetGauge("topper.cost.space", "$", b.Space)
+	snap.SetGauge("topper.cost.downtime", "$", b.Downtime)
+	snap.SetGauge("topper.cost.tco", "$", b.TCO())
+	snap.SetGauge("topper.priceperf", "$/Mflops", tco.PricePerf(b.Acquisition, s.Gflops))
+	snap.SetGauge("topper.topper", "$/Mflops", tco.ToPPeR(b.TCO(), s.Gflops))
+	snap.SetGauge("topper.perf_space", "Mflop/ft2", tco.PerfPerSpace(s.Gflops, cl.FootprintSqFt()))
+	snap.SetGauge("topper.perf_power", "Gflop/kW", tco.PerfPerPower(s.Gflops, cl.TotalPowerKW()))
 	fmt.Fprintf(&text, "%s\n", snap.Table("Cost of ownership and density ("+cl.Name+")", "topper."))
 	return &SpecResult{Kind: "tco", Text: text.String(), Data: b}, nil
 }
@@ -1109,11 +1110,13 @@ func (s *TopperOptSpec) Run(r *Run) (*SpecResult, error) {
 	}
 
 	snap := r.Snap
-	snap.AddCounter("designopt.memo.hit", "lookups", "memoized network-solve cache hits", res.MemoHits)
-	snap.AddCounter("designopt.memo.miss", "lookups", "network solves actually computed", res.MemoMisses)
-	snap.AddCounter("designopt.pruned", "candidates", "candidates skipped by slab dominance bounds", uint64(res.Pruned))
-	snap.AddCounter("designopt.evaluated", "candidates", "candidates scored by the evaluator", uint64(res.Evaluated))
-	snap.SetGauge("designopt.frontier", "designs", "Pareto-frontier size", float64(len(res.Frontier)))
+	snap.AddCounter("designopt.memo.hit", "lookups", res.MemoHits)
+	// A miss is a network solve actually computed.
+	snap.AddCounter("designopt.memo.miss", "lookups", res.MemoMisses)
+	// Candidates skipped by the slab dominance bounds.
+	snap.AddCounter("designopt.pruned", "candidates", uint64(res.Pruned))
+	snap.AddCounter("designopt.evaluated", "candidates", uint64(res.Evaluated))
+	snap.SetGauge("designopt.frontier", "designs", float64(len(res.Frontier)))
 
 	var text strings.Builder
 	fmt.Fprintf(&text, "Design space: %d candidates (%d cpus × %d packs × %d fabrics × %d node counts × %d ambients)\n",

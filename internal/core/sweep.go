@@ -180,15 +180,16 @@ func (r *Run) NASSweep(cfg NASSweepConfig) ([]NASSweepRow, *metrics.Table, error
 			r.gather(o.wEP)
 		}
 		pfx := fmt.Sprintf("nassweep.p%02d.", p)
-		r.Snap.SetGauge(pfx+"ep.time", "s", "simulated EP makespan", row.EPTime)
-		r.Snap.SetGauge(pfx+"ep.speedup", "", "EP speedup over one blade", row.EPSpeedup)
+		r.Snap.SetGauge(pfx+"ep.time", "s", row.EPTime)
+		r.Snap.SetGauge(pfx+"ep.speedup", "", row.EPSpeedup)
 		if o.is != nil {
-			r.Snap.SetGauge(pfx+"is.time", "s", "simulated IS makespan", row.ISTime)
-			r.Snap.SetGauge(pfx+"is.speedup", "", "IS speedup over one blade", row.ISSpeedup)
+			r.Snap.SetGauge(pfx+"is.time", "s", row.ISTime)
+			r.Snap.SetGauge(pfx+"is.speedup", "", row.ISSpeedup)
 		}
-		r.Snap.SetGauge(pfx+"bytes", "bytes", "EP+IS payload bytes", float64(row.CommBytes))
-		r.Snap.SetGauge(pfx+"pool.hits", "", "buffer-pool hits, EP+IS worlds", float64(row.PoolHits))
-		r.Snap.SetGauge(pfx+"pool.misses", "", "buffer-pool misses, EP+IS worlds", float64(row.PoolMisses))
+		// Payload bytes and pool traffic of the EP and IS worlds together.
+		r.Snap.SetGauge(pfx+"bytes", "bytes", float64(row.CommBytes))
+		r.Snap.SetGauge(pfx+"pool.hits", "", float64(row.PoolHits))
+		r.Snap.SetGauge(pfx+"pool.misses", "", float64(row.PoolMisses))
 		rows = append(rows, row)
 	}
 	t := metrics.NewTable(

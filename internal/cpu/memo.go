@@ -34,8 +34,8 @@ type calibEntry struct {
 var (
 	calibMemo   sync.Map // calibKey -> *calibEntry
 	calibReg    = obs.NewRegistry()
-	calibHits   = calibReg.Counter("cpu.calib.memo.hits", "", "CalibrateFor calls served from the process-wide memo")
-	calibMisses = calibReg.Counter("cpu.calib.memo.misses", "", "CalibrateFor calls that ran the full calibration")
+	calibHits   = calibReg.Counter("cpu.calib.memo.hits", "")
+	calibMisses = calibReg.Counter("cpu.calib.memo.misses", "")
 )
 
 // CalibMemoSource returns the obs source for the calibration memo's

@@ -395,45 +395,21 @@ func (c *Comm) Recv(src, tag int) []float64 {
 	return c.recv(src, tag).f64
 }
 
-// worldMetrics is the World telemetry vocabulary. The byte/message
-// counters are per-world totals, so gathering the worlds of a CPU-count
-// sweep accumulates traffic across the sweep; the makespan gauge keeps
-// the maximum gathered value. Pool, eager/rendezvous and per-collective
-// byte counters are deterministic (per-rank pools, summed in rank
-// order); the contention-delay timer is virtual time, also
-// deterministic.
-var worldMetrics = func() []obs.Metric {
-	ms := []obs.Metric{
-		{Name: "mpi.bytes.total", Kind: obs.KindCounter, Unit: "bytes", Help: "payload bytes sent across all ranks"},
-		{Name: "mpi.messages.total", Kind: obs.KindCounter, Help: "messages sent across all ranks"},
-		{Name: "mpi.time.max", Kind: obs.KindGauge, Unit: "s", Help: "parallel makespan: max rank virtual clock"},
-		{Name: "mpi.ranks", Kind: obs.KindGauge, Help: "world size of the last gathered world"},
-		{Name: "mpi.pool.hits", Kind: obs.KindCounter, Help: "payload buffers served from the per-rank pools"},
-		{Name: "mpi.pool.misses", Kind: obs.KindCounter, Help: "payload buffers freshly allocated"},
-		{Name: "mpi.msgs.eager", Kind: obs.KindCounter, Help: "payload messages sent by eager copy"},
-		{Name: "mpi.msgs.rendezvous", Kind: obs.KindCounter, Help: "payload messages sent by ownership transfer"},
-		{Name: "mpi.contention.delay", Kind: obs.KindTimer, Unit: "s", Help: "virtual seconds messages waited for contended ports"},
-	}
-	for k := 0; k < numCtx; k++ {
-		ms = append(ms, obs.Metric{
-			Name: "mpi.bytes." + ctxNames[k], Kind: obs.KindCounter, Unit: "bytes",
-			Help: "payload bytes sent inside " + ctxNames[k] + " operations",
-		})
-	}
-	return ms
-}()
-
-// Describe implements obs.Source.
-func (w *World) Describe() []obs.Metric { return worldMetrics }
-
-// Collect implements obs.Source. The mpi.bytes.total,
-// mpi.messages.total and mpi.time.max samples are the numbers
-// TotalBytes, TotalMessages and MaxTime return. Call after Run.
+// Collect implements obs.Source. The byte/message counters are
+// per-world totals, so gathering the worlds of a CPU-count sweep
+// accumulates traffic across the sweep; the makespan gauge keeps the
+// maximum gathered value. Pool, eager/rendezvous and per-collective byte
+// counters are deterministic (per-rank pools, summed in rank order); the
+// contention-delay timer is virtual time, also deterministic. The
+// mpi.bytes.total, mpi.messages.total and mpi.time.max samples are the
+// numbers TotalBytes, TotalMessages and MaxTime return. Call after Run.
 func (w *World) Collect(s *obs.Snapshot) {
-	s.AddCounter("mpi.bytes.total", "bytes", "payload bytes sent across all ranks", uint64(w.TotalBytes()))
-	s.AddCounter("mpi.messages.total", "", "messages sent across all ranks", uint64(w.TotalMessages()))
-	s.MaxGauge("mpi.time.max", "s", "parallel makespan: max rank virtual clock", w.MaxTime())
-	s.SetGauge("mpi.ranks", "", "world size of the last gathered world", float64(w.size))
+	s.AddCounter("mpi.bytes.total", "bytes", uint64(w.TotalBytes()))
+	s.AddCounter("mpi.messages.total", "", uint64(w.TotalMessages()))
+	// The parallel makespan: the max rank virtual clock.
+	s.MaxGauge("mpi.time.max", "s", w.MaxTime())
+	// The world size of the last gathered world.
+	s.SetGauge("mpi.ranks", "", float64(w.size))
 	var hits, misses, eager, rdv int64
 	var delay float64
 	var byCtx [numCtx]int64
@@ -447,13 +423,16 @@ func (w *World) Collect(s *obs.Snapshot) {
 			byCtx[k] += c.bytesByCtx[k]
 		}
 	}
-	s.AddCounter("mpi.pool.hits", "", "payload buffers served from the per-rank pools", uint64(hits))
-	s.AddCounter("mpi.pool.misses", "", "payload buffers freshly allocated", uint64(misses))
-	s.AddCounter("mpi.msgs.eager", "", "payload messages sent by eager copy", uint64(eager))
-	s.AddCounter("mpi.msgs.rendezvous", "", "payload messages sent by ownership transfer", uint64(rdv))
-	s.AddTimer("mpi.contention.delay", "virtual seconds messages waited for contended ports", delay)
+	// Payload buffers served from the per-rank pools, and freshly
+	// allocated.
+	s.AddCounter("mpi.pool.hits", "", uint64(hits))
+	s.AddCounter("mpi.pool.misses", "", uint64(misses))
+	// Payload messages sent by eager copy, and by ownership transfer.
+	s.AddCounter("mpi.msgs.eager", "", uint64(eager))
+	s.AddCounter("mpi.msgs.rendezvous", "", uint64(rdv))
+	// Virtual seconds messages waited for contended ports.
+	s.AddTimer("mpi.contention.delay", delay)
 	for k := 0; k < numCtx; k++ {
-		s.AddCounter("mpi.bytes."+ctxNames[k], "bytes",
-			"payload bytes sent inside "+ctxNames[k]+" operations", uint64(byCtx[k]))
+		s.AddCounter("mpi.bytes."+ctxNames[k], "bytes", uint64(byCtx[k]))
 	}
 }

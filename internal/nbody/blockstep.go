@@ -293,11 +293,14 @@ func (b *BlockStepper) Run(s *System, f Forcer, cfg BlockConfig, steps int) erro
 // the treecode list counters: hot loops count locally, Run flushes
 // once.
 var (
-	rungReg      = obs.NewRegistry()
-	rungSubsteps = rungReg.Counter("nbody.rung.substeps", "", "block-timestep ticks processed at the finest resolution")
-	rungUpdates  = rungReg.Counter("nbody.rung.updates", "", "per-particle force updates performed by block stepping")
-	rungSaved    = rungReg.Counter("nbody.rung.saved", "", "force updates avoided vs uniform stepping at the finest dt")
-	rungKicks    = rungReg.Counter("nbody.rung.kicks", "", "half-kicks applied by the block integrator")
+	rungReg = obs.NewRegistry()
+	// Ticks processed at the finest resolution.
+	rungSubsteps = rungReg.Counter("nbody.rung.substeps", "")
+	// Per-particle force updates performed.
+	rungUpdates = rungReg.Counter("nbody.rung.updates", "")
+	// Force updates avoided against uniform stepping at the finest dt.
+	rungSaved = rungReg.Counter("nbody.rung.saved", "")
+	rungKicks = rungReg.Counter("nbody.rung.kicks", "")
 )
 
 // RungTelemetry returns the obs source for the block-timestep

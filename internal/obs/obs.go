@@ -8,15 +8,17 @@
 // NPB Mop/s, treecode interaction counts, TCO/ToPPeR — and before this
 // package each subsystem reported them through an ad-hoc struct while
 // the drivers printed hand-rolled text. obs gives every run a common
-// export path: subsystems implement Source, drivers gather Sources into
-// a Snapshot, and the Snapshot serializes to JSON, CSV or a text table.
-// The trace recorder emits Chrome trace_event JSON loadable in
-// chrome://tracing or Perfetto.
+// export path: subsystems implement Source (one method, Collect, which
+// writes name, kind, unit and value into a Snapshot), drivers gather
+// Sources into a Snapshot, and the Snapshot serializes to JSON, CSV or a
+// text table. A metric is declared where Collect writes it; there is no
+// separate metric list and no help text. The trace recorder emits Chrome
+// trace_event JSON loadable in chrome://tracing or Perfetto.
 //
-// Determinism contract (mirrors internal/par): sharded counters and
-// timers are merged by summing slots in slot order, and shard counts are
-// a pure function of the problem size — never of the worker count — so
-// every exported counter is bit-identical across host worker widths
+// Determinism contract (mirrors internal/par): sharded counters are
+// merged by summing slots in slot order, and shard counts are a pure
+// function of the problem size — never of the worker count — so every
+// exported counter is bit-identical across host worker widths
 // 1, 2, 8, GOMAXPROCS, ... Wall-clock timers are the one exception: they
 // measure the host, and only they may vary between runs.
 package obs
@@ -63,18 +65,13 @@ type Metric struct {
 	// Unit is the value's unit ("cycles", "bytes", "s", "Mflops"); empty
 	// for dimensionless counts.
 	Unit string
-	// Help is a one-line human description.
-	Help string
 }
 
 // Source is the one interface through which every subsystem exports its
-// telemetry: cms.Machine, mpi.World, treecode trees and forcers, and the
-// cpu calibration memo all implement it, replacing the four incompatible
-// field-poking paths the drivers used to scrape.
+// telemetry: cms machines and stats, mpi worlds, treecode results, the
+// gridd server and the process-wide registries (the cpu calibration
+// memo, the treecode walk counters) all implement it.
 type Source interface {
-	// Describe lists the metrics Collect may write, for discovery and
-	// schema generation. It must not depend on run state.
-	Describe() []Metric
 	// Collect writes current values into the snapshot. Sources with
 	// per-run delta semantics accumulate (AddCounter/AddTimer); live
 	// cumulative sources overwrite (SetCounter/SetGauge).

@@ -1,18 +1,16 @@
 package obs
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 )
 
-// Sharded counters and timers are the hot-loop instrumentation
-// primitive: one cache-line-padded slot per chunk of an internal/par
-// loop, written without atomics or locks (each chunk owns its slot),
-// merged by summing slots in slot order. Because par's chunk count is a
-// pure function of the problem size and grain — never of the worker
-// count — the merged value is bit-identical at any worker width, for
-// float timers as well as integer counters.
+// Sharded counters are the hot-loop instrumentation primitive: one
+// cache-line-padded slot per chunk of an internal/par loop, written
+// without atomics or locks (each chunk owns its slot), merged by summing
+// slots in slot order. Because par's chunk count is a pure function of
+// the problem size and grain — never of the worker count — the merged
+// value is bit-identical at any worker width.
 
 // shardPad keeps adjacent slots on separate cache lines so concurrent
 // workers do not false-share.
@@ -43,12 +41,6 @@ func NewShardedCounter(shards int) *ShardedCounter {
 // own a shard at a time (par's chunk ownership guarantees this).
 func (c *ShardedCounter) Add(shard int, n uint64) { c.slots[shard].n += n }
 
-// Inc adds one to the shard's slot.
-func (c *ShardedCounter) Inc(shard int) { c.slots[shard].n++ }
-
-// Shards returns the slot count.
-func (c *ShardedCounter) Shards() int { return len(c.slots) }
-
 // Value merges the slots in slot order. Call after the parallel section
 // completes (it does not synchronize with writers).
 func (c *ShardedCounter) Value() uint64 {
@@ -57,56 +49,6 @@ func (c *ShardedCounter) Value() uint64 {
 		v += c.slots[i].n
 	}
 	return v
-}
-
-// Reset zeroes every slot.
-func (c *ShardedCounter) Reset() {
-	for i := range c.slots {
-		c.slots[i].n = 0
-	}
-}
-
-type timerSlot struct {
-	sec float64
-	_   [shardPad - 8]byte
-}
-
-// ShardedTimer accumulates seconds per slot; Total folds the slots in
-// slot order, so the float sum is bit-identical at any worker width
-// (same fixed-shape reduction as par.Reduce).
-type ShardedTimer struct {
-	slots []timerSlot
-}
-
-// NewShardedTimer returns a timer with the given number of slots.
-func NewShardedTimer(shards int) *ShardedTimer {
-	if shards < 1 {
-		shards = 1
-	}
-	return &ShardedTimer{slots: make([]timerSlot, shards)}
-}
-
-// Add accumulates seconds into the shard's slot (single-owner, like
-// ShardedCounter.Add).
-func (t *ShardedTimer) Add(shard int, seconds float64) { t.slots[shard].sec += seconds }
-
-// Shards returns the slot count.
-func (t *ShardedTimer) Shards() int { return len(t.slots) }
-
-// Total merges the slots in slot order.
-func (t *ShardedTimer) Total() float64 {
-	var v float64
-	for i := range t.slots {
-		v += t.slots[i].sec
-	}
-	return v
-}
-
-// Reset zeroes every slot.
-func (t *ShardedTimer) Reset() {
-	for i := range t.slots {
-		t.slots[i].sec = 0
-	}
 }
 
 // Counter is a process-wide atomic counter registered in a Registry —
@@ -130,90 +72,41 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 // Reset zeroes the counter (tests and ablations).
 func (c *Counter) Reset() { c.v.Store(0) }
 
-// Registry is a named set of live Counters and Gauges that implements
-// Source: Collect overwrites (the registry holds the authoritative
-// process-wide values). Subsystem telemetry that used to live in ad-hoc
-// package vars becomes a view over a Registry.
+// Registry is a named set of live Counters that implements Source:
+// Collect overwrites (the registry holds the authoritative process-wide
+// values). Subsystem telemetry that used to live in ad-hoc package vars
+// becomes a view over a Registry.
 type Registry struct {
 	mu       sync.Mutex
-	order    []string
+	order    []*Counter
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{counters: map[string]*Counter{}, gauges: map[string]*Gauge{}}
+	return &Registry{counters: map[string]*Counter{}}
 }
 
 // Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name, unit, help string) *Counter {
+func (r *Registry) Counter(name, unit string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c, ok := r.counters[name]; ok {
 		return c
 	}
-	c := &Counter{m: Metric{Name: name, Kind: KindCounter, Unit: unit, Help: help}}
+	c := &Counter{m: Metric{Name: name, Kind: KindCounter, Unit: unit}}
 	r.counters[name] = c
-	r.order = append(r.order, name)
+	r.order = append(r.order, c)
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name, unit, help string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{m: Metric{Name: name, Kind: KindGauge, Unit: unit, Help: help}}
-	r.gauges[name] = g
-	r.order = append(r.order, name)
-	return g
-}
-
-// Describe implements Source.
-func (r *Registry) Describe() []Metric {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Metric, 0, len(r.order))
-	for _, name := range r.order {
-		if c, ok := r.counters[name]; ok {
-			out = append(out, c.m)
-		} else if g, ok := r.gauges[name]; ok {
-			out = append(out, g.m)
-		}
-	}
-	return out
-}
-
-// Collect implements Source, overwriting each metric with its live
-// value.
+// Collect implements Source, overwriting each counter with its live
+// value, in registration order.
 func (r *Registry) Collect(s *Snapshot) {
 	r.mu.Lock()
-	names := append([]string(nil), r.order...)
+	counters := append([]*Counter(nil), r.order...)
 	r.mu.Unlock()
-	for _, name := range names {
-		r.mu.Lock()
-		c := r.counters[name]
-		g := r.gauges[name]
-		r.mu.Unlock()
-		if c != nil {
-			s.SetCounter(c.m.Name, c.m.Unit, c.m.Help, c.Value())
-		} else if g != nil {
-			s.SetGauge(g.m.Name, g.m.Unit, g.m.Help, g.Value())
-		}
+	for _, c := range counters {
+		s.SetCounter(c.m.Name, c.m.Unit, c.Value())
 	}
 }
-
-// Gauge is a process-wide atomic float64 gauge.
-type Gauge struct {
-	m    Metric
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the stored value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

@@ -34,54 +34,37 @@ func (s Sample) Number() string {
 	return strconv.FormatFloat(s.Float, 'g', -1, 64)
 }
 
-// snapshotState is the shared storage behind a Snapshot and all its
-// Prefixed views.
-type snapshotState struct {
-	mu      sync.Mutex
-	meta    map[string]string
-	index   map[string]int
-	samples []Sample
-}
-
 // Snapshot is an ordered set of samples plus run metadata. The zero
 // value is not usable; call NewSnapshot. A Snapshot may be shared across
 // goroutines (every mutation takes an internal lock), but deterministic
 // output requires callers to gather in a deterministic order — the
 // drivers gather from a single goroutine.
 type Snapshot struct {
-	prefix string
-	st     *snapshotState
+	mu      sync.Mutex
+	meta    map[string]string
+	index   map[string]int
+	samples []Sample
 }
 
 // NewSnapshot returns an empty snapshot.
 func NewSnapshot() *Snapshot {
-	return &Snapshot{st: &snapshotState{
-		meta:  map[string]string{},
-		index: map[string]int{},
-	}}
-}
-
-// Prefixed returns a view of the same snapshot that prepends prefix to
-// every metric name it writes — how per-configuration series
-// ("table2.p08.", "nas.ep.") share one namespace without colliding.
-func (s *Snapshot) Prefixed(prefix string) *Snapshot {
-	return &Snapshot{prefix: s.prefix + prefix, st: s.st}
+	return &Snapshot{meta: map[string]string{}, index: map[string]int{}}
 }
 
 // SetMeta records a key/value pair of run metadata (driver name,
 // arguments, config). Metadata is exported but never merged.
 func (s *Snapshot) SetMeta(key, value string) {
-	s.st.mu.Lock()
-	defer s.st.mu.Unlock()
-	s.st.meta[key] = value
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.meta[key] = value
 }
 
 // Meta returns a copy of the metadata map.
 func (s *Snapshot) Meta() map[string]string {
-	s.st.mu.Lock()
-	defer s.st.mu.Unlock()
-	out := make(map[string]string, len(s.st.meta))
-	for k, v := range s.st.meta {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[string]string, len(s.meta))
+	for k, v := range s.meta {
 		out[k] = v
 	}
 	return out
@@ -89,50 +72,49 @@ func (s *Snapshot) Meta() map[string]string {
 
 // upsert applies fn to the existing sample for the metric, inserting a
 // zero-valued one first if absent. The first writer fixes the metric's
-// kind/unit/help.
+// kind and unit.
 func (s *Snapshot) upsert(m Metric, fn func(*Sample)) {
-	m.Name = s.prefix + m.Name
-	s.st.mu.Lock()
-	defer s.st.mu.Unlock()
-	i, ok := s.st.index[m.Name]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i, ok := s.index[m.Name]
 	if !ok {
-		i = len(s.st.samples)
-		s.st.index[m.Name] = i
-		s.st.samples = append(s.st.samples, Sample{Metric: m})
+		i = len(s.samples)
+		s.index[m.Name] = i
+		s.samples = append(s.samples, Sample{Metric: m})
 	}
-	fn(&s.st.samples[i])
+	fn(&s.samples[i])
 }
 
 // AddCounter accumulates v into a counter (delta semantics: gathering
 // the same source across a sweep sums its contributions).
-func (s *Snapshot) AddCounter(name, unit, help string, v uint64) {
-	s.upsert(Metric{Name: name, Kind: KindCounter, Unit: unit, Help: help},
+func (s *Snapshot) AddCounter(name, unit string, v uint64) {
+	s.upsert(Metric{Name: name, Kind: KindCounter, Unit: unit},
 		func(sm *Sample) { sm.Int += v })
 }
 
 // SetCounter overwrites a counter (live cumulative semantics: the
 // source already holds the process-wide total).
-func (s *Snapshot) SetCounter(name, unit, help string, v uint64) {
-	s.upsert(Metric{Name: name, Kind: KindCounter, Unit: unit, Help: help},
+func (s *Snapshot) SetCounter(name, unit string, v uint64) {
+	s.upsert(Metric{Name: name, Kind: KindCounter, Unit: unit},
 		func(sm *Sample) { sm.Int = v })
 }
 
 // AddTimer accumulates seconds into a timer.
-func (s *Snapshot) AddTimer(name, help string, seconds float64) {
-	s.upsert(Metric{Name: name, Kind: KindTimer, Unit: "s", Help: help},
+func (s *Snapshot) AddTimer(name string, seconds float64) {
+	s.upsert(Metric{Name: name, Kind: KindTimer, Unit: "s"},
 		func(sm *Sample) { sm.Float += seconds })
 }
 
 // SetGauge overwrites a gauge.
-func (s *Snapshot) SetGauge(name, unit, help string, v float64) {
-	s.upsert(Metric{Name: name, Kind: KindGauge, Unit: unit, Help: help},
+func (s *Snapshot) SetGauge(name, unit string, v float64) {
+	s.upsert(Metric{Name: name, Kind: KindGauge, Unit: unit},
 		func(sm *Sample) { sm.Float = v })
 }
 
 // MaxGauge keeps the maximum of the gathered values — makespans
 // (mpi.time.max) across a sweep of world sizes.
-func (s *Snapshot) MaxGauge(name, unit, help string, v float64) {
-	s.upsert(Metric{Name: name, Kind: KindGauge, Unit: unit, Help: help},
+func (s *Snapshot) MaxGauge(name, unit string, v float64) {
+	s.upsert(Metric{Name: name, Kind: KindGauge, Unit: unit},
 		func(sm *Sample) {
 			if v > sm.Float {
 				sm.Float = v
@@ -140,15 +122,15 @@ func (s *Snapshot) MaxGauge(name, unit, help string, v float64) {
 		})
 }
 
-// Lookup returns the sample with the given (prefixed) name.
+// Lookup returns the sample with the given name.
 func (s *Snapshot) Lookup(name string) (Sample, bool) {
-	s.st.mu.Lock()
-	defer s.st.mu.Unlock()
-	i, ok := s.st.index[s.prefix+name]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i, ok := s.index[name]
 	if !ok {
 		return Sample{}, false
 	}
-	return s.st.samples[i], true
+	return s.samples[i], true
 }
 
 // Counter returns the integer value of a counter sample (0 if absent).
@@ -160,18 +142,18 @@ func (s *Snapshot) Counter(name string) uint64 {
 // Samples returns the samples sorted by name — the canonical,
 // machine-diffable order every exporter uses.
 func (s *Snapshot) Samples() []Sample {
-	s.st.mu.Lock()
-	out := append([]Sample(nil), s.st.samples...)
-	s.st.mu.Unlock()
+	s.mu.Lock()
+	out := append([]Sample(nil), s.samples...)
+	s.mu.Unlock()
 	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
 	return out
 }
 
 // Len returns the number of samples.
 func (s *Snapshot) Len() int {
-	s.st.mu.Lock()
-	defer s.st.mu.Unlock()
-	return len(s.st.samples)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.samples)
 }
 
 // Gather collects every source into the snapshot, in argument order.

@@ -423,51 +423,29 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	snap.WriteJSON(w)
 }
 
-// Describe implements obs.Source for the serve.* metrics.
-func (s *Server) Describe() []obs.Metric {
-	return []obs.Metric{
-		{Name: "serve.requests.total", Kind: obs.KindCounter, Help: "HTTP requests received"},
-		{Name: "serve.submit.total", Kind: obs.KindCounter, Help: "experiment submissions received"},
-		{Name: "serve.cache.hits", Kind: obs.KindCounter, Help: "submissions served from the result cache"},
-		{Name: "serve.cache.misses", Kind: obs.KindCounter, Help: "submissions that missed the result cache"},
-		{Name: "serve.coalesced", Kind: obs.KindCounter, Help: "submissions coalesced onto an in-flight identical job"},
-		{Name: "serve.rejected.queue_full", Kind: obs.KindCounter, Help: "submissions rejected by the per-tenant queue-depth limit"},
-		{Name: "serve.rejected.bad_spec", Kind: obs.KindCounter, Help: "submissions rejected as undecodable or invalid"},
-		{Name: "serve.jobs.completed", Kind: obs.KindCounter, Help: "experiment jobs completed successfully"},
-		{Name: "serve.jobs.failed", Kind: obs.KindCounter, Help: "experiment jobs that failed or panicked"},
-		{Name: "serve.wait.timeouts", Kind: obs.KindCounter, Help: "synchronous submissions that timed out into async polling"},
-		{Name: "serve.queue.depth", Kind: obs.KindGauge, Unit: "jobs", Help: "jobs currently queued across all tenants"},
-		{Name: "serve.jobs.running", Kind: obs.KindGauge, Unit: "jobs", Help: "jobs currently executing"},
-		{Name: "serve.cache.entries", Kind: obs.KindGauge, Unit: "docs", Help: "result documents in the cache"},
-		{Name: "serve.tenants", Kind: obs.KindGauge, Unit: "tenants", Help: "tenants with queued work"},
-	}
-}
-
-// Collect implements obs.Source.
+// Collect implements obs.Source for the serve.* metrics, overwriting
+// each with the server's live value.
 func (s *Server) Collect(snap *obs.Snapshot) {
-	set := func(name string, v uint64) {
-		var m obs.Metric
-		for _, d := range s.Describe() {
-			if d.Name == name {
-				m = d
-				break
-			}
-		}
-		snap.SetCounter(m.Name, m.Unit, m.Help, v)
-	}
-	set("serve.requests.total", s.requests.Load())
-	set("serve.submit.total", s.submits.Load())
-	set("serve.cache.hits", s.cacheHits.Load())
-	set("serve.cache.misses", s.cacheMisses.Load())
-	set("serve.coalesced", s.coalesced.Load())
-	set("serve.rejected.queue_full", s.rejectedFull.Load())
-	set("serve.rejected.bad_spec", s.rejectedSpec.Load())
-	set("serve.jobs.completed", s.jobsCompleted.Load())
-	set("serve.jobs.failed", s.jobsFailed.Load())
-	set("serve.wait.timeouts", s.waitTimeouts.Load())
+	snap.SetCounter("serve.requests.total", "", s.requests.Load())
+	snap.SetCounter("serve.submit.total", "", s.submits.Load())
+	snap.SetCounter("serve.cache.hits", "", s.cacheHits.Load())
+	snap.SetCounter("serve.cache.misses", "", s.cacheMisses.Load())
+	// Submissions coalesced onto an in-flight identical job.
+	snap.SetCounter("serve.coalesced", "", s.coalesced.Load())
+	// Rejected by the per-tenant queue-depth limit, and as undecodable
+	// or invalid.
+	snap.SetCounter("serve.rejected.queue_full", "", s.rejectedFull.Load())
+	snap.SetCounter("serve.rejected.bad_spec", "", s.rejectedSpec.Load())
+	snap.SetCounter("serve.jobs.completed", "", s.jobsCompleted.Load())
+	// Jobs that failed or panicked.
+	snap.SetCounter("serve.jobs.failed", "", s.jobsFailed.Load())
+	// Synchronous submissions that timed out into async polling.
+	snap.SetCounter("serve.wait.timeouts", "", s.waitTimeouts.Load())
 	queued, running, tenants := s.sched.depthStats()
-	snap.SetGauge("serve.queue.depth", "jobs", "jobs currently queued across all tenants", float64(queued))
-	snap.SetGauge("serve.jobs.running", "jobs", "jobs currently executing", float64(running))
-	snap.SetGauge("serve.cache.entries", "docs", "result documents in the cache", float64(s.cache.len()))
-	snap.SetGauge("serve.tenants", "tenants", "tenants with queued work", float64(tenants))
+	// Jobs queued across all tenants.
+	snap.SetGauge("serve.queue.depth", "jobs", float64(queued))
+	snap.SetGauge("serve.jobs.running", "jobs", float64(running))
+	snap.SetGauge("serve.cache.entries", "docs", float64(s.cache.len()))
+	// Tenants with queued work.
+	snap.SetGauge("serve.tenants", "tenants", float64(tenants))
 }

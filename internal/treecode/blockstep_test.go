@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/nbody"
+	"repro/internal/obs"
 )
 
 // The Forcer must satisfy the block integrator's masked-force contract.
@@ -72,5 +73,40 @@ func TestBlockStepTreecodeEnergyConservation(t *testing.T) {
 		if drift > 1e-3 {
 			t.Fatalf("n=%d: energy drift %g over 100 base steps, want <= 1e-3", tc.n, drift)
 		}
+	}
+}
+
+// TestBlockStepUpdatesBelowUniform checks the work claim behind the
+// block-step speed guard without timing anything: on the guard's system
+// (a Plummer sphere with eps 0.001, MaxRung 6; smaller here), the
+// hierarchy must do fewer force updates per base step than a uniform
+// integrator at the finest occupied rung, n · 2^MaxRungUsed, and the
+// nbody.rung.updates counter must move by exactly the stepper's count.
+// It fails when the hierarchy is off (every particle on rung 0, so n
+// updates against n · 2^0) and when every particle sits on the finest
+// rung.
+func TestBlockStepUpdatesBelowUniform(t *testing.T) {
+	const n, baseSteps = 4000, 1
+	s := nbody.NewPlummer(n, 1, 2001)
+	s.Eps = 0.001
+	updates := func() uint64 {
+		snap := obs.NewSnapshot()
+		snap.Gather(nbody.RungTelemetry())
+		return snap.Counter("nbody.rung.updates")
+	}
+	before := updates()
+	var b nbody.BlockStepper
+	if err := b.Run(s, &Forcer{Theta: 0.7}, nbody.BlockConfig{DT: 0.02, MaxRung: 6}, baseSteps); err != nil {
+		t.Fatal(err)
+	}
+	st := b.Stats
+	uniform := uint64(n*baseSteps) << st.MaxRungUsed
+	t.Logf("max rung %d, histogram %v: %d updates against %d uniform", st.MaxRungUsed, b.Histogram(), st.Updates, uniform)
+	if st.Updates >= uniform {
+		t.Errorf("%d force updates over %d base steps, want fewer than n·2^%d = %d",
+			st.Updates, baseSteps, st.MaxRungUsed, uniform)
+	}
+	if got := updates() - before; got != st.Updates {
+		t.Errorf("nbody.rung.updates moved by %d, stepper counted %d", got, st.Updates)
 	}
 }

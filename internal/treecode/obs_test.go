@@ -60,7 +60,10 @@ func TestTracedParallelForces(t *testing.T) {
 	}
 }
 
-func TestForcerCollectCumulative(t *testing.T) {
+// TestForcerTotalCollectsAsDelta: a Forcer's running totals are
+// gathered as Stats, with delta semantics like every other treecode
+// source, so gathering after another experiment's counts adds to them.
+func TestForcerTotalCollectsAsDelta(t *testing.T) {
 	s := nbody.NewPlummer(2000, 1, 3)
 	f := &Forcer{Theta: 0.7}
 	if err := f.Forces(s); err != nil {
@@ -69,14 +72,17 @@ func TestForcerCollectCumulative(t *testing.T) {
 	if err := f.Forces(s); err != nil {
 		t.Fatal(err)
 	}
+	if f.Total.Interactions() != 2*f.LastStats.Interactions() {
+		t.Fatalf("Total %d not twice LastStats %d", f.Total.Interactions(), f.LastStats.Interactions())
+	}
 	snap := obs.NewSnapshot()
-	snap.Gather(f)
-	snap.Gather(f) // live-cumulative source: regathering must not double
+	snap.Gather(f.Total)
 	if got := snap.Counter("treecode.interactions"); got != f.Total.Interactions() {
 		t.Fatalf("gathered %d, forcer total %d", got, f.Total.Interactions())
 	}
-	if f.Total.Interactions() != 2*f.LastStats.Interactions() {
-		t.Fatalf("Total %d not twice LastStats %d", f.Total.Interactions(), f.LastStats.Interactions())
+	snap.Gather(f.LastStats)
+	if got, want := snap.Counter("treecode.interactions"), f.Total.Interactions()+f.LastStats.Interactions(); got != want {
+		t.Fatalf("second gather gave %d, want the sum %d", got, want)
 	}
 }
 

@@ -60,12 +60,14 @@ func (s *ReuseStats) add(d ReuseStats) {
 // Reuse telemetry, on the package registry next to the list-engine
 // counters (gathered by ListTelemetry, flushed once per Step).
 var (
-	reuseSteps      = listReg.Counter("treecode.reuse.steps", "", "maintainer steps taken")
-	reuseFullBuilds = listReg.Counter("treecode.reuse.full_builds", "", "maintainer steps that fell back to a full build")
-	reuseCleanSteps = listReg.Counter("treecode.reuse.clean_steps", "", "maintainer steps with the whole structure reused")
-	reuseNodesKept  = listReg.Counter("treecode.reuse.nodes_reused", "", "nodes whose structure was reused across a step")
-	reuseRebuilt    = listReg.Counter("treecode.reuse.subtrees_rebuilt", "", "dirty subtrees rebuilt by the maintainer")
-	reuseKeysMoved  = listReg.Counter("treecode.reuse.keys_moved", "", "permutation slots moved by the maintainer's re-sort")
+	reuseSteps      = listReg.Counter("treecode.reuse.steps", "")
+	reuseFullBuilds = listReg.Counter("treecode.reuse.full_builds", "")
+	// Steps that reused the whole structure.
+	reuseCleanSteps = listReg.Counter("treecode.reuse.clean_steps", "")
+	reuseNodesKept  = listReg.Counter("treecode.reuse.nodes_reused", "")
+	reuseRebuilt    = listReg.Counter("treecode.reuse.subtrees_rebuilt", "")
+	// Permutation slots moved by the maintainer's re-sort.
+	reuseKeysMoved = listReg.Counter("treecode.reuse.keys_moved", "")
 )
 
 // TreeCache is a persistent tree maintainer. Call Step once per
