@@ -151,7 +151,7 @@ func BenchmarkTable4(b *testing.B) {
 	var rows []core.Table4Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, _, err = core.Table4()
+		rows, _, err = core.NewRun().Table4()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func BenchmarkTable5(b *testing.B) {
 	var rows []core.Table5Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, _, err = core.Table5()
+		rows, _, err = core.NewRun().Table5()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func BenchmarkTable5(b *testing.B) {
 	for _, r := range rows {
 		b.ReportMetric(r.B.TCO()/1000, "TCO-$K-"+r.Name)
 	}
-	s, err := core.ToPPeR()
+	s, err := core.NewRun().ToPPeR()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func BenchmarkTable6And7(b *testing.B) {
 	var rows []core.SpacePowerRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, _, _, err = core.SpacePower()
+		rows, _, _, err = core.NewRun().SpacePower()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func BenchmarkFigure3(b *testing.B) {
 	cfg := core.Figure3Config{Particles: 10000, Steps: 5, Width: 72, Height: 36}
 	var interactions uint64
 	for i := 0; i < b.N; i++ {
-		_, sys, err := core.Figure3(cfg)
+		_, sys, err := core.NewRun().Figure3(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

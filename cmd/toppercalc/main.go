@@ -3,8 +3,7 @@
 // your own numbers. With -optimize it instead sweeps the whole design
 // space (CPU × packaging × fabric × node count × ambient) and prints
 // the Pareto frontier for ToPPeR, perf/watt and perf/space. The search
-// runs on the host pool, -procs wide; its frontier and counters are
-// identical at any width.
+// is one serial loop over every candidate.
 //
 // Usage:
 //

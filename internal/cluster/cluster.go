@@ -237,37 +237,47 @@ func (c *Cluster) Availability(r ReliabilityParams) float64 {
 
 // --- Failure-injection simulation ---
 
-// FailureSim runs a discrete-event reliability simulation over `years`
-// and returns observed failures and downtime hours. It exists to validate
-// the closed-form expectations above and to support failure-injection
-// tests.
+// FailureSim runs a reliability simulation over `years` and returns
+// observed failures and downtime hours. It exists to validate the
+// closed-form expectations above and to support failure-injection
+// tests. Each node runs a Poisson failure clock: it keeps its next
+// failure time and the order in which that time was drawn, and the
+// earliest (time, draw order) fires next, drawing that node's following
+// failure from the shared RNG.
 func (c *Cluster) FailureSim(r ReliabilityParams, years float64, seed uint64) (failures int, downtimeHours float64) {
-	eng := sim.NewEngine()
 	rng := sim.NewRNG(seed)
 	horizon := years * 8760
 	perNodeMTBF := r.BaseMTBFHours / c.FailureRateMultiplier(r)
 	// Degenerate inputs (zero/negative MTBF, or a multiplier driven to
-	// Inf) would make every exponential draw zero — an event storm
+	// Inf) would make every exponential draw zero — a failure storm
 	// pinned at t=0 that never advances. Report zero failures instead.
 	if !(perNodeMTBF > 0) || math.IsInf(perNodeMTBF, 0) || c.Nodes <= 0 {
 		return 0, 0
 	}
 
-	var scheduleNode func(node int)
-	scheduleNode = func(node int) {
-		dt := rng.Exp(perNodeMTBF)
-		eng.Schedule(dt, func() {
-			if eng.Now() > horizon {
-				return
+	type clock struct {
+		at   float64
+		draw uint64
+	}
+	nodes := make([]clock, c.Nodes)
+	var draws uint64
+	for n := range nodes {
+		nodes[n] = clock{at: rng.Exp(perNodeMTBF), draw: draws}
+		draws++
+	}
+	for {
+		next := &nodes[0]
+		for n := range nodes {
+			if nd := &nodes[n]; nd.at < next.at || nd.at == next.at && nd.draw < next.draw {
+				next = nd
 			}
-			failures++
-			downtimeHours += r.RepairHours
-			scheduleNode(node)
-		})
+		}
+		if next.at > horizon {
+			return failures, downtimeHours
+		}
+		failures++
+		downtimeHours += r.RepairHours
+		*next = clock{at: next.at + rng.Exp(perNodeMTBF), draw: draws}
+		draws++
 	}
-	for n := 0; n < c.Nodes; n++ {
-		scheduleNode(n)
-	}
-	eng.RunUntil(horizon)
-	return failures, downtimeHours
 }

@@ -184,6 +184,57 @@ func TestFailureSimDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// TestFailureSimPinned pins exact FailureSim results, recorded before
+// the simulation's event loop was rewritten: failure count and the bits
+// of the downtime for MetaBlade and a traditional 24-node P4 cluster
+// across seeds, horizons and repair times. Nodes share one RNG stream,
+// so the counts move if failures fire in any other order than
+// (time, draw order).
+func TestFailureSimPinned(t *testing.T) {
+	clusters := map[string]*Cluster{"MetaBlade": metaBlade(t), "traditional": traditional(t, NodeP4)}
+	for _, tc := range []struct {
+		cluster      string
+		seed         uint64
+		years        float64
+		repairHours  float64
+		failures     int
+		downtimeBits uint64
+	}{
+		{"MetaBlade", 7, 1, 4, 3, 0x4028000000000000},           // 12 h
+		{"MetaBlade", 7, 4, 1, 9, 0x4022000000000000},           // 9 h
+		{"MetaBlade", 7, 20, 2.5, 51, 0x405fe00000000000},       // 127.5 h
+		{"MetaBlade", 7, 50, 4, 122, 0x407e800000000000},        // 488 h
+		{"MetaBlade", 42, 1, 4, 2, 0x4020000000000000},          // 8 h
+		{"MetaBlade", 42, 4, 1, 13, 0x402a000000000000},         // 13 h
+		{"MetaBlade", 42, 20, 2.5, 63, 0x4063b00000000000},      // 157.5 h
+		{"MetaBlade", 42, 50, 4, 126, 0x407f800000000000},       // 504 h
+		{"MetaBlade", 2002, 1, 4, 2, 0x4020000000000000},        // 8 h
+		{"MetaBlade", 2002, 4, 1, 10, 0x4024000000000000},       // 10 h
+		{"MetaBlade", 2002, 20, 2.5, 45, 0x405c200000000000},    // 112.5 h
+		{"MetaBlade", 2002, 50, 4, 136, 0x4081000000000000},     // 544 h
+		{"traditional", 7, 1, 4, 6, 0x4038000000000000},         // 24 h
+		{"traditional", 7, 4, 1, 25, 0x4039000000000000},        // 25 h
+		{"traditional", 7, 20, 2.5, 128, 0x4074000000000000},    // 320 h
+		{"traditional", 7, 50, 4, 294, 0x4092600000000000},      // 1176 h
+		{"traditional", 42, 1, 4, 6, 0x4038000000000000},        // 24 h
+		{"traditional", 42, 4, 1, 35, 0x4041800000000000},       // 35 h
+		{"traditional", 42, 20, 2.5, 133, 0x4074c80000000000},   // 332.5 h
+		{"traditional", 42, 50, 4, 302, 0x4092e00000000000},     // 1208 h
+		{"traditional", 2002, 1, 4, 8, 0x4040000000000000},      // 32 h
+		{"traditional", 2002, 4, 1, 19, 0x4033000000000000},     // 19 h
+		{"traditional", 2002, 20, 2.5, 141, 0x4076080000000000}, // 352.5 h
+		{"traditional", 2002, 50, 4, 309, 0x4093500000000000},   // 1236 h
+	} {
+		r := DefaultReliability()
+		r.RepairHours = tc.repairHours
+		f, d := clusters[tc.cluster].FailureSim(r, tc.years, tc.seed)
+		if f != tc.failures || math.Float64bits(d) != tc.downtimeBits {
+			t.Errorf("%s seed %d, %g years, %g h repairs: %d failures, %v h down; want %d, %v h",
+				tc.cluster, tc.seed, tc.years, tc.repairHours, f, d, tc.failures, math.Float64frombits(tc.downtimeBits))
+		}
+	}
+}
+
 func TestFailureSimDegenerateInputsReturnZero(t *testing.T) {
 	// A zero or negative MTBF must not divide by zero in the closed
 	// form, and must not pin the event simulation at t=0 (every

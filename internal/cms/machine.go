@@ -548,13 +548,3 @@ func (m *Machine) interpLatency(op isa.Op) int {
 		return t.IntLatency
 	}
 }
-
-// RunToCompletion is Run with unlimited fuel; it returns seconds of
-// simulated wall-clock at the given clock rate alongside the trace.
-func (m *Machine) RunToCompletion(p isa.Program, st *isa.State, clockHz float64) (seconds float64, tr isa.Trace, err error) {
-	cycles, tr, err := m.Run(p, st, 0)
-	if err != nil {
-		return 0, tr, err
-	}
-	return float64(cycles) / clockHz, tr, nil
-}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestTable1PaperShape(t *testing.T) {
-	rows, tab, err := Table1()
+	rows, tab, err := NewRun().Table1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestTable1PaperShape(t *testing.T) {
 
 func TestTable2SpeedupShape(t *testing.T) {
 	cfg := Table2Config{Particles: 6000, CPUCounts: []int{1, 2, 4, 8}, Theta: 0.7}
-	rows, tab, err := Table2(cfg)
+	rows, tab, err := NewRun().Table2(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestTable2SpeedupShape(t *testing.T) {
 }
 
 func TestTable2Validation(t *testing.T) {
-	if _, _, err := Table2(Table2Config{}); err == nil {
+	if _, _, err := NewRun().Table2(Table2Config{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
 }
@@ -93,7 +93,7 @@ func TestTable2Validation(t *testing.T) {
 func TestTable3PaperShape(t *testing.T) {
 	// Class S keeps the test fast; the ratios carry (Ops and Mix scale
 	// together).
-	data, tab, err := Table3(nas.ClassS)
+	data, tab, err := NewRun().Table3(nas.ClassS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestTable3PaperShape(t *testing.T) {
 }
 
 func TestTable4PaperClaims(t *testing.T) {
-	rows, tab, err := Table4()
+	rows, tab, err := NewRun().Table4()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestTable4PaperClaims(t *testing.T) {
 }
 
 func TestTable5AndToPPeR(t *testing.T) {
-	rows, tab, err := Table5()
+	rows, tab, err := NewRun().Table5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestTable5AndToPPeR(t *testing.T) {
 		t.Fatalf("TCO advantage %f, want ≈3", worstTrad/blade)
 	}
 
-	s, err := ToPPeR()
+	s, err := NewRun().ToPPeR()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestTable5AndToPPeR(t *testing.T) {
 }
 
 func TestSpacePowerPaperShape(t *testing.T) {
-	rows, t6, t7, err := SpacePower()
+	rows, t6, t7, err := NewRun().SpacePower()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestSpacePowerPaperShape(t *testing.T) {
 
 func TestFigure3RendersCollapse(t *testing.T) {
 	cfg := Figure3Config{Particles: 3000, Steps: 5, Width: 40, Height: 20}
-	img, sys, err := Figure3(cfg)
+	img, sys, err := NewRun().Figure3(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestFigure3RendersCollapse(t *testing.T) {
 }
 
 func TestFigure3Validation(t *testing.T) {
-	if _, _, err := Figure3(Figure3Config{}); err == nil {
+	if _, _, err := NewRun().Figure3(Figure3Config{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
 }
@@ -342,6 +342,36 @@ func TestTreecodeRateDeterministic(t *testing.T) {
 	}
 	if a <= 0 {
 		t.Fatal("zero rate")
+	}
+}
+
+// TestStudyAvailabilityFailureSimPinned pins both StudyAvailability
+// rows bit for bit, recorded before the failure simulation's event loop
+// was rewritten (cluster's TestFailureSimPinned pins FailureSim itself).
+// The bits are FailuresPerYear, LostCPUHours, Availability,
+// DowntimeCostUSD and EffectiveCapacity.
+func TestStudyAvailabilityFailureSimPinned(t *testing.T) {
+	rows, err := StudyAvailability(4, 2002)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		name string
+		bits [5]uint64
+	}{
+		{"MetaBlade", [5]uint64{0x4004000000000000, 0x4024000000000000, 0x3fefffe70ff9c3fe, 0x4049000000000000, 0x3fefffe70ff9c3fe}},
+		{"traditional (P4)", [5]uint64{0x4013000000000000, 0x409c800000000000, 0x3fefee3b61f53ee4, 0x40c1d00000000000, 0x3fefee3b61f53ee4}},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(rows), len(want))
+	}
+	for i, w := range want {
+		r := rows[i]
+		got := [5]uint64{math.Float64bits(r.FailuresPerYear), math.Float64bits(r.LostCPUHours),
+			math.Float64bits(r.Availability), math.Float64bits(r.DowntimeCostUSD), math.Float64bits(r.EffectiveCapacity)}
+		if r.Name != w.name || got != w.bits {
+			t.Errorf("row %d: %+v (bits %#x), want %s with bits %#x", i, r, got, w.name, w.bits)
+		}
 	}
 }
 

@@ -968,14 +968,14 @@ func (s *TCOSpec) Run(r *Run) (*SpecResult, error) {
 // --- topperopt ---
 
 // TopperOptSpec runs the ToPPeR design-space optimizer: a deterministic
-// parallel sweep over CPU model × packaging × fabric/topology × node
+// sweep over CPU model × packaging × fabric/topology × node
 // count × machine-room ambient, each candidate priced through the
 // cluster → tco models with its parallel efficiency solved on the
 // candidate fabric, emitting the Pareto frontier for ToPPeR, perf/watt
 // and perf/space. Empty axes take the product defaults (the five
 // Table 1 CPUs, both packagings, Fast and Gigabit Ethernet). The
-// frontier is bit-identical at any -procs width, which is what makes
-// the spec safely cacheable by hash.
+// frontier is a pure function of the spec, which is what makes the
+// spec safely cacheable by hash.
 type TopperOptSpec struct {
 	// CPUs, Packs and Fabrics are axis names resolved by the designopt
 	// parsers: CPUs from Table 1 ("PIII", "Alpha", "TM5600", "Power3",
@@ -1091,11 +1091,7 @@ func (s *TopperOptSpec) grid() (*designopt.Grid, error) {
 // TopperOptResult is the structured payload of a topperopt run.
 type TopperOptResult struct {
 	Candidates int               `json:"candidates"`
-	Evaluated  int               `json:"evaluated"`
-	Pruned     int               `json:"pruned"`
 	Feasible   int               `json:"feasible"`
-	MemoHits   uint64            `json:"memo_hits"`
-	MemoMisses uint64            `json:"memo_misses"`
 	Frontier   []designopt.Point `json:"frontier"`
 }
 
@@ -1110,12 +1106,8 @@ func (s *TopperOptSpec) Run(r *Run) (*SpecResult, error) {
 	}
 
 	snap := r.Snap
-	snap.AddCounter("designopt.memo.hit", "lookups", res.MemoHits)
-	// A miss is a network solve actually computed.
-	snap.AddCounter("designopt.memo.miss", "lookups", res.MemoMisses)
-	// Candidates skipped by the slab dominance bounds.
-	snap.AddCounter("designopt.pruned", "candidates", uint64(res.Pruned))
-	snap.AddCounter("designopt.evaluated", "candidates", uint64(res.Evaluated))
+	// Optimize scores every candidate.
+	snap.AddCounter("designopt.evaluated", "candidates", uint64(res.Candidates))
 	snap.SetGauge("designopt.frontier", "designs", float64(len(res.Frontier)))
 
 	var text strings.Builder
@@ -1123,8 +1115,7 @@ func (s *TopperOptSpec) Run(r *Run) (*SpecResult, error) {
 		res.Candidates, len(g.CPUs), len(g.Packs), len(g.Fabrics), len(g.Nodes), len(g.Ambients))
 	fmt.Fprintf(&text, "Workload: %s; rates: %.0f-year lifetime, $%.2f/kWh\n",
 		g.Workload.Name, g.Rates.Years, g.Rates.ElectricityPerKWh)
-	fmt.Fprintf(&text, "Evaluated %d, pruned %d (%d of %d slabs), %d feasible; memo %d hits / %d misses\n\n",
-		res.Evaluated, res.Pruned, res.SlabsPruned, res.Slabs, res.Feasible, res.MemoHits, res.MemoMisses)
+	fmt.Fprintf(&text, "%d feasible of %d candidates\n\n", res.Feasible, res.Candidates)
 	fmt.Fprintf(&text, "Pareto frontier (%d designs; ToPPeR ↓, perf/watt ↑, perf/space ↑):\n", len(res.Frontier))
 	fmt.Fprintf(&text, "%-8s %-12s %-12s %6s %6s %7s %9s %12s %10s %10s %11s\n",
 		"CPU", "packaging", "fabric", "nodes", "amb°C", "eff", "Gflops", "TCO $", "$/Mflops", "Gflops/kW", "Mflops/ft²")
@@ -1140,11 +1131,7 @@ func (s *TopperOptSpec) Run(r *Run) (*SpecResult, error) {
 		Text: text.String(),
 		Data: TopperOptResult{
 			Candidates: res.Candidates,
-			Evaluated:  res.Evaluated,
-			Pruned:     res.Pruned,
 			Feasible:   res.Feasible,
-			MemoHits:   res.MemoHits,
-			MemoMisses: res.MemoMisses,
 			Frontier:   res.Frontier,
 		},
 	}, nil

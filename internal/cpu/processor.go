@@ -132,7 +132,3 @@ func (c *Crusoe) RunKernel(p isa.Program, st *isa.State) (RunResult, error) {
 	res.Seconds = res.Cycles / (c.MHz * 1e6)
 	return res, nil
 }
-
-// Machine returns a fresh CMS machine with this model's parameters, for
-// callers that need CMS statistics (packing density, cache behaviour).
-func (c *Crusoe) Machine() *cms.Machine { return cms.NewMachine(c.runParams(), c.Timing) }

@@ -62,16 +62,6 @@ func AlphaEV56_533() *Arch {
 	}
 }
 
-// TM5600ArchStandIn is NOT used for Transmeta results (the real model is
-// cpu.NewTM5600, the CMS simulation); it exists only for tests that need a
-// hardware-style arch at the TM5600's clock.
-func TM5600ArchStandIn() *Arch {
-	a := PentiumIII500()
-	a.Name = "633-MHz stand-in"
-	a.ClockMHz = 633
-	return a
-}
-
 // Power3_375 models the 375-MHz IBM Power3-II: aggressive 4-wide
 // out-of-order core with two fused-multiply-add FPUs, fast hardware sqrt,
 // and a strong memory system — the paper's FP heavyweight.

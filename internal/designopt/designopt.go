@@ -1,29 +1,23 @@
 // Package designopt is the ToPPeR design-space optimizer: a
-// deterministic parallel search over cluster designs — CPU model ×
-// node count × fabric/topology × packaging × ambient — that evaluates
-// every candidate through the existing cluster → tco → netsim models
+// deterministic search over cluster designs — CPU model × node count ×
+// fabric/topology × packaging × ambient — that evaluates every
+// candidate through the existing cluster → tco → netsim models
 // against a workload mix (Table 1 per-CPU Mflops × Table 2-style
 // parallel efficiency on the candidate fabric) and emits the Pareto
 // frontier for the paper's three figures of merit: ToPPeR ($/Mflops,
 // minimize), performance per watt (Gflops/kW, maximize) and
 // performance per floor space (Mflops/ft², maximize).
 //
-// The search is engineered for production request volume:
+// The search is one serial loop:
 //
-//   - Chunked evaluation on the internal/par pool. The frontier is the
-//     unique non-dominated subset of the candidates, so it is
-//     bit-identical at any worker count.
-//   - A memo table for the expensive netsim efficiency solves, keyed by
-//     (fabric, p): the O(designs) loop amortizes to O(distinct
-//     fabrics×p) network solves. Hit/miss counts are deterministic —
-//     each distinct cell is solved exactly once.
-//   - Monotone cost-bound dominance pruning: a slab (one CPU ×
-//     packaging × fabric combination) whose optimistic bound vector is
-//     strictly dominated by a frontier point already found cannot
-//     contribute to the frontier and is skipped wholesale. Pruning is
-//     cross-checked against exhaustive enumeration by tests.
-//   - A zero-allocation steady-state inner loop (Evaluator.Eval),
-//     pinned by an AllocsPerRun test.
+//   - NewEvaluator solves the network model once per (fabric, node
+//     count) cell into a table, so scoring the O(designs) candidates
+//     costs O(fabrics×p) network solves.
+//   - Every candidate is scored and inserted into one Frontier. The
+//     frontier is the unique non-dominated subset of the candidates,
+//     emitted in canonical order, so it is a pure function of the grid.
+//   - Scoring a candidate (Evaluator.Eval) allocates nothing, pinned by
+//     an AllocsPerRun test.
 package designopt
 
 import (
@@ -174,9 +168,8 @@ func DefaultFabricChoices() []FabricChoice {
 	return []FabricChoice{fe, ge}
 }
 
-// Budget caps the feasible region. Zero means uncapped — explicit zero
-// budgets are rejected by Grid.Validate as degenerate rather than
-// treated as "no cluster fits".
+// Budget caps the feasible region. Zero means uncapped; Grid.Validate
+// rejects negative caps.
 type Budget struct {
 	MaxPowerKW   float64 `json:"max_power_kw,omitempty"`
 	MaxSpaceSqFt float64 `json:"max_space_sqft,omitempty"`

@@ -6,12 +6,12 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/par"
+	"repro/internal/netsim"
 )
 
 // testGrid is a small grid with every interesting feature: multiple
-// fabrics/topologies, both packagings, a dominated slab (Power3
-// traditional) and node counts that span the efficiency curve.
+// fabrics/topologies, both packagings, a dominated CPU and
+// packaging pair (Power3 traditional) and node counts that span the efficiency curve.
 func testGrid() *Grid {
 	fe, _ := ParseFabric("fe")
 	ge, _ := ParseFabric("ge")
@@ -23,17 +23,14 @@ func testGrid() *Grid {
 	return g
 }
 
-// fingerprintAt runs the search with the process pool w wide (0: the
-// default width) and restores the default afterwards.
-func fingerprintAt(t *testing.T, g *Grid, w int) (uint64, *Result) {
+// optimize runs the search and fails the test on an error.
+func optimize(t *testing.T, g *Grid) *Result {
 	t.Helper()
-	par.SetWorkers(w)
-	defer par.SetWorkers(0)
 	res, err := Optimize(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Fingerprint(res.Frontier), res
+	return res
 }
 
 // heavyGrid is the default grid cut to six fabrics at 64..1024 nodes,
@@ -53,34 +50,26 @@ func heavyGrid(t *testing.T) *Grid {
 	return g
 }
 
-// exhaustive is the reference the pruned parallel search is checked
-// against: every candidate scored serially, with no slab skipped, and
-// inserted into one Frontier. The reference scores each candidate
-// through an evaluator over a fresh memo, so its network solve is
-// computed directly, never served from a cache. Each candidate is also
-// scored through one evaluator over a shared memo, which must agree
-// bit for bit; the result's memo counters are the shared memo's, and
-// measure the memo alone, since nothing is pruned.
-func exhaustive(t *testing.T, g *Grid) *Result {
+// reference is what Optimize is checked against: every candidate
+// scored through an evaluator over a one-cell grid — the candidate's
+// own fabric and node count — so each network solve is computed for
+// that candidate alone and no table index is shared; the feasible ones
+// go into one Frontier.
+func reference(t *testing.T, g *Grid) *Result {
 	t.Helper()
-	memo := NewMemo(g)
-	shared := NewEvaluator(g, memo)
 	res := &Result{Candidates: g.Candidates()}
 	var front Frontier
-	var pt, memoPt Point
+	var pt Point
 	for ci := range g.CPUs {
 		for ki := range g.Packs {
 			for fi := range g.Fabrics {
 				for ni := range g.Nodes {
+					cell := *g
+					cell.Fabrics = g.Fabrics[fi : fi+1]
+					cell.Nodes = g.Nodes[ni : ni+1]
+					ev := NewEvaluator(&cell)
 					for ai := range g.Ambients {
-						res.Evaluated++
-						ok := NewEvaluator(g, NewMemo(g)).Eval(ci, ki, fi, ni, ai, &pt)
-						if shared.Eval(ci, ki, fi, ni, ai, &memoPt) != ok ||
-							ok && Fingerprint([]Point{pt}) != Fingerprint([]Point{memoPt}) {
-							t.Fatalf("candidate (%d,%d,%d,%d,%d): the memoized score differs from a direct solve's",
-								ci, ki, fi, ni, ai)
-						}
-						if ok {
+						if ev.Eval(ci, ki, 0, 0, ai, &pt) {
 							res.Feasible++
 							front.Insert(pt)
 						}
@@ -90,122 +79,51 @@ func exhaustive(t *testing.T, g *Grid) *Result {
 		}
 	}
 	res.Frontier = front.Sorted()
-	res.MemoHits, res.MemoMisses = memo.Hits(), memo.Misses()
 	return res
 }
 
-// TestOptimizeDeterministicAcrossWorkers pins the headline contract:
-// the frontier is bit-identical at pool widths 1, 2 and 8.
-func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
-	g := testGrid()
-	ref, refRes := fingerprintAt(t, g, 1)
-	if len(refRes.Frontier) == 0 {
-		t.Fatal("empty frontier on the test grid")
-	}
-	for _, w := range []int{2, 8} {
-		fp, _ := fingerprintAt(t, g, w)
-		if fp != ref {
-			t.Errorf("width %d frontier differs from width 1", w)
+// TestOptimizeMatchesDirectSolve checks the search against the
+// per-candidate direct-solve reference on the default, test and
+// fabric-heavy grids: the same frontier bit for bit, the same candidate
+// and feasible counts, and the same frontier again on a second run.
+func TestOptimizeMatchesDirectSolve(t *testing.T) {
+	for i, g := range []*Grid{DefaultGrid(), testGrid(), heavyGrid(t)} {
+		res, ref := optimize(t, g), reference(t, g)
+		if len(res.Frontier) == 0 {
+			t.Errorf("grid %d: empty frontier", i)
+		}
+		if fp := Fingerprint(res.Frontier); fp != Fingerprint(ref.Frontier) {
+			t.Errorf("grid %d: frontier differs from the direct-solve reference", i)
+		} else if fp != Fingerprint(optimize(t, g).Frontier) {
+			t.Errorf("grid %d: frontier differs between two runs", i)
+		}
+		if res.Candidates != ref.Candidates || res.Feasible != ref.Feasible {
+			t.Errorf("grid %d: %d candidates, %d feasible; reference %d, %d",
+				i, res.Candidates, res.Feasible, ref.Candidates, ref.Feasible)
 		}
 	}
 }
 
-// TestPrunedFrontierMatchesExhaustive is the pruning correctness
-// cross-check: at widths 1, 2 and 8, the pruned search's frontier is
-// bit-identical to exhaustive enumeration, and on the default grid
-// pruning actually fires.
-func TestPrunedFrontierMatchesExhaustive(t *testing.T) {
-	for _, g := range []*Grid{DefaultGrid(), testGrid()} {
-		ex := Fingerprint(exhaustive(t, g).Frontier)
-		for _, w := range []int{1, 2, 8} {
-			fp, res := fingerprintAt(t, g, w)
-			if fp != ex {
-				t.Errorf("width %d pruned frontier differs from exhaustive", w)
-			}
-			if res.Evaluated+res.Pruned != res.Candidates {
-				t.Errorf("width %d: evaluated %d + pruned %d != candidates %d",
-					w, res.Evaluated, res.Pruned, res.Candidates)
-			}
-		}
-	}
-	_, res := fingerprintAt(t, DefaultGrid(), 0)
-	if res.Pruned == 0 || res.SlabsPruned == 0 {
-		t.Errorf("pruning never fired on the default grid (pruned=%d slabs=%d)", res.Pruned, res.SlabsPruned)
-	}
-}
-
-// TestMemoCountersDeterministic pins that the hit/miss counters are a
-// pure function of the grid — even under a parallel sweep — that the
-// default grid amortizes ≥90% of its network solves, pruned or
-// enumerated exhaustively, and the exact counts on a fabric-heavy grid.
-func TestMemoCountersDeterministic(t *testing.T) {
-	g := DefaultGrid()
-	_, a := fingerprintAt(t, g, 8)
-	_, b := fingerprintAt(t, g, 8)
-	_, serial := fingerprintAt(t, g, 1)
-	if a.MemoHits != b.MemoHits || a.MemoMisses != b.MemoMisses {
-		t.Errorf("memo counters raced: %d/%d vs %d/%d", a.MemoHits, a.MemoMisses, b.MemoHits, b.MemoMisses)
-	}
-	if a.MemoHits != serial.MemoHits || a.MemoMisses != serial.MemoMisses {
-		t.Errorf("memo counters depend on width: %d/%d vs serial %d/%d",
-			a.MemoHits, a.MemoMisses, serial.MemoHits, serial.MemoMisses)
-	}
-	if max := uint64(len(g.Fabrics) * len(g.Nodes)); a.MemoMisses > max {
-		t.Errorf("%d misses for %d distinct (fabric, p) cells", a.MemoMisses, max)
-	}
-	if hr := a.MemoHitRate(); hr < 0.9 {
-		t.Errorf("default-grid memo hit rate %.3f, want ≥ 0.9", hr)
-	}
-	if hr := exhaustive(t, g).MemoHitRate(); hr < 0.9 {
-		t.Errorf("default-grid exhaustive memo hit rate %.3f, want ≥ 0.9", hr)
-	}
-
-	// Six fabrics at 64..1024 nodes, where the O(p) network solve
-	// dominates a candidate's cost: 1200 candidates, 140 pruned in 7
-	// slabs, and each of the 1060 scored ones looks its solve up. The
-	// memo computes each of the 6×5 (fabric, p) cells once — 30
-	// misses — and serves the other 1030 lookups from the table.
-	heavy := heavyGrid(t)
-	for _, w := range []int{1, 8} {
-		_, res := fingerprintAt(t, heavy, w)
-		if res.Evaluated != 1060 || res.Pruned != 140 || res.MemoHits != 1030 || res.MemoMisses != 30 {
-			t.Errorf("heavy grid at width %d: evaluated %d pruned %d, memo %d hits / %d misses; want 1060, 140, 1030 / 30",
-				w, res.Evaluated, res.Pruned, res.MemoHits, res.MemoMisses)
-		}
-	}
-}
-
-// TestMemoCellsMatchDirectSolve checks the memo against the solve it
-// caches: after the search at widths 1 and 8 on the default and the
-// fabric-heavy grids, every filled cell of the (fabric, p) table holds
-// bit for bit what a direct network solve for that cell gives, and the
-// filled cells number the misses.
-func TestMemoCellsMatchDirectSolve(t *testing.T) {
+// TestCommTableMatchesDirectSolve checks the evaluator's table against
+// the solve it holds: on the default and the fabric-heavy grids, every
+// (fabric, p) cell equals bit for bit a network solve computed here
+// from the fabric template.
+func TestCommTableMatchesDirectSolve(t *testing.T) {
 	for _, g := range []*Grid{DefaultGrid(), heavyGrid(t)} {
-		direct := NewEvaluator(g, NewMemo(g))
-		for _, w := range []int{1, 8} {
-			par.SetWorkers(w)
-			res, memo, err := search(g)
-			par.SetWorkers(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var filled uint64
-			for fi := range g.Fabrics {
-				for ni := range g.Nodes {
-					c := &memo.cells[fi*len(g.Nodes)+ni]
-					if c.done.Load() == 0 {
-						continue
-					}
-					filled++
-					if got, want := c.comm, direct.solveComm(fi, ni); math.Float64bits(got) != math.Float64bits(want) {
-						t.Errorf("width %d: memo cell (%s, p=%d) holds %v, direct solve gives %v",
-							w, g.Fabrics[fi].Name, g.Nodes[ni], got, want)
-					}
+		ev := NewEvaluator(g)
+		if len(ev.comm) != len(g.Fabrics)*len(g.Nodes) {
+			t.Fatalf("%d cells for %d fabrics × %d node counts", len(ev.comm), len(g.Fabrics), len(g.Nodes))
+		}
+		for fi, fc := range g.Fabrics {
+			for ni, p := range g.Nodes {
+				f := *fc.Template
+				if err := netsim.ApplyTopology(&f, fc.Topology, p); err != nil {
+					t.Fatal(err)
 				}
-			}
-			if filled == 0 || filled != res.MemoMisses {
-				t.Errorf("width %d: %d filled cells for %d misses", w, filled, res.MemoMisses)
+				want := g.Workload.CommSecondsPerStep(&f, p)
+				if got := ev.comm[fi*len(g.Nodes)+ni]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("cell (%s, p=%d) holds %v, direct solve gives %v", fc.Name, p, got, want)
+				}
 			}
 		}
 	}
@@ -221,7 +139,7 @@ func TestDegenerateChoicesCannotNaN(t *testing.T) {
 		CPUChoice{Name: "NoWatts", Node: cluster.NodeSpec{Name: "w0", CPUModel: "w0", WattsLoad: 0}, MflopsPerCPU: 100, AcqPerNodeUSD: 500},
 	)
 	g.Rel.BaseMTBFHours = 0
-	pr, res := fingerprintAt(t, g, 4)
+	res := optimize(t, g)
 	if len(res.Frontier) == 0 {
 		t.Fatal("degenerate choices emptied the frontier")
 	}
@@ -236,42 +154,15 @@ func TestDegenerateChoicesCannotNaN(t *testing.T) {
 			}
 		}
 	}
-	// And the pruned/exhaustive contract must survive the degenerates.
-	if pr != Fingerprint(exhaustive(t, g).Frontier) {
-		t.Error("degenerate slabs broke the pruned == exhaustive contract")
-	}
-}
-
-// TestSlabBoundIsOptimistic cross-checks the pruning bounds against
-// every feasible candidate: no design may beat its slab's bound in any
-// objective (that is what makes skipping a dominated slab safe).
-func TestSlabBoundIsOptimistic(t *testing.T) {
-	g := testGrid()
-	ev := NewEvaluator(g, NewMemo(g))
-	var pt Point
-	for ci := range g.CPUs {
-		for ki := range g.Packs {
-			for fi := range g.Fabrics {
-				b := g.slabBoundAt(ci, ki, fi)
-				for ni := range g.Nodes {
-					for ai := range g.Ambients {
-						if !ev.Eval(ci, ki, fi, ni, ai, &pt) {
-							continue
-						}
-						if pt.ToPPeR < b.topperLB || pt.PerfPerWatt > b.ppwUB || pt.PerfPerSpace > b.ppsUB {
-							t.Fatalf("bound not optimistic for %s: LB/UBs %.3f %.3f %.3f",
-								pt.String(), b.topperLB, b.ppwUB, b.ppsUB)
-						}
-					}
-				}
-			}
-		}
+	// And the search must still match the direct-solve reference.
+	if Fingerprint(res.Frontier) != Fingerprint(reference(t, g).Frontier) {
+		t.Error("degenerate choices broke the Optimize == reference contract")
 	}
 }
 
 // TestFrontierOrderIndependent inserts the same point set in shuffled
 // orders and demands the same sorted frontier — the membership
-// property the worker-count invariance rests on.
+// property that makes the frontier a pure function of the grid.
 func TestFrontierOrderIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pts := make([]Point, 60)
@@ -330,8 +221,8 @@ func TestBudgetCapsFeasibility(t *testing.T) {
 			t.Errorf("frontier point over TCO budget: %s", p.String())
 		}
 	}
-	if Fingerprint(res.Frontier) != Fingerprint(exhaustive(t, g).Frontier) {
-		t.Error("budget-capped pruned frontier differs from exhaustive")
+	if Fingerprint(res.Frontier) != Fingerprint(reference(t, g).Frontier) {
+		t.Error("budget-capped frontier differs from the direct-solve reference")
 	}
 	g.Budget = Budget{MaxTCOUSD: 1} // nothing fits
 	res, err = Optimize(g)

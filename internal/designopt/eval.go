@@ -3,69 +3,40 @@ package designopt
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/netsim"
 	"repro/internal/tco"
 )
 
-// Memo caches the netsim efficiency solves, keyed by (fabric index,
-// node-count index) — the workload is fixed per Grid, so those two
-// coordinates identify a solve. Cells are solved at most once; the
-// hit/miss counts are deterministic because a racing reader that finds
-// the lock held waits and counts as a hit (exactly one goroutine ever
-// counts the miss for a cell).
-type Memo struct {
-	cells  []memoCell
-	np     int
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-type memoCell struct {
-	done atomic.Uint32
-	mu   sync.Mutex
-	comm float64
-}
-
-// NewMemo sizes a memo table for a grid.
-func NewMemo(g *Grid) *Memo {
-	return &Memo{
-		cells: make([]memoCell, len(g.Fabrics)*len(g.Nodes)),
-		np:    len(g.Nodes),
-	}
-}
-
-// Hits and Misses report the lookup counters.
-func (m *Memo) Hits() uint64   { return m.hits.Load() }
-func (m *Memo) Misses() uint64 { return m.misses.Load() }
-
-// Evaluator scores candidates against one grid. It owns a scratch
-// cluster so the steady-state Eval path allocates nothing; use one
-// Evaluator per worker.
+// Evaluator scores candidates against one grid. It holds the network
+// solve of every (fabric, node count) cell — the workload is fixed per
+// Grid, so those two coordinates identify a solve — and a scratch
+// cluster, so Eval allocates nothing.
 type Evaluator struct {
 	g       *Grid
-	memo    *Memo
+	comm    []float64 // one step's communication seconds, [fi*len(g.Nodes)+ni]
 	scratch cluster.Cluster
 }
 
-// NewEvaluator builds a per-worker evaluator over a shared memo, which
-// must not be nil.
-func NewEvaluator(g *Grid, memo *Memo) *Evaluator {
-	if memo == nil {
-		panic("designopt: NewEvaluator needs a memo")
+// NewEvaluator solves the network model once per (fabric, node count)
+// cell of the grid.
+func NewEvaluator(g *Grid) *Evaluator {
+	e := &Evaluator{g: g, comm: make([]float64, len(g.Fabrics)*len(g.Nodes))}
+	for fi := range g.Fabrics {
+		for ni := range g.Nodes {
+			e.comm[fi*len(g.Nodes)+ni] = g.solveComm(fi, ni)
+		}
 	}
-	return &Evaluator{g: g, memo: memo}
+	return e
 }
 
 // solveComm runs the network solve for (fabric fi, node count at ni):
 // copy the fabric template, size the topology to p, and price the
 // workload's communication schedule on it.
-func (e *Evaluator) solveComm(fi, ni int) float64 {
-	fc := &e.g.Fabrics[fi]
-	p := e.g.Nodes[ni]
+func (g *Grid) solveComm(fi, ni int) float64 {
+	fc := &g.Fabrics[fi]
+	p := g.Nodes[ni]
 	f := *fc.Template
 	if err := netsim.ApplyTopology(&f, fc.Topology, p); err != nil {
 		// Grid fabrics are parsed through ParseFabric, so the only
@@ -74,28 +45,7 @@ func (e *Evaluator) solveComm(fi, ni int) float64 {
 		// rather than poison the sweep.
 		return math.Inf(1)
 	}
-	return e.g.Workload.CommSecondsPerStep(&f, p)
-}
-
-// commSeconds returns the memoized network solve.
-func (e *Evaluator) commSeconds(fi, ni int) float64 {
-	c := &e.memo.cells[fi*e.memo.np+ni]
-	if c.done.Load() == 1 {
-		e.memo.hits.Add(1)
-		return c.comm
-	}
-	c.mu.Lock()
-	if c.done.Load() == 0 {
-		c.comm = e.solveComm(fi, ni)
-		c.done.Store(1)
-		c.mu.Unlock()
-		e.memo.misses.Add(1)
-		return c.comm
-	}
-	v := c.comm
-	c.mu.Unlock()
-	e.memo.hits.Add(1)
-	return v
+	return g.Workload.CommSecondsPerStep(&f, p)
 }
 
 // Point is one evaluated design: the candidate coordinates plus the
@@ -121,8 +71,7 @@ type Point struct {
 // Eval scores the candidate at (cpu ci, pack ki, fabric fi, nodes ni,
 // ambient ai) into out and reports whether it is feasible. Degenerate
 // node specs (zero rate, zero watts) and budget violations are
-// infeasible, never NaN. The steady-state path (memo hit) allocates
-// nothing.
+// infeasible, never NaN. Eval allocates nothing.
 func (e *Evaluator) Eval(ci, ki, fi, ni, ai int, out *Point) bool {
 	g := e.g
 	cp := &g.CPUs[ci]
@@ -148,11 +97,7 @@ func (e *Evaluator) Eval(ci, ki, fi, ni, ai int, out *Point) bool {
 	}
 	cl := &e.scratch
 
-	comm := 0.0
-	if p > 1 {
-		comm = e.commSeconds(fi, ni)
-	}
-	eff := g.Workload.Efficiency(cp.MflopsPerCPU, p, comm)
+	eff := g.Workload.Efficiency(cp.MflopsPerCPU, p, e.comm[fi*len(g.Nodes)+ni])
 	gflops := cp.MflopsPerCPU * float64(p) * eff / 1000
 	if !(gflops > 0) {
 		return false

@@ -41,21 +41,11 @@ func (f *Frontier) Insert(p Point) bool {
 	return true
 }
 
-// Merge inserts every point of another frontier.
-func (f *Frontier) Merge(o *Frontier) {
-	for i := range o.pts {
-		f.Insert(o.pts[i])
-	}
-}
-
-// Len returns the current frontier size.
-func (f *Frontier) Len() int { return len(f.pts) }
-
 // Sorted returns the frontier in canonical order: ascending ToPPeR,
 // then descending perf/watt and perf/space, then the candidate
 // coordinates as the total tie-break. Canonical order plus
-// order-independent membership is what makes the emitted frontier
-// bit-identical at any worker count and under pruning.
+// order-independent membership make the emitted frontier independent
+// of the order the candidates were inserted in.
 func (f *Frontier) Sorted() []Point {
 	out := append([]Point(nil), f.pts...)
 	sort.Slice(out, func(i, j int) bool {

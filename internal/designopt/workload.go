@@ -11,8 +11,8 @@ import (
 // how much arithmetic one timestep costs and how much data each rank
 // must exchange per step. Per-CPU speed comes from CPUChoice (Table 1
 // rates); the fabric-dependent communication time comes from
-// CommSecondsPerStep, which is the expensive netsim solve the memo
-// table amortizes.
+// CommSecondsPerStep, the netsim solve NewEvaluator runs once per
+// (fabric, node count).
 type Workload struct {
 	Name string `json:"name"`
 	// Particles is the global problem size.
@@ -56,8 +56,8 @@ func (w *Workload) Validate() error {
 // communication time on p ranks of the given (topology-applied)
 // fabric. It is deliberately the full closed-form schedule, not a
 // single formula — the O(p) locally-essential-tree exchange plus a
-// segment-size-tuned broadcast — because this is the per-cell cost the
-// memo table amortizes across the O(designs) evaluation loop.
+// segment-size-tuned broadcast; NewEvaluator solves it once per cell
+// of the (fabric, node count) table the evaluation loop reads.
 func (w *Workload) CommSecondsPerStep(f *netsim.Fabric, p int) float64 {
 	if p <= 1 {
 		return 0

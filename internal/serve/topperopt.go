@@ -40,8 +40,6 @@ func ValidateTopperOptResultJSON(schemaJSON, doc []byte) error {
 		Result struct {
 			Data struct {
 				Candidates int                          `json:"candidates"`
-				Evaluated  int                          `json:"evaluated"`
-				Pruned     int                          `json:"pruned"`
 				Feasible   int                          `json:"feasible"`
 				Frontier   []map[string]json.RawMessage `json:"frontier"`
 			} `json:"data"`
@@ -59,9 +57,9 @@ func ValidateTopperOptResultJSON(schemaJSON, doc []byte) error {
 		return fmt.Errorf("serve: result kind %q, want %q", rd.Kind, sc.Kind)
 	}
 	d := &rd.Result.Data
-	if d.Evaluated+d.Pruned != d.Candidates {
-		return fmt.Errorf("serve: topperopt telemetry inconsistent: evaluated %d + pruned %d != candidates %d",
-			d.Evaluated, d.Pruned, d.Candidates)
+	if d.Feasible > d.Candidates {
+		return fmt.Errorf("serve: topperopt telemetry inconsistent: %d feasible of %d candidates",
+			d.Feasible, d.Candidates)
 	}
 	if len(d.Frontier) == 0 {
 		// An empty frontier is legal only when nothing was feasible

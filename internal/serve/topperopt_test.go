@@ -107,8 +107,8 @@ func TestValidateTopperOptResultJSON(t *testing.T) {
 
 	cases := map[string][]byte{
 		"frontier point missing a field": bytes.Replace(doc, []byte(`"perf_per_watt"`), []byte(`"ppw"`), 1),
-		"missing designopt counter":      bytes.Replace(doc, []byte(`"designopt.pruned"`), []byte(`"designopt.prunes"`), 1),
-		"telemetry inconsistent":         bytes.Replace(doc, []byte(`"pruned":`), []byte(`"pruned":1000`), 1),
+		"missing designopt counter":      bytes.Replace(doc, []byte(`"designopt.evaluated"`), []byte(`"designopt.evaluates"`), 1),
+		"feasible > candidates":          bytes.Replace(doc, []byte(`"feasible":`), []byte(`"feasible":1000`), 1),
 	}
 	for name, bad := range cases {
 		if bytes.Equal(bad, doc) {

@@ -1,3 +1,6 @@
+// Package sim provides the seedable random-number generator behind the
+// cluster failure simulation, the N-body initial conditions and the
+// gravity microkernel's inputs.
 package sim
 
 import "math"
