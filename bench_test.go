@@ -527,37 +527,6 @@ func hostParallelOps(n, workers int) (build, forces func() error) {
 	return build, forces
 }
 
-// BenchmarkGears compares the single-gear CMS pipeline with the tiered
-// one (interpret → quick translate → superblock reoptimize, chained) on
-// the Table 1 microkernel. sim-cycles is deterministic and drops with
-// gears on; ns/op is the host-side cost of simulating each configuration.
-func BenchmarkGears(b *testing.B) {
-	for _, variant := range []kernels.GravVariant{kernels.GravMath, kernels.GravKarp} {
-		for _, gears := range []bool{false, true} {
-			b.Run(fmt.Sprintf("gravmicro/%s/gears=%t", variant, gears), func(b *testing.B) {
-				c := cpu.NewTM5600()
-				c.Gears = gears
-				g := kernels.DefaultGravMicro(variant)
-				var cycles, mflops float64
-				for i := 0; i < b.N; i++ {
-					prog, st, err := g.Build()
-					if err != nil {
-						b.Fatal(err)
-					}
-					res, err := c.RunKernel(prog, st)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cycles = res.Cycles
-					mflops = res.Mflops()
-				}
-				b.ReportMetric(cycles, "sim-cycles")
-				b.ReportMetric(mflops, "Mflops")
-			})
-		}
-	}
-}
-
 // BenchmarkCalibrationMemo shows what the process-wide calibration memo
 // saves: a cold CalibrateFor runs eight kernel simulations; a warm one
 // is a map lookup.

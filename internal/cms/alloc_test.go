@@ -9,42 +9,33 @@ import (
 
 // TestWarmRunZeroAlloc pins the steady-state CMS hot path — cached
 // lookup, native execution, trace accumulation and chained dispatch — as
-// allocation-free once the cache is warm, in both the single-gear and
-// the tiered pipeline. This is the host-side cost model the paper's
+// allocation-free once the cache is warm. This is the host-side cost model the paper's
 // "simulate a bladed Beowulf on a laptop" pitch depends on: the inner
 // loop must not churn the garbage collector.
 func TestWarmRunZeroAlloc(t *testing.T) {
-	for _, gears := range []bool{false, true} {
-		name := "single-gear"
-		if gears {
-			name = "gears"
+	// The subtest keeps the name it had when a tiered pipeline ran
+	// beside the single translation gear.
+	t.Run("single-gear", func(t *testing.T) {
+		p := isa.MustAssemble(sumLoopSrc)
+		params := DefaultParams()
+		params.HotThreshold = 1
+		m := NewMachine(params, vliw.TM5600Timing())
+		st := isa.NewState(0)
+		// Warm up: translate and patch chains.
+		for i := 0; i < 3; i++ {
+			*st = isa.State{}
+			if _, _, err := m.Run(p, st, 0); err != nil {
+				t.Fatal(err)
+			}
 		}
-		t.Run(name, func(t *testing.T) {
-			p := isa.MustAssemble(sumLoopSrc)
-			params := DefaultParams()
-			if gears {
-				params = params.WithGears()
-				params.ReoptThreshold = 4
-			}
-			params.HotThreshold = 1
-			m := NewMachine(params, vliw.TM5600Timing())
-			st := isa.NewState(0)
-			// Warm up: translate, promote through the gears, patch chains.
-			for i := 0; i < 3; i++ {
-				*st = isa.State{}
-				if _, _, err := m.Run(p, st, 0); err != nil {
-					t.Fatal(err)
-				}
-			}
-			allocs := testing.AllocsPerRun(50, func() {
-				*st = isa.State{}
-				if _, _, err := m.Run(p, st, 0); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("warm Run allocated %.1f times per run, want 0", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			*st = isa.State{}
+			if _, _, err := m.Run(p, st, 0); err != nil {
+				t.Fatal(err)
 			}
 		})
-	}
+		if allocs != 0 {
+			t.Fatalf("warm Run allocated %.1f times per run, want 0", allocs)
+		}
+	})
 }

@@ -33,7 +33,7 @@ func checkChainInvariants(t *testing.T, m *Machine) {
 				}
 			}
 			if !found {
-				t.Fatalf("entry %d links to %d, but %d's preds do not record it", pc, l.to.pc, l.to.pc)
+				t.Fatalf("entry %d links to %d, but %d's preds do not record it", pc, l.pc, l.pc)
 			}
 		}
 		for _, p := range e.preds {
@@ -129,82 +129,48 @@ func TestEvictionUnchains(t *testing.T) {
 	}
 }
 
-func TestReoptimizationUnchains(t *testing.T) {
-	p := isa.MustAssemble(twoRegionLoopSrc)
-	gp := DefaultParams().WithGears()
-	gp.HotThreshold = 1
-	gp.ReoptThreshold = 4
-	m := NewMachine(gp, vliw.TM5600Timing())
-	st := isa.NewState(0)
-	if _, _, err := m.Run(p, st, 0); err != nil {
-		t.Fatal(err)
-	}
-	s := m.Stats()
-	if s.Reopts == 0 {
-		t.Fatalf("loop never promoted: %+v", s)
-	}
-	if s.Unchains == 0 {
-		t.Fatalf("replacing a gear-1 translation should sever its chain links: %+v", s)
-	}
-	checkChainInvariants(t, m)
-	// After promotion the cached entry at the loop head must be gear 2.
-	for pc, e := range m.cache {
-		if e.tr.Gear == 1 && e.execs >= gp.ReoptThreshold {
-			t.Fatalf("entry %d stuck in gear 1 after %d executions", pc, e.execs)
-		}
-	}
-}
-
 // TestWarmReuseDeterministicUnderEviction is the eviction × chaining ×
 // warm-reuse interaction test: repeated runs on one machine (a warm
 // translation cache) with a cache small enough to evict continuously
 // must stay architecturally identical and settle into a deterministic
 // per-run cycle cost.
 func TestWarmReuseDeterministicUnderEviction(t *testing.T) {
-	for _, gears := range []bool{false, true} {
-		name := "single-gear"
-		if gears {
-			name = "gears"
+	// The subtest keeps the name it had when a tiered pipeline ran
+	// beside the single translation gear.
+	t.Run("single-gear", func(t *testing.T) {
+		p := isa.MustAssemble(twoRegionLoopSrc)
+		ref := isa.NewState(0)
+		if err := isa.Run(p, ref, nil, 10_000_000); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			p := isa.MustAssemble(twoRegionLoopSrc)
-			ref := isa.NewState(0)
-			if err := isa.Run(p, ref, nil, 10_000_000); err != nil {
-				t.Fatal(err)
+		params := DefaultParams()
+		params.HotThreshold = 1
+		params.CacheCapacityAtoms = 12
+		m := NewMachine(params, vliw.TM5600Timing())
+		var costs []uint64
+		for run := 0; run < 5; run++ {
+			st := isa.NewState(0)
+			before := m.Stats().TotalCycles()
+			if _, _, err := m.Run(p, st, 0); err != nil {
+				t.Fatalf("run %d: %v", run, err)
 			}
-			params := DefaultParams()
-			if gears {
-				params = params.WithGears()
-				params.ReoptThreshold = 4
+			if !ref.Equal(st) {
+				t.Fatalf("run %d diverged: ref R=%v, got R=%v", run, ref.R, st.R)
 			}
-			params.HotThreshold = 1
-			params.CacheCapacityAtoms = 12
-			m := NewMachine(params, vliw.TM5600Timing())
-			var costs []uint64
-			for run := 0; run < 5; run++ {
-				st := isa.NewState(0)
-				before := m.Stats().TotalCycles()
-				if _, _, err := m.Run(p, st, 0); err != nil {
-					t.Fatalf("run %d: %v", run, err)
-				}
-				if !ref.Equal(st) {
-					t.Fatalf("run %d diverged: ref R=%v, got R=%v", run, ref.R, st.R)
-				}
-				costs = append(costs, m.Stats().TotalCycles()-before)
-				checkChainInvariants(t, m)
+			costs = append(costs, m.Stats().TotalCycles()-before)
+			checkChainInvariants(t, m)
+		}
+		if m.Stats().CacheEvictions == 0 {
+			t.Fatalf("eviction pressure never materialised: %+v", m.Stats())
+		}
+		// Warm runs repeat the same translate/evict/chain sequence, so
+		// their cycle costs must be identical run over run.
+		for i := 2; i < len(costs); i++ {
+			if costs[i] != costs[1] {
+				t.Fatalf("warm run costs diverged: %v", costs)
 			}
-			if m.Stats().CacheEvictions == 0 {
-				t.Fatalf("eviction pressure never materialised: %+v", m.Stats())
-			}
-			// Warm runs repeat the same translate/evict/chain sequence, so
-			// their cycle costs must be identical run over run.
-			for i := 2; i < len(costs); i++ {
-				if costs[i] != costs[1] {
-					t.Fatalf("warm run costs diverged: %v", costs)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestUnchainLeavesSelfLoops covers a translation chained to itself (a

@@ -23,7 +23,7 @@ type Params struct {
 	// instruction, added to the native latency of the operation itself.
 	InterpOverhead int
 	// TranslateCostPerInstr is the one-time translation cost per x86
-	// instruction in a region (the single-gear optimizing translator).
+	// instruction in a region.
 	TranslateCostPerInstr int
 	// DispatchCycles is the cost of entering the translation cache from
 	// the CMS runtime (hash lookup, context restore).
@@ -34,28 +34,9 @@ type Params struct {
 	// CacheCapacityAtoms bounds the translation cache size, measured in
 	// atoms (a proxy for the cache's memory footprint). 0 = unlimited.
 	CacheCapacityAtoms int
-
-	// Tiered gears (DESIGN.md §10). ReoptThreshold = 0 disables the
-	// tiered pipeline: translation goes through the single optimizing
-	// gear exactly as before, bit-identical cycle accounting included.
-	//
-	// QuickCostPerInstr is the per-instruction cost of the gear-1 quick
-	// block translator (one atom per molecule, no scheduling).
-	QuickCostPerInstr int
-	// ReoptThreshold is the execution count at which a gear-1 translation
-	// is reoptimized into a gear-2 superblock.
-	ReoptThreshold int
-	// ReoptCostPerInstr is the per-instruction cost of gear-2 superblock
-	// reoptimization.
-	ReoptCostPerInstr int
-	// SuperblockMax bounds the x86 instructions one superblock covers.
-	SuperblockMax int
-	// UnrollMax bounds how many copies of the entry loop body a
-	// superblock may splice in line.
-	UnrollMax int
 }
 
-// DefaultParams returns the CMS 4.x-like defaults (single-gear).
+// DefaultParams returns the CMS 4.x-like defaults.
 func DefaultParams() Params {
 	return Params{
 		HotThreshold:          24,
@@ -65,26 +46,6 @@ func DefaultParams() Params {
 		ChainedDispatchCycles: 1,
 		CacheCapacityAtoms:    1 << 16,
 	}
-}
-
-// GearsEnabled reports whether the tiered interpret → quick-translate →
-// superblock pipeline is active.
-func (p Params) GearsEnabled() bool { return p.ReoptThreshold > 0 }
-
-// WithGears returns p with the tiered pipeline enabled: a lower hot
-// threshold feeding a cheap quick translator, then superblock
-// reoptimization once a region has proven itself over ReoptThreshold
-// executions. Reoptimization is cheaper per instruction than the
-// single-gear translator because it reuses the quick gear's decoded
-// region and profile rather than starting from cold bytes.
-func (p Params) WithGears() Params {
-	p.HotThreshold = 8
-	p.QuickCostPerInstr = 600
-	p.ReoptThreshold = 128
-	p.ReoptCostPerInstr = 1200
-	p.SuperblockMax = 256
-	p.UnrollMax = 2
-	return p
 }
 
 // Stats reports where cycles went during a run.
@@ -98,7 +59,7 @@ type Stats struct {
 
 	InterpInstrs      uint64 // x86 instructions interpreted
 	InterpCycles      uint64
-	Translations      uint64 // regions translated (any gear)
+	Translations      uint64 // regions translated
 	TranslatedInstrs  uint64 // x86 instructions covered by translations
 	TranslateCycles   uint64
 	NativeExecutions  uint64 // translation executions
@@ -111,23 +72,16 @@ type Stats struct {
 	CacheEvictions    uint64
 	CacheAtoms        int // current cache occupancy
 
-	// Tiered-gear accounting (zero unless Params.GearsEnabled).
-	QuickTranslations uint64 // gear-1 quick block translations
-	Reopts            uint64 // gear-2 superblock reoptimizations
-	ReoptInstrs       uint64 // x86 instructions covered by superblocks
-	ReoptCycles       uint64 // cycles spent reoptimizing
-	SuperblockExecs   uint64 // gear-2 translation executions
-	SideExits         uint64 // superblock exits off the profiled-hot path
 	// Chaining accounting.
 	ChainPatches uint64 // exit→successor links patched in
 	ChainHits    uint64 // native-to-native hops through a chain
 	ChainMisses  uint64 // native exits with no cached successor
-	Unchains     uint64 // links severed by eviction or reoptimization
+	Unchains     uint64 // links severed by eviction
 }
 
 // TotalCycles sums every cycle category.
 func (s Stats) TotalCycles() uint64 {
-	return s.InterpCycles + s.TranslateCycles + s.ReoptCycles + s.NativeCycles + s.DispatchCycles
+	return s.InterpCycles + s.TranslateCycles + s.NativeCycles + s.DispatchCycles
 }
 
 // PackingDensity returns atoms per molecule executed — the ILP the
@@ -147,10 +101,8 @@ type chainLink struct {
 }
 
 type cacheEntry struct {
-	pc    int
-	tr    *vliw.Translation
-	ele   *list.Element // position in LRU list; value is the entry PC
-	execs int           // executions, drives gear promotion
+	tr  *vliw.Translation
+	ele *list.Element // position in LRU list; value is the entry PC
 	// links are this entry's patched exits; preds are the entries holding
 	// a link to this one, so eviction can sever incoming links without a
 	// cache sweep. Translations have a handful of exits at most, so both
@@ -177,16 +129,12 @@ type Machine struct {
 	// Tracer, when non-nil, records the interpret→translate→cache
 	// pipeline as trace events in the CMS cycle domain (obs.PidCMS, one
 	// cycle per microsecond tick): a span per Run, a span per region
-	// translation or reoptimization, an instant per cache eviction.
+	// translation, an instant per cache eviction.
 	Tracer *obs.Tracer
 
 	cache   map[int]*cacheEntry
 	lru     *list.List
 	profile map[int]int
-	// Per-branch outcome profile (taken/seen), collected while
-	// interpreting when gears are enabled; drives superblock formation.
-	brSeen  map[int]uint64
-	brTaken map[int]uint64
 	stats   Stats
 	// vst is the reused VLIW register state, re-armed per Run so the hot
 	// path allocates nothing.
@@ -203,8 +151,6 @@ func NewMachine(p Params, timing vliw.Timing) *Machine {
 		cache:   map[int]*cacheEntry{},
 		lru:     list.New(),
 		profile: map[int]int{},
-		brSeen:  map[int]uint64{},
-		brTaken: map[int]uint64{},
 	}
 }
 
@@ -217,8 +163,6 @@ func (m *Machine) Reset() {
 	m.cache = map[int]*cacheEntry{}
 	m.lru = list.New()
 	m.profile = map[int]int{}
-	m.brSeen = map[int]uint64{}
-	m.brTaken = map[int]uint64{}
 	m.stats = Stats{}
 }
 
@@ -306,25 +250,11 @@ func (m *Machine) Run(p isa.Program, st *isa.State, fuelCycles uint64) (uint64, 
 // order are bit-identical to pre-chaining behaviour.
 func (m *Machine) runNative(p isa.Program, ent *cacheEntry, vst *vliw.State, tr *isa.Trace, fuelCycles uint64) (int, error) {
 	for {
-		if ent.tr.Gear == 1 && m.P.GearsEnabled() && ent.execs >= m.P.ReoptThreshold {
-			e, err := m.reoptimize(p, ent)
-			if err != nil {
-				return 0, err
-			}
-			ent = e
-		}
-		ent.execs++
 		res, err := m.VLIW.Execute(ent.tr, vst)
 		if err != nil {
 			return 0, err
 		}
 		m.recordNative(&res, tr)
-		if ent.tr.Gear == 2 {
-			m.stats.SuperblockExecs++
-			if res.Taken && !res.Halted && res.ExitPC != ent.tr.MainExit {
-				m.stats.SideExits++
-			}
-		}
 		if res.Halted {
 			return res.ExitPC, nil
 		}
@@ -368,8 +298,8 @@ func (m *Machine) patch(from *cacheEntry, exitPC int, to *cacheEntry) {
 	m.stats.ChainPatches++
 }
 
-// unchain severs every link into and out of victim, so an evicted or
-// replaced translation can never be reached from native code again.
+// unchain severs every link into and out of victim, so an evicted
+// translation can never be reached from native code again.
 func (m *Machine) unchain(victim *cacheEntry) {
 	for _, pred := range victim.preds {
 		kept := pred.links[:0]
@@ -398,69 +328,26 @@ func (m *Machine) unchain(victim *cacheEntry) {
 	victim.preds = nil
 }
 
-// branchProfile adapts the interpreter's branch counters to the
-// superblock former.
-func (m *Machine) branchProfile(pc int) (taken, seen uint64) {
-	return m.brTaken[pc], m.brSeen[pc]
-}
-
 func (m *Machine) translate(p isa.Program, pc int) error {
 	start := m.stats.TotalCycles()
-	var t *vliw.Translation
-	var err error
-	cost := m.P.TranslateCostPerInstr
-	name := "translate"
-	if m.P.GearsEnabled() {
-		t, err = m.Trans.TranslateQuick(p, pc)
-		cost = m.P.QuickCostPerInstr
-		name = "translate-quick"
-	} else {
-		t, err = m.Trans.Translate(p, pc)
-	}
+	t, err := m.Trans.Translate(p, pc)
 	if err != nil {
 		return err
 	}
+	cost := t.SrcInstrs * m.P.TranslateCostPerInstr
 	m.stats.Translations++
-	if t.Gear == 1 {
-		m.stats.QuickTranslations++
-	}
 	m.stats.TranslatedInstrs += uint64(t.SrcInstrs)
-	m.stats.TranslateCycles += uint64(t.SrcInstrs * cost)
+	m.stats.TranslateCycles += uint64(cost)
 	if m.Tracer != nil {
-		m.Tracer.Complete(obs.PidCMS, 0, "cms", name,
-			float64(start), float64(t.SrcInstrs*cost),
+		m.Tracer.Complete(obs.PidCMS, 0, "cms", "translate",
+			float64(start), float64(cost),
 			map[string]any{"pc": pc, "instrs": t.SrcInstrs, "atoms": t.Atoms()})
 	}
 	m.insert(pc, t)
 	return nil
 }
 
-// reoptimize promotes a gear-1 entry to a gear-2 superblock built from
-// the branch profile, replacing it in the cache. The old translation is
-// unchained first so no stale link can reach it.
-func (m *Machine) reoptimize(p isa.Program, old *cacheEntry) (*cacheEntry, error) {
-	start := m.stats.TotalCycles()
-	t, err := m.Trans.Superblock(p, old.pc, m.branchProfile, m.P.SuperblockMax, m.P.UnrollMax)
-	if err != nil {
-		return nil, err
-	}
-	m.stats.Reopts++
-	m.stats.ReoptInstrs += uint64(t.SrcInstrs)
-	cost := uint64(t.SrcInstrs * m.P.ReoptCostPerInstr)
-	m.stats.ReoptCycles += cost
-	if m.Tracer != nil {
-		m.Tracer.Complete(obs.PidCMS, 0, "cms", "reoptimize",
-			float64(start), float64(cost),
-			map[string]any{"pc": old.pc, "instrs": t.SrcInstrs, "atoms": t.Atoms()})
-	}
-	m.unchain(old)
-	m.stats.CacheAtoms -= old.tr.Atoms()
-	delete(m.cache, old.pc)
-	m.lru.Remove(old.ele)
-	return m.insert(old.pc, t), nil
-}
-
-func (m *Machine) insert(pc int, t *vliw.Translation) *cacheEntry {
+func (m *Machine) insert(pc int, t *vliw.Translation) {
 	atoms := t.Atoms()
 	if m.P.CacheCapacityAtoms > 0 {
 		for m.stats.CacheAtoms+atoms > m.P.CacheCapacityAtoms && m.lru.Len() > 0 {
@@ -480,10 +367,8 @@ func (m *Machine) insert(pc int, t *vliw.Translation) *cacheEntry {
 		}
 	}
 	ele := m.lru.PushFront(pc)
-	ent := &cacheEntry{pc: pc, tr: t, ele: ele}
-	m.cache[pc] = ent
+	m.cache[pc] = &cacheEntry{tr: t, ele: ele}
 	m.stats.CacheAtoms += atoms
-	return ent
 }
 
 func (m *Machine) recordNative(res *vliw.ExecResult, tr *isa.Trace) {
@@ -503,25 +388,16 @@ func (m *Machine) recordNative(res *vliw.ExecResult, tr *isa.Trace) {
 
 // interpretRegion steps x86 instructions, charging interpreter cost per
 // instruction, until a control transfer executes (whose successor is the
-// next region head) or the program halts. With gears enabled it also
-// records conditional-branch outcomes for the superblock former.
+// next region head) or the program halts.
 func (m *Machine) interpretRegion(p isa.Program, st *isa.State, tr *isa.Trace) error {
-	gears := m.P.GearsEnabled()
 	for !st.Halted {
-		pc := st.PC
-		in := p[pc]
+		in := p[st.PC]
 		if err := isa.Step(p, st, tr); err != nil {
 			return err
 		}
 		m.stats.InterpInstrs++
 		m.stats.InterpCycles += uint64(m.P.InterpOverhead) + uint64(m.interpLatency(in.Op))
 		if isa.IsBranch(in.Op) {
-			if gears && in.Op != isa.Jmp {
-				m.brSeen[pc]++
-				if st.PC != pc+1 {
-					m.brTaken[pc]++
-				}
-			}
 			return nil
 		}
 	}

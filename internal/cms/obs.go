@@ -30,18 +30,9 @@ func (s Stats) Collect(snap *obs.Snapshot) {
 	// Cold dispatches go through the CMS runtime.
 	snap.AddCounter("cms.dispatch.cold", "", s.ColdDispatches)
 	snap.AddCounter("cms.cache.evictions", "", s.CacheEvictions)
-	// Gear-1 quick block translations; gear 2 reoptimizes superblocks.
-	snap.AddCounter("cms.gear.quick", "", s.QuickTranslations)
-	snap.AddCounter("cms.gear.reopts", "", s.Reopts)
-	snap.AddCounter("cms.gear.reopt_instrs", "", s.ReoptInstrs)
-	snap.AddCounter("cms.gear.reopt_cycles", "cycles", s.ReoptCycles)
-	snap.AddCounter("cms.superblock.execs", "", s.SuperblockExecs)
-	// Superblock exits off the profiled-hot path.
-	snap.AddCounter("cms.superblock.side_exits", "", s.SideExits)
 	snap.AddCounter("cms.chain.patches", "", s.ChainPatches)
 	// Native-to-native hops through chain links; misses are native exits
-	// with no cached successor; unchains are links severed by eviction
-	// or reoptimization.
+	// with no cached successor; unchains are links severed by eviction.
 	snap.AddCounter("cms.chain.hits", "", s.ChainHits)
 	snap.AddCounter("cms.chain.misses", "", s.ChainMisses)
 	snap.AddCounter("cms.chain.unchains", "", s.Unchains)

@@ -62,10 +62,6 @@ func TestStatsCollect(t *testing.T) {
 		{Name: "cms.dispatch.chained", Kind: obs.KindCounter},
 		{Name: "cms.dispatch.cold", Kind: obs.KindCounter},
 		{Name: "cms.dispatch.cycles", Kind: obs.KindCounter, Unit: "cycles"},
-		{Name: "cms.gear.quick", Kind: obs.KindCounter},
-		{Name: "cms.gear.reopt_cycles", Kind: obs.KindCounter, Unit: "cycles"},
-		{Name: "cms.gear.reopt_instrs", Kind: obs.KindCounter},
-		{Name: "cms.gear.reopts", Kind: obs.KindCounter},
 		{Name: "cms.interp.cycles", Kind: obs.KindCounter, Unit: "cycles"},
 		{Name: "cms.interp.instrs", Kind: obs.KindCounter},
 		{Name: "cms.native.atoms", Kind: obs.KindCounter},
@@ -75,8 +71,6 @@ func TestStatsCollect(t *testing.T) {
 		{Name: "cms.packing_density", Kind: obs.KindGauge, Unit: "atoms/molecule"},
 		{Name: "cms.runs", Kind: obs.KindCounter},
 		{Name: "cms.runs.warm", Kind: obs.KindCounter},
-		{Name: "cms.superblock.execs", Kind: obs.KindCounter},
-		{Name: "cms.superblock.side_exits", Kind: obs.KindCounter},
 		{Name: "cms.translate.cycles", Kind: obs.KindCounter, Unit: "cycles"},
 		{Name: "cms.translate.instrs", Kind: obs.KindCounter},
 		{Name: "cms.translate.regions", Kind: obs.KindCounter},

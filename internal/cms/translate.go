@@ -43,7 +43,7 @@ func (t *Translator) Translate(p isa.Program, entryPC int) (*vliw.Translation, e
 	}
 	tr := &vliw.Translation{EntryPC: entryPC}
 	sched := &t.sched
-	sched.reset(t.Wide, false)
+	sched.reset(t.Wide)
 	pc := entryPC
 	for tr.SrcInstrs < t.maxRegion() && pc < len(p) {
 		in := p[pc]
@@ -72,45 +72,6 @@ func (t *Translator) Translate(p isa.Program, entryPC int) (*vliw.Translation, e
 		// Region was all hlt-less empties (cannot happen with a valid
 		// program, but keep the invariant that translations are non-empty).
 		tr.Molecules = []vliw.Molecule{{Atoms: []vliw.Atom{{Op: vliw.ANop}}, Wide: t.Wide}}
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
-
-// TranslateQuick is the first translation gear: the same region shape as
-// Translate, but emitted one atom per molecule with no scheduling at all.
-// It is cheap to produce (low QuickCostPerInstr) and exists to get off the
-// interpreter fast; the superblock reoptimizer replaces it once the region
-// proves hot.
-func (t *Translator) TranslateQuick(p isa.Program, entryPC int) (*vliw.Translation, error) {
-	if entryPC < 0 || entryPC >= len(p) {
-		return nil, fmt.Errorf("cms: translate entry %d out of range", entryPC)
-	}
-	tr := &vliw.Translation{EntryPC: entryPC, Gear: 1}
-	var backing []vliw.Atom
-	pc := entryPC
-	for tr.SrcInstrs < t.maxRegion() && pc < len(p) {
-		in := p[pc]
-		atoms, exit, err := lower(in, pc)
-		if err != nil {
-			return nil, fmt.Errorf("cms: pc %d: %w", pc, err)
-		}
-		backing = append(backing, atoms...)
-		tr.SrcInstrs++
-		pc++
-		if exit {
-			break
-		}
-	}
-	tr.FallPC = pc
-	if len(backing) == 0 {
-		backing = append(backing, vliw.Atom{Op: vliw.ANop})
-	}
-	tr.Molecules = make([]vliw.Molecule, len(backing))
-	for i := range backing {
-		tr.Molecules[i] = vliw.Molecule{Atoms: backing[i : i+1 : i+1], Wide: t.Wide}
 	}
 	if err := tr.Validate(); err != nil {
 		return nil, err
@@ -219,22 +180,6 @@ func lower(in isa.Instr, pc int) ([]vliw.Atom, bool, error) {
 // noReg marks "no register" in atomDeps' write results.
 const noReg = -1
 
-// specPressureLimit caps speculative load hoisting: when this many
-// register values are already in flight at the candidate molecule, the
-// load stays at the conservative position instead of stretching live
-// ranges further (register-pressure-aware packing).
-const specPressureLimit = 12
-
-// schedStore records a scheduled store for speculative load
-// disambiguation: the molecule it landed in, its base register and that
-// register's SSA-like version at the time, and its displacement.
-type schedStore struct {
-	mol  int
-	base uint8
-	ver  uint32
-	imm  int64
-}
-
 // scheduler performs greedy in-order list scheduling of atoms into
 // molecules, honouring data hazards, memory ordering, unit slots, and
 // branch barriers. All scratch state lives in reusable arenas (arrays and
@@ -242,11 +187,6 @@ type schedStore struct {
 // the finished molecules.
 type scheduler struct {
 	wide bool
-	// spec enables the gear-2 reoptimizer's speculative load hoisting: a
-	// load may move above a store when the two provably address different
-	// words (same base register version, different displacement), subject
-	// to specPressureLimit.
-	spec bool
 
 	// Per-molecule scratch, parallel slices indexed by molecule.
 	n      int
@@ -274,17 +214,12 @@ type scheduler struct {
 	lastLoadMol  int
 	// Branch barrier: no atom may be placed at or before this index.
 	floor int
-
-	// Speculation state: version counters for int registers (bumped per
-	// write in program order) and the scheduled stores.
-	regVer [vliw.NumIntRegs]uint32
-	stores []schedStore
 }
 
 // reset prepares the scheduler for a new translation, retaining arena
 // capacity from previous uses.
-func (s *scheduler) reset(wide, spec bool) {
-	s.wide, s.spec = wide, spec
+func (s *scheduler) reset(wide bool) {
+	s.wide = wide
 	s.n = 0
 	s.atoms = s.atoms[:0]
 	s.counts = s.counts[:0]
@@ -298,7 +233,6 @@ func (s *scheduler) reset(wide, spec bool) {
 	for i := range s.intReady {
 		s.intReady[i] = 0
 		s.intLastRead[i] = 0
-		s.regVer[i] = 0
 	}
 	for i := range s.fpReady {
 		s.fpReady[i] = 0
@@ -307,7 +241,6 @@ func (s *scheduler) reset(wide, spec bool) {
 	s.flagReady, s.flagRead = 0, -1
 	s.lastStoreMol, s.lastLoadMol = -1, -1
 	s.floor = 0
-	s.stores = s.stores[:0]
 }
 
 func (s *scheduler) slots() int {
@@ -330,23 +263,6 @@ func (s *scheduler) ensure(idx int) {
 		s.flagWrite = append(s.flagWrite, false)
 		s.n++
 	}
-}
-
-// inFlight counts register values produced but not yet ready at molecule
-// idx — the live values a speculative hoist would have to coexist with.
-func (s *scheduler) inFlight(idx int) int {
-	n := 0
-	for r := range s.intReady {
-		if s.intReady[r] > idx {
-			n++
-		}
-	}
-	for r := range s.fpReady {
-		if s.fpReady[r] > idx {
-			n++
-		}
-	}
-	return n
 }
 
 // atomDeps returns the registers the atom reads and writes, with flags
@@ -420,33 +336,8 @@ func (s *scheduler) add(a vliw.Atom) {
 		earliest = s.flagReady
 	}
 	// Memory ordering: loads after stores; stores after loads and stores.
-	if isLoad {
-		conservative := s.lastStoreMol + 1
-		if !s.spec {
-			if conservative > earliest {
-				earliest = conservative
-			}
-		} else {
-			// Speculative hoisting: the load may bypass a store only when
-			// the two provably address different words — same base
-			// register at the same version, different displacement.
-			lb := 0
-			for i := range s.stores {
-				st := &s.stores[i]
-				if st.base == a.Src1 && st.ver == s.regVer[a.Src1] && st.imm != a.Imm {
-					continue
-				}
-				if st.mol+1 > lb {
-					lb = st.mol + 1
-				}
-			}
-			if lb > earliest {
-				earliest = lb
-			}
-			if earliest < conservative && s.inFlight(earliest) >= specPressureLimit {
-				earliest = conservative
-			}
-		}
+	if isLoad && s.lastStoreMol+1 > earliest {
+		earliest = s.lastStoreMol + 1
 	}
 	if isStore {
 		if s.lastStoreMol+1 > earliest {
@@ -549,17 +440,11 @@ func (s *scheduler) add(a vliw.Atom) {
 		if rFlags && idx > s.flagRead {
 			s.flagRead = idx
 		}
-		if isStore && s.spec {
-			// Record before any version bump: the store's address uses the
-			// base register's current value.
-			s.stores = append(s.stores, schedStore{mol: idx, base: a.Src1, ver: s.regVer[a.Src1], imm: a.Imm})
-		}
 		if wi >= 0 {
 			s.intWrites[idx] |= 1 << uint(wi)
 			if idx+1 > s.intReady[wi] {
 				s.intReady[wi] = idx + 1
 			}
-			s.regVer[wi]++
 		}
 		if wf >= 0 {
 			s.fpWrites[idx] |= 1 << uint(wf)

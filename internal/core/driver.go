@@ -35,7 +35,6 @@ import (
 type Driver struct {
 	Name      string
 	Procs     int
-	Gears     bool
 	ObsJSON   string
 	ObsCSV    string
 	TracePath string
@@ -67,7 +66,6 @@ func NewDriver(name string) *Driver {
 // out of NewDriver so tests can drive a private FlagSet.
 func (d *Driver) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&d.Procs, "procs", 0, "host workers for parallel phases (0 = all cores); results are identical at any width")
-	fs.BoolVar(&d.Gears, "gears", false, "run simulated Crusoe CPUs with the tiered CMS pipeline (quick translate → superblock reoptimize, chained)")
 	fs.StringVar(&d.ObsJSON, "obs-json", "", "write the run's obs snapshot as JSON to this `path`")
 	fs.StringVar(&d.ObsCSV, "obs-csv", "", "write the run's obs snapshot as CSV to this `path`")
 	fs.StringVar(&d.TracePath, "trace", "", "write a Chrome trace_event JSON trace to this `path` (load in chrome://tracing or Perfetto)")
@@ -96,9 +94,6 @@ func (d *Driver) Setup() error {
 		return fmt.Errorf("%s: %w", d.Name, err)
 	}
 	d.Engine = treecode.ResolveEngine(engine, d.ErrorBudget)
-	if d.Gears {
-		cpu.SetGears(true)
-	}
 	d.Run = NewRun()
 	d.Run.Snap.SetMeta("driver", d.Name)
 	d.Run.Snap.SetMeta("args", strings.Join(os.Args[1:], " "))

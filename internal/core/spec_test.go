@@ -215,6 +215,17 @@ func TestRemovedGroupEngineRejected(t *testing.T) {
 	}
 }
 
+// TestRemovedGearsFlagRejected: the tiered CMS pipeline is gone, and
+// with it -gears, which changed simulated cycles without entering any
+// spec hash. Passing it is a flag error, not a silent no-op.
+func TestRemovedGearsFlagRejected(t *testing.T) {
+	for _, args := range [][]string{{"-gears"}, {"-gears=true"}, {"-gears=false"}} {
+		if _, err := parseDriver(args...); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+}
+
 // requireUnknownField checks that the strict decoder rejects a spec of
 // the given kind carrying field, with an error naming the field.
 func requireUnknownField(t *testing.T, kind, field, value string) {

@@ -10,7 +10,7 @@ import (
 func allArchs() []*Arch {
 	return []*Arch{
 		PentiumIII500(), AlphaEV56_533(), Power3_375(), AthlonMP1200(),
-		Pentium4_1300(), PentiumPro200(), PentiumII333(), R10000_250(),
+		PentiumPro200(), PentiumII333(), R10000_250(),
 		Power2_66(), Alpha21064_150(), SuperSPARC40(),
 	}
 }

@@ -1,8 +1,6 @@
 package cpu
 
 import (
-	"sync/atomic"
-
 	"repro/internal/cms"
 	"repro/internal/isa"
 	"repro/internal/obs"
@@ -33,34 +31,21 @@ func (p archProcessor) RunKernel(prog isa.Program, st *isa.State) (RunResult, er
 }
 
 // Crusoe is the TM5600/TM5800 processor model: the CMS software layer over
-// the VLIW engine. Each RunKernel starts with a cold translation cache, as
-// a freshly loaded benchmark binary would.
+// the VLIW engine, which interprets cold code, translates hot regions once
+// and runs the cached translations chained to each other. Each RunKernel
+// starts with a cold translation cache, as a freshly loaded benchmark
+// binary would. Name is ModelName, so the calibration memo keys on the
+// model alone.
 type Crusoe struct {
 	ModelName string
 	MHz       float64
 	Params    cms.Params
 	Timing    vliw.Timing
-	// Gears enables the tiered CMS pipeline (interpret → quick translate
-	// → superblock reoptimize, with translation chaining): RunKernel
-	// applies Params.WithGears. A geared model reports a distinct Name so
-	// the calibration memo never mixes geared and single-gear cost models.
-	Gears bool
 	// Tracer, when non-nil, is attached to every CMS machine RunKernel
 	// creates, recording the interpret→translate→cache pipeline in the
 	// CMS cycle domain (obs.PidCMS).
 	Tracer *obs.Tracer
 }
-
-// gearsDefault makes newly constructed Crusoe models start with the
-// tiered pipeline enabled; the drivers' -gears flag sets it.
-var gearsDefault atomic.Bool
-
-// SetGears sets the process-wide default for new Crusoe models (the
-// -gears driver flag).
-func SetGears(on bool) { gearsDefault.Store(on) }
-
-// GearsDefault reports the process-wide default.
-func GearsDefault() bool { return gearsDefault.Load() }
 
 // NewTM5600 returns the 633-MHz TM5600 with CMS 4.2.x-like parameters.
 func NewTM5600() *Crusoe {
@@ -69,7 +54,6 @@ func NewTM5600() *Crusoe {
 		MHz:       633,
 		Params:    cms.DefaultParams(),
 		Timing:    vliw.TM5600Timing(),
-		Gears:     GearsDefault(),
 	}
 }
 
@@ -93,31 +77,16 @@ func NewTM5800() *Crusoe {
 		MHz:       800,
 		Params:    p,
 		Timing:    t,
-		Gears:     GearsDefault(),
 	}
 }
 
-func (c *Crusoe) Name() string {
-	if c.Gears {
-		return c.ModelName + " (gears)"
-	}
-	return c.ModelName
-}
+func (c *Crusoe) Name() string      { return c.ModelName }
 func (c *Crusoe) ClockMHz() float64 { return c.MHz }
-
-// runParams returns the CMS parameters RunKernel uses: the model's, with
-// the tiered gears applied when enabled.
-func (c *Crusoe) runParams() cms.Params {
-	if c.Gears {
-		return c.Params.WithGears()
-	}
-	return c.Params
-}
 
 // RunKernel runs the program through a fresh CMS instance (cold
 // translation cache).
 func (c *Crusoe) RunKernel(p isa.Program, st *isa.State) (RunResult, error) {
-	m := cms.NewMachine(c.runParams(), c.Timing)
+	m := cms.NewMachine(c.Params, c.Timing)
 	m.Tracer = c.Tracer
 	cycles, tr, err := m.Run(p, st, 0)
 	if err != nil {

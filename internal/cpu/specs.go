@@ -123,30 +123,6 @@ func AthlonMP1200() *Arch {
 	}
 }
 
-// Pentium4_1300 models the 1.3-GHz Intel Pentium 4 (Willamette): very
-// deep pipeline (large mispredict penalty), long x87 latencies. Present
-// mainly for the TCO table's P4 cluster, but fully runnable.
-func Pentium4_1300() *Arch {
-	return &Arch{
-		Name:       "1300-MHz Intel Pentium 4",
-		ClockMHz:   1300,
-		IssueWidth: 3,
-		Window:     100,
-		IntALU:     UnitSpec{Count: 2, Latency: 1, RecipThroughput: 0.5},
-		IntMul:     UnitSpec{Count: 1, Latency: 14, RecipThroughput: 3},
-		Mem:        UnitSpec{Count: 1, Latency: 2, RecipThroughput: 1},
-		FPAdd:      UnitSpec{Count: 1, Latency: 5, RecipThroughput: 1},
-		FPMul:      UnitSpec{Count: 1, Latency: 7, RecipThroughput: 2},
-		FPDiv:      UnitSpec{Count: 1, Latency: 43, RecipThroughput: 43},
-		FPSqrt:     UnitSpec{Count: 1, Latency: 43, RecipThroughput: 43},
-
-		LoadMissRate:      0.03,
-		LoadMissPenalty:   80,
-		MispredictPenalty: 20,
-		PredictAccuracy:   0.94,
-	}
-}
-
 // --- Historical processors for the treecode table (Table 4). ---
 
 // PentiumPro200 models the 200-MHz Pentium Pro of Loki, Hyglac, Naegling

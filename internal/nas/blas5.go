@@ -48,20 +48,6 @@ func (a *Mat5) MulVec(x *Vec5, y *Vec5, w *blasWork) {
 	w.matVec++
 }
 
-// MulMat computes c = A·B.
-func (a *Mat5) MulMat(b, c *Mat5, w *blasWork) {
-	for i := 0; i < NComp; i++ {
-		for j := 0; j < NComp; j++ {
-			var s float64
-			for k := 0; k < NComp; k++ {
-				s += a[i*NComp+k] * b[k*NComp+j]
-			}
-			c[i*NComp+j] = s
-		}
-	}
-	w.matMat++
-}
-
 // SubMulMat computes a -= b·c.
 func (a *Mat5) SubMulMat(b, c *Mat5, w *blasWork) {
 	for i := 0; i < NComp; i++ {

@@ -66,7 +66,6 @@ func TestTraceJSONGolden(t *testing.T) {
 	clock := 0.0
 	tr := NewTracerWithClock(func() float64 { clock += 100; return clock })
 	tr.NameProcess(PidHost, "host (wall clock)")
-	tr.NameThread(PidSim, 0, "rank 0")
 	sp := tr.Begin(PidHost, 0, "treecode", "build")
 	sp.End(map[string]any{"nodes": 42, "label": "tree"})
 	tr.Complete(PidCMS, 0, "cms", "translate", 1000, 250.5, map[string]any{"pc": 16})

@@ -96,16 +96,6 @@ func (t *Tracer) NameProcess(pid int, name string) {
 		args: map[string]any{"name": name}})
 }
 
-// NameThread labels a thread (an mpi rank, a pipeline stage) within a
-// process.
-func (t *Tracer) NameThread(pid, tid int, name string) {
-	if t == nil {
-		return
-	}
-	t.add(traceEvent{name: "thread_name", ph: 'M', pid: pid, tid: tid,
-		args: map[string]any{"name": name}})
-}
-
 // Complete records a span with explicit timestamps (microseconds) — the
 // entry point for simulated time domains, where the caller owns the
 // clock (CMS cycle counts, mpi virtual seconds).

@@ -73,17 +73,3 @@ func (r *RNG) Exp(mean float64) float64 {
 	}
 	return -mean * math.Log(u)
 }
-
-// NormPair returns two independent standard normal deviates (Box–Muller,
-// polar form — the same transform NPB EP uses).
-func (r *RNG) NormPair() (float64, float64) {
-	for {
-		x := 2*r.Float64() - 1
-		y := 2*r.Float64() - 1
-		t := x*x + y*y
-		if t > 0 && t < 1 {
-			f := math.Sqrt(-2 * math.Log(t) / t)
-			return x * f, y * f
-		}
-	}
-}

@@ -71,22 +71,3 @@ func TestRNGExpMean(t *testing.T) {
 		t.Fatalf("Exp(5) sample mean = %v, want ≈5", mean)
 	}
 }
-
-func TestRNGNormPairMoments(t *testing.T) {
-	r := NewRNG(13)
-	const n = 100000
-	var sum, sumsq float64
-	for i := 0; i < n; i++ {
-		x, y := r.NormPair()
-		sum += x + y
-		sumsq += x*x + y*y
-	}
-	mean := sum / (2 * n)
-	variance := sumsq / (2 * n)
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean = %v, want ≈0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Fatalf("normal variance = %v, want ≈1", variance)
-	}
-}

@@ -313,14 +313,6 @@ type Translation struct {
 	// FallPC is the x86 PC execution continues at when the last molecule
 	// falls through (no branch taken).
 	FallPC int
-	// Gear is the translation tier that produced this code: 0 for the
-	// single-gear translator, 1 for the quick block gear, 2 for the
-	// superblock reoptimizer.
-	Gear int
-	// MainExit is the x86 PC a gear-2 superblock exits to on its expected
-	// (profiled-hot) path; any other taken exit is a side exit. -1 when the
-	// superblock ends in a halt. Meaningless below gear 2.
-	MainExit int
 }
 
 // Validate validates every molecule.
