@@ -28,9 +28,9 @@ var modes = map[string]struct {
 	schema   string
 	validate func(schemaJSON, doc []byte) error
 }{
-	"obs":    {"schema/obs_snapshot_v1.json", obs.ValidateSnapshotJSON},
-	"spec":   {"schema/experiment_spec_v1.json", core.ValidateSpecJSON},
-	"result": {"schema/gridd_result_v1.json", serve.ValidateResultJSON},
+	"obs":       {"schema/obs_snapshot_v1.json", obs.ValidateSnapshotJSON},
+	"spec":      {"schema/experiment_spec_v1.json", core.ValidateSpecJSON},
+	"result":    {"schema/gridd_result_v1.json", serve.ValidateResultJSON},
 	"topperopt": {"schema/topperopt_result_v1.json", serve.ValidateTopperOptResultJSON},
 }
 

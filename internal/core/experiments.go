@@ -26,38 +26,52 @@ type Table1Row struct {
 
 // Table1 runs the microkernel (both reciprocal-square-root variants) on
 // the five evaluation processors: trace-driven superscalar models for the
-// hardware CPUs, the full CMS+VLIW simulation for the TM5600. The run's
-// snapshot collects the CMS pipeline counters of the Crusoe executions
-// and a per-processor rating gauge; the tracer (if any) sees the CMS
-// interpret→translate→cache spans plus a host span per processor.
+// hardware CPUs, the full CMS+VLIW simulation for the TM5600. The ten
+// runs are independent tasks on the process pool; a serial post-pass
+// folds them in processor order. The run's snapshot collects the CMS
+// pipeline counters of the Crusoe executions and a per-processor rating
+// gauge; the tracer (if any) sees the CMS interpret→translate→cache
+// spans plus a host span per run, named for its processor.
 func (r *Run) Table1() ([]Table1Row, *metrics.Table, error) {
-	var rows []Table1Row
-	for _, p := range cpu.EvaluationCPUs() {
+	procs := cpu.EvaluationCPUs()
+	variants := []kernels.GravVariant{kernels.GravMath, kernels.GravKarp}
+	type run struct {
+		res cpu.RunResult
+		err error
+	}
+	runs := make([]run, len(procs)*len(variants))
+	for _, p := range procs {
 		if c, ok := p.(*cpu.Crusoe); ok {
 			c.Tracer = r.Tracer
 		}
+	}
+	sweepWorlds(len(runs), func(i int) {
+		p, o := procs[i/len(variants)], &runs[i]
 		sp := r.Tracer.Begin(obs.PidHost, 0, "table1", p.Name())
+		prog, st, err := kernels.DefaultGravMicro(variants[i%len(variants)]).Build()
+		if o.err = err; err == nil {
+			o.res, o.err = p.RunKernel(prog, st)
+		}
+		sp.End(map[string]any{"mflops": o.res.Mflops()})
+	})
+
+	var rows []Table1Row
+	for pi, p := range procs {
 		row := Table1Row{Processor: p.Name()}
-		for _, variant := range []kernels.GravVariant{kernels.GravMath, kernels.GravKarp} {
-			g := kernels.DefaultGravMicro(variant)
-			prog, st, err := g.Build()
-			if err != nil {
-				return nil, nil, err
+		for vi, variant := range variants {
+			o := runs[pi*len(variants)+vi]
+			if o.err != nil {
+				return nil, nil, o.err
 			}
-			res, err := p.RunKernel(prog, st)
-			if err != nil {
-				return nil, nil, err
-			}
-			if res.CMS != nil {
-				r.gather(res.CMS)
+			if o.res.CMS != nil {
+				r.gather(o.res.CMS)
 			}
 			if variant == kernels.GravMath {
-				row.MathMflops = res.Mflops()
+				row.MathMflops = o.res.Mflops()
 			} else {
-				row.KarpMflops = res.Mflops()
+				row.KarpMflops = o.res.Mflops()
 			}
 		}
-		sp.End(map[string]any{"math_mflops": row.MathMflops, "karp_mflops": row.KarpMflops})
 		name := obs.SanitizeName(p.Name())
 		r.Snap.SetGauge("table1."+name+".math_mflops", "Mflops", row.MathMflops)
 		r.Snap.SetGauge("table1."+name+".karp_mflops", "Mflops", row.KarpMflops)
@@ -206,12 +220,12 @@ type Table3Data struct {
 func (r *Run) Table3(class nas.Class) (*Table3Data, *metrics.Table, error) {
 	procs := cpu.NASCPUs()
 	costs := make([]cpu.EffCosts, len(procs))
-	for i, p := range procs {
-		var err error
-		costs[i], err = cpu.CalibrateFor(p, cpu.MissRateClassW)
-		if err != nil {
-			return nil, nil, err
-		}
+	errs := make([]error, len(procs))
+	sweepWorlds(len(procs), func(i int) {
+		costs[i], errs[i] = cpu.CalibrateFor(procs[i], cpu.MissRateClassW)
+	})
+	if err := firstErr(errs); err != nil {
+		return nil, nil, err
 	}
 	data := &Table3Data{}
 	for _, p := range procs {
@@ -263,18 +277,26 @@ func (r *Run) Table4() ([]Table4Row, *metrics.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	rateCache := map[string]float64{}
+	// One treecode rating per distinct CPU, rated concurrently.
+	cpuIndex := map[string]int{}
+	var cpus []cpu.Processor
+	for _, m := range machines {
+		if _, ok := cpuIndex[m.CPU.Name()]; !ok {
+			cpuIndex[m.CPU.Name()] = len(cpus)
+			cpus = append(cpus, m.CPU)
+		}
+	}
+	rates := make([]float64, len(cpus))
+	errs := make([]error, len(cpus))
+	sweepWorlds(len(cpus), func(i int) {
+		rates[i], errs[i] = TreecodeRate(cpus[i], Table4Particles)
+	})
+	if err := firstErr(errs); err != nil {
+		return nil, nil, err
+	}
 	var rows []Table4Row
 	for _, m := range machines {
-		rate, ok := rateCache[m.CPU.Name()]
-		if !ok {
-			rate, err = TreecodeRate(m.CPU, Table4Particles)
-			if err != nil {
-				return nil, nil, err
-			}
-			rateCache[m.CPU.Name()] = rate
-		}
-		perProc := rate * m.ParallelEff
+		perProc := rates[cpuIndex[m.CPU.Name()]] * m.ParallelEff
 		row := Table4Row{
 			Machine:      m.Name,
 			Procs:        m.Procs,

@@ -32,6 +32,17 @@ func sweepWorlds(n int, run func(i int)) {
 	par.Default().Do(tasks...)
 }
 
+// firstErr returns the first non-nil error in task order, so a fan-out
+// fails as its serial loop would.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // newWorld builds a p-rank world on the paper's Fast Ethernet, shaped
 // as the named topology ("" keeps the star switch), with the port
 // contention model and native collectives as asked, traced by the

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/nas"
+	"repro/internal/obs"
 	"repro/internal/par"
 )
 
@@ -47,6 +50,35 @@ func TestNASSweepConcurrentMatchesSerial(t *testing.T) {
 	}
 	if serial.snap != conc.snap {
 		t.Fatalf("snapshots differ:\nserial:\n%s\nconcurrent:\n%s", serial.snap, conc.snap)
+	}
+}
+
+// TestTable1SweepIdenticalAtEveryWidth pins Table 1's fan-out: its ten
+// microkernel runs on pools 1, 2 and 8 wide give byte-identical rows
+// and snapshot JSON.
+func TestTable1SweepIdenticalAtEveryWidth(t *testing.T) {
+	run := func() string {
+		r := NewRun()
+		r.Tracer = obs.NewTracer()
+		rows, _, err := r.Table1()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap strings.Builder
+		if err := r.Snap.WriteJSON(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return string(b) + "\n" + snap.String()
+	}
+	serial := atWidth(1, run)
+	for _, w := range []int{2, 8} {
+		if got := atWidth(w, run); got != serial {
+			t.Fatalf("width %d differs from width 1:\n%s\n--- width 1 ---\n%s", w, got, serial)
+		}
 	}
 }
 

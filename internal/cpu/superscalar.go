@@ -148,10 +148,12 @@ type simState struct {
 	readyR     [isa.NumRegs]float64
 	readyF     [isa.NumRegs]float64
 	readyFlags float64
-	// Per-class unit schedules.
-	sched map[isa.Class]*classSched
-	// Front-end dispatch clock (advances 1/IssueWidth per instruction).
-	dispatch float64
+	// Per-class unit schedules: classes that share a UnitSpec (IntALU,
+	// Nop, Branch) still book separately.
+	sched [isa.NumClasses]*classSched
+	// Front-end dispatch clock (advances dispatchStep = 1/IssueWidth per
+	// instruction).
+	dispatch, dispatchStep float64
 	// Most recent execution-start cycle (in-order issue constraint).
 	lastIssue float64
 	// Ring of completion times for the window (ROB) constraint.
@@ -170,10 +172,11 @@ func (a *Arch) Run(p isa.Program, st *isa.State, fuel uint64) (RunResult, error)
 	if err := p.Validate(); err != nil {
 		return res, err
 	}
-	ss := &simState{arch: a, sched: map[isa.Class]*classSched{}}
+	ss := &simState{arch: a, dispatchStep: 1 / float64(a.IssueWidth)}
 	if !a.InOrder {
 		ss.ring = make([]float64, a.Window)
 	}
+	shapes := ss.decode(p)
 	executed := uint64(0)
 	for !st.Halted {
 		if fuel > 0 && executed >= fuel {
@@ -182,13 +185,13 @@ func (a *Arch) Run(p isa.Program, st *isa.State, fuel uint64) (RunResult, error)
 		if st.PC < 0 || st.PC >= len(p) {
 			return res, fmt.Errorf("cpu: PC %d out of range", st.PC)
 		}
-		in := p[st.PC]
+		sh := &shapes[st.PC]
 		takenBefore := res.Trace.Taken
 		if err := isa.Step(p, st, &res.Trace); err != nil {
 			return res, err
 		}
 		taken := res.Trace.Taken != takenBefore
-		ss.time(in, taken)
+		ss.time(sh, taken)
 		executed++
 	}
 	res.Cycles = ss.cycles
@@ -196,12 +199,43 @@ func (a *Arch) Run(p isa.Program, st *isa.State, fuel uint64) (RunResult, error)
 	return res, nil
 }
 
+// shape is what the scoreboard needs of one static instruction.
+type shape struct {
+	src       sources
+	dstFile   regFile
+	dst       uint8
+	setsFlags bool
+	sched     *classSched
+	// lat is the unit latency, plus the expected miss penalty for loads.
+	lat float64
+}
+
+// decode computes every static instruction's shape once per run, and
+// creates the unit schedule of each class the program uses.
+func (s *simState) decode(p isa.Program) []shape {
+	a := s.arch
+	shapes := make([]shape, len(p))
+	for i, in := range p {
+		c := isa.ClassOf(in.Op)
+		u := a.unitFor(c)
+		if s.sched[c] == nil {
+			s.sched[c] = newClassSched(u)
+		}
+		file, dst := dstReg(in)
+		lat := u.Latency
+		if c == isa.ClassLoad {
+			lat += a.LoadMissRate * a.LoadMissPenalty
+		}
+		shapes[i] = shape{src: srcRegs(in), dstFile: file, dst: dst,
+			setsFlags: writesFlags(in.Op), sched: s.sched[c], lat: lat}
+	}
+	return shapes
+}
+
 // time advances the scoreboard for one dynamic instruction and returns
 // the execution-start cycle (useful for tests and debugging).
-func (s *simState) time(in isa.Instr, taken bool) float64 {
+func (s *simState) time(sh *shape, taken bool) float64 {
 	a := s.arch
-	c := isa.ClassOf(in.Op)
-	u := a.unitFor(c)
 
 	// Front end: in-order dispatch at IssueWidth/cycle, blocked while the
 	// window is full (the instruction Window slots older must complete
@@ -212,22 +246,22 @@ func (s *simState) time(in isa.Instr, taken bool) float64 {
 			d = oldest
 		}
 	}
-	s.dispatch = d + 1/float64(a.IssueWidth)
+	s.dispatch = d + s.dispatchStep
 
 	// Execution start: dispatched, operands ready, unit free.
 	t := d
-	rI, rF, rFl := srcRegs(in)
-	for _, r := range rI {
+	src := &sh.src
+	for _, r := range src.ints[:src.nInt] {
 		if s.readyR[r] > t {
 			t = s.readyR[r]
 		}
 	}
-	for _, r := range rF {
+	for _, r := range src.fps[:src.nFP] {
 		if s.readyF[r] > t {
 			t = s.readyF[r]
 		}
 	}
-	if rFl && s.readyFlags > t {
+	if src.flags && s.readyFlags > t {
 		t = s.readyFlags
 	}
 	if a.InOrder && s.lastIssue > t {
@@ -235,31 +269,25 @@ func (s *simState) time(in isa.Instr, taken bool) float64 {
 	}
 
 	// Functional-unit availability.
-	cs := s.sched[c]
-	if cs == nil {
-		cs = newClassSched(u)
-		s.sched[c] = cs
-	}
-	t = cs.acquire(t)
+	t = sh.sched.acquire(t)
 	s.lastIssue = t
 
 	// Completion.
-	lat := u.Latency
-	if c == isa.ClassLoad {
-		lat += a.LoadMissRate * a.LoadMissPenalty
+	done := t + sh.lat
+	switch sh.dstFile {
+	case intReg:
+		s.readyR[sh.dst] = done
+	case fpReg:
+		s.readyF[sh.dst] = done
 	}
-	done := t + lat
-	if wI, wF := dstReg(in); wI != nil {
-		s.readyR[*wI] = done
-	} else if wF != nil {
-		s.readyF[*wF] = done
-	}
-	if writesFlags(in.Op) {
+	if sh.setsFlags {
 		s.readyFlags = done
 	}
 	if !a.InOrder {
 		s.ring[s.ringPos] = done
-		s.ringPos = (s.ringPos + 1) % len(s.ring)
+		if s.ringPos++; s.ringPos == len(s.ring) {
+			s.ringPos = 0
+		}
 	}
 
 	// Branch handling: a mispredicted taken branch stalls the front end
@@ -281,37 +309,50 @@ func writesFlags(op isa.Op) bool {
 	return op == isa.Cmp || op == isa.CmpI || op == isa.FCmp
 }
 
-func srcRegs(in isa.Instr) (ints, fps []uint8, flags bool) {
+// sources lists an instruction's register reads: ints[:nInt],
+// fps[:nFP] and, when flags is set, the condition flags.
+type sources struct {
+	ints, fps [2]uint8
+	nInt, nFP uint8
+	flags     bool
+}
+
+func srcRegs(in isa.Instr) (s sources) {
 	switch in.Op {
 	case isa.Mov, isa.AddI, isa.SubI, isa.Shl, isa.Shr, isa.CmpI, isa.CvtIF, isa.Ld, isa.FLd:
-		ints = []uint8{in.Ra}
-	case isa.Add, isa.Sub, isa.Mul, isa.And, isa.Or, isa.Xor, isa.Cmp:
-		ints = []uint8{in.Ra, in.Rb}
-	case isa.St:
-		ints = []uint8{in.Ra, in.Rb}
+		s.ints[0], s.nInt = in.Ra, 1
+	case isa.Add, isa.Sub, isa.Mul, isa.And, isa.Or, isa.Xor, isa.Cmp, isa.St:
+		s.ints, s.nInt = [2]uint8{in.Ra, in.Rb}, 2
 	case isa.FSt:
-		ints = []uint8{in.Ra}
-		fps = []uint8{in.Rb}
+		s.ints[0], s.nInt = in.Ra, 1
+		s.fps[0], s.nFP = in.Rb, 1
 	case isa.FMov, isa.FSqrt, isa.FNeg, isa.FAbs, isa.CvtFI:
-		fps = []uint8{in.Ra}
+		s.fps[0], s.nFP = in.Ra, 1
 	case isa.FAdd, isa.FSub, isa.FMul, isa.FDiv, isa.FCmp:
-		fps = []uint8{in.Ra, in.Rb}
+		s.fps, s.nFP = [2]uint8{in.Ra, in.Rb}, 2
 	case isa.Jz, isa.Jnz, isa.Jl, isa.Jle, isa.Jg, isa.Jge:
-		flags = true
+		s.flags = true
 	}
 	return
 }
 
-func dstReg(in isa.Instr) (ints, fps *uint8) {
+// regFile names the register file an instruction writes.
+type regFile uint8
+
+const (
+	noReg regFile = iota
+	intReg
+	fpReg
+)
+
+func dstReg(in isa.Instr) (regFile, uint8) {
 	switch in.Op {
 	case isa.MovI, isa.Mov, isa.Add, isa.AddI, isa.Sub, isa.SubI, isa.Mul,
 		isa.And, isa.Or, isa.Xor, isa.Shl, isa.Shr, isa.Ld, isa.CvtFI:
-		d := in.Rd
-		return &d, nil
+		return intReg, in.Rd
 	case isa.FLd, isa.FMovI, isa.FMov, isa.FAdd, isa.FSub, isa.FMul,
 		isa.FDiv, isa.FSqrt, isa.FNeg, isa.FAbs, isa.CvtIF:
-		d := in.Rd
-		return nil, &d
+		return fpReg, in.Rd
 	}
-	return nil, nil
+	return noReg, 0
 }

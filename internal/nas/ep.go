@@ -88,30 +88,61 @@ func closeTo(got, want float64) bool {
 	return math.Abs(got-want) <= 1e-8*math.Abs(want)
 }
 
+// epBatch is how many pairs epCompute generates per batch. Its three
+// batch arrays live on the calling goroutine's stack: at 64 pairs they
+// fit a rank goroutine's initial stack, while 128 doubles it and grew
+// TestLargePEP's p=4096 footprint from 29 MB to 45 MB for no speed gain.
+const epBatch = 64
+
 // epCompute generates pairs [first, first+count) of the global pair
 // sequence. The generator is skipped to 2·first steps, so parallel ranks
 // produce exactly the serial stream's slices.
+//
+// It works in batches of three passes: generate the pairs and keep the
+// accepted ones, compute the polar transform's factor for those in a
+// tight loop, then fold the sums in pair order and bin. Each pair's
+// values, and the order of the sums, are those of a pair-at-a-time loop.
 func epCompute(seed uint64, first, count uint64) EPOut {
 	g := NewLCG(seed)
 	g.Skip(2 * first)
 	var out EPOut
-	for i := uint64(0); i < count; i++ {
-		x := 2*g.Next() - 1
-		y := 2*g.Next() - 1
-		t := x*x + y*y
-		if t <= 1 {
-			f := math.Sqrt(-2 * math.Log(t) / t)
-			gx := x * f
-			gy := y * f
-			out.SX += gx
-			out.SY += gy
-			l := int(math.Max(math.Abs(gx), math.Abs(gy)))
-			if l > 9 {
-				l = 9
+	var sx, sy float64
+	var xs, ys, fs [epBatch]float64
+	for count > 0 {
+		batch := min(count, epBatch)
+		count -= batch
+		n := 0
+		for range batch {
+			x := 2*g.Next() - 1
+			y := 2*g.Next() - 1
+			t := x*x + y*y
+			xs[n], ys[n], fs[n] = x, y, t
+			if t <= 1 {
+				n++
 			}
-			out.Q[l]++
-			out.Pairs++
 		}
+		for i, t := range fs[:n] {
+			fs[i] = math.Sqrt(-2 * math.Log(t) / t)
+		}
+		for i := range n {
+			gx := xs[i] * fs[i]
+			gy := ys[i] * fs[i]
+			sx += gx
+			sy += gy
+			out.Q[epBin(gx, gy)]++
+		}
+		out.Pairs += float64(n)
 	}
+	out.SX, out.SY = sx, sy
 	return out
+}
+
+// epBin is the annulus of a Gaussian pair, int(max(|gx|, |gy|)) capped
+// at 9. Non-negative floats order like their bit patterns, so the max is
+// an integer max (a conditional move) rather than a float compare and
+// branch. It matches math.Max on every pair epCompute forms
+// (TestEPBinMatchesFloatMax).
+func epBin(gx, gy float64) int {
+	m := max(math.Float64bits(math.Abs(gx)), math.Float64bits(math.Abs(gy)))
+	return min(int(math.Float64frombits(m)), 9)
 }

@@ -83,8 +83,10 @@ func TestEPGaussianMoments(t *testing.T) {
 }
 
 func TestEPParallelDecompositionExact(t *testing.T) {
-	// Splitting the pair range across workers reproduces the serial sums
-	// bit-for-bit thanks to the LCG jump — EP's defining property.
+	// Splitting the pair range across workers reproduces the serial
+	// stream exactly thanks to the LCG jump — EP's defining property. The
+	// pair counts match exactly; the sums add the same terms grouped per
+	// worker, so they agree only to rounding (1e-9).
 	const total = 1 << 16
 	serial := epCompute(271828183, 0, total)
 	var sx, sy, pairs float64
