@@ -51,7 +51,6 @@ func main() {
 	table2Spec := func() *core.Table2Spec {
 		return &core.Table2Spec{
 			Particles:      *particles,
-			EngineSpec:     d.SpecEngine(),
 			FabricModeSpec: core.FabricModeSpec{Fabric: *fabric},
 		}
 	}
@@ -95,7 +94,7 @@ func main() {
 		runSpec(&core.SpacePowerSpec{Table6: run(6), Table7: run(7)})
 	}
 	if *all || *figure == 3 {
-		runSpec(&core.Figure3Spec{Particles: *particles, EngineSpec: d.SpecEngine()})
+		runSpec(&core.Figure3Spec{Particles: *particles})
 	}
 	d.Check(d.Finish())
 }

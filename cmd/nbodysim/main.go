@@ -11,9 +11,9 @@
 //	nbodysim -n 30000 -ranks 24 -render out.pgm
 //	nbodysim -n 10000 -ranks 8 -obs-json obs.json -trace run.trace
 //
-// The force engine comes from the shared -engine/-error-budget driver
-// flags (default: the dual-tree engine); -rungs enables hierarchical
-// block timesteps with DT/2^rungs as the finest step.
+// Tree forces come from the dual-tree walk; -rungs enables
+// hierarchical block timesteps with DT/2^rungs as the finest step
+// (serial or -direct runs only).
 //
 // The flags are a thin parse layer over core.NBodySpec — the same
 // experiment spec the gridd gateway accepts as JSON; the rendering
@@ -56,7 +56,6 @@ func main() {
 		Rungs:      *rungs,
 		Eta:        *eta,
 		IC:         *ic,
-		EngineSpec: d.SpecEngine(),
 	})
 	d.Check(err)
 

@@ -78,6 +78,31 @@ func (f freshForcer) ForcesActive(s *nbody.System, active []bool) error {
 	return (&treecode.Forcer{Theta: 0.7, Workers: f.workers}).ForcesActive(s, active)
 }
 
+// exactForcer is the exact per-particle baseline: one Tree.ForceAt
+// walk per particle over a maintained tree, in 512-particle chunks on
+// a workers-wide pool.
+type exactForcer struct {
+	workers int
+	cache   *treecode.TreeCache
+	srcs    []treecode.Source
+}
+
+func (f *exactForcer) Forces(s *nbody.System) error {
+	f.srcs = treecode.AppendSources(f.srcs[:0], s)
+	tr, err := f.cache.Step(f.srcs, treecode.BuildOptions{Workers: f.workers})
+	if err != nil {
+		return err
+	}
+	par.New(f.workers).ForChunks(s.N(), 512, func(_, lo, hi int) {
+		var st treecode.Stats
+		for i := lo; i < hi; i++ {
+			ax, ay, az := tr.ForceAt(s.X[i], s.Y[i], s.Z[i], i, 0.7, s.Eps, &st)
+			s.AX[i], s.AY[i], s.AZ[i] = s.G*ax, s.G*ay, s.G*az
+		}
+	})
+	return nil
+}
+
 func must(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {
@@ -110,9 +135,9 @@ func TestGuardDualForceThroughput(t *testing.T) {
 // speed claims on an n=20000 Plummer sphere with eps=0.001, where close
 // encounters reach the fine rungs while the halo stays coarse:
 //   - dual engine plus block steps deliver at least 3x the exact
-//     engine per unit of simulated time. The exact baseline steps every
-//     particle at the finest occupied dt, so it pays one recursive-walk
-//     force step per tick, 2^rung ticks per base step;
+//     ForceAt walk per unit of simulated time. The exact baseline steps
+//     every particle at the finest occupied dt, so it pays one
+//     recursive-walk force step per tick, 2^rung ticks per base step;
 //   - the maintained tree is no more than 10% slower than building a
 //     fresh tree for every one of the hierarchy's force calls.
 func TestGuardBlockSteps(t *testing.T) {
@@ -125,7 +150,7 @@ func TestGuardBlockSteps(t *testing.T) {
 	g := runtime.GOMAXPROCS(0)
 	cfg := nbody.BlockConfig{DT: 0.02, MaxRung: 6}
 	exactSys, sysM, sysF := system(), system(), system()
-	exact := &treecode.Forcer{Theta: 0.7, Workers: g, Engine: treecode.EngineRecursive}
+	exact := &exactForcer{workers: g, cache: treecode.NewTreeCache()}
 	maintained := &treecode.Forcer{Theta: 0.7, Workers: g}
 	var bsM, bsF nbody.BlockStepper
 	med := medianTimes(t,

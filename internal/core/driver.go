@@ -22,8 +22,6 @@ import (
 // Every driver gets the same observability surface:
 //
 //	-procs N         host worker count for parallel phases
-//	-engine E        treecode force engine (auto/recursive/dual)
-//	-error-budget B  force-error budget steering the auto engine choice
 //	-obs-json PATH   write the run's obs snapshot as JSON
 //	-obs-csv PATH    write the run's obs snapshot as CSV
 //	-trace PATH      write a Chrome trace_event JSON trace
@@ -40,12 +38,6 @@ type Driver struct {
 	TracePath string
 	Format    string
 	DebugAddr string
-
-	// EngineName/ErrorBudget mirror the shared force-engine flags;
-	// Engine is the parsed selection, valid after Setup.
-	EngineName  string
-	ErrorBudget float64
-	Engine      treecode.Engine
 
 	// Run carries the snapshot and tracer every experiment records into;
 	// valid after Setup.
@@ -71,8 +63,6 @@ func (d *Driver) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&d.TracePath, "trace", "", "write a Chrome trace_event JSON trace to this `path` (load in chrome://tracing or Perfetto)")
 	fs.StringVar(&d.Format, "format", "text", "output `format`: text or json")
 	fs.StringVar(&d.DebugAddr, "debug-addr", "", "serve net/http/pprof and runtime/metrics on this `address` (e.g. localhost:6060)")
-	fs.StringVar(&d.EngineName, "engine", "auto", "treecode force `engine`: auto, recursive (bit-exact), or dual")
-	fs.Float64Var(&d.ErrorBudget, "error-budget", treecode.DefaultErrorBudget, "force-error budget for -engine auto, in units of the exact walk's own RMS error (< 1 pins the bit-exact recursive walk)")
 }
 
 // Setup validates the flags, applies -procs, and creates the Run (with a
@@ -89,16 +79,10 @@ func (d *Driver) Setup() error {
 	if d.Procs > 0 {
 		par.SetWorkers(d.Procs)
 	}
-	engine, err := treecode.ParseEngine(d.EngineName)
-	if err != nil {
-		return fmt.Errorf("%s: %w", d.Name, err)
-	}
-	d.Engine = treecode.ResolveEngine(engine, d.ErrorBudget)
 	d.Run = NewRun()
 	d.Run.Snap.SetMeta("driver", d.Name)
 	d.Run.Snap.SetMeta("args", strings.Join(os.Args[1:], " "))
 	d.Run.Snap.SetMeta("workers", fmt.Sprintf("%d", par.Workers()))
-	d.Run.Snap.SetMeta("engine", d.Engine.String())
 	if d.TracePath != "" {
 		t := obs.NewTracer()
 		t.NameProcess(obs.PidHost, "host (wall clock)")
@@ -147,14 +131,6 @@ func (d *Driver) startDebugServer() {
 			fmt.Fprintf(os.Stderr, "%s: debug server: %v\n", d.Name, err)
 		}
 	}()
-}
-
-// SpecEngine returns the driver's force-engine flags as the spec API's
-// engine selection, unresolved: the spec's own normalization fills the
-// default engine and error budget, so CLI and HTTP submissions of the
-// same selection hash alike.
-func (d *Driver) SpecEngine() EngineSpec {
-	return EngineSpec{Engine: d.EngineName, ErrorBudget: d.ErrorBudget}
 }
 
 // RunSpec canonicalizes, validates and executes a spec on the driver's

@@ -99,11 +99,6 @@ type Table2Config struct {
 	Particles int
 	CPUCounts []int
 	Theta     float64
-	// Engine selects each rank's force-evaluation engine (dual by
-	// default); ErrorBudget steers the auto choice (< 1 pins the
-	// bit-exact recursive walk).
-	Engine      treecode.Engine
-	ErrorBudget float64
 	// Fabric names the interconnect topology (see NASSweepConfig.Fabric).
 	Fabric string
 }
@@ -150,7 +145,6 @@ func (r *Run) Table2(cfg Table2Config) ([]Table2Row, *metrics.Table, error) {
 		o.w = w
 		o.res, o.err = treecode.ParallelForces(w, s, treecode.ParallelConfig{
 			Theta: cfg.Theta, Eps: s.Eps, Cost: cm,
-			Engine: cfg.Engine, ErrorBudget: cfg.ErrorBudget,
 		})
 	}
 	sp := r.Tracer.Begin(obs.PidHost, 0, "table2", "sweep")
@@ -158,19 +152,16 @@ func (r *Run) Table2(cfg Table2Config) ([]Table2Row, *metrics.Table, error) {
 	sp.End(nil)
 	// Deterministic post-pass in CPU-count order, independent of the
 	// workers' completion order.
+	for i := range outs {
+		if outs[i].err != nil {
+			return nil, nil, outs[i].err
+		}
+	}
+	t1 := serialTime(cfg.CPUCounts, func(i int) float64 { return outs[i].res.SimTime })
 	var rows []Table2Row
-	var t1 float64
 	for i, p := range cfg.CPUCounts {
 		o := &outs[i]
-		if o.err != nil {
-			return nil, nil, o.err
-		}
 		res := o.res
-		if p == cfg.CPUCounts[0] && p == 1 {
-			t1 = res.SimTime
-		} else if t1 == 0 {
-			t1 = res.SimTime * float64(p) // fallback if sweep skips P=1
-		}
 		row := Table2Row{
 			CPUs:    p,
 			TimeSec: res.SimTime,
@@ -490,10 +481,6 @@ type Figure3Config struct {
 	Steps     int
 	Width     int
 	Height    int
-	// Engine selects the force engine (dual by default); ErrorBudget
-	// steers the auto choice.
-	Engine      treecode.Engine
-	ErrorBudget float64
 }
 
 // DefaultFigure3Config is sized for a quick run; the sc01demo example
@@ -518,8 +505,7 @@ func (r *Run) Figure3(cfg Figure3Config) (*nbody.DensityImage, *nbody.System, er
 		s.VY[i] *= 0.3
 		s.VZ[i] *= 0.3
 	}
-	f := &treecode.Forcer{Theta: 0.7, Tracer: r.Tracer,
-		Engine: cfg.Engine, ErrorBudget: cfg.ErrorBudget}
+	f := &treecode.Forcer{Theta: 0.7, Tracer: r.Tracer}
 	if cfg.Steps > 0 {
 		if err := s.Leapfrog(f, 0.01, cfg.Steps); err != nil {
 			return nil, nil, err

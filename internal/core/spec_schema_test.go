@@ -38,7 +38,7 @@ func TestValidateSpecJSON(t *testing.T) {
 	good := [][]byte{
 		[]byte(`{"api":"repro/spec/v1","kind":"table1"}`),
 		[]byte(`{"api":"repro/spec/v1","kind":"tco","spec":{"blade":true}}`),
-		[]byte(`{"api":"repro/spec/v1","kind":"nbody","spec":{"n":1000,"engine":"dual"}}`),
+		[]byte(`{"api":"repro/spec/v1","kind":"nbody","spec":{"n":1000,"rungs":2}}`),
 	}
 	for _, doc := range good {
 		if err := ValidateSpecJSON(schemaJSON, doc); err != nil {
@@ -49,6 +49,7 @@ func TestValidateSpecJSON(t *testing.T) {
 		[]byte(`{"api":"repro/spec/v1","kind":"nope"}`),
 		[]byte(`{"api":"repro/spec/v2","kind":"table1"}`),
 		[]byte(`{"api":"repro/spec/v1","kind":"tco","spec":{"bogus":1}}`),
+		[]byte(`{"api":"repro/spec/v1","kind":"nbody","spec":{"n":1000,"engine":"dual"}}`),
 		[]byte(`{"api":"repro/spec/v1","kind":"tco","spec":{"nodes":-1}}`),
 		[]byte(`not json`),
 	}

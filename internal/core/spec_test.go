@@ -6,6 +6,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/nbody"
 )
 
 // goldenSpecHashes pins the canonical hash of every kind's default
@@ -13,13 +15,13 @@ import (
 // invalidates every cached run of that kind, so it must be a conscious
 // decision, not a drive-by field reorder.
 var goldenSpecHashes = map[string]string{
-	"figure3":    "1919661b4d26986f62f1e69f20519b507a0adeecf7caa896678e87ebbc4e5b3f",
+	"figure3":    "206c3209ff8e2b06b56b64ade09108a760674638e98836ac23dd359d9a32cc55",
 	"naskernels": "1bdbe067b237392f404c29b11419f015f88d4af3676f6b12c02c23baf10b2ecc",
 	"nassweep":   "02c96ae599d831d70600623289db06a52d82b3ded999609d1e904132f92fff2c",
-	"nbody":      "a6cc8f49798e840a16e705be75fb429855ae8a993cd405ae7b194764b6748e1a",
+	"nbody":      "75203fdf9f9ecf4d405ed1ed8f6a7993449fe642d3221e41ca3f4acd6bceec4e",
 	"spacepower": "0ed461b5913670587a431f06b3308a7958bbb325de29cda90c256552f35d7929",
 	"table1":     "5d9f6e93fda98c47790a87260082add902ff5083884bd6f0223bea10b8f67c4a",
-	"table2":     "b41d73ca30040c3ea87b0d3e02fd74724c6cb49df8740debc2ae14450a0ac700",
+	"table2":     "11429490ba7f78f159a83f0ef25e6c53fcbfb54cdc7802185d123edd64ed5f56",
 	"table3":     "83c21ab301541437be7a55a9aaa45263a99208f972dd07e8c694bd52b32da2e6",
 	"table4":     "2c916658fd61d3eed50fd9dcbe797a24edc2dd5d7163030f710ac534f7b4fe4a",
 	"table5":     "2d4e807ae85ea2a69799b1ffd90a5ba6b649c63e3b2521e5543128b93ed91507",
@@ -106,9 +108,9 @@ func TestSpecHashFieldOrderInvariant(t *testing.T) {
 // out hashes identically to one that omits them.
 func TestSpecHashDefaultedFieldsInvariant(t *testing.T) {
 	cases := []struct{ kind, sparse, explicit string }{
-		{"table2", `{}`, `{"particles":60000,"cpu_counts":[1,2,4,8,16,24],"theta":0.7,"engine":"auto","error_budget":1}`},
-		{"figure3", `{"particles":2000}`, `{"particles":2000,"steps":10,"width":72,"height":36,"engine":"auto"}`},
-		{"nbody", `{}`, `{"n":20000,"steps":10,"dt":0.005,"theta":0.7,"engine":"auto","error_budget":1}`},
+		{"table2", `{}`, `{"particles":60000,"cpu_counts":[1,2,4,8,16,24],"theta":0.7}`},
+		{"figure3", `{"particles":2000}`, `{"particles":2000,"steps":10,"width":72,"height":36}`},
+		{"nbody", `{}`, `{"n":20000,"steps":10,"dt":0.005,"theta":0.7}`},
 		{"tco", `{}`, `{"nodes":24,"watts":85,"acquisition":17000,"gflops":2.8,"ambient":24,"years":4,"kwh":0.1,"space":100,"cpu_hour":5}`},
 		{"naskernels", `{}`, `{"class":"S","rate":true}`},
 		{"table3", `{}`, `{"class":"W"}`},
@@ -191,19 +193,11 @@ func parseDriver(args ...string) (*Driver, error) {
 // TestRemovedGroupEngineRejected: the group engine and its groupwalk
 // alias are gone. Asking for them is an error at every entry point —
 // never a silent substitution of the dual engine, whose results would
-// then be cached under a request for a different computation.
+// then be cached under a request for a different computation. The
+// engine field itself is deleted, so "engine":"group" is an unknown
+// field.
 func TestRemovedGroupEngineRejected(t *testing.T) {
-	s, err := DecodeSpec([]byte(`{"api":"repro/spec/v1","kind":"nbody","spec":{"n":1000,"engine":"group"}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := CanonicalSpec(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(); err == nil {
-		t.Error(`"engine":"group" validated`)
-	}
+	requireUnknownField(t, "nbody", "engine", `"group"`)
 	if _, err := DecodeSpec([]byte(`{"api":"repro/spec/v1","kind":"table2","spec":{"groupwalk":true}}`)); err == nil {
 		t.Error(`"groupwalk":true decoded`)
 	}
@@ -259,22 +253,35 @@ func TestRetiredSpellingsRejected(t *testing.T) {
 
 // TestListAliasEquivalence: "list" once canonicalized to "recursive".
 // The alias is retired, so it is no longer equivalent to anything:
-// "engine":"list" decodes but fails validation, and -engine list fails
-// the driver's Setup.
+// "engine":"list" is an unknown field, and -engine list an unknown
+// flag.
 func TestListAliasEquivalence(t *testing.T) {
-	s, err := DecodeSpec([]byte(`{"api":"repro/spec/v1","kind":"nbody","spec":{"engine":"list"}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := CanonicalSpec(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(); err == nil {
-		t.Error(`"engine":"list" validated`)
-	}
+	requireUnknownField(t, "nbody", "engine", `"list"`)
 	if _, err := parseDriver("-engine", "list"); err == nil {
 		t.Error("-engine list accepted")
+	}
+}
+
+// TestEngineSelectionRemoved: every force computation runs the
+// dual-tree walk, so the engine and error_budget spec fields of the
+// treecode kinds are unknown fields in every spelling they once
+// accepted, and -engine and -error-budget are unknown flags.
+func TestEngineSelectionRemoved(t *testing.T) {
+	for _, kind := range []string{"nbody", "table2", "figure3"} {
+		for _, v := range []string{`""`, `"auto"`, `"dual"`, `"recursive"`} {
+			requireUnknownField(t, kind, "engine", v)
+		}
+		for _, v := range []string{"0.5", "1", "2"} {
+			requireUnknownField(t, kind, "error_budget", v)
+		}
+	}
+	for _, args := range [][]string{
+		{"-engine", "dual"}, {"-engine", "recursive"}, {"-engine", "auto"},
+		{"-error-budget", "0.5"}, {"-error-budget", "1"},
+	} {
+		if _, err := parseDriver(args...); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }
 
@@ -326,12 +333,10 @@ func TestSpecValidation(t *testing.T) {
 	bad := []ExperimentSpec{
 		&Table2Spec{Particles: -1},
 		&Table2Spec{CPUCounts: []int{0}},
-		&Table2Spec{EngineSpec: EngineSpec{Engine: "warp"}},
 		&Table3Spec{Class: "Z"},
 		&NASSweepSpec{Ranks: []int{-2}},
 		&NASKernelsSpec{Kernel: "XX"},
 		&NBodySpec{N: -5},
-		&NBodySpec{EngineSpec: EngineSpec{ErrorBudget: -1}},
 		&TCOSpec{Nodes: -1},
 		&Figure3Spec{Width: -1},
 	}
@@ -377,5 +382,48 @@ func TestRunSpecDoesNotMutateCaller(t *testing.T) {
 	}
 	if spec.Nodes != 0 || spec.Watts != 0 {
 		t.Errorf("RunSpec mutated the caller's spec: %+v", spec)
+	}
+}
+
+// TestNBodyRunFailuresRejectedAtValidate: nbody specs that Run could
+// only fail — more rungs than the block integrator allows, or block
+// timesteps on the simulated cluster, whose forcer has no masked force
+// path — fail Validate, so the gateway rejects them before queuing.
+func TestNBodyRunFailuresRejectedAtValidate(t *testing.T) {
+	validate := func(s *NBodySpec) error {
+		c, err := CanonicalSpec(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Validate()
+	}
+	for _, s := range []*NBodySpec{
+		{Rungs: nbody.MaxRungLimit + 1},
+		{Ranks: 2, Rungs: 2},
+	} {
+		if err := validate(s); err == nil {
+			t.Errorf("%+v validated", *s)
+		}
+	}
+	for _, s := range []*NBodySpec{
+		{Rungs: nbody.MaxRungLimit},
+		{Ranks: 2},
+		{Ranks: 2, Rungs: 2, Direct: true},
+	} {
+		if err := validate(s); err != nil {
+			t.Errorf("%+v: %v", *s, err)
+		}
+	}
+}
+
+// TestTCOValidateNamesOneField: a spec with several bad fields is
+// rejected with the same message every time — the first bad field in
+// struct order.
+func TestTCOValidateNamesOneField(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		err := (&TCOSpec{Nodes: 1, Watts: -1, Acquisition: 1, Gflops: 1, Years: -1, Space: -1, CPUHour: -1}).Validate()
+		if err == nil || err.Error() != "watts -1" {
+			t.Fatalf("run %d: err = %v, want \"watts -1\"", i, err)
+		}
 	}
 }

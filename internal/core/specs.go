@@ -38,43 +38,6 @@ func init() {
 	RegisterSpec("topperopt", func() ExperimentSpec { return &TopperOptSpec{} })
 }
 
-// EngineSpec is the force-engine selection shared by the treecode
-// experiments, in flag spelling. The zero value means "auto" at the
-// default error budget.
-type EngineSpec struct {
-	Engine      string  `json:"engine,omitempty"`
-	ErrorBudget float64 `json:"error_budget,omitempty"`
-}
-
-func (e *EngineSpec) normalize() {
-	if e.Engine == "" {
-		e.Engine = "auto"
-	}
-	if e.ErrorBudget == 0 {
-		e.ErrorBudget = treecode.DefaultErrorBudget
-	}
-}
-
-func (e *EngineSpec) validate() error {
-	if _, err := treecode.ParseEngine(e.Engine); err != nil {
-		return err
-	}
-	if e.ErrorBudget < 0 {
-		return fmt.Errorf("negative error_budget %g", e.ErrorBudget)
-	}
-	return nil
-}
-
-// resolve returns the concrete engine the spec selects, mirroring the
-// Driver's flag resolution.
-func (e *EngineSpec) resolve() treecode.Engine {
-	eng, err := treecode.ParseEngine(e.Engine)
-	if err != nil {
-		eng = treecode.EngineAuto
-	}
-	return treecode.ResolveEngine(eng, e.ErrorBudget)
-}
-
 // --- table1 ---
 
 // Table1Spec runs the gravitational-microkernel processor comparison.
@@ -120,7 +83,6 @@ type Table2Spec struct {
 	Particles int     `json:"particles,omitempty"`
 	CPUCounts []int   `json:"cpu_counts,omitempty"`
 	Theta     float64 `json:"theta,omitempty"`
-	EngineSpec
 	FabricModeSpec
 }
 
@@ -137,7 +99,6 @@ func (s *Table2Spec) Normalize() {
 	if s.Theta == 0 {
 		s.Theta = def.Theta
 	}
-	s.EngineSpec.normalize()
 	s.FabricModeSpec.normalize()
 }
 
@@ -153,10 +114,7 @@ func (s *Table2Spec) Validate() error {
 	if s.Theta <= 0 {
 		return fmt.Errorf("theta %g", s.Theta)
 	}
-	if err := s.FabricModeSpec.validate(); err != nil {
-		return err
-	}
-	return s.EngineSpec.validate()
+	return s.FabricModeSpec.validate()
 }
 
 func (s *Table2Spec) Run(r *Run) (*SpecResult, error) {
@@ -164,7 +122,6 @@ func (s *Table2Spec) Run(r *Run) (*SpecResult, error) {
 		Particles: s.Particles,
 		CPUCounts: s.CPUCounts,
 		Theta:     s.Theta,
-		Engine:    s.resolve(),
 		Fabric:    s.Fabric,
 	}
 	rows, t, err := r.Table2(cfg)
@@ -308,7 +265,6 @@ type Figure3Spec struct {
 	Steps     int `json:"steps,omitempty"`
 	Width     int `json:"width,omitempty"`
 	Height    int `json:"height,omitempty"`
-	EngineSpec
 }
 
 func (*Figure3Spec) Kind() string { return "figure3" }
@@ -327,7 +283,6 @@ func (s *Figure3Spec) Normalize() {
 	if s.Height == 0 {
 		s.Height = def.Height
 	}
-	s.EngineSpec.normalize()
 }
 
 func (s *Figure3Spec) Validate() error {
@@ -337,7 +292,7 @@ func (s *Figure3Spec) Validate() error {
 	if s.Steps < 0 {
 		return fmt.Errorf("steps %d", s.Steps)
 	}
-	return s.EngineSpec.validate()
+	return nil
 }
 
 // Figure3Data is the structured result of a figure3 run.
@@ -353,7 +308,6 @@ func (s *Figure3Spec) Run(r *Run) (*SpecResult, error) {
 		Steps:     s.Steps,
 		Width:     s.Width,
 		Height:    s.Height,
-		Engine:    s.resolve(),
 	}
 	img, sys, err := r.Figure3(cfg)
 	if err != nil {
@@ -648,7 +602,6 @@ type NBodySpec struct {
 	// "colddisk" or "twocluster". Normalize folds the default spelling
 	// to the empty string so historical spec hashes are unchanged.
 	IC string `json:"ic,omitempty"`
-	EngineSpec
 }
 
 func (*NBodySpec) Kind() string { return "nbody" }
@@ -670,7 +623,6 @@ func (s *NBodySpec) Normalize() {
 	if s.IC == "plummer" {
 		s.IC = ""
 	}
-	s.EngineSpec.normalize()
 }
 
 // nbodyIC maps a normalized preset name to its generator (the empty
@@ -706,10 +658,18 @@ func (s *NBodySpec) Validate() error {
 	if s.Ranks < 0 || s.Rungs < 0 {
 		return fmt.Errorf("ranks %d, rungs %d", s.Ranks, s.Rungs)
 	}
+	if s.Rungs > nbody.MaxRungLimit {
+		return fmt.Errorf("rungs %d above %d", s.Rungs, nbody.MaxRungLimit)
+	}
+	// Block timesteps need masked force calls, which the simulated
+	// cluster's forcer does not offer; direct summation ignores ranks.
+	if s.Rungs > 0 && s.Ranks > 0 && !s.Direct {
+		return fmt.Errorf("rungs %d with ranks %d: block timesteps run serial or direct only", s.Rungs, s.Ranks)
+	}
 	if s.Eta < 0 {
 		return fmt.Errorf("eta %g", s.Eta)
 	}
-	return s.EngineSpec.validate()
+	return nil
 }
 
 // NBodyData is the structured result of an nbody run.
@@ -738,7 +698,6 @@ func (s *NBodySpec) Run(r *Run) (*SpecResult, error) {
 		k0, p0 = sys.Energy()
 	}
 
-	engine := s.resolve()
 	var forcer nbody.Forcer
 	switch {
 	case s.Direct:
@@ -750,11 +709,9 @@ func (s *NBodySpec) Run(r *Run) (*SpecResult, error) {
 		}
 		forcer = &nbodyParallelForcer{ranks: s.Ranks, run: r, cfg: treecode.ParallelConfig{
 			Theta: s.Theta, Quadrupole: s.Quadrupole, Eps: sys.Eps, Cost: cm,
-			Engine: engine,
 		}}
 	default:
-		forcer = &treecode.Forcer{Theta: s.Theta, Quadrupole: s.Quadrupole, Tracer: r.Tracer,
-			Engine: engine}
+		forcer = &treecode.Forcer{Theta: s.Theta, Quadrupole: s.Quadrupole, Tracer: r.Tracer}
 	}
 
 	data := NBodyData{Particles: s.N, Steps: s.Steps}
@@ -889,12 +846,17 @@ func (s *TCOSpec) Validate() error {
 	if s.Nodes <= 0 {
 		return fmt.Errorf("nodes %d", s.Nodes)
 	}
-	for name, v := range map[string]float64{
-		"watts": s.Watts, "acquisition": s.Acquisition, "gflops": s.Gflops,
-		"years": s.Years, "space": s.Space, "cpu_hour": s.CPUHour,
+	// Struct order, so a spec with several bad fields always names the
+	// same one.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"watts", s.Watts}, {"acquisition", s.Acquisition}, {"gflops", s.Gflops},
+		{"years", s.Years}, {"space", s.Space}, {"cpu_hour", s.CPUHour},
 	} {
-		if v <= 0 {
-			return fmt.Errorf("%s %g", name, v)
+		if f.v <= 0 {
+			return fmt.Errorf("%s %g", f.name, f.v)
 		}
 	}
 	if s.KWh != nil && *s.KWh < 0 {

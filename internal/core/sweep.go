@@ -43,6 +43,19 @@ func firstErr(errs []error) error {
 	return nil
 }
 
+// serialTime returns the one-processor time a sweep's speed-ups are
+// measured against: time(i) of the first row with ps[i] == 1, wherever
+// it sits, or — when the sweep has no p=1 row — the first row's time
+// scaled by its p.
+func serialTime(ps []int, time func(i int) float64) float64 {
+	for i, p := range ps {
+		if p == 1 {
+			return time(i)
+		}
+	}
+	return time(0) * float64(ps[0])
+}
+
 // newWorld builds a p-rank world on the paper's Fast Ethernet, shaped
 // as the named topology ("" keeps the star switch), with the port
 // contention model and native collectives as asked, traced by the
@@ -151,25 +164,19 @@ func (r *Run) NASSweep(cfg NASSweepConfig) ([]NASSweepRow, *metrics.Table, error
 
 	// Deterministic post-pass: rows, gauges and world gathers in
 	// rank-count order, independent of completion order.
+	for i := range outs {
+		if outs[i].err != nil {
+			return nil, nil, outs[i].err
+		}
+	}
+	epT1 := serialTime(cfg.Ranks, func(i int) float64 { return outs[i].ep.SimTime })
+	var isT1 float64
+	if !cfg.EPOnly {
+		isT1 = serialTime(cfg.Ranks, func(i int) float64 { return outs[i].is.SimTime })
+	}
 	var rows []NASSweepRow
-	var epT1, isT1 float64
 	for i, p := range cfg.Ranks {
 		o := &outs[i]
-		if o.err != nil {
-			return nil, nil, o.err
-		}
-		if epT1 == 0 {
-			epT1 = o.ep.SimTime
-			if p != 1 {
-				epT1 *= float64(p) // fallback if the sweep skips p=1
-			}
-		}
-		if isT1 == 0 && o.is != nil {
-			isT1 = o.is.SimTime
-			if p != 1 {
-				isT1 *= float64(p)
-			}
-		}
 		hEP, mEP := o.wEP.PoolStats()
 		row := NASSweepRow{
 			Ranks:      p,

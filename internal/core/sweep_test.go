@@ -192,3 +192,48 @@ func TestNASSweepSchedulersSameMakespans(t *testing.T) {
 		}
 	}
 }
+
+// TestSpeedupBaselineIsP1Row: a sweep's speed-ups are measured against
+// its p=1 row wherever that row sits, so listing the rank counts in
+// another order permutes the rows and changes no value; the first row
+// scaled by its p stands in only when no p=1 row exists.
+func TestSpeedupBaselineIsP1Row(t *testing.T) {
+	t2 := func(ps ...int) map[int]Table2Row {
+		rows, _, err := NewRun().Table2(Table2Config{Particles: 2000, CPUCounts: ps, Theta: 0.7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		byP := map[int]Table2Row{}
+		for _, r := range rows {
+			byP[r.CPUs] = r
+		}
+		return byP
+	}
+	if fwd, rev := t2(1, 2), t2(2, 1); !reflect.DeepEqual(fwd, rev) {
+		t.Errorf("table2 rows depend on cpu_counts order:\n[1,2]: %+v\n[2,1]: %+v", fwd, rev)
+	} else if rev[1].Speedup != 1 {
+		t.Errorf("table2 p=1 speed-up %g, want 1", rev[1].Speedup)
+	}
+	if noP1 := t2(2, 4); noP1[2].Speedup != 2 {
+		t.Errorf("table2 without p=1: first row speed-up %g, want its p (2)", noP1[2].Speedup)
+	}
+
+	nas := func(ps ...int) map[int]NASSweepRow {
+		cfg := DefaultNASSweepConfig()
+		cfg.Ranks = ps
+		rows, _, err := NewRun().NASSweep(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byP := map[int]NASSweepRow{}
+		for _, r := range rows {
+			byP[r.Ranks] = r
+		}
+		return byP
+	}
+	if fwd, rev := nas(1, 2), nas(2, 1); !reflect.DeepEqual(fwd, rev) {
+		t.Errorf("nassweep rows depend on ranks order:\n[1,2]: %+v\n[2,1]: %+v", fwd, rev)
+	} else if rev[1].EPSpeedup != 1 || rev[1].ISSpeedup != 1 {
+		t.Errorf("nassweep p=1 speed-ups %g, %g, want 1", rev[1].EPSpeedup, rev[1].ISSpeedup)
+	}
+}

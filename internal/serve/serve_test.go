@@ -264,7 +264,9 @@ func TestConcurrentSubmissions(t *testing.T) {
 	}
 }
 
-// TestBadSubmissions maps decode and validation failures to 4xx.
+// TestBadSubmissions maps decode and validation failures to 4xx. An
+// nbody spec Run could only fail — rungs above the integrator's limit,
+// or block steps on the simulated cluster — is a validation failure.
 func TestBadSubmissions(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	cases := []struct {
@@ -276,6 +278,8 @@ func TestBadSubmissions(t *testing.T) {
 		{`{"api":"repro/spec/v1","kind":"nope"}`, http.StatusBadRequest},
 		{`{"api":"repro/spec/v1","kind":"tco","spec":{"bogus":1}}`, http.StatusBadRequest},
 		{`{"api":"repro/spec/v1","kind":"tco","spec":{"nodes":-5}}`, http.StatusUnprocessableEntity},
+		{`{"api":"repro/spec/v1","kind":"nbody","spec":{"n":300,"steps":1,"rungs":13}}`, http.StatusUnprocessableEntity},
+		{`{"api":"repro/spec/v1","kind":"nbody","spec":{"n":300,"steps":1,"ranks":2,"rungs":2}}`, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		resp, env := submit(t, ts, "", tc.body)
@@ -290,11 +294,11 @@ func TestBadSubmissions(t *testing.T) {
 
 // TestRemovedEngineNotServed: after a dual N-body result is cached, a
 // request for the removed group engine — spelled "engine":"group" or
-// with the retired "groupwalk" field — is a 4xx, never a replay of the
+// with the retired "groupwalk" field — is a 400, never a replay of the
 // dual document.
 func TestRemovedEngineNotServed(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	resp, env := submit(t, ts, "", `{"api":"repro/spec/v1","kind":"nbody","spec":{"n":300,"steps":1,"engine":"dual"}}`)
+	resp, env := submit(t, ts, "", `{"api":"repro/spec/v1","kind":"nbody","spec":{"n":300,"steps":1}}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("dual run: status %d (error %q)", resp.StatusCode, env.Error)
 	}
@@ -302,7 +306,7 @@ func TestRemovedEngineNotServed(t *testing.T) {
 		body string
 		code int
 	}{
-		{`{"api":"repro/spec/v1","kind":"nbody","spec":{"n":300,"steps":1,"engine":"group"}}`, http.StatusUnprocessableEntity},
+		{`{"api":"repro/spec/v1","kind":"nbody","spec":{"n":300,"steps":1,"engine":"group"}}`, http.StatusBadRequest},
 		{`{"api":"repro/spec/v1","kind":"nbody","spec":{"n":300,"steps":1,"groupwalk":true}}`, http.StatusBadRequest},
 	} {
 		resp, env := submit(t, ts, "", tc.body)
@@ -358,8 +362,9 @@ func retiredBody(kind, extra string) string {
 
 // TestRetiredSpellingsNotServed: after the default nbody and table2
 // runs are cached, a request that adds a deleted execution-only field
-// (concurrent, workers, no_memo, no_prune) is a 400 naming the field,
-// and "engine":"list" is a 422. None of them replays a cached document.
+// (concurrent, workers, no_memo, no_prune) or the deleted engine field
+// ("engine":"list") is a 400 naming the field. None of them replays a
+// cached document.
 func TestRetiredSpellingsNotServed(t *testing.T) {
 	retiredSpellingNotServed(t, []string{"nbody", "table2"}, []retiredSpelling{
 		{"table2", `,"concurrent":true`, "concurrent", http.StatusBadRequest},
@@ -369,8 +374,24 @@ func TestRetiredSpellingsNotServed(t *testing.T) {
 		{"topperopt", `,"workers":2`, "workers", http.StatusBadRequest},
 		{"topperopt", `,"no_memo":true`, "no_memo", http.StatusBadRequest},
 		{"topperopt", `,"no_prune":true`, "no_prune", http.StatusBadRequest},
-		{"nbody", `,"engine":"list"`, "list", http.StatusUnprocessableEntity},
+		{"nbody", `,"engine":"list"`, "engine", http.StatusBadRequest},
 	})
+}
+
+// TestEngineSpellingsNotServed: every force computation runs the
+// dual-tree walk, so the engine selection is deleted. After the
+// default nbody and table2 runs are cached, each spelling it used to
+// accept — and the retired list and group engines — is a 400 naming
+// the field, never a replay of the default run.
+func TestEngineSpellingsNotServed(t *testing.T) {
+	var reqs []retiredSpelling
+	for _, kind := range []string{"nbody", "table2"} {
+		for _, v := range []string{"auto", "dual", "recursive", "list", "group"} {
+			reqs = append(reqs, retiredSpelling{kind, `,"engine":"` + v + `"`, "engine", http.StatusBadRequest})
+		}
+		reqs = append(reqs, retiredSpelling{kind, `,"error_budget":0.5`, "error_budget", http.StatusBadRequest})
+	}
+	retiredSpellingNotServed(t, []string{"nbody", "table2"}, reqs)
 }
 
 // TestTreeReuseSpellingServedFromCache: tree_reuse once folded into the

@@ -87,10 +87,6 @@ type Gas struct {
 	SelfGravity bool
 	// Theta is the gravity MAC (used only with SelfGravity).
 	Theta float64
-	// Engine selects the gravity force engine; the zero value
-	// (EngineAuto) resolves to the dual-tree engine. Applies only with
-	// SelfGravity.
-	Engine treecode.Engine
 	// grav is the lazily created persistent gravity forcer; keeping it
 	// across steps lets its per-worker walk arenas stay warm, so the
 	// steady-state gravity sweep allocates nothing per walk.
@@ -232,7 +228,7 @@ func (g *Gas) Accelerations() ([]float64, error) {
 	})
 	if g.SelfGravity {
 		if g.grav == nil {
-			g.grav = &treecode.Forcer{Theta: g.Theta, Engine: g.Engine}
+			g.grav = &treecode.Forcer{Theta: g.Theta}
 		}
 		gx := make([]float64, n)
 		gy := make([]float64, n)

@@ -68,9 +68,9 @@ func TestSelectZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestForceSweepZeroAlloc runs full sweeps over every particle — the
-// exact shape of one worker's chunk loop in the exact engine, and every
-// dual task in turn on one warm arena — and pins both at zero
+// TestForceSweepZeroAlloc runs full sweeps over every particle — one
+// ForceAt walk per particle, and every dual task in turn on one warm
+// arena — and pins both at zero
 // allocations, up to the n=20000 force-engine benchmark size. (The
 // first Forces call on a Forcer still allocates for its tree build.)
 func TestForceSweepZeroAlloc(t *testing.T) {

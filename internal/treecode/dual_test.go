@@ -33,24 +33,27 @@ func sweepDual(tr *Tree, s *nbody.System, theta float64) ([]float64, Stats) {
 // passes the conservative box MAC for the group's own box, which
 // implies the per-particle MAC for every target in it. So the dual
 // engine's RMS error against direct summation is bounded by the
-// recursive walk's, and it does at least as many PP interactions.
+// recursive walk's, and it does at least as many PP interactions — at
+// every leaf bucket size.
 func TestDualEngineAccuracyBounded(t *testing.T) {
 	const n = 4000
 	s := nbody.NewPlummer(n, 1, 5)
-	tr := buildFromSystem(t, s, BuildOptions{})
+	for _, bucket := range []int{1, 8, 16} {
+		tr := buildFromSystem(t, s, BuildOptions{Bucket: bucket})
 
-	rec, recSt := sweepRecursive(tr, s, 0.7)
-	dual, dualSt := sweepDual(tr, s, 0.7)
+		rec, recSt := sweepRecursive(tr, s, 0.7)
+		dual, dualSt := sweepDual(tr, s, 0.7)
 
-	recRMS := rmsError(s, rec)
-	dualRMS := rmsError(s, dual)
-	t.Logf("theta=0.7 n=%d: recursive RMS=%.3e (%d interactions), dual RMS=%.3e (%d interactions)",
-		n, recRMS, recSt.Interactions(), dualRMS, dualSt.Interactions())
-	if dualRMS > recRMS*1.05+1e-12 {
-		t.Fatalf("dual engine less accurate than per-particle walk: RMS %.3e vs %.3e", dualRMS, recRMS)
-	}
-	if dualSt.PP < recSt.PP {
-		t.Fatalf("dual engine did fewer PP interactions than per-particle: %d vs %d", dualSt.PP, recSt.PP)
+		recRMS := rmsError(s, rec)
+		dualRMS := rmsError(s, dual)
+		t.Logf("theta=0.7 n=%d bucket=%d: recursive RMS=%.3e (%d interactions), dual RMS=%.3e (%d interactions)",
+			n, bucket, recRMS, recSt.Interactions(), dualRMS, dualSt.Interactions())
+		if dualRMS > recRMS*1.05+1e-12 {
+			t.Fatalf("bucket=%d: dual engine less accurate than per-particle walk: RMS %.3e vs %.3e", bucket, dualRMS, recRMS)
+		}
+		if dualSt.PP < recSt.PP {
+			t.Fatalf("bucket=%d: dual engine did fewer PP interactions than per-particle: %d vs %d", bucket, dualSt.PP, recSt.PP)
+		}
 	}
 }
 
@@ -83,29 +86,24 @@ func TestDualEngineNoLessAccurateAtScale(t *testing.T) {
 	}
 }
 
-// TestForcerDefaultResolvesDual: the tentpole switch — a zero-valued
-// engine selection (EngineAuto, default error budget) must run the
-// dual engine, bit-identically to asking for it explicitly.
+// TestForcerDefaultResolvesDual: a zero-valued Forcer runs the
+// dual-tree walk — dual tasks are counted, and its forces are not the
+// exact walk's bits — and is no less accurate than the exact
+// per-particle walk, ForceAt, over the same tree.
 func TestForcerDefaultResolvesDual(t *testing.T) {
 	const n = 3000
+	s := nbody.NewPlummer(n, 1, 99)
+	exact, exactSt := sweepRecursive(buildFromSystem(t, s, BuildOptions{}), s, 0.7)
 	before := dualTasks.Value()
 	def, defSt := forcerAccels(t, &Forcer{Theta: 0.7, Workers: 2}, n)
 	if dualTasks.Value() == before {
 		t.Fatal("default Forcer ran no dual-tree tasks")
 	}
-	exp, expSt := forcerAccels(t, &Forcer{Theta: 0.7, Engine: EngineDual, Workers: 2}, n)
-	if i := bitsEqual(def, exp); i >= 0 {
-		t.Fatalf("default engine differs from explicit dual at component %d", i)
+	if bitsEqual(def, exact) < 0 || defSt == exactSt {
+		t.Fatal("default Forcer reproduced the exact walk: it did not run the dual engine")
 	}
-	if defSt != expSt {
-		t.Fatalf("stats differ: %+v vs %+v", defSt, expSt)
-	}
-	// A sub-1 budget demands exactness: bit-identical to the recursive
-	// walk.
-	tight, _ := forcerAccels(t, &Forcer{Theta: 0.7, ErrorBudget: 0.5, Workers: 2}, n)
-	exact, _ := forcerAccels(t, &Forcer{Theta: 0.7, Engine: EngineRecursive, Workers: 2}, n)
-	if i := bitsEqual(tight, exact); i >= 0 {
-		t.Fatalf("ErrorBudget=0.5 fallback differs from recursive engine at component %d", i)
+	if defRMS, exactRMS := rmsError(s, def), rmsError(s, exact); defRMS > exactRMS*1.05+1e-12 {
+		t.Fatalf("default Forcer RMS %.3e exceeds the exact walk's %.3e", defRMS, exactRMS)
 	}
 }
 
@@ -115,9 +113,9 @@ func TestForcerDefaultResolvesDual(t *testing.T) {
 // only group granularity).
 func TestDualWorkersBitIdentical(t *testing.T) {
 	const n = 6000
-	ref, refSt := forcerAccels(t, &Forcer{Theta: 0.7, Engine: EngineDual, Workers: 1}, n)
+	ref, refSt := forcerAccels(t, &Forcer{Theta: 0.7, Workers: 1}, n)
 	for _, w := range []int{2, 8} {
-		got, gotSt := forcerAccels(t, &Forcer{Theta: 0.7, Engine: EngineDual, Workers: w}, n)
+		got, gotSt := forcerAccels(t, &Forcer{Theta: 0.7, Workers: w}, n)
 		if i := bitsEqual(ref, got); i >= 0 {
 			t.Fatalf("workers=%d: component %d differs from serial", w, i)
 		}
@@ -147,40 +145,6 @@ func TestSofteningAgreesWithRecursive(t *testing.T) {
 	}
 }
 
-// TestForcesActiveExact: with the exact engine, a masked ForcesActive
-// call must reproduce the full run's bits on the active subset and
-// leave inactive accelerations untouched.
-func TestForcesActiveExact(t *testing.T) {
-	const n = 2000
-	full := nbody.NewPlummer(n, 1, 31)
-	f := &Forcer{Theta: 0.7, Engine: EngineRecursive, Workers: 4}
-	if err := f.Forces(full); err != nil {
-		t.Fatal(err)
-	}
-	masked := nbody.NewPlummer(n, 1, 31)
-	active := make([]bool, n)
-	const sentinel = 1234.5
-	for i := range active {
-		active[i] = i%3 == 0
-		masked.AX[i], masked.AY[i], masked.AZ[i] = sentinel, sentinel, sentinel
-	}
-	if err := f.ForcesActive(masked, active); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if active[i] {
-			if masked.AX[i] != full.AX[i] || masked.AY[i] != full.AY[i] || masked.AZ[i] != full.AZ[i] {
-				t.Fatalf("active particle %d differs from full run", i)
-			}
-		} else if masked.AX[i] != sentinel || masked.AY[i] != sentinel || masked.AZ[i] != sentinel {
-			t.Fatalf("inactive particle %d was overwritten", i)
-		}
-	}
-	if f.LastStats.PP == 0 || f.LastStats.PC == 0 {
-		t.Fatalf("degenerate masked stats: %+v", f.LastStats)
-	}
-}
-
 // TestForcesActiveDual: the dual engine under a mask shrinks each
 // group's target box to its active members — a *more* conservative
 // MAC — so active particles must stay at least as accurate as the
@@ -189,7 +153,7 @@ func TestForcesActiveExact(t *testing.T) {
 func TestForcesActiveDual(t *testing.T) {
 	const n = 2000
 	s := nbody.NewPlummer(n, 1, 31)
-	f := &Forcer{Theta: 0.7, Engine: EngineDual, Workers: 4}
+	f := &Forcer{Theta: 0.7, Workers: 4}
 	if err := f.Forces(s); err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +220,7 @@ func TestForcesActiveDual(t *testing.T) {
 func TestDualTelemetry(t *testing.T) {
 	tasks0, mac0 := dualTasks.Value(), dualMAC.Value()
 	hoist0, groups0 := dualHoisted.Value(), dualGroups.Value()
-	f := &Forcer{Theta: 0.7, Engine: EngineDual, Workers: 2}
+	f := &Forcer{Theta: 0.7, Workers: 2}
 	s := nbody.NewPlummer(4000, 1, 3)
 	if err := f.Forces(s); err != nil {
 		t.Fatal(err)

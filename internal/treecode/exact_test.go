@@ -41,37 +41,36 @@ func packAccels(s *nbody.System) []float64 {
 	return out
 }
 
-// TestListEngineBitIdentical is the golden equivalence grid of the
-// Forcer's exact path (named for the retired list engine it first
-// pinned): a Forcer on EngineRecursive must reproduce ForceAt over a
-// fresh build bit for bit — and count the same interactions — across
-// theta, eps, quadrupole and bucket sizes. Floats are compared by their
-// bit patterns, so any reordering of float additions fails here.
+// TestListEngineBitIdentical is the golden plumbing grid of the
+// Forcer (named for the retired list engine it first pinned): a Forcer
+// must reproduce a serial DualForceWalk sweep over a fresh Build with
+// the same options bit for bit — and count the same interactions —
+// across theta, eps and quadrupole. Floats are compared by their bit
+// patterns, so any reordering of float additions in the tree
+// maintainer, the task split or the pool fails here.
 func TestListEngineBitIdentical(t *testing.T) {
 	for _, quad := range []bool{false, true} {
-		for _, bucket := range []int{1, 8, 16} {
-			for _, theta := range []float64{0.3, 0.7, 1.0} {
-				for _, eps := range []float64{0, 0.05} {
-					s := nbody.NewPlummer(2000, 1, 7)
-					s.Eps = eps
-					tr := buildFromSystem(t, s, BuildOptions{Bucket: bucket, Quadrupole: quad})
-					ref, refSt := sweepRecursive(tr, s, theta)
-					f := &Forcer{Theta: theta, Bucket: bucket, Quadrupole: quad, Engine: EngineRecursive, Workers: 2}
-					if err := f.Forces(s); err != nil {
-						t.Fatal(err)
-					}
-					got, gotSt := packAccels(s), f.LastStats
-					if i := bitsEqual(ref, got); i >= 0 {
-						t.Fatalf("quad=%v bucket=%d theta=%g eps=%g: component %d differs: %g vs %g",
-							quad, bucket, theta, eps, i, ref[i], got[i])
-					}
-					if refSt != gotSt {
-						t.Fatalf("quad=%v bucket=%d theta=%g eps=%g: stats differ: %+v vs %+v",
-							quad, bucket, theta, eps, refSt, gotSt)
-					}
-					if refSt.PP == 0 || refSt.PC == 0 {
-						t.Fatalf("degenerate sweep: %+v", refSt)
-					}
+		for _, theta := range []float64{0.3, 0.7, 1.0} {
+			for _, eps := range []float64{0, 0.05} {
+				s := nbody.NewPlummer(2000, 1, 7)
+				s.Eps = eps
+				tr := buildFromSystem(t, s, BuildOptions{Quadrupole: quad})
+				ref, refSt := sweepDual(tr, s, theta)
+				f := &Forcer{Theta: theta, Quadrupole: quad, Workers: 2}
+				if err := f.Forces(s); err != nil {
+					t.Fatal(err)
+				}
+				got, gotSt := packAccels(s), f.LastStats
+				if i := bitsEqual(ref, got); i >= 0 {
+					t.Fatalf("quad=%v theta=%g eps=%g: component %d differs: %g vs %g",
+						quad, theta, eps, i, ref[i], got[i])
+				}
+				if refSt != gotSt {
+					t.Fatalf("quad=%v theta=%g eps=%g: stats differ: %+v vs %+v",
+						quad, theta, eps, refSt, gotSt)
+				}
+				if refSt.PP == 0 || refSt.PC == 0 {
+					t.Fatalf("degenerate sweep: %+v", refSt)
 				}
 			}
 		}
@@ -87,46 +86,6 @@ func forcerAccels(t *testing.T, f *Forcer, n int) ([]float64, Stats) {
 		t.Fatal(err)
 	}
 	return packAccels(s), f.LastStats
-}
-
-// TestForcerEnginesBitIdentical asserts both ways of asking the Forcer
-// for exactness — EngineRecursive, and EngineAuto under an error budget
-// below 1 — give the bits of the ForceAt point walk.
-func TestForcerEnginesBitIdentical(t *testing.T) {
-	const n = 3000
-	s := nbody.NewPlummer(n, 1, 99)
-	ref, refSt := sweepRecursive(buildFromSystem(t, s, BuildOptions{}), s, 0.7)
-	for _, f := range []*Forcer{
-		{Theta: 0.7, Engine: EngineRecursive, Workers: 1},
-		{Theta: 0.7, Engine: EngineRecursive, Workers: 4},
-		{Theta: 0.7, ErrorBudget: 0.5, Workers: 4},
-	} {
-		got, gotSt := forcerAccels(t, f, n)
-		if i := bitsEqual(ref, got); i >= 0 {
-			t.Fatalf("%v budget=%g workers=%d: component %d differs from ForceAt", f.Engine, f.ErrorBudget, f.Workers, i)
-		}
-		if refSt != gotSt {
-			t.Fatalf("%v budget=%g workers=%d: stats differ: %+v vs %+v", f.Engine, f.ErrorBudget, f.Workers, refSt, gotSt)
-		}
-	}
-}
-
-// TestExactWorkersBitIdentical is the par-pool determinism contract for
-// the exact engine: workers 1, 2 and 8 must produce bit-identical
-// accelerations and identical Stats{PP,PC}. CI runs this under -race,
-// so it also proves the per-chunk counters never share.
-func TestExactWorkersBitIdentical(t *testing.T) {
-	const n = 6000
-	ref, refSt := forcerAccels(t, &Forcer{Theta: 0.7, Engine: EngineRecursive, Workers: 1}, n)
-	for _, w := range []int{2, 8} {
-		got, gotSt := forcerAccels(t, &Forcer{Theta: 0.7, Engine: EngineRecursive, Workers: w}, n)
-		if i := bitsEqual(ref, got); i >= 0 {
-			t.Fatalf("workers=%d: component %d differs from serial", w, i)
-		}
-		if refSt != gotSt {
-			t.Fatalf("workers=%d: stats differ: %+v vs %+v", w, refSt, gotSt)
-		}
-	}
 }
 
 // rmsError returns the RMS acceleration error of f against direct
@@ -165,7 +124,7 @@ func rmsError(s *nbody.System, acc []float64) float64 {
 // group).
 func TestGroupWalkTelemetrySavings(t *testing.T) {
 	before := listGroupSaved.Value()
-	f := &Forcer{Theta: 0.7, Engine: EngineDual, Workers: 1}
+	f := &Forcer{Theta: 0.7, Workers: 1}
 	s := nbody.NewPlummer(2000, 1, 3)
 	if err := f.Forces(s); err != nil {
 		t.Fatal(err)
@@ -193,60 +152,6 @@ func TestArenaReuseTelemetry(t *testing.T) {
 	}
 	if reused := listArenaReuse.Value() - before; reused < 2 {
 		t.Fatalf("second Forces call reused %d arenas, want >= 2", reused)
-	}
-}
-
-// TestParseEngine covers the flag parser and the default: the retired
-// "list" spelling and the removed group engine's spellings are errors,
-// not silently another engine.
-func TestParseEngine(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Engine
-	}{
-		{"", EngineAuto}, {"auto", EngineAuto},
-		{"recursive", EngineRecursive},
-		{"dual", EngineDual},
-	} {
-		got, err := ParseEngine(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseEngine(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	for _, bad := range []string{"turbo", "list", "group", "groupwalk"} {
-		if _, err := ParseEngine(bad); err == nil {
-			t.Fatalf("ParseEngine accepted %q", bad)
-		}
-	}
-	for e, want := range map[Engine]string{
-		EngineAuto: "auto", EngineRecursive: "recursive", EngineDual: "dual",
-	} {
-		if e.String() != want {
-			t.Fatalf("engine %d spelled %q, want %q", int(e), e.String(), want)
-		}
-	}
-}
-
-// TestResolveEngine pins the error-budget resolution: auto defaults to
-// the dual engine (budget 1 = "no worse than the reference"), budgets
-// below 1 demand bit-exactness, and explicit engines always win.
-func TestResolveEngine(t *testing.T) {
-	for _, tc := range []struct {
-		e      Engine
-		budget float64
-		want   Engine
-	}{
-		{EngineAuto, 0, EngineDual},
-		{EngineAuto, 1, EngineDual},
-		{EngineAuto, 2.5, EngineDual},
-		{EngineAuto, 0.5, EngineRecursive},
-		{EngineRecursive, 0, EngineRecursive},
-		{EngineRecursive, 5, EngineRecursive},
-		{EngineDual, 0.1, EngineDual},
-	} {
-		if got := ResolveEngine(tc.e, tc.budget); got != tc.want {
-			t.Fatalf("ResolveEngine(%v, %g) = %v, want %v", tc.e, tc.budget, got, tc.want)
-		}
 	}
 }
 

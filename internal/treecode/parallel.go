@@ -61,16 +61,9 @@ func BuildMix() *isa.Trace {
 // ParallelConfig configures a distributed force computation.
 type ParallelConfig struct {
 	Theta      float64
-	Bucket     int
 	Quadrupole bool
 	Eps        float64
 	Cost       CostModel
-	// Engine selects each rank's force-evaluation engine. The zero
-	// value (EngineAuto) resolves through ErrorBudget, like
-	// Forcer.Engine.
-	Engine Engine
-	// ErrorBudget tunes EngineAuto (see Forcer.ErrorBudget).
-	ErrorBudget float64
 }
 
 // Decompose returns each rank's particle indices: contiguous runs of the
@@ -258,7 +251,7 @@ func ParallelForces(w *mpi.World, s *nbody.System, cfg ParallelConfig) (*Paralle
 		var localTree *Tree
 		if len(local) > 0 {
 			t0 := c.Now()
-			lt, berr := Build(local, BuildOptions{Bucket: cfg.Bucket, Quadrupole: cfg.Quadrupole})
+			lt, berr := Build(local, BuildOptions{Quadrupole: cfg.Quadrupole})
 			if berr != nil {
 				return berr
 			}
@@ -303,37 +296,28 @@ func ParallelForces(w *mpi.World, s *nbody.System, cfg ParallelConfig) (*Paralle
 		}
 		// Force tree over local + imported sources.
 		tb0 := c.Now()
-		ft, err := Build(sources, BuildOptions{Bucket: cfg.Bucket, Quadrupole: cfg.Quadrupole})
+		ft, err := Build(sources, BuildOptions{Quadrupole: cfg.Quadrupole})
 		if err != nil {
 			return err
 		}
 		c.AddCompute(cfg.Cost.SecondsPerBuildSource * float64(len(sources)))
 		span(c, "force_build", tb0, map[string]any{"sources": len(sources)})
 		tf0 := c.Now()
+		// Dual-tree traversal over the rank's LET: targets are the
+		// rank's own particles (imported sources are Index < 0 and never
+		// evaluated), sources the whole local + imported tree.
 		var stats Stats
-		if ResolveEngine(cfg.Engine, cfg.ErrorBudget) == EngineDual {
-			// Dual-tree traversal over the rank's LET: targets are the
-			// rank's own particles (imported sources are Index < 0 and
-			// never evaluated), sources the whole local + imported tree.
-			ar := NewWalkArena()
-			for _, ti := range ft.AppendGroups(nil, DualTaskSize) {
-				ft.DualForceWalk(ti, cfg.Theta, cfg.Eps, nil, ar, &stats)
-				for k := 0; k < ar.NumTargets(); k++ {
-					pi, ax, ay, az := ar.Target(k)
-					s.AX[pi] = s.G * ax
-					s.AY[pi] = s.G * ay
-					s.AZ[pi] = s.G * az
-				}
-			}
-			ar.FlushTelemetry()
-		} else {
-			for _, pi := range mine {
-				ax, ay, az := ft.ForceAt(s.X[pi], s.Y[pi], s.Z[pi], pi, cfg.Theta, cfg.Eps, &stats)
+		ar := NewWalkArena()
+		for _, ti := range ft.AppendGroups(nil, DualTaskSize) {
+			ft.DualForceWalk(ti, cfg.Theta, cfg.Eps, nil, ar, &stats)
+			for k := 0; k < ar.NumTargets(); k++ {
+				pi, ax, ay, az := ar.Target(k)
 				s.AX[pi] = s.G * ax
 				s.AY[pi] = s.G * ay
 				s.AZ[pi] = s.G * az
 			}
 		}
+		ar.FlushTelemetry()
 		c.AddCompute(cfg.Cost.SecondsPerInteraction * float64(stats.Interactions()))
 		span(c, "forces", tf0, map[string]any{"pp": stats.PP, "pc": stats.PC})
 		perRank[c.Rank()] = stats

@@ -395,9 +395,10 @@ func (st Stats) Flops() uint64 { return st.Interactions() * nbody.FlopsPerIntera
 // Barnes–Hut criterion: accept a cell when size/distance < theta. selfIdx
 // excludes one local particle (pass -1 to include everything).
 //
-// ForceAt is the exact engine (EngineRecursive): a closure-recursive
-// depth-first walk, the bit-exact reference the dual engine's error is
-// measured against. It allocates nothing.
+// ForceAt is the exact per-particle reference: a closure-recursive
+// depth-first walk that the dual-tree walk's error is measured against
+// and that direct per-point evaluations (vortex's Biot–Savart sums)
+// call. It allocates nothing.
 func (t *Tree) ForceAt(x, y, z float64, selfIdx int, theta, eps float64, st *Stats) (ax, ay, az float64) {
 	eps2 := softening2(eps)
 	var walk func(ni int32)
@@ -469,30 +470,19 @@ func (t *Tree) ForceAt(x, y, z float64, selfIdx int, theta, eps float64, st *Sta
 	return ax, ay, az
 }
 
-// Forcer computes treecode forces for an nbody.System; it implements
-// nbody.Forcer.
+// Forcer computes treecode forces for an nbody.System with the
+// dual-tree walk; it implements nbody.Forcer. Its RMS error against
+// direct summation is bounded by ForceAt's at the same theta.
 type Forcer struct {
 	Theta      float64
-	Bucket     int
 	Quadrupole bool
 	// Workers is the host worker-pool width for the build and the force
 	// loop; 0 follows par.Workers(). Forces are bit-identical at every
-	// width (each particle's or task's tree walk is independent).
+	// width (each task's tree walk is independent).
 	Workers int
 	// Tracer, when non-nil, records wall-clock spans for the build and
 	// force phases of every call (obs.PidHost).
 	Tracer *obs.Tracer
-	// Engine selects the force-evaluation engine. The zero value is
-	// EngineAuto: ErrorBudget picks the amortized dual-tree engine by
-	// default, or the bit-exact recursive walk when the budget demands
-	// exactness. See ResolveEngine.
-	Engine Engine
-	// ErrorBudget tunes EngineAuto, in units of the exact theta-walk's
-	// own RMS force error against direct summation: 0 means
-	// DefaultErrorBudget (1, "no worse than the reference engine",
-	// which the dual engine's conservative MAC guarantees); anything
-	// below 1 demands bit-exactness and falls back to EngineRecursive.
-	ErrorBudget float64
 	// LastStats reports the most recent force computation's work.
 	LastStats Stats
 	// Total accumulates stats across every Forces call on this Forcer
@@ -516,10 +506,6 @@ type Forcer struct {
 	sel Selection
 }
 
-// forceGrain is the per-chunk particle count of the exact engine's
-// parallel force loop.
-const forceGrain = 512
-
 // Forces implements nbody.Forcer: brings the tree up to the system's
 // current positions and fills its acceleration arrays.
 func (f *Forcer) Forces(s *nbody.System) error { return f.ForcesActive(s, nil) }
@@ -534,7 +520,7 @@ func (f *Forcer) ForcesActive(s *nbody.System, active []bool) error {
 	if theta <= 0 {
 		theta = 0.7
 	}
-	opt := BuildOptions{Bucket: f.Bucket, Quadrupole: f.Quadrupole, Workers: f.Workers}
+	opt := BuildOptions{Quadrupole: f.Quadrupole, Workers: f.Workers}
 	sp := f.Tracer.Begin(obs.PidHost, 0, "treecode", "build")
 	f.srcBuf = AppendSources(f.srcBuf[:0], s)
 	if f.cache == nil {
@@ -547,45 +533,13 @@ func (f *Forcer) ForcesActive(s *nbody.System, active []bool) error {
 	sp.End(map[string]any{"sources": len(f.srcBuf), "nodes": len(t.Nodes)})
 	pool := par.New(f.Workers)
 	sp = f.Tracer.Begin(obs.PidHost, 0, "treecode", "forces")
-	var st Stats
-	if ResolveEngine(f.Engine, f.ErrorBudget) == EngineDual {
-		st = f.dualForces(t, s, pool, theta, t.Select(active, &f.sel))
-	} else {
-		st = exactForces(t, s, pool, theta, active)
-	}
+	st := f.dualForces(t, s, pool, theta, t.Select(active, &f.sel))
 	sp.End(map[string]any{"pp": st.PP, "pc": st.PC})
 	f.LastStats = st
 	f.Total.PP += st.PP
 	f.Total.PC += st.PC
 	s.Interactions += st.Interactions()
 	return nil
-}
-
-// exactForces runs the exact engine: one ForceAt walk per active
-// particle. Per-chunk sharded interaction counters — chunk c owns slot
-// c, the merge folds slots in slot order — keep the counts race-free
-// and bit-identical at any worker width (the obs determinism rule);
-// each walk's result depends only on the particle.
-func exactForces(t *Tree, s *nbody.System, pool *par.Pool, theta float64, active []bool) Stats {
-	n := s.N()
-	nc := par.NumChunks(n, forceGrain)
-	pp := obs.NewShardedCounter(nc)
-	pc := obs.NewShardedCounter(nc)
-	pool.ForChunks(n, forceGrain, func(c, lo, hi int) {
-		var cst Stats
-		for i := lo; i < hi; i++ {
-			if active != nil && !active[i] {
-				continue
-			}
-			ax, ay, az := t.ForceAt(s.X[i], s.Y[i], s.Z[i], i, theta, s.Eps, &cst)
-			s.AX[i] = s.G * ax
-			s.AY[i] = s.G * ay
-			s.AZ[i] = s.G * az
-		}
-		pp.Add(c, cst.PP)
-		pc.Add(c, cst.PC)
-	})
-	return Stats{PP: pp.Value(), PC: pc.Value()}
 }
 
 // dualForces runs the dual-tree engine: the work list is the tree's

@@ -155,7 +155,7 @@ func TestTreeForceMatchesDirectAccuracy(t *testing.T) {
 	ref.DirectForces()
 
 	for _, theta := range []float64{0.3, 0.7} {
-		f := &Forcer{Theta: theta, Bucket: 8}
+		f := &Forcer{Theta: theta}
 		if err := f.Forces(s); err != nil {
 			t.Fatal(err)
 		}

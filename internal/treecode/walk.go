@@ -1,14 +1,11 @@
 package treecode
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// This file holds the force-walk machinery shared by the engines: the
-// engine selection, the rope-threaded walk index the dual-tree engine
-// scans for sources, the per-worker arena its interaction lists live
-// in, and the flat kernels that evaluate those lists.
+// This file holds the dual-tree walk's machinery: the rope-threaded
+// walk index it scans for sources, the per-worker arena its
+// interaction lists live in, and the flat kernels that evaluate those
+// lists.
 
 // WalkArena is the reusable scratch of one dual-tree walk: the SoA
 // interaction lists and the per-group target outputs. Arenas are owned
@@ -250,82 +247,6 @@ func (ar *WalkArena) evalPartsExcept(x, y, z, eps2 float64, selfIdx int32, lo, h
 		az += f * pz
 	}
 	return ax, ay, az, skipped
-}
-
-// Engine selects the force-evaluation engine of a Forcer or a parallel
-// configuration. The zero value is EngineAuto: the engine is picked by
-// the error budget (see Forcer.ErrorBudget) — the amortized dual-tree
-// engine when an RMS-bounded deviation is acceptable (the default), the
-// bit-exact recursive walk when the budget demands exactness.
-type Engine int
-
-const (
-	// EngineAuto resolves through the error budget: a budget of at
-	// least 1 (in units of the exact walk's own RMS error against
-	// direct summation — the default) selects EngineDual, whose
-	// conservative MAC keeps it at or below that error; a smaller
-	// budget demands bit-exactness and selects EngineRecursive.
-	EngineAuto Engine = iota
-	// EngineRecursive is the exact engine: the closure-recursive
-	// per-particle walk of Tree.ForceAt, the bit-exact reference.
-	EngineRecursive
-	// EngineDual is the mutual/dual-tree traversal: the tree is walked
-	// against itself, so one MAC decision accepts a source cell for a
-	// whole target subtree and is inherited by every group below it.
-	// RMS-bounded by the exact walk's error, not bit-identical to it.
-	EngineDual
-)
-
-// String returns the flag spelling of the engine.
-func (e Engine) String() string {
-	switch e {
-	case EngineAuto:
-		return "auto"
-	case EngineRecursive:
-		return "recursive"
-	case EngineDual:
-		return "dual"
-	}
-	return fmt.Sprintf("engine(%d)", int(e))
-}
-
-// ParseEngine parses a -engine flag value.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "auto":
-		return EngineAuto, nil
-	case "recursive":
-		return EngineRecursive, nil
-	case "dual":
-		return EngineDual, nil
-	}
-	return 0, fmt.Errorf("treecode: unknown engine %q (want auto, recursive or dual)", s)
-}
-
-// DefaultErrorBudget is the error budget EngineAuto assumes when none
-// is set: exactly the exact walk's own accuracy. The budget is measured
-// in units of the exact theta-walk's RMS force error against direct
-// summation, so 1 reads "no worse than the reference engine" — which
-// the dual engine's conservative MAC guarantees (it opens strictly
-// more cells, and measures ~2x better). Any budget below 1 can only be
-// met by bit-exactness and selects the recursive walk.
-const DefaultErrorBudget = 1.0
-
-// ResolveEngine maps an engine selection plus an error budget to the
-// concrete engine a force computation runs. budget == 0 means "unset"
-// (DefaultErrorBudget); budget < 1 demands exactness. An explicit
-// non-auto engine always wins.
-func ResolveEngine(e Engine, budget float64) Engine {
-	if e != EngineAuto {
-		return e
-	}
-	if budget == 0 {
-		budget = DefaultErrorBudget
-	}
-	if budget < 1 {
-		return EngineRecursive
-	}
-	return EngineDual
 }
 
 // softening2 is the one place the Plummer softening length becomes the
