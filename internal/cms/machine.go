@@ -388,39 +388,21 @@ func (m *Machine) recordNative(res *vliw.ExecResult, tr *isa.Trace) {
 
 // interpretRegion steps x86 instructions, charging interpreter cost per
 // instruction, until a control transfer executes (whose successor is the
-// next region head) or the program halts.
+// next region head) or the program halts. Each instruction also costs its
+// native latency: the interpreter still has to do the work, e.g. an fdiv
+// costs what the FPU costs.
 func (m *Machine) interpretRegion(p isa.Program, st *isa.State, tr *isa.Trace) error {
 	for !st.Halted {
-		in := p[st.PC]
+		pc := st.PC
 		if err := isa.Step(p, st, tr); err != nil {
 			return err
 		}
+		op := p[pc].Op
 		m.stats.InterpInstrs++
-		m.stats.InterpCycles += uint64(m.P.InterpOverhead) + uint64(m.interpLatency(in.Op))
-		if isa.IsBranch(in.Op) {
+		m.stats.InterpCycles += uint64(m.P.InterpOverhead) + uint64(m.VLIW.T.Latency(isa.ClassOf(op)))
+		if isa.IsBranch(op) {
 			return nil
 		}
 	}
 	return nil
-}
-
-// interpLatency is the native execution latency of the interpreted op
-// (the interpreter still has to do the work, e.g. an fdiv costs what the
-// FPU costs).
-func (m *Machine) interpLatency(op isa.Op) int {
-	t := m.VLIW.T
-	switch isa.ClassOf(op) {
-	case isa.ClassIntMul:
-		return t.MulLatency
-	case isa.ClassLoad:
-		return t.LoadLatency
-	case isa.ClassFPAdd, isa.ClassFPMul:
-		return t.FPLatency
-	case isa.ClassFPDiv:
-		return t.FDivLatency
-	case isa.ClassFPSqrt:
-		return t.FSqrtLatency
-	default:
-		return t.IntLatency
-	}
 }

@@ -201,11 +201,8 @@ func (a *Arch) Run(p isa.Program, st *isa.State, fuel uint64) (RunResult, error)
 
 // shape is what the scoreboard needs of one static instruction.
 type shape struct {
-	src       sources
-	dstFile   regFile
-	dst       uint8
-	setsFlags bool
-	sched     *classSched
+	ops   isa.Operands
+	sched *classSched
 	// lat is the unit latency, plus the expected miss penalty for loads.
 	lat float64
 }
@@ -221,13 +218,11 @@ func (s *simState) decode(p isa.Program) []shape {
 		if s.sched[c] == nil {
 			s.sched[c] = newClassSched(u)
 		}
-		file, dst := dstReg(in)
 		lat := u.Latency
 		if c == isa.ClassLoad {
 			lat += a.LoadMissRate * a.LoadMissPenalty
 		}
-		shapes[i] = shape{src: srcRegs(in), dstFile: file, dst: dst,
-			setsFlags: writesFlags(in.Op), sched: s.sched[c], lat: lat}
+		shapes[i] = shape{ops: in.Operands(), sched: s.sched[c], lat: lat}
 	}
 	return shapes
 }
@@ -250,18 +245,18 @@ func (s *simState) time(sh *shape, taken bool) float64 {
 
 	// Execution start: dispatched, operands ready, unit free.
 	t := d
-	src := &sh.src
-	for _, r := range src.ints[:src.nInt] {
+	o := &sh.ops
+	for _, r := range o.Ints[:o.NInt] {
 		if s.readyR[r] > t {
 			t = s.readyR[r]
 		}
 	}
-	for _, r := range src.fps[:src.nFP] {
+	for _, r := range o.FPs[:o.NFP] {
 		if s.readyF[r] > t {
 			t = s.readyF[r]
 		}
 	}
-	if src.flags && s.readyFlags > t {
+	if o.ReadsFlags && s.readyFlags > t {
 		t = s.readyFlags
 	}
 	if a.InOrder && s.lastIssue > t {
@@ -274,13 +269,13 @@ func (s *simState) time(sh *shape, taken bool) float64 {
 
 	// Completion.
 	done := t + sh.lat
-	switch sh.dstFile {
-	case intReg:
-		s.readyR[sh.dst] = done
-	case fpReg:
-		s.readyF[sh.dst] = done
+	switch o.Dst {
+	case isa.IntFile:
+		s.readyR[o.Rd] = done
+	case isa.FPFile:
+		s.readyF[o.Rd] = done
 	}
-	if sh.setsFlags {
+	if o.WritesFlags {
 		s.readyFlags = done
 	}
 	if !a.InOrder {
@@ -303,56 +298,4 @@ func (s *simState) time(sh *shape, taken bool) float64 {
 		s.cycles = t + 1
 	}
 	return t
-}
-
-func writesFlags(op isa.Op) bool {
-	return op == isa.Cmp || op == isa.CmpI || op == isa.FCmp
-}
-
-// sources lists an instruction's register reads: ints[:nInt],
-// fps[:nFP] and, when flags is set, the condition flags.
-type sources struct {
-	ints, fps [2]uint8
-	nInt, nFP uint8
-	flags     bool
-}
-
-func srcRegs(in isa.Instr) (s sources) {
-	switch in.Op {
-	case isa.Mov, isa.AddI, isa.SubI, isa.Shl, isa.Shr, isa.CmpI, isa.CvtIF, isa.Ld, isa.FLd:
-		s.ints[0], s.nInt = in.Ra, 1
-	case isa.Add, isa.Sub, isa.Mul, isa.And, isa.Or, isa.Xor, isa.Cmp, isa.St:
-		s.ints, s.nInt = [2]uint8{in.Ra, in.Rb}, 2
-	case isa.FSt:
-		s.ints[0], s.nInt = in.Ra, 1
-		s.fps[0], s.nFP = in.Rb, 1
-	case isa.FMov, isa.FSqrt, isa.FNeg, isa.FAbs, isa.CvtFI:
-		s.fps[0], s.nFP = in.Ra, 1
-	case isa.FAdd, isa.FSub, isa.FMul, isa.FDiv, isa.FCmp:
-		s.fps, s.nFP = [2]uint8{in.Ra, in.Rb}, 2
-	case isa.Jz, isa.Jnz, isa.Jl, isa.Jle, isa.Jg, isa.Jge:
-		s.flags = true
-	}
-	return
-}
-
-// regFile names the register file an instruction writes.
-type regFile uint8
-
-const (
-	noReg regFile = iota
-	intReg
-	fpReg
-)
-
-func dstReg(in isa.Instr) (regFile, uint8) {
-	switch in.Op {
-	case isa.MovI, isa.Mov, isa.Add, isa.AddI, isa.Sub, isa.SubI, isa.Mul,
-		isa.And, isa.Or, isa.Xor, isa.Shl, isa.Shr, isa.Ld, isa.CvtFI:
-		return intReg, in.Rd
-	case isa.FLd, isa.FMovI, isa.FMov, isa.FAdd, isa.FSub, isa.FMul,
-		isa.FDiv, isa.FSqrt, isa.FNeg, isa.FAbs, isa.CvtIF:
-		return fpReg, in.Rd
-	}
-	return noReg, 0
 }

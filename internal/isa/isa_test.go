@@ -8,7 +8,7 @@ import (
 )
 
 func TestClassOfCoversAllOps(t *testing.T) {
-	for op := Op(0); op < numOps; op++ {
+	for op := Op(0); op < NumOps; op++ {
 		// Must not panic, must be in range.
 		c := ClassOf(op)
 		if c >= NumClasses {
@@ -19,7 +19,7 @@ func TestClassOfCoversAllOps(t *testing.T) {
 
 func TestOpStringsUnique(t *testing.T) {
 	seen := map[string]Op{}
-	for op := Op(0); op < numOps; op++ {
+	for op := Op(0); op < NumOps; op++ {
 		s := op.String()
 		if s == "" || strings.HasPrefix(s, "op(") {
 			t.Fatalf("op %d has no name", op)
@@ -200,7 +200,7 @@ func TestDisassembleRoundTrip(t *testing.T) {
 func TestDisassembleRoundTripProperty(t *testing.T) {
 	// Property: any valid random instruction survives disassemble→assemble.
 	f := func(opRaw, rd, ra, rb uint8, imm int64, fv float64) bool {
-		op := Op(opRaw % uint8(numOps))
+		op := Op(opRaw % uint8(NumOps))
 		in := Instr{Op: op, Rd: rd % NumRegs, Ra: ra % NumRegs, Rb: rb % NumRegs}
 		// Populate only fields the op uses, as the assembler would.
 		switch op {

@@ -17,11 +17,11 @@ func TestExecuteZeroAlloc(t *testing.T) {
 		EntryPC: 0,
 		FallPC:  9,
 		Molecules: []Molecule{
-			mol(Atom{Op: AMovI, Dst: 1, Imm: 3}, Atom{Op: AMovI, Dst: 2, Imm: 4}),
-			mol(Atom{Op: AAdd, Dst: 3, Src1: 1, Src2: 2}, Atom{Op: ASt, Src1: 0, Src2: 3}),
-			mol(Atom{Op: ALd, Dst: 4, Src1: 0}, Atom{Op: AFMovI, Dst: 1, F: 2.0}),
-			mol(Atom{Op: AFMul, Dst: 2, Src1: 1, Src2: 1}, Atom{Op: ACmpI, Src1: 4, Imm: 7}),
-			mol(Atom{Op: ABrZ, Imm: 5}),
+			mol(isa.Instr{Op: isa.MovI, Rd: 1, Imm: 3}, isa.Instr{Op: isa.MovI, Rd: 2, Imm: 4}),
+			mol(isa.Instr{Op: isa.Add, Rd: 3, Ra: 1, Rb: 2}, isa.Instr{Op: isa.St, Ra: 0, Rb: 3}),
+			mol(isa.Instr{Op: isa.Ld, Rd: 4, Ra: 0}, isa.Instr{Op: isa.FMovI, Rd: 1, F: 2.0}),
+			mol(isa.Instr{Op: isa.FMul, Rd: 2, Ra: 1, Rb: 1}, isa.Instr{Op: isa.CmpI, Ra: 4, Imm: 7}),
+			mol(isa.Instr{Op: isa.Jz, Imm: 5}),
 		},
 		SrcInstrs: 8,
 	}

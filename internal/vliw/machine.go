@@ -38,6 +38,24 @@ func TM5600Timing() Timing {
 	}
 }
 
+// Latency is the producer→consumer distance of a timing class's results,
+// for translated atoms and interpreted instructions alike.
+func (t *Timing) Latency(c isa.Class) int {
+	switch c {
+	case isa.ClassIntMul:
+		return t.MulLatency
+	case isa.ClassLoad:
+		return t.LoadLatency
+	case isa.ClassFPAdd, isa.ClassFPMul:
+		return t.FPLatency
+	case isa.ClassFPDiv:
+		return t.FDivLatency
+	case isa.ClassFPSqrt:
+		return t.FSqrtLatency
+	}
+	return t.IntLatency // integer ALU, stores, branches, no-ops
+}
+
 // State is the native machine state: the architectural isa.State (whose
 // registers 0..isa.NumRegs-1 the low native registers shadow) plus the
 // translator's temporary registers.
@@ -97,15 +115,6 @@ type ExecResult struct {
 	Flops   uint64
 }
 
-// AtomIsFlop mirrors isa.IsFlop for native atoms.
-func AtomIsFlop(op AtomOp) bool {
-	switch op {
-	case AFAdd, AFSub, AFMul, AFDiv, AFSqrt, AFNeg, AFAbs:
-		return true
-	}
-	return false
-}
-
 // Machine executes translations with cycle accounting. The scoreboard
 // (register-ready times and FP-unit busy time) persists across molecules
 // within one Execute call and is reset between calls; cross-translation
@@ -129,8 +138,7 @@ type pendingWrite struct {
 const maxMoleculeAtoms = 4
 
 // Execute runs the translation against st until a branch exits, the last
-// molecule falls through, or an Hlt-encoded exit (ExitPC < 0 means halt).
-// Branch atoms with Imm = HaltExit halt the machine.
+// molecule falls through, or a branch to a HaltCode halts the machine.
 //
 // Execute is the simulator's hottest host loop and performs no heap
 // allocation: the commit buffer is a fixed array and all register-read
@@ -142,6 +150,7 @@ func (m *Machine) Execute(t *Translation, st *State) (ExecResult, error) {
 	var fpuBusyUntil uint64
 	var cycle uint64
 	var writes [maxMoleculeAtoms]pendingWrite
+	var ops [maxMoleculeAtoms]isa.Operands
 
 	mi := 0
 	for mi < len(t.Molecules) {
@@ -150,16 +159,16 @@ func (m *Machine) Execute(t *Translation, st *State) (ExecResult, error) {
 		issue := cycle
 		for i := range mol.Atoms {
 			a := &mol.Atoms[i]
-			ir, ni := atomIntReads(a)
-			for k := 0; k < ni; k++ {
-				if regReadyR[ir[k]] > issue {
-					issue = regReadyR[ir[k]]
+			o := &ops[i]
+			*o = a.Operands()
+			for _, r := range o.Ints[:o.NInt] {
+				if regReadyR[r] > issue {
+					issue = regReadyR[r]
 				}
 			}
-			fr, nf := atomFPReads(a)
-			for k := 0; k < nf; k++ {
-				if regReadyF[fr[k]] > issue {
-					issue = regReadyF[fr[k]]
+			for _, r := range o.FPs[:o.NFP] {
+				if regReadyF[r] > issue {
+					issue = regReadyF[r]
 				}
 			}
 			if UnitOf(a.Op) == UnitFPU && fpuBusyUntil > issue {
@@ -195,34 +204,29 @@ func (m *Machine) Execute(t *Translation, st *State) (ExecResult, error) {
 			}
 		}
 
-		// Scoreboard updates.
+		// Scoreboard updates and per-class counts.
 		for i := range mol.Atoms {
-			a := &mol.Atoms[i]
-			lat := m.latency(a.Op)
-			if wr, fp, ok := atomWrites(*a); ok {
-				if fp {
-					regReadyF[wr] = issue + uint64(lat)
-				} else {
-					regReadyR[wr] = issue + uint64(lat)
-				}
+			op := mol.Atoms[i].Op
+			c := isa.ClassOf(op)
+			ready := issue + uint64(m.T.Latency(c))
+			switch o := &ops[i]; o.Dst {
+			case isa.IntFile:
+				regReadyR[o.Rd] = ready
+			case isa.FPFile:
+				regReadyF[o.Rd] = ready
 			}
-			if a.Op == AFDiv {
-				fpuBusyUntil = issue + uint64(m.T.FDivLatency)
-			} else if a.Op == AFSqrt {
-				fpuBusyUntil = issue + uint64(m.T.FSqrtLatency)
+			if c == isa.ClassFPDiv || c == isa.ClassFPSqrt {
+				fpuBusyUntil = ready
+			}
+			res.ByClass[c]++
+			if isa.IsFlop(op) {
+				res.Flops++
 			}
 		}
 
 		cycle = issue + 1
 		res.Molecules++
 		res.Atoms += uint64(len(mol.Atoms))
-		for i := range mol.Atoms {
-			op := mol.Atoms[i].Op
-			res.ByClass[ClassOfAtom(op)]++
-			if AtomIsFlop(op) {
-				res.Flops++
-			}
-		}
 
 		if halted {
 			st.Arch.Halted = true
@@ -249,71 +253,11 @@ func (m *Machine) Execute(t *Translation, st *State) (ExecResult, error) {
 // and reports nextPC (the architectural PC after the x86 hlt) as the exit.
 func HaltCode(nextPC int) int64 { return -int64(nextPC) - 1 }
 
-// HaltExit is HaltCode(0), kept for hand-built translations in tests.
-const HaltExit = -1
-
-func (m *Machine) latency(op AtomOp) int {
-	switch ClassOfAtom(op) {
-	case isa.ClassIntALU, isa.ClassNop, isa.ClassBranch, isa.ClassStore:
-		return m.T.IntLatency
-	case isa.ClassIntMul:
-		return m.T.MulLatency
-	case isa.ClassLoad:
-		return m.T.LoadLatency
-	case isa.ClassFPAdd, isa.ClassFPMul:
-		return m.T.FPLatency
-	case isa.ClassFPDiv:
-		return m.T.FDivLatency
-	case isa.ClassFPSqrt:
-		return m.T.FSqrtLatency
-	}
-	return 1
-}
-
-// atomIntReads returns the integer registers the atom reads, by value so
-// the hot loop allocates nothing.
-func atomIntReads(a *Atom) (regs [2]uint8, n int) {
-	switch a.Op {
-	case AMov, AAddI, ASubI, AShl, AShr, ACmpI, ACvtIF:
-		regs[0] = a.Src1
-		return regs, 1
-	case AAdd, ASub, AMul, AAnd, AOr, AXor, ACmp:
-		regs[0], regs[1] = a.Src1, a.Src2
-		return regs, 2
-	case ALd, AFLd:
-		regs[0] = a.Src1
-		return regs, 1
-	case ASt:
-		regs[0], regs[1] = a.Src1, a.Src2
-		return regs, 2
-	case AFSt:
-		regs[0] = a.Src1
-		return regs, 1
-	}
-	return regs, 0
-}
-
-// atomFPReads returns the FP registers the atom reads, by value.
-func atomFPReads(a *Atom) (regs [2]uint8, n int) {
-	switch a.Op {
-	case AFMov, AFSqrt, AFNeg, AFAbs, ACvtFI:
-		regs[0] = a.Src1
-		return regs, 1
-	case AFAdd, AFSub, AFMul, AFDiv, AFCmp:
-		regs[0], regs[1] = a.Src1, a.Src2
-		return regs, 2
-	case AFSt:
-		regs[0] = a.Src2
-		return regs, 1
-	}
-	return regs, 0
-}
-
 // execAtom computes the atom's effect. A register write, if any, goes into
 // *w (wrote reports whether it did); taken branches return the exit PC and
 // a halt flag. Results are returned by value — no escaping pointers — so
 // the per-molecule execution loop is allocation-free.
-func execAtom(a *Atom, st *State, w *pendingWrite) (wrote bool, branchTo int, taken, halt bool, err error) {
+func execAtom(a *isa.Instr, st *State, w *pendingWrite) (wrote bool, branchTo int, taken, halt bool, err error) {
 	arch := st.Arch
 	iw := func(reg uint8, v int64) {
 		w.fp, w.reg, w.vi = false, reg, v
@@ -324,102 +268,102 @@ func execAtom(a *Atom, st *State, w *pendingWrite) (wrote bool, branchTo int, ta
 		wrote = true
 	}
 	switch a.Op {
-	case ANop:
-	case AMovI:
-		iw(a.Dst, a.Imm)
-	case AMov:
-		iw(a.Dst, st.getR(a.Src1))
-	case AAdd:
-		iw(a.Dst, st.getR(a.Src1)+st.getR(a.Src2))
-	case AAddI:
-		iw(a.Dst, st.getR(a.Src1)+a.Imm)
-	case ASub:
-		iw(a.Dst, st.getR(a.Src1)-st.getR(a.Src2))
-	case ASubI:
-		iw(a.Dst, st.getR(a.Src1)-a.Imm)
-	case AMul:
-		iw(a.Dst, st.getR(a.Src1)*st.getR(a.Src2))
-	case AAnd:
-		iw(a.Dst, st.getR(a.Src1)&st.getR(a.Src2))
-	case AOr:
-		iw(a.Dst, st.getR(a.Src1)|st.getR(a.Src2))
-	case AXor:
-		iw(a.Dst, st.getR(a.Src1)^st.getR(a.Src2))
-	case AShl:
-		iw(a.Dst, st.getR(a.Src1)<<uint(a.Imm&63))
-	case AShr:
-		iw(a.Dst, int64(uint64(st.getR(a.Src1))>>uint(a.Imm&63)))
-	case ACmp:
-		x, y := st.getR(a.Src1), st.getR(a.Src2)
+	case isa.Nop:
+	case isa.MovI:
+		iw(a.Rd, a.Imm)
+	case isa.Mov:
+		iw(a.Rd, st.getR(a.Ra))
+	case isa.Add:
+		iw(a.Rd, st.getR(a.Ra)+st.getR(a.Rb))
+	case isa.AddI:
+		iw(a.Rd, st.getR(a.Ra)+a.Imm)
+	case isa.Sub:
+		iw(a.Rd, st.getR(a.Ra)-st.getR(a.Rb))
+	case isa.SubI:
+		iw(a.Rd, st.getR(a.Ra)-a.Imm)
+	case isa.Mul:
+		iw(a.Rd, st.getR(a.Ra)*st.getR(a.Rb))
+	case isa.And:
+		iw(a.Rd, st.getR(a.Ra)&st.getR(a.Rb))
+	case isa.Or:
+		iw(a.Rd, st.getR(a.Ra)|st.getR(a.Rb))
+	case isa.Xor:
+		iw(a.Rd, st.getR(a.Ra)^st.getR(a.Rb))
+	case isa.Shl:
+		iw(a.Rd, st.getR(a.Ra)<<uint(a.Imm&63))
+	case isa.Shr:
+		iw(a.Rd, int64(uint64(st.getR(a.Ra))>>uint(a.Imm&63)))
+	case isa.Cmp:
+		x, y := st.getR(a.Ra), st.getR(a.Rb)
 		arch.FlagZ, arch.FlagL = x == y, x < y
-	case ACmpI:
-		x := st.getR(a.Src1)
+	case isa.CmpI:
+		x := st.getR(a.Ra)
 		arch.FlagZ, arch.FlagL = x == a.Imm, x < a.Imm
-	case ALd:
-		addr := st.getR(a.Src1) + a.Imm
+	case isa.Ld:
+		addr := st.getR(a.Ra) + a.Imm
 		if addr < 0 || addr >= int64(len(arch.Mem)) {
 			return false, 0, false, false, fmt.Errorf("load address %d out of range", addr)
 		}
-		iw(a.Dst, arch.LoadI(addr))
-	case ASt:
-		addr := st.getR(a.Src1) + a.Imm
+		iw(a.Rd, arch.LoadI(addr))
+	case isa.St:
+		addr := st.getR(a.Ra) + a.Imm
 		if addr < 0 || addr >= int64(len(arch.Mem)) {
 			return false, 0, false, false, fmt.Errorf("store address %d out of range", addr)
 		}
-		arch.StoreI(addr, st.getR(a.Src2))
-	case AFLd:
-		addr := st.getR(a.Src1) + a.Imm
+		arch.StoreI(addr, st.getR(a.Rb))
+	case isa.FLd:
+		addr := st.getR(a.Ra) + a.Imm
 		if addr < 0 || addr >= int64(len(arch.Mem)) {
 			return false, 0, false, false, fmt.Errorf("fload address %d out of range", addr)
 		}
-		fw(a.Dst, arch.LoadF(addr))
-	case AFSt:
-		addr := st.getR(a.Src1) + a.Imm
+		fw(a.Rd, arch.LoadF(addr))
+	case isa.FSt:
+		addr := st.getR(a.Ra) + a.Imm
 		if addr < 0 || addr >= int64(len(arch.Mem)) {
 			return false, 0, false, false, fmt.Errorf("fstore address %d out of range", addr)
 		}
-		arch.StoreF(addr, st.getF(a.Src2))
-	case AFMovI:
-		fw(a.Dst, a.F)
-	case AFMov:
-		fw(a.Dst, st.getF(a.Src1))
-	case AFAdd:
-		fw(a.Dst, st.getF(a.Src1)+st.getF(a.Src2))
-	case AFSub:
-		fw(a.Dst, st.getF(a.Src1)-st.getF(a.Src2))
-	case AFMul:
-		fw(a.Dst, st.getF(a.Src1)*st.getF(a.Src2))
-	case AFDiv:
-		fw(a.Dst, st.getF(a.Src1)/st.getF(a.Src2))
-	case AFSqrt:
-		fw(a.Dst, math.Sqrt(st.getF(a.Src1)))
-	case AFNeg:
-		fw(a.Dst, -st.getF(a.Src1))
-	case AFAbs:
-		fw(a.Dst, math.Abs(st.getF(a.Src1)))
-	case ACvtIF:
-		fw(a.Dst, float64(st.getR(a.Src1)))
-	case ACvtFI:
-		iw(a.Dst, int64(st.getF(a.Src1)))
-	case AFCmp:
-		x, y := st.getF(a.Src1), st.getF(a.Src2)
+		arch.StoreF(addr, st.getF(a.Rb))
+	case isa.FMovI:
+		fw(a.Rd, a.F)
+	case isa.FMov:
+		fw(a.Rd, st.getF(a.Ra))
+	case isa.FAdd:
+		fw(a.Rd, st.getF(a.Ra)+st.getF(a.Rb))
+	case isa.FSub:
+		fw(a.Rd, st.getF(a.Ra)-st.getF(a.Rb))
+	case isa.FMul:
+		fw(a.Rd, st.getF(a.Ra)*st.getF(a.Rb))
+	case isa.FDiv:
+		fw(a.Rd, st.getF(a.Ra)/st.getF(a.Rb))
+	case isa.FSqrt:
+		fw(a.Rd, math.Sqrt(st.getF(a.Ra)))
+	case isa.FNeg:
+		fw(a.Rd, -st.getF(a.Ra))
+	case isa.FAbs:
+		fw(a.Rd, math.Abs(st.getF(a.Ra)))
+	case isa.CvtIF:
+		fw(a.Rd, float64(st.getR(a.Ra)))
+	case isa.CvtFI:
+		iw(a.Rd, int64(st.getF(a.Ra)))
+	case isa.FCmp:
+		x, y := st.getF(a.Ra), st.getF(a.Rb)
 		arch.FlagZ, arch.FlagL = x == y, x < y
-	case ABr, ABrZ, ABrNZ, ABrL, ABrLE, ABrG, ABrGE:
+	case isa.Jmp, isa.Jz, isa.Jnz, isa.Jl, isa.Jle, isa.Jg, isa.Jge:
 		take := false
 		switch a.Op {
-		case ABr:
+		case isa.Jmp:
 			take = true
-		case ABrZ:
+		case isa.Jz:
 			take = arch.FlagZ
-		case ABrNZ:
+		case isa.Jnz:
 			take = !arch.FlagZ
-		case ABrL:
+		case isa.Jl:
 			take = arch.FlagL
-		case ABrLE:
+		case isa.Jle:
 			take = arch.FlagL || arch.FlagZ
-		case ABrG:
+		case isa.Jg:
 			take = !arch.FlagL && !arch.FlagZ
-		case ABrGE:
+		case isa.Jge:
 			take = !arch.FlagL
 		}
 		if !take {
