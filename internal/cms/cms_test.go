@@ -2,6 +2,7 @@ package cms
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -456,6 +457,34 @@ func TestRunFuelLimit(t *testing.T) {
 	_, _, err := m.Run(p, st, 100_000)
 	if err != ErrFuel {
 		t.Fatalf("err = %v, want ErrFuel", err)
+	}
+}
+
+// TestRunOffProgramEnd: code that runs off the end of the program
+// returns the reference interpreter's PC error, on the interpreted path
+// and on the translated path (HotThreshold 1), instead of panicking.
+func TestRunOffProgramEnd(t *testing.T) {
+	p := isa.MustAssemble("movi r1, 1\nmovi r2, 2")
+	if err := isa.Run(p, isa.NewState(0), nil, 0); err == nil || !strings.Contains(err.Error(), "PC 2 out of range") {
+		t.Fatalf("reference run: err = %v, want PC 2 out of range", err)
+	}
+	for _, hot := range []int{DefaultParams().HotThreshold, 1} {
+		m := newTestMachine(hot)
+		st := isa.NewState(0)
+		_, _, err := m.Run(p, st, 0)
+		if err == nil || !strings.Contains(err.Error(), "PC 2 out of range") {
+			t.Fatalf("hot=%d: err = %v, want PC 2 out of range", hot, err)
+		}
+		if st.R[1] != 1 || st.R[2] != 2 {
+			t.Fatalf("hot=%d: r1=%d r2=%d, want 1,2", hot, st.R[1], st.R[2])
+		}
+		s := m.Stats()
+		if hot == 1 && (s.Translations != 1 || s.InterpInstrs != 0) {
+			t.Fatalf("hot=1 did not run translated: %+v", s)
+		}
+		if hot > 1 && (s.Translations != 0 || s.InterpInstrs != 2) {
+			t.Fatalf("hot=%d did not run interpreted: %+v", hot, s)
+		}
 	}
 }
 
