@@ -185,206 +185,131 @@ func parseMem(s string) (base uint8, disp int64, err error) {
 	return base, disp, nil
 }
 
-var mnemonicOps = map[string]Op{
-	"nop": Nop, "hlt": Hlt, "movi": MovI, "mov": Mov, "add": Add,
-	"addi": AddI, "sub": Sub, "subi": SubI, "mul": Mul, "and": And,
-	"or": Or, "xor": Xor, "shl": Shl, "shr": Shr, "cmp": Cmp,
-	"cmpi": CmpI, "ld": Ld, "st": St, "fld": FLd, "fst": FSt,
-	"fmovi": FMovI, "fmov": FMov, "fadd": FAdd, "fsub": FSub,
-	"fmul": FMul, "fdiv": FDiv, "fsqrt": FSqrt, "fneg": FNeg,
-	"fabs": FAbs, "cvtif": CvtIF, "cvtfi": CvtFI, "fcmp": FCmp,
-	"jmp": Jmp, "jz": Jz, "jnz": Jnz, "jl": Jl, "jle": Jle,
-	"jg": Jg, "jge": Jge,
-}
+// mnemonicOps maps each mnemonic in the opcode table to its opcode.
+var mnemonicOps = func() map[string]Op {
+	m := make(map[string]Op, NumOps)
+	for op := Op(0); op < NumOps; op++ {
+		m[opDefs[op].name] = op
+	}
+	return m
+}()
 
-func parseInstr(mnemonic string, ops []string) (Instr, string, error) {
+// parseInstr parses one instruction. Its operand list follows from the
+// opcode table: Rd if the op writes a register, then Ra — a [rN+disp]
+// memory operand for loads and stores — then Rb, then the immediate if
+// the op takes one; a branch takes a label or an absolute target.
+func parseInstr(mnemonic string, args []string) (Instr, string, error) {
 	op, ok := mnemonicOps[mnemonic]
 	if !ok {
 		return Instr{}, "", fmt.Errorf("unknown mnemonic %q", mnemonic)
 	}
 	in := Instr{Op: op}
-	need := func(n int) error {
-		if len(ops) != n {
-			return fmt.Errorf("%s wants %d operands, got %d", mnemonic, n, len(ops))
-		}
-		return nil
-	}
-	var err error
-	switch op {
-	case Nop, Hlt:
-		err = need(0)
-	case MovI:
-		if err = need(2); err == nil {
-			if in.Rd, err = parseIntReg(ops[0]); err == nil {
-				in.Imm, err = parseImm(ops[1])
+	d := &opDefs[op]
+	var fields []func(string) error
+	reg := func(dst *uint8, f File) func(string) error {
+		return func(s string) (err error) {
+			if f == FPFile {
+				*dst, err = parseFPReg(s)
+			} else {
+				*dst, err = parseIntReg(s)
 			}
-		}
-	case Mov:
-		if err = need(2); err == nil {
-			if in.Rd, err = parseIntReg(ops[0]); err == nil {
-				in.Ra, err = parseIntReg(ops[1])
-			}
-		}
-	case Add, Sub, Mul, And, Or, Xor:
-		if err = need(3); err == nil {
-			if in.Rd, err = parseIntReg(ops[0]); err == nil {
-				if in.Ra, err = parseIntReg(ops[1]); err == nil {
-					in.Rb, err = parseIntReg(ops[2])
-				}
-			}
-		}
-	case AddI, SubI, Shl, Shr:
-		if err = need(3); err == nil {
-			if in.Rd, err = parseIntReg(ops[0]); err == nil {
-				if in.Ra, err = parseIntReg(ops[1]); err == nil {
-					in.Imm, err = parseImm(ops[2])
-				}
-			}
-		}
-	case Cmp:
-		if err = need(2); err == nil {
-			if in.Ra, err = parseIntReg(ops[0]); err == nil {
-				in.Rb, err = parseIntReg(ops[1])
-			}
-		}
-	case CmpI:
-		if err = need(2); err == nil {
-			if in.Ra, err = parseIntReg(ops[0]); err == nil {
-				in.Imm, err = parseImm(ops[1])
-			}
-		}
-	case Ld:
-		if err = need(2); err == nil {
-			if in.Rd, err = parseIntReg(ops[0]); err == nil {
-				in.Ra, in.Imm, err = parseMemOperand(ops[1])
-			}
-		}
-	case FLd:
-		if err = need(2); err == nil {
-			if in.Rd, err = parseFPReg(ops[0]); err == nil {
-				in.Ra, in.Imm, err = parseMemOperand(ops[1])
-			}
-		}
-	case St:
-		if err = need(2); err == nil {
-			if in.Ra, in.Imm, err = parseMemOperand(ops[0]); err == nil {
-				in.Rb, err = parseIntReg(ops[1])
-			}
-		}
-	case FSt:
-		if err = need(2); err == nil {
-			if in.Ra, in.Imm, err = parseMemOperand(ops[0]); err == nil {
-				in.Rb, err = parseFPReg(ops[1])
-			}
-		}
-	case FMovI:
-		if err = need(2); err == nil {
-			if in.Rd, err = parseFPReg(ops[0]); err == nil {
-				in.F, err = strconv.ParseFloat(ops[1], 64)
-				if err != nil {
-					err = fmt.Errorf("bad FP immediate %q", ops[1])
-				}
-			}
-		}
-	case FMov, FSqrt, FNeg, FAbs:
-		if err = need(2); err == nil {
-			if in.Rd, err = parseFPReg(ops[0]); err == nil {
-				in.Ra, err = parseFPReg(ops[1])
-			}
-		}
-	case FAdd, FSub, FMul, FDiv:
-		if err = need(3); err == nil {
-			if in.Rd, err = parseFPReg(ops[0]); err == nil {
-				if in.Ra, err = parseFPReg(ops[1]); err == nil {
-					in.Rb, err = parseFPReg(ops[2])
-				}
-			}
-		}
-	case CvtIF:
-		if err = need(2); err == nil {
-			if in.Rd, err = parseFPReg(ops[0]); err == nil {
-				in.Ra, err = parseIntReg(ops[1])
-			}
-		}
-	case CvtFI:
-		if err = need(2); err == nil {
-			if in.Rd, err = parseIntReg(ops[0]); err == nil {
-				in.Ra, err = parseFPReg(ops[1])
-			}
-		}
-	case FCmp:
-		if err = need(2); err == nil {
-			if in.Ra, err = parseFPReg(ops[0]); err == nil {
-				in.Rb, err = parseFPReg(ops[1])
-			}
-		}
-	case Jmp, Jz, Jnz, Jl, Jle, Jg, Jge:
-		if err = need(1); err == nil {
-			if isIdent(ops[0]) {
-				return in, ops[0], nil
-			}
-			in.Imm, err = parseImm(ops[0])
+			return err
 		}
 	}
-	return in, "", err
+	if d.rd != NoFile {
+		fields = append(fields, reg(&in.Rd, d.rd))
+	}
+	if isMemOp(op) {
+		fields = append(fields, func(s string) (err error) {
+			in.Ra, in.Imm, err = parseMem(s)
+			return err
+		})
+	} else if d.ra != NoFile {
+		fields = append(fields, reg(&in.Ra, d.ra))
+	}
+	if d.rb != NoFile {
+		fields = append(fields, reg(&in.Rb, d.rb))
+	}
+	label := ""
+	switch {
+	case d.imm:
+		fields = append(fields, func(s string) (err error) {
+			in.Imm, err = parseImm(s)
+			return err
+		})
+	case op == FMovI:
+		fields = append(fields, func(s string) (err error) {
+			if in.F, err = strconv.ParseFloat(s, 64); err != nil {
+				return fmt.Errorf("bad FP immediate %q", s)
+			}
+			return nil
+		})
+	case IsBranch(op):
+		fields = append(fields, func(s string) (err error) {
+			if isIdent(s) {
+				label = s
+				return nil
+			}
+			in.Imm, err = parseImm(s)
+			return err
+		})
+	}
+	if len(args) != len(fields) {
+		return in, "", fmt.Errorf("%s wants %d operands, got %d", mnemonic, len(fields), len(args))
+	}
+	for i, parse := range fields {
+		if err := parse(args[i]); err != nil {
+			return in, "", err
+		}
+	}
+	return in, label, nil
 }
 
-func parseMemOperand(s string) (uint8, int64, error) {
-	return parseMem(s)
+// isMemOp reports whether op addresses memory at R[Ra]+Imm.
+func isMemOp(op Op) bool {
+	c := ClassOf(op)
+	return c == ClassLoad || c == ClassStore
 }
 
 // Disassemble renders one instruction in the Assemble dialect.
 func Disassemble(in Instr) string {
-	r := func(n uint8) string { return fmt.Sprintf("r%d", n) }
-	f := func(n uint8) string { return fmt.Sprintf("f%d", n) }
-	mem := func(base uint8, disp int64) string {
-		if disp == 0 {
-			return fmt.Sprintf("[r%d]", base)
-		}
-		if disp < 0 {
-			return fmt.Sprintf("[r%d-%d]", base, -disp)
-		}
-		return fmt.Sprintf("[r%d+%d]", base, disp)
+	if in.Op >= NumOps {
+		return fmt.Sprintf("?%d", in.Op)
 	}
-	switch in.Op {
-	case Nop, Hlt:
-		return in.Op.String()
-	case MovI:
-		return fmt.Sprintf("movi %s, %d", r(in.Rd), in.Imm)
-	case Mov:
-		return fmt.Sprintf("mov %s, %s", r(in.Rd), r(in.Ra))
-	case Add, Sub, Mul, And, Or, Xor:
-		return fmt.Sprintf("%s %s, %s, %s", in.Op, r(in.Rd), r(in.Ra), r(in.Rb))
-	case AddI, SubI, Shl, Shr:
-		return fmt.Sprintf("%s %s, %s, %d", in.Op, r(in.Rd), r(in.Ra), in.Imm)
-	case Cmp:
-		return fmt.Sprintf("cmp %s, %s", r(in.Ra), r(in.Rb))
-	case CmpI:
-		return fmt.Sprintf("cmpi %s, %d", r(in.Ra), in.Imm)
-	case Ld:
-		return fmt.Sprintf("ld %s, %s", r(in.Rd), mem(in.Ra, in.Imm))
-	case St:
-		return fmt.Sprintf("st %s, %s", mem(in.Ra, in.Imm), r(in.Rb))
-	case FLd:
-		return fmt.Sprintf("fld %s, %s", f(in.Rd), mem(in.Ra, in.Imm))
-	case FSt:
-		return fmt.Sprintf("fst %s, %s", mem(in.Ra, in.Imm), f(in.Rb))
-	case FMovI:
-		return fmt.Sprintf("fmovi %s, %v", f(in.Rd), in.F)
-	case FMov, FSqrt, FNeg, FAbs:
-		return fmt.Sprintf("%s %s, %s", in.Op, f(in.Rd), f(in.Ra))
-	case FAdd, FSub, FMul, FDiv:
-		return fmt.Sprintf("%s %s, %s, %s", in.Op, f(in.Rd), f(in.Ra), f(in.Rb))
-	case CvtIF:
-		return fmt.Sprintf("cvtif %s, %s", f(in.Rd), r(in.Ra))
-	case CvtFI:
-		return fmt.Sprintf("cvtfi %s, %s", r(in.Rd), f(in.Ra))
-	case FCmp:
-		return fmt.Sprintf("fcmp %s, %s", f(in.Ra), f(in.Rb))
-	case Jmp, Jz, Jnz, Jl, Jle, Jg, Jge:
-		return fmt.Sprintf("%s %d", in.Op, in.Imm)
+	d := &opDefs[in.Op]
+	reg := func(f File, n uint8) string {
+		if f == FPFile {
+			return fmt.Sprintf("f%d", n)
+		}
+		return fmt.Sprintf("r%d", n)
 	}
-	return fmt.Sprintf("?%d", in.Op)
+	var args []string
+	if d.rd != NoFile {
+		args = append(args, reg(d.rd, in.Rd))
+	}
+	switch {
+	case isMemOp(in.Op) && in.Imm == 0:
+		args = append(args, fmt.Sprintf("[r%d]", in.Ra))
+	case isMemOp(in.Op) && in.Imm < 0:
+		args = append(args, fmt.Sprintf("[r%d-%d]", in.Ra, -in.Imm))
+	case isMemOp(in.Op):
+		args = append(args, fmt.Sprintf("[r%d+%d]", in.Ra, in.Imm))
+	case d.ra != NoFile:
+		args = append(args, reg(d.ra, in.Ra))
+	}
+	if d.rb != NoFile {
+		args = append(args, reg(d.rb, in.Rb))
+	}
+	switch {
+	case d.imm, IsBranch(in.Op):
+		args = append(args, fmt.Sprint(in.Imm))
+	case in.Op == FMovI:
+		args = append(args, fmt.Sprint(in.F))
+	}
+	if len(args) == 0 {
+		return d.name
+	}
+	return d.name + " " + strings.Join(args, ", ")
 }
 
 // DisassembleProgram renders the whole program, one instruction per line,
