@@ -282,7 +282,8 @@ func TestGuardHostParallel(t *testing.T) {
 
 // TestGuardConcurrentSweep: running the p=1..8 NAS rank sweep's worlds
 // concurrently at the default pool width must not be slower than
-// running them one by one on a 1-wide pool.
+// running them one by one on a 1-wide pool, judged by the median of
+// per-round paired ratios (medianPairedRatio).
 func TestGuardConcurrentSweep(t *testing.T) {
 	if runtime.GOMAXPROCS(0) == 1 {
 		t.Skip("one CPU: no parallel path to compare")
@@ -296,8 +297,7 @@ func TestGuardConcurrentSweep(t *testing.T) {
 			must(t, err)
 		}
 	}
-	med := medianTimes(t, sweep(1), sweep(0))
-	noSlower(t, "concurrent NAS sweep", med[1], med[0])
+	noSlowerRatio(t, "concurrent NAS sweep", medianPairedRatio(t, sweep(0), sweep(1)))
 }
 
 // TestGuardDesignSweep: the design-space search must score at least

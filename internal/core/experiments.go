@@ -205,15 +205,30 @@ type Table3Data struct {
 }
 
 // Table3 runs the six NPB kernels at the given class and rates them on
-// the four Table 3 processors through calibrated op-mix models. Each
-// kernel×processor rating lands in the snapshot as a gauge; host spans
-// cover the kernel executions.
+// the four Table 3 processors through calibrated op-mix models. The
+// four calibrations, then the six kernel runs, are independent tasks on
+// the process pool; a serial post-pass folds the kernels in row order.
+// Each kernel×processor rating lands in the snapshot as a gauge; a host
+// span per kernel covers its execution.
 func (r *Run) Table3(class nas.Class) (*Table3Data, *metrics.Table, error) {
 	procs := cpu.NASCPUs()
 	costs := make([]cpu.EffCosts, len(procs))
 	errs := make([]error, len(procs))
 	sweepWorlds(len(procs), func(i int) {
 		costs[i], errs[i] = cpu.CalibrateFor(procs[i], cpu.MissRateClassW)
+	})
+	if err := firstErr(errs); err != nil {
+		return nil, nil, err
+	}
+	kernels := nas.Table3Kernels()
+	results := make([]*nas.Result, len(kernels))
+	errs = make([]error, len(kernels))
+	sweepWorlds(len(kernels), func(i int) {
+		sp := r.Tracer.Begin(obs.PidHost, 0, "table3", kernels[i].Name())
+		kr, err := kernels[i].Run(class)
+		if results[i], errs[i] = kr, err; err == nil {
+			sp.End(map[string]any{"ops": kr.Ops, "verified": kr.Verified})
+		}
 	})
 	if err := firstErr(errs); err != nil {
 		return nil, nil, err
@@ -225,13 +240,8 @@ func (r *Run) Table3(class nas.Class) (*Table3Data, *metrics.Table, error) {
 	t := metrics.NewTable(
 		fmt.Sprintf("Table 3: single-processor performance (Mops) for class %s NPB 2.3", class),
 		"Code", "Athlon MP", "Pentium 3", "TM5600", "Power3")
-	for _, k := range nas.Table3Kernels() {
-		sp := r.Tracer.Begin(obs.PidHost, 0, "table3", k.Name())
-		kr, err := k.Run(class)
-		if err != nil {
-			return nil, nil, err
-		}
-		sp.End(map[string]any{"ops": kr.Ops, "verified": kr.Verified})
+	for ki, k := range kernels {
+		kr := results[ki]
 		var row []float64
 		kname := obs.SanitizeName(k.Name())
 		for i, p := range procs {

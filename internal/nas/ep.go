@@ -92,49 +92,90 @@ func closeTo(got, want float64) bool {
 // batch arrays live on the calling goroutine's stack: at 64 pairs they
 // fit a rank goroutine's initial stack, while 128 doubles it and grew
 // TestLargePEP's p=4096 footprint from 29 MB to 45 MB for no speed gain.
+// It is a multiple of 4, so the lane kernels' groups of four never run
+// past an array's end and the arrays need no slack entries.
 const epBatch = 64
 
 // epCompute generates pairs [first, first+count) of the global pair
 // sequence. The generator is skipped to 2·first steps, so parallel ranks
 // produce exactly the serial stream's slices.
 //
-// It works in batches of three passes: generate the pairs and keep the
-// accepted ones, compute the polar transform's factor for those in a
-// tight loop, then fold the sums in pair order and bin. Each pair's
-// values, and the order of the sums, are those of a pair-at-a-time loop.
+// It works in batches of three passes:
+//  1. generate (epGenerate): step the LCG, form each pair's x, y and
+//     t = x²+y², and pack the accepted pairs (t <= 1) at the front of
+//     the batch arrays in pair order;
+//  2. transform (epFactors): replace each accepted t by the polar
+//     factor sqrt(−2 ln t / t);
+//  3. fold: add the Gaussian deviates to the sums in pair order and
+//     count the annuli.
+//
+// On AVX2 hosts the first two passes run four lanes at a time in
+// ep_amd64.s; the fold is always this sequential Go loop. Each pair's
+// values, and the order of the sums, are those of a pair-at-a-time
+// loop. The counts are integers, converted to float64 once at the end,
+// which is exact below 2^53.
 func epCompute(seed uint64, first, count uint64) EPOut {
 	g := NewLCG(seed)
 	g.Skip(2 * first)
-	var out EPOut
 	var sx, sy float64
+	var q [10]uint64
+	var pairs uint64
 	var xs, ys, fs [epBatch]float64
 	for count > 0 {
-		batch := min(count, epBatch)
-		count -= batch
-		n := 0
-		for range batch {
-			x := 2*g.Next() - 1
-			y := 2*g.Next() - 1
-			t := x*x + y*y
-			xs[n], ys[n], fs[n] = x, y, t
-			if t <= 1 {
-				n++
-			}
-		}
-		for i, t := range fs[:n] {
-			fs[i] = math.Sqrt(-2 * math.Log(t) / t)
-		}
+		batch := int(min(count, epBatch))
+		count -= uint64(batch)
+		n := epGenerate(g, batch, &xs, &ys, &fs)
+		epFactors(&fs, n)
 		for i := range n {
 			gx := xs[i] * fs[i]
 			gy := ys[i] * fs[i]
 			sx += gx
 			sy += gy
-			out.Q[epBin(gx, gy)]++
+			q[epBin(gx, gy)]++
 		}
-		out.Pairs += float64(n)
+		pairs += uint64(n)
 	}
-	out.SX, out.SY = sx, sy
+	out := EPOut{SX: sx, SY: sy, Pairs: float64(pairs)}
+	for i, c := range q {
+		out.Q[i] = float64(c)
+	}
 	return out
+}
+
+// epGenerate is epCompute's first pass over the next batch pairs of g.
+// It stores each pair's x, y and t at index n of xs, ys and ts and
+// advances n past the accepted ones, so the accepted pairs end packed
+// at the front in pair order; it returns their count. The lanes take
+// the whole groups of four, the Go loop the rest.
+func epGenerate(g *LCG, batch int, xs, ys, ts *[epBatch]float64) int {
+	n, lanes := 0, 0
+	if epLanes {
+		lanes = batch &^ 3
+		n = epGen4(&g.seed, lanes/4, xs, ys, ts)
+	}
+	for range batch - lanes {
+		x := 2*g.Next() - 1
+		y := 2*g.Next() - 1
+		t := x*x + y*y
+		xs[n], ys[n], ts[n] = x, y, t
+		if t <= 1 {
+			n++
+		}
+	}
+	return n
+}
+
+// epFactors is epCompute's second pass: it replaces ts[:n] by the polar
+// factor sqrt(−2 ln t / t). The lanes round n up to a whole group of
+// four; the entries past n hold stale values, and nothing reads them.
+func epFactors(ts *[epBatch]float64, n int) {
+	if epLanes {
+		epFactor4(ts, (n+3)/4)
+		return
+	}
+	for i, t := range ts[:n] {
+		ts[i] = math.Sqrt(-2 * math.Log(t) / t)
+	}
 }
 
 // epBin is the annulus of a Gaussian pair, int(max(|gx|, |gy|)) capped

@@ -5,8 +5,6 @@ package treecode
 // vecKernels is false off amd64: the dual engine runs the Go kernels.
 var vecKernels = false
 
-func cpuHasAVX2() bool { return false }
-
 func cellsMono4(b *laneBlock, eps2 float64, cx, cy, cz, cm []float64) {
 	panic("treecode: lane kernels need amd64")
 }

@@ -2,18 +2,16 @@ package treecode
 
 import (
 	"math"
-	"os"
-	"runtime"
-	"strings"
 	"testing"
 
+	"repro/internal/hostcpu"
 	"repro/internal/nbody"
 )
 
 // requireLanes skips a test on hosts without the lane kernels.
 func requireLanes(t *testing.T) {
 	t.Helper()
-	if !cpuHasAVX2() {
+	if !hostcpu.HasAVX2() {
 		t.Skip("no AVX2 lane kernels on this host")
 	}
 }
@@ -192,33 +190,10 @@ func TestKernelDispatchWholeSystem(t *testing.T) {
 }
 
 // TestKernelDispatchChoosesLanes: a CPU that reports AVX2 must get
-// the lane kernels. On Linux the kernel's own CPU flags cross-check
-// the CPUID probe.
+// the lane kernels (hostcpu's own test cross-checks the probe against
+// the kernel's CPU flags).
 func TestKernelDispatchChoosesLanes(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		if vecKernels {
-			t.Fatal("lane kernels selected off amd64")
-		}
-		t.Skip("lane kernels are amd64-only")
-	}
-	if vecKernels != cpuHasAVX2() {
-		t.Fatalf("dispatch %v, CPUID AVX2 %v", vecKernels, cpuHasAVX2())
-	}
-	info, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		return
-	}
-	for _, line := range strings.Split(string(info), "\n") {
-		if !strings.HasPrefix(line, "flags") {
-			continue
-		}
-		hasAVX2 := false
-		for _, f := range strings.Fields(line) {
-			hasAVX2 = hasAVX2 || f == "avx2"
-		}
-		if hasAVX2 != vecKernels {
-			t.Fatalf("/proc/cpuinfo avx2 %v, dispatch %v", hasAVX2, vecKernels)
-		}
-		return
+	if vecKernels != hostcpu.HasAVX2() {
+		t.Fatalf("dispatch %v, CPUID AVX2 %v", vecKernels, hostcpu.HasAVX2())
 	}
 }
