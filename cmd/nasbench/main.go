@@ -43,7 +43,8 @@ import (
 )
 
 // parseRanks turns a -ranks value into the sweep's rank list: a single
-// count N means 1..N, a comma-separated list means exactly those.
+// count N means 1..N, a comma-separated list means exactly those. Every
+// count must be positive.
 func parseRanks(s string) ([]int, error) {
 	parts := strings.Split(s, ",")
 	if len(parts) == 1 {
@@ -52,7 +53,7 @@ func parseRanks(s string) ([]int, error) {
 			return nil, fmt.Errorf("bad -ranks value %q: %v", s, err)
 		}
 		if n <= 0 {
-			return nil, nil
+			return nil, fmt.Errorf("bad -ranks value %q: want a positive count", s)
 		}
 		out := make([]int, n)
 		for i := range out {

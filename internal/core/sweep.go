@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/cpu"
@@ -117,15 +118,20 @@ type NASSweepRow struct {
 // nasSweepOut is one rank count's raw results, filled by possibly
 // concurrent workers and consumed by the deterministic post-pass.
 type nasSweepOut struct {
-	ep, is   *nas.ParallelResult
-	wEP, wIS *mpi.World
-	err      error
+	ep, is       *nas.ParallelResult
+	wEP, wIS     *mpi.World
+	epErr, isErr error
 }
 
 // NASSweep runs ParallelEP and ParallelIS at every configured rank
 // count on the modelled cluster and reports simulated times, speedups
-// and substrate statistics. The tracer sees one host span for the
-// whole sweep.
+// and substrate statistics. EP's pair stream is generated once per
+// call: one pool task folds every rank of every rank count
+// (nas.EPPartitions) while the IS worlds run beside it, and the EP
+// worlds then run on its outputs (nas.ParallelEPFrom). Each EP rank
+// still charges its own compute time and runs the allreduce, so every
+// row is what a standalone ParallelEP gives. The tracer sees one host
+// span for the whole sweep.
 func (r *Run) NASSweep(cfg NASSweepConfig) ([]NASSweepRow, *metrics.Table, error) {
 	if len(cfg.Ranks) == 0 {
 		return nil, nil, fmt.Errorf("core: empty NASSweep config")
@@ -135,38 +141,40 @@ func (r *Run) NASSweep(cfg NASSweepConfig) ([]NASSweepRow, *metrics.Table, error
 		return nil, nil, err
 	}
 	outs := make([]nasSweepOut, len(cfg.Ranks))
-	runOne := func(i int) {
+	var epOuts [][]nas.EPOut
+	var epErr error
+	tasks := []func(){func() { epOuts, epErr = nas.EPPartitions(cfg.Class, cfg.Ranks) }}
+	if !cfg.EPOnly {
+		for i, p := range cfg.Ranks {
+			tasks = append(tasks, func() {
+				o := &outs[i]
+				if o.wIS, o.isErr = r.newWorld(p, cfg.Fabric, cfg.Contention, cfg.Native); o.isErr == nil {
+					o.is, o.isErr = nas.ParallelIS(o.wIS, cfg.Class, costs)
+				}
+			})
+		}
+	}
+	runEP := func(i int) {
 		o := &outs[i]
-		p := cfg.Ranks[i]
-		wEP, err := r.newWorld(p, cfg.Fabric, cfg.Contention, cfg.Native)
-		if err != nil {
-			o.err = err
+		if o.wEP, o.epErr = r.newWorld(cfg.Ranks[i], cfg.Fabric, cfg.Contention, cfg.Native); o.epErr != nil {
 			return
 		}
-		o.wEP = wEP
-		if o.ep, o.err = nas.ParallelEP(wEP, cfg.Class, costs); o.err != nil {
+		if epErr != nil {
+			o.epErr = epErr
 			return
 		}
-		if cfg.EPOnly {
-			return
-		}
-		wIS, err := r.newWorld(p, cfg.Fabric, cfg.Contention, cfg.Native)
-		if err != nil {
-			o.err = err
-			return
-		}
-		o.wIS = wIS
-		o.is, o.err = nas.ParallelIS(wIS, cfg.Class, costs)
+		o.ep, o.epErr = nas.ParallelEPFrom(o.wEP, cfg.Class, costs, epOuts[i])
 	}
 	sp := r.Tracer.Begin(obs.PidHost, 0, "nassweep", "sweep")
-	sweepWorlds(len(cfg.Ranks), runOne)
+	par.Default().Do(tasks...)
+	sweepWorlds(len(cfg.Ranks), runEP)
 	sp.End(nil)
 
 	// Deterministic post-pass: rows, gauges and world gathers in
 	// rank-count order, independent of completion order.
 	for i := range outs {
-		if outs[i].err != nil {
-			return nil, nil, outs[i].err
+		if err := cmp.Or(outs[i].epErr, outs[i].isErr); err != nil {
+			return nil, nil, err
 		}
 	}
 	epT1 := serialTime(cfg.Ranks, func(i int) float64 { return outs[i].ep.SimTime })

@@ -7,6 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cpu"
+	"repro/internal/metrics"
+	"repro/internal/mpi"
 	"repro/internal/nas"
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -235,5 +238,72 @@ func TestSpeedupBaselineIsP1Row(t *testing.T) {
 		t.Errorf("nassweep rows depend on ranks order:\n[1,2]: %+v\n[2,1]: %+v", fwd, rev)
 	} else if rev[1].EPSpeedup != 1 || rev[1].ISSpeedup != 1 {
 		t.Errorf("nassweep p=1 speed-ups %g, %g, want 1", rev[1].EPSpeedup, rev[1].ISSpeedup)
+	}
+}
+
+// TestNASSweepEPMatchesStandaloneEP makes the sweep's one-pass EP and a
+// standalone nas.ParallelEP one contract: at pool widths 1 and 4, with
+// and without IS beside it, the sweep's EP columns — time, speed-up,
+// and EP's share of the payload bytes and pool traffic — equal a
+// ParallelEP on a fresh world at each rank count (plus, with IS, a
+// ParallelIS on another).
+func TestNASSweepEPMatchesStandaloneEP(t *testing.T) {
+	ranks := []int{1, 2, 3, 5, 8, 24}
+	costs, err := cpu.CalibrateFor(cpu.NewTM5600(), cpu.MissRateClassW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// standalone returns each rank count's result and world for one
+	// kernel, each on a fresh world.
+	standalone := func(run func(*mpi.World, nas.Class, cpu.EffCosts) (*nas.ParallelResult, error)) ([]*nas.ParallelResult, []*mpi.World) {
+		var res []*nas.ParallelResult
+		var worlds []*mpi.World
+		for _, p := range ranks {
+			w, err := NewRun().newWorld(p, "", false, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := run(w, nas.ClassS, costs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, worlds = append(res, out), append(worlds, w)
+		}
+		return res, worlds
+	}
+	ep, wEP := standalone(nas.ParallelEP)
+	is, wIS := standalone(nas.ParallelIS)
+	for _, width := range []int{1, 4} {
+		for _, epOnly := range []bool{true, false} {
+			cfg := NASSweepConfig{Class: nas.ClassS, Ranks: ranks, EPOnly: epOnly}
+			rows := atWidth(width, func() []NASSweepRow {
+				rows, _, err := NewRun().NASSweep(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rows
+			})
+			for i, row := range rows {
+				hits, misses := wEP[i].PoolStats()
+				bytes := ep[i].CommByte
+				if !epOnly {
+					h, m := wIS[i].PoolStats()
+					hits, misses, bytes = hits+h, misses+m, bytes+is[i].CommByte
+				}
+				want := NASSweepRow{
+					Ranks:      ranks[i],
+					EPTime:     ep[i].SimTime,
+					EPSpeedup:  metrics.Speedup(ep[0].SimTime, ep[i].SimTime),
+					CommBytes:  bytes,
+					PoolHits:   hits,
+					PoolMisses: misses,
+				}
+				got := row
+				got.ISTime, got.ISSpeedup = 0, 0
+				if got != want {
+					t.Errorf("width %d, EP only %v, p=%d: sweep %+v, standalone %+v", width, epOnly, ranks[i], got, want)
+				}
+			}
+		}
 	}
 }

@@ -2,7 +2,7 @@ package nas
 
 import "repro/internal/hostcpu"
 
-// epLanes selects the AVX2 lane kernels of ep_amd64.s for epCompute's
+// epLanes selects the AVX2 lane kernels of ep_amd64.s for epRanges's
 // first two passes. It is fixed at start-up from CPUID; tests flip it
 // to run the Go loops as the reference.
 var epLanes = hostcpu.HasAVX2()
@@ -19,7 +19,7 @@ var epGenMul = func() (m [4][4]uint64) {
 	return m
 }()
 
-// epGen4 runs epCompute's first pass for groups·4 pairs from *seed,
+// epGen4 runs epRanges's first pass for groups·4 pairs from *seed,
 // four pairs per iteration: it stores each group's x, y and t at xs,
 // ys and ts[n:n+4], accepted lanes first, advances n by the accepted
 // count, and returns n. *seed ends as the LCG's seed after the last

@@ -2,7 +2,7 @@
 
 package nas
 
-// epLanes is false off amd64: epCompute runs the Go loops.
+// epLanes is false off amd64: epRanges runs the Go loops.
 var epLanes = false
 
 func epGen4(seed *uint64, groups int, xs, ys, ts *[epBatch]float64) int {

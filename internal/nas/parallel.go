@@ -29,21 +29,35 @@ type ParallelResult struct {
 // ParallelEP runs EP with the pair range split across the world's ranks.
 // costs may be zero-valued to skip compute-time modelling.
 func ParallelEP(w *mpi.World, class Class, costs cpu.EffCosts) (*ParallelResult, error) {
+	return ParallelEPFrom(w, class, costs, nil)
+}
+
+// ParallelEPFrom is ParallelEP with rank r's EPOut taken from outs[r],
+// the world size's partition from EPPartitions, instead of computed in
+// the rank; nil outs computes it there. Everything else a rank does —
+// the compute time it charges from its own counts and the allreduce —
+// is the same, so the results are too.
+func ParallelEPFrom(w *mpi.World, class Class, costs cpu.EffCosts, outs []EPOut) (*ParallelResult, error) {
 	m, ok := epLogM(class)
 	if !ok {
 		return nil, ErrClass("EP", class)
 	}
 	total := uint64(1) << uint(m)
 	p := w.Size()
-	outs := make([]EPOut, p)
+	if outs != nil && len(outs) != p {
+		return nil, fmt.Errorf("nas: EP outputs for %d ranks on a %d-rank world", len(outs), p)
+	}
 	sums := make([][]float64, p)
 
 	err := w.Run(func(c *mpi.Comm) error {
-		r := uint64(c.Rank())
-		first := r * total / uint64(p)
-		count := (r+1)*total/uint64(p) - first
-		out := epCompute(epSeed, first, count)
-		outs[c.Rank()] = out
+		rg := epRankRange(total, p, c.Rank())
+		count := rg.end - rg.first
+		var out EPOut
+		if outs != nil {
+			out = outs[c.Rank()]
+		} else {
+			out = epCompute(epSeed, rg.first, count)
+		}
 		if costs.ClockMHz > 0 {
 			// Per-pair work mirrors the serial mix proportionally.
 			mix := epPairMix(count, uint64(out.Pairs))
