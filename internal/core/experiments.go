@@ -112,13 +112,17 @@ func DefaultTable2Config() Table2Config {
 	}
 }
 
-// Table2 runs the tree N-body force computation on 1..24 simulated
-// blades: real parallel execution over the mpi substrate, compute time
-// from the TM5600's calibrated costs, communication from the 100 Mb/s
-// Fast Ethernet model. Each world's communication totals and each
-// sweep's interaction counts land in the run's snapshot; the tracer
-// records per-rank virtual-time phases (obs.PidSim) for every world and
-// one host span for the whole sweep.
+// Table2 prices the tree N-body force step on 1..24 simulated blades:
+// real parallel execution over the mpi substrate — decomposition, tree
+// builds, LET exchange and walks — with compute time from the TM5600's
+// calibrated costs over the counted interactions and communication from
+// the 100 Mb/s Fast Ethernet model. The table reads no acceleration, so
+// the worlds run treecode.ParallelCost, which counts every interaction
+// list instead of evaluating it, and share one read-only Plummer
+// system. Each world's communication totals and each sweep's
+// interaction counts land in the run's snapshot; the tracer records
+// per-rank virtual-time phases (obs.PidSim) for every world and one host
+// span for the whole sweep.
 func (r *Run) Table2(cfg Table2Config) ([]Table2Row, *metrics.Table, error) {
 	if cfg.Particles <= 0 || len(cfg.CPUCounts) == 0 {
 		return nil, nil, fmt.Errorf("core: empty Table2 config")
@@ -133,17 +137,16 @@ func (r *Run) Table2(cfg Table2Config) ([]Table2Row, *metrics.Table, error) {
 		err error
 	}
 	outs := make([]t2out, len(cfg.CPUCounts))
+	s := nbody.NewPlummer(cfg.Particles, 1, 2001)
 	runOne := func(i int) {
 		o := &outs[i]
-		p := cfg.CPUCounts[i]
-		s := nbody.NewPlummer(cfg.Particles, 1, 2001)
-		w, err := r.newWorld(p, cfg.Fabric, false, false)
+		w, err := r.newWorld(cfg.CPUCounts[i], cfg.Fabric, false, false)
 		if err != nil {
 			o.err = err
 			return
 		}
 		o.w = w
-		o.res, o.err = treecode.ParallelForces(w, s, treecode.ParallelConfig{
+		o.res, o.err = treecode.ParallelCost(w, s, treecode.ParallelConfig{
 			Theta: cfg.Theta, Eps: s.Eps, Cost: cm,
 		})
 	}
@@ -278,7 +281,12 @@ func (r *Run) Table4() ([]Table4Row, *metrics.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// One treecode rating per distinct CPU, rated concurrently.
+	// One treecode step's counts, priced once per distinct CPU; the
+	// pricings (calibrations) run concurrently.
+	work, err := measureTreecode(Table4Particles)
+	if err != nil {
+		return nil, nil, err
+	}
 	cpuIndex := map[string]int{}
 	var cpus []cpu.Processor
 	for _, m := range machines {
@@ -290,7 +298,7 @@ func (r *Run) Table4() ([]Table4Row, *metrics.Table, error) {
 	rates := make([]float64, len(cpus))
 	errs := make([]error, len(cpus))
 	sweepWorlds(len(cpus), func(i int) {
-		rates[i], errs[i] = TreecodeRate(cpus[i], Table4Particles)
+		rates[i], errs[i] = work.rate(cpus[i])
 	})
 	if err := firstErr(errs); err != nil {
 		return nil, nil, err
@@ -385,11 +393,15 @@ func (r *Run) ToPPeR() (*ToPPeRSummary, error) {
 	for _, row := range rows {
 		byName[row.Name] = row.B
 	}
-	tradRate, err := TreecodeRate(cpu.PentiumIII500().AsProcessor(), Table4Particles)
+	work, err := measureTreecode(Table4Particles)
 	if err != nil {
 		return nil, err
 	}
-	bladeRate, err := TreecodeRate(cpu.NewTM5600(), Table4Particles)
+	tradRate, err := work.rate(cpu.PentiumIII500().AsProcessor())
+	if err != nil {
+		return nil, err
+	}
+	bladeRate, err := work.rate(cpu.NewTM5600())
 	if err != nil {
 		return nil, err
 	}
@@ -439,15 +451,19 @@ func (r *Run) SpacePower() ([]SpacePowerRow, *metrics.Table, *metrics.Table, err
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	alphaRate, err := TreecodeRate(cpu.AlphaEV56_533().AsProcessor(), Table4Particles)
+	work, err := measureTreecode(Table4Particles)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	tm56Rate, err := TreecodeRate(cpu.NewTM5600(), Table4Particles)
+	alphaRate, err := work.rate(cpu.AlphaEV56_533().AsProcessor())
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	tm58Rate, err := TreecodeRate(cpu.NewTM5800(), Table4Particles)
+	tm56Rate, err := work.rate(cpu.NewTM5600())
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	tm58Rate, err := work.rate(cpu.NewTM5800())
 	if err != nil {
 		return nil, nil, nil, err
 	}

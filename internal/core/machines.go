@@ -81,28 +81,47 @@ func avalonPackaging() cluster.Packaging {
 // serial treecode run supplies the interaction counts and operation mix,
 // and the machine's calibrated processor model supplies the time.
 func TreecodeRate(p cpu.Processor, particles int) (mflopsPerProc float64, err error) {
+	work, err := measureTreecode(particles)
+	if err != nil {
+		return 0, err
+	}
+	return work.rate(p)
+}
+
+// treecodeWork is the counted work of one serial treecode force step
+// over Plummer(particles, seed 1997): what TreecodeRate prices. It does
+// not depend on the processor, so callers rating several processors
+// measure it once.
+type treecodeWork struct {
+	stats   treecode.Stats
+	sources int
+}
+
+// measureTreecode runs the force step TreecodeRate prices.
+func measureTreecode(particles int) (treecodeWork, error) {
+	s := nbody.NewPlummer(particles, 1, 1997)
+	f := &treecode.Forcer{Theta: 0.7}
+	if err := f.Forces(s); err != nil {
+		return treecodeWork{}, err
+	}
+	return treecodeWork{stats: f.LastStats, sources: s.N()}, nil
+}
+
+// rate prices the work on p's calibrated costs, in Mflops.
+func (w treecodeWork) rate(p cpu.Processor) (float64, error) {
 	costs, err := cpu.CalibrateFor(p, cpu.MissRateTree)
 	if err != nil {
 		return 0, err
 	}
-	s := nbody.NewPlummer(particles, 1, 1997)
-	f := &treecode.Forcer{Theta: 0.7}
-	if err := f.Forces(s); err != nil {
-		return 0, err
-	}
-	inter := f.LastStats.Interactions()
-	mix := treecode.InteractionMix()
-	mixTotal := *mix
-	mixTotal.Scale(inter)
-	build := treecode.BuildMix()
-	buildTotal := *build
-	buildTotal.Scale(uint64(s.N()))
+	mixTotal := *treecode.InteractionMix()
+	mixTotal.Scale(w.stats.Interactions())
+	buildTotal := *treecode.BuildMix()
+	buildTotal.Scale(uint64(w.sources))
 	seconds := costs.Seconds(&mixTotal) + costs.Seconds(&buildTotal)
 	if seconds <= 0 {
 		return 0, fmt.Errorf("core: zero treecode time for %s", p.Name())
 	}
-	flops := float64(f.LastStats.Flops())
-	return flops / seconds / 1e6, nil
+	return float64(w.stats.Flops()) / seconds / 1e6, nil
 }
 
 // AvailabilityStudy quantifies Table 5's downtime argument with the

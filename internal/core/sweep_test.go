@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -11,8 +12,10 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/nas"
+	"repro/internal/nbody"
 	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/treecode"
 )
 
 // atWidth runs fn with the process pool w wide (0: the default width)
@@ -168,6 +171,59 @@ func TestTable2ConcurrentMatchesSerial(t *testing.T) {
 	}
 	if serial.snap != conc.snap {
 		t.Fatal("snapshots differ between serial and concurrent Table 2")
+	}
+}
+
+// TestTable2SweepSharesOneSystem: Table 2's worlds price one shared,
+// read-only Plummer system with ParallelCost — concurrently on a 4-wide
+// pool, one at a time on a 1-wide pool — and must give the rows and
+// snapshot of a reference that runs ParallelForces on a fresh system
+// per world, one world at a time.
+func TestTable2SweepSharesOneSystem(t *testing.T) {
+	cfg := DefaultTable2Config()
+	cfg.Particles = 4000
+	cfg.CPUCounts = []int{1, 2, 3, 8}
+	cm, err := tm5600TreeCost()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := NewRun()
+	var times []float64
+	for _, p := range cfg.CPUCounts {
+		s := nbody.NewPlummer(cfg.Particles, 1, 2001)
+		w, err := ref.newWorld(p, cfg.Fabric, false, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := treecode.ParallelForces(w, s, treecode.ParallelConfig{Theta: cfg.Theta, Eps: s.Eps, Cost: cm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.gather(w, res)
+		times = append(times, res.SimTime)
+	}
+	var want []Table2Row
+	for i, p := range cfg.CPUCounts {
+		row := Table2Row{CPUs: p, TimeSec: times[i], Speedup: metrics.Speedup(times[0], times[i])}
+		ref.Snap.SetGauge(fmt.Sprintf("table2.p%02d.time", p), "s", row.TimeSec)
+		ref.Snap.SetGauge(fmt.Sprintf("table2.p%02d.speedup", p), "", row.Speedup)
+		want = append(want, row)
+	}
+	for _, width := range []int{1, 4} {
+		r := NewRun()
+		rows := atWidth(width, func() []Table2Row {
+			rows, _, err := r.Table2(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rows
+		})
+		if !reflect.DeepEqual(rows, want) {
+			t.Fatalf("width %d: rows %+v, want %+v", width, rows, want)
+		}
+		if got := r.Snap.String(); got != ref.Snap.String() {
+			t.Fatalf("width %d: snapshot differs from the ParallelForces reference:\n%s\nwant:\n%s", width, got, ref.Snap.String())
+		}
 	}
 }
 

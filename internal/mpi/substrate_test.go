@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -15,14 +17,23 @@ import (
 )
 
 // substrateAllocs returns how many heap objects the substrate's own
-// code has allocated so far: the memory-profile records whose
-// allocating call site, the first frame above the runtime's malloc
-// entry, lies in a non-test source file of this package. Callers set
-// runtime.MemProfileRate to 1 first, so every allocation is recorded.
-// Counting call sites, not the process-wide MemStats.Mallocs, keeps the
-// count blind to the runtime's own allocations (the race detector's
-// among them) and to the measuring itself.
-func substrateAllocs() int64 {
+// code has allocated so far, by allocating call site ("function
+// file:line"): the memory-profile records whose allocating call site,
+// the first frame above the runtime's malloc entry, lies in a non-test
+// source file of this package. Callers set runtime.MemProfileRate to 1
+// first, so every allocation is recorded. Counting call sites, not the
+// process-wide MemStats.Mallocs, keeps the count blind to the runtime's
+// own allocations (the race detector's among them) and to the measuring
+// itself.
+//
+// Sudogs are the runtime's too: the wait record a goroutine takes when
+// it blocks in a select, channel operation or contended lock. The
+// runtime recycles them through per-P caches and a central cache, and
+// every GC empties the central cache — the runtime.GC below included —
+// so a parked rank may allocate one afresh in take's select depending
+// on which P it runs on. A record whose stack passes through
+// runtime.acquireSudog is not the substrate's.
+func substrateAllocs() map[string]int64 {
 	runtime.GC() // publish every allocation made so far to the profile
 	n, _ := runtime.MemProfile(nil, true)
 	var recs []runtime.MemProfileRecord
@@ -33,14 +44,17 @@ func substrateAllocs() int64 {
 			break
 		}
 	}
-	var total int64
+	sites := map[string]int64{}
 	for _, r := range recs[:n] {
 		frames := runtime.CallersFrames(r.Stack())
 		for {
 			f, more := frames.Next()
+			if f.Function == "runtime.acquireSudog" {
+				break
+			}
 			if !strings.HasPrefix(f.Function, "runtime.") {
 				if strings.HasPrefix(f.Function, "repro/internal/mpi.") && !strings.HasSuffix(f.File, "_test.go") {
-					total += r.AllocObjects
+					sites[fmt.Sprintf("%s %s:%d", f.Function, filepath.Base(f.File), f.Line)] += r.AllocObjects
 				}
 				break
 			}
@@ -49,17 +63,32 @@ func substrateAllocs() int64 {
 			}
 		}
 	}
-	return total
+	return sites
+}
+
+// allocDelta is after − before per call site: the total and one
+// "count site" line per site that allocated, most first.
+func allocDelta(before, after map[string]int64) (int64, []string) {
+	var total int64
+	var lines []string
+	for site, n := range after {
+		if d := n - before[site]; d > 0 {
+			total += d
+			lines = append(lines, fmt.Sprintf("%6d %s", d, site))
+		}
+	}
+	sort.Sort(sort.Reverse(sort.StringSlice(lines)))
+	return total, lines
 }
 
 // allreduceAllocs runs iters in-place allreduces on every rank of a
 // p-rank world, after a warmup that fills the buffer pools, and returns
-// the substrate's allocations across the measured phase. The
-// measurement is bracketed by barrier pairs: a rank cannot leave a
-// dissemination barrier before every rank has entered it, so rank 0's
-// readings happen strictly before and strictly after all measured work,
-// and barrier messages themselves carry no payload.
-func allreduceAllocs(t *testing.T, p, n, iters int) int64 {
+// the substrate's allocations across the measured phase, in total and
+// by call site. The measurement is bracketed by barrier pairs: a rank
+// cannot leave a dissemination barrier before every rank has entered
+// it, so rank 0's readings happen strictly before and strictly after
+// all measured work, and barrier messages themselves carry no payload.
+func allreduceAllocs(t *testing.T, p, n, iters int) (int64, []string) {
 	t.Helper()
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
@@ -67,7 +96,7 @@ func allreduceAllocs(t *testing.T, p, n, iters int) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var before, after int64
+	var before, after map[string]int64
 	err = w.Run(func(c *Comm) error {
 		buf := make([]float64, n)
 		for i := 0; i < 8; i++ { // warmup: reach buffer-flow equilibrium
@@ -92,19 +121,21 @@ func allreduceAllocs(t *testing.T, p, n, iters int) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return after - before
+	total, sites := allocDelta(before, after)
+	return total, sites
 }
 
 func TestAllreduceSteadyStateAllocFree(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const iters = 300
-	got := allreduceAllocs(t, 8, 64, iters)
+	got, sites := allreduceAllocs(t, 8, 64, iters)
 	// The steady state must be allocation-free: every wire buffer comes
 	// from a pool, and the reduce-down/bcast-up flow returns exactly as
 	// many buffers to each rank as it sends. The slack allowed is far
 	// below one allocation per operation.
 	if got > iters/10 {
-		t.Fatalf("pooled allreduce steady state: %d substrate allocations over %d iterations", got, iters)
+		t.Fatalf("pooled allreduce steady state: %d substrate allocations over %d iterations, by site:\n%s",
+			got, iters, strings.Join(sites, "\n"))
 	}
 }
 

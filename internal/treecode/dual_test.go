@@ -240,3 +240,111 @@ func TestDualTelemetry(t *testing.T) {
 		t.Fatalf("fewer groups %d than tasks %d", groups, tasks)
 	}
 }
+
+// pendingTelemetry is an arena's unflushed walk telemetry, in field
+// order: walks, cells, parts, saved, tasks, MACs, hoisted, groups.
+func pendingTelemetry(ar *WalkArena) [8]uint64 {
+	return [8]uint64{ar.pendWalks, ar.pendCells, ar.pendParts, ar.pendSaved,
+		ar.pendDualTasks, ar.pendDualMAC, ar.pendDualHoisted, ar.pendDualGroups}
+}
+
+// TestDualCountMatchesEval: a counting walk (eval false, what
+// ParallelCost runs) adds exactly the Stats and walk telemetry an
+// evaluating walk does, task by task, and writes no target rows. It
+// covers full, masked and empty selections, monopole and quadrupole
+// trees, θ ∈ {0.5, 0.7, 1.0}, a LET-shaped tree — one domain's
+// particles plus the sources another domain exports to it, imported as
+// pseudo-particles (Index < 0) that are sources but never targets —
+// and a tree whose particles share indices three by three.
+func TestDualCountMatchesEval(t *testing.T) {
+	s := nbody.NewPlummer(3000, 1, 77)
+	parts, err := Decompose(s, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	domain := func(part []int) []Source {
+		out := make([]Source, len(part))
+		for i, pi := range part {
+			out[i] = Source{X: s.X[pi], Y: s.Y[pi], Z: s.Z[pi], M: s.M[pi], Index: pi}
+		}
+		return out
+	}
+	mine, theirs := domain(parts[0]), domain(parts[1])
+	mineTree, err := Build(mine, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	theirTree, err := Build(theirs, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	imported, err := decodeSources(encodeSources(theirTree.letExport(mineTree.Root, 0.7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	let := append(append([]Source(nil), mine...), imported...)
+
+	// Sources sharing a particle index: the kernels skip every list
+	// entry equal to a target's index, so the count must too.
+	shared := SourcesFromSystem(s)
+	for i := range shared {
+		shared[i].Index = i / 3
+	}
+
+	masked := make([]bool, s.N())
+	for i := range masked {
+		masked[i] = i%3 == 1
+	}
+	for _, tc := range []struct {
+		name string
+		srcs []Source
+	}{
+		{"system", SourcesFromSystem(s)},
+		{"let", let},
+		{"shared-index", shared},
+	} {
+		for _, quad := range []bool{false, true} {
+			tr, err := Build(tc.srcs, BuildOptions{Quadrupole: quad})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, theta := range []float64{0.5, 0.7, 1.0} {
+				for _, mask := range []struct {
+					name   string
+					active []bool
+				}{{"all", nil}, {"masked", masked}, {"none", make([]bool, s.N())}} {
+					var sel Selection
+					sp := tr.Select(mask.active, &sel)
+					evalAr, countAr := NewWalkArena(), NewWalkArena()
+					var evalTotal, countTotal Stats
+					for _, ti := range tr.AppendGroups(nil, DualTaskSize) {
+						var evalSt, countSt Stats
+						tr.DualForceWalk(ti, theta, s.Eps, sp, evalAr, &evalSt)
+						tr.dualWalk(ti, theta, s.Eps, sp, countAr, &countSt, false)
+						if countSt != evalSt {
+							t.Fatalf("%s quad=%v θ=%g %s task %d: count %+v, eval %+v",
+								tc.name, quad, theta, mask.name, ti, countSt, evalSt)
+						}
+						if countAr.NumTargets() != 0 {
+							t.Fatalf("%s: counting walk wrote %d target rows", tc.name, countAr.NumTargets())
+						}
+						evalTotal.PP += evalSt.PP
+						evalTotal.PC += evalSt.PC
+						countTotal.PP += countSt.PP
+						countTotal.PC += countSt.PC
+					}
+					if got, want := pendingTelemetry(countAr), pendingTelemetry(evalAr); got != want {
+						t.Fatalf("%s quad=%v θ=%g %s: count telemetry %v, eval %v",
+							tc.name, quad, theta, mask.name, got, want)
+					}
+					if mask.name == "none" && evalTotal.Interactions() != 0 {
+						t.Fatalf("%s: empty selection did %d interactions", tc.name, evalTotal.Interactions())
+					}
+					if mask.name != "none" && countTotal.PP == 0 {
+						t.Fatalf("%s quad=%v θ=%g %s: no PP interactions counted", tc.name, quad, theta, mask.name)
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package treecode
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // The dual-tree engine walks the tree against itself: a recursive
 // descent over *target* subtrees refines one inherited list of
@@ -111,6 +114,10 @@ type dualState struct {
 	// frame is a group (resolves every source) or internal (may defer).
 	tx, ty, tz, hx, hy, hz float64
 	isGroup                bool
+
+	// eval selects what a group does with its list: evaluate it
+	// (evalTargets) or only count its interactions (countTargets).
+	eval bool
 }
 
 // DualForceWalk computes softened accelerations for every selected
@@ -121,6 +128,13 @@ type dualState struct {
 // the blocked kernels of evalTargets. Results land in the arena's
 // target buffers (NumTargets / Target).
 func (t *Tree) DualForceWalk(ni int32, theta, eps float64, sel *Selection, ar *WalkArena, st *Stats) {
+	t.dualWalk(ni, theta, eps, sel, ar, st, true)
+}
+
+// dualWalk is DualForceWalk's body. With eval false every group counts
+// its list instead of evaluating it: the traversal, the lists, Stats
+// and the walk telemetry are the same, and no target rows are written.
+func (t *Tree) dualWalk(ni int32, theta, eps float64, sel *Selection, ar *WalkArena, st *Stats, eval bool) {
 	ar.tIdx = ar.tIdx[:0]
 	ar.tax, ar.tay, ar.taz = ar.tax[:0], ar.tay[:0], ar.taz[:0]
 	wn, wb, wq := t.walkIndex()
@@ -137,6 +151,7 @@ func (t *Tree) DualForceWalk(ni int32, theta, eps float64, sel *Selection, ar *W
 	d.sel, d.ar = sel, ar
 	d.th2 = theta * theta
 	d.quad = t.Quadrupole
+	d.eval = eval
 	d.u = append(d.u[:0], 0) // the whole tree, undecided
 	d.target(ni, 0, 1, eps, st)
 	// Drop the state's borrowed references so an idle arena does not
@@ -201,7 +216,11 @@ func (d *dualState) target(ni int32, ulo, uhi int, eps float64, st *Stats) {
 		d.refine(d.u[k])
 	}
 	if group {
-		t.evalTargets(first, count, eps, d.sel, ar, st)
+		if d.eval {
+			t.evalTargets(first, count, eps, d.sel, ar, st)
+		} else {
+			t.countTargets(first, count, d.sel, ar, st)
+		}
 		ar.pendDualGroups++
 		ar.pendCells += uint64(len(ar.cm))
 		ar.pendParts += uint64(len(ar.pm))
@@ -230,9 +249,9 @@ func (d *dualState) target(ni int32, ulo, uhi int, eps float64, st *Stats) {
 func (d *dualState) refine(u int32) {
 	n := &d.wn[u]
 	d.ar.pendDualMAC++
-	dx := math.Max(0, math.Abs(n.cx-d.tx)-d.hx)
-	dy := math.Max(0, math.Abs(n.cy-d.ty)-d.hy)
-	dz := math.Max(0, math.Abs(n.cz-d.tz)-d.hz)
+	dx := max(0, math.Abs(n.cx-d.tx)-d.hx)
+	dy := max(0, math.Abs(n.cy-d.ty)-d.hy)
+	dz := max(0, math.Abs(n.cz-d.tz)-d.hz)
 	dmin2 := dx*dx + dy*dy + dz*dz
 	if n.size2 < d.th2*dmin2 && (dmin2 > 3*n.size2 ||
 		boxDisjointAABB(d.wb[u], d.tx, d.ty, d.tz, d.hx, d.hy, d.hz)) {
@@ -373,6 +392,44 @@ func (t *Tree) evalTargets(first, count int32, eps float64, sel *Selection, ar *
 	if targets > 1 {
 		// One traversal served `targets` particles: targets−1 walks saved.
 		ar.pendSaved += uint64(targets - 1)
+	}
+}
+
+// countTargets adds to st exactly what evalTargets would for the
+// arena's current list and the same targets, and flushes the same
+// group savings, without evaluating a force. Each selected target
+// interacts with every cell and with every leaf source but the entries
+// carrying its own particle index: the matches the kernels skip. One
+// pass over the list finds them: a 1024-bit filter on the low index
+// bits of the group's targets passes few entries, and those are looked
+// up in the targets' sorted indices.
+func (t *Tree) countTargets(first, count int32, sel *Selection, ar *WalkArena, st *Stats) {
+	var filter [16]uint64
+	self := ar.self[:0]
+	for i := first; i < first+count; i++ {
+		if s := &t.Sources[i]; sel.selected(s) {
+			idx := int32(s.Index)
+			self = append(self, idx)
+			filter[idx>>6&15] |= 1 << (idx & 63)
+		}
+	}
+	ar.self = self
+	slices.Sort(self)
+	var skipped uint64
+	for _, p := range ar.pidx {
+		if filter[p>>6&15]&(1<<(p&63)) == 0 {
+			continue
+		}
+		j, _ := slices.BinarySearch(self, p)
+		for ; j < len(self) && self[j] == p; j++ {
+			skipped++
+		}
+	}
+	targets := uint64(len(self))
+	st.PC += targets * uint64(len(ar.cm))
+	st.PP += targets*uint64(len(ar.pm)) - skipped
+	if targets > 1 {
+		ar.pendSaved += targets - 1
 	}
 }
 

@@ -60,9 +60,9 @@ func (b Box) Octant(oct int) Box {
 // locally-essential-tree pruning and the group MAC share. Callers that
 // only compare magnitudes use this form and skip the square root.
 func (b Box) MinDist2(x, y, z float64) float64 {
-	dx := math.Max(0, math.Abs(x-b.CX)-b.Half)
-	dy := math.Max(0, math.Abs(y-b.CY)-b.Half)
-	dz := math.Max(0, math.Abs(z-b.CZ)-b.Half)
+	dx := max(0, math.Abs(x-b.CX)-b.Half)
+	dy := max(0, math.Abs(y-b.CY)-b.Half)
+	dz := max(0, math.Abs(z-b.CZ)-b.Half)
 	return dx*dx + dy*dy + dz*dz
 }
 
@@ -82,11 +82,11 @@ func BoundingBox(xs, ys, zs []float64) (Box, error) {
 	ymin, ymax := ys[0], ys[0]
 	zmin, zmax := zs[0], zs[0]
 	for i := 1; i < len(xs); i++ {
-		xmin, xmax = math.Min(xmin, xs[i]), math.Max(xmax, xs[i])
-		ymin, ymax = math.Min(ymin, ys[i]), math.Max(ymax, ys[i])
-		zmin, zmax = math.Min(zmin, zs[i]), math.Max(zmax, zs[i])
+		xmin, xmax = min(xmin, xs[i]), max(xmax, xs[i])
+		ymin, ymax = min(ymin, ys[i]), max(ymax, ys[i])
+		zmin, zmax = min(zmin, zs[i]), max(zmax, zs[i])
 	}
-	half := math.Max(xmax-xmin, math.Max(ymax-ymin, zmax-zmin)) / 2
+	half := max(xmax-xmin, max(ymax-ymin, zmax-zmin)) / 2
 	if half == 0 {
 		half = 1
 	}
@@ -114,11 +114,11 @@ func sourceBounds(sources []Source) (Box, error) {
 	ymin, ymax := sources[0].Y, sources[0].Y
 	zmin, zmax := sources[0].Z, sources[0].Z
 	for i := 1; i < len(sources); i++ {
-		xmin, xmax = math.Min(xmin, sources[i].X), math.Max(xmax, sources[i].X)
-		ymin, ymax = math.Min(ymin, sources[i].Y), math.Max(ymax, sources[i].Y)
-		zmin, zmax = math.Min(zmin, sources[i].Z), math.Max(zmax, sources[i].Z)
+		xmin, xmax = min(xmin, sources[i].X), max(xmax, sources[i].X)
+		ymin, ymax = min(ymin, sources[i].Y), max(ymax, sources[i].Y)
+		zmin, zmax = min(zmin, sources[i].Z), max(zmax, sources[i].Z)
 	}
-	half := math.Max(xmax-xmin, math.Max(ymax-ymin, zmax-zmin)) / 2
+	half := max(xmax-xmin, max(ymax-ymin, zmax-zmin)) / 2
 	if half == 0 {
 		half = 1
 	}
@@ -129,6 +129,48 @@ func sourceBounds(sources []Source) (Box, error) {
 		CZ:   (zmin + zmax) / 2,
 		Half: half,
 	}, nil
+}
+
+// sortKeyPerm fills perm with the indices 0..len(perm)-1 in (keys[i], i)
+// order — the treecode's one key sort, used by Build, the tree
+// maintainer's re-sort fallback and Decompose. It is an LSD byte radix:
+// starting from the identity, each stable counting pass keeps index
+// order among equal bytes, so the result is exactly the order of a
+// comparator sort on (key, index). A pass whose byte is the same for
+// every key is skipped. keys is indexed by input index; scratch is the
+// second buffer, of at least len(perm) elements.
+func sortKeyPerm(perm []int, keys []Key, scratch []int) {
+	n := len(perm)
+	if n == 0 {
+		return
+	}
+	src, dst := perm, scratch[:n]
+	for i := range src {
+		src[i] = i
+	}
+	for shift := uint(0); shift < 64; shift += 8 {
+		var count [256]int
+		for _, j := range src {
+			count[(keys[j]>>shift)&0xff]++
+		}
+		if count[(keys[src[0]]>>shift)&0xff] == n {
+			continue
+		}
+		sum := 0
+		for b, c := range count {
+			count[b] = sum
+			sum += c
+		}
+		for _, j := range src {
+			b := (keys[j] >> shift) & 0xff
+			dst[count[b]] = j
+			count[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &perm[0] {
+		copy(perm, src)
+	}
 }
 
 // MortonKey maps a position inside root to its full-depth Morton key.

@@ -3,7 +3,6 @@ package treecode
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/isa"
 	"repro/internal/mpi"
@@ -67,7 +66,7 @@ type ParallelConfig struct {
 }
 
 // Decompose returns each rank's particle indices: contiguous runs of the
-// Morton-sorted order with balanced counts — the key-space domain
+// (Morton key, index) order with balanced counts — the key-space domain
 // decomposition of the hashed treecode.
 func Decompose(s *nbody.System, p int) ([][]int, error) {
 	if p <= 0 {
@@ -80,13 +79,12 @@ func Decompose(s *nbody.System, p int) ([][]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := make([]int, s.N())
 	keys := make([]Key, s.N())
-	for i := range idx {
-		idx[i] = i
+	for i := range keys {
 		keys[i] = MortonKey(s.X[i], s.Y[i], s.Z[i], root)
 	}
-	sort.Slice(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
+	idx := make([]int, s.N())
+	sortKeyPerm(idx, keys, make([]int, s.N()))
 	out := make([][]int, p)
 	n := s.N()
 	for r := 0; r < p; r++ {
@@ -195,11 +193,30 @@ func decodeSources(data []float64) ([]Source, error) {
 }
 
 // ParallelForces computes softened accelerations for every particle of s
-// on a world of ranks, writing them into s.AX/AY/AZ. Each rank owns a
-// Morton-contiguous slice of particles, exchanges locally essential
-// sources with every other rank, and computes forces for its own
-// particles from a tree over local + imported sources.
+// on a world of ranks, writing them into s.AX/AY/AZ and adding the
+// interaction count to s.Interactions. Each rank owns a Morton-contiguous
+// slice of particles, exchanges locally essential sources with every
+// other rank, and computes forces for its own particles from a tree over
+// local + imported sources.
 func ParallelForces(w *mpi.World, s *nbody.System, cfg ParallelConfig) (*ParallelResult, error) {
+	return parallelStep(w, s, cfg, true)
+}
+
+// ParallelCost prices the step ParallelForces takes without evaluating a
+// force: the same decomposition, builds, LET exchange, walks and compute
+// charges, so its result — simulated time, Stats, imported sources and
+// communication volume — equals ParallelForces' exactly. Each force
+// group counts its interaction lists instead of evaluating them. It
+// writes nothing into s, so concurrent calls may share one system.
+func ParallelCost(w *mpi.World, s *nbody.System, cfg ParallelConfig) (*ParallelResult, error) {
+	return parallelStep(w, s, cfg, false)
+}
+
+// parallelStep is the one rank body of ParallelForces (eval) and
+// ParallelCost (!eval); eval only decides whether force groups evaluate
+// their lists and whether the accelerations and the interaction count
+// are written into s.
+func parallelStep(w *mpi.World, s *nbody.System, cfg ParallelConfig, eval bool) (*ParallelResult, error) {
 	if cfg.Theta <= 0 {
 		cfg.Theta = 0.7
 	}
@@ -309,7 +326,7 @@ func ParallelForces(w *mpi.World, s *nbody.System, cfg ParallelConfig) (*Paralle
 		var stats Stats
 		ar := NewWalkArena()
 		for _, ti := range ft.AppendGroups(nil, DualTaskSize) {
-			ft.DualForceWalk(ti, cfg.Theta, cfg.Eps, nil, ar, &stats)
+			ft.dualWalk(ti, cfg.Theta, cfg.Eps, nil, ar, &stats, eval)
 			for k := 0; k < ar.NumTargets(); k++ {
 				pi, ax, ay, az := ar.Target(k)
 				s.AX[pi] = s.G * ax
@@ -334,6 +351,8 @@ func ParallelForces(w *mpi.World, s *nbody.System, cfg ParallelConfig) (*Paralle
 	res.SimTime = w.MaxTime()
 	res.CommBytes = w.TotalBytes()
 	res.CommMessages = w.TotalMessages()
-	s.Interactions += res.Stats.Interactions()
+	if eval {
+		s.Interactions += res.Stats.Interactions()
+	}
 	return res, nil
 }

@@ -2,6 +2,7 @@ package treecode
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/mpi"
@@ -243,5 +244,41 @@ func TestInteractionAndBuildMixes(t *testing.T) {
 	bm := BuildMix()
 	if bm.ByClass[3] == 0 && bm.ByClass[1] == 0 {
 		t.Fatal("build mix empty")
+	}
+}
+
+// TestDualParallelCostMatchesForces: ParallelCost returns exactly what
+// ParallelForces returns — simulated time, Stats, imported sources and
+// communication volume — at p ∈ {1, 2, 3, 8, 24} over three opening
+// angles with and without quadrupoles, and leaves its system untouched.
+func TestDualParallelCostMatchesForces(t *testing.T) {
+	const n, seed = 3000, 2001
+	cost := CostModel{SecondsPerInteraction: 200e-9, SecondsPerBuildSource: 300e-9}
+	s := nbody.NewPlummer(n, 1, seed)
+	for _, p := range []int{1, 2, 3, 8, 24} {
+		for _, theta := range []float64{0.5, 0.7, 1.0} {
+			for _, quad := range []bool{false, true} {
+				cfg := ParallelConfig{Theta: theta, Quadrupole: quad, Eps: s.Eps, Cost: cost}
+				run := func(step func(*mpi.World, *nbody.System, ParallelConfig) (*ParallelResult, error), sys *nbody.System) *ParallelResult {
+					w, err := mpi.NewWorld(p, netsim.FastEthernet())
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := step(w, sys, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				want := run(ParallelForces, nbody.NewPlummer(n, 1, seed))
+				got := run(ParallelCost, s)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("p=%d θ=%g quad=%v: ParallelCost %+v, ParallelForces %+v", p, theta, quad, got, want)
+				}
+			}
+		}
+	}
+	if !reflect.DeepEqual(s, nbody.NewPlummer(n, 1, seed)) {
+		t.Fatal("ParallelCost wrote into its system")
 	}
 }

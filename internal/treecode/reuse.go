@@ -261,7 +261,7 @@ func (c *TreeCache) fullBuild(srcs []Source, opt BuildOptions) (*Tree, error) {
 	if cap(c.movers) < maxMovers(n)+1 {
 		c.movers = make([]int, 0, maxMovers(n)+1)
 	}
-	t, err := buildTree(srcs, opt, &c.pool, c.keys, c.perm, c.sortedKeys)
+	t, err := buildTree(srcs, opt, &c.pool, c.keys, c.perm, c.scratch, c.sortedKeys)
 	if err != nil {
 		// The buffers no longer match the old tree: force a full
 		// build next step.
@@ -341,7 +341,7 @@ func (c *TreeCache) resortPerm() {
 	}
 	c.movers = movers
 	if radix {
-		c.radixSortPerm()
+		sortKeyPerm(c.perm, c.keys, c.scratch)
 		return
 	}
 
@@ -367,46 +367,6 @@ func (c *TreeCache) resortPerm() {
 			perm[o] = movers[mi]
 			mi++
 		}
-	}
-}
-
-// radixSortPerm sorts c.perm by (key, index) with an LSD byte radix:
-// starting from the identity permutation, each stable pass preserves
-// index order among equal bytes, so the final order is exactly Build's
-// tie-broken sort. Single-byte passes (the sentinel byte, unused depth
-// bytes) are skipped.
-func (c *TreeCache) radixSortPerm() {
-	keys := c.keys
-	n := len(c.perm)
-	src := c.perm
-	for i := range src {
-		src[i] = i
-	}
-	dst := c.scratch[:n]
-	for pass := 0; pass < 8; pass++ {
-		shift := uint(pass * 8)
-		var count [256]int
-		for _, j := range src {
-			count[(keys[j]>>shift)&0xff]++
-		}
-		if count[(keys[src[0]]>>shift)&0xff] == n {
-			continue
-		}
-		sum := 0
-		for b := 0; b < 256; b++ {
-			cnt := count[b]
-			count[b] = sum
-			sum += cnt
-		}
-		for _, j := range src {
-			b := (keys[j] >> shift) & 0xff
-			dst[count[b]] = j
-			count[b]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &c.perm[0] {
-		copy(c.perm, src)
 	}
 }
 

@@ -86,42 +86,35 @@ func Build(sources []Source, opt BuildOptions) (*Tree, error) {
 	}
 	opt = normalizeBuildOptions(opt)
 	n := len(sources)
-	return buildTree(sources, opt, par.New(opt.Workers), make([]Key, n), make([]int, n), make([]Key, n))
+	return buildTree(sources, opt, par.New(opt.Workers), make([]Key, n), make([]int, n), make([]int, n), make([]Key, n))
 }
 
 // buildTree is the one full-build pipeline, shared by Build and the
 // TreeCache's full builds: the root box fold, Morton keys into keys,
-// the (key, index) sort of perm, the permutation of the sources into
-// key order (sortedKeys[i] = keys[perm[i]]), the builder — with the
-// parallel spine when the pool is wider than one — and the node hash.
-// keys, perm and sortedKeys must each have len(srcs) elements; the
+// the (key, index) sort of perm (sortKeyPerm, with scratch as its
+// second buffer), the permutation of the sources into key order
+// (sortedKeys[i] = keys[perm[i]]), the builder — with the parallel
+// spine when the pool is wider than one — and the node hash. keys,
+// perm, scratch and sortedKeys must each have len(srcs) elements; the
 // caller keeps them, so the maintainer can patch from them next step.
-func buildTree(srcs []Source, opt BuildOptions, pool *par.Pool, keys []Key, perm []int, sortedKeys []Key) (*Tree, error) {
+func buildTree(srcs []Source, opt BuildOptions, pool *par.Pool, keys []Key, perm, scratch []int, sortedKeys []Key) (*Tree, error) {
 	root, err := sourceBounds(srcs)
 	if err != nil {
 		return nil, err
 	}
 	n := len(srcs)
-	// Key generation is embarrassingly parallel; the sort stays serial
-	// (it is not the dominant cost and serial pdqsort is deterministic).
+	// Key generation is embarrassingly parallel; the sort stays serial.
 	// Equal keys — coincident or sub-cell-coincident particles —
 	// tie-break on the input index, so the permutation is the unique
 	// (key, index) total order: the same order the incremental
-	// maintainer's stable re-sort reproduces, which is what keeps a
-	// maintained tree bit-identical to Build.
+	// maintainer's re-sorts reproduce, which is what keeps a maintained
+	// tree bit-identical to Build.
 	pool.For(n, keyGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			keys[i] = MortonKey(srcs[i].X, srcs[i].Y, srcs[i].Z, root)
-			perm[i] = i
 		}
 	})
-	sort.Slice(perm, func(a, b int) bool {
-		ka, kb := keys[perm[a]], keys[perm[b]]
-		if ka != kb {
-			return ka < kb
-		}
-		return perm[a] < perm[b]
-	})
+	sortKeyPerm(perm, keys, scratch)
 
 	t := &Tree{
 		Root:       root,

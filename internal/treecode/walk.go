@@ -28,6 +28,10 @@ type WalkArena struct {
 	tIdx          []int32
 	tax, tay, taz []float64
 
+	// self holds a counting walk's current group's target indices,
+	// sorted.
+	self []int32
+
 	// dual is the dual-tree engine's reusable traversal state.
 	dual dualState
 
