@@ -278,8 +278,11 @@ func TestDualCountMatchesEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	imported, err := decodeSources(encodeSources(theirTree.letExport(mineTree.Root, 0.7)))
-	if err != nil {
+	export := theirTree.letExport(nil, mineTree.Root, 0.7)
+	wire := make([]float64, 4*len(export))
+	encodeSourcesInto(export, wire)
+	imported := make([]Source, len(export))
+	if err := decodeSourcesInto(imported, wire); err != nil {
 		t.Fatal(err)
 	}
 	let := append(append([]Source(nil), mine...), imported...)

@@ -1,12 +1,13 @@
-// Package treecode implements the hashed oct-tree N-body library of
-// Warren & Salmon ("A Parallel Hashed Oct-Tree N-Body Algorithm",
-// Supercomputing '93) that the paper's treecode benchmark (§3.5) runs:
-// Morton (Z-order) keys, a bucketed octree with monopole (and optional
-// quadrupole) moments, Barnes–Hut multipole acceptance, and a parallel
-// force computation with locally-essential-tree exchange over the mpi
-// substrate. The paper notes the original library is ~20,000 lines of C;
-// this package is its Go re-implementation at the fidelity the
-// reproduction needs.
+// Package treecode implements the N-body library of Warren & Salmon
+// ("A Parallel Hashed Oct-Tree N-Body Algorithm", Supercomputing '93)
+// that the paper's treecode benchmark (§3.5) runs: Morton (Z-order)
+// keys, a bucketed octree with monopole (and optional quadrupole)
+// moments, Barnes–Hut multipole acceptance, and a parallel force
+// computation with locally-essential-tree exchange over the mpi
+// substrate. Nodes carry their keys, but no key→node hash table is
+// kept: every traversal here follows child indices. The paper notes the
+// original library is ~20,000 lines of C; this package is its Go
+// re-implementation at the fidelity the reproduction needs.
 package treecode
 
 import (

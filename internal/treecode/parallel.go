@@ -3,11 +3,13 @@ package treecode
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/mpi"
 	"repro/internal/nbody"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // CostModel converts counted work into modelled seconds on a target
@@ -67,7 +69,7 @@ type ParallelConfig struct {
 
 // Decompose returns each rank's particle indices: contiguous runs of the
 // (Morton key, index) order with balanced counts — the key-space domain
-// decomposition of the hashed treecode.
+// decomposition of the Warren–Salmon treecode.
 func Decompose(s *nbody.System, p int) ([][]int, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("treecode: bad rank count %d", p)
@@ -119,35 +121,31 @@ func boxToBoxDist(a, b Box) float64 {
 	return math.Sqrt(boxToBoxDist2(a, b))
 }
 
-// letExport walks the local tree and collects the sources a remote domain
-// needs: cells far enough from the remote bounding box (under the MAC)
-// export their monopole as a pseudo-particle; near cells recurse; near
-// leaves export their actual particles.
-func (t *Tree) letExport(remote Box, theta float64) []Source {
-	var out []Source
-	var walk func(ni int32)
-	walk = func(ni int32) {
-		n := &t.Nodes[ni]
-		if n.M == 0 {
-			return
-		}
-		size := 2 * n.Box.Half
-		d2 := boxToBoxDist2(n.Box, remote)
-		if size*size < theta*theta*d2 {
-			out = append(out, Source{X: n.CX, Y: n.CY, Z: n.CZ, M: n.M, Index: -1})
-			return
-		}
-		if n.Leaf {
-			out = append(out, t.Sources[n.First:n.First+n.Count]...)
-			return
-		}
-		for _, ci := range n.Children {
-			if ci >= 0 {
-				walk(ci)
-			}
+// letExport appends to out the sources a remote domain needs from the
+// local tree: cells far enough from the remote bounding box (under the
+// MAC) export their monopole as a pseudo-particle; near cells recurse;
+// near leaves export their actual particles.
+func (t *Tree) letExport(out []Source, remote Box, theta float64) []Source {
+	return t.appendLET(out, 0, remote, theta*theta)
+}
+
+func (t *Tree) appendLET(out []Source, ni int32, remote Box, th2 float64) []Source {
+	n := &t.Nodes[ni]
+	if n.M == 0 {
+		return out
+	}
+	size := 2 * n.Box.Half
+	if size*size < th2*boxToBoxDist2(n.Box, remote) {
+		return append(out, Source{X: n.CX, Y: n.CY, Z: n.CZ, M: n.M, Index: -1})
+	}
+	if n.Leaf {
+		return append(out, t.Sources[n.First:n.First+n.Count]...)
+	}
+	for _, ci := range n.Children {
+		if ci >= 0 {
+			out = t.appendLET(out, ci, remote, th2)
 		}
 	}
-	walk(0)
 	return out
 }
 
@@ -164,32 +162,26 @@ type ParallelResult struct {
 	ImportedSources int64
 }
 
-// encodeSources flattens sources for the wire (x, y, z, m per source;
-// imported sources become pseudo-particles — Index is never remote-valid).
-func encodeSources(srcs []Source) []float64 {
-	out := make([]float64, 4*len(srcs))
-	encodeSourcesInto(srcs, out)
-	return out
-}
-
-// encodeSourcesInto flattens sources into a caller buffer of length
-// 4·len(srcs) — typically one drawn from the rank's pool, handed to
-// SendOwned for a copy-free exchange.
+// encodeSourcesInto flattens sources for the wire (x, y, z, m per
+// source) into a caller buffer of length 4·len(srcs) — one drawn from
+// the rank's pool, handed to SendOwned for a copy-free exchange.
 func encodeSourcesInto(srcs []Source, out []float64) {
 	for i, s := range srcs {
 		out[4*i], out[4*i+1], out[4*i+2], out[4*i+3] = s.X, s.Y, s.Z, s.M
 	}
 }
 
-func decodeSources(data []float64) ([]Source, error) {
-	if len(data)%4 != 0 {
-		return nil, fmt.Errorf("treecode: bad source payload length %d", len(data))
+// decodeSourcesInto unpacks a wire payload into dst, which holds
+// len(wire)/4 sources. Imported sources become pseudo-particles: Index
+// is never remote-valid.
+func decodeSourcesInto(dst []Source, wire []float64) error {
+	if len(wire)%4 != 0 {
+		return fmt.Errorf("treecode: bad source payload length %d", len(wire))
 	}
-	out := make([]Source, len(data)/4)
-	for i := range out {
-		out[i] = Source{X: data[4*i], Y: data[4*i+1], Z: data[4*i+2], M: data[4*i+3], Index: -1}
+	for i := range dst {
+		dst[i] = Source{X: wire[4*i], Y: wire[4*i+1], Z: wire[4*i+2], M: wire[4*i+3], Index: -1}
 	}
-	return out, nil
+	return nil
 }
 
 // ParallelForces computes softened accelerations for every particle of s
@@ -216,6 +208,16 @@ func ParallelCost(w *mpi.World, s *nbody.System, cfg ParallelConfig) (*ParallelR
 // ParallelCost (!eval); eval only decides whether force groups evaluate
 // their lists and whether the accelerations and the interaction count
 // are written into s.
+//
+// A rank runs in two phases. The exchange phase builds the local tree
+// and trades locally essential sources with every other rank, keeping
+// the received wire buffers. The force phase decodes them, builds the
+// force tree over local + imported sources and walks it; it does no
+// communication, so it runs under the process-wide force gate on a
+// reused forceScratch (see forceSlot). Both builds split the host's
+// workers among the world's ranks, which run concurrently: a world of
+// p ranks builds at max(1, par.Workers()/p), so a world with fewer
+// ranks than workers keeps the parallel build.
 func parallelStep(w *mpi.World, s *nbody.System, cfg ParallelConfig, eval bool) (*ParallelResult, error) {
 	if cfg.Theta <= 0 {
 		cfg.Theta = 0.7
@@ -227,6 +229,7 @@ func parallelStep(w *mpi.World, s *nbody.System, cfg ParallelConfig, eval bool) 
 	res := &ParallelResult{}
 	perRank := make([]Stats, w.Size())
 	imported := make([]int64, w.Size())
+	opt := BuildOptions{Quadrupole: cfg.Quadrupole, Workers: max(1, par.Workers()/w.Size())}
 
 	// span records a virtual-time phase span for a rank on the world's
 	// tracer (nil-safe): the simulated-cluster time domain, seconds
@@ -242,18 +245,14 @@ func parallelStep(w *mpi.World, s *nbody.System, cfg ParallelConfig, eval bool) 
 	err = w.Run(func(c *mpi.Comm) error {
 		mine := parts[c.Rank()]
 		local := make([]Source, len(mine))
-		xs := make([]float64, len(mine))
-		ys := make([]float64, len(mine))
-		zs := make([]float64, len(mine))
 		for i, pi := range mine {
 			local[i] = Source{X: s.X[pi], Y: s.Y[pi], Z: s.Z[pi], M: s.M[pi], Index: pi}
-			xs[i], ys[i], zs[i] = s.X[pi], s.Y[pi], s.Z[pi]
 		}
 		// Exchange domain bounding boxes (allgather of 4 floats, into a
 		// flat pooled buffer: boxes[4r..4r+3] is rank r's box).
 		var myBox Box
-		if len(mine) > 0 {
-			myBox, _ = BoundingBox(xs, ys, zs)
+		if len(local) > 0 {
+			myBox, _ = sourceBounds(local)
 		}
 		myBoxBuf := c.AcquireF64(4)
 		myBoxBuf[0], myBoxBuf[1], myBoxBuf[2], myBoxBuf[3] = myBox.CX, myBox.CY, myBox.CZ, myBox.Half
@@ -268,7 +267,7 @@ func parallelStep(w *mpi.World, s *nbody.System, cfg ParallelConfig, eval bool) 
 		var localTree *Tree
 		if len(local) > 0 {
 			t0 := c.Now()
-			lt, berr := Build(local, BuildOptions{Quadrupole: cfg.Quadrupole})
+			lt, berr := Build(local, opt)
 			if berr != nil {
 				return berr
 			}
@@ -277,68 +276,76 @@ func parallelStep(w *mpi.World, s *nbody.System, cfg ParallelConfig, eval bool) 
 			span(c, "local_build", t0, map[string]any{"sources": len(local)})
 		}
 
-		// Pairwise LET exchange.
+		// Pairwise LET exchange. Each step's export reuses one buffer;
+		// the received wire buffers stay held until the force phase
+		// decodes them, and go back to the pool when the rank ends.
 		tx0 := c.Now()
-		sources := append([]Source(nil), local...)
 		p := c.Size()
+		wires := make([][]float64, 0, p-1)
+		defer func() {
+			for _, wire := range wires {
+				c.ReleaseF64(wire)
+			}
+		}()
+		var export []Source
 		for step := 1; step < p; step++ {
 			dst := (c.Rank() + step) % p
 			src := (c.Rank() - step + p) % p
-			var export []Source
+			export = export[:0]
 			if localTree != nil {
 				rb := boxes[4*dst : 4*dst+4]
 				remote := Box{CX: rb[0], CY: rb[1], CZ: rb[2], Half: rb[3]}
 				if remote.Half > 0 || len(parts[dst]) > 0 {
-					export = localTree.letExport(remote, cfg.Theta)
+					export = localTree.letExport(export, remote, cfg.Theta)
 				}
 			}
-			// Encode into a pooled buffer and hand it over copy-free; the
-			// received buffer goes back to the pool once decoded.
 			out := c.AcquireF64(4 * len(export))
 			encodeSourcesInto(export, out)
 			c.SendOwned(dst, step, out)
 			wire := c.Recv(src, step)
-			in, err := decodeSources(wire)
-			c.ReleaseF64(wire)
-			if err != nil {
-				return err
-			}
-			sources = append(sources, in...)
-			imported[c.Rank()] += int64(len(in))
+			wires = append(wires, wire)
+			imported[c.Rank()] += int64(len(wire) / 4)
 		}
 		span(c, "let_exchange", tx0, map[string]any{"imported": imported[c.Rank()]})
 
 		if len(mine) == 0 {
 			return nil
 		}
-		// Force tree over local + imported sources.
-		tb0 := c.Now()
-		ft, err := Build(sources, BuildOptions{Quadrupole: cfg.Quadrupole})
-		if err != nil {
-			return err
-		}
-		c.AddCompute(cfg.Cost.SecondsPerBuildSource * float64(len(sources)))
-		span(c, "force_build", tb0, map[string]any{"sources": len(sources)})
-		tf0 := c.Now()
-		// Dual-tree traversal over the rank's LET: targets are the
-		// rank's own particles (imported sources are Index < 0 and never
-		// evaluated), sources the whole local + imported tree.
-		var stats Stats
-		ar := NewWalkArena()
-		for _, ti := range ft.AppendGroups(nil, DualTaskSize) {
-			ft.dualWalk(ti, cfg.Theta, cfg.Eps, nil, ar, &stats, eval)
-			for k := 0; k < ar.NumTargets(); k++ {
-				pi, ax, ay, az := ar.Target(k)
-				s.AX[pi] = s.G * ax
-				s.AY[pi] = s.G * ay
-				s.AZ[pi] = s.G * az
+		return forceSlot(func(sc *forceScratch) error {
+			// Force tree over local + imported sources.
+			srcs, err := sc.gather(local, wires)
+			if err != nil {
+				return err
 			}
-		}
-		ar.FlushTelemetry()
-		c.AddCompute(cfg.Cost.SecondsPerInteraction * float64(stats.Interactions()))
-		span(c, "forces", tf0, map[string]any{"pp": stats.PP, "pc": stats.PC})
-		perRank[c.Rank()] = stats
-		return nil
+			tb0 := c.Now()
+			ft, err := sc.build(srcs, opt)
+			if err != nil {
+				return err
+			}
+			c.AddCompute(cfg.Cost.SecondsPerBuildSource * float64(len(srcs)))
+			span(c, "force_build", tb0, map[string]any{"sources": len(srcs)})
+			tf0 := c.Now()
+			// Dual-tree traversal over the rank's LET: targets are the
+			// rank's own particles (imported sources are Index < 0 and
+			// never evaluated), sources the whole local + imported tree.
+			var stats Stats
+			ar := sc.arena
+			sc.tasks = ft.AppendGroups(sc.tasks[:0], DualTaskSize)
+			for _, ti := range sc.tasks {
+				ft.dualWalk(ti, cfg.Theta, cfg.Eps, nil, ar, &stats, eval)
+				for k := 0; k < ar.NumTargets(); k++ {
+					pi, ax, ay, az := ar.Target(k)
+					s.AX[pi] = s.G * ax
+					s.AY[pi] = s.G * ay
+					s.AZ[pi] = s.G * az
+				}
+			}
+			ar.FlushTelemetry()
+			c.AddCompute(cfg.Cost.SecondsPerInteraction * float64(stats.Interactions()))
+			span(c, "forces", tf0, map[string]any{"pp": stats.PP, "pc": stats.PC})
+			perRank[c.Rank()] = stats
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -355,4 +362,111 @@ func parallelStep(w *mpi.World, s *nbody.System, cfg ParallelConfig, eval bool) 
 		s.Interactions += res.Stats.Interactions()
 	}
 	return res, nil
+}
+
+// The force gate bounds how many ranks, across every world in the
+// process, run a force phase at once: at most par.Workers(), read at
+// each acquisition. A world's ranks are goroutines, so without it
+// every live rank of every concurrent world would hold a force tree
+// grown to its whole locally essential set at the same time. A slot is
+// taken only after the rank's last receive and its holder never waits
+// on another rank, so the gate cannot deadlock a world.
+//
+// Each holder works on a scratch from scratchFree, the idle scratches
+// the gate's mutex guards. A scratch is made only when a holder finds
+// the list empty, and the list keeps at most par.Workers() of them, so
+// the process holds no more scratches than the gate has ever had
+// slots; they stay for the life of the process, each sized to the
+// largest force phase it served.
+var (
+	gateMu      sync.Mutex
+	gateFree    = sync.NewCond(&gateMu)
+	gateHeld    int
+	scratchFree []*forceScratch
+)
+
+// forceSlot runs fn under a force-gate slot with an idle scratch. The
+// slot goes back on every path out of fn, a panic included; the
+// scratch goes back to the idle list only when fn returns, so storage
+// a panic left half written is dropped.
+func forceSlot(fn func(sc *forceScratch) error) error {
+	gateMu.Lock()
+	for gateHeld >= par.Workers() {
+		gateFree.Wait()
+	}
+	gateHeld++
+	var sc *forceScratch
+	if n := len(scratchFree); n > 0 {
+		sc = scratchFree[n-1]
+		scratchFree[n-1] = nil
+		scratchFree = scratchFree[:n-1]
+	} else {
+		sc = &forceScratch{arena: &WalkArena{}}
+	}
+	gateMu.Unlock()
+	returned := false
+	defer func() {
+		gateMu.Lock()
+		gateHeld--
+		if returned && len(scratchFree) < par.Workers() {
+			scratchFree = append(scratchFree, sc)
+		}
+		gateMu.Unlock()
+		gateFree.Broadcast()
+	}()
+	err := fn(sc)
+	returned = true
+	return err
+}
+
+// forceScratch is the storage of one force phase, grown to need and
+// reused: the gathered sources, the build buffers, the tree (its
+// sorted sources, node arena and walk-index arrays), the walk arena
+// and the task list. Its walk arena is not counted on
+// treecode.list.arena.alloc/reuse: how many scratches exist depends on
+// how ranks overlap in the gate, and the counters must repeat from run
+// to run.
+type forceScratch struct {
+	srcs       []Source
+	keys       []Key
+	perm, tmp  []int
+	sortedKeys []Key
+	tree       Tree
+	arena      *WalkArena
+	tasks      []int32
+}
+
+// gather lays the rank's local sources and its decoded imports, in
+// exchange order, into the scratch's source buffer and returns it.
+func (sc *forceScratch) gather(local []Source, wires [][]float64) ([]Source, error) {
+	n := len(local)
+	for _, wire := range wires {
+		n += len(wire) / 4
+	}
+	srcs := growSources(sc.srcs, n)
+	sc.srcs = srcs
+	off := copy(srcs, local)
+	for _, wire := range wires {
+		k := len(wire) / 4
+		if err := decodeSourcesInto(srcs[off:off+k], wire); err != nil {
+			return nil, err
+		}
+		off += k
+	}
+	return srcs, nil
+}
+
+// build builds the force tree over srcs into the scratch's tree; it is
+// valid until the scratch's next build.
+func (sc *forceScratch) build(srcs []Source, opt BuildOptions) (*Tree, error) {
+	n := len(srcs)
+	sc.keys = growKeys(sc.keys, n)
+	sc.perm = growInts(sc.perm, n)
+	sc.tmp = growInts(sc.tmp, n)
+	sc.sortedKeys = growKeys(sc.sortedKeys, n)
+	opt = normalizeBuildOptions(opt)
+	if err := buildTree(&sc.tree, srcs, opt, par.New(opt.Workers), sc.keys, sc.perm, sc.tmp, sc.sortedKeys); err != nil {
+		return nil, err
+	}
+	return &sc.tree, nil
 }

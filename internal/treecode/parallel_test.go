@@ -67,7 +67,7 @@ func TestLETExportSmallerThanFullDomain(t *testing.T) {
 	tr := buildFromSystem(t, s, BuildOptions{Bucket: 8})
 	// A distant remote domain needs far fewer sources than N.
 	remote := Box{CX: 100, CY: 0, CZ: 0, Half: 1}
-	let := tr.letExport(remote, 0.7)
+	let := tr.letExport(nil, remote, 0.7)
 	if len(let) == 0 {
 		t.Fatal("empty LET")
 	}
@@ -83,7 +83,7 @@ func TestLETExportSmallerThanFullDomain(t *testing.T) {
 		t.Fatalf("LET mass %v, want 1", m)
 	}
 	// An overlapping domain needs more sources than a distant one.
-	near := tr.letExport(Box{CX: 0, CY: 0, CZ: 0, Half: 1}, 0.7)
+	near := tr.letExport(nil, Box{CX: 0, CY: 0, CZ: 0, Half: 1}, 0.7)
 	if len(near) <= len(let) {
 		t.Fatalf("near LET (%d) not larger than far LET (%d)", len(near), len(let))
 	}

@@ -11,7 +11,7 @@ package treecode
 // of the host hot path.
 //
 // The contract is the repo's determinism culture, applied to a cache:
-// after Step the tree is bit-identical — nodes, moments, hash, walk
+// after Step the tree is bit-identical — nodes, keys, moments, walk
 // index, source order — to a fresh Build over the same positions, at
 // every worker width. Three properties make that hold:
 //
@@ -25,9 +25,9 @@ package treecode
 //     keys and node geometry derive from bit-identical inputs.
 //
 // The steady state allocates nothing: keys, permutations, scratch, the
-// double-buffered node arena, the hash (clear + reinsert) and the walk
-// arrays (refresh in place, or rebuild into retained capacity) all
-// reuse storage from previous steps.
+// double-buffered node arena and the walk arrays (refreshed in place,
+// or rebuilt into retained capacity) all reuse storage from previous
+// steps.
 
 import (
 	"fmt"
@@ -202,19 +202,6 @@ func (c *TreeCache) Step(srcs []Source, opt BuildOptions) (*Tree, error) {
 	c.spare = t.Nodes[:0]
 	t.Nodes = p.b.nodes
 
-	if !clean {
-		// The node set changed: rebuild the hash into its retained
-		// storage (clear + reinsert of a same-scale key set does not
-		// grow the map, so this allocates only when the tree itself
-		// grows past its high-water mark).
-		clear(t.ByKey)
-		for i := range t.Nodes {
-			t.ByKey[t.Nodes[i].Key] = int32(i)
-		}
-	}
-	// A clean patch reproduces the previous step's node indices exactly
-	// (same preorder shape), so the hash is still valid untouched.
-
 	if t.walk != nil {
 		// The lazily built walk index has already fired its sync.Once;
 		// refresh it explicitly. A clean structure refreshes in place
@@ -261,8 +248,8 @@ func (c *TreeCache) fullBuild(srcs []Source, opt BuildOptions) (*Tree, error) {
 	if cap(c.movers) < maxMovers(n)+1 {
 		c.movers = make([]int, 0, maxMovers(n)+1)
 	}
-	t, err := buildTree(srcs, opt, &c.pool, c.keys, c.perm, c.scratch, c.sortedKeys)
-	if err != nil {
+	t := &Tree{}
+	if err := buildTree(t, srcs, opt, &c.pool, c.keys, c.perm, c.scratch, c.sortedKeys); err != nil {
 		// The buffers no longer match the old tree: force a full
 		// build next step.
 		c.tree = nil
@@ -385,7 +372,7 @@ type patcher struct {
 // runs still agree, and returns the new node index plus a clean flag:
 // clean means the subtree's emitted shape (node count and topology) is
 // identical to the old subtree's, so its node indices — and therefore
-// the hash entries and walk ropes over it — are unchanged.
+// the walk ropes over it — are unchanged.
 func (p *patcher) patch(oldNi int32, key Key, box Box, lo, hi, level int) (int32, bool) {
 	isLeaf := hi-lo <= p.b.bucket || level >= p.b.maxDepth
 	if oldNi < 0 || p.old[oldNi].Leaf != isLeaf {
@@ -505,6 +492,13 @@ func refreshWalkIndex(t *Tree) bool {
 func growKeys(s []Key, n int) []Key {
 	if cap(s) < n {
 		return make([]Key, n)
+	}
+	return s[:n]
+}
+
+func growSources(s []Source, n int) []Source {
+	if cap(s) < n {
+		return make([]Source, n)
 	}
 	return s[:n]
 }

@@ -21,8 +21,8 @@ func drift(s *nbody.System, dt float64) {
 }
 
 // requireSameTree fails unless the two trees are bit-identical:
-// geometry, node array (structure and every float), source order, hash
-// and walk index.
+// geometry, node array (keys, structure and every float), source
+// order and walk index.
 func requireSameTree(t *testing.T, got, want *Tree, label string) {
 	t.Helper()
 	fb := math.Float64bits
@@ -56,14 +56,6 @@ func requireSameTree(t *testing.T, got, want *Tree, label string) {
 			t.Fatalf("%s: source %d differs: %+v vs %+v", label, i, g, w)
 		}
 	}
-	if len(got.ByKey) != len(want.ByKey) {
-		t.Fatalf("%s: hash has %d entries, want %d", label, len(got.ByKey), len(want.ByKey))
-	}
-	for k, v := range want.ByKey {
-		if gv, ok := got.ByKey[k]; !ok || gv != v {
-			t.Fatalf("%s: hash[%x] = %d,%v, want %d", label, k, gv, ok, v)
-		}
-	}
 	gw, gb, gq := got.walkIndex()
 	ww, wb, wq := want.walkIndex()
 	if len(gw) != len(ww) || len(gq) != len(wq) {
@@ -89,7 +81,7 @@ func requireSameTree(t *testing.T, got, want *Tree, label string) {
 
 // TestTreeCacheMatchesBuild is the maintainer's core contract: over a
 // sequence of drifting snapshots, Step's tree is bit-identical to a
-// fresh Build at every step — structure, moments, hash and walk index —
+// fresh Build at every step — keys, structure, moments and walk index —
 // for monopole and quadrupole trees and across bucket sizes.
 func TestTreeCacheMatchesBuild(t *testing.T) {
 	for _, tc := range []struct {
@@ -220,7 +212,7 @@ func TestTreeCacheInvalidation(t *testing.T) {
 }
 
 // TestTreeCacheCleanStep: with frozen positions the whole structure is
-// clean — no subtree rebuilt, no key moved, hash untouched.
+// clean — no subtree rebuilt, no key moved.
 func TestTreeCacheCleanStep(t *testing.T) {
 	s := nbody.NewPlummer(2000, 1, 5)
 	c := NewTreeCache()
@@ -240,7 +232,7 @@ func TestTreeCacheCleanStep(t *testing.T) {
 
 // TestTreeCacheStepZeroAlloc is the tentpole's steady-state pin: once
 // the cache is warm (buffers sized, walk index live), a maintainer step
-// over a *moving* system — keying, re-sort, patch, hash and walk-index
+// over a *moving* system — keying, re-sort, patch and walk-index
 // maintenance — performs zero allocations.
 func TestTreeCacheStepZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {

@@ -3,6 +3,7 @@ package treecode
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -37,12 +38,12 @@ type Node struct {
 	QXX, QYY, QZZ, QXY, QXZ, QYZ float64
 }
 
-// Tree is a bucketed hashed oct-tree over a set of sources.
+// Tree is a bucketed oct-tree over a set of sources, its nodes in DFS
+// preorder, each carrying its Morton key.
 type Tree struct {
 	Root    Box
 	Nodes   []Node
-	ByKey   map[Key]int32 // the "hashed" index of Warren–Salmon
-	Sources []Source      // key-sorted
+	Sources []Source // key-sorted
 	Bucket  int
 	// Quadrupole enables second-order moments in cell interactions.
 	Quadrupole bool
@@ -64,7 +65,7 @@ type BuildOptions struct {
 	Quadrupole bool // compute quadrupole moments
 	// Workers is the host worker-pool width used for key generation and
 	// per-octant subtree construction; 0 follows par.Workers(). The tree
-	// (node order, moments, hash) is bit-identical at every width.
+	// (node order, keys, moments) is bit-identical at every width.
 	Workers int
 }
 
@@ -86,21 +87,27 @@ func Build(sources []Source, opt BuildOptions) (*Tree, error) {
 	}
 	opt = normalizeBuildOptions(opt)
 	n := len(sources)
-	return buildTree(sources, opt, par.New(opt.Workers), make([]Key, n), make([]int, n), make([]int, n), make([]Key, n))
+	t := &Tree{}
+	if err := buildTree(t, sources, opt, par.New(opt.Workers), make([]Key, n), make([]int, n), make([]int, n), make([]Key, n)); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
-// buildTree is the one full-build pipeline, shared by Build and the
-// TreeCache's full builds: the root box fold, Morton keys into keys,
-// the (key, index) sort of perm (sortKeyPerm, with scratch as its
-// second buffer), the permutation of the sources into key order
-// (sortedKeys[i] = keys[perm[i]]), the builder — with the parallel
-// spine when the pool is wider than one — and the node hash. keys,
-// perm, scratch and sortedKeys must each have len(srcs) elements; the
-// caller keeps them, so the maintainer can patch from them next step.
-func buildTree(srcs []Source, opt BuildOptions, pool *par.Pool, keys []Key, perm, scratch []int, sortedKeys []Key) (*Tree, error) {
+// buildTree is the one full-build pipeline, shared by Build, the
+// TreeCache's full builds and the parallel step's force trees: the
+// root box fold, Morton keys into keys, the (key, index) sort of perm
+// (sortKeyPerm, with scratch as its second buffer), the permutation of
+// the sources into key order (sortedKeys[i] = keys[perm[i]]) and the
+// builder — with the parallel spine when the pool is wider than one.
+// keys, perm, scratch and sortedKeys must each have len(srcs) elements;
+// the caller keeps them, so the maintainer can patch from them next
+// step. The tree is built into t, reusing the capacity of its Sources,
+// Nodes and walk-index arrays; the walk index is rebuilt on first use.
+func buildTree(t *Tree, srcs []Source, opt BuildOptions, pool *par.Pool, keys []Key, perm, scratch []int, sortedKeys []Key) error {
 	root, err := sourceBounds(srcs)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	n := len(srcs)
 	// Key generation is embarrassingly parallel; the sort stays serial.
@@ -116,13 +123,16 @@ func buildTree(srcs []Source, opt BuildOptions, pool *par.Pool, keys []Key, perm
 	})
 	sortKeyPerm(perm, keys, scratch)
 
-	t := &Tree{
+	nodes := t.Nodes[:0]
+	*t = Tree{
 		Root:       root,
-		ByKey:      map[Key]int32{},
-		Sources:    make([]Source, n),
+		Sources:    growSources(t.Sources, n),
 		Bucket:     opt.Bucket,
 		Quadrupole: opt.Quadrupole,
 		MaxDepth:   opt.MaxDepth,
+		walk:       t.walk,
+		walkB:      t.walkB,
+		walkQ:      t.walkQ,
 	}
 	for i, j := range perm {
 		t.Sources[i] = srcs[j]
@@ -134,6 +144,7 @@ func buildTree(srcs []Source, opt BuildOptions, pool *par.Pool, keys []Key, perm
 		bucket:   opt.Bucket,
 		maxDepth: opt.MaxDepth,
 		quad:     opt.Quadrupole,
+		nodes:    nodes,
 	}
 	if n >= parallelBuild && pool.Width() != 1 {
 		b.buildParallel(RootKey, root, pool)
@@ -141,10 +152,7 @@ func buildTree(srcs []Source, opt BuildOptions, pool *par.Pool, keys []Key, perm
 		b.build(RootKey, root, 0, n, 0)
 	}
 	t.Nodes = b.nodes
-	for i := range t.Nodes {
-		t.ByKey[t.Nodes[i].Key] = int32(i)
-	}
-	return t, nil
+	return nil
 }
 
 // builder is a tree-construction arena: the recursion state plus the
@@ -258,7 +266,7 @@ func (b *builder) buildParallel(key Key, box Box, pool *par.Pool) {
 	}
 	pool.Do(thunks...)
 
-	b.nodes = make([]Node, 0, totalNodes(arenas)+len(tasks))
+	b.nodes = slices.Grow(b.nodes[:0], totalNodes(arenas)+len(tasks))
 	b.emit(root, arenas)
 }
 
@@ -598,7 +606,8 @@ func AppendSources(dst []Source, s *nbody.System) []Source {
 
 // CheckInvariants verifies structural and physical invariants: every
 // source in exactly one leaf, node masses equal their subtree sums,
-// children lie inside parents, and the hash covers every node. Property
+// children lie inside parents, the root carries RootKey and each
+// child's key is its parent's key extended by its octant. Property
 // tests drive this over random systems.
 func (t *Tree) CheckInvariants() error {
 	if len(t.Nodes) == 0 {
@@ -609,12 +618,12 @@ func (t *Tree) CheckInvariants() error {
 	for _, s := range t.Sources {
 		totalM += s.M
 	}
+	if k := t.Nodes[0].Key; k != RootKey {
+		return fmt.Errorf("root key %x, want %x", k, RootKey)
+	}
 	var walk func(ni int32) (float64, int, error)
 	walk = func(ni int32) (float64, int, error) {
 		n := &t.Nodes[ni]
-		if got := t.ByKey[n.Key]; got != ni {
-			return 0, 0, fmt.Errorf("hash lookup of key %x gives node %d, want %d", n.Key, got, ni)
-		}
 		if n.Leaf {
 			var m float64
 			for i := n.First; i < n.First+n.Count; i++ {
@@ -642,7 +651,7 @@ func (t *Tree) CheckInvariants() error {
 			}
 			c := &t.Nodes[ci]
 			if c.Key != n.Key.Child(oct) {
-				return 0, 0, fmt.Errorf("child key mismatch")
+				return 0, 0, fmt.Errorf("node %d: child %d key %x, want %x", ni, oct, c.Key, n.Key.Child(oct))
 			}
 			cm, cc, err := walk(ci)
 			if err != nil {
