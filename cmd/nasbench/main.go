@@ -74,7 +74,7 @@ func parseRanks(s string) ([]int, error) {
 
 func main() {
 	d := core.NewDriver("nasbench")
-	kernel := flag.String("kernel", "", "run one kernel (BT, SP, LU, MG, EP, IS, CG); empty = all")
+	kernel := flag.String("kernel", "", "run one kernel (BT, SP, LU, MG, EP, IS); empty = all")
 	class := flag.String("class", "S", "problem class (S, W, A)")
 	rate := flag.Bool("rate", true, "rate on the Table 3 processors")
 	sweep := flag.Bool("sweep", false, "run the parallel EP/IS rank sweep instead of the serial kernel table")

@@ -336,6 +336,8 @@ func TestSpecValidation(t *testing.T) {
 		&Table3Spec{Class: "Z"},
 		&NASSweepSpec{Ranks: []int{-2}},
 		&NASKernelsSpec{Kernel: "XX"},
+		&NASKernelsSpec{Kernel: "CG"},
+		&NASKernelsSpec{Kernel: "ft"},
 		&NBodySpec{N: -5},
 		&TCOSpec{Nodes: -1},
 		&Figure3Spec{Width: -1},

@@ -415,7 +415,7 @@ func (s *NASKernelsSpec) Validate() error {
 	}
 	if s.Kernel != "" {
 		found := false
-		for _, k := range nas.AllKernels() {
+		for _, k := range nas.Table3Kernels() {
 			if strings.EqualFold(k.Name(), s.Kernel) {
 				found = true
 				break
@@ -534,7 +534,7 @@ func (s *NASKernelsSpec) Run(r *Run) (*SpecResult, error) {
 	}
 	fmt.Fprintf(&b, "%s\n", header)
 	var rows []NASKernelRow
-	for _, k := range nas.AllKernels() {
+	for _, k := range nas.Table3Kernels() {
 		if s.Kernel != "" && !strings.EqualFold(k.Name(), s.Kernel) {
 			continue
 		}

@@ -1,13 +1,13 @@
 // Package nas implements the NAS Parallel Benchmarks 2.3 kernels the
 // paper's Table 3 runs: BT, SP, LU (simulated CFD applications), MG
 // (multigrid Poisson), EP (embarrassingly parallel Gaussian deviates),
-// and IS (integer sort) — plus CG as a bonus kernel. EP, IS, MG and CG
-// follow the NPB problem statements directly (including NPB's linear
-// congruential generator); BT, SP and LU implement the same computational
-// patterns (ADI block-tridiagonal / scalar-pentadiagonal solves, SSOR
-// sweeps on a five-component grid) on manufactured problems with exact
-// residual verification, since the full NPB discretizations are thousands
-// of lines of Fortran whose numerics the paper's Mops comparison does not
+// and IS (integer sort). EP, IS and MG follow the NPB problem
+// statements directly (including NPB's linear congruential generator);
+// BT, SP and LU implement the same computational patterns (ADI
+// block-tridiagonal / scalar-pentadiagonal solves, SSOR sweeps on a
+// five-component grid) on manufactured problems with exact residual
+// verification, since the full NPB discretizations are thousands of
+// lines of Fortran whose numerics the paper's Mops comparison does not
 // depend on. See DESIGN.md for the substitution note.
 //
 // Every kernel counts the floating-point work it performs and reports an
@@ -129,13 +129,8 @@ func ErrClass(kernel string, c Class) error {
 	return fmt.Errorf("nas: %s: unsupported class %q", kernel, c)
 }
 
-// AllKernels returns the Table 3 kernels in the paper's row order
-// (BT, SP, LU, MG, EP, IS) plus the bonus CG and FT.
-func AllKernels() []Kernel {
-	return append(Table3Kernels(), NewCGKernel(), NewFTKernel())
-}
-
-// Table3Kernels returns exactly the paper's Table 3 rows.
+// Table3Kernels returns the package's kernels: exactly the paper's
+// Table 3 rows, in its row order (BT, SP, LU, MG, EP, IS).
 func Table3Kernels() []Kernel {
 	return []Kernel{NewBTKernel(), NewSPKernel(), NewLUKernel(), NewMGKernel(), NewEP(), NewISKernel()}
 }

@@ -149,14 +149,6 @@ func rungTarget(s *System, i int, cfg *BlockConfig) int8 {
 	return r
 }
 
-// BlockLeapfrog advances the system by steps base steps of size cfg.DT
-// with a throwaway stepper — the convenience path for callers that do
-// not need rung inspection between runs.
-func (s *System) BlockLeapfrog(f Forcer, cfg BlockConfig, steps int) error {
-	var b BlockStepper
-	return b.Run(s, f, cfg, steps)
-}
-
 // Run advances the system by steps base steps of size cfg.DT. With
 // MaxRung = 0 the schedule, the force calls and the arithmetic are
 // exactly Leapfrog's, so results are bit-identical to it; with

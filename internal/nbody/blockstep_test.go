@@ -31,7 +31,8 @@ func TestBlockLeapfrogDegeneratesToLeapfrog(t *testing.T) {
 	if err := ref.Leapfrog(DirectForcer{}, 0.005, 10); err != nil {
 		t.Fatal(err)
 	}
-	if err := blk.BlockLeapfrog(DirectForcer{}, BlockConfig{DT: 0.005}, 10); err != nil {
+	var b BlockStepper
+	if err := b.Run(blk, DirectForcer{}, BlockConfig{DT: 0.005}, 10); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < ref.N(); i++ {
@@ -127,11 +128,12 @@ func TestBlockStepperRungSanity(t *testing.T) {
 func TestBlockStepperRequiresActiveForcer(t *testing.T) {
 	plain := forcerFunc(func(s *System) error { s.DirectForces(); return nil })
 	s := NewPlummer(32, 1, 1)
-	if err := s.BlockLeapfrog(plain, BlockConfig{DT: 0.01, MaxRung: 2}, 1); err == nil {
+	var b BlockStepper
+	if err := b.Run(s, plain, BlockConfig{DT: 0.01, MaxRung: 2}, 1); err == nil {
 		t.Fatal("MaxRung > 0 accepted a forcer without ForcesActive")
 	}
 	// MaxRung = 0 needs no masked path.
-	if err := s.BlockLeapfrog(plain, BlockConfig{DT: 0.01}, 1); err != nil {
+	if err := b.Run(s, plain, BlockConfig{DT: 0.01}, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -143,13 +145,14 @@ func (f forcerFunc) Forces(s *System) error { return f(s) }
 // TestBlockStepperValidation covers the config guards.
 func TestBlockStepperValidation(t *testing.T) {
 	s := NewPlummer(16, 1, 2)
-	if err := s.BlockLeapfrog(DirectForcer{}, BlockConfig{DT: 0}, 1); err == nil {
+	var b BlockStepper
+	if err := b.Run(s, DirectForcer{}, BlockConfig{DT: 0}, 1); err == nil {
 		t.Fatal("accepted DT=0")
 	}
-	if err := s.BlockLeapfrog(DirectForcer{}, BlockConfig{DT: 0.01, MaxRung: MaxRungLimit + 1}, 1); err == nil {
+	if err := b.Run(s, DirectForcer{}, BlockConfig{DT: 0.01, MaxRung: MaxRungLimit + 1}, 1); err == nil {
 		t.Fatal("accepted MaxRung beyond limit")
 	}
-	if err := s.BlockLeapfrog(DirectForcer{}, BlockConfig{DT: 0.01}, -1); err == nil {
+	if err := b.Run(s, DirectForcer{}, BlockConfig{DT: 0.01}, -1); err == nil {
 		t.Fatal("accepted negative steps")
 	}
 }
@@ -160,7 +163,8 @@ func TestRungTelemetry(t *testing.T) {
 	before := rungUpdates.Value()
 	beforeSaved := rungSaved.Value()
 	s := NewPlummer(128, 1, 77)
-	if err := s.BlockLeapfrog(DirectForcer{}, BlockConfig{DT: 0.01, MaxRung: 3}, 2); err != nil {
+	var b BlockStepper
+	if err := b.Run(s, DirectForcer{}, BlockConfig{DT: 0.01, MaxRung: 3}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if rungUpdates.Value() == before {

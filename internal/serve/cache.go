@@ -11,12 +11,10 @@ import "sync"
 // text and metric samples), so the bound is about predictability, not
 // memory pressure.
 type cache struct {
-	mu      sync.Mutex
-	docs    map[string][]byte
-	order   []string // insertion order, for FIFO eviction
-	max     int
-	hits    uint64
-	evicted uint64
+	mu    sync.Mutex
+	docs  map[string][]byte
+	order []string // insertion order, for FIFO eviction
+	max   int
 }
 
 func newCache(maxEntries int) *cache {
@@ -27,9 +25,6 @@ func (c *cache) get(hash string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	doc, ok := c.docs[hash]
-	if ok {
-		c.hits++
-	}
 	return doc, ok
 }
 
@@ -43,7 +38,6 @@ func (c *cache) put(hash string, doc []byte) {
 		oldest := c.order[0]
 		c.order = c.order[1:]
 		delete(c.docs, oldest)
-		c.evicted++
 	}
 	c.docs[hash] = doc
 	c.order = append(c.order, hash)

@@ -80,16 +80,18 @@ type scheduler struct {
 
 	closed  bool
 	wg      sync.WaitGroup
+	cache   *cache // re-checked by submit; lock order is s.mu, then cache.mu
 	execute func(*job) ([]byte, error)
 }
 
-func newScheduler(workers, depth, retain int, execute func(*job) ([]byte, error)) *scheduler {
+func newScheduler(workers, depth, retain int, c *cache, execute func(*job) ([]byte, error)) *scheduler {
 	s := &scheduler{
 		queues:   map[string][]*job{},
 		inflight: map[string]*job{},
 		jobs:     map[string]*job{},
 		depth:    depth,
 		retain:   retain,
+		cache:    c,
 		execute:  execute,
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -111,28 +113,37 @@ func newJobID() (string, error) {
 }
 
 // submit enqueues a spec for a tenant, or returns the already-queued or
-// running job for the same hash (coalesced reports that). The caller
-// has already consulted the result cache. Coalescing is global across
-// tenants — like the result cache, it banks on determinism: the
-// attached tenant gets the same bytes it would have computed, without
-// consuming a queue slot.
-func (s *scheduler) submit(tenant, kind, hash string, spec core.ExperimentSpec) (j *job, coalesced bool, err error) {
+// running job for the same hash (coalesced reports that). Coalescing is
+// global across tenants — like the result cache, it banks on
+// determinism: the attached tenant gets the same bytes it would have
+// computed, without consuming a queue slot.
+//
+// The caller has already missed the result cache, but a job for the
+// hash may have finished since: execute caches the document before the
+// worker clears the in-flight entry under s.mu. So with no job in
+// flight submit looks in the cache again, and a hit returns the
+// document and no job. A failed job caches nothing, so its spec is
+// queued again.
+func (s *scheduler) submit(tenant, kind, hash string, spec core.ExperimentSpec) (j *job, doc []byte, coalesced bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, false, ErrClosed
+		return nil, nil, false, ErrClosed
 	}
 	if j, ok := s.inflight[hash]; ok {
 		j.tenants[tenant] = struct{}{}
-		return j, true, nil
+		return j, nil, true, nil
+	}
+	if doc, ok := s.cache.get(hash); ok {
+		return nil, doc, false, nil
 	}
 	if len(s.queues[tenant]) >= s.depth {
-		return nil, false, fmt.Errorf("%w: %d jobs queued for %q", ErrQueueFull, len(s.queues[tenant]), tenant)
+		return nil, nil, false, fmt.Errorf("%w: %d jobs queued for %q", ErrQueueFull, len(s.queues[tenant]), tenant)
 	}
 	var id string
 	for {
 		if id, err = newJobID(); err != nil {
-			return nil, false, err
+			return nil, nil, false, err
 		}
 		if _, dup := s.jobs[id]; !dup {
 			break
@@ -156,7 +167,7 @@ func (s *scheduler) submit(tenant, kind, hash string, spec core.ExperimentSpec) 
 	s.inflight[hash] = j
 	s.jobs[j.id] = j
 	s.cond.Signal()
-	return j, false, nil
+	return j, nil, false, nil
 }
 
 // lookup returns a job by id, but only to a tenant that submitted or

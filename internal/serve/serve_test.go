@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -111,7 +112,7 @@ func TestPerTenantFairness(t *testing.T) {
 	var order []string
 	gate := make(chan struct{})
 	first := true
-	sched := newScheduler(1, 100, 64, func(j *job) ([]byte, error) {
+	sched := newScheduler(1, 100, 64, newCache(8), func(j *job) ([]byte, error) {
 		if first {
 			first = false
 			<-gate // hold the worker so the queues fill
@@ -125,13 +126,13 @@ func TestPerTenantFairness(t *testing.T) {
 
 	jobs := make([]*job, 0, 10)
 	for i := 0; i < 8; i++ {
-		j, _, err := sched.submit("flood", "tco", fmt.Sprintf("ha%d", i), nil)
+		j, _, _, err := sched.submit("flood", "tco", fmt.Sprintf("ha%d", i), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		jobs = append(jobs, j)
 	}
-	jb, _, err := sched.submit("meek", "tco", "hb", nil)
+	jb, _, _, err := sched.submit("meek", "tco", "hb", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestQueueDepthLimit(t *testing.T) {
 	gate := make(chan struct{})
 	var started sync.Once
 	running := make(chan struct{})
-	sched := newScheduler(1, 2, 64, func(j *job) ([]byte, error) {
+	sched := newScheduler(1, 2, 64, newCache(8), func(j *job) ([]byte, error) {
 		started.Do(func() { close(running) })
 		<-gate
 		return nil, nil
@@ -170,20 +171,20 @@ func TestQueueDepthLimit(t *testing.T) {
 
 	// One running + two queued for tenant A (the running job left the
 	// queue), then the queue is full.
-	if _, _, err := sched.submit("a", "tco", "h0", nil); err != nil {
+	if _, _, _, err := sched.submit("a", "tco", "h0", nil); err != nil {
 		t.Fatal(err)
 	}
 	<-running // the worker has dequeued h0
 	for i := 1; i < 3; i++ {
-		if _, _, err := sched.submit("a", "tco", fmt.Sprintf("h%d", i), nil); err != nil {
+		if _, _, _, err := sched.submit("a", "tco", fmt.Sprintf("h%d", i), nil); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	if _, _, err := sched.submit("a", "tco", "h3", nil); err == nil {
+	if _, _, _, err := sched.submit("a", "tco", "h3", nil); err == nil {
 		t.Fatal("expected queue-full error")
 	}
 	// Another tenant still has room.
-	if _, _, err := sched.submit("b", "tco", "h4", nil); err != nil {
+	if _, _, _, err := sched.submit("b", "tco", "h4", nil); err != nil {
 		t.Fatalf("tenant b rejected: %v", err)
 	}
 }
@@ -193,14 +194,14 @@ func TestQueueDepthLimit(t *testing.T) {
 // duplicate execution.
 func TestCoalescing(t *testing.T) {
 	gate := make(chan struct{})
-	sched := newScheduler(1, 10, 64, func(j *job) ([]byte, error) { <-gate; return nil, nil })
+	sched := newScheduler(1, 10, 64, newCache(8), func(j *job) ([]byte, error) { <-gate; return nil, nil })
 	defer func() { sched.close(); sched.drain() }()
 
-	j1, co1, err := sched.submit("a", "tco", "same", nil)
+	j1, _, co1, err := sched.submit("a", "tco", "same", nil)
 	if err != nil || co1 {
 		t.Fatalf("first: %v coalesced=%v", err, co1)
 	}
-	j2, co2, err := sched.submit("b", "tco", "same", nil)
+	j2, _, co2, err := sched.submit("b", "tco", "same", nil)
 	if err != nil || !co2 {
 		t.Fatalf("second: %v coalesced=%v", err, co2)
 	}
@@ -220,13 +221,43 @@ func TestCoalescing(t *testing.T) {
 	}
 	close(gate)
 	<-j1.done
-	// After completion the hash is no longer in flight: a new submit
-	// schedules a fresh job (the HTTP layer would have hit the cache).
-	j3, co3, err := sched.submit("a", "tco", "same", nil)
+	// After completion the hash is no longer in flight and, since this
+	// execute caches nothing (as a failed run would not), a new submit
+	// schedules a fresh job.
+	j3, _, co3, err := sched.submit("a", "tco", "same", nil)
 	if err != nil || co3 {
 		t.Fatalf("post-done: %v coalesced=%v", err, co3)
 	}
 	<-j3.done
+}
+
+// TestSubmitRechecksCache closes single flight's gap: a hash whose job
+// finished after the handler's cache miss has its document cached and
+// no job in flight. submit must answer from the cache, queueing and
+// executing nothing.
+func TestSubmitRechecksCache(t *testing.T) {
+	c := newCache(8)
+	c.put("done", []byte("doc"))
+	var ran atomic.Int32
+	sched := newScheduler(1, 10, 64, c, func(j *job) ([]byte, error) { ran.Add(1); return nil, nil })
+	j, doc, coalesced, err := sched.submit("a", "tco", "done", nil)
+	if err != nil || j != nil || coalesced || string(doc) != "doc" {
+		t.Fatalf("submit of a cached hash: job %v doc %q coalesced %v err %v", j, doc, coalesced, err)
+	}
+	if queued, running, tenants := sched.depthStats(); queued != 0 || running != 0 || tenants != 0 {
+		t.Errorf("after a cached submit: %d queued, %d running, %d tenants, want 0/0/0", queued, running, tenants)
+	}
+	sched.mu.Lock()
+	inflight, jobs := len(sched.inflight), len(sched.jobs)
+	sched.mu.Unlock()
+	if inflight != 0 || jobs != 0 {
+		t.Errorf("after a cached submit: %d in flight, %d jobs, want 0/0", inflight, jobs)
+	}
+	sched.close()
+	sched.drain()
+	if n := ran.Load(); n != 0 {
+		t.Errorf("%d jobs executed for a cached hash", n)
+	}
 }
 
 // TestConcurrentSubmissions drives many goroutines at the HTTP API with
@@ -266,7 +297,8 @@ func TestConcurrentSubmissions(t *testing.T) {
 
 // TestBadSubmissions maps decode and validation failures to 4xx. An
 // nbody spec Run could only fail — rungs above the integrator's limit,
-// or block steps on the simulated cluster — is a validation failure.
+// or block steps on the simulated cluster — is a validation failure, as
+// is a naskernels kernel outside the paper's Table 3 suite.
 func TestBadSubmissions(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	cases := []struct {
@@ -280,6 +312,8 @@ func TestBadSubmissions(t *testing.T) {
 		{`{"api":"repro/spec/v1","kind":"tco","spec":{"nodes":-5}}`, http.StatusUnprocessableEntity},
 		{`{"api":"repro/spec/v1","kind":"nbody","spec":{"n":300,"steps":1,"rungs":13}}`, http.StatusUnprocessableEntity},
 		{`{"api":"repro/spec/v1","kind":"nbody","spec":{"n":300,"steps":1,"ranks":2,"rungs":2}}`, http.StatusUnprocessableEntity},
+		{`{"api":"repro/spec/v1","kind":"naskernels","spec":{"kernel":"CG"}}`, http.StatusUnprocessableEntity},
+		{`{"api":"repro/spec/v1","kind":"naskernels","spec":{"kernel":"FT"}}`, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		resp, env := submit(t, ts, "", tc.body)
@@ -622,11 +656,11 @@ func TestCacheEviction(t *testing.T) {
 // TestJobRetentionBound evicts the oldest finished jobs, so the jobs
 // map cannot grow without bound in a long-running daemon.
 func TestJobRetentionBound(t *testing.T) {
-	sched := newScheduler(1, 100, 2, func(j *job) ([]byte, error) { return nil, nil })
+	sched := newScheduler(1, 100, 2, newCache(8), func(j *job) ([]byte, error) { return nil, nil })
 	defer func() { sched.close(); sched.drain() }()
 	jobs := make([]*job, 0, 5)
 	for i := 0; i < 5; i++ {
-		j, _, err := sched.submit("a", "tco", fmt.Sprintf("h%d", i), nil)
+		j, _, _, err := sched.submit("a", "tco", fmt.Sprintf("h%d", i), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -651,10 +685,10 @@ func TestJobRetentionBound(t *testing.T) {
 // the per-tenant bookkeeping is bounded by pending work, not by every
 // X-Tenant value ever seen.
 func TestTenantRotationCleanup(t *testing.T) {
-	sched := newScheduler(2, 10, 64, func(j *job) ([]byte, error) { return nil, nil })
+	sched := newScheduler(2, 10, 64, newCache(8), func(j *job) ([]byte, error) { return nil, nil })
 	defer func() { sched.close(); sched.drain() }()
 	for i := 0; i < 20; i++ {
-		j, _, err := sched.submit(fmt.Sprintf("tenant%d", i), "tco", fmt.Sprintf("h%d", i), nil)
+		j, _, _, err := sched.submit(fmt.Sprintf("tenant%d", i), "tco", fmt.Sprintf("h%d", i), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -669,14 +703,14 @@ func TestTenantRotationCleanup(t *testing.T) {
 // whose terminal state is readable after done, and the worker survives
 // to run the next job.
 func TestFailedJobCommitted(t *testing.T) {
-	sched := newScheduler(1, 10, 64, func(j *job) ([]byte, error) {
+	sched := newScheduler(1, 10, 64, newCache(8), func(j *job) ([]byte, error) {
 		if j.hash == "boom" {
 			panic("kaboom")
 		}
 		return []byte("ok"), nil
 	})
 	defer func() { sched.close(); sched.drain() }()
-	bad, _, err := sched.submit("a", "tco", "boom", nil)
+	bad, _, _, err := sched.submit("a", "tco", "boom", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -684,7 +718,7 @@ func TestFailedJobCommitted(t *testing.T) {
 	if bad.status != statusFailed || !strings.Contains(bad.errMsg, "kaboom") {
 		t.Errorf("panicked job: status %q errMsg %q", bad.status, bad.errMsg)
 	}
-	good, _, err := sched.submit("a", "tco", "fine", nil)
+	good, _, _, err := sched.submit("a", "tco", "fine", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -702,7 +736,7 @@ func TestGracefulClose(t *testing.T) {
 	if err := s.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.sched.submit("a", "tco", "h", nil); err == nil {
+	if _, _, _, err := s.sched.submit("a", "tco", "h", nil); err == nil {
 		t.Fatal("submit after close succeeded")
 	}
 }

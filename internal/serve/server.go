@@ -92,7 +92,7 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg, cache: newCache(cfg.CacheEntries), log: cfg.Logger}
-	s.sched = newScheduler(cfg.Workers, cfg.QueueDepth, cfg.JobRetention, s.execute)
+	s.sched = newScheduler(cfg.Workers, cfg.QueueDepth, cfg.JobRetention, s.cache, s.execute)
 	return s
 }
 
@@ -294,7 +294,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	log = log.With("kind", canon.Kind(), "hash", hash[:12])
 
-	if doc, ok := s.cache.get(hash); ok {
+	// The lookup here keeps hits off the scheduler lock; submit looks
+	// again under it for a job that finished in between.
+	var j *job
+	var coalesced bool
+	doc, cached := s.cache.get(hash)
+	if !cached {
+		j, doc, coalesced, err = s.sched.submit(tenantOf(r), canon.Kind(), hash, canon)
+		cached = doc != nil
+	}
+	if cached {
 		s.cacheHits.Add(1)
 		log.Info("cache hit")
 		writeJSON(w, http.StatusOK, Envelope{
@@ -304,8 +313,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cacheMisses.Add(1)
-
-	j, coalesced, err := s.sched.submit(tenantOf(r), canon.Kind(), hash, canon)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrQueueFull):
