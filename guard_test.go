@@ -116,8 +116,9 @@ func atLeast(t *testing.T, what string, slow, fast time.Duration, want float64) 
 	}
 }
 
-// freshForcer builds a new Forcer, and so a fresh tree, on every call:
-// the baseline the tree maintainer is measured against.
+// freshForcer builds a new Forcer, and so a tree in new storage, on
+// every call: the baseline a reused Forcer's scratch is measured
+// against.
 type freshForcer struct{ workers int }
 
 func (f freshForcer) Forces(s *nbody.System) error { return f.ForcesActive(s, nil) }
@@ -127,17 +128,16 @@ func (f freshForcer) ForcesActive(s *nbody.System, active []bool) error {
 }
 
 // exactForcer is the exact per-particle baseline: one Tree.ForceAt
-// walk per particle over a maintained tree, in 512-particle chunks on
+// walk per particle over a tree from Build, in 512-particle chunks on
 // a workers-wide pool.
 type exactForcer struct {
 	workers int
-	cache   *treecode.TreeCache
 	srcs    []treecode.Source
 }
 
 func (f *exactForcer) Forces(s *nbody.System) error {
 	f.srcs = treecode.AppendSources(f.srcs[:0], s)
-	tr, err := f.cache.Step(f.srcs, treecode.BuildOptions{Workers: f.workers})
+	tr, err := treecode.Build(f.srcs, treecode.BuildOptions{Workers: f.workers})
 	if err != nil {
 		return err
 	}
@@ -159,7 +159,7 @@ func must(t *testing.T, err error) {
 }
 
 // driftSystem advances positions ballistically by one leapfrog-sized
-// dt: enough motion to churn Morton keys between tree refreshes.
+// dt: enough motion to churn Morton keys between tree builds.
 func driftSystem(s *nbody.System) {
 	const dt = 0.005
 	for i := 0; i < s.N(); i++ {
@@ -186,8 +186,9 @@ func TestGuardDualForceThroughput(t *testing.T) {
 //     ForceAt walk per unit of simulated time. The exact baseline steps
 //     every particle at the finest occupied dt, so it pays one
 //     recursive-walk force step per tick, 2^rung ticks per base step;
-//   - the maintained tree is no more than 10% slower than building a
-//     fresh tree for every one of the hierarchy's force calls.
+//   - a Forcer building into its reused scratch is no more than 10%
+//     slower than a new Forcer for every one of the hierarchy's force
+//     calls.
 func TestGuardBlockSteps(t *testing.T) {
 	const n = 20000
 	system := func() *nbody.System {
@@ -197,55 +198,23 @@ func TestGuardBlockSteps(t *testing.T) {
 	}
 	g := runtime.GOMAXPROCS(0)
 	cfg := nbody.BlockConfig{DT: 0.02, MaxRung: 6}
-	exactSys, sysM, sysF := system(), system(), system()
-	exact := &exactForcer{workers: g, cache: treecode.NewTreeCache()}
-	maintained := &treecode.Forcer{Theta: 0.7, Workers: g}
-	var bsM, bsF nbody.BlockStepper
+	exactSys, sysR, sysF := system(), system(), system()
+	exact := &exactForcer{workers: g}
+	reused := &treecode.Forcer{Theta: 0.7, Workers: g}
+	var bsR, bsF nbody.BlockStepper
 	med := medianTimes(t,
 		func() { must(t, exact.Forces(exactSys)) },
-		func() { must(t, bsM.Run(sysM, maintained, cfg, 1)) },
+		func() { must(t, bsR.Run(sysR, reused, cfg, 1)) },
 		func() { must(t, bsF.Run(sysF, freshForcer{workers: g}, cfg, 1)) },
 	)
-	ticks := math.Exp2(float64(bsM.Stats.MaxRungUsed))
+	ticks := math.Exp2(float64(bsR.Stats.MaxRungUsed))
 	atLeast(t, "dual+block over exact per base step", time.Duration(float64(med[0])*ticks), med[1], 3)
-	noSlower(t, "maintained-tree block steps", med[1], med[2])
+	noSlower(t, "reused-scratch block steps", med[1], med[2])
 }
 
-// TestGuardTreeMaintain: refreshing the warm tree maintainer after a
-// drift must beat a fresh build at least 1.3x (n=20000, one worker, the
-// same drift sequence on both sides).
-func TestGuardTreeMaintain(t *testing.T) {
-	const n, stepsPerSample = 20000, 10
-	opt := treecode.BuildOptions{Workers: 1}
-	msys, fsys := nbody.NewPlummer(n, 1, 2001), nbody.NewPlummer(n, 1, 2001)
-	msrcs, fsrcs := treecode.SourcesFromSystem(msys), treecode.SourcesFromSystem(fsys)
-	cache := treecode.NewTreeCache()
-	_, err := cache.Step(msrcs, opt)
-	must(t, err)
-	med := medianTimes(t,
-		func() {
-			for i := 0; i < stepsPerSample; i++ {
-				driftSystem(msys)
-				msrcs = treecode.AppendSources(msrcs[:0], msys)
-				_, err := cache.Step(msrcs, opt)
-				must(t, err)
-			}
-		},
-		func() {
-			for i := 0; i < stepsPerSample; i++ {
-				driftSystem(fsys)
-				fsrcs = treecode.AppendSources(fsrcs[:0], fsys)
-				_, err := treecode.Build(fsrcs, opt)
-				must(t, err)
-			}
-		},
-	)
-	atLeast(t, "tree maintenance over fresh builds", med[1], med[0], 1.3)
-}
-
-// TestGuardReuseStep: a force step on a Forcer that maintains its tree
-// across calls must be no more than 10% slower than one on a new Forcer
-// that builds from scratch (n=20000, all workers).
+// TestGuardReuseStep: a force step on a Forcer that builds into its
+// reused scratch must be no more than 10% slower than one on a new
+// Forcer that builds into new storage (n=20000, all workers).
 func TestGuardReuseStep(t *testing.T) {
 	const n, stepsPerSample = 20000, 3
 	g := runtime.GOMAXPROCS(0)
@@ -261,7 +230,7 @@ func TestGuardReuseStep(t *testing.T) {
 		}
 	}
 	med := medianTimes(t, steps(msys, f), steps(fsys, freshForcer{workers: g}))
-	noSlower(t, "maintained-tree force step", med[0], med[1])
+	noSlower(t, "reused-scratch force step", med[0], med[1])
 }
 
 // TestGuardHostParallel: the worker pool must not make the n=30000

@@ -103,10 +103,9 @@ func BoundingBox(xs, ys, zs []float64) (Box, error) {
 // sourceBounds is BoundingBox over a source slice without the
 // coordinate-array staging: the same per-axis Min/Max fold in the same
 // input order with the same expansion, so the box — and every key and
-// node box derived from it — is bit-identical to BoundingBox's. Build
-// and the tree maintainer both use it, which is what lets a maintained
-// tree recompute the root in place, allocation-free, and still match a
-// fresh build exactly.
+// node box derived from it — is bit-identical to BoundingBox's. Every
+// tree build uses it, so a build into reused storage finds its root
+// without allocating.
 func sourceBounds(sources []Source) (Box, error) {
 	if len(sources) == 0 {
 		return Box{}, fmt.Errorf("treecode: no particles")
@@ -133,13 +132,13 @@ func sourceBounds(sources []Source) (Box, error) {
 }
 
 // sortKeyPerm fills perm with the indices 0..len(perm)-1 in (keys[i], i)
-// order — the treecode's one key sort, used by Build, the tree
-// maintainer's re-sort fallback and Decompose. It is an LSD byte radix:
-// starting from the identity, each stable counting pass keeps index
-// order among equal bytes, so the result is exactly the order of a
-// comparator sort on (key, index). A pass whose byte is the same for
-// every key is skipped. keys is indexed by input index; scratch is the
-// second buffer, of at least len(perm) elements.
+// order — the treecode's one key sort, used by every tree build and by
+// Decompose. It is an LSD byte radix: starting from the identity, each
+// stable counting pass keeps index order among equal bytes, so the
+// result is exactly the order of a comparator sort on (key, index). A
+// pass whose byte is the same for every key is skipped. keys is indexed
+// by input index; scratch is the second buffer, of at least len(perm)
+// elements.
 func sortKeyPerm(perm []int, keys []Key, scratch []int) {
 	n := len(perm)
 	if n == 0 {

@@ -419,23 +419,6 @@ func forceSlot(fn func(sc *forceScratch) error) error {
 	return err
 }
 
-// forceScratch is the storage of one force phase, grown to need and
-// reused: the gathered sources, the build buffers, the tree (its
-// sorted sources, node arena and walk-index arrays), the walk arena
-// and the task list. Its walk arena is not counted on
-// treecode.list.arena.alloc/reuse: how many scratches exist depends on
-// how ranks overlap in the gate, and the counters must repeat from run
-// to run.
-type forceScratch struct {
-	srcs       []Source
-	keys       []Key
-	perm, tmp  []int
-	sortedKeys []Key
-	tree       Tree
-	arena      *WalkArena
-	tasks      []int32
-}
-
 // gather lays the rank's local sources and its decoded imports, in
 // exchange order, into the scratch's source buffer and returns it.
 func (sc *forceScratch) gather(local []Source, wires [][]float64) ([]Source, error) {
@@ -454,19 +437,4 @@ func (sc *forceScratch) gather(local []Source, wires [][]float64) ([]Source, err
 		off += k
 	}
 	return srcs, nil
-}
-
-// build builds the force tree over srcs into the scratch's tree; it is
-// valid until the scratch's next build.
-func (sc *forceScratch) build(srcs []Source, opt BuildOptions) (*Tree, error) {
-	n := len(srcs)
-	sc.keys = growKeys(sc.keys, n)
-	sc.perm = growInts(sc.perm, n)
-	sc.tmp = growInts(sc.tmp, n)
-	sc.sortedKeys = growKeys(sc.sortedKeys, n)
-	opt = normalizeBuildOptions(opt)
-	if err := buildTree(&sc.tree, srcs, opt, par.New(opt.Workers), sc.keys, sc.perm, sc.tmp, sc.sortedKeys); err != nil {
-		return nil, err
-	}
-	return &sc.tree, nil
 }

@@ -3,11 +3,9 @@ package treecode
 import (
 	"fmt"
 	"math"
-	"sort"
 	"testing"
 
 	"repro/internal/nbody"
-	"repro/internal/sim"
 )
 
 // drift advances positions ballistically — enough motion to churn keys
@@ -79,162 +77,12 @@ func requireSameTree(t *testing.T, got, want *Tree, label string) {
 	}
 }
 
-// TestTreeCacheMatchesBuild is the maintainer's core contract: over a
-// sequence of drifting snapshots, Step's tree is bit-identical to a
-// fresh Build at every step — keys, structure, moments and walk index —
-// for monopole and quadrupole trees and across bucket sizes.
-func TestTreeCacheMatchesBuild(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opt  BuildOptions
-		dt   float64
-	}{
-		{"mono", BuildOptions{}, 0.05},
-		{"quad", BuildOptions{Quadrupole: true}, 0.05},
-		{"bucket4-large-dt", BuildOptions{Bucket: 4}, 0.5},
-		{"workers8", BuildOptions{Workers: 8}, 0.05},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := nbody.NewPlummer(3000, 1, 42)
-			c := NewTreeCache()
-			for step := 0; step < 6; step++ {
-				srcs := SourcesFromSystem(s)
-				got, err := c.Step(srcs, tc.opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := Build(srcs, tc.opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSameTree(t, got, want, tc.name)
-				if err := got.CheckInvariants(); err != nil {
-					t.Fatalf("step %d: %v", step, err)
-				}
-				drift(s, tc.dt)
-			}
-			if c.Stats.Steps != 6 || c.Stats.FullBuilds != 1 {
-				t.Fatalf("stats = %+v, want 6 steps with 1 full build", c.Stats)
-			}
-		})
-	}
-}
-
-// TestTreeCacheRadixFallback teleports a third of the particles each
-// step — far beyond the adaptive merge's mover bound — and checks the
-// radix path still lands on Build's exact order.
-func TestTreeCacheRadixFallback(t *testing.T) {
-	s := nbody.NewPlummer(2000, 1, 7)
-	c := NewTreeCache()
-	rng := sim.NewRNG(99)
-	for step := 0; step < 4; step++ {
-		srcs := SourcesFromSystem(s)
-		got, err := c.Step(srcs, BuildOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Build(srcs, BuildOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameTree(t, got, want, "radix")
-		for i := 0; i < s.N(); i += 3 {
-			s.X[i] = 4*rng.Float64() - 2
-			s.Y[i] = 4*rng.Float64() - 2
-			s.Z[i] = 4*rng.Float64() - 2
-		}
-	}
-	if c.Stats.KeysMoved == 0 {
-		t.Fatal("teleporting particles moved no keys")
-	}
-}
-
-// TestTreeCacheCoincident pins the tie-break identity: coincident
-// particles (equal keys) must sort by input index on both the fresh and
-// the maintained path.
-func TestTreeCacheCoincident(t *testing.T) {
-	s := nbody.NewPlummer(600, 1, 3)
-	// Park clumps of particles on shared positions.
-	for i := 0; i < 100; i++ {
-		j := (i * 7) % s.N()
-		k := (i*13 + 1) % s.N()
-		s.X[j], s.Y[j], s.Z[j] = s.X[k], s.Y[k], s.Z[k]
-	}
-	c := NewTreeCache()
-	for step := 0; step < 3; step++ {
-		srcs := SourcesFromSystem(s)
-		got, err := c.Step(srcs, BuildOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Build(srcs, BuildOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameTree(t, got, want, "coincident")
-		drift(s, 0.05)
-	}
-}
-
-// TestTreeCacheInvalidation: a source-count or structural-option change
-// falls back to a full build; a worker-width change must NOT (the tree
-// is width-invariant).
-func TestTreeCacheInvalidation(t *testing.T) {
-	s := nbody.NewPlummer(1500, 1, 11)
-	c := NewTreeCache()
-	step := func(s *nbody.System, opt BuildOptions) {
-		t.Helper()
-		if _, err := c.Step(SourcesFromSystem(s), opt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	step(s, BuildOptions{})
-	step(s, BuildOptions{})
-	if c.Stats.FullBuilds != 1 {
-		t.Fatalf("steady steps rebuilt: %+v", c.Stats)
-	}
-	step(s, BuildOptions{Workers: 4}) // width change: no invalidation
-	if c.Stats.FullBuilds != 1 {
-		t.Fatalf("worker change forced a full build: %+v", c.Stats)
-	}
-	step(s, BuildOptions{Bucket: 4}) // structural change
-	if c.Stats.FullBuilds != 2 {
-		t.Fatalf("bucket change did not rebuild: %+v", c.Stats)
-	}
-	step(nbody.NewPlummer(1000, 1, 11), BuildOptions{Bucket: 4}) // n change
-	if c.Stats.FullBuilds != 3 {
-		t.Fatalf("n change did not rebuild: %+v", c.Stats)
-	}
-	step(s, BuildOptions{Bucket: 4, Quadrupole: true}) // moment change
-	if c.Stats.FullBuilds != 4 {
-		t.Fatalf("quadrupole change did not rebuild: %+v", c.Stats)
-	}
-}
-
-// TestTreeCacheCleanStep: with frozen positions the whole structure is
-// clean — no subtree rebuilt, no key moved.
-func TestTreeCacheCleanStep(t *testing.T) {
-	s := nbody.NewPlummer(2000, 1, 5)
-	c := NewTreeCache()
-	if _, err := c.Step(SourcesFromSystem(s), BuildOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Step(SourcesFromSystem(s), BuildOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Last.CleanSteps != 1 || c.Last.SubtreesRebuilt != 0 || c.Last.KeysMoved != 0 {
-		t.Fatalf("frozen step not clean: %+v", c.Last)
-	}
-	if c.Last.NodesReused != uint64(len(c.Tree().Nodes)) {
-		t.Fatalf("clean step reused %d of %d nodes", c.Last.NodesReused, len(c.Tree().Nodes))
-	}
-}
-
-// TestTreeCacheStepZeroAlloc is the tentpole's steady-state pin: once
-// the cache is warm (buffers sized, walk index live), a maintainer step
-// over a *moving* system — keying, re-sort, patch and walk-index
-// maintenance — performs zero allocations.
-func TestTreeCacheStepZeroAlloc(t *testing.T) {
+// TestScratchBuildZeroAlloc pins the Forcer's build: once a scratch
+// is warm (buffers sized, walk index live), a width-1 build over a
+// *moving* system — keying, sort, node construction and the walk
+// index a force call rebuilds — performs zero allocations, and its
+// tree is bit-identical to a fresh Build.
+func TestScratchBuildZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		n    int
 		seed uint64
@@ -243,33 +91,37 @@ func TestTreeCacheStepZeroAlloc(t *testing.T) {
 	}{{4000, 13, true, 0.02}, {20000, 2001, false, 0.005}} {
 		s := nbody.NewPlummer(tc.n, 1, tc.seed)
 		opt := BuildOptions{Quadrupole: tc.quad, Workers: 1}
-		c := NewTreeCache()
-		srcs := SourcesFromSystem(s)
-		// Warm: adopt, force the walk index alive (as a force sweep
-		// would), and run a few moving steps so every buffer reaches
-		// steady size.
-		for i := 0; i < 5; i++ {
-			tr, err := c.Step(AppendSources(srcs[:0], s), opt)
+		var sc forceScratch
+		step := func() *Tree {
+			drift(s, tc.dt)
+			sc.srcs = AppendSources(sc.srcs[:0], s)
+			tr, err := sc.build(sc.srcs, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			tr.walkIndex()
-			drift(s, tc.dt)
+			return tr
 		}
-		allocs := testing.AllocsPerRun(100, func() {
-			drift(s, tc.dt)
-			if _, err := c.Step(AppendSources(srcs[:0], s), opt); err != nil {
-				t.Fatal(err)
-			}
-		})
+		// Warm: a few moving builds so every buffer reaches steady size.
+		for i := 0; i < 5; i++ {
+			step()
+		}
+		allocs := testing.AllocsPerRun(100, func() { step() })
 		if allocs != 0 {
-			t.Fatalf("n=%d: maintainer step allocates %.2f times per step, want 0", tc.n, allocs)
+			t.Fatalf("n=%d: warm scratch build allocates %.2f times per call, want 0", tc.n, allocs)
 		}
+		got := step()
+		want, err := Build(SourcesFromSystem(s), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameTree(t, got, want, fmt.Sprintf("n=%d", tc.n))
 	}
 }
 
-// freshForcer is the fresh-build reference for the maintainer: every
-// call gets a new Forcer, so every call builds its tree from scratch.
+// freshForcer is the fresh-storage reference for a reused Forcer: every
+// call gets a new Forcer, so every call builds its tree into new
+// storage.
 type freshForcer struct{ workers int }
 
 func (f freshForcer) Forces(s *nbody.System) error { return f.ForcesActive(s, nil) }
@@ -291,9 +143,10 @@ func requireSameState(t *testing.T, got, want *nbody.System, label string) {
 }
 
 // TestForcerReuseLeapfrogBitIdentical: the integration contract — a
-// multi-step Leapfrog on one Forcer, whose maintainer carries the tree
-// from step to step, is bit-identical to building every step's tree
-// fresh, at worker widths 1, 2 and 8 (CI runs this under -race).
+// multi-step Leapfrog on one Forcer, which builds every step's tree
+// into the storage of the step before, is bit-identical to building
+// every step's tree fresh, at worker widths 1, 2 and 8 (CI runs this
+// under -race).
 func TestForcerReuseLeapfrogBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		n     int
@@ -317,8 +170,8 @@ func TestForcerReuseLeapfrogBitIdentical(t *testing.T) {
 }
 
 // TestForcerReuseBlockStepBitIdentical: same contract over the block
-// timestep integrator, whose masked ForcesActive calls hit the
-// maintainer many times per base step.
+// timestep integrator, whose masked ForcesActive calls build many
+// times per base step.
 func TestForcerReuseBlockStepBitIdentical(t *testing.T) {
 	run := func(f nbody.ActiveForcer) (*nbody.System, nbody.RungStats) {
 		s := nbody.NewPlummer(2000, 1, 12)
@@ -341,47 +194,40 @@ func TestForcerReuseBlockStepBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTreeCacheKeySortMatchesComparator: the one key sort (Build's, the
-// maintainer's fallback and Decompose's) lands on exactly the order of
-// a comparator sort on (key, index) — over random keys, many coincident
-// particles, keys that differ only in the top or only in the bottom
-// byte (one radix pass each), and at n = 1 and 2.
-func TestTreeCacheKeySortMatchesComparator(t *testing.T) {
-	rng := sim.NewRNG(5)
-	gen := func(n int, key func(i int) Key) []Key {
-		keys := make([]Key, n)
-		for i := range keys {
-			keys[i] = key(i)
-		}
-		return keys
+// TestForcerReuseAcrossSizes: one Forcer serving systems of changing
+// size with Quadrupole toggled between calls — its storage shrinking,
+// growing and switching moment order — gives, call by call, the same
+// accelerations and work counts as a fresh Forcer.
+func TestForcerReuseAcrossSizes(t *testing.T) {
+	// Each size has a system for the reused Forcer and a twin for the
+	// fresh ones, drifted alike.
+	systems := map[int][2]*nbody.System{}
+	for _, n := range []int{2000, 4096} {
+		systems[n] = [2]*nbody.System{nbody.NewPlummer(n, 1, uint64(n)), nbody.NewPlummer(n, 1, uint64(n))}
 	}
-	const n = 3000
-	cases := map[string][]Key{
-		"random":     gen(n, func(int) Key { return Key(rng.Uint64()) }),
-		"coincident": gen(n, func(int) Key { return RootKey<<60 | Key(rng.Intn(5)) }),
-		"top-byte":   gen(n, func(int) Key { return Key(rng.Intn(256))<<56 | 0x0123456789abcd }),
-		"low-byte":   gen(n, func(int) Key { return RootKey<<63 | Key(rng.Intn(256)) }),
-		"one":        {RootKey << 63},
-		"two-equal":  {7, 7},
-		"two-desc":   {9, 3},
-	}
-	for name, keys := range cases {
-		want := make([]int, len(keys))
-		for i := range want {
-			want[i] = i
+	reused := &Forcer{Theta: 0.7}
+	fb := math.Float64bits
+	for call, tc := range []struct {
+		n    int
+		quad bool
+	}{{2000, false}, {4096, true}, {2000, true}, {2000, false}, {4096, false}, {2000, true}} {
+		s, ref := systems[tc.n][0], systems[tc.n][1]
+		drift(s, 0.05)
+		drift(ref, 0.05)
+		reused.Quadrupole = tc.quad
+		if err := reused.Forces(s); err != nil {
+			t.Fatal(err)
 		}
-		sort.Slice(want, func(a, b int) bool {
-			ka, kb := keys[want[a]], keys[want[b]]
-			if ka != kb {
-				return ka < kb
-			}
-			return want[a] < want[b]
-		})
-		got := make([]int, len(keys))
-		sortKeyPerm(got, keys, make([]int, len(keys)))
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: position %d holds %d, comparator order has %d", name, i, got[i], want[i])
+		fresh := &Forcer{Theta: 0.7, Quadrupole: tc.quad}
+		if err := fresh.Forces(ref); err != nil {
+			t.Fatal(err)
+		}
+		if reused.LastStats != fresh.LastStats {
+			t.Fatalf("call %d (n=%d quad=%v): stats %+v, fresh %+v", call, tc.n, tc.quad, reused.LastStats, fresh.LastStats)
+		}
+		for i := 0; i < s.N(); i++ {
+			if fb(s.AX[i]) != fb(ref.AX[i]) || fb(s.AY[i]) != fb(ref.AY[i]) || fb(s.AZ[i]) != fb(ref.AZ[i]) {
+				t.Fatalf("call %d (n=%d quad=%v): particle %d's acceleration differs from a fresh Forcer's", call, tc.n, tc.quad, i)
 			}
 		}
 	}

@@ -82,45 +82,64 @@ const (
 
 // Build constructs a tree over the sources.
 func Build(sources []Source, opt BuildOptions) (*Tree, error) {
-	if len(sources) == 0 {
-		return nil, fmt.Errorf("treecode: no sources")
-	}
-	opt = normalizeBuildOptions(opt)
 	n := len(sources)
 	t := &Tree{}
-	if err := buildTree(t, sources, opt, par.New(opt.Workers), make([]Key, n), make([]int, n), make([]int, n), make([]Key, n)); err != nil {
+	if err := buildTree(t, sources, normalizeBuildOptions(opt), make([]Key, n), make([]int, n), make([]int, n), make([]Key, n)); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// buildTree is the one full-build pipeline, shared by Build, the
-// TreeCache's full builds and the parallel step's force trees: the
-// root box fold, Morton keys into keys, the (key, index) sort of perm
-// (sortKeyPerm, with scratch as its second buffer), the permutation of
-// the sources into key order (sortedKeys[i] = keys[perm[i]]) and the
-// builder — with the parallel spine when the pool is wider than one.
-// keys, perm, scratch and sortedKeys must each have len(srcs) elements;
-// the caller keeps them, so the maintainer can patch from them next
-// step. The tree is built into t, reusing the capacity of its Sources,
-// Nodes and walk-index arrays; the walk index is rebuilt on first use.
-func buildTree(t *Tree, srcs []Source, opt BuildOptions, pool *par.Pool, keys []Key, perm, scratch []int, sortedKeys []Key) error {
+// normalizeBuildOptions applies the Bucket and MaxDepth defaults.
+func normalizeBuildOptions(opt BuildOptions) BuildOptions {
+	if opt.Bucket <= 0 {
+		opt.Bucket = 8
+	}
+	if opt.MaxDepth <= 0 || opt.MaxDepth >= KeyBits {
+		opt.MaxDepth = KeyBits - 1
+	}
+	return opt
+}
+
+// buildTree is the one build pipeline, shared by Build and
+// forceScratch.build: the root box fold, Morton keys into keys, the
+// (key, index) sort of perm (sortKeyPerm, with scratch as its second
+// buffer), the permutation of the sources into key order
+// (sortedKeys[i] = keys[perm[i]]) and the builder — with the parallel
+// spine when opt.Workers (0 follows par.Workers()) is wider than one.
+// opt is normalized; keys, perm, scratch and sortedKeys must each have
+// len(srcs) elements. The tree is built into t, reusing the capacity of
+// its Sources, Nodes and walk-index arrays; the walk index is rebuilt
+// on first use. At width 1 nothing touches a pool, so a build whose
+// buffers all have the capacity it needs allocates nothing.
+func buildTree(t *Tree, srcs []Source, opt BuildOptions, keys []Key, perm, scratch []int, sortedKeys []Key) error {
+	if len(srcs) == 0 {
+		return fmt.Errorf("treecode: no sources")
+	}
 	root, err := sourceBounds(srcs)
 	if err != nil {
 		return err
 	}
 	n := len(srcs)
+	w := opt.Workers
+	if w <= 0 {
+		w = par.Workers()
+	}
 	// Key generation is embarrassingly parallel; the sort stays serial.
 	// Equal keys — coincident or sub-cell-coincident particles —
 	// tie-break on the input index, so the permutation is the unique
-	// (key, index) total order: the same order the incremental
-	// maintainer's re-sorts reproduce, which is what keeps a maintained
-	// tree bit-identical to Build.
-	pool.For(n, keyGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+	// (key, index) total order at every width.
+	if w == 1 {
+		for i := range srcs {
 			keys[i] = MortonKey(srcs[i].X, srcs[i].Y, srcs[i].Z, root)
 		}
-	})
+	} else {
+		par.New(w).For(n, keyGrain, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				keys[i] = MortonKey(srcs[i].X, srcs[i].Y, srcs[i].Z, root)
+			}
+		})
+	}
 	sortKeyPerm(perm, keys, scratch)
 
 	nodes := t.Nodes[:0]
@@ -138,7 +157,7 @@ func buildTree(t *Tree, srcs []Source, opt BuildOptions, pool *par.Pool, keys []
 		t.Sources[i] = srcs[j]
 		sortedKeys[i] = keys[j]
 	}
-	b := &builder{
+	b := builder{
 		sources:  t.Sources,
 		keys:     sortedKeys,
 		bucket:   opt.Bucket,
@@ -146,13 +165,70 @@ func buildTree(t *Tree, srcs []Source, opt BuildOptions, pool *par.Pool, keys []
 		quad:     opt.Quadrupole,
 		nodes:    nodes,
 	}
-	if n >= parallelBuild && pool.Width() != 1 {
-		b.buildParallel(RootKey, root, pool)
+	if n >= parallelBuild && w != 1 {
+		// The spine's task closures move their builder to the heap;
+		// building on a copy keeps that cost off the serial path.
+		pb := b
+		pb.buildParallel(RootKey, root, par.New(w))
+		b.nodes = pb.nodes
 	} else {
 		b.build(RootKey, root, 0, n, 0)
 	}
 	t.Nodes = b.nodes
 	return nil
+}
+
+func growKeys(s []Key, n int) []Key {
+	if cap(s) < n {
+		return make([]Key, n)
+	}
+	return s[:n]
+}
+
+func growSources(s []Source, n int) []Source {
+	if cap(s) < n {
+		return make([]Source, n)
+	}
+	return s[:n]
+}
+
+func growInts(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	return s[:n]
+}
+
+// forceScratch is the storage of one force computation, grown to need
+// and reused: the gathered sources, the build buffers, the tree (its
+// sorted sources, node arena and walk-index arrays), the walk arena
+// and the task list. A Forcer keeps one across its calls; the parallel
+// step's force phases share the gate's (see forceSlot). Its walk arena
+// is not counted on treecode.list.arena.alloc/reuse: how many
+// scratches exist depends on how ranks overlap in the gate, and the
+// counters must repeat from run to run.
+type forceScratch struct {
+	srcs       []Source
+	keys       []Key
+	perm, tmp  []int
+	sortedKeys []Key
+	tree       Tree
+	arena      *WalkArena
+	tasks      []int32
+}
+
+// build builds the tree over srcs into the scratch's tree; it is valid
+// until the scratch's next build.
+func (sc *forceScratch) build(srcs []Source, opt BuildOptions) (*Tree, error) {
+	n := len(srcs)
+	sc.keys = growKeys(sc.keys, n)
+	sc.perm = growInts(sc.perm, n)
+	sc.tmp = growInts(sc.tmp, n)
+	sc.sortedKeys = growKeys(sc.sortedKeys, n)
+	if err := buildTree(&sc.tree, srcs, normalizeBuildOptions(opt), sc.keys, sc.perm, sc.tmp, sc.sortedKeys); err != nil {
+		return nil, err
+	}
+	return &sc.tree, nil
 }
 
 // builder is a tree-construction arena: the recursion state plus the
@@ -477,9 +553,9 @@ func (t *Tree) ForceAt(x, y, z float64, selfIdx int, theta, eps float64, st *Sta
 type Forcer struct {
 	Theta      float64
 	Quadrupole bool
-	// Workers is the host worker-pool width for the build and the force
-	// loop; 0 follows par.Workers(). Forces are bit-identical at every
-	// width (each task's tree walk is independent).
+	// Workers is the host worker-pool width of the force loop; 0
+	// follows par.Workers(). Forces are bit-identical at every width
+	// (each task's tree walk is independent).
 	Workers int
 	// Tracer, when non-nil, records wall-clock spans for the build and
 	// force phases of every call (obs.PidHost).
@@ -494,20 +570,16 @@ type Forcer struct {
 	// width on first use and reused across Forces calls so the
 	// steady-state force path allocates nothing per walk.
 	arenas []*WalkArena
-	// tasks is the reusable dual-walk work list.
-	tasks []int32
-	// cache is the persistent tree maintainer and srcBuf the reusable
-	// source-conversion buffer it reads: a one-shot call pays exactly
-	// one build, multi-step integrations amortize keying, sorting and
-	// node construction, and the tree is bit-identical to a fresh Build
-	// either way. The steady-state refresh allocates nothing.
-	cache  *TreeCache
-	srcBuf []Source
+	// sc holds the sources, the build buffers, the tree and the
+	// dual-walk work list across calls. Every call builds its tree
+	// afresh, serially, into that storage, so a warm build allocates
+	// nothing. Its walk arena stays nil: the force loop walks on arenas.
+	sc forceScratch
 	// sel is the reusable target selection of masked force calls.
 	sel Selection
 }
 
-// Forces implements nbody.Forcer: brings the tree up to the system's
+// Forces implements nbody.Forcer: builds a tree over the system's
 // current positions and fills its acceleration arrays.
 func (f *Forcer) Forces(s *nbody.System) error { return f.ForcesActive(s, nil) }
 
@@ -521,17 +593,13 @@ func (f *Forcer) ForcesActive(s *nbody.System, active []bool) error {
 	if theta <= 0 {
 		theta = 0.7
 	}
-	opt := BuildOptions{Quadrupole: f.Quadrupole, Workers: f.Workers}
 	sp := f.Tracer.Begin(obs.PidHost, 0, "treecode", "build")
-	f.srcBuf = AppendSources(f.srcBuf[:0], s)
-	if f.cache == nil {
-		f.cache = NewTreeCache()
-	}
-	t, err := f.cache.Step(f.srcBuf, opt)
+	f.sc.srcs = AppendSources(f.sc.srcs[:0], s)
+	t, err := f.sc.build(f.sc.srcs, BuildOptions{Quadrupole: f.Quadrupole, Workers: 1})
 	if err != nil {
 		return err
 	}
-	sp.End(map[string]any{"sources": len(f.srcBuf), "nodes": len(t.Nodes)})
+	sp.End(map[string]any{"sources": len(f.sc.srcs), "nodes": len(t.Nodes)})
 	pool := par.New(f.Workers)
 	sp = f.Tracer.Begin(obs.PidHost, 0, "treecode", "forces")
 	st := f.dualForces(t, s, pool, theta, t.Select(active, &f.sel))
@@ -559,8 +627,9 @@ func (f *Forcer) dualForces(t *Tree, s *nbody.System, pool *par.Pool, theta floa
 	for len(f.arenas) < width {
 		f.arenas = append(f.arenas, NewWalkArena())
 	}
-	f.tasks = t.AppendGroups(f.tasks[:0], DualTaskSize)
-	nl := len(f.tasks)
+	tasks := t.AppendGroups(f.sc.tasks[:0], DualTaskSize)
+	f.sc.tasks = tasks
+	nl := len(tasks)
 	nc := par.NumChunks(nl, 1)
 	pp := obs.NewShardedCounter(nc)
 	pc := obs.NewShardedCounter(nc)
@@ -568,11 +637,11 @@ func (f *Forcer) dualForces(t *Tree, s *nbody.System, pool *par.Pool, theta floa
 		ar := f.arenas[w]
 		var cst Stats
 		for li := lo; li < hi; li++ {
-			n := &t.Nodes[f.tasks[li]]
+			n := &t.Nodes[tasks[li]]
 			if sel.count(int32(n.First), int32(n.First+n.Count)) == 0 {
 				continue
 			}
-			t.DualForceWalk(f.tasks[li], theta, s.Eps, sel, ar, &cst)
+			t.DualForceWalk(tasks[li], theta, s.Eps, sel, ar, &cst)
 			for k := 0; k < ar.NumTargets(); k++ {
 				i, ax, ay, az := ar.Target(k)
 				s.AX[i] = s.G * ax
@@ -595,8 +664,8 @@ func SourcesFromSystem(s *nbody.System) []Source {
 }
 
 // AppendSources appends a system's particles to dst and returns it —
-// the reusable-buffer form of SourcesFromSystem the tree maintainer's
-// steady state feeds on (dst[:0] of last step's buffer: no allocation).
+// the reusable-buffer form of SourcesFromSystem a Forcer's calls feed
+// on (dst[:0] of last call's buffer: no allocation).
 func AppendSources(dst []Source, s *nbody.System) []Source {
 	for i := 0; i < s.N(); i++ {
 		dst = append(dst, Source{X: s.X[i], Y: s.Y[i], Z: s.Z[i], M: s.M[i], Index: i})

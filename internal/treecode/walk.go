@@ -116,9 +116,9 @@ type walkNode struct {
 // outright. Quadrupole moments go to a parallel stride-6 array so the
 // monopole-only hot path stays compact.
 func buildWalkIndex(t *Tree) {
-	// Rebuilds reuse last build's backing arrays (the tree maintainer
-	// calls this after every structural change); a first build, where
-	// the slices are nil, sizes them exactly.
+	// Rebuilds reuse last build's backing arrays (a tree built into
+	// reused storage keeps them); a first build, where the slices are
+	// nil, sizes them exactly.
 	wn, wb := t.walk[:0], t.walkB[:0]
 	if cap(wn) < len(t.Nodes) {
 		wn = make([]walkNode, 0, len(t.Nodes))
