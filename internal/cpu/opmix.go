@@ -91,6 +91,12 @@ func (e EffCosts) Mops(ops float64, mix *isa.Trace) float64 {
 // want the memoized CalibrateFor, keeping this as the explicit bypass
 // for ablations that must observe a fresh simulation.
 func CalibrateForUncached(p Processor, missRate float64) (EffCosts, error) {
+	return Calibrate(calibrationModel(p, missRate))
+}
+
+// calibrationModel returns the model CalibrateForUncached runs: p with
+// its load cost set for missRate.
+func calibrationModel(p Processor, missRate float64) Processor {
 	switch pr := p.(type) {
 	case archProcessor:
 		a := *pr.a
@@ -102,16 +108,16 @@ func CalibrateForUncached(p Processor, missRate float64) (EffCosts, error) {
 		if a.LoadMissRate > 1 {
 			a.LoadMissRate = 1
 		}
-		return Calibrate(a.AsProcessor())
+		return a.AsProcessor()
 	case *Crusoe:
 		// A copy of the model without its Tracer: the calibration
 		// kernels are not part of the caller's traced experiment.
 		c := *pr
 		c.Tracer = nil
 		c.Timing.LoadLatency += int(missRate*10 + 0.5)
-		return Calibrate(&c)
+		return &c
 	default:
-		return Calibrate(p)
+		return p
 	}
 }
 
