@@ -334,6 +334,10 @@ func (m *Machine) translate(p isa.Program, pc int) error {
 	if err != nil {
 		return err
 	}
+	// Timed once here, so executions only read the translation.
+	if err := m.VLIW.Time(t); err != nil {
+		return err
+	}
 	cost := t.SrcInstrs * m.P.TranslateCostPerInstr
 	m.stats.Translations++
 	m.stats.TranslatedInstrs += uint64(t.SrcInstrs)
@@ -376,8 +380,8 @@ func (m *Machine) recordNative(res *vliw.ExecResult, tr *isa.Trace) {
 	m.stats.NativeCycles += res.Cycles
 	m.stats.NativeAtoms += res.Atoms
 	m.stats.NativeMolecules += res.Molecules
-	for c, n := range res.ByClass {
-		tr.ByClass[c] += n
+	for c := range res.ByClass {
+		tr.ByClass[c] += res.ByClass[c]
 	}
 	tr.Flops += res.Flops
 	tr.Instrs += res.Atoms

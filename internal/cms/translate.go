@@ -36,7 +36,8 @@ func NewTranslator() *Translator {
 // Translate builds a translation for the region starting at entryPC. The
 // region follows the fallthrough path: conditional branches become
 // side-exits, and the region ends at an unconditional jump, a hlt, the
-// MaxRegion limit, or the end of the program.
+// MaxRegion limit, or the end of the program. vliw.Machine.Time
+// validates the molecules when it times the translation.
 func (t *Translator) Translate(p isa.Program, entryPC int) (*vliw.Translation, error) {
 	if entryPC < 0 || entryPC >= len(p) {
 		return nil, fmt.Errorf("cms: translate entry %d out of range", entryPC)
@@ -59,9 +60,6 @@ func (t *Translator) Translate(p isa.Program, entryPC int) (*vliw.Translation, e
 			// Unconditional control transfer or hlt ends the region.
 			tr.Molecules = sched.finish()
 			tr.FallPC = pc // unreachable, but keep it valid
-			if err := tr.Validate(); err != nil {
-				return nil, err
-			}
 			return tr, nil
 		}
 	}
@@ -71,9 +69,6 @@ func (t *Translator) Translate(p isa.Program, entryPC int) (*vliw.Translation, e
 		// Region was all hlt-less empties (cannot happen with a valid
 		// program, but keep the invariant that translations are non-empty).
 		tr.Molecules = []vliw.Molecule{{Atoms: []isa.Instr{{Op: isa.Nop}}, Wide: t.Wide}}
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
 	}
 	return tr, nil
 }

@@ -1,9 +1,11 @@
 package cms
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/vliw"
 )
 
 // TestRunCountersDistinguishWarmRuns asserts Stats counts runs and which
@@ -31,5 +33,25 @@ func TestRunCountersDistinguishWarmRuns(t *testing.T) {
 	m.Reset()
 	if s := m.Stats(); s.Runs != 0 || s.WarmRuns != 0 {
 		t.Fatalf("Reset should zero run counters: %+v", s)
+	}
+}
+
+// TestWarmRunRejectsStaleTiming: translations are timed once, under the
+// machine's Timing when they are made. A warm run after that Timing
+// changed must fail rather than report the old timing; after Reset the
+// new Timing times fresh translations.
+func TestWarmRunRejectsStaleTiming(t *testing.T) {
+	p := isa.MustAssemble(sumLoopSrc)
+	m := newTestMachine(1)
+	if _, _, err := m.Run(p, isa.NewState(0), 0); err != nil {
+		t.Fatal(err)
+	}
+	m.VLIW.T.LoadLatency++
+	if _, _, err := m.Run(p, isa.NewState(0), 0); !errors.Is(err, vliw.ErrTiming) {
+		t.Fatalf("warm run under a changed Timing: err = %v, want vliw.ErrTiming", err)
+	}
+	m.Reset()
+	if _, _, err := m.Run(p, isa.NewState(0), 0); err != nil {
+		t.Fatalf("run after Reset: %v", err)
 	}
 }

@@ -29,8 +29,9 @@ type calibEntry struct {
 	err   error
 }
 
-// The hit/miss counters live in an obs registry; CalibCacheCounters
-// remains as a thin view over it.
+// The hit/miss counters live in an obs registry, read through
+// CalibMemoSource. A call that waited on another goroutine's in-flight
+// calibration counts as a hit.
 var (
 	calibMemo   sync.Map // calibKey -> *calibEntry
 	calibReg    = obs.NewRegistry()
@@ -61,13 +62,6 @@ func CalibrateFor(p Processor, missRate float64) (EffCosts, error) {
 		calibHits.Inc()
 	}
 	return e.costs, e.err
-}
-
-// CalibCacheCounters reports the process-wide memo hit and miss counts
-// (a call that waited on another goroutine's in-flight calibration
-// counts as a hit).
-func CalibCacheCounters() (hits, misses uint64) {
-	return calibHits.Value(), calibMisses.Value()
 }
 
 // ResetCalibCache drops every memoized calibration and zeroes the

@@ -5,6 +5,11 @@ import (
 	"testing"
 )
 
+// calibCounters reads the memo's process-wide hit and miss counts.
+func calibCounters() (hits, misses uint64) {
+	return calibHits.Value(), calibMisses.Value()
+}
+
 // TestCalibrateForMemoized asserts the second calibration of the same
 // (processor, miss rate) pair hits the process-wide cache and returns
 // the identical cost table.
@@ -15,7 +20,7 @@ func TestCalibrateForMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits0, misses0 := CalibCacheCounters()
+	hits0, misses0 := calibCounters()
 	if hits0 != 0 || misses0 != 1 {
 		t.Fatalf("after first call: hits=%d misses=%d, want 0/1", hits0, misses0)
 	}
@@ -23,7 +28,7 @@ func TestCalibrateForMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits1, misses1 := CalibCacheCounters()
+	hits1, misses1 := calibCounters()
 	if hits1 != 1 || misses1 != 1 {
 		t.Fatalf("after second call: hits=%d misses=%d, want 1/1", hits1, misses1)
 	}
@@ -34,7 +39,7 @@ func TestCalibrateForMemoized(t *testing.T) {
 	if _, err := CalibrateFor(p, 0.0456); err != nil {
 		t.Fatal(err)
 	}
-	if _, misses := CalibCacheCounters(); misses != 2 {
+	if _, misses := calibCounters(); misses != 2 {
 		t.Fatalf("different miss rate should miss; misses=%d, want 2", misses)
 	}
 	ResetCalibCache()
@@ -66,7 +71,7 @@ func TestCalibrateForConcurrent(t *testing.T) {
 			t.Fatalf("goroutine %d observed different costs", i)
 		}
 	}
-	hits, misses := CalibCacheCounters()
+	hits, misses := calibCounters()
 	if misses != 1 {
 		t.Fatalf("concurrent hammer ran calibration %d times, want 1", misses)
 	}
@@ -84,7 +89,7 @@ func TestCalibrateForUncachedBypassesMemo(t *testing.T) {
 	if _, err := CalibrateForUncached(p, 0.0111); err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := CalibCacheCounters(); hits != 0 || misses != 0 {
+	if hits, misses := calibCounters(); hits != 0 || misses != 0 {
 		t.Fatalf("bypass touched the memo: hits=%d misses=%d", hits, misses)
 	}
 }

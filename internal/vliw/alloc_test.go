@@ -25,10 +25,8 @@ func TestExecuteZeroAlloc(t *testing.T) {
 		},
 		SrcInstrs: 8,
 	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	m := NewMachine(TM5600Timing())
+	mustTime(t, m, tr)
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := m.Execute(tr, st); err != nil {
 			t.Fatal(err)

@@ -16,7 +16,12 @@
 // so translations can be checked for semantic equivalence against the
 // reference interpreter) and accounts cycles with a scoreboard: a molecule
 // issues when its source registers are ready and its units free; divides
-// and square roots block the FP unit.
+// and square roots block the FP unit. The scoreboard starts from zero at
+// every entry to a translation, so its result depends only on the
+// translation, the Timing and the molecule an execution leaves at:
+// Machine.Time runs it once per translation, as CMS translates a region
+// once, and Machine.Execute runs only the atoms and reads the cycles and
+// counts from the table Time stored.
 package vliw
 
 import (
@@ -164,6 +169,11 @@ type Translation struct {
 	// FallPC is the x86 PC execution continues at when the last molecule
 	// falls through (no branch taken).
 	FallPC int
+
+	// timing is the Timing Machine.Time ran the scoreboard under, and
+	// steps[k] what an exit at molecule k reports.
+	timing Timing
+	steps  []step
 }
 
 // Validate validates every molecule.

@@ -1,6 +1,7 @@
 package vliw
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -115,16 +116,36 @@ type ExecResult struct {
 	Flops   uint64
 }
 
-// Machine executes translations with cycle accounting. The scoreboard
-// (register-ready times and FP-unit busy time) persists across molecules
-// within one Execute call and is reset between calls; cross-translation
-// stalls are absorbed into the chaining cost the CMS layer charges.
+// Machine executes translations with cycle accounting. Its scoreboard
+// (register-ready times and FP-unit busy time) starts from zero at a
+// translation's entry and persists across its molecules; cross-
+// translation stalls are absorbed into the chaining cost the CMS layer
+// charges. Because every execution starts from the same zeroed
+// scoreboard and counts whole cycles, what an execution reports depends
+// only on the translation, T and the molecule it leaves at, never on
+// data: Time runs the scoreboard once per translation and Execute reads
+// its table.
 type Machine struct {
 	T Timing
 }
 
 // NewMachine returns a machine with the given timing.
 func NewMachine(t Timing) *Machine { return &Machine{T: t} }
+
+// ErrTiming is returned by Execute for a translation that Time did not
+// prepare under the executing machine's Timing.
+var ErrTiming = errors.New("vliw: translation not timed under this machine's Timing")
+
+// step is what an execution that leaves a translation at molecule k
+// reports, before a taken branch's penalty: the cumulative counts of
+// molecules 0..k. Counts are uint32 to keep the table small; Time
+// rejects a translation whose totals do not fit.
+type step struct {
+	cycles  uint32 // issue cycle of molecule k, plus one
+	atoms   uint32
+	flops   uint32
+	byClass [isa.NumClasses]uint32
+}
 
 type pendingWrite struct {
 	fp  bool
@@ -137,24 +158,24 @@ type pendingWrite struct {
 // parallel-commit buffer so Execute needs no heap allocation.
 const maxMoleculeAtoms = 4
 
-// Execute runs the translation against st until a branch exits, the last
-// molecule falls through, or a branch to a HaltCode halts the machine.
-//
-// Execute is the simulator's hottest host loop and performs no heap
-// allocation: the commit buffer is a fixed array and all register-read
-// queries return by value.
-func (m *Machine) Execute(t *Translation, st *State) (ExecResult, error) {
-	var res ExecResult
+// Time validates t and runs the scoreboard over its molecules once
+// under m.T, storing in t the counts an exit at each molecule reports.
+// Every translation must pass through Time before Execute runs it; the
+// CMS layer times each translation when it makes it. Time must not run
+// while t executes. Once it returns, t is only read, so any number of
+// goroutines may Execute it on separate States.
+func (m *Machine) Time(t *Translation) error {
+	if err := t.Validate(); err != nil {
+		return err
+	}
+	steps := make([]step, len(t.Molecules))
 	var regReadyR [NumIntRegs]uint64
 	var regReadyF [NumFPRegs]uint64
-	var fpuBusyUntil uint64
-	var cycle uint64
-	var writes [maxMoleculeAtoms]pendingWrite
-	var ops [maxMoleculeAtoms]isa.Operands
-
-	mi := 0
-	for mi < len(t.Molecules) {
+	var fpuBusyUntil, cycle, atoms uint64
+	var acc step
+	for mi := range t.Molecules {
 		mol := &t.Molecules[mi]
+		var ops [maxMoleculeAtoms]isa.Operands
 		// Issue time: all sources ready, FP unit free if an FP atom issues.
 		issue := cycle
 		for i := range mol.Atoms {
@@ -175,7 +196,56 @@ func (m *Machine) Execute(t *Translation, st *State) (ExecResult, error) {
 				issue = fpuBusyUntil
 			}
 		}
+		// Scoreboard updates and per-class counts.
+		for i := range mol.Atoms {
+			op := mol.Atoms[i].Op
+			c := isa.ClassOf(op)
+			ready := issue + uint64(m.T.Latency(c))
+			switch o := &ops[i]; o.Dst {
+			case isa.IntFile:
+				regReadyR[o.Rd] = ready
+			case isa.FPFile:
+				regReadyF[o.Rd] = ready
+			}
+			if c == isa.ClassFPDiv || c == isa.ClassFPSqrt {
+				fpuBusyUntil = ready
+			}
+			acc.byClass[c]++
+			if isa.IsFlop(op) {
+				acc.flops++
+			}
+		}
+		cycle = issue + 1
+		atoms += uint64(len(mol.Atoms))
+		acc.cycles, acc.atoms = uint32(cycle), uint32(atoms)
+		steps[mi] = acc
+	}
+	if cycle > math.MaxUint32 || atoms > math.MaxUint32 {
+		return fmt.Errorf("vliw: translation at pc %d: %d cycles, %d atoms exceed the timing table", t.EntryPC, cycle, atoms)
+	}
+	t.timing, t.steps = m.T, steps
+	return nil
+}
 
+// Execute runs the translation against st until a branch exits, the last
+// molecule falls through, or a branch to a HaltCode halts the machine.
+// It runs the atoms' semantics and commits each molecule's writes in
+// parallel; the cycles and counts it reports are those Time stored for
+// the molecule it leaves at, plus BranchPenalty on a taken branch. If an
+// atom fails, the result counts the molecules before the failing one and
+// reports no cycles. Execute returns ErrTiming unless Time prepared t
+// under m.T, and writes nothing into t.
+//
+// Execute is the simulator's hottest host loop and performs no heap
+// allocation: the commit buffer is a fixed array. The result is named so
+// the table entry is written straight into the caller's copy.
+func (m *Machine) Execute(t *Translation, st *State) (res ExecResult, err error) {
+	if len(t.steps) != len(t.Molecules) || t.timing != m.T {
+		return res, ErrTiming
+	}
+	var writes [maxMoleculeAtoms]pendingWrite
+	for mi := range t.Molecules {
+		mol := &t.Molecules[mi]
 		// Parallel semantics: compute all results, then commit.
 		nw := 0
 		var branchTo int
@@ -183,6 +253,10 @@ func (m *Machine) Execute(t *Translation, st *State) (ExecResult, error) {
 		for i := range mol.Atoms {
 			wrote, br, taken, halt, err := execAtom(&mol.Atoms[i], st, &writes[nw])
 			if err != nil {
+				if mi > 0 {
+					t.result(&res, mi-1)
+					res.Cycles = 0
+				}
 				return res, fmt.Errorf("vliw: molecule %d: %w", mi, err)
 			}
 			if wrote {
@@ -203,50 +277,36 @@ func (m *Machine) Execute(t *Translation, st *State) (ExecResult, error) {
 				st.setR(w.reg, w.vi)
 			}
 		}
-
-		// Scoreboard updates and per-class counts.
-		for i := range mol.Atoms {
-			op := mol.Atoms[i].Op
-			c := isa.ClassOf(op)
-			ready := issue + uint64(m.T.Latency(c))
-			switch o := &ops[i]; o.Dst {
-			case isa.IntFile:
-				regReadyR[o.Rd] = ready
-			case isa.FPFile:
-				regReadyF[o.Rd] = ready
-			}
-			if c == isa.ClassFPDiv || c == isa.ClassFPSqrt {
-				fpuBusyUntil = ready
-			}
-			res.ByClass[c]++
-			if isa.IsFlop(op) {
-				res.Flops++
-			}
-		}
-
-		cycle = issue + 1
-		res.Molecules++
-		res.Atoms += uint64(len(mol.Atoms))
-
 		if halted {
 			st.Arch.Halted = true
+			t.result(&res, mi)
 			res.Halted = true
-			res.Cycles = cycle
 			res.ExitPC = branchTo
 			return res, nil
 		}
 		if branched {
-			cycle += uint64(m.T.BranchPenalty)
-			res.Cycles = cycle
+			t.result(&res, mi)
+			res.Cycles += uint64(m.T.BranchPenalty)
 			res.ExitPC = branchTo
 			res.Taken = true
 			return res, nil
 		}
-		mi++
 	}
-	res.Cycles = cycle
+	t.result(&res, len(t.Molecules)-1)
 	res.ExitPC = t.FallPC
 	return res, nil
+}
+
+// result sets res's cycles and counts to those of an exit at molecule k.
+func (t *Translation) result(res *ExecResult, k int) {
+	s := &t.steps[k]
+	res.Cycles = uint64(s.cycles)
+	res.Atoms = uint64(s.atoms)
+	res.Molecules = uint64(k + 1)
+	res.Flops = uint64(s.flops)
+	for c := range s.byClass {
+		res.ByClass[c] = uint64(s.byClass[c])
+	}
 }
 
 // HaltCode encodes a halt exit for a branch atom's Imm: the machine halts
