@@ -474,27 +474,30 @@ func BenchmarkAmbientTemperature(b *testing.B) {
 }
 
 // BenchmarkHostParallel measures the internal/par execution layer on the
-// real host: tree build and O(N²) direct forces at N=30000, serial
-// (workers=1) versus the full worker pool (workers=GOMAXPROCS). Force
-// output is bit-identical across widths (asserted by the determinism
-// tests); only wall-clock changes, so the speedup is read directly off
-// ns/op. Note Table 2's "cpus" are simulated blades; these workers are
-// real host cores — the two axes are independent (DESIGN.md §8).
+// real host: the treecode force step and O(N²) direct forces at
+// N=30000, serial (workers=1) versus the full worker pool
+// (workers=GOMAXPROCS), plus the tree build, which is serial at every
+// width. Force output is bit-identical across widths (asserted by the
+// determinism tests); only wall-clock changes, so the speedup is read
+// directly off ns/op. Note Table 2's "cpus" are simulated blades; these
+// workers are real host cores — the two axes are independent
+// (DESIGN.md §8).
 func BenchmarkHostParallel(b *testing.B) {
 	const n = 30000
+	srcs := treecode.SourcesFromSystem(nbody.NewPlummer(n, 1, 2001))
+	b.Run("treebuild", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := treecode.Build(srcs, treecode.BuildOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	widths := []int{1}
 	if g := runtime.GOMAXPROCS(0); g > 1 {
 		widths = append(widths, g)
 	}
 	for _, w := range widths {
-		build, forces := hostParallelOps(n, w)
-		b.Run(fmt.Sprintf("treebuild/workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := build(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		forces := hostForceStep(n, w)
 		b.Run(fmt.Sprintf("treeforces/workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := forces(); err != nil {
@@ -513,18 +516,12 @@ func BenchmarkHostParallel(b *testing.B) {
 	}
 }
 
-// hostParallelOps returns a tree build and a treecode force call over
-// an n-particle Plummer sphere, each on the given worker count.
-func hostParallelOps(n, workers int) (build, forces func() error) {
-	srcs := treecode.SourcesFromSystem(nbody.NewPlummer(n, 1, 2001))
-	build = func() error {
-		_, err := treecode.Build(srcs, treecode.BuildOptions{Workers: workers})
-		return err
-	}
+// hostForceStep returns a treecode force call over an n-particle
+// Plummer sphere on the given worker count.
+func hostForceStep(n, workers int) func() error {
 	sys := nbody.NewPlummer(n, 1, 2001)
 	f := &treecode.Forcer{Theta: 0.7, Workers: workers}
-	forces = func() error { return f.Forces(sys) }
-	return build, forces
+	return func() error { return f.Forces(sys) }
 }
 
 // BenchmarkCalibrationMemo shows what the process-wide calibration memo

@@ -311,13 +311,3 @@ func Disassemble(in Instr) string {
 	}
 	return d.name + " " + strings.Join(args, ", ")
 }
-
-// DisassembleProgram renders the whole program, one instruction per line,
-// with instruction indices as comments.
-func DisassembleProgram(p Program) string {
-	var b strings.Builder
-	for i, in := range p {
-		fmt.Fprintf(&b, "%s ; %d\n", Disassemble(in), i)
-	}
-	return b.String()
-}

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -183,9 +184,9 @@ func TestDisassembleRoundTrip(t *testing.T) {
 	`
 	p1 := MustAssemble(src)
 	// Disassemble and re-assemble; programs must be identical.
-	p2, err := Assemble(DisassembleProgram(p1))
+	p2, err := Assemble(disassembleProgram(p1))
 	if err != nil {
-		t.Fatalf("reassembly failed: %v\n%s", err, DisassembleProgram(p1))
+		t.Fatalf("reassembly failed: %v\n%s", err, disassembleProgram(p1))
 	}
 	if len(p1) != len(p2) {
 		t.Fatalf("length mismatch %d vs %d", len(p1), len(p2))
@@ -246,7 +247,7 @@ func TestDisassembleRoundTripProperty(t *testing.T) {
 			in.Rd = 0
 		}
 		prog := Program{in, {Op: Hlt}}
-		src := DisassembleProgram(prog)
+		src := disassembleProgram(prog)
 		p2, err := Assemble(src)
 		if err != nil {
 			t.Logf("op=%s src=%q err=%v", op, src, err)
@@ -495,4 +496,14 @@ func TestShrIsLogical(t *testing.T) {
 	if s.R[2] != want {
 		t.Fatalf("shr -8>>1 = %d, want %d (logical)", s.R[2], want)
 	}
+}
+
+// disassembleProgram renders the whole program, one instruction per line,
+// with instruction indices as comments.
+func disassembleProgram(p Program) string {
+	var b strings.Builder
+	for i, in := range p {
+		fmt.Fprintf(&b, "%s ; %d\n", Disassemble(in), i)
+	}
+	return b.String()
 }

@@ -6,7 +6,6 @@ package kernels
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/isa"
@@ -259,78 +258,6 @@ func (g GravMicro) emitKarpRsqrt(w func(string, ...any), tableBase int) {
 		}
 	}
 	w("; --- end Karp rsqrt ---")
-}
-
-// Reference computes the accelerations in Go using the exact arithmetic
-// sequence the generated program executes, so results can be compared
-// bit-for-bit against the ISA run.
-func (g GravMicro) Reference() (ax, ay, az float64, err error) {
-	xj, yj, zj, bodies := g.particles()
-	var table []float64
-	if g.Variant == GravKarp {
-		table, err = rsqrt.MonomialTable(g.TableBits, g.ChebDeg)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-	}
-	for it := 0; it < g.Iters; it++ {
-		for i := 0; i < g.NBodies; i++ {
-			xk := bodies[i*4+0]
-			yk := bodies[i*4+1]
-			zk := bodies[i*4+2]
-			mk := bodies[i*4+3]
-			dx := xk - xj
-			dy := yk - yj
-			dz := zk - zj
-			r2 := dx*dx + dy*dy + dz*dz
-			var rinv3 float64
-			if g.Variant == GravMath {
-				r := math.Sqrt(r2)
-				rinv3 = 1.0 / (r * r2)
-			} else {
-				y := g.karpEval(table, r2)
-				rinv3 = y * y * y
-			}
-			s := mk * rinv3
-			ax += s * dx
-			ay += s * dy
-			az += s * dz
-		}
-	}
-	return ax, ay, az, nil
-}
-
-// karpEval mirrors emitKarpRsqrt op-for-op.
-func (g GravMicro) karpEval(table []float64, x float64) float64 {
-	bits := math.Float64bits(x)
-	bexp := int(bits >> 52 & 0x7FF)
-	mant := bits & (1<<52 - 1)
-	p := (bexp + 1) & 1
-	m := math.Float64frombits(1023<<52 | mant)
-	j := int(mant >> (52 - uint(g.TableBits)))
-	idx := (p << g.TableBits) | j
-	base := idx * (g.ChebDeg + 1)
-	y := table[base+g.ChebDeg]
-	for k := g.ChebDeg - 1; k >= 0; k-- {
-		y = y*m + table[base+k]
-	}
-	scale := math.Float64frombits(uint64((3069+p-bexp)>>1) << 52)
-	y = y * scale
-	if g.NRIters > 0 {
-		xh := 0.5 * x
-		for i := 0; i < g.NRIters; i++ {
-			t := y * y
-			t = xh * t
-			t = 1.5 - t
-			y = y * t
-		}
-	}
-	return y
-}
-
-// ReadAccel extracts the accumulated acceleration from a finished run.
-func ReadAccel(st *isa.State) (ax, ay, az float64) {
-	return st.LoadF(addrAX), st.LoadF(addrAY), st.LoadF(addrAZ)
 }
 
 // Interactions returns the number of particle interactions the kernel

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cms"
 	"repro/internal/isa"
+	"repro/internal/rsqrt"
 	"repro/internal/vliw"
 )
 
@@ -18,8 +19,8 @@ func TestGravMicroMathMatchesReferenceBitExact(t *testing.T) {
 	if err := isa.Run(p, st, nil, 50_000_000); err != nil {
 		t.Fatal(err)
 	}
-	ax, ay, az := ReadAccel(st)
-	wx, wy, wz, err := g.Reference()
+	ax, ay, az := readAccel(st)
+	wx, wy, wz, err := g.reference()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +41,8 @@ func TestGravMicroKarpMatchesReferenceBitExact(t *testing.T) {
 	if err := isa.Run(p, st, nil, 50_000_000); err != nil {
 		t.Fatal(err)
 	}
-	ax, ay, az := ReadAccel(st)
-	wx, wy, wz, err := g.Reference()
+	ax, ay, az := readAccel(st)
+	wx, wy, wz, err := g.reference()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +59,11 @@ func TestGravMicroVariantsAgreeNumerically(t *testing.T) {
 	gk.Variant = GravKarp
 	gk.TableBits, gk.ChebDeg, gk.NRIters = 7, 2, 2
 
-	mx, my, mz, err := gm.Reference()
+	mx, my, mz, err := gm.reference()
 	if err != nil {
 		t.Fatal(err)
 	}
-	kx, ky, kz, err := gk.Reference()
+	kx, ky, kz, err := gk.reference()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +89,8 @@ func TestGravMicroRunsUnderCMS(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", variant, err)
 		}
-		ax, ay, az := ReadAccel(st)
-		wx, wy, wz, err := g.Reference()
+		ax, ay, az := readAccel(st)
+		wx, wy, wz, err := g.reference()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,4 +218,76 @@ func TestGravMicroUnderCMSvsNarrowMolecules(t *testing.T) {
 	if wideC > narrowC {
 		t.Fatalf("wide molecules slower: %d vs %d cycles", wideC, narrowC)
 	}
+}
+
+// reference computes the accelerations in Go using the exact arithmetic
+// sequence the generated program executes, so results can be compared
+// bit-for-bit against the ISA run.
+func (g GravMicro) reference() (ax, ay, az float64, err error) {
+	xj, yj, zj, bodies := g.particles()
+	var table []float64
+	if g.Variant == GravKarp {
+		table, err = rsqrt.MonomialTable(g.TableBits, g.ChebDeg)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+	}
+	for it := 0; it < g.Iters; it++ {
+		for i := 0; i < g.NBodies; i++ {
+			xk := bodies[i*4+0]
+			yk := bodies[i*4+1]
+			zk := bodies[i*4+2]
+			mk := bodies[i*4+3]
+			dx := xk - xj
+			dy := yk - yj
+			dz := zk - zj
+			r2 := dx*dx + dy*dy + dz*dz
+			var rinv3 float64
+			if g.Variant == GravMath {
+				r := math.Sqrt(r2)
+				rinv3 = 1.0 / (r * r2)
+			} else {
+				y := g.karpEval(table, r2)
+				rinv3 = y * y * y
+			}
+			s := mk * rinv3
+			ax += s * dx
+			ay += s * dy
+			az += s * dz
+		}
+	}
+	return ax, ay, az, nil
+}
+
+// karpEval mirrors emitKarpRsqrt op-for-op.
+func (g GravMicro) karpEval(table []float64, x float64) float64 {
+	bits := math.Float64bits(x)
+	bexp := int(bits >> 52 & 0x7FF)
+	mant := bits & (1<<52 - 1)
+	p := (bexp + 1) & 1
+	m := math.Float64frombits(1023<<52 | mant)
+	j := int(mant >> (52 - uint(g.TableBits)))
+	idx := (p << g.TableBits) | j
+	base := idx * (g.ChebDeg + 1)
+	y := table[base+g.ChebDeg]
+	for k := g.ChebDeg - 1; k >= 0; k-- {
+		y = y*m + table[base+k]
+	}
+	scale := math.Float64frombits(uint64((3069+p-bexp)>>1) << 52)
+	y = y * scale
+	if g.NRIters > 0 {
+		xh := 0.5 * x
+		for i := 0; i < g.NRIters; i++ {
+			t := y * y
+			t = xh * t
+			t = 1.5 - t
+			y = y * t
+		}
+	}
+	return y
+}
+
+// readAccel extracts the accumulated acceleration from a finished run.
+func readAccel(st *isa.State) (ax, ay, az float64) {
+	return st.LoadF(addrAX), st.LoadF(addrAY), st.LoadF(addrAZ)
 }

@@ -52,7 +52,7 @@ func TestBlockStepperEnergyAndMomentum(t *testing.T) {
 	s := NewPlummer(256, 1, 42)
 	k0, p0 := s.Energy()
 	e0 := k0 + p0
-	px0, py0, pz0 := s.Momentum()
+	px0, py0, pz0 := s.momentum()
 	var b BlockStepper
 	if err := b.Run(s, DirectForcer{}, BlockConfig{DT: 0.01, MaxRung: 4, Eta: 0.05}, 100); err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestBlockStepperEnergyAndMomentum(t *testing.T) {
 	// uniform leapfrog enjoys, so momentum drifts at the truncation
 	// level rather than roundoff — it must stay far below typical
 	// particle momenta (~1/N here).
-	px1, py1, pz1 := s.Momentum()
+	px1, py1, pz1 := s.momentum()
 	if math.Abs(px1-px0)+math.Abs(py1-py0)+math.Abs(pz1-pz0) > 1e-4 {
 		t.Fatal("momentum drifted beyond the truncation level")
 	}

@@ -41,11 +41,11 @@ func TestICPresetsConservation(t *testing.T) {
 			if math.Abs(mt-1) > 1e-12 {
 				t.Fatalf("total mass %v, want 1", mt)
 			}
-			px, py, pz := s.Momentum()
+			px, py, pz := s.momentum()
 			if p := math.Sqrt(px*px + py*py + pz*pz); p > 1e-14 {
 				t.Fatalf("initial momentum %g, want ~0", p)
 			}
-			cx0, cy0, cz0 := s.CenterOfMass()
+			cx0, cy0, cz0 := s.centerOfMass()
 
 			k0, p0 := s.Energy()
 			e0 := k0 + p0
@@ -56,11 +56,11 @@ func TestICPresetsConservation(t *testing.T) {
 			if d := math.Abs((k1 + p1 - e0) / e0); d > tc.drift {
 				t.Fatalf("relative energy drift %g exceeds %g", d, tc.drift)
 			}
-			px, py, pz = s.Momentum()
+			px, py, pz = s.momentum()
 			if p := math.Sqrt(px*px + py*py + pz*pz); p > 1e-10 {
 				t.Fatalf("momentum after integration %g, want ~0", p)
 			}
-			cx, cy, cz := s.CenterOfMass()
+			cx, cy, cz := s.centerOfMass()
 			if d := math.Abs(cx-cx0) + math.Abs(cy-cy0) + math.Abs(cz-cz0); d > 1e-10 {
 				t.Fatalf("centre of mass moved by %g", d)
 			}

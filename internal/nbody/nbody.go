@@ -269,28 +269,3 @@ func (s *System) EnergyWith(pool *par.Pool) (kinetic, potential float64) {
 	}
 	return kinetic, potential
 }
-
-// CenterOfMass returns the mass-weighted mean position.
-func (s *System) CenterOfMass() (x, y, z float64) {
-	var mt float64
-	for i := 0; i < s.N(); i++ {
-		x += s.M[i] * s.X[i]
-		y += s.M[i] * s.Y[i]
-		z += s.M[i] * s.Z[i]
-		mt += s.M[i]
-	}
-	if mt > 0 {
-		x, y, z = x/mt, y/mt, z/mt
-	}
-	return
-}
-
-// Momentum returns the total momentum vector.
-func (s *System) Momentum() (px, py, pz float64) {
-	for i := 0; i < s.N(); i++ {
-		px += s.M[i] * s.VX[i]
-		py += s.M[i] * s.VY[i]
-		pz += s.M[i] * s.VZ[i]
-	}
-	return
-}

@@ -80,11 +80,11 @@ func TestLeapfrogEnergyConservation(t *testing.T) {
 
 func TestLeapfrogMomentumConservation(t *testing.T) {
 	s := NewPlummer(32, 1, 11)
-	px0, py0, pz0 := s.Momentum()
+	px0, py0, pz0 := s.momentum()
 	if err := s.Leapfrog(DirectForcer{}, 0.001, 100); err != nil {
 		t.Fatal(err)
 	}
-	px1, py1, pz1 := s.Momentum()
+	px1, py1, pz1 := s.momentum()
 	if math.Abs(px1-px0)+math.Abs(py1-py0)+math.Abs(pz1-pz0) > 1e-12 {
 		t.Fatal("momentum not conserved")
 	}
@@ -226,4 +226,29 @@ func TestRenderValidation(t *testing.T) {
 	if _, err := RenderAuto(empty, 4, 4); err == nil {
 		t.Error("empty system accepted")
 	}
+}
+
+// centerOfMass returns the mass-weighted mean position.
+func (s *System) centerOfMass() (x, y, z float64) {
+	var mt float64
+	for i := 0; i < s.N(); i++ {
+		x += s.M[i] * s.X[i]
+		y += s.M[i] * s.Y[i]
+		z += s.M[i] * s.Z[i]
+		mt += s.M[i]
+	}
+	if mt > 0 {
+		x, y, z = x/mt, y/mt, z/mt
+	}
+	return
+}
+
+// momentum returns the total momentum vector.
+func (s *System) momentum() (px, py, pz float64) {
+	for i := 0; i < s.N(); i++ {
+		px += s.M[i] * s.VX[i]
+		py += s.M[i] * s.VY[i]
+		pz += s.M[i] * s.VZ[i]
+	}
+	return
 }

@@ -63,8 +63,9 @@ func TestSnapshotCSVGolden(t *testing.T) {
 }
 
 func TestTraceJSONGolden(t *testing.T) {
+	// A deterministic clock: each reading advances 100 µs.
 	clock := 0.0
-	tr := NewTracerWithClock(func() float64 { clock += 100; return clock })
+	tr := &Tracer{clock: func() float64 { clock += 100; return clock }}
 	tr.NameProcess(PidHost, "host (wall clock)")
 	sp := tr.Begin(PidHost, 0, "treecode", "build")
 	sp.End(map[string]any{"nodes": 42, "label": "tree"})

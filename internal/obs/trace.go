@@ -57,12 +57,6 @@ func NewTracer() *Tracer {
 	}}
 }
 
-// NewTracerWithClock returns a tracer with a caller-supplied clock
-// returning microseconds — deterministic traces for golden tests.
-func NewTracerWithClock(clock func() float64) *Tracer {
-	return &Tracer{clock: clock}
-}
-
 // Now returns the tracer's wall clock in microseconds (0 on nil).
 func (t *Tracer) Now() float64 {
 	if t == nil {

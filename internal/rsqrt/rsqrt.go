@@ -74,24 +74,6 @@ func MustKarp(tableBits, chebDeg, nrIters int) *Karp {
 	return k
 }
 
-// DefaultKarp returns the configuration used by the paper-replica
-// microkernel: 7 table bits, degree-2 Chebyshev, 2 Newton–Raphson steps —
-// full double precision with no sqrt or divide.
-func DefaultKarp() *Karp { return MustKarp(7, 2, 2) }
-
-// TableBits returns the mantissa bits used for table indexing.
-func (k *Karp) TableBits() int { return k.tableBits }
-
-// ChebDegree returns the Chebyshev polynomial degree.
-func (k *Karp) ChebDegree() int { return k.chebDeg }
-
-// NRIters returns the Newton–Raphson iteration count.
-func (k *Karp) NRIters() int { return k.nrIters }
-
-// TableEntries returns the number of table intervals (including the
-// exponent-parity dimension).
-func (k *Karp) TableEntries() int { return 2 << k.tableBits }
-
 // Rsqrt computes 1/sqrt(x) for finite x > 0.
 func (k *Karp) Rsqrt(x float64) float64 {
 	bits := math.Float64bits(x)

@@ -28,7 +28,7 @@ func TestNewKarpParamValidation(t *testing.T) {
 }
 
 func TestKarpDefaultFullPrecision(t *testing.T) {
-	k := DefaultKarp()
+	k := MustKarp(7, 2, 2)
 	if err := k.Rsqrt(2); err == 0 {
 		t.Fatal("zero result")
 	}
@@ -39,7 +39,7 @@ func TestKarpDefaultFullPrecision(t *testing.T) {
 }
 
 func TestKarpExactValues(t *testing.T) {
-	k := DefaultKarp()
+	k := MustKarp(7, 2, 2)
 	cases := []struct{ x, want float64 }{
 		{1, 1}, {4, 0.5}, {16, 0.25}, {0.25, 2}, {2, 1 / math.Sqrt2},
 		{1e10, 1e-5}, {1e-10, 1e5}, {3, 1 / math.Sqrt(3)},
@@ -92,7 +92,7 @@ func TestKarpChebDegreeImprovesSeed(t *testing.T) {
 }
 
 func TestKarpPropertyAgainstMath(t *testing.T) {
-	k := DefaultKarp()
+	k := MustKarp(7, 2, 2)
 	f := func(raw float64) bool {
 		x := math.Abs(raw)
 		if x == 0 || math.IsInf(x, 0) || math.IsNaN(x) {
@@ -114,7 +114,7 @@ func TestKarpPropertyAgainstMath(t *testing.T) {
 func TestKarpOddEvenExponents(t *testing.T) {
 	// Exponent parity handling: check values straddling powers of two,
 	// including negative exponents (floor-division path).
-	k := DefaultKarp()
+	k := MustKarp(7, 2, 2)
 	for _, x := range []float64{0.9, 1.1, 1.9, 2.1, 3.9, 4.1, 0.49, 0.51, 0.24, 0.26, 7.99, 8.01} {
 		want := 1 / math.Sqrt(x)
 		got := k.Rsqrt(x)
@@ -125,7 +125,7 @@ func TestKarpOddEvenExponents(t *testing.T) {
 }
 
 func TestKarpSubnormalFallback(t *testing.T) {
-	k := DefaultKarp()
+	k := MustKarp(7, 2, 2)
 	x := 1e-320 // subnormal
 	want := 1 / math.Sqrt(x)
 	got := k.Rsqrt(x)
@@ -144,15 +144,13 @@ func TestFlopsPerCall(t *testing.T) {
 	}
 }
 
+// TestTableEntries checks the table's shape: 2^tableBits intervals per
+// exponent parity, each holding chebDeg+1 coefficients.
 func TestTableEntries(t *testing.T) {
-	if got := MustKarp(7, 2, 2).TableEntries(); got != 256 {
-		t.Fatalf("TableEntries = %d, want 256", got)
-	}
-}
-
-func TestAccessors(t *testing.T) {
-	k := MustKarp(6, 1, 3)
-	if k.TableBits() != 6 || k.ChebDegree() != 1 || k.NRIters() != 3 {
-		t.Fatalf("accessors: %d %d %d", k.TableBits(), k.ChebDegree(), k.NRIters())
+	for _, c := range []struct{ bits, deg, intervals int }{{7, 2, 256}, {6, 1, 128}} {
+		k := MustKarp(c.bits, c.deg, 3)
+		if got := len(k.coeffs) / (c.deg + 1); got != c.intervals {
+			t.Fatalf("MustKarp(%d, %d, 3) has %d table intervals, want %d", c.bits, c.deg, got, c.intervals)
+		}
 	}
 }

@@ -96,9 +96,6 @@ func TestBreakdownSumInvariant(t *testing.T) {
 							t.Fatalf("non-finite or negative cost part in %+v", b)
 						}
 					}
-					if b.OperatingCost() != sum-b.Acquisition {
-						t.Fatalf("OperatingCost %g != OC %g", b.OperatingCost(), sum-b.Acquisition)
-					}
 				}
 			}
 		}

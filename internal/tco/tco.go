@@ -123,11 +123,6 @@ func (b Breakdown) TCO() float64 {
 	return b.Acquisition + b.SysAdmin + b.PowerCooling + b.Space + b.Downtime
 }
 
-// OperatingCost returns OC = SAC + PCC + SCC + DTC.
-func (b Breakdown) OperatingCost() float64 {
-	return b.TCO() - b.Acquisition
-}
-
 // Compute evaluates the cost model.
 func Compute(cfg Config, r Rates) (Breakdown, error) {
 	var b Breakdown

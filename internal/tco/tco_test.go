@@ -161,9 +161,6 @@ func TestBreakdownAlgebra(t *testing.T) {
 	if b.TCO() != 20 {
 		t.Fatalf("TCO = %v", b.TCO())
 	}
-	if b.OperatingCost() != 10 {
-		t.Fatalf("OC = %v", b.OperatingCost())
-	}
 }
 
 func TestMetricEdgeCases(t *testing.T) {

@@ -125,6 +125,32 @@ func TestDualWorkersBitIdentical(t *testing.T) {
 	}
 }
 
+// TestParallelForcesBitIdentical asserts the treecode force loop returns
+// bit-identical acceleration arrays at worker counts 1, 2 and 8, and the
+// same interaction statistics.
+func TestParallelForcesBitIdentical(t *testing.T) {
+	run := func(w int) (*nbody.System, Stats) {
+		s := nbody.NewPlummer(6000, 1, 2024)
+		f := &Forcer{Theta: 0.7, Workers: w}
+		if err := f.Forces(s); err != nil {
+			t.Fatal(err)
+		}
+		return s, f.LastStats
+	}
+	ref, refStats := run(1)
+	for _, w := range []int{2, 8} {
+		got, gotStats := run(w)
+		if gotStats != refStats {
+			t.Fatalf("workers=%d stats %+v differ from serial %+v", w, gotStats, refStats)
+		}
+		for i := 0; i < ref.N(); i++ {
+			if got.AX[i] != ref.AX[i] || got.AY[i] != ref.AY[i] || got.AZ[i] != ref.AZ[i] {
+				t.Fatalf("workers=%d: acceleration of particle %d differs from serial", w, i)
+			}
+		}
+	}
+}
+
 // TestSofteningAgreesWithRecursive is the regression for the hoisted
 // softening helper: at eps = 0 and eps > 0 alike, the dual engine must
 // stay RMS-bounded by the recursive walk. A wrong eps² in either engine

@@ -173,20 +173,19 @@ func failForcePhasesThenStep() error {
 }
 
 // TestParallelSweepScratchMatchesBuild builds force trees into one
-// scratch in turn — large, small, quadrupole, monopole, serial and on
-// the parallel spine — and checks each against a fresh Build: a reused
-// scratch carries no state from the tree before it.
+// scratch in turn — large, small, quadrupole and monopole — and checks
+// each against a fresh Build: a reused scratch carries no state from the
+// tree before it.
 func TestParallelSweepScratchMatchesBuild(t *testing.T) {
 	sc := &forceScratch{arena: &WalkArena{}}
 	for _, tc := range []struct {
-		n       int
-		seed    uint64
-		quad    bool
-		workers int
-	}{{5000, 1, true, 1}, {700, 2, false, 1}, {9000, 3, false, 4}, {3000, 4, true, 1}, {6000, 6, true, 2}, {1, 5, false, 4}} {
+		n    int
+		seed uint64
+		quad bool
+	}{{5000, 1, true}, {700, 2, false}, {9000, 3, false}, {3000, 4, true}, {6000, 6, true}, {1, 5, false}} {
 		srcs := SourcesFromSystem(nbody.NewPlummer(tc.n, 1, tc.seed))
-		opt := BuildOptions{Quadrupole: tc.quad, Workers: tc.workers}
-		want, err := Build(srcs, BuildOptions{Quadrupole: tc.quad, Workers: 1})
+		opt := BuildOptions{Quadrupole: tc.quad}
+		want, err := Build(srcs, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +193,7 @@ func TestParallelSweepScratchMatchesBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameTree(t, got, want, fmt.Sprintf("scratch tree n=%d workers=%d", tc.n, tc.workers))
+		requireSameTree(t, got, want, fmt.Sprintf("scratch tree n=%d", tc.n))
 	}
 }
 

@@ -207,37 +207,5 @@ func interleave3(v uint32) uint64 {
 	return x
 }
 
-// Level returns the depth of a key (root = 0).
-func (k Key) Level() int {
-	if k == 0 {
-		return -1
-	}
-	bits := 63 - leadingZeros64(uint64(k))
-	return bits / 3
-}
-
-func leadingZeros64(v uint64) int {
-	n := 0
-	for i := 63; i >= 0; i-- {
-		if v&(1<<uint(i)) != 0 {
-			return n
-		}
-		n++
-	}
-	return 64
-}
-
 // Child returns the key of the oct-th child.
 func (k Key) Child(oct int) Key { return k<<3 | Key(oct&7) }
-
-// Parent returns the parent key (the root's parent is 0).
-func (k Key) Parent() Key { return k >> 3 }
-
-// AncestorAt returns the ancestor of a full-depth key at the given level.
-func (k Key) AncestorAt(level int) Key {
-	depth := k.Level()
-	if level >= depth {
-		return k
-	}
-	return k >> uint(3*(depth-level))
-}

@@ -214,10 +214,8 @@ func ParallelCost(w *mpi.World, s *nbody.System, cfg ParallelConfig) (*ParallelR
 // the received wire buffers. The force phase decodes them, builds the
 // force tree over local + imported sources and walks it; it does no
 // communication, so it runs under the process-wide force gate on a
-// reused forceScratch (see forceSlot). Both builds split the host's
-// workers among the world's ranks, which run concurrently: a world of
-// p ranks builds at max(1, par.Workers()/p), so a world with fewer
-// ranks than workers keeps the parallel build.
+// reused forceScratch (see forceSlot). Both builds are serial: the
+// host's parallelism is the world's ranks, which run concurrently.
 func parallelStep(w *mpi.World, s *nbody.System, cfg ParallelConfig, eval bool) (*ParallelResult, error) {
 	if cfg.Theta <= 0 {
 		cfg.Theta = 0.7
@@ -229,7 +227,7 @@ func parallelStep(w *mpi.World, s *nbody.System, cfg ParallelConfig, eval bool) 
 	res := &ParallelResult{}
 	perRank := make([]Stats, w.Size())
 	imported := make([]int64, w.Size())
-	opt := BuildOptions{Quadrupole: cfg.Quadrupole, Workers: max(1, par.Workers()/w.Size())}
+	opt := BuildOptions{Quadrupole: cfg.Quadrupole}
 
 	// span records a virtual-time phase span for a rank on the world's
 	// tracer (nil-safe): the simulated-cluster time domain, seconds

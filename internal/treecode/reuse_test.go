@@ -78,7 +78,7 @@ func requireSameTree(t *testing.T, got, want *Tree, label string) {
 }
 
 // TestScratchBuildZeroAlloc pins the Forcer's build: once a scratch
-// is warm (buffers sized, walk index live), a width-1 build over a
+// is warm (buffers sized, walk index live), a build over a
 // *moving* system — keying, sort, node construction and the walk
 // index a force call rebuilds — performs zero allocations, and its
 // tree is bit-identical to a fresh Build.
@@ -90,7 +90,7 @@ func TestScratchBuildZeroAlloc(t *testing.T) {
 		dt   float64
 	}{{4000, 13, true, 0.02}, {20000, 2001, false, 0.005}} {
 		s := nbody.NewPlummer(tc.n, 1, tc.seed)
-		opt := BuildOptions{Quadrupole: tc.quad, Workers: 1}
+		opt := BuildOptions{Quadrupole: tc.quad}
 		var sc forceScratch
 		step := func() *Tree {
 			drift(s, tc.dt)

@@ -3,7 +3,6 @@ package treecode
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 
@@ -63,22 +62,7 @@ type BuildOptions struct {
 	Bucket     int  // max particles per leaf (default 8)
 	MaxDepth   int  // default 20 (one less than key resolution)
 	Quadrupole bool // compute quadrupole moments
-	// Workers is the host worker-pool width used for key generation and
-	// per-octant subtree construction; 0 follows par.Workers(). The tree
-	// (node order, keys, moments) is bit-identical at every width.
-	Workers int
 }
-
-// Morton-key generation grain and the size below which a parallel build
-// isn't worth the fan-out. Fixed constants so chunking never depends on
-// the worker count.
-const (
-	keyGrain      = 8192
-	parallelBuild = 4096
-	// spineDepth is how many levels the serial spine descends before
-	// handing octant subtrees to the pool (up to 8^spineDepth tasks).
-	spineDepth = 2
-)
 
 // Build constructs a tree over the sources.
 func Build(sources []Source, opt BuildOptions) (*Tree, error) {
@@ -105,13 +89,12 @@ func normalizeBuildOptions(opt BuildOptions) BuildOptions {
 // forceScratch.build: the root box fold, Morton keys into keys, the
 // (key, index) sort of perm (sortKeyPerm, with scratch as its second
 // buffer), the permutation of the sources into key order
-// (sortedKeys[i] = keys[perm[i]]) and the builder — with the parallel
-// spine when opt.Workers (0 follows par.Workers()) is wider than one.
+// (sortedKeys[i] = keys[perm[i]]) and the serial recursive builder.
 // opt is normalized; keys, perm, scratch and sortedKeys must each have
 // len(srcs) elements. The tree is built into t, reusing the capacity of
 // its Sources, Nodes and walk-index arrays; the walk index is rebuilt
-// on first use. At width 1 nothing touches a pool, so a build whose
-// buffers all have the capacity it needs allocates nothing.
+// on first use. A build whose buffers all have the capacity it needs
+// allocates nothing.
 func buildTree(t *Tree, srcs []Source, opt BuildOptions, keys []Key, perm, scratch []int, sortedKeys []Key) error {
 	if len(srcs) == 0 {
 		return fmt.Errorf("treecode: no sources")
@@ -121,24 +104,11 @@ func buildTree(t *Tree, srcs []Source, opt BuildOptions, keys []Key, perm, scrat
 		return err
 	}
 	n := len(srcs)
-	w := opt.Workers
-	if w <= 0 {
-		w = par.Workers()
-	}
-	// Key generation is embarrassingly parallel; the sort stays serial.
 	// Equal keys — coincident or sub-cell-coincident particles —
 	// tie-break on the input index, so the permutation is the unique
-	// (key, index) total order at every width.
-	if w == 1 {
-		for i := range srcs {
-			keys[i] = MortonKey(srcs[i].X, srcs[i].Y, srcs[i].Z, root)
-		}
-	} else {
-		par.New(w).For(n, keyGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				keys[i] = MortonKey(srcs[i].X, srcs[i].Y, srcs[i].Z, root)
-			}
-		})
+	// (key, index) total order.
+	for i := range srcs {
+		keys[i] = MortonKey(srcs[i].X, srcs[i].Y, srcs[i].Z, root)
 	}
 	sortKeyPerm(perm, keys, scratch)
 
@@ -165,15 +135,7 @@ func buildTree(t *Tree, srcs []Source, opt BuildOptions, keys []Key, perm, scrat
 		quad:     opt.Quadrupole,
 		nodes:    nodes,
 	}
-	if n >= parallelBuild && w != 1 {
-		// The spine's task closures move their builder to the heap;
-		// building on a copy keeps that cost off the serial path.
-		pb := b
-		pb.buildParallel(RootKey, root, par.New(w))
-		b.nodes = pb.nodes
-	} else {
-		b.build(RootKey, root, 0, n, 0)
-	}
+	b.build(RootKey, root, 0, n, 0)
 	t.Nodes = b.nodes
 	return nil
 }
@@ -232,9 +194,7 @@ func (sc *forceScratch) build(srcs []Source, opt BuildOptions) (*Tree, error) {
 }
 
 // builder is a tree-construction arena: the recursion state plus the
-// node slice being grown. Parallel builds use one builder per octant
-// subtree and stitch the arenas together in DFS preorder, so the final
-// node array is byte-identical to a fully serial build.
+// node slice being grown in DFS preorder.
 type builder struct {
 	sources  []Source
 	keys     []Key
@@ -242,12 +202,6 @@ type builder struct {
 	maxDepth int
 	quad     bool
 	nodes    []Node
-}
-
-// child returns a builder sharing the read-only inputs with an empty
-// node arena.
-func (b *builder) child() *builder {
-	return &builder{sources: b.sources, keys: b.keys, bucket: b.bucket, maxDepth: b.maxDepth, quad: b.quad}
 }
 
 // octants partitions the key-sorted run [lo,hi) at the given level into
@@ -284,101 +238,6 @@ func (b *builder) build(key Key, box Box, lo, hi, level int) int32 {
 	for oct := 0; oct < 8; oct++ {
 		if bounds[oct+1] > bounds[oct] {
 			ci := b.build(key.Child(oct), box.Octant(oct), bounds[oct], bounds[oct+1], level+1)
-			b.nodes[ni].Children[oct] = ci
-		}
-	}
-	b.computeInternalMoments(ni)
-	return ni
-}
-
-// spineNode is one internal node of the serial spine: the top levels of
-// the tree, whose frontier children are built as parallel tasks.
-type spineNode struct {
-	key      Key
-	box      Box
-	lo, hi   int
-	level    int
-	children [8]*spineNode
-	// task indexes the deferred-subtree list; -1 for internal spine
-	// nodes (which have children instead).
-	task int
-}
-
-// buildParallel builds the tree with per-octant subtree fan-out: a
-// serial spine descends spineDepth levels collecting subtree tasks, the
-// pool builds each task's arena concurrently, and emit stitches the
-// arenas back in DFS preorder — reproducing the serial node order, and
-// therefore (with the same per-node accumulation order) the serial
-// float results, bit for bit.
-func (b *builder) buildParallel(key Key, box Box, pool *par.Pool) {
-	var tasks []*spineNode
-	var spine func(key Key, box Box, lo, hi, level int) *spineNode
-	spine = func(key Key, box Box, lo, hi, level int) *spineNode {
-		sn := &spineNode{key: key, box: box, lo: lo, hi: hi, level: level, task: -1}
-		if hi-lo <= b.bucket || level >= b.maxDepth || level >= spineDepth {
-			sn.task = len(tasks)
-			tasks = append(tasks, sn)
-			return sn
-		}
-		bounds := b.octants(lo, hi, level)
-		for oct := 0; oct < 8; oct++ {
-			if bounds[oct+1] > bounds[oct] {
-				sn.children[oct] = spine(key.Child(oct), box.Octant(oct), bounds[oct], bounds[oct+1], level+1)
-			}
-		}
-		return sn
-	}
-	root := spine(key, box, 0, len(b.sources), 0)
-
-	arenas := make([]*builder, len(tasks))
-	thunks := make([]func(), len(tasks))
-	for i, sn := range tasks {
-		i, sn := i, sn
-		thunks[i] = func() {
-			tb := b.child()
-			tb.build(sn.key, sn.box, sn.lo, sn.hi, sn.level)
-			arenas[i] = tb
-		}
-	}
-	pool.Do(thunks...)
-
-	b.nodes = slices.Grow(b.nodes[:0], totalNodes(arenas)+len(tasks))
-	b.emit(root, arenas)
-}
-
-func totalNodes(arenas []*builder) int {
-	n := 0
-	for _, a := range arenas {
-		n += len(a.nodes)
-	}
-	return n
-}
-
-// emit appends the subtree rooted at sn to the arena in DFS preorder and
-// returns its node index. Task arenas are spliced in with their child
-// indices rebased; spine nodes get their moments computed bottom-up in
-// octant order, exactly as the serial recursion does.
-func (b *builder) emit(sn *spineNode, arenas []*builder) int32 {
-	if sn.task >= 0 {
-		off := int32(len(b.nodes))
-		for _, n := range arenas[sn.task].nodes {
-			for i, ci := range n.Children {
-				if ci >= 0 {
-					n.Children[i] = ci + off
-				}
-			}
-			b.nodes = append(b.nodes, n)
-		}
-		return off
-	}
-	ni := int32(len(b.nodes))
-	b.nodes = append(b.nodes, Node{Key: sn.key, Box: sn.box, First: sn.lo, Count: sn.hi - sn.lo})
-	for i := range b.nodes[ni].Children {
-		b.nodes[ni].Children[i] = -1
-	}
-	for oct := 0; oct < 8; oct++ {
-		if sn.children[oct] != nil {
-			ci := b.emit(sn.children[oct], arenas)
 			b.nodes[ni].Children[oct] = ci
 		}
 	}
@@ -595,7 +454,7 @@ func (f *Forcer) ForcesActive(s *nbody.System, active []bool) error {
 	}
 	sp := f.Tracer.Begin(obs.PidHost, 0, "treecode", "build")
 	f.sc.srcs = AppendSources(f.sc.srcs[:0], s)
-	t, err := f.sc.build(f.sc.srcs, BuildOptions{Quadrupole: f.Quadrupole, Workers: 1})
+	t, err := f.sc.build(f.sc.srcs, BuildOptions{Quadrupole: f.Quadrupole})
 	if err != nil {
 		return err
 	}

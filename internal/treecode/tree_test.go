@@ -2,6 +2,9 @@ package treecode
 
 import (
 	"math"
+	"math/bits"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -11,33 +14,38 @@ import (
 func TestMortonKeyRoundTripOrdering(t *testing.T) {
 	root := Box{CX: 0.5, CY: 0.5, CZ: 0.5, Half: 0.5001}
 	// Same cell at every level ⇒ same ancestor keys.
+	at := func(k Key, level int) Key { return k >> (3 * (KeyBits - level)) }
 	k1 := MortonKey(0.1, 0.1, 0.1, root)
 	k2 := MortonKey(0.1001, 0.1001, 0.1001, root)
-	if k1.AncestorAt(5) != k2.AncestorAt(5) {
+	if at(k1, 5) != at(k2, 5) {
 		t.Fatal("nearby points diverge at level 5")
 	}
 	k3 := MortonKey(0.9, 0.9, 0.9, root)
-	if k1.AncestorAt(1) == k3.AncestorAt(1) {
+	if at(k1, 1) == at(k3, 1) {
 		t.Fatal("distant points share a level-1 cell")
 	}
 }
 
+// keyLevel returns the depth of a key (root = 0): the sentinel bit sits
+// three bits above each level's octant.
+func keyLevel(k Key) int { return (bits.Len64(uint64(k)) - 1) / 3 }
+
 func TestKeyAlgebra(t *testing.T) {
-	if RootKey.Level() != 0 {
-		t.Fatalf("root level = %d", RootKey.Level())
+	if keyLevel(RootKey) != 0 {
+		t.Fatalf("root level = %d", keyLevel(RootKey))
 	}
 	c := RootKey.Child(5)
-	if c.Level() != 1 || c.Parent() != RootKey {
+	if keyLevel(c) != 1 || c>>3 != RootKey {
 		t.Fatalf("child/parent algebra broken: %x", c)
 	}
 	if c != Key(0b1101) {
 		t.Fatalf("child key = %b", c)
 	}
 	full := MortonKey(0.3, 0.7, 0.2, Box{0.5, 0.5, 0.5, 0.5001})
-	if full.Level() != KeyBits {
-		t.Fatalf("full key level = %d, want %d", full.Level(), KeyBits)
+	if keyLevel(full) != KeyBits {
+		t.Fatalf("full key level = %d, want %d", keyLevel(full), KeyBits)
 	}
-	if full.AncestorAt(0) != RootKey {
+	if full>>(3*KeyBits) != RootKey {
 		t.Fatal("level-0 ancestor is not root")
 	}
 }
@@ -52,7 +60,7 @@ func TestKeyLevelProperty(t *testing.T) {
 		k := MortonKey(x, y, z, root)
 		// Parent chain reaches the root in exactly KeyBits steps.
 		for i := 0; i < KeyBits; i++ {
-			k = k.Parent()
+			k >>= 3
 		}
 		return k == RootKey
 	}
@@ -144,6 +152,53 @@ func TestCoincidentParticles(t *testing.T) {
 	tr := buildFromSystem(t, s, BuildOptions{Bucket: 2})
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParallelBuildTinySystems drives the thresholds under concurrent
+// builds, as every rank of ParallelForces builds its local tree at once:
+// single-source trees and a coincident cluster beside an outlier must
+// satisfy the invariants and come out the same on every goroutine.
+func TestParallelBuildTinySystems(t *testing.T) {
+	single := []Source{{X: 0.5, Y: 0.5, Z: 0.5, M: 1, Index: 0}}
+	// Coincident particles bottom out at MaxDepth inside one leaf.
+	var co []Source
+	for i := 0; i < 20; i++ {
+		co = append(co, Source{X: 0.25, Y: 0.25, Z: 0.25, M: 1, Index: i})
+	}
+	co = append(co, Source{X: 0.75, Y: 0.75, Z: 0.75, M: 1, Index: 20})
+	for _, tc := range []struct {
+		name string
+		srcs []Source
+		opt  BuildOptions
+	}{
+		{"single", single, BuildOptions{}},
+		{"coincident", co, BuildOptions{Bucket: 4}},
+	} {
+		for _, w := range []int{1, 8} {
+			trees := make([]*Tree, w)
+			errs := make([]error, w)
+			var wg sync.WaitGroup
+			for g := 0; g < w; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					trees[g], errs[g] = Build(tc.srcs, tc.opt)
+				}(g)
+			}
+			wg.Wait()
+			for g := 0; g < w; g++ {
+				if errs[g] != nil {
+					t.Fatalf("%s goroutines=%d: %v", tc.name, w, errs[g])
+				}
+				if err := trees[g].CheckInvariants(); err != nil {
+					t.Fatalf("%s goroutines=%d: %v", tc.name, w, err)
+				}
+				if !reflect.DeepEqual(trees[g], trees[0]) {
+					t.Fatalf("%s goroutines=%d: tree %d differs from tree 0", tc.name, w, g)
+				}
+			}
+		}
 	}
 }
 

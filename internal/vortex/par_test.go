@@ -3,6 +3,7 @@ package vortex
 import (
 	"testing"
 
+	"repro/internal/par"
 	"repro/internal/treecode"
 )
 
@@ -10,9 +11,11 @@ import (
 // evaluation (and its six concurrent tree builds) is bit-identical to
 // serial at worker counts 1, 2 and 8, including interaction stats.
 func TestSelfVelocitiesBitIdentical(t *testing.T) {
+	defer par.SetWorkers(0)
 	run := func(w int) (ux, uy, uz []float64, st treecode.Stats) {
+		par.SetWorkers(w)
 		ring := Ring(700, 1, 1)
-		ux, uy, uz, st, err := ring.SelfVelocities(0.5, treecode.BuildOptions{Workers: w})
+		ux, uy, uz, st, err := ring.SelfVelocities(0.5)
 		if err != nil {
 			t.Fatal(err)
 		}

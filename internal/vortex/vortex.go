@@ -58,28 +58,6 @@ func (p *Particles) Validate() error {
 	return nil
 }
 
-// VelocityDirect evaluates the Biot–Savart velocity at (x,y,z) by direct
-// summation — the accuracy reference.
-func (p *Particles) VelocityDirect(x, y, z float64) (ux, uy, uz float64) {
-	eps2 := p.Eps * p.Eps
-	for j := 0; j < p.N(); j++ {
-		dx := x - p.X[j]
-		dy := y - p.Y[j]
-		dz := z - p.Z[j]
-		r2 := dx*dx + dy*dy + dz*dz + eps2
-		rinv3 := 1 / (r2 * math.Sqrt(r2))
-		// (d × Γ)/r³
-		cx := dy*p.GZ[j] - dz*p.GY[j]
-		cy := dz*p.GX[j] - dx*p.GZ[j]
-		cz := dx*p.GY[j] - dy*p.GX[j]
-		ux += cx * rinv3
-		uy += cy * rinv3
-		uz += cz * rinv3
-	}
-	s := -1 / (4 * math.Pi)
-	return s * ux, s * uy, s * uz
-}
-
 // FieldTrees hold the component trees used for fast evaluation. Because
 // circulation components are signed and the gravity tree's monopole
 // (centre-of-"mass") degenerates when a cell's net source cancels, each
@@ -88,13 +66,11 @@ func (p *Particles) VelocityDirect(x, y, z float64) (ux, uy, uz float64) {
 type FieldTrees struct {
 	pos, neg [3]*treecode.Tree
 	eps      float64
-	// Stats accumulates interaction counts across evaluations.
-	Stats treecode.Stats
 }
 
 // BuildTrees constructs the signed-split circulation-component trees
 // (the gravity tree with |Γ_c^±| as mass).
-func (p *Particles) BuildTrees(opt treecode.BuildOptions) (*FieldTrees, error) {
+func (p *Particles) BuildTrees() (*FieldTrees, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -107,11 +83,11 @@ func (p *Particles) BuildTrees(opt treecode.BuildOptions) (*FieldTrees, error) {
 			}
 			srcs[i] = treecode.Source{X: p.X[i], Y: p.Y[i], Z: p.Z[i], M: m, Index: i}
 		}
-		return treecode.Build(srcs, opt)
+		return treecode.Build(srcs, treecode.BuildOptions{})
 	}
 	f := &FieldTrees{eps: p.Eps}
 	// The six signed-component trees are independent builds; run them on
-	// the pool (each Build also parallelizes internally for large N).
+	// the pool.
 	comps := [3][]float64{p.GX, p.GY, p.GZ}
 	var errs [6]error
 	tasks := make([]func(), 0, 6)
@@ -121,7 +97,7 @@ func (p *Particles) BuildTrees(opt treecode.BuildOptions) (*FieldTrees, error) {
 			func() { f.pos[c], errs[2*c] = mk(comps[c], 1) },
 			func() { f.neg[c], errs[2*c+1] = mk(comps[c], -1) })
 	}
-	par.New(opt.Workers).Do(tasks...)
+	par.Default().Do(tasks...)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -130,17 +106,12 @@ func (p *Particles) BuildTrees(opt treecode.BuildOptions) (*FieldTrees, error) {
 	return f, nil
 }
 
-// Velocity evaluates the Biot–Savart velocity at a point with the trees:
-// F^c(x) = Σ Γ_c,j (x_j − x)/|…|³ comes from ForceAt with mass Γ_c, and
-// the cross product is assembled from the three component fields. The
-// MAC θ trades accuracy for work exactly as in the gravity code.
-func (f *FieldTrees) Velocity(x, y, z, theta float64) (ux, uy, uz float64) {
-	return f.VelocityStats(x, y, z, theta, &f.Stats)
-}
-
-// VelocityStats is Velocity with an explicit interaction-stats
-// accumulator, for callers evaluating many points concurrently (the
-// shared Stats field would otherwise race).
+// VelocityStats evaluates the Biot–Savart velocity at a point with the
+// trees: F^c(x) = Σ Γ_c,j (x_j − x)/|…|³ comes from ForceAt with mass
+// Γ_c, and the cross product is assembled from the three component
+// fields. The MAC θ trades accuracy for work exactly as in the gravity
+// code. Interactions are added to st, so concurrent callers each pass
+// their own.
 func (f *FieldTrees) VelocityStats(x, y, z, theta float64, st *treecode.Stats) (ux, uy, uz float64) {
 	// ForceAt returns F^m = Σ m_j d_j/|d_j|³ with d_j = x_j − x (toward
 	// the source); Biot–Savart needs Σ (x − x_j) × Γ_j = Σ (−d_j) × Γ_j,
@@ -163,11 +134,11 @@ func (f *FieldTrees) VelocityStats(x, y, z, theta float64, st *treecode.Stats) (
 const velGrain = 128
 
 // SelfVelocities computes the induced velocity at every particle
-// position with the tree method. Evaluations run on the host worker
-// pool (width from opt.Workers; 0 follows par.Workers()) and are
-// bit-identical at every width.
-func (p *Particles) SelfVelocities(theta float64, opt treecode.BuildOptions) (ux, uy, uz []float64, stats treecode.Stats, err error) {
-	trees, err := p.BuildTrees(opt)
+// position with the tree method. The builds and evaluations run on the
+// host worker pool (par.Workers() wide) and are bit-identical at every
+// width.
+func (p *Particles) SelfVelocities(theta float64) (ux, uy, uz []float64, stats treecode.Stats, err error) {
+	trees, err := p.BuildTrees()
 	if err != nil {
 		return nil, nil, nil, stats, err
 	}
@@ -176,17 +147,17 @@ func (p *Particles) SelfVelocities(theta float64, opt treecode.BuildOptions) (ux
 	uy = make([]float64, n)
 	uz = make([]float64, n)
 	chunkStats := make([]treecode.Stats, par.NumChunks(n, velGrain))
-	par.New(opt.Workers).ForChunks(n, velGrain, func(c, lo, hi int) {
+	par.Default().ForChunks(n, velGrain, func(c, lo, hi int) {
 		st := &chunkStats[c]
 		for i := lo; i < hi; i++ {
 			ux[i], uy[i], uz[i] = trees.VelocityStats(p.X[i], p.Y[i], p.Z[i], theta, st)
 		}
 	})
 	for _, cs := range chunkStats {
-		trees.Stats.PP += cs.PP
-		trees.Stats.PC += cs.PC
+		stats.PP += cs.PP
+		stats.PC += cs.PC
 	}
-	return ux, uy, uz, trees.Stats, nil
+	return ux, uy, uz, stats, nil
 }
 
 // Ring initializes a discretized vortex ring of the given radius and
@@ -211,7 +182,7 @@ func (p *Particles) Step(dt, theta float64) error {
 	if dt <= 0 {
 		return fmt.Errorf("vortex: non-positive dt")
 	}
-	ux, uy, uz, _, err := p.SelfVelocities(theta, treecode.BuildOptions{})
+	ux, uy, uz, _, err := p.SelfVelocities(theta)
 	if err != nil {
 		return err
 	}
@@ -221,14 +192,4 @@ func (p *Particles) Step(dt, theta float64) error {
 		p.Z[i] += dt * uz[i]
 	}
 	return nil
-}
-
-// TotalCirculation returns ΣΓ (an invariant of inviscid advection).
-func (p *Particles) TotalCirculation() (gx, gy, gz float64) {
-	for i := 0; i < p.N(); i++ {
-		gx += p.GX[i]
-		gy += p.GY[i]
-		gz += p.GZ[i]
-	}
-	return
 }

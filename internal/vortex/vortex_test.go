@@ -8,6 +8,38 @@ import (
 	"repro/internal/treecode"
 )
 
+// velocityDirect evaluates the Biot–Savart velocity at (x,y,z) by direct
+// summation — the accuracy reference.
+func (p *Particles) velocityDirect(x, y, z float64) (ux, uy, uz float64) {
+	eps2 := p.Eps * p.Eps
+	for j := 0; j < p.N(); j++ {
+		dx := x - p.X[j]
+		dy := y - p.Y[j]
+		dz := z - p.Z[j]
+		r2 := dx*dx + dy*dy + dz*dz + eps2
+		rinv3 := 1 / (r2 * math.Sqrt(r2))
+		// (d × Γ)/r³
+		cx := dy*p.GZ[j] - dz*p.GY[j]
+		cy := dz*p.GX[j] - dx*p.GZ[j]
+		cz := dx*p.GY[j] - dy*p.GX[j]
+		ux += cx * rinv3
+		uy += cy * rinv3
+		uz += cz * rinv3
+	}
+	s := -1 / (4 * math.Pi)
+	return s * ux, s * uy, s * uz
+}
+
+// totalCirculation returns ΣΓ (an invariant of inviscid advection).
+func (p *Particles) totalCirculation() (gx, gy, gz float64) {
+	for i := 0; i < p.N(); i++ {
+		gx += p.GX[i]
+		gy += p.GY[i]
+		gz += p.GZ[i]
+	}
+	return
+}
+
 func randomBlob(n int, seed uint64) *Particles {
 	rng := sim.NewRNG(seed)
 	p := New(n)
@@ -24,15 +56,16 @@ func randomBlob(n int, seed uint64) *Particles {
 
 func TestTreeMatchesDirectBiotSavart(t *testing.T) {
 	p := randomBlob(800, 3)
-	trees, err := p.BuildTrees(treecode.BuildOptions{})
+	trees, err := p.BuildTrees()
 	if err != nil {
 		t.Fatal(err)
 	}
+	var st treecode.Stats
 	var sumErr, sumMag float64
 	for probe := 0; probe < 50; probe++ {
 		x, y, z := p.X[probe*13%800], p.Y[probe*13%800]+0.01, p.Z[probe*13%800]
-		dx, dy, dz := p.VelocityDirect(x, y, z)
-		tx, ty, tz := trees.Velocity(x, y, z, 0.4)
+		dx, dy, dz := p.velocityDirect(x, y, z)
+		tx, ty, tz := trees.VelocityStats(x, y, z, 0.4, &st)
 		sumErr += (dx-tx)*(dx-tx) + (dy-ty)*(dy-ty) + (dz-tz)*(dz-tz)
 		sumMag += dx*dx + dy*dy + dz*dz
 	}
@@ -40,7 +73,7 @@ func TestTreeMatchesDirectBiotSavart(t *testing.T) {
 	if rms > 0.02 {
 		t.Fatalf("tree Biot–Savart RMS error %g vs direct", rms)
 	}
-	if trees.Stats.Interactions() == 0 {
+	if st.Interactions() == 0 {
 		t.Fatal("no interactions recorded")
 	}
 }
@@ -52,7 +85,7 @@ func TestSingleVortexAnalytic(t *testing.T) {
 	p := New(1)
 	p.Eps = 0
 	p.GZ[0] = 1
-	ux, uy, uz := p.VelocityDirect(2, 0, 0)
+	ux, uy, uz := p.velocityDirect(2, 0, 0)
 	want := 1.0 / (4 * math.Pi * 4)
 	if math.Abs(ux) > 1e-15 || math.Abs(uz) > 1e-15 {
 		t.Fatalf("off-axis components: %g, %g", ux, uz)
@@ -110,7 +143,7 @@ func meanR(p *Particles) float64 {
 
 func TestCirculationInvariant(t *testing.T) {
 	p := Ring(32, 1, 2)
-	gx0, gy0, gz0 := p.TotalCirculation()
+	gx0, gy0, gz0 := p.totalCirculation()
 	// A closed ring's total circulation vector sums to ~0.
 	if math.Abs(gx0)+math.Abs(gy0)+math.Abs(gz0) > 1e-12 {
 		t.Fatalf("ring circulation not closed: %g %g %g", gx0, gy0, gz0)
@@ -118,7 +151,7 @@ func TestCirculationInvariant(t *testing.T) {
 	if err := p.Step(0.01, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	gx1, gy1, gz1 := p.TotalCirculation()
+	gx1, gy1, gz1 := p.totalCirculation()
 	if gx1 != gx0 || gy1 != gy0 || gz1 != gz0 {
 		t.Fatal("advection changed circulation")
 	}
@@ -127,7 +160,7 @@ func TestCirculationInvariant(t *testing.T) {
 func TestValidation(t *testing.T) {
 	p := New(4)
 	p.Eps = -1
-	if _, err := p.BuildTrees(treecode.BuildOptions{}); err == nil {
+	if _, err := p.BuildTrees(); err == nil {
 		t.Fatal("negative softening accepted")
 	}
 	p = New(4)
