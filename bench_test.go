@@ -644,41 +644,6 @@ func BenchmarkMPIAllreduce(b *testing.B) {
 	b.ReportMetric(w.MaxTime()/float64(b.N), "sim-seconds/op")
 }
 
-// BenchmarkMPICollectives compares the classic collective algorithms
-// against the native ones (recursive-doubling allreduce, pipelined ring
-// broadcast) on host time and simulated time.
-func BenchmarkMPICollectives(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		native bool
-	}{{"classic", false}, {"native", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			w, err := mpi.NewWorldWithConfig(16, mpi.Config{
-				Fabric: netsim.FastEthernet(),
-				Native: mode.native,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			err = w.Run(func(c *mpi.Comm) error {
-				buf := make([]float64, 4096)
-				for i := 0; i < b.N; i++ {
-					buf[0] = float64(c.Rank() + i)
-					c.AllreduceInto(mpi.Sum, buf)
-					c.BcastInto(0, buf)
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(w.MaxTime()/float64(b.N), "sim-seconds/op")
-		})
-	}
-}
-
 // BenchmarkNASSweep runs the p=1..8 parallel NAS rank sweep on a 1-wide
 // pool (serially) and at the default width (concurrently); the simulated
 // makespans are identical by construction, so the delta is pure host

@@ -20,13 +20,16 @@
 // distributed kernels once at that single world size. The sweep's
 // worlds are independent, so they execute concurrently on the host
 // pool, -procs wide; -procs 1 runs them one at a time, with
-// bit-identical rows either way. -native selects the native collective
-// algorithms and -contention the per-port fabric occupancy model (both
-// change simulated times and are off by default). -fabric picks the
-// interconnect topology (star, fattree, torus2d, torus3d): shaped
-// fabrics use topology-aware hop counts and hierarchical collectives.
-// Each simulated rank is a goroutine with its own inbox, so worlds of
+// bit-identical rows either way. -fabric picks the interconnect
+// topology (star, fattree, torus2d, torus3d): shaped fabrics use
+// topology-aware hop counts and hierarchical collectives. Each
+// simulated rank is a goroutine with its own inbox, so worlds of
 // thousands of ranks stay cheap on the host.
+//
+// A flag the chosen mode does not read is an error, not a silent
+// no-op: -kernel and -rate with -sweep, -rate and -ep-only with a
+// single distributed run, -ep-only and -fabric with the serial kernel
+// table.
 //
 // The flags are a thin parse layer over core.NASKernelsSpec and
 // core.NASSweepSpec — the same experiment specs the gridd gateway
@@ -72,18 +75,38 @@ func parseRanks(s string) ([]int, error) {
 	return out, nil
 }
 
+// checkFlags returns an error naming the first flag in set (the flags
+// given on the command line) that the mode chosen by sweep and ranks
+// does not read.
+func checkFlags(sweep bool, ranks string, set map[string]bool) error {
+	mode, unread := "the serial kernel table", []string{"ep-only", "fabric"}
+	switch {
+	case sweep:
+		mode, unread = "-sweep", []string{"kernel", "rate"}
+	case ranks != "":
+		mode, unread = "a distributed run (-ranks without -sweep)", []string{"rate", "ep-only"}
+	}
+	for _, name := range unread {
+		if set[name] {
+			return fmt.Errorf("-%s has no effect with %s", name, mode)
+		}
+	}
+	return nil
+}
+
 func main() {
 	d := core.NewDriver("nasbench")
 	kernel := flag.String("kernel", "", "run one kernel (BT, SP, LU, MG, EP, IS); empty = all")
 	class := flag.String("class", "S", "problem class (S, W, A)")
-	rate := flag.Bool("rate", true, "rate on the Table 3 processors")
+	rate := flag.Bool("rate", true, "rate on the Table 3 processors (serial kernel table only)")
 	sweep := flag.Bool("sweep", false, "run the parallel EP/IS rank sweep instead of the serial kernel table")
 	ranks := flag.String("ranks", "", "sweep rank counts: N for 1..N (default 24 with -sweep), or an exact comma-separated list; without -sweep, one distributed run at this world size")
-	native := flag.Bool("native", false, "sweep with native collectives (recursive doubling, pipelined ring)")
-	contention := flag.Bool("contention", false, "sweep with the per-port fabric occupancy model")
-	fabric := flag.String("fabric", "", "interconnect topology: star (default), fattree, torus2d, torus3d")
+	fabric := flag.String("fabric", "", "interconnect topology of a -sweep or -ranks run: star (default), fattree, torus2d, torus3d")
 	epOnly := flag.Bool("ep-only", false, "sweep EP only (large-p sweeps: IS holds O(p²) live slices)")
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	d.Check(checkFlags(*sweep, *ranks, set))
 	d.Check(d.Setup())
 
 	var spec core.ExperimentSpec
@@ -96,8 +119,6 @@ func main() {
 		spec = &core.NASSweepSpec{
 			Class:          *class,
 			Ranks:          list,
-			Native:         *native,
-			Contention:     *contention,
 			EPOnly:         *epOnly,
 			FabricModeSpec: core.FabricModeSpec{Fabric: *fabric},
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -33,6 +34,42 @@ func TestParseRanks(t *testing.T) {
 		}
 		if err != nil || !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("parseRanks(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+}
+
+// TestCheckFlags: a flag the chosen mode never reads is an error
+// naming it; the flags each mode reads pass.
+func TestCheckFlags(t *testing.T) {
+	for _, tc := range []struct {
+		sweep bool
+		ranks string
+		set   []string
+		bad   string
+	}{
+		{sweep: true, set: []string{"class", "ranks", "fabric", "ep-only"}},
+		{sweep: true, set: []string{"kernel"}, bad: "-kernel"},
+		{sweep: true, set: []string{"rate"}, bad: "-rate"},
+		{ranks: "1024", set: []string{"kernel", "class", "ranks", "fabric"}},
+		{ranks: "8", set: []string{"ranks", "rate"}, bad: "-rate"},
+		{ranks: "8", set: []string{"ranks", "ep-only"}, bad: "-ep-only"},
+		{set: []string{"kernel", "class", "rate"}},
+		{set: []string{"ep-only"}, bad: "-ep-only"},
+		{set: []string{"fabric"}, bad: "-fabric"},
+	} {
+		set := map[string]bool{}
+		for _, name := range tc.set {
+			set[name] = true
+		}
+		err := checkFlags(tc.sweep, tc.ranks, set)
+		if tc.bad == "" {
+			if err != nil {
+				t.Errorf("sweep=%v ranks=%q %v: %v", tc.sweep, tc.ranks, tc.set, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.bad+" ") {
+			t.Errorf("sweep=%v ranks=%q %v: err = %v, want one naming %s", tc.sweep, tc.ranks, tc.set, err, tc.bad)
 		}
 	}
 }

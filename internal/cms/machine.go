@@ -249,9 +249,9 @@ func (m *Machine) Run(p isa.Program, st *isa.State, fuelCycles uint64) (uint64, 
 // touches the successor's LRU position, so cycle accounting and eviction
 // order are bit-identical to pre-chaining behaviour.
 func (m *Machine) runNative(p isa.Program, ent *cacheEntry, vst *vliw.State, tr *isa.Trace, fuelCycles uint64) (int, error) {
+	var res vliw.ExecResult
 	for {
-		res, err := m.VLIW.Execute(ent.tr, vst)
-		if err != nil {
+		if err := m.VLIW.Execute(ent.tr, vst, &res); err != nil {
 			return 0, err
 		}
 		m.recordNative(&res, tr)

@@ -140,7 +140,7 @@ func (r *Run) Table2(cfg Table2Config) ([]Table2Row, *metrics.Table, error) {
 	s := nbody.NewPlummer(cfg.Particles, 1, 2001)
 	runOne := func(i int) {
 		o := &outs[i]
-		w, err := r.newWorld(cfg.CPUCounts[i], cfg.Fabric, false, false)
+		w, err := r.newWorld(cfg.CPUCounts[i], cfg.Fabric)
 		if err != nil {
 			o.err = err
 			return

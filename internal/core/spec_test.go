@@ -309,6 +309,17 @@ func TestMPIModeNormalizesAway(t *testing.T) {
 	}
 }
 
+// TestNativeContentionRejected: the native collectives and the port
+// contention model are deleted, so native and contention are unknown
+// fields to the strict decoder in either spelling they once accepted.
+func TestNativeContentionRejected(t *testing.T) {
+	for _, field := range []string{"native", "contention"} {
+		for _, v := range []string{"true", "false"} {
+			requireUnknownField(t, "nassweep", field, v)
+		}
+	}
+}
+
 // TestDecodeSpecStrictness: unknown kinds, unknown fields and wrong api
 // versions are rejected, not silently dropped.
 func TestDecodeSpecStrictness(t *testing.T) {
@@ -338,6 +349,10 @@ func TestSpecValidation(t *testing.T) {
 		&NASKernelsSpec{Kernel: "XX"},
 		&NASKernelsSpec{Kernel: "CG"},
 		&NASKernelsSpec{Kernel: "ft"},
+		// Input the run never reads: the serial table runs on no
+		// fabric, and the distributed kernels are not rated.
+		&NASKernelsSpec{FabricModeSpec: FabricModeSpec{Fabric: "torus2d"}},
+		&NASKernelsSpec{Ranks: 8, Rate: new(bool)},
 		&NBodySpec{N: -5},
 		&TCOSpec{Nodes: -1},
 		&Figure3Spec{Width: -1},

@@ -329,11 +329,9 @@ func (s *Figure3Spec) Run(r *Run) (*SpecResult, error) {
 // NASSweepSpec runs the parallel NAS EP/IS rank sweep on the simulated
 // cluster.
 type NASSweepSpec struct {
-	Class      string `json:"class,omitempty"`
-	Ranks      []int  `json:"ranks,omitempty"`
-	Native     bool   `json:"native,omitempty"`
-	Contention bool   `json:"contention,omitempty"`
-	EPOnly     bool   `json:"ep_only,omitempty"`
+	Class  string `json:"class,omitempty"`
+	Ranks  []int  `json:"ranks,omitempty"`
+	EPOnly bool   `json:"ep_only,omitempty"`
 	FabricModeSpec
 }
 
@@ -364,12 +362,10 @@ func (s *NASSweepSpec) Validate() error {
 
 func (s *NASSweepSpec) Run(r *Run) (*SpecResult, error) {
 	cfg := NASSweepConfig{
-		Class:      nas.Class(s.Class[0]),
-		Ranks:      s.Ranks,
-		Native:     s.Native,
-		Contention: s.Contention,
-		Fabric:     s.Fabric,
-		EPOnly:     s.EPOnly,
+		Class:  nas.Class(s.Class[0]),
+		Ranks:  s.Ranks,
+		Fabric: s.Fabric,
+		EPOnly: s.EPOnly,
 	}
 	rows, t, err := r.NASSweep(cfg)
 	if err != nil {
@@ -385,7 +381,8 @@ func (s *NASSweepSpec) Run(r *Run) (*SpecResult, error) {
 // omitted field means the flag default, true. Ranks > 0 switches to
 // the distributed kernels (EP and IS) on a simulated world of that
 // size, with the fabric topology from FabricModeSpec; rows then carry
-// the simulated makespan.
+// the simulated makespan. Each run reads only its own inputs: a fabric
+// needs Ranks > 0, and Rate false needs Ranks 0.
 type NASKernelsSpec struct {
 	Class  string `json:"class,omitempty"`
 	Kernel string `json:"kernel,omitempty"`
@@ -431,6 +428,14 @@ func (s *NASKernelsSpec) Validate() error {
 	if s.Ranks > 0 && s.Kernel != "" && s.Kernel != "EP" && s.Kernel != "IS" {
 		return fmt.Errorf("kernel %q has no distributed implementation (want EP or IS)", s.Kernel)
 	}
+	// Input the chosen run never reads is rejected, so one result
+	// cannot take two cache entries.
+	if s.Ranks == 0 && s.Fabric != "" {
+		return fmt.Errorf("fabric %q needs ranks > 0: the serial kernel table runs on no network", s.Fabric)
+	}
+	if s.Ranks > 0 && s.Rate != nil && !*s.Rate {
+		return fmt.Errorf("rate false needs ranks 0: the distributed kernels are not rated")
+	}
 	return s.FabricModeSpec.validate()
 }
 
@@ -463,7 +468,7 @@ func (s *NASKernelsSpec) runParallel(r *Run) (*SpecResult, error) {
 		if s.Kernel != "" && !strings.EqualFold(name, s.Kernel) {
 			return nil
 		}
-		w, err := r.newWorld(p, s.Fabric, false, false)
+		w, err := r.newWorld(p, s.Fabric)
 		if err != nil {
 			return err
 		}
@@ -770,7 +775,7 @@ type nbodyParallelForcer struct {
 }
 
 func (p *nbodyParallelForcer) Forces(s *nbody.System) error {
-	w, err := p.run.newWorld(p.ranks, "", false, false)
+	w, err := p.run.newWorld(p.ranks, "")
 	if err != nil {
 		return err
 	}

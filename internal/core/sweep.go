@@ -58,16 +58,14 @@ func serialTime(ps []int, time func(i int) float64) float64 {
 }
 
 // newWorld builds a p-rank world on the paper's Fast Ethernet, shaped
-// as the named topology ("" keeps the star switch), with the port
-// contention model and native collectives as asked, traced by the
+// as the named topology ("" keeps the star switch), traced by the
 // run's tracer.
-func (r *Run) newWorld(p int, fabric string, contention, native bool) (*mpi.World, error) {
+func (r *Run) newWorld(p int, fabric string) (*mpi.World, error) {
 	f := netsim.FastEthernet()
-	f.PortContention = contention
 	if err := netsim.ApplyTopology(f, fabric, p); err != nil {
 		return nil, err
 	}
-	w, err := mpi.NewWorldWithConfig(p, mpi.Config{Fabric: f, Native: native})
+	w, err := mpi.NewWorld(p, f)
 	if err != nil {
 		return nil, err
 	}
@@ -81,11 +79,6 @@ type NASSweepConfig struct {
 	Class nas.Class
 	// Ranks lists the world sizes to sweep.
 	Ranks []int
-	// Native selects the native collective algorithms (recursive
-	// doubling, pipelined ring) instead of the classic patterns.
-	Native bool
-	// Contention enables the per-port occupancy model on the fabric.
-	Contention bool
 	// Fabric names the interconnect topology: "star" (or empty, the
 	// paper's switch), "fattree", "torus2d", "torus3d". Shaped fabrics
 	// get topology-aware hop counts and hierarchical collectives.
@@ -97,7 +90,7 @@ type NASSweepConfig struct {
 }
 
 // DefaultNASSweepConfig sweeps EP and IS over every blade count of the
-// 24-blade chassis with the default (classic, uncontended) substrate.
+// 24-blade chassis.
 func DefaultNASSweepConfig() NASSweepConfig {
 	ranks := make([]int, 24)
 	for i := range ranks {
@@ -148,7 +141,7 @@ func (r *Run) NASSweep(cfg NASSweepConfig) ([]NASSweepRow, *metrics.Table, error
 		for i, p := range cfg.Ranks {
 			tasks = append(tasks, func() {
 				o := &outs[i]
-				if o.wIS, o.isErr = r.newWorld(p, cfg.Fabric, cfg.Contention, cfg.Native); o.isErr == nil {
+				if o.wIS, o.isErr = r.newWorld(p, cfg.Fabric); o.isErr == nil {
 					o.is, o.isErr = nas.ParallelIS(o.wIS, cfg.Class, costs)
 				}
 			})
@@ -156,7 +149,7 @@ func (r *Run) NASSweep(cfg NASSweepConfig) ([]NASSweepRow, *metrics.Table, error
 	}
 	runEP := func(i int) {
 		o := &outs[i]
-		if o.wEP, o.epErr = r.newWorld(cfg.Ranks[i], cfg.Fabric, cfg.Contention, cfg.Native); o.epErr != nil {
+		if o.wEP, o.epErr = r.newWorld(cfg.Ranks[i], cfg.Fabric); o.epErr != nil {
 			return
 		}
 		if epErr != nil {

@@ -107,39 +107,6 @@ func TestNASSweepSpeedupsAndSubstrateCounters(t *testing.T) {
 	}
 }
 
-func TestNASSweepVariantsChangeOnlyTimes(t *testing.T) {
-	// Native collectives and the contention model are opt-in: they may
-	// change simulated times but must not change what the kernels
-	// compute — which the rows expose through verified comm volumes.
-	base := DefaultNASSweepConfig()
-	base.Ranks = []int{6}
-	baseRows, _, err := NewRun().NASSweep(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	contended := base
-	contended.Contention = true
-	conRows, _, err := NewRun().NASSweep(contended)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if conRows[0].ISTime < baseRows[0].ISTime {
-		t.Fatalf("contention made IS faster: %g vs %g", conRows[0].ISTime, baseRows[0].ISTime)
-	}
-	if conRows[0].CommBytes != baseRows[0].CommBytes {
-		t.Fatalf("contention changed traffic: %d vs %d", conRows[0].CommBytes, baseRows[0].CommBytes)
-	}
-	native := base
-	native.Native = true
-	natRows, _, err := NewRun().NASSweep(native)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if natRows[0].EPTime <= 0 || natRows[0].ISTime <= 0 {
-		t.Fatalf("native sweep produced empty times: %+v", natRows[0])
-	}
-}
-
 func TestNASSweepEmptyConfigRejected(t *testing.T) {
 	if _, _, err := NewRun().NASSweep(NASSweepConfig{Class: nas.ClassS}); err == nil {
 		t.Fatal("empty rank list accepted")
@@ -191,7 +158,7 @@ func TestTable2SweepSharesOneSystem(t *testing.T) {
 	var times []float64
 	for _, p := range cfg.CPUCounts {
 		s := nbody.NewPlummer(cfg.Particles, 1, 2001)
-		w, err := ref.newWorld(p, cfg.Fabric, false, false)
+		w, err := ref.newWorld(p, cfg.Fabric)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +282,7 @@ func TestNASSweepEPMatchesStandaloneEP(t *testing.T) {
 		var res []*nas.ParallelResult
 		var worlds []*mpi.World
 		for _, p := range ranks {
-			w, err := NewRun().newWorld(p, "", false, false)
+			w, err := NewRun().newWorld(p, "")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,8 +11,6 @@ const (
 	tagReduce    = -3
 	tagAllgather = -6
 	tagAlltoall  = -7
-	tagAllreduce = -8
-	tagBcastPipe = -9
 )
 
 // Op is a reduction operator over float64 elements.
@@ -40,11 +38,6 @@ var (
 // every wire copy from the rank's buffer pool, so a steady-state
 // iteration allocates nothing. AlltoallInts returns pooled rows the
 // caller recycles with ReleaseI64.
-//
-// Config.Native switches AllreduceInto/BcastInto to dedicated
-// algorithms (recursive doubling; pipelined segmented ring) whose
-// virtual-time costs follow the corresponding netsim formulas instead
-// of the classic ones.
 //
 // On fabrics with a topology (fat-tree, torus) AllreduceInto and
 // BcastInto go hierarchical automatically: the binomial schedules run
@@ -111,17 +104,13 @@ func (c *Comm) Barrier() {
 }
 
 // BcastInto broadcasts root's buf into every rank's buf, in place. All
-// ranks must pass equal-length buffers. Classic mode is a binomial
-// tree; native mode a pipelined ring.
+// ranks must pass equal-length buffers. The schedule is a binomial
+// tree.
 func (c *Comm) BcastInto(root int, buf []float64) {
 	prev := c.enterCollective(ctxBcast)
 	defer c.exitCollective(prev)
 	if w := c.hierWidth(); w > 0 {
 		c.hierBcastInto(root, buf, w)
-		return
-	}
-	if c.world.native {
-		c.bcastPipeInto(root, buf)
 		return
 	}
 	c.groupBcastInto(0, 1, c.Size(), root, buf)
@@ -189,37 +178,6 @@ func (c *Comm) hierBcastInto(root int, buf []float64, w int) {
 	c.groupBcastInto(base, 1, n, 0, buf)
 }
 
-// bcastPipeInto is the native broadcast: a pipelined ring in
-// DefaultSegmentBytes segments. Rank root feeds segments around the
-// ring; every rank forwards a segment as soon as it lands, so the
-// virtual-time cost approaches (p-2+nseg)·PTP(segment) — the
-// netsim.BcastPipelined formula — instead of the binomial
-// ceil(log2 p)·PTP(total).
-func (c *Comm) bcastPipeInto(root int, buf []float64) {
-	p := c.Size()
-	if p == 1 || len(buf) == 0 {
-		return
-	}
-	const seg = DefaultSegmentBytes / 8
-	vrank := (c.rank - root + p) % p
-	next := (c.rank + 1) % p
-	prevRank := (c.rank - 1 + p) % p
-	for off := 0; off < len(buf); off += seg {
-		end := min(off+seg, len(buf))
-		if vrank > 0 {
-			m := c.recv(prevRank, tagBcastPipe)
-			if len(m.f64) != end-off {
-				panic(fmt.Sprintf("mpi: bcast segment mismatch %d vs %d", len(m.f64), end-off))
-			}
-			copy(buf[off:end], m.f64)
-			c.pool.releaseF64(m.f64)
-		}
-		if vrank < p-1 {
-			c.sendF64(next, tagBcastPipe, buf[off:end], false)
-		}
-	}
-}
-
 // ReduceInto combines elementwise with op onto root (binomial tree), in
 // place in buf. buf is left combined at root and holds intermediate
 // partials elsewhere. Returns true at root.
@@ -285,9 +243,8 @@ func (c *Comm) reduceFold(op Op, acc []float64, src int) {
 }
 
 // AllreduceInto combines elementwise with op in place: every rank's buf
-// holds the combined result on return. Classic mode is reduce-to-0 +
-// broadcast (the MPICH algorithm on Ethernet); native mode is
-// recursive doubling.
+// holds the combined result on return. The schedule is reduce-to-0 +
+// broadcast (the MPICH algorithm on Ethernet).
 func (c *Comm) AllreduceInto(op Op, buf []float64) {
 	prev := c.enterCollective(ctxAllreduce)
 	defer c.exitCollective(prev)
@@ -295,82 +252,8 @@ func (c *Comm) AllreduceInto(op Op, buf []float64) {
 		c.hierAllreduceInto(op, buf, w)
 		return
 	}
-	if c.world.native {
-		c.allreduceRecDbl(op, buf)
-		return
-	}
 	c.groupReduceInto(0, 1, c.Size(), 0, op, buf)
 	c.groupBcastInto(0, 1, c.Size(), 0, buf)
-}
-
-// allreduceRecDbl is the native allreduce: recursive doubling over the
-// largest power-of-two subset, with the leftover ranks folded in before
-// and copied out after (the MPICH scheme). Partial results are always
-// combined in canonical block order — op(lower block, higher block) — so
-// every rank evaluates the same reduction tree and the result is
-// bit-identical across ranks even for non-associative float addition.
-func (c *Comm) allreduceRecDbl(op Op, buf []float64) {
-	p := c.Size()
-	if p == 1 {
-		return
-	}
-	q := 1
-	for q*2 <= p {
-		q *= 2
-	}
-	extra := p - q
-	r := c.rank
-	newrank := r - extra
-	if r < 2*extra {
-		if r%2 == 0 {
-			// Fold this rank's block into r+1, then sit out the exchange.
-			c.sendF64(r+1, tagAllreduce, buf, false)
-			newrank = -1
-		} else {
-			m := c.recv(r-1, tagAllreduce)
-			if len(m.f64) != len(buf) {
-				panic(fmt.Sprintf("mpi: allreduce length mismatch %d vs %d", len(m.f64), len(buf)))
-			}
-			for i := range buf {
-				buf[i] = op(m.f64[i], buf[i]) // r-1 is the lower block
-			}
-			c.pool.releaseF64(m.f64)
-			newrank = r / 2
-		}
-	}
-	if newrank >= 0 {
-		for dist := 1; dist < q; dist *= 2 {
-			pn := newrank ^ dist
-			partner := pn + extra
-			if pn < extra {
-				partner = pn*2 + 1
-			}
-			c.sendF64(partner, tagAllreduce, buf, false)
-			m := c.recv(partner, tagAllreduce)
-			if len(m.f64) != len(buf) {
-				panic(fmt.Sprintf("mpi: allreduce length mismatch %d vs %d", len(m.f64), len(buf)))
-			}
-			if newrank < pn {
-				for i := range buf {
-					buf[i] = op(buf[i], m.f64[i])
-				}
-			} else {
-				for i := range buf {
-					buf[i] = op(m.f64[i], buf[i])
-				}
-			}
-			c.pool.releaseF64(m.f64)
-		}
-	}
-	if r < 2*extra {
-		if r%2 == 0 {
-			m := c.recv(r+1, tagAllreduce)
-			copy(buf, m.f64)
-			c.pool.releaseF64(m.f64)
-		} else {
-			c.sendF64(r-1, tagAllreduce, buf, false)
-		}
-	}
 }
 
 // AllgatherInto gives every rank the concatenation (in rank order) of

@@ -42,7 +42,7 @@ type message struct {
 	f64     []float64
 	i64     []int64
 	sent    float64 // virtual time the send was posted
-	arrival float64 // virtual time the payload is fully received (uncontended)
+	arrival float64 // virtual time the payload is fully received
 }
 
 func (m *message) payloadBytes() int {
@@ -72,27 +72,10 @@ var ctxNames = [numCtx]string{
 // memcpy.
 const DefaultRendezvousThreshold = 32 << 10
 
-// DefaultSegmentBytes is the native pipelined-broadcast segment size.
-const DefaultSegmentBytes = 8 << 10
-
-// Config selects the substrate's optional behaviours. The zero value is
-// the production default: classic collectives on a zero-cost network.
-type Config struct {
-	// Fabric models the interconnect; nil = zero-cost network.
-	Fabric *netsim.Fabric
-	// Native switches AllreduceInto/BcastInto to the dedicated
-	// algorithms — recursive doubling, pipelined ring in
-	// DefaultSegmentBytes segments — instead of the classic
-	// reduce+bcast / binomial patterns. Off by default so historical
-	// virtual times stay bit-for-bit reproducible.
-	Native bool
-}
-
 // World is a communicator universe of Size ranks.
 type World struct {
 	size   int
 	fabric *netsim.Fabric // nil = zero-cost network
-	native bool           // Config.Native
 	comms  []*Comm
 
 	// Deadlock detection, reset per Run (inbox.go): how many ranks are
@@ -112,26 +95,21 @@ type World struct {
 	Tracer *obs.Tracer
 }
 
-// NewWorld creates a world with the default configuration (classic
-// collectives). fabric may be nil for an untimed run.
+// NewWorld creates a world of size ranks on fabric, which may be nil
+// for an untimed (zero-cost) network.
 func NewWorld(size int, fabric *netsim.Fabric) (*World, error) {
-	return NewWorldWithConfig(size, Config{Fabric: fabric})
-}
-
-// NewWorldWithConfig creates a world with explicit substrate options.
-func NewWorldWithConfig(size int, cfg Config) (*World, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("mpi: world size %d", size)
 	}
-	if f := cfg.Fabric; f != nil {
-		if err := f.Validate(); err != nil {
+	if fabric != nil {
+		if err := fabric.Validate(); err != nil {
 			return nil, err
 		}
-		if cap := f.Capacity(); cap > 0 && size > cap {
-			return nil, fmt.Errorf("mpi: world size %d exceeds fabric %q capacity %d", size, f.Name, cap)
+		if cap := fabric.Capacity(); cap > 0 && size > cap {
+			return nil, fmt.Errorf("mpi: world size %d exceeds fabric %q capacity %d", size, fabric.Name, cap)
 		}
 	}
-	w := &World{size: size, fabric: cfg.Fabric, native: cfg.Native}
+	w := &World{size: size, fabric: fabric}
 	w.comms = make([]*Comm, size)
 	for r := 0; r < size; r++ {
 		w.comms[r] = &Comm{world: w, rank: r}
@@ -242,12 +220,6 @@ type Comm struct {
 	eagerMsgs  int64
 	rdvMsgs    int64
 
-	// portBusy is this rank's ingress-port occupancy horizon under the
-	// contention model (netsim.Fabric.PortContention); delay accumulates
-	// the virtual seconds messages waited for the port.
-	portBusy float64
-	delay    float64
-
 	// in is the rank's receive side; aborted records that the rank
 	// failed because the world deadlocked.
 	in      inbox
@@ -342,8 +314,8 @@ func (c *Comm) sendI64(dst, tag int, data []int64, owned bool) {
 }
 
 // recv receives the next message from src, which must carry the given
-// tag (our codes use deterministic matching), applying the contention
-// model and advancing the virtual clock.
+// tag (our codes use deterministic matching), advancing the virtual
+// clock to the message's arrival.
 func (c *Comm) recv(src, tag int) message {
 	if src < 0 || src >= c.world.size {
 		panic(fmt.Sprintf("mpi: rank %d receives from invalid rank %d", c.rank, src))
@@ -351,22 +323,6 @@ func (c *Comm) recv(src, tag int) message {
 	m := c.take(src, tag)
 	if m.tag != tag {
 		panic(fmt.Sprintf("mpi: rank %d expected tag %d from %d, got %d", c.rank, tag, src, m.tag))
-	}
-	if f := c.world.fabric; f != nil && f.PortContention {
-		if pb := m.payloadBytes(); pb > 0 {
-			// Store-and-forward egress port: the final-hop serialization
-			// of concurrent senders to this rank happens one message at a
-			// time, in the order the rank consumes them.
-			ser := f.SerializeTime(pb)
-			startTx := m.arrival - ser
-			if c.portBusy > startTx {
-				startTx = c.portBusy
-			}
-			arr := startTx + ser
-			c.delay += arr - m.arrival
-			c.portBusy = arr
-			m.arrival = arr
-		}
 	}
 	if m.arrival > c.now {
 		c.now = m.arrival
@@ -399,8 +355,7 @@ func (c *Comm) Recv(src, tag int) []float64 {
 // per-world totals, so gathering the worlds of a CPU-count sweep
 // accumulates traffic across the sweep; the makespan gauge keeps the
 // maximum gathered value. Pool, eager/rendezvous and per-collective byte
-// counters are deterministic (per-rank pools, summed in rank order); the
-// contention-delay timer is virtual time, also deterministic. The
+// counters are deterministic (per-rank pools, summed in rank order). The
 // mpi.bytes.total, mpi.messages.total and mpi.time.max samples are the
 // numbers TotalBytes, TotalMessages and MaxTime return. Call after Run.
 func (w *World) Collect(s *obs.Snapshot) {
@@ -411,14 +366,12 @@ func (w *World) Collect(s *obs.Snapshot) {
 	// The world size of the last gathered world.
 	s.SetGauge("mpi.ranks", "", float64(w.size))
 	var hits, misses, eager, rdv int64
-	var delay float64
 	var byCtx [numCtx]int64
 	for _, c := range w.comms {
 		hits += c.pool.hits
 		misses += c.pool.misses
 		eager += c.eagerMsgs
 		rdv += c.rdvMsgs
-		delay += c.delay
 		for k := 0; k < numCtx; k++ {
 			byCtx[k] += c.bytesByCtx[k]
 		}
@@ -430,8 +383,6 @@ func (w *World) Collect(s *obs.Snapshot) {
 	// Payload messages sent by eager copy, and by ownership transfer.
 	s.AddCounter("mpi.msgs.eager", "", uint64(eager))
 	s.AddCounter("mpi.msgs.rendezvous", "", uint64(rdv))
-	// Virtual seconds messages waited for contended ports.
-	s.AddTimer("mpi.contention.delay", delay)
 	for k := 0; k < numCtx; k++ {
 		s.AddCounter("mpi.bytes."+ctxNames[k], "bytes", uint64(byCtx[k]))
 	}

@@ -21,6 +21,17 @@ func TestNewWorldValidation(t *testing.T) {
 	}
 }
 
+func TestConfigValidation(t *testing.T) {
+	if _, err := NewWorld(0, netsim.FastEthernet()); err == nil {
+		t.Fatal("size 0 accepted")
+	}
+	bad := netsim.FastEthernet()
+	bad.ReduceOpSecPerElem = -1
+	if _, err := NewWorld(2, bad); err == nil {
+		t.Fatal("negative reduce-op cost accepted")
+	}
+}
+
 func TestSendRecvBasic(t *testing.T) {
 	w, err := NewWorld(2, nil)
 	if err != nil {

@@ -174,7 +174,7 @@ func TestAllreducePoolStatsExact(t *testing.T) {
 
 func TestPoolStatsDeterministic(t *testing.T) {
 	run := func() (int64, int64) {
-		w, err := NewWorldWithConfig(6, Config{})
+		w, err := NewWorld(6, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestPoolStatsDeterministic(t *testing.T) {
 
 func TestEagerAndRendezvousAccounting(t *testing.T) {
 	big := DefaultRendezvousThreshold / 8 // floats: exactly at the threshold
-	w, err := NewWorldWithConfig(2, Config{})
+	w, err := NewWorld(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestEagerAndRendezvousAccounting(t *testing.T) {
 }
 
 func TestSendOwnedTransfersBackingArray(t *testing.T) {
-	w, err := NewWorldWithConfig(2, Config{})
+	w, err := NewWorld(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestSendOwnedTransfersBackingArray(t *testing.T) {
 }
 
 func TestCollectiveByteAccounting(t *testing.T) {
-	w, err := NewWorldWithConfig(4, Config{})
+	w, err := NewWorld(4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,6 @@ func TestWorldCollectVocabulary(t *testing.T) {
 		{Name: "mpi.bytes.p2p", Kind: obs.KindCounter, Unit: "bytes"},
 		{Name: "mpi.bytes.reduce", Kind: obs.KindCounter, Unit: "bytes"},
 		{Name: "mpi.bytes.total", Kind: obs.KindCounter, Unit: "bytes"},
-		{Name: "mpi.contention.delay", Kind: obs.KindTimer, Unit: "s"},
 		{Name: "mpi.messages.total", Kind: obs.KindCounter},
 		{Name: "mpi.msgs.eager", Kind: obs.KindCounter},
 		{Name: "mpi.msgs.rendezvous", Kind: obs.KindCounter},
@@ -443,215 +442,11 @@ func TestSlowRanksNotDeadlock(t *testing.T) {
 	}
 }
 
-// fanInTime runs a p-rank fan-in of n floats per sender to rank 0 and
-// returns the makespan.
-func fanInTime(t *testing.T, p, n int, contended bool) float64 {
-	t.Helper()
-	f := netsim.FastEthernet()
-	f.PortContention = contended
-	w, err := NewWorldWithConfig(p, Config{Fabric: f})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			for src := 1; src < p; src++ {
-				c.ReleaseF64(c.Recv(src, 0))
-			}
-		} else {
-			c.Send(0, 0, make([]float64, n))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w.MaxTime()
-}
-
-func TestPortContentionSerializesFanIn(t *testing.T) {
-	const p, n = 8, 1 << 12
-	on := fanInTime(t, p, n, true)
-	off := fanInTime(t, p, n, false)
-	if on <= off {
-		t.Fatalf("contended fan-in (%g) not slower than uncontended (%g)", on, off)
-	}
-	// The emergent contended time must equal the analytical fan-in
-	// exactly: p-1 simultaneous arrivals serialized by one egress port.
-	f := netsim.FastEthernet()
-	f.PortContention = true
-	want := f.FanIn(p, n*8)
-	if math.Abs(on-want)/want > 1e-9 {
-		t.Fatalf("contended fan-in %g, analytical %g", on, want)
-	}
-}
-
-func TestContentionOffMatchesLegacyWorld(t *testing.T) {
-	// With the flag off the substrate must reproduce the historical
-	// uncontended model bit-for-bit.
-	legacy := func() float64 {
-		w, err := NewWorld(6, netsim.FastEthernet())
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = w.Run(func(c *Comm) error {
-			if c.Rank() == 0 {
-				for src := 1; src < 6; src++ {
-					c.ReleaseF64(c.Recv(src, 0))
-				}
-			} else {
-				c.Send(0, 0, make([]float64, 512))
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w.MaxTime()
-	}
-	if got, want := fanInTime(t, 6, 512, false), legacy(); got > want || got < want {
-		t.Fatalf("uncontended fan-in %v differs from legacy model %v",
-			math.Float64bits(got), math.Float64bits(want))
-	}
-}
-
-func TestContentionDelayRecorded(t *testing.T) {
-	f := netsim.FastEthernet()
-	f.PortContention = true
-	w, err := NewWorldWithConfig(4, Config{Fabric: f})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			for src := 1; src < 4; src++ {
-				c.ReleaseF64(c.Recv(src, 0))
-			}
-		} else {
-			c.Send(0, 0, make([]float64, 1024))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := obs.NewSnapshot()
-	w.Collect(s)
-	d, ok := s.Lookup("mpi.contention.delay")
-	if !ok || d.Float <= 0 {
-		t.Fatalf("mpi.contention.delay = %v (present=%v), want > 0", d.Float, ok)
-	}
-}
-
-func TestNativeBcastAllSizesAllRoots(t *testing.T) {
-	// A buffer of several segments plus a partial one drives the
-	// pipelined ring through its full and short segments.
-	for _, p := range worldSizes() {
-		for root := 0; root < p; root++ {
-			w, err := NewWorldWithConfig(p, Config{Native: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = w.Run(func(c *Comm) error {
-				const n = 3*DefaultSegmentBytes/8 + 100 // three 8 KiB segments and a short fourth
-				buf := make([]float64, n)
-				if c.Rank() == root {
-					for i := range buf {
-						buf[i] = float64(root*1000 + i)
-					}
-				}
-				c.BcastInto(root, buf)
-				for i := range buf {
-					if buf[i] != float64(root*1000+i) {
-						return fmt.Errorf("rank %d buf[%d] = %v", c.Rank(), i, buf[i])
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("p=%d root=%d: %v", p, root, err)
-			}
-		}
-	}
-}
-
-func TestNativeAllreduceCorrectAndBitIdenticalAcrossRanks(t *testing.T) {
-	// Non-power-of-two sizes exercise the recursive-doubling fold-in
-	// scheme; the irrational-ish values exercise FP non-associativity, so
-	// cross-rank equality only holds if every rank evaluates the same
-	// reduction tree.
-	for _, p := range worldSizes() {
-		w, err := NewWorldWithConfig(p, Config{Native: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		const n = 33
-		results := make([][]float64, p)
-		err = w.Run(func(c *Comm) error {
-			buf := make([]float64, n)
-			for i := range buf {
-				buf[i] = 1.0 / float64(c.Rank()+i+1)
-			}
-			c.AllreduceInto(Sum, buf)
-			results[c.Rank()] = buf
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		for r := 1; r < p; r++ {
-			for i := range results[0] {
-				if math.Float64bits(results[r][i]) != math.Float64bits(results[0][i]) {
-					t.Fatalf("p=%d: rank %d element %d differs from rank 0: %v vs %v",
-						p, r, i, results[r][i], results[0][i])
-				}
-			}
-		}
-		// Sanity: within FP tolerance of the ideal sum.
-		for i := 0; i < n; i++ {
-			var want float64
-			for r := 0; r < p; r++ {
-				want += 1.0 / float64(r+i+1)
-			}
-			if math.Abs(results[0][i]-want) > 1e-12*math.Abs(want) {
-				t.Fatalf("p=%d element %d: %v vs %v", p, i, results[0][i], want)
-			}
-		}
-	}
-}
-
-func TestNativeAllreduceMaxMin(t *testing.T) {
-	for _, p := range []int{3, 8, 13} {
-		w, err := NewWorldWithConfig(p, Config{Native: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = w.Run(func(c *Comm) error {
-			got := []float64{float64(c.Rank()), -float64(c.Rank())}
-			c.AllreduceInto(Max, got)
-			if got[0] != float64(p-1) || got[1] != 0 {
-				return fmt.Errorf("max: %v", got)
-			}
-			got = []float64{float64(c.Rank()), -float64(c.Rank())}
-			c.AllreduceInto(Min, got)
-			if got[0] != 0 || got[1] != -float64(p-1) {
-				return fmt.Errorf("min: %v", got)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-	}
-}
-
 // collectiveTime runs one collective on a fresh world and returns the
 // emergent makespan.
-func collectiveTime(t *testing.T, p, n int, native bool, body func(c *Comm, buf []float64)) float64 {
+func collectiveTime(t *testing.T, p, n int, body func(c *Comm, buf []float64)) float64 {
 	t.Helper()
-	w, err := NewWorldWithConfig(p, Config{
-		Fabric: netsim.FastEthernet(), Native: native,
-	})
+	w, err := NewWorld(p, netsim.FastEthernet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -672,10 +467,11 @@ func collectiveTime(t *testing.T, p, n int, native bool, body func(c *Comm, buf 
 func TestEmergentTimesTrackAnalyticalFormulas(t *testing.T) {
 	// The virtual times that emerge from the message-by-message
 	// simulation must track netsim's closed-form estimates across rank
-	// counts and payload sizes, for both the classic and the native
-	// algorithms. The windows are deliberately loose for the classic
-	// tree algorithms (the formulas idealize away relay serialization)
-	// and tighter for the native ones, which mirror their formulas.
+	// counts and payload sizes, for the classic collectives and for the
+	// recursive-doubling and pipelined-ring references (native_test.go).
+	// The windows are deliberately loose for the classic tree
+	// algorithms (the formulas idealize away relay serialization) and
+	// tighter for the references, which mirror their formulas.
 	fab := netsim.FastEthernet()
 	sizes := []int{8, 1 << 10, 64 << 10, 4 << 20}
 	if testing.Short() {
@@ -692,17 +488,17 @@ func TestEmergentTimesTrackAnalyticalFormulas(t *testing.T) {
 			}
 			cases := []tc{
 				{"allreduce/classic",
-					collectiveTime(t, p, n, false, func(c *Comm, buf []float64) { c.AllreduceInto(Sum, buf) }),
+					collectiveTime(t, p, n, func(c *Comm, buf []float64) { c.AllreduceInto(Sum, buf) }),
 					fab.Allreduce(p, bytes), 0.25, 2.0},
-				{"allreduce/native",
-					collectiveTime(t, p, n, true, func(c *Comm, buf []float64) { c.AllreduceInto(Sum, buf) }),
+				{"allreduce/recdbl",
+					collectiveTime(t, p, n, func(c *Comm, buf []float64) { c.allreduceRecDbl(Sum, buf) }),
 					fab.AllreduceRecDbl(p, bytes), 0.5, 1.6},
 				{"bcast/classic",
-					collectiveTime(t, p, n, false, func(c *Comm, buf []float64) { c.BcastInto(0, buf) }),
+					collectiveTime(t, p, n, func(c *Comm, buf []float64) { c.BcastInto(0, buf) }),
 					fab.Bcast(p, bytes), 0.25, 2.0},
-				{"bcast/native",
-					collectiveTime(t, p, n, true, func(c *Comm, buf []float64) { c.BcastInto(0, buf) }),
-					fab.BcastPipelined(p, bytes, DefaultSegmentBytes), 0.5, 1.6},
+				{"bcast/pipelined",
+					collectiveTime(t, p, n, func(c *Comm, buf []float64) { c.bcastPipeInto(0, buf) }),
+					fab.BcastPipelined(p, bytes, segBytes), 0.5, 1.6},
 			}
 			for _, c := range cases {
 				if c.got < c.want*c.lo || c.got > c.want*c.hi {
@@ -768,33 +564,21 @@ func TestWarmPoolCollectivesBitIdentical(t *testing.T) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
-	if _, err := NewWorldWithConfig(0, Config{}); err == nil {
-		t.Fatal("size 0 accepted")
-	}
-	bad := netsim.FastEthernet()
-	bad.ReduceOpSecPerElem = -1
-	if _, err := NewWorldWithConfig(2, Config{Fabric: bad}); err == nil {
-		t.Fatal("negative reduce-op cost accepted")
-	}
-}
-
 // TestExactPredictorsMatchEmergent pins the closed forms in netsim
 // against the emergent virtual times of the substrate: AllreduceTime,
 // BcastTime, ReduceTime and FanInTime must equal the measured makespan
-// bit-for-bit on every topology, with and without port contention,
-// across payload sizes (8 B – 4 MB) and world sizes 2..64.
+// bit-for-bit on every topology, across payload sizes (8 B – 4 MB)
+// and world sizes 2..64.
 func TestExactPredictorsMatchEmergent(t *testing.T) {
-	mkFab := func(topo string, contended bool, p int) *netsim.Fabric {
+	mkFab := func(topo string, p int) *netsim.Fabric {
 		f := netsim.FastEthernet()
-		f.PortContention = contended
 		if err := netsim.ApplyTopology(f, topo, p); err != nil {
 			t.Fatal(err)
 		}
 		return f
 	}
 	measure := func(f *netsim.Fabric, p int, prog func(c *Comm)) float64 {
-		w, err := NewWorldWithConfig(p, Config{Fabric: f})
+		w, err := NewWorld(p, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -805,47 +589,45 @@ func TestExactPredictorsMatchEmergent(t *testing.T) {
 		return w.MaxTime()
 	}
 	for _, topo := range []string{"star", "fattree", "torus2d", "torus3d"} {
-		for _, contended := range []bool{false, true} {
-			for _, p := range []int{2, 3, 5, 8, 16, 24, 64} {
-				for _, elems := range []int{1, 512, 4096, 512 << 10} {
-					if elems == 512<<10 && p > 8 {
-						continue // 4 MB buffers: keep host memory sane
-					}
-					bytes := 8 * elems
-					f := mkFab(topo, contended, p)
-					cases := []struct {
-						name string
-						want float64
-						prog func(c *Comm)
-					}{
-						{"allreduce", f.AllreduceTime(p, bytes), func(c *Comm) {
-							buf := make([]float64, elems)
-							c.AllreduceInto(Sum, buf)
-						}},
-						{"bcast", f.BcastTime(p, bytes), func(c *Comm) {
-							buf := make([]float64, elems)
-							c.BcastInto(0, buf)
-						}},
-						{"reduce", f.ReduceTime(p, bytes), func(c *Comm) {
-							buf := make([]float64, elems)
-							c.ReduceInto(0, Sum, buf)
-						}},
-						{"fanin", f.FanInTime(p, bytes), func(c *Comm) {
-							if c.Rank() == 0 {
-								for src := 1; src < p; src++ {
-									c.ReleaseF64(c.Recv(src, 0))
-								}
-							} else {
-								c.Send(0, 0, make([]float64, elems))
+		for _, p := range []int{2, 3, 5, 8, 16, 24, 64} {
+			for _, elems := range []int{1, 512, 4096, 512 << 10} {
+				if elems == 512<<10 && p > 8 {
+					continue // 4 MB buffers: keep host memory sane
+				}
+				bytes := 8 * elems
+				f := mkFab(topo, p)
+				cases := []struct {
+					name string
+					want float64
+					prog func(c *Comm)
+				}{
+					{"allreduce", f.AllreduceTime(p, bytes), func(c *Comm) {
+						buf := make([]float64, elems)
+						c.AllreduceInto(Sum, buf)
+					}},
+					{"bcast", f.BcastTime(p, bytes), func(c *Comm) {
+						buf := make([]float64, elems)
+						c.BcastInto(0, buf)
+					}},
+					{"reduce", f.ReduceTime(p, bytes), func(c *Comm) {
+						buf := make([]float64, elems)
+						c.ReduceInto(0, Sum, buf)
+					}},
+					{"fanin", f.FanInTime(p, bytes), func(c *Comm) {
+						if c.Rank() == 0 {
+							for src := 1; src < p; src++ {
+								c.ReleaseF64(c.Recv(src, 0))
 							}
-						}},
-					}
-					for _, tc := range cases {
-						got := measure(f, p, tc.prog)
-						if math.Float64bits(got) != math.Float64bits(tc.want) {
-							t.Errorf("%s/%s contended=%v p=%d bytes=%d: emergent %.17g, predicted %.17g",
-								topo, tc.name, contended, p, bytes, got, tc.want)
+						} else {
+							c.Send(0, 0, make([]float64, elems))
 						}
+					}},
+				}
+				for _, tc := range cases {
+					got := measure(f, p, tc.prog)
+					if math.Float64bits(got) != math.Float64bits(tc.want) {
+						t.Errorf("%s/%s p=%d bytes=%d: emergent %.17g, predicted %.17g",
+							topo, tc.name, p, bytes, got, tc.want)
 					}
 				}
 			}

@@ -46,37 +46,10 @@ func TestValidateRejectsNegativeReduceOpCost(t *testing.T) {
 	}
 }
 
-func TestFanInContention(t *testing.T) {
-	un := FastEthernet()
-	co := FastEthernet()
-	co.PortContention = true
-	const p, b = 8, 4096
-	if un.FanIn(p, b) != un.PointToPoint(b) {
-		t.Fatal("uncontended fan-in must be one point-to-point")
-	}
-	want := co.PointToPoint(b) + float64(p-2)*co.SerializeTime(b)
-	if got := co.FanIn(p, b); math.Abs(got-want) > 1e-15 {
-		t.Fatalf("contended FanIn = %g, want %g", got, want)
-	}
-	if co.FanIn(1, b) != 0 {
-		t.Fatal("single-node fan-in must cost 0")
-	}
-}
-
-func TestSerializeTimeExported(t *testing.T) {
-	f := FastEthernet()
-	if f.SerializeTime(1460) != f.serialize(1460) {
-		t.Fatal("SerializeTime must expose the internal per-hop serialization")
-	}
-	if f.SerializeTime(1461) <= f.SerializeTime(1460) {
-		t.Fatal("second frame not charged")
-	}
-}
-
 func TestAllreduceRecDblCheaperThanReduceBcast(t *testing.T) {
 	// Recursive doubling halves the round count for power-of-two p:
 	// log2(p) exchange rounds against the classic reduce+bcast's
-	// 2·log2(p) — the reason it is the native algorithm.
+	// 2·log2(p).
 	f := FastEthernet()
 	for p := 2; p <= 32; p *= 2 {
 		for _, b := range []int{64, 1 << 20} {
@@ -107,11 +80,5 @@ func TestBcastPipelinedBeatsTreeForLargePayloads(t *testing.T) {
 	}
 	if got, want := f.BcastPipelined(2, 100, 8192), f.PointToPoint(100); got != want {
 		t.Fatalf("single-segment p=2 pipeline = %g, want one point-to-point %g", got, want)
-	}
-	// Contention widens the inter-segment gap to the port occupancy.
-	co := FastEthernet()
-	co.PortContention = true
-	if co.BcastPipelined(8, 1<<20, 8<<10) <= f.BcastPipelined(8, 1<<20, 8<<10) {
-		t.Fatal("contended pipeline not slower")
 	}
 }

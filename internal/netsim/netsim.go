@@ -33,14 +33,6 @@ type Fabric struct {
 	// message transfer — what separates Reduce from Bcast, which moves
 	// the same bytes but combines nothing.
 	ReduceOpSecPerElem float64
-	// PortContention enables the per-port occupancy model in the MPI
-	// layer's virtual clock: the switch's store-and-forward egress port
-	// serializes concurrent senders to one destination, so fan-in
-	// traffic queues instead of landing simultaneously. Off by default
-	// so historical (uncontended) numbers stay reproducible bit-for-bit.
-	// The analytical formulas that depend on it (FanIn, BcastPipelined)
-	// take it into account; the classic formulas are unchanged.
-	PortContention bool
 	// Topology selects the fabric shape. The zero value, TopoStar, is
 	// the paper's single switch: every pair of nodes is Hops apart, so
 	// all historical numbers are unchanged. The other shapes make the
@@ -135,11 +127,6 @@ func (f *Fabric) serialize(bytes int) float64 {
 	return wireBytes * 8 / f.BandwidthBps
 }
 
-// SerializeTime returns the single-link wire time for a payload of the
-// given size — the occupancy one message imposes on a switch egress port,
-// which is what the contention model charges queued senders.
-func (f *Fabric) SerializeTime(bytes int) float64 { return f.serialize(bytes) }
-
 // PointToPoint returns the end-to-end time for one message of the given
 // payload size between two nodes.
 func (f *Fabric) PointToPoint(bytes int) float64 {
@@ -196,22 +183,16 @@ func (f *Fabric) Allreduce(p, bytes int) float64 {
 }
 
 // FanIn returns the time for p-1 nodes to deliver bytes each to a single
-// destination. Without port contention every message lands after one
-// uncontended PointToPoint; with the occupancy model the egress port
-// serializes them, so the last message queues behind the other p-2.
+// destination. The switch is non-blocking, so every message lands after
+// one PointToPoint.
 func (f *Fabric) FanIn(p, bytes int) float64 {
 	if p <= 1 {
 		return 0
 	}
-	t := f.PointToPoint(bytes)
-	if f.PortContention {
-		t += float64(p-2) * f.serialize(bytes)
-	}
-	return t
+	return f.PointToPoint(bytes)
 }
 
-// AllreduceRecDbl returns the time for the native recursive-doubling
-// allreduce: log2(q) pairwise exchange rounds over the largest
+// AllreduceRecDbl returns the time for a recursive-doubling allreduce: log2(q) pairwise exchange rounds over the largest
 // power-of-two subset q, plus a fold-in and copy-out round when p is not
 // a power of two, with the per-element combine cost paid each round.
 func (f *Fabric) AllreduceRecDbl(p, bytes int) float64 {
@@ -232,12 +213,10 @@ func (f *Fabric) AllreduceRecDbl(p, bytes int) float64 {
 	return t
 }
 
-// BcastPipelined returns the time for the native pipelined ring
-// broadcast with the given segment size: the first segment crosses p-1
-// ring hops, and each further segment follows one gap behind —
-// the per-message software overhead when ports are uncontended, or the
-// segment's port occupancy once the contention model serializes
-// back-to-back segments into the same port.
+// BcastPipelined returns the time for a pipelined ring broadcast with
+// the given segment size: the first segment crosses p-1 ring hops, and
+// each further segment follows one gap behind, the sender's half of the
+// per-message software overhead.
 func (f *Fabric) BcastPipelined(p, bytes, segBytes int) float64 {
 	if p <= 1 || bytes <= 0 {
 		return 0
@@ -247,10 +226,5 @@ func (f *Fabric) BcastPipelined(p, bytes, segBytes int) float64 {
 	}
 	nseg := math.Ceil(float64(bytes) / float64(segBytes))
 	gap := f.SoftwareOverhead / 2
-	if f.PortContention {
-		if s := f.serialize(segBytes); s > gap {
-			gap = s
-		}
-	}
 	return float64(p-1)*f.PointToPoint(segBytes) + (nseg-1)*gap
 }

@@ -5,7 +5,7 @@
 // predictors here — AllreduceTime, BcastTime, ReduceTime, FanInTime —
 // replay the substrate's per-rank virtual-clock recurrence message by
 // message, so the emergent times from internal/mpi match them
-// bit-for-bit on every topology, with and without port contention.
+// bit-for-bit on every topology.
 package netsim
 
 import (
@@ -191,9 +191,7 @@ func ApplyTopology(f *Fabric, name string, p int) error {
 //
 //	send: arrival = clock[src] + PointToPointRanks(src, dst, bytes)
 //	      clock[src] += SoftwareOverhead/2
-//	recv: with PortContention and a payload, the egress port transmits
-//	      queued messages back to back in consumption order; then
-//	      clock[dst] = max(clock[dst], arrival)
+//	recv: clock[dst] = max(clock[dst], arrival)
 //
 // in the exact per-rank program order of the collectives in
 // internal/mpi, so the results are bit-identical to the emergent times.
@@ -205,19 +203,9 @@ func (f *Fabric) replaySend(src, dst, bytes int, clock []float64) float64 {
 	return arrival
 }
 
-// replayRecv mirrors Comm.recv: egress-port occupancy first (in the
-// receiver's consumption order), then the arrival clamp.
-func (f *Fabric) replayRecv(r int, arrival float64, bytes int, clock, portBusy []float64) {
-	if f.PortContention && bytes > 0 {
-		ser := f.serialize(bytes)
-		startTx := arrival - ser
-		if portBusy[r] > startTx {
-			startTx = portBusy[r]
-		}
-		arr := startTx + ser
-		portBusy[r] = arr
-		arrival = arr
-	}
+// replayRecv mirrors Comm.recv: the receiver's clock advances to the
+// arrival.
+func replayRecv(r int, arrival float64, clock []float64) {
 	if arrival > clock[r] {
 		clock[r] = arrival
 	}
@@ -235,7 +223,7 @@ func seqMember(base, stride, count, rootIdx int) func(int) int {
 // rank 0 of the subgroup. Children have higher virtual ranks, so
 // walking v downward sees every child's send clock before its parent
 // consumes it.
-func (f *Fabric) replayGroupReduce(member func(int) int, count, bytes int, clock, portBusy []float64) {
+func (f *Fabric) replayGroupReduce(member func(int) int, count, bytes int, clock []float64) {
 	if count <= 1 {
 		return
 	}
@@ -245,7 +233,7 @@ func (f *Fabric) replayGroupReduce(member func(int) int, count, bytes int, clock
 		for dist := 1; dist < count; dist *= 2 {
 			if v%(2*dist) == 0 {
 				if src := v + dist; src < count {
-					f.replayRecv(r, arrivals[src], bytes, clock, portBusy)
+					replayRecv(r, arrivals[src], clock)
 				}
 			} else {
 				arrivals[v] = f.replaySend(r, member(v-dist), bytes, clock)
@@ -258,7 +246,7 @@ func (f *Fabric) replayGroupReduce(member func(int) int, count, bytes int, clock
 // replayGroupBcast replays the binomial-tree broadcast from virtual
 // rank 0. Parents have lower virtual ranks, so walking v upward
 // records each arrival before the child consumes it.
-func (f *Fabric) replayGroupBcast(member func(int) int, count, bytes int, clock, portBusy []float64) {
+func (f *Fabric) replayGroupBcast(member func(int) int, count, bytes int, clock []float64) {
 	if count <= 1 {
 		return
 	}
@@ -276,7 +264,7 @@ func (f *Fabric) replayGroupBcast(member func(int) int, count, bytes int, clock,
 					arrivals[c] = f.replaySend(r, member(c), bytes, clock)
 				}
 			case dist:
-				f.replayRecv(r, arrivals[v], bytes, clock, portBusy)
+				replayRecv(r, arrivals[v], clock)
 			}
 		}
 	}
@@ -302,7 +290,7 @@ func maxClock(clock []float64) float64 {
 }
 
 // AllreduceTime is the exact completion time (max over ranks) of the
-// substrate's non-native allreduce of a bytes-sized buffer: the
+// substrate's allreduce of a bytes-sized buffer: the
 // hierarchical group schedule on topologies with a group width, the
 // classic reduce+broadcast otherwise.
 func (f *Fabric) AllreduceTime(p, bytes int) float64 {
@@ -310,22 +298,21 @@ func (f *Fabric) AllreduceTime(p, bytes int) float64 {
 		return 0
 	}
 	clock := make([]float64, p)
-	portBusy := make([]float64, p)
 	if w := f.hierWidth(p); w > 0 {
 		g := (p + w - 1) / w
 		for base := 0; base < p; base += w {
 			n := min(w, p-base)
-			f.replayGroupReduce(seqMember(base, 1, n, 0), n, bytes, clock, portBusy)
+			f.replayGroupReduce(seqMember(base, 1, n, 0), n, bytes, clock)
 		}
-		f.replayGroupReduce(seqMember(0, w, g, 0), g, bytes, clock, portBusy)
-		f.replayGroupBcast(seqMember(0, w, g, 0), g, bytes, clock, portBusy)
+		f.replayGroupReduce(seqMember(0, w, g, 0), g, bytes, clock)
+		f.replayGroupBcast(seqMember(0, w, g, 0), g, bytes, clock)
 		for base := 0; base < p; base += w {
 			n := min(w, p-base)
-			f.replayGroupBcast(seqMember(base, 1, n, 0), n, bytes, clock, portBusy)
+			f.replayGroupBcast(seqMember(base, 1, n, 0), n, bytes, clock)
 		}
 	} else {
-		f.replayGroupReduce(seqMember(0, 1, p, 0), p, bytes, clock, portBusy)
-		f.replayGroupBcast(seqMember(0, 1, p, 0), p, bytes, clock, portBusy)
+		f.replayGroupReduce(seqMember(0, 1, p, 0), p, bytes, clock)
+		f.replayGroupBcast(seqMember(0, 1, p, 0), p, bytes, clock)
 	}
 	return maxClock(clock)
 }
@@ -338,16 +325,15 @@ func (f *Fabric) BcastTime(p, bytes int) float64 {
 		return 0
 	}
 	clock := make([]float64, p)
-	portBusy := make([]float64, p)
 	if w := f.hierWidth(p); w > 0 {
 		g := (p + w - 1) / w
-		f.replayGroupBcast(seqMember(0, w, g, 0), g, bytes, clock, portBusy)
+		f.replayGroupBcast(seqMember(0, w, g, 0), g, bytes, clock)
 		for base := 0; base < p; base += w {
 			n := min(w, p-base)
-			f.replayGroupBcast(seqMember(base, 1, n, 0), n, bytes, clock, portBusy)
+			f.replayGroupBcast(seqMember(base, 1, n, 0), n, bytes, clock)
 		}
 	} else {
-		f.replayGroupBcast(seqMember(0, 1, p, 0), p, bytes, clock, portBusy)
+		f.replayGroupBcast(seqMember(0, 1, p, 0), p, bytes, clock)
 	}
 	return maxClock(clock)
 }
@@ -360,23 +346,21 @@ func (f *Fabric) ReduceTime(p, bytes int) float64 {
 		return 0
 	}
 	clock := make([]float64, p)
-	portBusy := make([]float64, p)
-	f.replayGroupReduce(seqMember(0, 1, p, 0), p, bytes, clock, portBusy)
+	f.replayGroupReduce(seqMember(0, 1, p, 0), p, bytes, clock)
 	return maxClock(clock)
 }
 
 // FanInTime is the exact time for ranks 1..p-1 to each deliver bytes
-// to rank 0, consumed in source order — the distance- and
-// contention-aware counterpart of the approximate FanIn.
+// to rank 0, consumed in source order — the distance-aware counterpart
+// of the approximate FanIn.
 func (f *Fabric) FanInTime(p, bytes int) float64 {
 	if p <= 1 {
 		return 0
 	}
 	clock := make([]float64, p)
-	portBusy := make([]float64, p)
 	for src := 1; src < p; src++ {
 		arrival := f.replaySend(src, 0, bytes, clock)
-		f.replayRecv(0, arrival, bytes, clock, portBusy)
+		replayRecv(0, arrival, clock)
 	}
 	return clock[0]
 }

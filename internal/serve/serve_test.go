@@ -298,7 +298,8 @@ func TestConcurrentSubmissions(t *testing.T) {
 // TestBadSubmissions maps decode and validation failures to 4xx. An
 // nbody spec Run could only fail — rungs above the integrator's limit,
 // or block steps on the simulated cluster — is a validation failure, as
-// is a naskernels kernel outside the paper's Table 3 suite.
+// is a naskernels kernel outside the paper's Table 3 suite, or input its
+// run never reads (a fabric without ranks, "rate":false with ranks).
 func TestBadSubmissions(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	cases := []struct {
@@ -314,6 +315,8 @@ func TestBadSubmissions(t *testing.T) {
 		{`{"api":"repro/spec/v1","kind":"nbody","spec":{"n":300,"steps":1,"ranks":2,"rungs":2}}`, http.StatusUnprocessableEntity},
 		{`{"api":"repro/spec/v1","kind":"naskernels","spec":{"kernel":"CG"}}`, http.StatusUnprocessableEntity},
 		{`{"api":"repro/spec/v1","kind":"naskernels","spec":{"kernel":"FT"}}`, http.StatusUnprocessableEntity},
+		{`{"api":"repro/spec/v1","kind":"naskernels","spec":{"fabric":"torus2d"}}`, http.StatusUnprocessableEntity},
+		{`{"api":"repro/spec/v1","kind":"naskernels","spec":{"ranks":4,"rate":false}}`, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		resp, env := submit(t, ts, "", tc.body)
@@ -394,13 +397,14 @@ func retiredBody(kind, extra string) string {
 	return `{"api":"repro/spec/v1","kind":"` + kind + `","spec":{` + base[kind] + extra + `}}`
 }
 
-// TestRetiredSpellingsNotServed: after the default nbody and table2
-// runs are cached, a request that adds a deleted execution-only field
-// (concurrent, workers, no_memo, no_prune) or the deleted engine field
-// ("engine":"list") is a 400 naming the field. None of them replays a
-// cached document.
+// TestRetiredSpellingsNotServed: after the default nbody, table2 and
+// nassweep runs are cached, a request that adds a deleted
+// execution-only field (concurrent, workers, no_memo, no_prune), the
+// deleted engine field ("engine":"list") or the deleted nassweep
+// native and contention fields, true or false, is a 400 naming the
+// field. None of them replays a cached document.
 func TestRetiredSpellingsNotServed(t *testing.T) {
-	retiredSpellingNotServed(t, []string{"nbody", "table2"}, []retiredSpelling{
+	retiredSpellingNotServed(t, []string{"nbody", "table2", "nassweep"}, []retiredSpelling{
 		{"table2", `,"concurrent":true`, "concurrent", http.StatusBadRequest},
 		{"table2", `,"workers":2`, "workers", http.StatusBadRequest},
 		{"nassweep", `,"concurrent":true`, "concurrent", http.StatusBadRequest},
@@ -409,6 +413,10 @@ func TestRetiredSpellingsNotServed(t *testing.T) {
 		{"topperopt", `,"no_memo":true`, "no_memo", http.StatusBadRequest},
 		{"topperopt", `,"no_prune":true`, "no_prune", http.StatusBadRequest},
 		{"nbody", `,"engine":"list"`, "engine", http.StatusBadRequest},
+		{"nassweep", `,"native":true`, "native", http.StatusBadRequest},
+		{"nassweep", `,"native":false`, "native", http.StatusBadRequest},
+		{"nassweep", `,"contention":true`, "contention", http.StatusBadRequest},
+		{"nassweep", `,"contention":false`, "contention", http.StatusBadRequest},
 	})
 }
 

@@ -27,8 +27,9 @@ func TestExecuteZeroAlloc(t *testing.T) {
 	}
 	m := NewMachine(TM5600Timing())
 	mustTime(t, m, tr)
+	var res ExecResult
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := m.Execute(tr, st); err != nil {
+		if err := m.Execute(tr, st, &res); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -210,6 +210,9 @@ func TestExecuteMatchesReference(t *testing.T) {
 	timings := []vliw.Timing{vliw.TM5600Timing(), cpu.NewTM5800().Timing, slowLoads}
 	var execs, faults int
 	var ref, got isa.State
+	// One result reused across every execution, as cms reuses one:
+	// Execute must overwrite every field.
+	var res vliw.ExecResult
 	for _, prog := range diffCorpus(t) {
 		states := visitStates(t, prog.p, prog.st)
 		for _, wide := range []bool{true, false} {
@@ -240,7 +243,7 @@ func TestExecuteMatchesReference(t *testing.T) {
 							resetState(&got, s0)
 							rst, gst := vliw.State{Arch: &ref}, vliw.State{Arch: &got}
 							want, werr := vliw.ReferenceExecute(tm, v, &rst)
-							res, gerr := m.Execute(v, &gst)
+							gerr := m.Execute(v, &gst, &res)
 							if (werr == nil) != (gerr == nil) || werr != nil && werr.Error() != gerr.Error() {
 								t.Fatalf("%s: error %v, reference %v", label(), gerr, werr)
 							}

@@ -228,20 +228,23 @@ func (m *Machine) Time(t *Translation) error {
 }
 
 // Execute runs the translation against st until a branch exits, the last
-// molecule falls through, or a branch to a HaltCode halts the machine.
-// It runs the atoms' semantics and commits each molecule's writes in
-// parallel; the cycles and counts it reports are those Time stored for
-// the molecule it leaves at, plus BranchPenalty on a taken branch. If an
+// molecule falls through, or a branch to a HaltCode halts the machine,
+// and writes what it reports into *res, overwriting every field. It runs
+// the atoms' semantics and commits each molecule's writes in parallel;
+// the cycles and counts it reports are those Time stored for the
+// molecule it leaves at, plus BranchPenalty on a taken branch. If an
 // atom fails, the result counts the molecules before the failing one and
-// reports no cycles. Execute returns ErrTiming unless Time prepared t
-// under m.T, and writes nothing into t.
+// reports no cycles. Execute returns ErrTiming, with a zero result,
+// unless Time prepared t under m.T, and writes nothing into t.
 //
 // Execute is the simulator's hottest host loop and performs no heap
-// allocation: the commit buffer is a fixed array. The result is named so
-// the table entry is written straight into the caller's copy.
-func (m *Machine) Execute(t *Translation, st *State) (res ExecResult, err error) {
+// allocation: the commit buffer is a fixed array, and the result goes
+// straight into the caller's struct, which a caller running many
+// translations reuses.
+func (m *Machine) Execute(t *Translation, st *State, res *ExecResult) error {
 	if len(t.steps) != len(t.Molecules) || t.timing != m.T {
-		return res, ErrTiming
+		*res = ExecResult{}
+		return ErrTiming
 	}
 	var writes [maxMoleculeAtoms]pendingWrite
 	for mi := range t.Molecules {
@@ -253,11 +256,12 @@ func (m *Machine) Execute(t *Translation, st *State) (res ExecResult, err error)
 		for i := range mol.Atoms {
 			wrote, br, taken, halt, err := execAtom(&mol.Atoms[i], st, &writes[nw])
 			if err != nil {
+				*res = ExecResult{}
 				if mi > 0 {
-					t.result(&res, mi-1)
+					t.result(res, mi-1)
 					res.Cycles = 0
 				}
-				return res, fmt.Errorf("vliw: molecule %d: %w", mi, err)
+				return fmt.Errorf("vliw: molecule %d: %w", mi, err)
 			}
 			if wrote {
 				nw++
@@ -279,25 +283,24 @@ func (m *Machine) Execute(t *Translation, st *State) (res ExecResult, err error)
 		}
 		if halted {
 			st.Arch.Halted = true
-			t.result(&res, mi)
-			res.Halted = true
-			res.ExitPC = branchTo
-			return res, nil
+			t.result(res, mi)
+			res.ExitPC, res.Taken, res.Halted = branchTo, false, true
+			return nil
 		}
 		if branched {
-			t.result(&res, mi)
+			t.result(res, mi)
 			res.Cycles += uint64(m.T.BranchPenalty)
-			res.ExitPC = branchTo
-			res.Taken = true
-			return res, nil
+			res.ExitPC, res.Taken, res.Halted = branchTo, true, false
+			return nil
 		}
 	}
-	t.result(&res, len(t.Molecules)-1)
-	res.ExitPC = t.FallPC
-	return res, nil
+	t.result(res, len(t.Molecules)-1)
+	res.ExitPC, res.Taken, res.Halted = t.FallPC, false, false
+	return nil
 }
 
-// result sets res's cycles and counts to those of an exit at molecule k.
+// result sets res's cycles and counts to those of an exit at molecule k;
+// the caller sets the exit fields (ExitPC, Taken, Halted).
 func (t *Translation) result(res *ExecResult, k int) {
 	s := &t.steps[k]
 	res.Cycles = uint64(s.cycles)

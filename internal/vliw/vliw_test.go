@@ -18,6 +18,13 @@ func mustTime(t testing.TB, m *Machine, tr *Translation) {
 	}
 }
 
+// execute runs m.Execute into a fresh result.
+func execute(m *Machine, tr *Translation, st *State) (ExecResult, error) {
+	var res ExecResult
+	err := m.Execute(tr, st, &res)
+	return res, err
+}
+
 // TestUnitOfCoversAllAtoms: every opcode a molecule may carry (all but
 // hlt) routes to a unit that has a slot in some molecule.
 func TestUnitOfCoversAllAtoms(t *testing.T) {
@@ -109,7 +116,7 @@ func TestExecuteStraightLine(t *testing.T) {
 	}
 	m := NewMachine(TM5600Timing())
 	mustTime(t, m, tr)
-	res, err := m.Execute(tr, st)
+	res, err := execute(m, tr, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +146,7 @@ func TestExecuteParallelReadSemantics(t *testing.T) {
 	}
 	m := NewMachine(TM5600Timing())
 	mustTime(t, m, tr)
-	if _, err := m.Execute(tr, st); err != nil {
+	if _, err := execute(m, tr, st); err != nil {
 		t.Fatal(err)
 	}
 	if arch.R[1] != 22 || arch.R[2] != 11 {
@@ -161,7 +168,7 @@ func TestExecuteBranchTaken(t *testing.T) {
 	}
 	m := NewMachine(TM5600Timing())
 	mustTime(t, m, tr)
-	res, err := m.Execute(tr, st)
+	res, err := execute(m, tr, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +194,7 @@ func TestExecuteBranchNotTakenFallsThrough(t *testing.T) {
 	}
 	m := NewMachine(TM5600Timing())
 	mustTime(t, m, tr)
-	res, err := m.Execute(tr, st)
+	res, err := execute(m, tr, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +214,7 @@ func TestExecuteHalt(t *testing.T) {
 	}
 	m := NewMachine(TM5600Timing())
 	mustTime(t, m, tr)
-	res, err := m.Execute(tr, st)
+	res, err := execute(m, tr, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +234,7 @@ func TestExecuteTempRegistersIsolated(t *testing.T) {
 	}
 	m := NewMachine(TM5600Timing())
 	mustTime(t, m, tr)
-	if _, err := m.Execute(tr, st); err != nil {
+	if _, err := execute(m, tr, st); err != nil {
 		t.Fatal(err)
 	}
 	if arch.R[2] != 99 {
@@ -252,7 +259,7 @@ func TestCyclesIndependentMoleculesPipeline(t *testing.T) {
 	tr := &Translation{Molecules: mols}
 	m := NewMachine(TM5600Timing())
 	mustTime(t, m, tr)
-	res, err := m.Execute(tr, st)
+	res, err := execute(m, tr, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +281,7 @@ func TestCyclesDependencyStall(t *testing.T) {
 	tm := TM5600Timing()
 	m := NewMachine(tm)
 	mustTime(t, m, tr)
-	res, err := m.Execute(tr, st)
+	res, err := execute(m, tr, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +306,7 @@ func TestCyclesFDivBlocksFPU(t *testing.T) {
 	tm := TM5600Timing()
 	m := NewMachine(tm)
 	mustTime(t, m, tr)
-	res, err := m.Execute(tr, st)
+	res, err := execute(m, tr, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +328,7 @@ func TestCyclesIndependentIntNotBlockedByFDiv(t *testing.T) {
 	}
 	m := NewMachine(TM5600Timing())
 	mustTime(t, m, tr)
-	res, err := m.Execute(tr, st)
+	res, err := execute(m, tr, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +345,7 @@ func TestCyclesTakenBranchPenalty(t *testing.T) {
 
 	taken := &Translation{Molecules: []Molecule{mol(isa.Instr{Op: isa.Jmp, Imm: 7})}}
 	mustTime(t, m, taken)
-	res, err := m.Execute(taken, st)
+	res, err := execute(m, taken, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +366,7 @@ func TestExecuteMemoryFault(t *testing.T) {
 	}
 	m := NewMachine(TM5600Timing())
 	mustTime(t, m, tr)
-	res, err := m.Execute(tr, st)
+	res, err := execute(m, tr, st)
 	if err == nil {
 		t.Fatal("out-of-range load did not error")
 	}
@@ -388,7 +395,7 @@ func TestLoadUseStall(t *testing.T) {
 	tm := TM5600Timing()
 	m := NewMachine(tm)
 	mustTime(t, m, tr)
-	res, err := m.Execute(tr, st)
+	res, err := execute(m, tr, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,24 +426,24 @@ func TestExecuteRejectsStaleTiming(t *testing.T) {
 	st := NewState(arch)
 	tr := &Translation{Molecules: []Molecule{mol(isa.Instr{Op: isa.MovI, Rd: 1, Imm: 7})}}
 	m := NewMachine(TM5600Timing())
-	if _, err := m.Execute(tr, st); !errors.Is(err, ErrTiming) {
+	if _, err := execute(m, tr, st); !errors.Is(err, ErrTiming) {
 		t.Fatalf("untimed translation: err = %v, want ErrTiming", err)
 	}
 	mustTime(t, m, tr)
 	slow := TM5600Timing()
 	slow.LoadLatency++
-	if _, err := NewMachine(slow).Execute(tr, st); !errors.Is(err, ErrTiming) {
+	if _, err := execute(NewMachine(slow), tr, st); !errors.Is(err, ErrTiming) {
 		t.Fatalf("other machine's timing: err = %v, want ErrTiming", err)
 	}
 	m.T.BranchPenalty++
-	if _, err := m.Execute(tr, st); !errors.Is(err, ErrTiming) {
+	if _, err := execute(m, tr, st); !errors.Is(err, ErrTiming) {
 		t.Fatalf("timing changed after Time: err = %v, want ErrTiming", err)
 	}
 	if arch.R[1] != 0 {
 		t.Fatal("a refused Execute ran atoms")
 	}
 	mustTime(t, m, tr)
-	if _, err := m.Execute(tr, st); err != nil || arch.R[1] != 7 {
+	if _, err := execute(m, tr, st); err != nil || arch.R[1] != 7 {
 		t.Fatalf("retimed translation: err = %v, r1 = %d", err, arch.R[1])
 	}
 }
@@ -456,7 +463,7 @@ func TestExecuteConcurrent(t *testing.T) {
 	}
 	m := NewMachine(TM5600Timing())
 	mustTime(t, m, tr)
-	want, err := m.Execute(tr, NewState(isa.NewState(1)))
+	want, err := execute(m, tr, NewState(isa.NewState(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +474,7 @@ func TestExecuteConcurrent(t *testing.T) {
 			defer wg.Done()
 			st := NewState(isa.NewState(1))
 			for i := 0; i < 500; i++ {
-				res, err := m.Execute(tr, st)
+				res, err := execute(m, tr, st)
 				if err != nil || res != want {
 					t.Errorf("execution %d: %+v, %v; want %+v", i, res, err, want)
 					return
