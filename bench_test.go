@@ -21,7 +21,6 @@ import (
 	"repro/internal/nbody"
 	"repro/internal/netsim"
 	"repro/internal/par"
-	"repro/internal/rsqrt"
 	"repro/internal/sph"
 	"repro/internal/treecode"
 	"repro/internal/vliw"
@@ -386,31 +385,6 @@ func BenchmarkDirectVsTree(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkKarpConfig sweeps the Karp reciprocal-square-root
-// configuration: table size, polynomial degree, Newton iterations.
-func BenchmarkKarpConfig(b *testing.B) {
-	cases := []struct{ bits, deg, nr int }{
-		{4, 1, 2}, {7, 2, 2}, {10, 2, 1}, {7, 2, 1}, {7, 0, 3},
-	}
-	for _, c := range cases {
-		b.Run(fmt.Sprintf("bits=%d/deg=%d/nr=%d", c.bits, c.deg, c.nr), func(b *testing.B) {
-			k := rsqrt.MustKarp(c.bits, c.deg, c.nr)
-			x := 1.0
-			var y float64
-			for i := 0; i < b.N; i++ {
-				y = k.Rsqrt(x)
-				x += 0.001
-				if x > 1e6 {
-					x = 1
-				}
-			}
-			_ = y
-			b.ReportMetric(k.MaxRelError(0.5, 8, 2000), "max-rel-err")
-			b.ReportMetric(float64(k.FlopsPerCall()), "flops/call")
 		})
 	}
 }

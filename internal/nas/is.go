@@ -43,7 +43,7 @@ func (k *IS) Run(class Class) (*Result, error) {
 	if !ok {
 		return nil, ErrClass("IS", class)
 	}
-	keys := isCreateSeq(n, maxKey)
+	keys := isCreateSeqRange(0, n, maxKey)
 
 	var rankChecksum uint64
 	counts := make([]int64, maxKey)
@@ -128,12 +128,15 @@ func (k *IS) Run(class Class) (*Result, error) {
 	return res, nil
 }
 
-// isCreateSeq generates the NPB IS key sequence.
-func isCreateSeq(n, maxKey int) []int64 {
+// isCreateSeqRange generates keys [first, first+count) of the NPB IS
+// key sequence bit-exactly, via a generator jump of 4·first steps (the
+// whole sequence is first = 0, count = n).
+func isCreateSeqRange(first, count, maxKey int) []int64 {
 	g := NewLCG(isSeed)
+	g.Skip(uint64(4 * first))
 	k := float64(maxKey) / 4
-	keys := make([]int64, n)
-	for i := 0; i < n; i++ {
+	keys := make([]int64, count)
+	for i := 0; i < count; i++ {
 		x := g.Next()
 		x += g.Next()
 		x += g.Next()

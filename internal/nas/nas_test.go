@@ -120,7 +120,7 @@ func TestISSortsAndVerifies(t *testing.T) {
 func TestISKeyDistribution(t *testing.T) {
 	// Keys are sums of four uniforms: near-Gaussian around maxKey/2 and
 	// within range.
-	keys := isCreateSeq(1<<14, 1<<11)
+	keys := isCreateSeqRange(0, 1<<14, 1<<11)
 	var mean float64
 	for _, k := range keys {
 		if k < 0 || k >= 1<<11 {

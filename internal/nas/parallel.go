@@ -224,7 +224,7 @@ func ParallelIS(w *mpi.World, class Class, costs cpu.EffCosts) (*ParallelResult,
 		okAll = false
 	}
 	// Permutation check against the serial sequence.
-	serial := isCreateSeq(n, maxKey)
+	serial := isCreateSeqRange(0, n, maxKey)
 	histA := make([]int64, maxKey)
 	histB := make([]int64, maxKey)
 	for _, k := range serial {
@@ -252,26 +252,6 @@ func ParallelIS(w *mpi.World, class Class, costs cpu.EffCosts) (*ParallelResult,
 		CommByte: w.TotalBytes(),
 	}
 	return res, nil
-}
-
-// isCreateSeqRange generates keys [first, first+count) of the serial IS
-// sequence bit-exactly, via a generator jump of 4·first steps.
-func isCreateSeqRange(first, count, maxKey int) []int64 {
-	g := NewLCG(isSeed)
-	g.Skip(uint64(4 * first))
-	k := float64(maxKey) / 4
-	keys := make([]int64, count)
-	for i := 0; i < count; i++ {
-		x := g.Next()
-		x += g.Next()
-		x += g.Next()
-		x += g.Next()
-		keys[i] = int64(k * x)
-		if keys[i] >= int64(maxKey) {
-			keys[i] = int64(maxKey) - 1
-		}
-	}
-	return keys
 }
 
 // bucketBounds splits the key space into p contiguous ranges holding

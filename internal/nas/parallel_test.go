@@ -72,7 +72,7 @@ func TestParallelISVerifies(t *testing.T) {
 }
 
 func TestISCreateSeqRangeMatchesSerial(t *testing.T) {
-	serial := isCreateSeq(1000, 1<<11)
+	serial := isCreateSeqRange(0, 1000, 1<<11)
 	for _, span := range [][2]int{{0, 100}, {100, 400}, {500, 500}} {
 		part := isCreateSeqRange(span[0], span[1], 1<<11)
 		for i, k := range part {

@@ -220,9 +220,9 @@ func seqMember(base, stride, count, rootIdx int) func(int) int {
 }
 
 // replayGroupReduce replays the binomial-tree reduction onto virtual
-// rank 0 of the subgroup. Children have higher virtual ranks, so
-// walking v downward sees every child's send clock before its parent
-// consumes it.
+// rank 0 of the subgroup. A child has a higher virtual rank than its
+// parent, so walking v downward sees every child's send clock before
+// its parent consumes it.
 func (f *Fabric) replayGroupReduce(member func(int) int, count, bytes int, clock []float64) {
 	if count <= 1 {
 		return

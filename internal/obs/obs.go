@@ -15,9 +15,9 @@
 // separate metric list and no help text. The trace recorder emits Chrome
 // trace_event JSON loadable in chrome://tracing or Perfetto.
 //
-// Determinism contract (mirrors internal/par): sharded counters are
-// merged by summing slots in slot order, and shard counts are a pure
-// function of the problem size — never of the worker count — so every
+// Determinism contract: counters are exact integers, and integer sums
+// commute, so a count gathered from per-worker partials or from
+// concurrent atomic adds is the same whatever the interleaving — every
 // exported counter is bit-identical across host worker widths
 // 1, 2, 8, GOMAXPROCS, ... Wall-clock timers are the one exception: they
 // measure the host, and only they may vary between runs.

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/par"
 )
 
 func TestSanitizeName(t *testing.T) {
@@ -45,52 +43,6 @@ func TestSnapshotSemantics(t *testing.T) {
 	sm, _ = s.Lookup("t")
 	if sm.Float != 0.75 {
 		t.Fatalf("AddTimer accumulate: got %v", sm.Float)
-	}
-}
-
-// TestShardedMergeDeterminism is the obs half of the repo's determinism
-// contract: per-chunk accumulation merged in slot order must be
-// identical at any worker width.
-func TestShardedMergeDeterminism(t *testing.T) {
-	const n, grain = 100000, 1024
-	nc := par.NumChunks(n, grain)
-	run := func(workers int) uint64 {
-		p := par.New(workers)
-		c := NewShardedCounter(nc)
-		p.ForChunks(n, grain, func(ch, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				c.Add(ch, uint64(i%7))
-			}
-		})
-		return c.Value()
-	}
-	c1 := run(1)
-	for _, w := range []int{2, 8} {
-		if cw := run(w); cw != c1 {
-			t.Fatalf("counter differs at width %d: %d vs %d", w, cw, c1)
-		}
-	}
-}
-
-// TestShardedCounterConcurrent drives disjoint shards from many
-// goroutines; run under -race this proves the single-owner-per-shard
-// write pattern is race-free.
-func TestShardedCounterConcurrent(t *testing.T) {
-	const shards, per = 64, 10000
-	c := NewShardedCounter(shards)
-	var wg sync.WaitGroup
-	for sh := 0; sh < shards; sh++ {
-		wg.Add(1)
-		go func(sh int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				c.Add(sh, 1)
-			}
-		}(sh)
-	}
-	wg.Wait()
-	if got := c.Value(); got != shards*per {
-		t.Fatalf("lost updates: %d", got)
 	}
 }
 

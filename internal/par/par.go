@@ -108,38 +108,7 @@ func normGrain(grain int) int {
 // fn must only touch chunk-local or per-index state; the chunk index c
 // lets fn address a per-chunk accumulator slot.
 func (p *Pool) ForChunks(n, grain int, fn func(c, lo, hi int)) {
-	nc := NumChunks(n, grain)
-	if nc == 0 {
-		return
-	}
-	w := p.width()
-	if w > nc {
-		w = nc
-	}
-	if w <= 1 {
-		for c := 0; c < nc; c++ {
-			lo, hi := ChunkBounds(n, grain, c)
-			fn(c, lo, hi)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for i := 0; i < w; i++ {
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= nc {
-					return
-				}
-				lo, hi := ChunkBounds(n, grain, c)
-				fn(c, lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
+	p.ForChunksWorker(n, grain, func(_, c, lo, hi int) { fn(c, lo, hi) })
 }
 
 // ForChunksWorker is ForChunks with a stable worker index: fn
@@ -148,7 +117,8 @@ func (p *Pool) ForChunks(n, grain int, fn func(c, lo, hi int)) {
 // exclusive reusable scratch (a walk arena) without allocating per
 // chunk. Which worker runs which chunk is scheduling-dependent; results
 // must depend only on the chunk, never on the worker index — scratch
-// reset per chunk keeps the determinism contract intact.
+// reset per chunk keeps the determinism contract intact. It holds the
+// package's one chunk-claiming loop.
 func (p *Pool) ForChunksWorker(n, grain int, fn func(worker, c, lo, hi int)) {
 	nc := NumChunks(n, grain)
 	if nc == 0 {
@@ -210,32 +180,8 @@ func Reduce[T any](p *Pool, n, grain int, identity T, chunk func(lo, hi int) T, 
 
 // Do runs the given tasks concurrently, at most width at a time, and
 // waits for all of them (the heterogeneous-task companion of For — e.g.
-// the vortex method's six component-tree builds).
+// the vortex method's six component-tree builds): one chunk of grain 1
+// per task.
 func (p *Pool) Do(tasks ...func()) {
-	w := p.width()
-	if w > len(tasks) {
-		w = len(tasks)
-	}
-	if w <= 1 {
-		for _, t := range tasks {
-			t()
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for i := 0; i < w; i++ {
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= len(tasks) {
-					return
-				}
-				tasks[c]()
-			}
-		}()
-	}
-	wg.Wait()
+	p.ForChunksWorker(len(tasks), 1, func(_, c, _, _ int) { tasks[c]() })
 }

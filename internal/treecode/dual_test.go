@@ -108,7 +108,7 @@ func TestForcerDefaultResolvesDual(t *testing.T) {
 }
 
 // TestDualWorkersBitIdentical: dual tasks partition the particles and
-// per-chunk sharded counters fold in chunk order, so accelerations and
+// per-worker interaction counts sum exactly, so accelerations and
 // stats must not depend on the worker width (at DefaultGroupSize, the
 // only group granularity).
 func TestDualWorkersBitIdentical(t *testing.T) {
@@ -127,25 +127,60 @@ func TestDualWorkersBitIdentical(t *testing.T) {
 
 // TestParallelForcesBitIdentical asserts the treecode force loop returns
 // bit-identical acceleration arrays at worker counts 1, 2 and 8, and the
-// same interaction statistics.
+// same interaction statistics. Every acceleration starts at a sentinel
+// and must be written: a system whose masses are all zero gets the
+// zero rows DirectForces gives it, and no interactions.
 func TestParallelForcesBitIdentical(t *testing.T) {
-	run := func(w int) (*nbody.System, Stats) {
-		s := nbody.NewPlummer(6000, 1, 2024)
-		f := &Forcer{Theta: 0.7, Workers: w}
-		if err := f.Forces(s); err != nil {
-			t.Fatal(err)
+	const sentinel = 7
+	for _, tc := range []struct {
+		name     string
+		n        int
+		seed     uint64
+		zeroMass bool
+	}{{"plummer", 6000, 2024, false}, {"zero-mass", 200, 3, true}} {
+		system := func() *nbody.System {
+			s := nbody.NewPlummer(tc.n, 1, tc.seed)
+			for i := range s.M {
+				if tc.zeroMass {
+					s.M[i] = 0
+				}
+				s.AX[i], s.AY[i], s.AZ[i] = sentinel, sentinel, sentinel
+			}
+			return s
 		}
-		return s, f.LastStats
-	}
-	ref, refStats := run(1)
-	for _, w := range []int{2, 8} {
-		got, gotStats := run(w)
-		if gotStats != refStats {
-			t.Fatalf("workers=%d stats %+v differ from serial %+v", w, gotStats, refStats)
+		run := func(w int) (*nbody.System, Stats) {
+			s := system()
+			f := &Forcer{Theta: 0.7, Workers: w}
+			if err := f.Forces(s); err != nil {
+				t.Fatal(err)
+			}
+			return s, f.LastStats
+		}
+		ref, refStats := run(1)
+		if tc.zeroMass {
+			direct := system()
+			direct.DirectForces()
+			if i := bitsEqual(packAccels(ref), packAccels(direct)); i >= 0 {
+				t.Fatalf("%s: component %d is %g, DirectForces gives %g", tc.name, i, packAccels(ref)[i], packAccels(direct)[i])
+			}
+			if refStats != (Stats{}) {
+				t.Fatalf("%s: stats %+v, want none", tc.name, refStats)
+			}
 		}
 		for i := 0; i < ref.N(); i++ {
-			if got.AX[i] != ref.AX[i] || got.AY[i] != ref.AY[i] || got.AZ[i] != ref.AZ[i] {
-				t.Fatalf("workers=%d: acceleration of particle %d differs from serial", w, i)
+			if ref.AX[i] == sentinel || ref.AY[i] == sentinel || ref.AZ[i] == sentinel {
+				t.Fatalf("%s: acceleration of particle %d was not written", tc.name, i)
+			}
+		}
+		for _, w := range []int{2, 8} {
+			got, gotStats := run(w)
+			if gotStats != refStats {
+				t.Fatalf("%s: workers=%d stats %+v differ from serial %+v", tc.name, w, gotStats, refStats)
+			}
+			for i := 0; i < ref.N(); i++ {
+				if got.AX[i] != ref.AX[i] || got.AY[i] != ref.AY[i] || got.AZ[i] != ref.AZ[i] {
+					t.Fatalf("%s: workers=%d: acceleration of particle %d differs from serial", tc.name, w, i)
+				}
 			}
 		}
 	}

@@ -10,9 +10,9 @@ import (
 // undecided *source* nodes, so a single MAC decision made high up —
 // "this source cell is far enough from this whole target box" — is
 // inherited by every target group below it instead of being re-tested
-// once per particle. Sources are scanned through the rope-threaded
-// walk index; accepted cells, opened leaf sources and the per-group
-// target outputs all live in the per-worker zero-alloc WalkArena.
+// once per particle. Sources are scanned along the tree's Skip ropes;
+// accepted cells, opened leaf sources and the per-group target outputs
+// all live in the per-worker zero-alloc WalkArena.
 //
 // Acceptance is conservative: the per-particle MAC evaluated at the
 // worst-case (closest) point of the target box, plus box disjointness
@@ -98,9 +98,6 @@ const DualTaskSize = 1024
 // appends its refined list above its parent's and truncates on exit.
 type dualState struct {
 	t    *Tree
-	wn   []walkNode
-	wb   []Box
-	wq   []float64
 	sel  *Selection
 	ar   *WalkArena
 	th2  float64
@@ -121,12 +118,12 @@ type dualState struct {
 }
 
 // DualForceWalk computes softened accelerations for every selected
-// real target under tree node ni with one dual traversal: the walk
-// index is refined down the target subtree, cells accepted at internal
-// levels are shared by every group below, and each group of at most
-// DefaultGroupSize particles evaluates the accumulated list through
-// the blocked kernels of evalTargets. Results land in the arena's
-// target buffers (NumTargets / Target).
+// real target under tree node ni with one dual traversal: the tree's
+// nodes are refined as sources down the target subtree, cells accepted
+// at internal levels are shared by every group below, and each group
+// of at most DefaultGroupSize particles evaluates the accumulated list
+// through the blocked kernels of evalTargets. Results land in the
+// arena's target buffers (NumTargets / Target).
 func (t *Tree) DualForceWalk(ni int32, theta, eps float64, sel *Selection, ar *WalkArena, st *Stats) {
 	t.dualWalk(ni, theta, eps, sel, ar, st, true)
 }
@@ -134,21 +131,17 @@ func (t *Tree) DualForceWalk(ni int32, theta, eps float64, sel *Selection, ar *W
 // dualWalk is DualForceWalk's body. With eval false every group counts
 // its list instead of evaluating it: the traversal, the lists, Stats
 // and the walk telemetry are the same, and no target rows are written.
+// A zero-mass tree gives every selected target a zero row.
 func (t *Tree) dualWalk(ni int32, theta, eps float64, sel *Selection, ar *WalkArena, st *Stats, eval bool) {
 	ar.tIdx = ar.tIdx[:0]
 	ar.tax, ar.tay, ar.taz = ar.tax[:0], ar.tay[:0], ar.taz[:0]
-	wn, wb, wq := t.walkIndex()
-	if len(wn) == 0 {
-		return
-	}
 	ar.cx, ar.cy, ar.cz, ar.cm = ar.cx[:0], ar.cy[:0], ar.cz[:0], ar.cm[:0]
 	ar.qxx, ar.qyy, ar.qzz = ar.qxx[:0], ar.qyy[:0], ar.qzz[:0]
 	ar.qxy, ar.qxz, ar.qyz = ar.qxy[:0], ar.qxz[:0], ar.qyz[:0]
 	ar.px, ar.py, ar.pz, ar.pm = ar.px[:0], ar.py[:0], ar.pz[:0], ar.pm[:0]
 	ar.pidx = ar.pidx[:0]
 	d := &ar.dual
-	d.t, d.wn, d.wb, d.wq = t, wn, wb, wq
-	d.sel, d.ar = sel, ar
+	d.t, d.sel, d.ar = t, sel, ar
 	d.th2 = theta * theta
 	d.quad = t.Quadrupole
 	d.eval = eval
@@ -156,7 +149,7 @@ func (t *Tree) dualWalk(ni int32, theta, eps float64, sel *Selection, ar *WalkAr
 	d.target(ni, 0, 1, eps, st)
 	// Drop the state's borrowed references so an idle arena does not
 	// pin the tree (trees are rebuilt every step).
-	d.t, d.wn, d.wb, d.wq, d.sel = nil, nil, nil, nil, nil
+	d.t, d.sel = nil, nil
 	ar.pendWalks++
 	ar.pendDualTasks++
 }
@@ -168,7 +161,7 @@ func (t *Tree) dualWalk(ni int32, theta, eps float64, sel *Selection, ar *WalkAr
 func (d *dualState) target(ni int32, ulo, uhi int, eps float64, st *Stats) {
 	t := d.t
 	n := &t.Nodes[ni]
-	first, count := int32(n.First), int32(n.Count)
+	first, count := n.First, n.Count
 	if d.sel.count(first, first+count) == 0 {
 		// No selected target anywhere below: prune the whole subtree in
 		// O(1) off the selection's prefix counts.
@@ -207,7 +200,7 @@ func (d *dualState) target(ni int32, ulo, uhi int, eps float64, st *Stats) {
 		d.ty, d.hy = (ly+hy)/2, (hy-ly)/2
 		d.tz, d.hz = (lz+hz)/2, (hz-lz)/2
 	} else {
-		b := &n.Box
+		b := &t.Boxes[ni]
 		d.tx, d.ty, d.tz = b.CX, b.CY, b.CZ
 		d.hx, d.hy, d.hz = b.Half, b.Half, b.Half
 	}
@@ -228,10 +221,8 @@ func (d *dualState) target(ni int32, ulo, uhi int, eps float64, st *Stats) {
 		ar.pidx = ar.pidx[:0]
 	} else {
 		newHi := len(d.u)
-		for _, ci := range n.Children {
-			if ci >= 0 {
-				d.target(ci, uhi, newHi, eps, st)
-			}
+		for ci := ni + 1; ci < n.Skip; ci = t.Nodes[ci].Skip {
+			d.target(ci, uhi, newHi, eps, st)
 		}
 		d.u = d.u[:uhi]
 	}
@@ -242,26 +233,36 @@ func (d *dualState) target(ni int32, ulo, uhi int, eps float64, st *Stats) {
 	}
 }
 
-// refine decides walk-index node u against the current target frame:
-// accept it as a cell for everything below the frame, resolve it into
-// particles (group frames), open it and decide its children here, or
-// defer it — still undecided — to the frame's target children.
+// refine decides source node u against the current target frame:
+// skip it if it holds no mass, accept it as a cell for everything below
+// the frame, resolve it into particles (group frames), open it and
+// decide its children here, or defer it — still undecided — to the
+// frame's target children.
+//
+// The node's box lives in the cold Boxes array: the disjointness guard
+// only matters when the target box can possibly overlap the cell, and a
+// point of a box of side s is within s·√3 of any other of its points,
+// so dmin2 > 3·Size2 proves the boxes disjoint without touching Boxes.
 func (d *dualState) refine(u int32) {
-	n := &d.wn[u]
+	nodes := d.t.Nodes
+	n := &nodes[u]
+	if n.M == 0 {
+		return
+	}
 	d.ar.pendDualMAC++
-	dx := max(0, math.Abs(n.cx-d.tx)-d.hx)
-	dy := max(0, math.Abs(n.cy-d.ty)-d.hy)
-	dz := max(0, math.Abs(n.cz-d.tz)-d.hz)
+	dx := max(0, math.Abs(n.CX-d.tx)-d.hx)
+	dy := max(0, math.Abs(n.CY-d.ty)-d.hy)
+	dz := max(0, math.Abs(n.CZ-d.tz)-d.hz)
 	dmin2 := dx*dx + dy*dy + dz*dz
-	if n.size2 < d.th2*dmin2 && (dmin2 > 3*n.size2 ||
-		boxDisjointAABB(d.wb[u], d.tx, d.ty, d.tz, d.hx, d.hy, d.hz)) {
+	if n.Size2 < d.th2*dmin2 && (dmin2 > 3*n.Size2 ||
+		boxDisjointAABB(d.t.Boxes[u], d.tx, d.ty, d.tz, d.hx, d.hy, d.hz)) {
 		ar := d.ar
-		ar.cx = append(ar.cx, n.cx)
-		ar.cy = append(ar.cy, n.cy)
-		ar.cz = append(ar.cz, n.cz)
-		ar.cm = append(ar.cm, n.m)
+		ar.cx = append(ar.cx, n.CX)
+		ar.cy = append(ar.cy, n.CY)
+		ar.cz = append(ar.cz, n.CZ)
+		ar.cm = append(ar.cm, n.M)
 		if d.quad {
-			q := d.wq[6*u : 6*u+6]
+			q := d.t.Quad[6*u : 6*u+6]
 			ar.qxx = append(ar.qxx, q[0])
 			ar.qyy = append(ar.qyy, q[1])
 			ar.qzz = append(ar.qzz, q[2])
@@ -276,11 +277,11 @@ func (d *dualState) refine(u int32) {
 		}
 		return
 	}
-	if n.leaf {
+	if n.Leaf {
 		if d.isGroup {
 			ar := d.ar
 			srcs := d.t.Sources
-			for j := n.first; j < n.first+n.count; j++ {
+			for j := n.First; j < n.First+n.Count; j++ {
 				s := &srcs[j]
 				ar.px = append(ar.px, s.X)
 				ar.py = append(ar.py, s.Y)
@@ -297,8 +298,8 @@ func (d *dualState) refine(u int32) {
 	// cannot defer (there are no target children), and when the boxes
 	// are the same size the target splits first, so the descent always
 	// terminates even though source and target are the same tree.
-	if d.isGroup || d.wb[u].Half > max(d.hx, max(d.hy, d.hz)) {
-		for c := u + 1; c < n.skip; c = d.wn[c].skip {
+	if d.isGroup || d.t.Boxes[u].Half > max(d.hx, max(d.hy, d.hz)) {
+		for c := u + 1; c < n.Skip; c = nodes[c].Skip {
 			d.refine(c)
 		}
 		return
@@ -468,21 +469,14 @@ func (ar *WalkArena) Target(k int) (idx int, ax, ay, az float64) {
 // [First, First+Count). maxParts below the leaf bucket yields every
 // leaf.
 func (t *Tree) AppendGroups(out []int32, maxParts int) []int32 {
-	var emit func(ni int32)
-	emit = func(ni int32) {
-		n := &t.Nodes[ni]
-		if n.Leaf || n.Count <= maxParts {
-			out = append(out, ni)
-			return
+	for i := int32(0); i < int32(len(t.Nodes)); {
+		n := &t.Nodes[i]
+		if n.Leaf || int(n.Count) <= maxParts {
+			out = append(out, i)
+			i = n.Skip
+			continue
 		}
-		for oct := 0; oct < 8; oct++ {
-			if ci := n.Children[oct]; ci >= 0 {
-				emit(ci)
-			}
-		}
-	}
-	if len(t.Nodes) > 0 {
-		emit(0)
+		i++
 	}
 	return out
 }

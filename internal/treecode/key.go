@@ -4,8 +4,9 @@
 // keys, a bucketed octree with monopole (and optional quadrupole)
 // moments, Barnes–Hut multipole acceptance, and a parallel force
 // computation with locally-essential-tree exchange over the mpi
-// substrate. Nodes carry their keys, but no key→node hash table is
-// kept: every traversal here follows child indices. The paper notes the
+// substrate. Keys order the sources and partition them into cells; no
+// key is stored per node and no key→node hash table is kept: every
+// traversal follows the nodes' preorder ropes. The paper notes the
 // original library is ~20,000 lines of C; this package is its Go
 // re-implementation at the fidelity the reproduction needs.
 package treecode
@@ -22,9 +23,6 @@ const KeyBits = 21
 // Key is a Morton key with a high sentinel bit. The root's key is 1;
 // each level appends three bits (the octant).
 type Key uint64
-
-// RootKey is the key of the root cell.
-const RootKey Key = 1
 
 // Box is a cubic spatial domain.
 type Box struct {
@@ -206,6 +204,3 @@ func interleave3(v uint32) uint64 {
 	x = (x | x<<2) & 0x1249249249249249
 	return x
 }
-
-// Child returns the key of the oct-th child.
-func (k Key) Child(oct int) Key { return k<<3 | Key(oct&7) }

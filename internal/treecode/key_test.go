@@ -7,6 +7,13 @@ import (
 	"repro/internal/sim"
 )
 
+// RootKey is the key of the root cell.
+const RootKey Key = 1
+
+// Child returns the key of the oct-th child: the key algebra the
+// Morton keys follow, which the key tests check.
+func (k Key) Child(oct int) Key { return k<<3 | Key(oct&7) }
+
 // TestKeySortMatchesComparator: the one key sort (every tree build's and
 // Decompose's) lands on exactly the order of a comparator sort on
 // (key, index) — over random keys, many coincident

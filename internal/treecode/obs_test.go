@@ -9,7 +9,7 @@ import (
 	"repro/internal/obs"
 )
 
-// TestTracedConcurrentForces exercises the sharded interaction counters
+// TestTracedConcurrentForces exercises the per-worker interaction counts
 // and the tracer's append path under a wide worker pool; with -race this
 // is the proof that hot-loop instrumentation is race-free.
 func TestTracedConcurrentForces(t *testing.T) {

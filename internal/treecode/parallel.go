@@ -126,25 +126,28 @@ func boxToBoxDist(a, b Box) float64 {
 // MAC) export their monopole as a pseudo-particle; near cells recurse;
 // near leaves export their actual particles.
 func (t *Tree) letExport(out []Source, remote Box, theta float64) []Source {
-	return t.appendLET(out, 0, remote, theta*theta)
-}
-
-func (t *Tree) appendLET(out []Source, ni int32, remote Box, th2 float64) []Source {
-	n := &t.Nodes[ni]
-	if n.M == 0 {
-		return out
-	}
-	size := 2 * n.Box.Half
-	if size*size < th2*boxToBoxDist2(n.Box, remote) {
-		return append(out, Source{X: n.CX, Y: n.CY, Z: n.CZ, M: n.M, Index: -1})
-	}
-	if n.Leaf {
-		return append(out, t.Sources[n.First:n.First+n.Count]...)
-	}
-	for _, ci := range n.Children {
-		if ci >= 0 {
-			out = t.appendLET(out, ci, remote, th2)
+	th2 := theta * theta
+	for i := int32(0); i < int32(len(t.Nodes)); {
+		n := &t.Nodes[i]
+		if n.M == 0 {
+			i = n.Skip
+			continue
 		}
+		// The MAC reads the box's size, not Size2: a lone source far
+		// enough away is exported as a pseudo-particle.
+		box := t.Boxes[i]
+		size := 2 * box.Half
+		if size*size < th2*boxToBoxDist2(box, remote) {
+			out = append(out, Source{X: n.CX, Y: n.CY, Z: n.CZ, M: n.M, Index: -1})
+			i = n.Skip
+			continue
+		}
+		if !n.Leaf {
+			i++
+			continue
+		}
+		out = append(out, t.Sources[n.First:n.First+n.Count]...)
+		i = n.Skip
 	}
 	return out
 }

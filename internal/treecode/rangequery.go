@@ -6,37 +6,30 @@ package treecode
 // the paper's §3.5.1 clients (smoothed particle hydrodynamics, the
 // vortex particle method) obtain from the treecode library.
 func (t *Tree) Neighbors(x, y, z, radius float64, out []int) []int {
-	if len(t.Nodes) == 0 || radius < 0 {
+	if radius < 0 {
 		return out
 	}
 	r2 := radius * radius
-	var walk func(ni int32)
-	walk = func(ni int32) {
-		n := &t.Nodes[ni]
-		if n.Count == 0 {
-			return
+	for i := int32(0); i < int32(len(t.Nodes)); {
+		n := &t.Nodes[i]
+		if n.Count == 0 || t.Boxes[i].MinDist2(x, y, z) > r2 {
+			i = n.Skip
+			continue
 		}
-		if n.Box.MinDist2(x, y, z) > r2 {
-			return
+		if !n.Leaf {
+			i++
+			continue
 		}
-		if n.Leaf {
-			for i := n.First; i < n.First+n.Count; i++ {
-				s := t.Sources[i]
-				dx := s.X - x
-				dy := s.Y - y
-				dz := s.Z - z
-				if dx*dx+dy*dy+dz*dz <= r2 {
-					out = append(out, i)
-				}
-			}
-			return
-		}
-		for _, ci := range n.Children {
-			if ci >= 0 {
-				walk(ci)
+		for j := n.First; j < n.First+n.Count; j++ {
+			s := &t.Sources[j]
+			dx := s.X - x
+			dy := s.Y - y
+			dz := s.Z - z
+			if dx*dx+dy*dy+dz*dz <= r2 {
+				out = append(out, int(j))
 			}
 		}
+		i = n.Skip
 	}
-	walk(0)
 	return out
 }

@@ -19,30 +19,38 @@ func drift(s *nbody.System, dt float64) {
 }
 
 // requireSameTree fails unless the two trees are bit-identical:
-// geometry, node array (keys, structure and every float), source
-// order and walk index.
+// geometry, node array (ropes, structure and every float), boxes,
+// quadrupoles and source order.
 func requireSameTree(t *testing.T, got, want *Tree, label string) {
 	t.Helper()
 	fb := math.Float64bits
-	if fb(got.Root.CX) != fb(want.Root.CX) || fb(got.Root.CY) != fb(want.Root.CY) ||
-		fb(got.Root.CZ) != fb(want.Root.CZ) || fb(got.Root.Half) != fb(want.Root.Half) {
+	sameBox := func(g, w Box) bool {
+		return fb(g.CX) == fb(w.CX) && fb(g.CY) == fb(w.CY) && fb(g.CZ) == fb(w.CZ) && fb(g.Half) == fb(w.Half)
+	}
+	if !sameBox(got.Root, want.Root) {
 		t.Fatalf("%s: root box differs: %+v vs %+v", label, got.Root, want.Root)
 	}
-	if len(got.Nodes) != len(want.Nodes) {
-		t.Fatalf("%s: %d nodes, want %d", label, len(got.Nodes), len(want.Nodes))
+	if len(got.Nodes) != len(want.Nodes) || len(got.Boxes) != len(want.Boxes) || len(got.Quad) != len(want.Quad) {
+		t.Fatalf("%s: %d/%d/%d nodes/boxes/quad terms, want %d/%d/%d", label,
+			len(got.Nodes), len(got.Boxes), len(got.Quad), len(want.Nodes), len(want.Boxes), len(want.Quad))
 	}
 	for i := range want.Nodes {
 		g, w := &got.Nodes[i], &want.Nodes[i]
-		if g.Key != w.Key || g.Leaf != w.Leaf || g.First != w.First || g.Count != w.Count ||
-			g.Children != w.Children {
+		if g.Skip != w.Skip || g.Leaf != w.Leaf || g.First != w.First || g.Count != w.Count {
 			t.Fatalf("%s: node %d structure differs:\n got %+v\nwant %+v", label, i, g, w)
 		}
 		same := fb(g.M) == fb(w.M) && fb(g.CX) == fb(w.CX) && fb(g.CY) == fb(w.CY) && fb(g.CZ) == fb(w.CZ) &&
-			fb(g.Box.CX) == fb(w.Box.CX) && fb(g.Box.Half) == fb(w.Box.Half) &&
-			fb(g.QXX) == fb(w.QXX) && fb(g.QYY) == fb(w.QYY) && fb(g.QZZ) == fb(w.QZZ) &&
-			fb(g.QXY) == fb(w.QXY) && fb(g.QXZ) == fb(w.QXZ) && fb(g.QYZ) == fb(w.QYZ)
+			fb(g.Size2) == fb(w.Size2)
 		if !same {
 			t.Fatalf("%s: node %d moments differ:\n got %+v\nwant %+v", label, i, g, w)
+		}
+		if !sameBox(got.Boxes[i], want.Boxes[i]) {
+			t.Fatalf("%s: box %d differs: %+v vs %+v", label, i, got.Boxes[i], want.Boxes[i])
+		}
+	}
+	for i := range want.Quad {
+		if fb(got.Quad[i]) != fb(want.Quad[i]) {
+			t.Fatalf("%s: quadrupole term %d differs", label, i)
 		}
 	}
 	if len(got.Sources) != len(want.Sources) {
@@ -54,34 +62,12 @@ func requireSameTree(t *testing.T, got, want *Tree, label string) {
 			t.Fatalf("%s: source %d differs: %+v vs %+v", label, i, g, w)
 		}
 	}
-	gw, gb, gq := got.walkIndex()
-	ww, wb, wq := want.walkIndex()
-	if len(gw) != len(ww) || len(gq) != len(wq) {
-		t.Fatalf("%s: walk index sizes differ (%d/%d vs %d/%d)", label, len(gw), len(gq), len(ww), len(wq))
-	}
-	for i := range ww {
-		g, w := gw[i], ww[i]
-		if g.skip != w.skip || g.leaf != w.leaf || g.first != w.first || g.count != w.count ||
-			fb(g.cx) != fb(w.cx) || fb(g.cy) != fb(w.cy) || fb(g.cz) != fb(w.cz) ||
-			fb(g.m) != fb(w.m) || fb(g.size2) != fb(w.size2) {
-			t.Fatalf("%s: walk node %d differs: %+v vs %+v", label, i, g, w)
-		}
-		if fb(gb[i].CX) != fb(wb[i].CX) || fb(gb[i].Half) != fb(wb[i].Half) {
-			t.Fatalf("%s: walk box %d differs", label, i)
-		}
-	}
-	for i := range wq {
-		if fb(gq[i]) != fb(wq[i]) {
-			t.Fatalf("%s: walk quad %d differs", label, i)
-		}
-	}
 }
 
 // TestScratchBuildZeroAlloc pins the Forcer's build: once a scratch
-// is warm (buffers sized, walk index live), a build over a
-// *moving* system — keying, sort, node construction and the walk
-// index a force call rebuilds — performs zero allocations, and its
-// tree is bit-identical to a fresh Build.
+// is warm (buffers sized), a build over a *moving* system — keying,
+// sort and the construction of nodes, boxes and quadrupoles — performs
+// zero allocations, and its tree is bit-identical to a fresh Build.
 func TestScratchBuildZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		n    int
@@ -99,7 +85,6 @@ func TestScratchBuildZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr.walkIndex()
 			return tr
 		}
 		// Warm: a few moving builds so every buffer reaches steady size.

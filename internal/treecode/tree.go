@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/nbody"
 	"repro/internal/obs"
@@ -20,49 +19,54 @@ type Source struct {
 	Index int
 }
 
-// Node is one tree cell.
+// Node is one tree cell, the record every traversal reads. Nodes are
+// stored in DFS preorder (child octants 0..7), so a cell's subtree is
+// the index range [i, Skip): its first child, if any, is i+1, and each
+// child's Skip is its next sibling (or the parent's Skip after the last
+// child). A traversal descends with i++ and prunes with i = Skip, a
+// forward pass with no stack. The record is 56 bytes; the cell's box
+// lives in the tree's parallel Boxes array and its quadrupole in Quad.
 type Node struct {
-	Key      Key
-	Box      Box
-	Children [8]int32 // node indices; -1 if absent
-	Leaf     bool
-	// First/Count index the tree's key-ordered source permutation for
-	// leaf cells.
-	First, Count int
-	// Monopole moment.
-	M          float64
-	CX, CY, CZ float64
-	// Quadrupole moments (traceless Cartesian), used when the tree is
-	// built with quadrupoles enabled.
-	QXX, QYY, QZZ, QXY, QXZ, QYZ float64
+	// Monopole moment: centre of mass and mass.
+	CX, CY, CZ, M float64
+	// Size2 pre-folds the multipole acceptance test's eligibility:
+	// (2·Half)² for cells the MAC may accept, +Inf for single-source
+	// leaves (a lone source is never replaced by its own monopole).
+	Size2 float64
+	// Skip is the "rope": the index of the node after this subtree.
+	Skip int32
+	// First/Count index the tree's key-ordered source permutation: the
+	// subtree's sources are Sources[First : First+Count].
+	First, Count int32
+	Leaf         bool
 }
 
 // Tree is a bucketed oct-tree over a set of sources, its nodes in DFS
-// preorder, each carrying its Morton key.
+// preorder threaded by Skip ropes.
 type Tree struct {
-	Root    Box
-	Nodes   []Node
+	Root  Box
+	Nodes []Node
+	// Boxes[i] is node i's cube.
+	Boxes []Box
+	// Quad holds node i's traceless Cartesian quadrupole moments at
+	// Quad[6i:6i+6] (XX, YY, ZZ, XY, XZ, YZ) when the tree is built with
+	// quadrupoles, and is empty otherwise.
+	Quad    []float64
 	Sources []Source // key-sorted
 	Bucket  int
 	// Quadrupole enables second-order moments in cell interactions.
 	Quadrupole bool
-	// MaxDepth bounds subdivision (coincident particles share a leaf).
-	MaxDepth int
-
-	// walkOnce guards the lazily built rope-threaded walk index the
-	// dual engine scans for sources (derived state; see buildWalkIndex).
-	walkOnce sync.Once
-	walk     []walkNode
-	walkB    []Box
-	walkQ    []float64
 }
 
 // BuildOptions configure tree construction.
 type BuildOptions struct {
 	Bucket     int  // max particles per leaf (default 8)
-	MaxDepth   int  // default 20 (one less than key resolution)
 	Quadrupole bool // compute quadrupole moments
 }
+
+// maxDepth bounds subdivision, one level short of the key resolution:
+// coincident particles share a leaf at this depth.
+const maxDepth = KeyBits - 1
 
 // Build constructs a tree over the sources.
 func Build(sources []Source, opt BuildOptions) (*Tree, error) {
@@ -74,13 +78,10 @@ func Build(sources []Source, opt BuildOptions) (*Tree, error) {
 	return t, nil
 }
 
-// normalizeBuildOptions applies the Bucket and MaxDepth defaults.
+// normalizeBuildOptions applies the Bucket default.
 func normalizeBuildOptions(opt BuildOptions) BuildOptions {
 	if opt.Bucket <= 0 {
 		opt.Bucket = 8
-	}
-	if opt.MaxDepth <= 0 || opt.MaxDepth >= KeyBits {
-		opt.MaxDepth = KeyBits - 1
 	}
 	return opt
 }
@@ -92,9 +93,8 @@ func normalizeBuildOptions(opt BuildOptions) BuildOptions {
 // (sortedKeys[i] = keys[perm[i]]) and the serial recursive builder.
 // opt is normalized; keys, perm, scratch and sortedKeys must each have
 // len(srcs) elements. The tree is built into t, reusing the capacity of
-// its Sources, Nodes and walk-index arrays; the walk index is rebuilt
-// on first use. A build whose buffers all have the capacity it needs
-// allocates nothing.
+// its Sources, Nodes, Boxes and Quad arrays. A build whose buffers all
+// have the capacity it needs allocates nothing.
 func buildTree(t *Tree, srcs []Source, opt BuildOptions, keys []Key, perm, scratch []int, sortedKeys []Key) error {
 	if len(srcs) == 0 {
 		return fmt.Errorf("treecode: no sources")
@@ -112,31 +112,23 @@ func buildTree(t *Tree, srcs []Source, opt BuildOptions, keys []Key, perm, scrat
 	}
 	sortKeyPerm(perm, keys, scratch)
 
-	nodes := t.Nodes[:0]
-	*t = Tree{
-		Root:       root,
-		Sources:    growSources(t.Sources, n),
-		Bucket:     opt.Bucket,
-		Quadrupole: opt.Quadrupole,
-		MaxDepth:   opt.MaxDepth,
-		walk:       t.walk,
-		walkB:      t.walkB,
-		walkQ:      t.walkQ,
-	}
+	t.Root, t.Bucket, t.Quadrupole = root, opt.Bucket, opt.Quadrupole
+	t.Sources = growSources(t.Sources, n)
 	for i, j := range perm {
 		t.Sources[i] = srcs[j]
 		sortedKeys[i] = keys[j]
 	}
 	b := builder{
-		sources:  t.Sources,
-		keys:     sortedKeys,
-		bucket:   opt.Bucket,
-		maxDepth: opt.MaxDepth,
-		quad:     opt.Quadrupole,
-		nodes:    nodes,
+		sources: t.Sources,
+		keys:    sortedKeys,
+		bucket:  opt.Bucket,
+		quad:    opt.Quadrupole,
+		nodes:   t.Nodes[:0],
+		boxes:   t.Boxes[:0],
+		q:       t.Quad[:0],
 	}
-	b.build(RootKey, root, 0, n, 0)
-	t.Nodes = b.nodes
+	b.build(root, 0, n, 0)
+	t.Nodes, t.Boxes, t.Quad = b.nodes, b.boxes, b.q
 	return nil
 }
 
@@ -163,12 +155,12 @@ func growInts(s []int, n int) []int {
 
 // forceScratch is the storage of one force computation, grown to need
 // and reused: the gathered sources, the build buffers, the tree (its
-// sorted sources, node arena and walk-index arrays), the walk arena
-// and the task list. A Forcer keeps one across its calls; the parallel
-// step's force phases share the gate's (see forceSlot). Its walk arena
-// is not counted on treecode.list.arena.alloc/reuse: how many
-// scratches exist depends on how ranks overlap in the gate, and the
-// counters must repeat from run to run.
+// sorted sources, nodes, boxes and quadrupoles), the walk arena and the
+// task list. A Forcer keeps one across its calls; the parallel step's
+// force phases share the gate's (see forceSlot). Its walk arena is not
+// counted on treecode.list.arena.alloc/reuse: how many scratches exist
+// depends on how ranks overlap in the gate, and the counters must
+// repeat from run to run.
 type forceScratch struct {
 	srcs       []Source
 	keys       []Key
@@ -194,14 +186,15 @@ func (sc *forceScratch) build(srcs []Source, opt BuildOptions) (*Tree, error) {
 }
 
 // builder is a tree-construction arena: the recursion state plus the
-// node slice being grown in DFS preorder.
+// node, box and quadrupole arrays being grown in DFS preorder.
 type builder struct {
-	sources  []Source
-	keys     []Key
-	bucket   int
-	maxDepth int
-	quad     bool
-	nodes    []Node
+	sources []Source
+	keys    []Key
+	bucket  int
+	quad    bool
+	nodes   []Node
+	boxes   []Box
+	q       []float64
 }
 
 // octants partitions the key-sorted run [lo,hi) at the given level into
@@ -221,28 +214,34 @@ func (b *builder) octants(lo, hi, level int) (bounds [9]int) {
 }
 
 // build recursively constructs the node covering sources [lo,hi) at the
-// given level and returns its node index.
-func (b *builder) build(key Key, box Box, lo, hi, level int) int32 {
+// given level, its subtree following it in preorder, and sets its Skip
+// rope once the subtree is complete.
+func (b *builder) build(box Box, lo, hi, level int) {
 	ni := int32(len(b.nodes))
-	b.nodes = append(b.nodes, Node{Key: key, Box: box, First: lo, Count: hi - lo})
-	for i := range b.nodes[ni].Children {
-		b.nodes[ni].Children[i] = -1
+	b.nodes = append(b.nodes, Node{First: int32(lo), Count: int32(hi - lo)})
+	b.boxes = append(b.boxes, box)
+	if b.quad {
+		b.q = append(b.q, 0, 0, 0, 0, 0, 0)
 	}
-
-	if hi-lo <= b.bucket || level >= b.maxDepth {
+	if hi-lo <= b.bucket || level >= maxDepth {
 		b.nodes[ni].Leaf = true
 		b.computeLeafMoments(ni)
-		return ni
-	}
-	bounds := b.octants(lo, hi, level)
-	for oct := 0; oct < 8; oct++ {
-		if bounds[oct+1] > bounds[oct] {
-			ci := b.build(key.Child(oct), box.Octant(oct), bounds[oct], bounds[oct+1], level+1)
-			b.nodes[ni].Children[oct] = ci
+	} else {
+		bounds := b.octants(lo, hi, level)
+		for oct := 0; oct < 8; oct++ {
+			if bounds[oct+1] > bounds[oct] {
+				b.build(box.Octant(oct), bounds[oct], bounds[oct+1], level+1)
+			}
 		}
+		b.computeInternalMoments(ni)
 	}
-	b.computeInternalMoments(ni)
-	return ni
+	n := &b.nodes[ni]
+	n.Skip = int32(len(b.nodes))
+	size := 2 * box.Half
+	n.Size2 = size * size
+	if n.Leaf && n.Count <= 1 {
+		n.Size2 = math.Inf(1)
+	}
 }
 
 func (b *builder) computeLeafMoments(ni int32) {
@@ -260,19 +259,21 @@ func (b *builder) computeLeafMoments(ni int32) {
 		n.CZ /= n.M
 	}
 	if b.quad {
+		q := b.q[6*ni : 6*ni+6]
 		for i := n.First; i < n.First+n.Count; i++ {
 			s := b.sources[i]
-			accumQuad(n, s.M, s.X-n.CX, s.Y-n.CY, s.Z-n.CZ)
+			accumQuad(q, s.M, s.X-n.CX, s.Y-n.CY, s.Z-n.CZ)
 		}
 	}
 }
 
+// computeInternalMoments folds node ni's children — the ropes from
+// ni+1 to the end of the arrays, which hold exactly its subtree — into
+// its moments, in octant order.
 func (b *builder) computeInternalMoments(ni int32) {
 	n := &b.nodes[ni]
-	for _, ci := range n.Children {
-		if ci < 0 {
-			continue
-		}
+	end := int32(len(b.nodes))
+	for ci := ni + 1; ci < end; ci = b.nodes[ci].Skip {
 		c := &b.nodes[ci]
 		n.M += c.M
 		n.CX += c.M * c.CX
@@ -287,32 +288,28 @@ func (b *builder) computeInternalMoments(ni int32) {
 	if b.quad {
 		// Parallel-axis shift of children's quadrupoles plus their
 		// monopole displacement terms.
-		for _, ci := range n.Children {
-			if ci < 0 {
-				continue
-			}
+		q := b.q[6*ni : 6*ni+6]
+		for ci := ni + 1; ci < end; ci = b.nodes[ci].Skip {
 			c := &b.nodes[ci]
-			n.QXX += c.QXX
-			n.QYY += c.QYY
-			n.QZZ += c.QZZ
-			n.QXY += c.QXY
-			n.QXZ += c.QXZ
-			n.QYZ += c.QYZ
-			accumQuad(n, c.M, c.CX-n.CX, c.CY-n.CY, c.CZ-n.CZ)
+			cq := b.q[6*ci : 6*ci+6]
+			for k := range q {
+				q[k] += cq[k]
+			}
+			accumQuad(q, c.M, c.CX-n.CX, c.CY-n.CY, c.CZ-n.CZ)
 		}
 	}
 }
 
 // accumQuad adds a point mass's traceless quadrupole contribution about
-// the node centre.
-func accumQuad(n *Node, m, dx, dy, dz float64) {
+// the node centre to q (XX, YY, ZZ, XY, XZ, YZ).
+func accumQuad(q []float64, m, dx, dy, dz float64) {
 	r2 := dx*dx + dy*dy + dz*dz
-	n.QXX += m * (3*dx*dx - r2)
-	n.QYY += m * (3*dy*dy - r2)
-	n.QZZ += m * (3*dz*dz - r2)
-	n.QXY += m * 3 * dx * dy
-	n.QXZ += m * 3 * dx * dz
-	n.QYZ += m * 3 * dy * dz
+	q[0] += m * (3*dx*dx - r2)
+	q[1] += m * (3*dy*dy - r2)
+	q[2] += m * (3*dz*dz - r2)
+	q[3] += m * 3 * dx * dy
+	q[4] += m * 3 * dx * dz
+	q[5] += m * 3 * dy * dz
 }
 
 // Stats reports a force computation's work.
@@ -331,27 +328,28 @@ func (st Stats) Flops() uint64 { return st.Interactions() * nbody.FlopsPerIntera
 // Barnes–Hut criterion: accept a cell when size/distance < theta. selfIdx
 // excludes one local particle (pass -1 to include everything).
 //
-// ForceAt is the exact per-particle reference: a closure-recursive
-// depth-first walk that the dual-tree walk's error is measured against
-// and that direct per-point evaluations (vortex's Biot–Savart sums)
-// call. It allocates nothing.
+// ForceAt is the exact per-particle reference: a depth-first walk —
+// one forward pass over the ropes — that the dual-tree walk's error is
+// measured against and that direct per-point evaluations (vortex's
+// Biot–Savart sums) call. It allocates nothing.
 func (t *Tree) ForceAt(x, y, z float64, selfIdx int, theta, eps float64, st *Stats) (ax, ay, az float64) {
 	eps2 := softening2(eps)
-	var walk func(ni int32)
-	walk = func(ni int32) {
-		n := &t.Nodes[ni]
+	th2 := theta * theta
+	for i := int32(0); i < int32(len(t.Nodes)); {
+		n := &t.Nodes[i]
 		if n.M == 0 {
-			return
+			i = n.Skip
+			continue
 		}
 		dx := n.CX - x
 		dy := n.CY - y
 		dz := n.CZ - z
 		d2 := dx*dx + dy*dy + dz*dz
-		size := 2 * n.Box.Half
 		// The MAC applies to leaves too (a distant bucket is one monopole,
-		// not Bucket particle interactions); the containment guard keeps
-		// the target's own leaf open so self-exclusion stays exact.
-		if (!n.Leaf || n.Count > 1) && size*size < theta*theta*d2 && !n.Box.Contains(x, y, z) {
+		// not Bucket particle interactions; Size2 is +Inf for a lone
+		// source); the containment guard keeps the target's own leaf
+		// open so self-exclusion stays exact.
+		if n.Size2 < th2*d2 && !t.Boxes[i].Contains(x, y, z) {
 			// Multipole acceptance: monopole (+ optional quadrupole).
 			r2 := d2 + eps2
 			rinv := 1 / math.Sqrt(r2)
@@ -363,9 +361,10 @@ func (t *Tree) ForceAt(x, y, z float64, selfIdx int, theta, eps float64, st *Sta
 			if t.Quadrupole {
 				// With d pointing target→COM and traceless Q:
 				// a_q = −(Q·d)/R⁵ + (5/2)(d·Q·d)·d/R⁷.
-				qx := n.QXX*dx + n.QXY*dy + n.QXZ*dz
-				qy := n.QXY*dx + n.QYY*dy + n.QYZ*dz
-				qz := n.QXZ*dx + n.QYZ*dy + n.QZZ*dz
+				q := t.Quad[6*i : 6*i+6]
+				qx := q[0]*dx + q[3]*dy + q[4]*dz
+				qy := q[3]*dx + q[1]*dy + q[5]*dz
+				qz := q[4]*dx + q[5]*dy + q[2]*dz
 				rinv5 := rinv2 * rinv2 * rinv
 				rqr := qx*dx + qy*dy + qz*dz
 				c1 := -rinv5
@@ -375,34 +374,31 @@ func (t *Tree) ForceAt(x, y, z float64, selfIdx int, theta, eps float64, st *Sta
 				az += c1*qz + c2*dz
 			}
 			st.PC++
-			return
+			i = n.Skip
+			continue
 		}
-		if n.Leaf {
-			for i := n.First; i < n.First+n.Count; i++ {
-				s := t.Sources[i]
-				if s.Index == selfIdx && s.Index >= 0 {
-					continue
-				}
-				px := s.X - x
-				py := s.Y - y
-				pz := s.Z - z
-				r2 := px*px + py*py + pz*pz + eps2
-				rinv := 1 / math.Sqrt(r2)
-				f := s.M * rinv * rinv * rinv
-				ax += f * px
-				ay += f * py
-				az += f * pz
-				st.PP++
+		if !n.Leaf {
+			i++
+			continue
+		}
+		for j := n.First; j < n.First+n.Count; j++ {
+			s := &t.Sources[j]
+			if s.Index == selfIdx && s.Index >= 0 {
+				continue
 			}
-			return
+			px := s.X - x
+			py := s.Y - y
+			pz := s.Z - z
+			r2 := px*px + py*py + pz*pz + eps2
+			rinv := 1 / math.Sqrt(r2)
+			f := s.M * rinv * rinv * rinv
+			ax += f * px
+			ay += f * py
+			az += f * pz
+			st.PP++
 		}
-		for _, ci := range n.Children {
-			if ci >= 0 {
-				walk(ci)
-			}
-		}
+		i = n.Skip
 	}
-	walk(0)
 	return ax, ay, az
 }
 
@@ -427,8 +423,10 @@ type Forcer struct {
 
 	// arenas are the per-worker dual-walk arenas, grown to the pool
 	// width on first use and reused across Forces calls so the
-	// steady-state force path allocates nothing per walk.
+	// steady-state force path allocates nothing per walk; stats are the
+	// per-worker interaction counts of the current call, beside them.
 	arenas []*WalkArena
+	stats  []Stats
 	// sc holds the sources, the build buffers, the tree and the
 	// dual-walk work list across calls. Every call builds its tree
 	// afresh, serially, into that storage, so a warm build allocates
@@ -473,8 +471,9 @@ func (f *Forcer) ForcesActive(s *nbody.System, active []bool) error {
 // dualForces runs the dual-tree engine: the work list is the tree's
 // maximal ≤DualTaskSize-particle subtrees, each refined independently
 // against the whole tree. Tasks partition the particles, so
-// acceleration writes are disjoint and — with per-chunk sharded
-// counters — results and stats are bit-identical at any worker width.
+// acceleration writes are disjoint, and each worker counts into its
+// own Stats, summed after the loop: integer sums commute, so results
+// and stats are bit-identical at any worker width.
 func (f *Forcer) dualForces(t *Tree, s *nbody.System, pool *par.Pool, theta float64, sel *Selection) Stats {
 	// Grow the per-worker arena set to the pool width; arenas that
 	// survive from a previous Forces call are warm (their buffers keep
@@ -486,18 +485,18 @@ func (f *Forcer) dualForces(t *Tree, s *nbody.System, pool *par.Pool, theta floa
 	for len(f.arenas) < width {
 		f.arenas = append(f.arenas, NewWalkArena())
 	}
+	if len(f.stats) < width {
+		f.stats = make([]Stats, width)
+	}
+	clear(f.stats)
 	tasks := t.AppendGroups(f.sc.tasks[:0], DualTaskSize)
 	f.sc.tasks = tasks
-	nl := len(tasks)
-	nc := par.NumChunks(nl, 1)
-	pp := obs.NewShardedCounter(nc)
-	pc := obs.NewShardedCounter(nc)
-	pool.ForChunksWorker(nl, 1, func(w, c, lo, hi int) {
+	pool.ForChunksWorker(len(tasks), 1, func(w, _, lo, hi int) {
 		ar := f.arenas[w]
 		var cst Stats
 		for li := lo; li < hi; li++ {
 			n := &t.Nodes[tasks[li]]
-			if sel.count(int32(n.First), int32(n.First+n.Count)) == 0 {
+			if sel.count(n.First, n.First+n.Count) == 0 {
 				continue
 			}
 			t.DualForceWalk(tasks[li], theta, s.Eps, sel, ar, &cst)
@@ -508,13 +507,16 @@ func (f *Forcer) dualForces(t *Tree, s *nbody.System, pool *par.Pool, theta floa
 				s.AZ[i] = s.G * az
 			}
 		}
-		pp.Add(c, cst.PP)
-		pc.Add(c, cst.PC)
+		f.stats[w].PP += cst.PP
+		f.stats[w].PC += cst.PC
 	})
-	for _, ar := range f.arenas[:width] {
+	var st Stats
+	for w, ar := range f.arenas[:width] {
 		ar.FlushTelemetry()
+		st.PP += f.stats[w].PP
+		st.PC += f.stats[w].PC
 	}
-	return Stats{PP: pp.Value(), PC: pc.Value()}
+	return st
 }
 
 // SourcesFromSystem converts a system's particles to sources.
@@ -532,37 +534,65 @@ func AppendSources(dst []Source, s *nbody.System) []Source {
 	return dst
 }
 
-// CheckInvariants verifies structural and physical invariants: every
-// source in exactly one leaf, node masses equal their subtree sums,
-// children lie inside parents, the root carries RootKey and each
-// child's key is its parent's key extended by its octant. Property
-// tests drive this over random systems.
+// CheckInvariants verifies structural and physical invariants: the
+// node, box and quadrupole arrays run parallel and the root's box is
+// the tree's; the ropes tile every subtree (a leaf's Skip is the next
+// node, an internal node's children chain from its successor to its
+// Skip) and each child's box is its parent's octant, in increasing
+// octant order; Size2 matches the box; every source lies in exactly
+// one leaf, inside its box; and node masses and counts equal their
+// subtree sums. Property tests drive this over random systems.
 func (t *Tree) CheckInvariants() error {
-	if len(t.Nodes) == 0 {
+	nn := int32(len(t.Nodes))
+	if nn == 0 {
 		return fmt.Errorf("treecode: empty tree")
+	}
+	if len(t.Boxes) != len(t.Nodes) {
+		return fmt.Errorf("%d boxes for %d nodes", len(t.Boxes), nn)
+	}
+	wantQ := 0
+	if t.Quadrupole {
+		wantQ = 6 * len(t.Nodes)
+	}
+	if len(t.Quad) != wantQ {
+		return fmt.Errorf("%d quadrupole terms for %d nodes, want %d", len(t.Quad), nn, wantQ)
+	}
+	if t.Boxes[0] != t.Root {
+		return fmt.Errorf("root node box %+v, want %+v", t.Boxes[0], t.Root)
+	}
+	if s := t.Nodes[0].Skip; s != nn {
+		return fmt.Errorf("root skip %d, want %d", s, nn)
 	}
 	seen := make([]int, len(t.Sources))
 	var totalM float64
 	for _, s := range t.Sources {
 		totalM += s.M
 	}
-	if k := t.Nodes[0].Key; k != RootKey {
-		return fmt.Errorf("root key %x, want %x", k, RootKey)
-	}
-	var walk func(ni int32) (float64, int, error)
-	walk = func(ni int32) (float64, int, error) {
+	var walk func(ni int32) (float64, int32, error)
+	walk = func(ni int32) (float64, int32, error) {
 		n := &t.Nodes[ni]
+		box := t.Boxes[ni]
+		size := 2 * box.Half
+		want := size * size
+		if n.Leaf && n.Count <= 1 {
+			want = math.Inf(1)
+		}
+		if n.Size2 != want {
+			return 0, 0, fmt.Errorf("node %d: size2 %g, want %g", ni, n.Size2, want)
+		}
 		if n.Leaf {
+			if n.Skip != ni+1 {
+				return 0, 0, fmt.Errorf("leaf %d: skip %d, want %d", ni, n.Skip, ni+1)
+			}
 			var m float64
 			for i := n.First; i < n.First+n.Count; i++ {
 				seen[i]++
 				s := t.Sources[i]
 				m += s.M
 				// Quantization can park a boundary particle in the
-				// neighbouring cell at depth; verify against the root
-				// instead of the leaf box for robustness, and the leaf
+				// neighbouring cell at depth; verify against the leaf
 				// box with tolerance.
-				if n.Box.MinDist(s.X, s.Y, s.Z) > 1e-9*t.Root.Half {
+				if box.MinDist(s.X, s.Y, s.Z) > 1e-9*t.Root.Half {
 					return 0, 0, fmt.Errorf("source %d outside its leaf box", i)
 				}
 			}
@@ -572,15 +602,19 @@ func (t *Tree) CheckInvariants() error {
 			return m, n.Count, nil
 		}
 		var m float64
-		var cnt int
-		for oct, ci := range n.Children {
-			if ci < 0 {
-				continue
+		var cnt int32
+		oct := 0
+		for ci := ni + 1; ci < n.Skip; ci = t.Nodes[ci].Skip {
+			if s := t.Nodes[ci].Skip; s <= ci || s > n.Skip {
+				return 0, 0, fmt.Errorf("node %d: child %d skip %d leaves the range (%d, %d]", ni, ci, s, ci, n.Skip)
 			}
-			c := &t.Nodes[ci]
-			if c.Key != n.Key.Child(oct) {
-				return 0, 0, fmt.Errorf("node %d: child %d key %x, want %x", ni, oct, c.Key, n.Key.Child(oct))
+			for oct < 8 && t.Boxes[ci] != box.Octant(oct) {
+				oct++
 			}
+			if oct == 8 {
+				return 0, 0, fmt.Errorf("node %d: child %d box is not a later octant of its parent's", ni, ci)
+			}
+			oct++
 			cm, cc, err := walk(ci)
 			if err != nil {
 				return 0, 0, err
@@ -600,7 +634,7 @@ func (t *Tree) CheckInvariants() error {
 	if err != nil {
 		return err
 	}
-	if cnt != len(t.Sources) {
+	if int(cnt) != len(t.Sources) {
 		return fmt.Errorf("tree covers %d of %d sources", cnt, len(t.Sources))
 	}
 	if math.Abs(m-totalM) > 1e-9*(1+math.Abs(totalM)) {

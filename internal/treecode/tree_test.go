@@ -161,7 +161,7 @@ func TestCoincidentParticles(t *testing.T) {
 // satisfy the invariants and come out the same on every goroutine.
 func TestParallelBuildTinySystems(t *testing.T) {
 	single := []Source{{X: 0.5, Y: 0.5, Z: 0.5, M: 1, Index: 0}}
-	// Coincident particles bottom out at MaxDepth inside one leaf.
+	// Coincident particles bottom out at the depth bound inside one leaf.
 	var co []Source
 	for i := 0; i < 20; i++ {
 		co = append(co, Source{X: 0.25, Y: 0.25, Z: 0.25, M: 1, Index: i})

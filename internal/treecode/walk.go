@@ -2,10 +2,9 @@ package treecode
 
 import "math"
 
-// This file holds the dual-tree walk's machinery: the rope-threaded
-// walk index it scans for sources, the per-worker arena its
-// interaction lists live in, and the flat kernels that evaluate those
-// lists.
+// This file holds the dual-tree walk's machinery: the per-worker arena
+// its interaction lists live in, and the flat kernels that evaluate
+// those lists.
 
 // WalkArena is the reusable scratch of one dual-tree walk: the SoA
 // interaction lists and the per-group target outputs. Arenas are owned
@@ -86,91 +85,6 @@ func (ar *WalkArena) FlushTelemetry() {
 		dualGroups.Add(ar.pendDualGroups)
 		ar.pendDualGroups = 0
 	}
-}
-
-// walkNode is one record of the rope-threaded walk index: the hot
-// fields of a tree node, flattened into a compact array in exact DFS
-// preorder. skip is the "rope" — the index of the next node to visit
-// when this node's subtree is pruned (accepted as a cell, or a leaf) —
-// so a source scan is a forward pass with no stack, touching memory in
-// strictly ascending order. size2 pre-folds the MAC's eligibility
-// test: it holds size·size for nodes the MAC may accept and +Inf for
-// single-particle leaves (the recursive walk's "!Leaf || Count > 1"
-// guard), making the acceptance test one compare. The record is 56
-// bytes — at most one cache line per visit. The node's box lives in
-// the cold parallel walkB array: the disjointness guard only matters
-// when the target box can possibly overlap the cell, and a point of a
-// box of side s is within s·√3 of any other of its points, so
-// dmin2 > 3·size2 proves the boxes disjoint without touching walkB.
-type walkNode struct {
-	cx, cy, cz, m float64
-	size2         float64
-	skip          int32
-	first, count  int32
-	leaf          bool
-}
-
-// buildWalkIndex flattens the tree into walk order: the exact child
-// order (octants 0..7) of the recursive walk, with empty subtrees
-// (M == 0, which the recursion enters and immediately abandons) elided
-// outright. Quadrupole moments go to a parallel stride-6 array so the
-// monopole-only hot path stays compact.
-func buildWalkIndex(t *Tree) {
-	// Rebuilds reuse last build's backing arrays (a tree built into
-	// reused storage keeps them); a first build, where the slices are
-	// nil, sizes them exactly.
-	wn, wb := t.walk[:0], t.walkB[:0]
-	if cap(wn) < len(t.Nodes) {
-		wn = make([]walkNode, 0, len(t.Nodes))
-		wb = make([]Box, 0, len(t.Nodes))
-	}
-	wq := t.walkQ[:0]
-	if t.Quadrupole && cap(wq) < 6*len(t.Nodes) {
-		wq = make([]float64, 0, 6*len(t.Nodes))
-	}
-	var emit func(ni int32)
-	emit = func(ni int32) {
-		n := &t.Nodes[ni]
-		if n.M == 0 {
-			return
-		}
-		size := 2 * n.Box.Half
-		size2 := size * size
-		if n.Leaf && n.Count <= 1 {
-			size2 = math.Inf(1)
-		}
-		idx := len(wn)
-		wn = append(wn, walkNode{
-			cx: n.CX, cy: n.CY, cz: n.CZ, m: n.M, size2: size2,
-			first: int32(n.First), count: int32(n.Count), leaf: n.Leaf,
-		})
-		wb = append(wb, n.Box)
-		if t.Quadrupole {
-			wq = append(wq, n.QXX, n.QYY, n.QZZ, n.QXY, n.QXZ, n.QYZ)
-		}
-		if !n.Leaf {
-			for oct := 0; oct < 8; oct++ {
-				if ci := n.Children[oct]; ci >= 0 {
-					emit(ci)
-				}
-			}
-		}
-		wn[idx].skip = int32(len(wn))
-	}
-	if len(t.Nodes) > 0 {
-		emit(0)
-	}
-	t.walk = wn
-	t.walkB = wb
-	t.walkQ = wq
-}
-
-// walkIndex returns the tree's walk index, building it on first use.
-// The index is derived state: construction costs one pass over the
-// nodes and is amortized over every walk of the tree's lifetime.
-func (t *Tree) walkIndex() ([]walkNode, []Box, []float64) {
-	t.walkOnce.Do(func() { buildWalkIndex(t) })
-	return t.walk, t.walkB, t.walkQ
 }
 
 // evalCellsMono evaluates cell monopoles [lo,hi) of the list for a
