@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -430,6 +431,25 @@ func TestNBodyRunFailuresRejectedAtValidate(t *testing.T) {
 		if err := validate(s); err != nil {
 			t.Errorf("%+v: %v", *s, err)
 		}
+	}
+}
+
+// TestNBodySpecEnergyDriftPinned pins the bits of the energy drift of
+// the gateway's cold nbody request, {"n":1000,"steps":1}: both of its
+// Energy calls and the treecode step in between.
+func TestNBodySpecEnergyDriftPinned(t *testing.T) {
+	s, err := DecodeSpec([]byte(`{"kind":"nbody","spec":{"n":1000,"steps":1}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunSpec(NewRun(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 0x3ea098b279533266
+	drift := res.Data.(NBodyData).EnergyDrift
+	if got := math.Float64bits(drift); got != want {
+		t.Fatalf("energy drift %#x (%v), want %#x", got, drift, uint64(want))
 	}
 }
 
