@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // Hierarchical block timesteps (the scheme of GADGET and the
@@ -30,40 +31,11 @@ type ActiveForcer interface {
 	ForcesActive(s *System, active []bool) error
 }
 
-// ForcesActive implements ActiveForcer for direct summation: inner
-// accumulation over every source, outer loop over active targets only.
+// ForcesActive implements ActiveForcer for direct summation: the
+// DirectForces loop over the active targets only, on the process-wide
+// worker pool.
 func (DirectForcer) ForcesActive(s *System, active []bool) error {
-	if active == nil {
-		s.DirectForces()
-		return nil
-	}
-	n := s.N()
-	eps2 := s.Eps * s.Eps
-	updated := 0
-	for i := 0; i < n; i++ {
-		if !active[i] {
-			continue
-		}
-		xi, yi, zi := s.X[i], s.Y[i], s.Z[i]
-		var ax, ay, az float64
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			dx := s.X[j] - xi
-			dy := s.Y[j] - yi
-			dz := s.Z[j] - zi
-			r2 := dx*dx + dy*dy + dz*dz + eps2
-			rinv := 1 / math.Sqrt(r2)
-			rinv3 := s.G * s.M[j] * rinv * rinv * rinv
-			ax += rinv3 * dx
-			ay += rinv3 * dy
-			az += rinv3 * dz
-		}
-		s.AX[i], s.AY[i], s.AZ[i] = ax, ay, az
-		updated++
-	}
-	s.Interactions += uint64(updated) * uint64(n-1)
+	s.directForces(par.Default(), active)
 	return nil
 }
 
