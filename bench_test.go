@@ -499,17 +499,23 @@ func hostForceStep(n, workers int) func() error {
 }
 
 // BenchmarkCalibrationMemo shows what the process-wide calibration memo
-// saves: a cold CalibrateFor runs eight kernel simulations; a warm one
-// is a map lookup.
+// saves: a cold CalibrateFor simulates every calibration kernel on the
+// process pool (cold-1w on one worker); a warm one is a map lookup.
 func BenchmarkCalibrationMemo(b *testing.B) {
 	tm := cpu.NewTM5600()
-	b.Run("cold", func(b *testing.B) {
+	cold := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cpu.ResetCalibCache()
 			if _, err := cpu.CalibrateFor(tm, cpu.MissRateTree); err != nil {
 				b.Fatal(err)
 			}
 		}
+	}
+	b.Run("cold", cold)
+	b.Run("cold-1w", func(b *testing.B) {
+		par.SetWorkers(1)
+		defer par.SetWorkers(0)
+		cold(b)
 	})
 	b.Run("warm", func(b *testing.B) {
 		if _, err := cpu.CalibrateFor(tm, cpu.MissRateTree); err != nil {

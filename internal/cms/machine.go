@@ -109,6 +109,9 @@ type cacheEntry struct {
 	// stay short and are scanned linearly.
 	links []chainLink
 	preds []*cacheEntry
+	// exits[k] counts the executions that left tr at molecule k since
+	// the entry was last folded.
+	exits []uint64
 }
 
 // chainTo returns the patched successor for an exit at pc, or nil.
@@ -139,6 +142,9 @@ type Machine struct {
 	// vst is the reused VLIW register state, re-armed per Run so the hot
 	// path allocates nothing.
 	vst vliw.State
+	// native holds the counts folded from the entries' exits that the
+	// running Run has not yet credited to its stats and trace.
+	native vliw.Counts
 }
 
 // NewMachine builds a Crusoe with the given CMS parameters and VLIW
@@ -179,6 +185,10 @@ var ErrFuel = errors.New("cms: cycle budget exhausted")
 // into molecules and cached; cached regions execute natively and chain to
 // each other — runNative follows patched exit links from translation to
 // translation without coming back here.
+//
+// As CMS translates a region once and runs it many times, a translation
+// execution only counts its exit; the atoms, molecules, flops and class
+// counts those exits come to are folded once, however the run ends.
 func (m *Machine) Run(p isa.Program, st *isa.State, fuelCycles uint64) (uint64, isa.Trace, error) {
 	var tr isa.Trace
 	if err := p.Validate(); err != nil {
@@ -188,24 +198,30 @@ func (m *Machine) Run(p isa.Program, st *isa.State, fuelCycles uint64) (uint64, 
 	if len(m.cache) > 0 {
 		m.stats.WarmRuns++
 	}
+	start := m.stats.TotalCycles()
+	err := m.run(p, st, &tr, fuelCycles)
+	m.fold(&tr)
 	if m.Tracer != nil {
-		defer func(start uint64, run uint64) {
-			m.Tracer.Complete(obs.PidCMS, 0, "cms", "run",
-				float64(start), float64(m.stats.TotalCycles()-start),
-				map[string]any{"run": run, "interp_instrs": m.stats.InterpInstrs,
-					"translations": m.stats.Translations})
-		}(m.stats.TotalCycles(), m.stats.Runs)
+		m.Tracer.Complete(obs.PidCMS, 0, "cms", "run",
+			float64(start), float64(m.stats.TotalCycles()-start),
+			map[string]any{"run": m.stats.Runs, "interp_instrs": m.stats.InterpInstrs,
+				"translations": m.stats.Translations})
 	}
+	return m.stats.TotalCycles(), tr, err
+}
+
+// run is Run's control loop.
+func (m *Machine) run(p isa.Program, st *isa.State, tr *isa.Trace, fuelCycles uint64) error {
 	m.vst = vliw.State{Arch: st}
 	vst := &m.vst
 	fromNative := false
 	for !st.Halted {
 		if fuelCycles > 0 && m.stats.TotalCycles() >= fuelCycles {
-			return m.stats.TotalCycles(), tr, ErrFuel
+			return ErrFuel
 		}
 		pc := st.PC
 		if pc < 0 || pc >= len(p) {
-			return m.stats.TotalCycles(), tr, fmt.Errorf("cms: PC %d out of range", pc)
+			return fmt.Errorf("cms: PC %d out of range", pc)
 		}
 		if ent := m.lookup(pc); ent != nil {
 			if fromNative {
@@ -215,9 +231,9 @@ func (m *Machine) Run(p isa.Program, st *isa.State, fuelCycles uint64) (uint64, 
 				m.stats.DispatchCycles += uint64(m.P.DispatchCycles)
 				m.stats.ColdDispatches++
 			}
-			next, err := m.runNative(p, ent, vst, &tr, fuelCycles)
+			next, err := m.runNative(p, ent, vst, tr, fuelCycles)
 			if err != nil {
-				return m.stats.TotalCycles(), tr, err
+				return err
 			}
 			st.PC = next
 			fromNative = true
@@ -227,7 +243,7 @@ func (m *Machine) Run(p isa.Program, st *isa.State, fuelCycles uint64) (uint64, 
 		m.profile[pc]++
 		if m.profile[pc] >= m.P.HotThreshold {
 			if err := m.translate(p, pc); err != nil {
-				return m.stats.TotalCycles(), tr, err
+				return err
 			}
 			fromNative = false
 			continue // next iteration dispatches into the new translation
@@ -235,11 +251,11 @@ func (m *Machine) Run(p isa.Program, st *isa.State, fuelCycles uint64) (uint64, 
 		// Interpret one region's worth: instruction by instruction until a
 		// control transfer lands on a new region head.
 		fromNative = false
-		if err := m.interpretRegion(p, st, &tr); err != nil {
-			return m.stats.TotalCycles(), tr, err
+		if err := m.interpretRegion(p, st, tr); err != nil {
+			return err
 		}
 	}
-	return m.stats.TotalCycles(), tr, nil
+	return nil
 }
 
 // runNative executes ent and then follows chain links native-to-native
@@ -247,18 +263,26 @@ func (m *Machine) Run(p isa.Program, st *isa.State, fuelCycles uint64) (uint64, 
 // successor. It returns the x86 PC to continue at. Each hop charges
 // exactly the chained dispatch the old dispatch-loop path charged, and
 // touches the successor's LRU position, so cycle accounting and eviction
-// order are bit-identical to pre-chaining behaviour.
+// order are bit-identical to pre-chaining behaviour. Each execution adds
+// its cycles and taken branch at once, which the fuel check and the
+// run's trace span read, and counts its exit molecule for the fold.
 func (m *Machine) runNative(p isa.Program, ent *cacheEntry, vst *vliw.State, tr *isa.Trace, fuelCycles uint64) (int, error) {
-	var res vliw.ExecResult
 	for {
-		if err := m.VLIW.Execute(ent.tr, vst, &res); err != nil {
+		e, err := m.VLIW.Execute(ent.tr, vst)
+		if err != nil {
 			return 0, err
 		}
-		m.recordNative(&res, tr)
-		if res.Halted {
-			return res.ExitPC, nil
+		ent.exits[e.Mol]++
+		m.stats.NativeExecutions++
+		m.stats.NativeCycles += ent.tr.Cycles(e.Mol)
+		if e.Taken {
+			m.stats.NativeCycles += uint64(m.VLIW.T.BranchPenalty)
+			tr.Taken++
 		}
-		exit := res.ExitPC
+		if e.Halted {
+			return e.PC, nil
+		}
+		exit := e.PC
 		if exit < 0 || exit >= len(p) {
 			return exit, nil // Run reports the bounds error
 		}
@@ -281,6 +305,31 @@ func (m *Machine) runNative(p isa.Program, ent *cacheEntry, vst *vliw.State, tr 
 		m.lru.MoveToFront(succ.ele)
 		ent = succ
 	}
+}
+
+// foldEntry folds ent's exit counts into m.native and zeroes them.
+func (m *Machine) foldEntry(ent *cacheEntry) {
+	ent.tr.Fold(ent.exits, &m.native)
+	clear(ent.exits)
+}
+
+// fold credits the run's native executions: it folds every cached
+// entry's exits into m.native, which already holds those of entries
+// evicted during the run, and moves the sums into the stats and tr.
+// Every term is an integer, so the order of the folds moves no value.
+func (m *Machine) fold(tr *isa.Trace) {
+	for _, ent := range m.cache {
+		m.foldEntry(ent)
+	}
+	n := &m.native
+	m.stats.NativeAtoms += n.Atoms
+	m.stats.NativeMolecules += n.Molecules
+	tr.Instrs += n.Atoms
+	tr.Flops += n.Flops
+	for c := range n.ByClass {
+		tr.ByClass[c] += n.ByClass[c]
+	}
+	*n = vliw.Counts{}
 }
 
 func (m *Machine) lookup(pc int) *cacheEntry {
@@ -358,6 +407,7 @@ func (m *Machine) insert(pc int, t *vliw.Translation) {
 			oldest := m.lru.Back()
 			victimPC := oldest.Value.(int)
 			victim := m.cache[victimPC]
+			m.foldEntry(victim)
 			m.unchain(victim)
 			m.stats.CacheAtoms -= victim.tr.Atoms()
 			delete(m.cache, victimPC)
@@ -371,23 +421,8 @@ func (m *Machine) insert(pc int, t *vliw.Translation) {
 		}
 	}
 	ele := m.lru.PushFront(pc)
-	m.cache[pc] = &cacheEntry{tr: t, ele: ele}
+	m.cache[pc] = &cacheEntry{tr: t, ele: ele, exits: make([]uint64, len(t.Molecules))}
 	m.stats.CacheAtoms += atoms
-}
-
-func (m *Machine) recordNative(res *vliw.ExecResult, tr *isa.Trace) {
-	m.stats.NativeExecutions++
-	m.stats.NativeCycles += res.Cycles
-	m.stats.NativeAtoms += res.Atoms
-	m.stats.NativeMolecules += res.Molecules
-	for c := range res.ByClass {
-		tr.ByClass[c] += res.ByClass[c]
-	}
-	tr.Flops += res.Flops
-	tr.Instrs += res.Atoms
-	if res.Taken {
-		tr.Taken++
-	}
 }
 
 // interpretRegion steps x86 instructions, charging interpreter cost per

@@ -4,29 +4,17 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/cms"
-	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/par"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
-
-// kernelRecorder runs kernels on p and keeps each run's result.
-type kernelRecorder struct {
-	Processor
-	runs []RunResult
-}
-
-func (r *kernelRecorder) RunKernel(p isa.Program, st *isa.State) (RunResult, error) {
-	res, err := r.Processor.RunKernel(p, st)
-	r.runs = append(r.runs, res)
-	return res, err
-}
 
 // calibKernelPin is one calibration kernel's simulated outcome; Stats
 // is set for a Crusoe only.
@@ -53,19 +41,14 @@ type calibCase struct {
 // calibrate runs c's calibration on the model CalibrateForUncached
 // runs, recording each kernel's cycles and cms.Stats.
 func (c calibCase) calibrate() (calibPin, error) {
-	rec := &kernelRecorder{Processor: calibrationModel(c.p, c.missRate)}
-	costs, err := Calibrate(rec)
+	costs, runs, err := calibrateKernels(calibrationModel(c.p, c.missRate))
 	if err != nil {
 		return calibPin{}, fmt.Errorf("%s at miss rate %v: %w", c.p.Name(), c.missRate, err)
 	}
 	pin := calibPin{Processor: c.p.Name(), MissRate: c.missRate, Costs: costs}
-	ks := kernels.CalibKernels()
-	if len(rec.runs) != len(ks) {
-		return pin, fmt.Errorf("%s: %d kernel runs, want %d", c.p.Name(), len(rec.runs), len(ks))
-	}
-	for i, k := range ks {
+	for i, k := range kernels.CalibKernels() {
 		pin.Kernels = append(pin.Kernels, calibKernelPin{Kernel: k.Name,
-			Cycles: rec.runs[i].Cycles, Stats: rec.runs[i].CMS})
+			Cycles: runs[i].Cycles, Stats: runs[i].CMS})
 	}
 	return pin, nil
 }
@@ -154,4 +137,62 @@ func TestSuperscalarCalibrationPinned(t *testing.T) {
 		cases = append(cases, calibCase{a.AsProcessor(), MissRateTree})
 	}
 	checkCalibrationPin(t, "superscalar_calib_pin.json", cases)
+}
+
+// sameRun reports whether two kernel runs agree bit for bit: cycles,
+// seconds, trace and cms.Stats.
+func sameRun(a, b RunResult) bool {
+	return math.Float64bits(a.Cycles) == math.Float64bits(b.Cycles) &&
+		math.Float64bits(a.Seconds) == math.Float64bits(b.Seconds) &&
+		a.Trace == b.Trace &&
+		(a.CMS == nil) == (b.CMS == nil) && (a.CMS == nil || *a.CMS == *b.CMS)
+}
+
+// sameCosts reports whether two EffCosts agree bit for bit.
+func sameCosts(a, b EffCosts) bool {
+	if a.Processor != b.Processor || math.Float64bits(a.ClockMHz) != math.Float64bits(b.ClockMHz) {
+		return false
+	}
+	for c := range a.Cost {
+		if math.Float64bits(a.Cost[c]) != math.Float64bits(b.Cost[c]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCalibrateWidthInvariant: Calibrate runs its kernels on the
+// process pool, and its costs and every kernel's run have the same bits
+// at pool widths 1, 2 and 8, for the TM5600 and for a superscalar
+// model (which skips under -race, as its pin does).
+func TestCalibrateWidthInvariant(t *testing.T) {
+	cases := []calibCase{{NewTM5600(), MissRateTree}}
+	if !raceEnabled {
+		cases = append(cases, calibCase{PentiumII333().AsProcessor(), MissRateTree})
+	}
+	defer par.SetWorkers(0)
+	for _, c := range cases {
+		model := calibrationModel(c.p, c.missRate)
+		var want EffCosts
+		var wantRuns []RunResult
+		for _, w := range []int{1, 2, 8} {
+			par.SetWorkers(w)
+			costs, runs, err := calibrateKernels(model)
+			if err != nil {
+				t.Fatalf("%s at %d workers: %v", c.p.Name(), w, err)
+			}
+			if w == 1 {
+				want, wantRuns = costs, runs
+				continue
+			}
+			if !sameCosts(costs, want) {
+				t.Fatalf("%s: costs at %d workers\n%+v\nat 1 worker\n%+v", c.p.Name(), w, costs, want)
+			}
+			for i, k := range kernels.CalibKernels() {
+				if !sameRun(runs[i], wantRuns[i]) {
+					t.Fatalf("%s/%s: run at %d workers differs from the run at 1 worker", c.p.Name(), k.Name, w)
+				}
+			}
+		}
+	}
 }

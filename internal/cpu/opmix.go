@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/kernels"
+	"repro/internal/par"
 )
 
 // EffCosts is the coarse op-mix cost model: effective cycles per operation
@@ -25,25 +26,47 @@ type EffCosts struct {
 // billions of iterations.
 const CalibIters = 200_000
 
-// Calibrate measures the effective per-class costs of a processor.
+// Calibrate measures the effective per-class costs of a processor. Its
+// kernels run concurrently on the process pool, so p's RunKernel must
+// be safe for concurrent use. Each kernel runs on its own state and
+// writes only its own class's cost, so no cost depends on the pool's
+// width; if kernels fail, the error is the first failing kernel's in
+// kernel order.
 func Calibrate(p Processor) (EffCosts, error) {
+	e, _, err := calibrateKernels(p)
+	return e, err
+}
+
+// calibrateKernels is Calibrate, also returning each calibration
+// kernel's run in kernel order.
+func calibrateKernels(p Processor) (EffCosts, []RunResult, error) {
 	e := EffCosts{Processor: p.Name(), ClockMHz: p.ClockMHz()}
-	for _, k := range kernels.CalibKernels() {
+	ks := kernels.CalibKernels()
+	runs := make([]RunResult, len(ks))
+	errs := make([]error, len(ks))
+	// Grain 1: each chunk is one kernel, i.
+	par.Default().For(len(ks), 1, func(i, _ int) {
+		k := ks[i]
 		prog, st, err := k.Build(CalibIters)
-		if err != nil {
-			return e, fmt.Errorf("cpu: calibrate %s/%s: %w", p.Name(), k.Name, err)
+		if err == nil {
+			runs[i], err = p.RunKernel(prog, st)
 		}
-		res, err := p.RunKernel(prog, st)
 		if err != nil {
-			return e, fmt.Errorf("cpu: calibrate %s/%s: %w", p.Name(), k.Name, err)
+			errs[i] = fmt.Errorf("cpu: calibrate %s/%s: %w", p.Name(), k.Name, err)
+			return
 		}
-		e.Cost[k.Class] = res.Cycles / float64(CalibIters*k.OpsPerIteration())
+		e.Cost[k.Class] = runs[i].Cycles / float64(CalibIters*k.OpsPerIteration())
+	})
+	for _, err := range errs {
+		if err != nil {
+			return e, runs, err
+		}
 	}
 	// Branches and nops ride along inside the calibration loop bodies;
 	// charge branches like simple ALU ops and nops free.
 	e.Cost[isa.ClassBranch] = e.Cost[isa.ClassIntALU]
 	e.Cost[isa.ClassNop] = 0
-	return e, nil
+	return e, runs, nil
 }
 
 // Cycles returns the modelled cycle count for an operation mix.

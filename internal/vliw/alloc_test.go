@@ -27,9 +27,8 @@ func TestExecuteZeroAlloc(t *testing.T) {
 	}
 	m := NewMachine(TM5600Timing())
 	mustTime(t, m, tr)
-	var res ExecResult
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := m.Execute(tr, st, &res); err != nil {
+		if _, err := m.Execute(tr, st); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -20,8 +20,8 @@
 // every entry to a translation, so its result depends only on the
 // translation, the Timing and the molecule an execution leaves at:
 // Machine.Time runs it once per translation, as CMS translates a region
-// once, and Machine.Execute runs only the atoms and reads the cycles and
-// counts from the table Time stored.
+// once, and Machine.Execute runs only the atoms and reports the molecule
+// it left at, whose cycles and counts the table Time stored holds.
 package vliw
 
 import (

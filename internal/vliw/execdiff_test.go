@@ -196,23 +196,22 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// TestExecuteMatchesReference holds Execute, which reads the timing
-// table Time built, to the scoreboard reference that recomputes timing
-// on every call. It covers every translation the cms translator makes
-// for the corpus, in wide and narrow molecules,
+// TestExecuteMatchesReference holds Execute, which reports only the
+// molecule it leaves at, to the scoreboard reference that recomputes
+// timing and counts on every call. It covers every translation the cms
+// translator makes for the corpus, in wide and narrow molecules,
 // under the TM5600, the TM5800 and the TM5600 with a raised load
 // latency, from the states each region head is reached in, and forces
-// an exit at every molecule. Every ExecResult field, every error and
-// the whole native state must agree.
+// an exit at every molecule. Every field of what the exit is charged
+// (the translation's Cycles and a Fold of that one exit), every error
+// and the whole native state must agree; and one Fold of every exit
+// counted per molecule must equal the sum of the reference's counts.
 func TestExecuteMatchesReference(t *testing.T) {
 	slowLoads := vliw.TM5600Timing()
 	slowLoads.LoadLatency += 3
 	timings := []vliw.Timing{vliw.TM5600Timing(), cpu.NewTM5800().Timing, slowLoads}
 	var execs, faults int
 	var ref, got isa.State
-	// One result reused across every execution, as cms reuses one:
-	// Execute must overwrite every field.
-	var res vliw.ExecResult
 	for _, prog := range diffCorpus(t) {
 		states := visitStates(t, prog.p, prog.st)
 		for _, wide := range []bool{true, false} {
@@ -235,6 +234,8 @@ func TestExecuteMatchesReference(t *testing.T) {
 						if err := m.Time(v); err != nil {
 							t.Fatalf("%s pc %d variant %d: %v", prog.name, pc, vi, err)
 						}
+						exits := make([]uint64, len(v.Molecules))
+						var sum vliw.Counts
 						for si, s0 := range sts {
 							label := func() string {
 								return fmt.Sprintf("%s wide=%v pc %d variant %d timing %d state %d", prog.name, wide, pc, vi, ti, si)
@@ -243,7 +244,7 @@ func TestExecuteMatchesReference(t *testing.T) {
 							resetState(&got, s0)
 							rst, gst := vliw.State{Arch: &ref}, vliw.State{Arch: &got}
 							want, werr := vliw.ReferenceExecute(tm, v, &rst)
-							gerr := m.Execute(v, &gst, &res)
+							res, gerr := vliw.ExecuteResult(m, v, &gst)
 							if (werr == nil) != (gerr == nil) || werr != nil && werr.Error() != gerr.Error() {
 								t.Fatalf("%s: error %v, reference %v", label(), gerr, werr)
 							}
@@ -253,10 +254,25 @@ func TestExecuteMatchesReference(t *testing.T) {
 							if !ref.Equal(&got) || rst.TmpR != gst.TmpR || !sameBits(rst.TmpF[:], gst.TmpF[:]) {
 								t.Fatalf("%s: native state differs from the reference", label())
 							}
+							if want.Molecules > 0 {
+								exits[want.Molecules-1]++
+								sum.Atoms += want.Atoms
+								sum.Molecules += want.Molecules
+								sum.Flops += want.Flops
+								for c, n := range want.ByClass {
+									sum.ByClass[c] += n
+								}
+							}
 							execs++
 							if werr != nil {
 								faults++
 							}
+						}
+						var folded vliw.Counts
+						v.Fold(exits, &folded)
+						if folded != sum {
+							t.Fatalf("%s wide=%v pc %d variant %d timing %d: fold of %v\n%+v\nreference sum\n%+v",
+								prog.name, wide, pc, vi, ti, exits, folded, sum)
 						}
 					}
 				}

@@ -39,6 +39,16 @@ func TM5600Timing() Timing {
 	}
 }
 
+// same reports whether t and u are the same Timing. Compared field by
+// field it compiles to inline compares, where == on the struct calls
+// memequal on Execute's hot path.
+func (t *Timing) same(u *Timing) bool {
+	return t.IntLatency == u.IntLatency && t.MulLatency == u.MulLatency &&
+		t.LoadLatency == u.LoadLatency && t.FPLatency == u.FPLatency &&
+		t.FDivLatency == u.FDivLatency && t.FSqrtLatency == u.FSqrtLatency &&
+		t.BranchPenalty == u.BranchPenalty
+}
+
 // Latency is the producer→consumer distance of a timing class's results,
 // for translated atoms and interpreted instructions alike.
 func (t *Timing) Latency(c isa.Class) int {
@@ -103,17 +113,25 @@ func (s *State) setF(r uint8, v float64) {
 	s.TmpF[r-isa.NumRegs] = v
 }
 
-// ExecResult reports one translation execution.
-type ExecResult struct {
-	ExitPC    int    // x86 PC to continue at
-	Cycles    uint64 // cycles the translation took, per the Timing model
-	Taken     bool   // whether the exit was a taken branch
-	Atoms     uint64 // atoms executed
-	Molecules uint64 // molecules issued
-	Halted    bool
-	// ByClass/Flops count executed atoms for Mflops accounting.
-	ByClass [isa.NumClasses]uint64
-	Flops   uint64
+// Exit reports where one translation execution left its translation.
+// The cycles and counts it comes to are the translation's, at Mol:
+// Translation.Cycles gives the cycles, Translation.Fold the counts.
+type Exit struct {
+	// Mol is the molecule the execution left at; after a fault, the
+	// last molecule that committed (-1 for none).
+	Mol    int
+	PC     int  // x86 PC to continue at
+	Taken  bool // left through a taken branch
+	Halted bool
+}
+
+// Counts sums what translation executions ran: atoms, molecules, flops
+// and atoms per timing class.
+type Counts struct {
+	Atoms     uint64
+	Molecules uint64
+	Flops     uint64
+	ByClass   [isa.NumClasses]uint64
 }
 
 // Machine executes translations with cycle accounting. Its scoreboard
@@ -121,10 +139,11 @@ type ExecResult struct {
 // translation's entry and persists across its molecules; cross-
 // translation stalls are absorbed into the chaining cost the CMS layer
 // charges. Because every execution starts from the same zeroed
-// scoreboard and counts whole cycles, what an execution reports depends
+// scoreboard and counts whole cycles, what an execution costs depends
 // only on the translation, T and the molecule it leaves at, never on
-// data: Time runs the scoreboard once per translation and Execute reads
-// its table.
+// data: Time runs the scoreboard once per translation, and Execute
+// reports only the exit, whose cycles and counts the translation's
+// table holds.
 type Machine struct {
 	T Timing
 }
@@ -137,7 +156,7 @@ func NewMachine(t Timing) *Machine { return &Machine{T: t} }
 var ErrTiming = errors.New("vliw: translation not timed under this machine's Timing")
 
 // step is what an execution that leaves a translation at molecule k
-// reports, before a taken branch's penalty: the cumulative counts of
+// costs, before a taken branch's penalty: the cumulative counts of
 // molecules 0..k. Counts are uint32 to keep the table small; Time
 // rejects a translation whose totals do not fit.
 type step struct {
@@ -229,22 +248,20 @@ func (m *Machine) Time(t *Translation) error {
 
 // Execute runs the translation against st until a branch exits, the last
 // molecule falls through, or a branch to a HaltCode halts the machine,
-// and writes what it reports into *res, overwriting every field. It runs
-// the atoms' semantics and commits each molecule's writes in parallel;
-// the cycles and counts it reports are those Time stored for the
-// molecule it leaves at, plus BranchPenalty on a taken branch. If an
-// atom fails, the result counts the molecules before the failing one and
-// reports no cycles. Execute returns ErrTiming, with a zero result,
-// unless Time prepared t under m.T, and writes nothing into t.
+// and reports the exit. It runs the atoms' semantics and commits each
+// molecule's writes in parallel. The execution costs t.Cycles(e.Mol),
+// plus BranchPenalty on a taken exit, and counts what t.Fold credits to
+// an exit at e.Mol. If an atom fails, Execute returns the error with
+// e.Mol the last molecule that committed. Execute returns ErrTiming,
+// with e.Mol -1, unless Time prepared t under m.T, and writes nothing
+// into t.
 //
 // Execute is the simulator's hottest host loop and performs no heap
-// allocation: the commit buffer is a fixed array, and the result goes
-// straight into the caller's struct, which a caller running many
-// translations reuses.
-func (m *Machine) Execute(t *Translation, st *State, res *ExecResult) error {
-	if len(t.steps) != len(t.Molecules) || t.timing != m.T {
-		*res = ExecResult{}
-		return ErrTiming
+// allocation: the commit buffer is a fixed array, and the exit is a few
+// words returned by value.
+func (m *Machine) Execute(t *Translation, st *State) (e Exit, err error) {
+	if len(t.steps) != len(t.Molecules) || !t.timing.same(&m.T) {
+		return Exit{Mol: -1}, ErrTiming
 	}
 	var writes [maxMoleculeAtoms]pendingWrite
 	for mi := range t.Molecules {
@@ -256,12 +273,7 @@ func (m *Machine) Execute(t *Translation, st *State, res *ExecResult) error {
 		for i := range mol.Atoms {
 			wrote, br, taken, halt, err := execAtom(&mol.Atoms[i], st, &writes[nw])
 			if err != nil {
-				*res = ExecResult{}
-				if mi > 0 {
-					t.result(res, mi-1)
-					res.Cycles = 0
-				}
-				return fmt.Errorf("vliw: molecule %d: %w", mi, err)
+				return Exit{Mol: mi - 1}, fmt.Errorf("vliw: molecule %d: %w", mi, err)
 			}
 			if wrote {
 				nw++
@@ -283,32 +295,35 @@ func (m *Machine) Execute(t *Translation, st *State, res *ExecResult) error {
 		}
 		if halted {
 			st.Arch.Halted = true
-			t.result(res, mi)
-			res.ExitPC, res.Taken, res.Halted = branchTo, false, true
-			return nil
+			return Exit{Mol: mi, PC: branchTo, Halted: true}, nil
 		}
 		if branched {
-			t.result(res, mi)
-			res.Cycles += uint64(m.T.BranchPenalty)
-			res.ExitPC, res.Taken, res.Halted = branchTo, true, false
-			return nil
+			return Exit{Mol: mi, PC: branchTo, Taken: true}, nil
 		}
 	}
-	t.result(res, len(t.Molecules)-1)
-	res.ExitPC, res.Taken, res.Halted = t.FallPC, false, false
-	return nil
+	return Exit{Mol: len(t.Molecules) - 1, PC: t.FallPC}, nil
 }
 
-// result sets res's cycles and counts to those of an exit at molecule k;
-// the caller sets the exit fields (ExitPC, Taken, Halted).
-func (t *Translation) result(res *ExecResult, k int) {
-	s := &t.steps[k]
-	res.Cycles = uint64(s.cycles)
-	res.Atoms = uint64(s.atoms)
-	res.Molecules = uint64(k + 1)
-	res.Flops = uint64(s.flops)
-	for c := range s.byClass {
-		res.ByClass[c] = uint64(s.byClass[c])
+// Cycles returns the cycles of an execution that leaves t at molecule
+// k, before a taken branch's penalty. t must have been timed.
+func (t *Translation) Cycles(k int) uint64 { return uint64(t.steps[k].cycles) }
+
+// Fold adds to c what exits[k] executions leaving t at molecule k count,
+// for every k: exits has one entry per molecule. Every term is an
+// integer, so folding counts in any grouping or order gives the same
+// sums. t must have been timed.
+func (t *Translation) Fold(exits []uint64, c *Counts) {
+	for k, n := range exits {
+		if n == 0 {
+			continue
+		}
+		s := &t.steps[k]
+		c.Atoms += n * uint64(s.atoms)
+		c.Molecules += n * uint64(k+1)
+		c.Flops += n * uint64(s.flops)
+		for cl := range s.byClass {
+			c.ByClass[cl] += n * uint64(s.byClass[cl])
+		}
 	}
 }
 

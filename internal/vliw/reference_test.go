@@ -10,6 +10,44 @@ import (
 // test (execdiff_test.go), which imports the cms translator.
 var ReferenceExecute = referenceExecute
 
+// ExecResult is one translation execution's exit, cycles and counts in
+// one struct, as the reference computes them per call.
+type ExecResult struct {
+	ExitPC    int    // x86 PC to continue at
+	Cycles    uint64 // cycles the translation took, per the Timing model
+	Taken     bool   // whether the exit was a taken branch
+	Atoms     uint64 // atoms executed
+	Molecules uint64 // molecules issued
+	Halted    bool
+	// ByClass/Flops count executed atoms for Mflops accounting.
+	ByClass [isa.NumClasses]uint64
+	Flops   uint64
+}
+
+// ExecuteResult runs m.Execute and assembles its ExecResult from the
+// exit, the translation's Cycles and a Fold of that one exit: the
+// cycles and counts an execution is charged. A faulting execution
+// counts the molecules that committed and reports no cycles.
+func ExecuteResult(m *Machine, t *Translation, st *State) (ExecResult, error) {
+	e, err := m.Execute(t, st)
+	res := ExecResult{ExitPC: e.PC, Taken: e.Taken, Halted: e.Halted}
+	if e.Mol < 0 {
+		return res, err
+	}
+	if err == nil {
+		res.Cycles = t.Cycles(e.Mol)
+		if e.Taken {
+			res.Cycles += uint64(m.T.BranchPenalty)
+		}
+	}
+	exits := make([]uint64, len(t.Molecules))
+	exits[e.Mol] = 1
+	var c Counts
+	t.Fold(exits, &c)
+	res.Atoms, res.Molecules, res.Flops, res.ByClass = c.Atoms, c.Molecules, c.Flops, c.ByClass
+	return res, err
+}
+
 // referenceExecute executes t the direct way: it runs the scoreboard
 // from zero on every call, beside the atoms' semantics, and needs no
 // Machine.Time. The differential test holds Execute's table path to it

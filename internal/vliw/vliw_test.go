@@ -2,6 +2,7 @@ package vliw
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -16,13 +17,6 @@ func mustTime(t testing.TB, m *Machine, tr *Translation) {
 	if err := m.Time(tr); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// execute runs m.Execute into a fresh result.
-func execute(m *Machine, tr *Translation, st *State) (ExecResult, error) {
-	var res ExecResult
-	err := m.Execute(tr, st, &res)
-	return res, err
 }
 
 // TestUnitOfCoversAllAtoms: every opcode a molecule may carry (all but
@@ -116,7 +110,7 @@ func TestExecuteStraightLine(t *testing.T) {
 	}
 	m := NewMachine(TM5600Timing())
 	mustTime(t, m, tr)
-	res, err := execute(m, tr, st)
+	res, err := ExecuteResult(m, tr, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +140,7 @@ func TestExecuteParallelReadSemantics(t *testing.T) {
 	}
 	m := NewMachine(TM5600Timing())
 	mustTime(t, m, tr)
-	if _, err := execute(m, tr, st); err != nil {
+	if _, err := ExecuteResult(m, tr, st); err != nil {
 		t.Fatal(err)
 	}
 	if arch.R[1] != 22 || arch.R[2] != 11 {
@@ -168,7 +162,7 @@ func TestExecuteBranchTaken(t *testing.T) {
 	}
 	m := NewMachine(TM5600Timing())
 	mustTime(t, m, tr)
-	res, err := execute(m, tr, st)
+	res, err := ExecuteResult(m, tr, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +188,7 @@ func TestExecuteBranchNotTakenFallsThrough(t *testing.T) {
 	}
 	m := NewMachine(TM5600Timing())
 	mustTime(t, m, tr)
-	res, err := execute(m, tr, st)
+	res, err := ExecuteResult(m, tr, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +208,7 @@ func TestExecuteHalt(t *testing.T) {
 	}
 	m := NewMachine(TM5600Timing())
 	mustTime(t, m, tr)
-	res, err := execute(m, tr, st)
+	res, err := ExecuteResult(m, tr, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +228,7 @@ func TestExecuteTempRegistersIsolated(t *testing.T) {
 	}
 	m := NewMachine(TM5600Timing())
 	mustTime(t, m, tr)
-	if _, err := execute(m, tr, st); err != nil {
+	if _, err := ExecuteResult(m, tr, st); err != nil {
 		t.Fatal(err)
 	}
 	if arch.R[2] != 99 {
@@ -259,7 +253,7 @@ func TestCyclesIndependentMoleculesPipeline(t *testing.T) {
 	tr := &Translation{Molecules: mols}
 	m := NewMachine(TM5600Timing())
 	mustTime(t, m, tr)
-	res, err := execute(m, tr, st)
+	res, err := ExecuteResult(m, tr, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +275,7 @@ func TestCyclesDependencyStall(t *testing.T) {
 	tm := TM5600Timing()
 	m := NewMachine(tm)
 	mustTime(t, m, tr)
-	res, err := execute(m, tr, st)
+	res, err := ExecuteResult(m, tr, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +300,7 @@ func TestCyclesFDivBlocksFPU(t *testing.T) {
 	tm := TM5600Timing()
 	m := NewMachine(tm)
 	mustTime(t, m, tr)
-	res, err := execute(m, tr, st)
+	res, err := ExecuteResult(m, tr, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +322,7 @@ func TestCyclesIndependentIntNotBlockedByFDiv(t *testing.T) {
 	}
 	m := NewMachine(TM5600Timing())
 	mustTime(t, m, tr)
-	res, err := execute(m, tr, st)
+	res, err := ExecuteResult(m, tr, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +339,7 @@ func TestCyclesTakenBranchPenalty(t *testing.T) {
 
 	taken := &Translation{Molecules: []Molecule{mol(isa.Instr{Op: isa.Jmp, Imm: 7})}}
 	mustTime(t, m, taken)
-	res, err := execute(m, taken, st)
+	res, err := ExecuteResult(m, taken, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +360,7 @@ func TestExecuteMemoryFault(t *testing.T) {
 	}
 	m := NewMachine(TM5600Timing())
 	mustTime(t, m, tr)
-	res, err := execute(m, tr, st)
+	res, err := ExecuteResult(m, tr, st)
 	if err == nil {
 		t.Fatal("out-of-range load did not error")
 	}
@@ -395,7 +389,7 @@ func TestLoadUseStall(t *testing.T) {
 	tm := TM5600Timing()
 	m := NewMachine(tm)
 	mustTime(t, m, tr)
-	res, err := execute(m, tr, st)
+	res, err := ExecuteResult(m, tr, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,24 +420,24 @@ func TestExecuteRejectsStaleTiming(t *testing.T) {
 	st := NewState(arch)
 	tr := &Translation{Molecules: []Molecule{mol(isa.Instr{Op: isa.MovI, Rd: 1, Imm: 7})}}
 	m := NewMachine(TM5600Timing())
-	if _, err := execute(m, tr, st); !errors.Is(err, ErrTiming) {
+	if _, err := ExecuteResult(m, tr, st); !errors.Is(err, ErrTiming) {
 		t.Fatalf("untimed translation: err = %v, want ErrTiming", err)
 	}
 	mustTime(t, m, tr)
 	slow := TM5600Timing()
 	slow.LoadLatency++
-	if _, err := execute(NewMachine(slow), tr, st); !errors.Is(err, ErrTiming) {
+	if _, err := ExecuteResult(NewMachine(slow), tr, st); !errors.Is(err, ErrTiming) {
 		t.Fatalf("other machine's timing: err = %v, want ErrTiming", err)
 	}
 	m.T.BranchPenalty++
-	if _, err := execute(m, tr, st); !errors.Is(err, ErrTiming) {
+	if _, err := ExecuteResult(m, tr, st); !errors.Is(err, ErrTiming) {
 		t.Fatalf("timing changed after Time: err = %v, want ErrTiming", err)
 	}
 	if arch.R[1] != 0 {
 		t.Fatal("a refused Execute ran atoms")
 	}
 	mustTime(t, m, tr)
-	if _, err := execute(m, tr, st); err != nil || arch.R[1] != 7 {
+	if _, err := ExecuteResult(m, tr, st); err != nil || arch.R[1] != 7 {
 		t.Fatalf("retimed translation: err = %v, r1 = %d", err, arch.R[1])
 	}
 }
@@ -463,7 +457,7 @@ func TestExecuteConcurrent(t *testing.T) {
 	}
 	m := NewMachine(TM5600Timing())
 	mustTime(t, m, tr)
-	want, err := execute(m, tr, NewState(isa.NewState(1)))
+	want, err := ExecuteResult(m, tr, NewState(isa.NewState(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +468,7 @@ func TestExecuteConcurrent(t *testing.T) {
 			defer wg.Done()
 			st := NewState(isa.NewState(1))
 			for i := 0; i < 500; i++ {
-				res, err := execute(m, tr, st)
+				res, err := ExecuteResult(m, tr, st)
 				if err != nil || res != want {
 					t.Errorf("execution %d: %+v, %v; want %+v", i, res, err, want)
 					return
@@ -486,4 +480,21 @@ func TestExecuteConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestTimingSameSeesEveryField: Execute's timing guard compares Timing
+// field by field, so a change to any one field must make it differ.
+func TestTimingSameSeesEveryField(t *testing.T) {
+	base := TM5600Timing()
+	if !base.same(&base) {
+		t.Fatal("a Timing differs from itself")
+	}
+	for i := 0; i < reflect.TypeOf(base).NumField(); i++ {
+		u := base
+		f := reflect.ValueOf(&u).Elem().Field(i)
+		f.SetInt(f.Int() + 1)
+		if base.same(&u) {
+			t.Fatalf("a change to %s went unseen", reflect.TypeOf(base).Field(i).Name)
+		}
+	}
 }
