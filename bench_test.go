@@ -21,10 +21,8 @@ import (
 	"repro/internal/nbody"
 	"repro/internal/netsim"
 	"repro/internal/par"
-	"repro/internal/sph"
 	"repro/internal/treecode"
 	"repro/internal/vliw"
-	"repro/internal/vortex"
 )
 
 // --- Table 1: gravitational microkernel across five processors ---
@@ -342,7 +340,7 @@ func BenchmarkForceEngines(b *testing.B) {
 // over a prebuilt tree of an n-particle Plummer sphere.
 func forceSweeps(tb testing.TB, n int) (recursive, dual func()) {
 	sys := nbody.NewPlummer(n, 1, 2001)
-	tr, err := treecode.Build(treecode.SourcesFromSystem(sys), treecode.BuildOptions{})
+	tr, err := treecode.Build(treecode.AppendSources(nil, sys), treecode.BuildOptions{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -458,7 +456,7 @@ func BenchmarkAmbientTemperature(b *testing.B) {
 // (DESIGN.md §8).
 func BenchmarkHostParallel(b *testing.B) {
 	const n = 30000
-	srcs := treecode.SourcesFromSystem(nbody.NewPlummer(n, 1, 2001))
+	srcs := treecode.AppendSources(nil, nbody.NewPlummer(n, 1, 2001))
 	b.Run("treebuild", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := treecode.Build(srcs, treecode.BuildOptions{}); err != nil {
@@ -693,34 +691,5 @@ func BenchmarkParallelEP(b *testing.B) {
 				b.ReportMetric(t1/sim, "speedup")
 			}
 		})
-	}
-}
-
-// BenchmarkSPH measures the hydrodynamics client of the treecode
-// library (density + forces per step).
-func BenchmarkSPH(b *testing.B) {
-	s := nbody.NewPlummer(2000, 0.4, 11)
-	g, err := sph.NewGas(s, 0.1, 1.0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := g.Step(0.0005); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(g.NeighborCount, "neighbours/particle")
-}
-
-// BenchmarkVortex measures the Biot–Savart client (six component trees
-// per evaluation).
-func BenchmarkVortex(b *testing.B) {
-	ring := vortex.Ring(512, 1, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ring.Step(0.001, 0.5); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

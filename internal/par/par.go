@@ -160,27 +160,9 @@ func (p *Pool) For(n, grain int, fn func(lo, hi int)) {
 	p.ForChunks(n, grain, func(_, lo, hi int) { fn(lo, hi) })
 }
 
-// Reduce maps [0,n) to per-chunk partials and folds them serially in
-// chunk order: acc = combine(acc, chunk_0), then chunk_1, ... — the
-// ordered combine that keeps float reductions bit-identical to serial
-// regardless of worker count.
-func Reduce[T any](p *Pool, n, grain int, identity T, chunk func(lo, hi int) T, combine func(a, b T) T) T {
-	nc := NumChunks(n, grain)
-	if nc == 0 {
-		return identity
-	}
-	parts := make([]T, nc)
-	p.ForChunks(n, grain, func(c, lo, hi int) { parts[c] = chunk(lo, hi) })
-	acc := identity
-	for _, part := range parts {
-		acc = combine(acc, part)
-	}
-	return acc
-}
-
 // Do runs the given tasks concurrently, at most width at a time, and
 // waits for all of them (the heterogeneous-task companion of For — e.g.
-// the vortex method's six component-tree builds): one chunk of grain 1
+// core's sweeps of independent simulated worlds): one chunk of grain 1
 // per task.
 func (p *Pool) Do(tasks ...func()) {
 	p.ForChunksWorker(len(tasks), 1, func(_, c, _, _ int) { tasks[c]() })

@@ -1,7 +1,6 @@
 package par
 
 import (
-	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -46,33 +45,6 @@ func TestForVisitsEachIndexOnce(t *testing.T) {
 	}
 }
 
-// TestReduceBitIdentical checks the ordered-combine determinism contract:
-// a float sum reduced at any worker count equals the serial chunked sum
-// exactly (not approximately).
-func TestReduceBitIdentical(t *testing.T) {
-	const n = 40000
-	rng := rand.New(rand.NewSource(7))
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = rng.NormFloat64() * float64(i%13+1)
-	}
-	sum := func(lo, hi int) float64 {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			s += xs[i]
-		}
-		return s
-	}
-	add := func(a, b float64) float64 { return a + b }
-	want := Reduce(New(1), n, 512, 0, sum, add)
-	for _, w := range []int{2, 3, 8, 64} {
-		got := Reduce(New(w), n, 512, 0, sum, add)
-		if got != want {
-			t.Fatalf("w=%d sum %x differs from serial %x", w, got, want)
-		}
-	}
-}
-
 func TestDoRunsAllTasks(t *testing.T) {
 	for _, w := range []int{1, 2, 8} {
 		var ran atomic.Int32
@@ -112,10 +84,6 @@ func TestEmptyAndTinyInputs(t *testing.T) {
 	p := New(8)
 	p.For(0, 16, func(lo, hi int) { t.Fatal("called on empty range") })
 	p.Do()
-	got := Reduce(p, 0, 16, 42, func(lo, hi int) int { return 0 }, func(a, b int) int { return a + b })
-	if got != 42 {
-		t.Fatalf("empty Reduce = %d, want identity 42", got)
-	}
 	var n atomic.Int32
 	p.For(1, 16, func(lo, hi int) { n.Add(int32(hi - lo)) })
 	if n.Load() != 1 {

@@ -34,27 +34,44 @@ func sweepDual(tr *Tree, s *nbody.System, theta float64) ([]float64, Stats) {
 // implies the per-particle MAC for every target in it. So the dual
 // engine's RMS error against direct summation is bounded by the
 // recursive walk's, and it does at least as many PP interactions — at
-// every leaf bucket size.
+// every leaf bucket size, and on a system whose every third particle
+// is massless, so that zero-mass sources and cells sit beside massive
+// ones.
 func TestDualEngineAccuracyBounded(t *testing.T) {
 	const n = 4000
-	s := nbody.NewPlummer(n, 1, 5)
-	for _, bucket := range []int{1, 8, 16} {
-		tr := buildFromSystem(t, s, BuildOptions{Bucket: bucket})
+	for _, tc := range []struct {
+		name string
+		s    *nbody.System
+	}{{"plummer", nbody.NewPlummer(n, 1, 5)}, {"mixed-mass", masslessPlummer(n, 5, 3)}} {
+		s := tc.s
+		for _, bucket := range []int{1, 8, 16} {
+			tr := buildFromSystem(t, s, BuildOptions{Bucket: bucket})
 
-		rec, recSt := sweepRecursive(tr, s, 0.7)
-		dual, dualSt := sweepDual(tr, s, 0.7)
+			rec, recSt := sweepRecursive(tr, s, 0.7)
+			dual, dualSt := sweepDual(tr, s, 0.7)
 
-		recRMS := rmsError(s, rec)
-		dualRMS := rmsError(s, dual)
-		t.Logf("theta=0.7 n=%d bucket=%d: recursive RMS=%.3e (%d interactions), dual RMS=%.3e (%d interactions)",
-			n, bucket, recRMS, recSt.Interactions(), dualRMS, dualSt.Interactions())
-		if dualRMS > recRMS*1.05+1e-12 {
-			t.Fatalf("bucket=%d: dual engine less accurate than per-particle walk: RMS %.3e vs %.3e", bucket, dualRMS, recRMS)
-		}
-		if dualSt.PP < recSt.PP {
-			t.Fatalf("bucket=%d: dual engine did fewer PP interactions than per-particle: %d vs %d", bucket, dualSt.PP, recSt.PP)
+			recRMS := rmsError(s, rec)
+			dualRMS := rmsError(s, dual)
+			t.Logf("%s theta=0.7 n=%d bucket=%d: recursive RMS=%.3e (%d interactions), dual RMS=%.3e (%d interactions)",
+				tc.name, n, bucket, recRMS, recSt.Interactions(), dualRMS, dualSt.Interactions())
+			if dualRMS > recRMS*1.05+1e-12 {
+				t.Fatalf("%s bucket=%d: dual engine less accurate than per-particle walk: RMS %.3e vs %.3e", tc.name, bucket, dualRMS, recRMS)
+			}
+			if dualSt.PP < recSt.PP {
+				t.Fatalf("%s bucket=%d: dual engine did fewer PP interactions than per-particle: %d vs %d", tc.name, bucket, dualSt.PP, recSt.PP)
+			}
 		}
 	}
+}
+
+// masslessPlummer returns a Plummer sphere whose particles 0, k, 2k, …
+// have zero mass: k = 1 makes every mass zero, and k = 0 none.
+func masslessPlummer(n int, seed uint64, k int) *nbody.System {
+	s := nbody.NewPlummer(n, 1, seed)
+	for i := 0; k > 0 && i < n; i += k {
+		s.M[i] = 0
+	}
+	return s
 }
 
 // TestDualEngineNoLessAccurateAtScale holds the same bound with no
@@ -128,22 +145,20 @@ func TestDualWorkersBitIdentical(t *testing.T) {
 // TestParallelForcesBitIdentical asserts the treecode force loop returns
 // bit-identical acceleration arrays at worker counts 1, 2 and 8, and the
 // same interaction statistics. Every acceleration starts at a sentinel
-// and must be written: a system whose masses are all zero gets the
-// zero rows DirectForces gives it, and no interactions.
+// and must be written, massless particles' rows among them: a system
+// whose masses are all zero gets the zero rows DirectForces gives it,
+// and no interactions, in the Forcer or in ForceAt.
 func TestParallelForcesBitIdentical(t *testing.T) {
 	const sentinel = 7
 	for _, tc := range []struct {
 		name     string
 		n        int
 		seed     uint64
-		zeroMass bool
-	}{{"plummer", 6000, 2024, false}, {"zero-mass", 200, 3, true}} {
+		massless int // masslessPlummer's k
+	}{{"plummer", 6000, 2024, 0}, {"zero-mass", 200, 3, 1}, {"mixed-mass", 2000, 7, 3}} {
 		system := func() *nbody.System {
-			s := nbody.NewPlummer(tc.n, 1, tc.seed)
+			s := masslessPlummer(tc.n, tc.seed, tc.massless)
 			for i := range s.M {
-				if tc.zeroMass {
-					s.M[i] = 0
-				}
 				s.AX[i], s.AY[i], s.AZ[i] = sentinel, sentinel, sentinel
 			}
 			return s
@@ -157,7 +172,7 @@ func TestParallelForcesBitIdentical(t *testing.T) {
 			return s, f.LastStats
 		}
 		ref, refStats := run(1)
-		if tc.zeroMass {
+		if tc.massless == 1 {
 			direct := system()
 			direct.DirectForces()
 			if i := bitsEqual(packAccels(ref), packAccels(direct)); i >= 0 {
@@ -165,6 +180,9 @@ func TestParallelForcesBitIdentical(t *testing.T) {
 			}
 			if refStats != (Stats{}) {
 				t.Fatalf("%s: stats %+v, want none", tc.name, refStats)
+			}
+			if _, st := sweepRecursive(buildFromSystem(t, ref, BuildOptions{}), ref, 0.7); st != (Stats{}) {
+				t.Fatalf("%s: ForceAt stats %+v, want none", tc.name, st)
 			}
 		}
 		for i := 0; i < ref.N(); i++ {
@@ -350,7 +368,7 @@ func TestDualCountMatchesEval(t *testing.T) {
 
 	// Sources sharing a particle index: the kernels skip every list
 	// entry equal to a target's index, so the count must too.
-	shared := SourcesFromSystem(s)
+	shared := AppendSources(nil, s)
 	for i := range shared {
 		shared[i].Index = i / 3
 	}
@@ -363,7 +381,7 @@ func TestDualCountMatchesEval(t *testing.T) {
 		name string
 		srcs []Source
 	}{
-		{"system", SourcesFromSystem(s)},
+		{"system", AppendSources(nil, s)},
 		{"let", let},
 		{"shared-index", shared},
 	} {

@@ -162,9 +162,9 @@ func TestMinDist2MatchesMinDist(t *testing.T) {
 	pts := [][3]float64{{1, -2, 0.5}, {2, -2, 0.5}, {0, 0, 0}, {1.25, -1.75, 0.75}, {-3, 4, 9}}
 	for _, p := range pts {
 		d := b.MinDist(p[0], p[1], p[2])
-		d2 := b.MinDist2(p[0], p[1], p[2])
+		d2 := b.minDist2(p[0], p[1], p[2])
 		if math.Abs(d*d-d2) > 1e-12*(1+d2) {
-			t.Fatalf("MinDist²=%g vs MinDist2=%g at %v", d*d, d2, p)
+			t.Fatalf("MinDist²=%g vs minDist2=%g at %v", d*d, d2, p)
 		}
 	}
 	if d2 := boxToBoxDist2(b, Box{CX: 1, CY: -2, CZ: 0.5, Half: 1}); d2 != 0 {

@@ -183,7 +183,7 @@ func TestParallelSweepScratchMatchesBuild(t *testing.T) {
 		seed uint64
 		quad bool
 	}{{5000, 1, true}, {700, 2, false}, {9000, 3, false}, {3000, 4, true}, {6000, 6, true}, {1, 5, false}} {
-		srcs := SourcesFromSystem(nbody.NewPlummer(tc.n, 1, tc.seed))
+		srcs := AppendSources(nil, nbody.NewPlummer(tc.n, 1, tc.seed))
 		opt := BuildOptions{Quadrupole: tc.quad}
 		want, err := Build(srcs, opt)
 		if err != nil {

@@ -54,11 +54,9 @@ func (b Box) Octant(oct int) Box {
 	return c
 }
 
-// MinDist2 returns the squared distance from a point to the closest
-// point of the box (0 if inside) — the geometry the range query, the
-// locally-essential-tree pruning and the group MAC share. Callers that
-// only compare magnitudes use this form and skip the square root.
-func (b Box) MinDist2(x, y, z float64) float64 {
+// minDist2 returns the squared distance from a point to the closest
+// point of the box (0 if inside).
+func (b Box) minDist2(x, y, z float64) float64 {
 	dx := max(0, math.Abs(x-b.CX)-b.Half)
 	dy := max(0, math.Abs(y-b.CY)-b.Half)
 	dz := max(0, math.Abs(z-b.CZ)-b.Half)
@@ -68,7 +66,7 @@ func (b Box) MinDist2(x, y, z float64) float64 {
 // MinDist returns the distance from a point to the closest point of the
 // box (0 if inside).
 func (b Box) MinDist(x, y, z float64) float64 {
-	return math.Sqrt(b.MinDist2(x, y, z))
+	return math.Sqrt(b.minDist2(x, y, z))
 }
 
 // BoundingBox returns a cube containing all points, expanded slightly so

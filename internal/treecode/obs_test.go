@@ -114,7 +114,7 @@ func TestParallelResultCollectDelta(t *testing.T) {
 		t.Fatalf("second gather did not accumulate: %d", got)
 	}
 	// Tree structure gauges.
-	tree, err := Build(SourcesFromSystem(s), BuildOptions{})
+	tree, err := Build(AppendSources(nil, s), BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

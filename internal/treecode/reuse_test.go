@@ -96,7 +96,7 @@ func TestScratchBuildZeroAlloc(t *testing.T) {
 			t.Fatalf("n=%d: warm scratch build allocates %.2f times per call, want 0", tc.n, allocs)
 		}
 		got := step()
-		want, err := Build(SourcesFromSystem(s), opt)
+		want, err := Build(AppendSources(nil, s), opt)
 		if err != nil {
 			t.Fatal(err)
 		}

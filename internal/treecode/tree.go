@@ -330,8 +330,7 @@ func (st Stats) Flops() uint64 { return st.Interactions() * nbody.FlopsPerIntera
 //
 // ForceAt is the exact per-particle reference: a depth-first walk —
 // one forward pass over the ropes — that the dual-tree walk's error is
-// measured against and that direct per-point evaluations (vortex's
-// Biot–Savart sums) call. It allocates nothing.
+// measured against. It allocates nothing.
 func (t *Tree) ForceAt(x, y, z float64, selfIdx int, theta, eps float64, st *Stats) (ax, ay, az float64) {
 	eps2 := softening2(eps)
 	th2 := theta * theta
@@ -519,14 +518,9 @@ func (f *Forcer) dualForces(t *Tree, s *nbody.System, pool *par.Pool, theta floa
 	return st
 }
 
-// SourcesFromSystem converts a system's particles to sources.
-func SourcesFromSystem(s *nbody.System) []Source {
-	return AppendSources(make([]Source, 0, s.N()), s)
-}
-
-// AppendSources appends a system's particles to dst and returns it —
-// the reusable-buffer form of SourcesFromSystem a Forcer's calls feed
-// on (dst[:0] of last call's buffer: no allocation).
+// AppendSources appends a system's particles to dst and returns it. A
+// Forcer's calls feed it dst[:0] of the last call's buffer, so they
+// allocate nothing.
 func AppendSources(dst []Source, s *nbody.System) []Source {
 	for i := 0; i < s.N(); i++ {
 		dst = append(dst, Source{X: s.X[i], Y: s.Y[i], Z: s.Z[i], M: s.M[i], Index: i})

@@ -107,7 +107,7 @@ func TestBoxMinDist(t *testing.T) {
 
 func buildFromSystem(t *testing.T, s *nbody.System, opt BuildOptions) *Tree {
 	t.Helper()
-	tr, err := Build(SourcesFromSystem(s), opt)
+	tr, err := Build(AppendSources(nil, s), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestTreeInvariantsProperty(t *testing.T) {
 		n := 1 + int(nRaw)%200
 		bucket := 1 + int(bucketRaw)%16
 		s := nbody.NewUniformCube(n, seed)
-		tr, err := Build(SourcesFromSystem(s), BuildOptions{Bucket: bucket})
+		tr, err := Build(AppendSources(nil, s), BuildOptions{Bucket: bucket})
 		if err != nil {
 			return false
 		}

@@ -76,6 +76,10 @@ type State struct {
 	// isa.NumRegs..NumFPRegs-1.
 	TmpR [NumIntRegs - isa.NumRegs]int64
 	TmpF [NumFPRegs - isa.NumRegs]float64
+	// writes is Execute's parallel-commit buffer. It lives here, not
+	// on Execute's stack, so no call zeroes it; Execute reads only the
+	// entries a molecule wrote.
+	writes [maxMoleculeAtoms]pendingWrite
 }
 
 // NewState wraps an architectural state.
@@ -257,13 +261,13 @@ func (m *Machine) Time(t *Translation) error {
 // into t.
 //
 // Execute is the simulator's hottest host loop and performs no heap
-// allocation: the commit buffer is a fixed array, and the exit is a few
-// words returned by value.
+// allocation: the commit buffer is st's fixed array, and the exit is a
+// few words returned by value.
 func (m *Machine) Execute(t *Translation, st *State) (e Exit, err error) {
 	if len(t.steps) != len(t.Molecules) || !t.timing.same(&m.T) {
 		return Exit{Mol: -1}, ErrTiming
 	}
-	var writes [maxMoleculeAtoms]pendingWrite
+	writes := &st.writes
 	for mi := range t.Molecules {
 		mol := &t.Molecules[mi]
 		// Parallel semantics: compute all results, then commit.
