@@ -145,12 +145,32 @@ type Machine struct {
 	// native holds the counts folded from the entries' exits that the
 	// running Run has not yet credited to its stats and trace.
 	native vliw.Counts
+	// priced holds the cycles of each further Timing the machine prices
+	// its runs under. interp and taken count what those cycles are
+	// priced from besides the entries' exits: interpreted instructions
+	// per class, and taken native exits, since the last fold.
+	priced []pricing
+	interp [isa.NumClasses]uint64
+	taken  uint64
+}
+
+// pricing is the cycles of every run so far under one further Timing.
+type pricing struct {
+	t              vliw.Timing
+	interp, native uint64 // Stats.InterpCycles and NativeCycles under t
 }
 
 // NewMachine builds a Crusoe with the given CMS parameters and VLIW
-// timing.
-func NewMachine(p Params, timing vliw.Timing) *Machine {
-	return &Machine{
+// timing. Each Timing in also prices every run besides timing:
+// StatsUnder(i) returns the Stats a machine built with also[i] as its
+// timing holds after the same runs. Timing steers no CMS decision
+// (profiles, translation, chaining and eviction count executions and
+// atoms, never cycles), so every count a run makes is the same under
+// each Timing, and only InterpCycles and NativeCycles are priced
+// apart: from the interpreted instructions per class, each cached
+// entry's exits, and the taken native exits.
+func NewMachine(p Params, timing vliw.Timing, also ...vliw.Timing) *Machine {
+	m := &Machine{
 		P:       p,
 		Trans:   NewTranslator(),
 		VLIW:    vliw.NewMachine(timing),
@@ -158,10 +178,22 @@ func NewMachine(p Params, timing vliw.Timing) *Machine {
 		lru:     list.New(),
 		profile: map[int]int{},
 	}
+	for _, t := range also {
+		m.priced = append(m.priced, pricing{t: t})
+	}
+	return m
 }
 
 // Stats returns a copy of the run statistics.
 func (m *Machine) Stats() Stats { return m.stats }
+
+// StatsUnder returns a copy of the run statistics priced under the
+// machine's further Timing also[i] (see NewMachine).
+func (m *Machine) StatsUnder(i int) Stats {
+	s := m.stats
+	s.InterpCycles, s.NativeCycles = m.priced[i].interp, m.priced[i].native
+	return s
+}
 
 // Reset clears the translation cache, profiles and statistics (a "CMS
 // reboot"); translations do not survive across Reset.
@@ -170,10 +202,18 @@ func (m *Machine) Reset() {
 	m.lru = list.New()
 	m.profile = map[int]int{}
 	m.stats = Stats{}
+	for i := range m.priced {
+		m.priced[i].interp, m.priced[i].native = 0, 0
+	}
 }
 
 // ErrFuel is returned when the cycle budget is exhausted.
 var ErrFuel = errors.New("cms: cycle budget exhausted")
+
+// ErrFuelPriced is returned by a fuel-limited Run on a machine that
+// prices further Timings: the budget stops the run at a cycle count of
+// the machine's own Timing, where a run under another would not stop.
+var ErrFuelPriced = errors.New("cms: a fuel-limited run is priced only under its own Timing")
 
 // Run executes the program on the simulated Crusoe until the x86 program
 // halts, returning total cycles consumed (per the CMS + VLIW cost model)
@@ -188,11 +228,16 @@ var ErrFuel = errors.New("cms: cycle budget exhausted")
 //
 // As CMS translates a region once and runs it many times, a translation
 // execution only counts its exit; the atoms, molecules, flops and class
-// counts those exits come to are folded once, however the run ends.
+// counts those exits come to, and the cycles they take under each
+// further Timing, are folded once, however the run ends. A fuel-limited
+// run on a machine with further Timings returns ErrFuelPriced.
 func (m *Machine) Run(p isa.Program, st *isa.State, fuelCycles uint64) (uint64, isa.Trace, error) {
 	var tr isa.Trace
 	if err := p.Validate(); err != nil {
 		return 0, tr, err
+	}
+	if fuelCycles > 0 && len(m.priced) > 0 {
+		return 0, tr, ErrFuelPriced
 	}
 	m.stats.Runs++
 	if len(m.cache) > 0 {
@@ -277,6 +322,7 @@ func (m *Machine) runNative(p isa.Program, ent *cacheEntry, vst *vliw.State, tr 
 		m.stats.NativeCycles += ent.tr.Cycles(e.Mol)
 		if e.Taken {
 			m.stats.NativeCycles += uint64(m.VLIW.T.BranchPenalty)
+			m.taken++
 			tr.Taken++
 		}
 		if e.Halted {
@@ -307,20 +353,37 @@ func (m *Machine) runNative(p isa.Program, ent *cacheEntry, vst *vliw.State, tr 
 	}
 }
 
-// foldEntry folds ent's exit counts into m.native and zeroes them.
+// foldEntry folds ent's exit counts into m.native, prices them under
+// each further Timing and zeroes them.
 func (m *Machine) foldEntry(ent *cacheEntry) {
 	ent.tr.Fold(ent.exits, &m.native)
+	for i := range m.priced {
+		pr := &m.priced[i]
+		pr.native += ent.tr.Price(&pr.t, ent.exits)
+	}
 	clear(ent.exits)
 }
 
 // fold credits the run's native executions: it folds every cached
 // entry's exits into m.native, which already holds those of entries
-// evicted during the run, and moves the sums into the stats and tr.
-// Every term is an integer, so the order of the folds moves no value.
+// evicted during the run, and moves the sums into the stats and tr. It
+// prices the run's interpreted instructions and taken native exits
+// under each further Timing, as interpretRegion and runNative price
+// them under the machine's own. Every term is an integer, so the order
+// of the folds moves no value.
 func (m *Machine) fold(tr *isa.Trace) {
 	for _, ent := range m.cache {
 		m.foldEntry(ent)
 	}
+	for i := range m.priced {
+		pr := &m.priced[i]
+		for c, n := range m.interp {
+			pr.interp += n * (uint64(m.P.InterpOverhead) + uint64(pr.t.Latency(isa.Class(c))))
+		}
+		pr.native += m.taken * uint64(pr.t.BranchPenalty)
+	}
+	clear(m.interp[:])
+	m.taken = 0
 	n := &m.native
 	m.stats.NativeAtoms += n.Atoms
 	m.stats.NativeMolecules += n.Molecules
@@ -437,8 +500,10 @@ func (m *Machine) interpretRegion(p isa.Program, st *isa.State, tr *isa.Trace) e
 			return err
 		}
 		op := p[pc].Op
+		c := isa.ClassOf(op)
 		m.stats.InterpInstrs++
-		m.stats.InterpCycles += uint64(m.P.InterpOverhead) + uint64(m.VLIW.T.Latency(isa.ClassOf(op)))
+		m.stats.InterpCycles += uint64(m.P.InterpOverhead) + uint64(m.VLIW.T.Latency(c))
+		m.interp[c]++
 		if isa.IsBranch(op) {
 			return nil
 		}

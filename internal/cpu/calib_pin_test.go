@@ -12,6 +12,7 @@ import (
 	"repro/internal/cms"
 	"repro/internal/kernels"
 	"repro/internal/par"
+	"repro/internal/vliw"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
@@ -32,25 +33,29 @@ type calibPin struct {
 	Kernels   []calibKernelPin
 }
 
-// calibCase is one (processor, miss rate) pair to pin.
+// calibCase is a processor and the miss rates one calibration run
+// covers, as CalibrateFor's memo fills them together.
 type calibCase struct {
-	p        Processor
-	missRate float64
+	p         Processor
+	missRates []float64
 }
 
-// calibrate runs c's calibration on the model CalibrateForUncached
-// runs, recording each kernel's cycles and cms.Stats.
-func (c calibCase) calibrate() (calibPin, error) {
-	costs, runs, err := calibrateKernels(calibrationModel(c.p, c.missRate))
+// calibrate runs c's calibration on the models CalibrateFor runs,
+// recording per miss rate each kernel's cycles and cms.Stats.
+func (c calibCase) calibrate() ([]calibPin, error) {
+	costs, runs, err := calibrateKernels(calibrationModels(c.p, c.missRates...)...)
 	if err != nil {
-		return calibPin{}, fmt.Errorf("%s at miss rate %v: %w", c.p.Name(), c.missRate, err)
+		return nil, fmt.Errorf("%s at miss rates %v: %w", c.p.Name(), c.missRates, err)
 	}
-	pin := calibPin{Processor: c.p.Name(), MissRate: c.missRate, Costs: costs}
-	for i, k := range kernels.CalibKernels() {
-		pin.Kernels = append(pin.Kernels, calibKernelPin{Kernel: k.Name,
-			Cycles: runs[i].Cycles, Stats: runs[i].CMS})
+	pins := make([]calibPin, len(c.missRates))
+	for j, mr := range c.missRates {
+		pins[j] = calibPin{Processor: c.p.Name(), MissRate: mr, Costs: costs[j]}
+		for i, k := range kernels.CalibKernels() {
+			pins[j].Kernels = append(pins[j].Kernels, calibKernelPin{Kernel: k.Name,
+				Cycles: runs[j][i].Cycles, Stats: runs[j][i].CMS})
+		}
 	}
-	return pin, nil
+	return pins, nil
 }
 
 // checkCalibrationPin calibrates every case, concurrently on the host
@@ -59,17 +64,21 @@ func (c calibCase) calibrate() (calibPin, error) {
 // instead.
 func checkCalibrationPin(t *testing.T, file string, cases []calibCase) {
 	t.Helper()
-	got := make([]calibPin, len(cases))
+	pins := make([][]calibPin, len(cases))
 	errs := make([]error, len(cases))
 	tasks := make([]func(), len(cases))
 	for i, c := range cases {
-		tasks[i] = func() { got[i], errs[i] = c.calibrate() }
+		tasks[i] = func() { pins[i], errs[i] = c.calibrate() }
 	}
 	par.Default().Do(tasks...)
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	var got []calibPin
+	for _, p := range pins {
+		got = append(got, p...)
 	}
 	b, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {
@@ -95,18 +104,19 @@ func checkCalibrationPin(t *testing.T, file string, cases []calibCase) {
 	}
 }
 
+// workloadRates are the workload miss rates, in the order the pins
+// list them.
+var workloadRates = []float64{MissRateSmall, MissRateTree, MissRateClassW}
+
 // TestCrusoeCalibrationPinned pins, bit for bit, the EffCosts of the
 // TM5600 and the TM5800 at each workload miss rate, together with every
-// calibration kernel's cycles and cms.Stats. A change to CMS, the
-// translator or VLIW timing that moves any calibrated cost shows as a
+// calibration kernel's cycles and cms.Stats. Each model's three rates
+// come from one shared run per kernel, priced under each rate's load
+// latency, as CalibrateFor fills them. A change to CMS, the translator,
+// VLIW timing or the pricing that moves any calibrated cost shows as a
 // diff of testdata/crusoe_calib_pin.json.
 func TestCrusoeCalibrationPinned(t *testing.T) {
-	var cases []calibCase
-	for _, c := range []*Crusoe{NewTM5600(), NewTM5800()} {
-		for _, mr := range []float64{MissRateSmall, MissRateTree, MissRateClassW} {
-			cases = append(cases, calibCase{c, mr})
-		}
-	}
+	cases := []calibCase{{NewTM5600(), workloadRates}, {NewTM5800(), workloadRates}}
 	checkCalibrationPin(t, "crusoe_calib_pin.json", cases)
 }
 
@@ -130,11 +140,11 @@ func TestSuperscalarCalibrationPinned(t *testing.T) {
 	var cases []calibCase
 	for _, p := range NASCPUs() {
 		if _, ok := p.(archProcessor); ok {
-			cases = append(cases, calibCase{p, MissRateClassW})
+			cases = append(cases, calibCase{p, []float64{MissRateClassW}})
 		}
 	}
 	for _, a := range table4Superscalars() {
-		cases = append(cases, calibCase{a.AsProcessor(), MissRateTree})
+		cases = append(cases, calibCase{a.AsProcessor(), []float64{MissRateTree}})
 	}
 	checkCalibrationPin(t, "superscalar_calib_pin.json", cases)
 }
@@ -163,21 +173,22 @@ func sameCosts(a, b EffCosts) bool {
 
 // TestCalibrateWidthInvariant: Calibrate runs its kernels on the
 // process pool, and its costs and every kernel's run have the same bits
-// at pool widths 1, 2 and 8, for the TM5600 and for a superscalar
-// model (which skips under -race, as its pin does).
+// at pool widths 1, 2 and 8, for the TM5600 at the three workload miss
+// rates of one shared run and for a superscalar model (which skips
+// under -race, as its pin does).
 func TestCalibrateWidthInvariant(t *testing.T) {
-	cases := []calibCase{{NewTM5600(), MissRateTree}}
+	cases := []calibCase{{NewTM5600(), workloadRates}}
 	if !raceEnabled {
-		cases = append(cases, calibCase{PentiumII333().AsProcessor(), MissRateTree})
+		cases = append(cases, calibCase{PentiumII333().AsProcessor(), []float64{MissRateTree}})
 	}
 	defer par.SetWorkers(0)
 	for _, c := range cases {
-		model := calibrationModel(c.p, c.missRate)
-		var want EffCosts
-		var wantRuns []RunResult
+		models := calibrationModels(c.p, c.missRates...)
+		var want []EffCosts
+		var wantRuns [][]RunResult
 		for _, w := range []int{1, 2, 8} {
 			par.SetWorkers(w)
-			costs, runs, err := calibrateKernels(model)
+			costs, runs, err := calibrateKernels(models...)
 			if err != nil {
 				t.Fatalf("%s at %d workers: %v", c.p.Name(), w, err)
 			}
@@ -185,12 +196,55 @@ func TestCalibrateWidthInvariant(t *testing.T) {
 				want, wantRuns = costs, runs
 				continue
 			}
-			if !sameCosts(costs, want) {
-				t.Fatalf("%s: costs at %d workers\n%+v\nat 1 worker\n%+v", c.p.Name(), w, costs, want)
+			for j, mr := range c.missRates {
+				if !sameCosts(costs[j], want[j]) {
+					t.Fatalf("%s at %v: costs at %d workers\n%+v\nat 1 worker\n%+v", c.p.Name(), mr, w, costs[j], want[j])
+				}
+				for i, k := range kernels.CalibKernels() {
+					if !sameRun(runs[j][i], wantRuns[j][i]) {
+						t.Fatalf("%s/%s at %v: run at %d workers differs from the run at 1 worker", c.p.Name(), k.Name, mr, w)
+					}
+				}
 			}
-			for i, k := range kernels.CalibKernels() {
-				if !sameRun(runs[i], wantRuns[i]) {
-					t.Fatalf("%s/%s: run at %d workers differs from the run at 1 worker", c.p.Name(), k.Name, w)
+		}
+	}
+}
+
+// TestPricedKernelRunsMatchSeparateRuns: one CMS run of each
+// calibration kernel, priced under several Timings, gives for each
+// Timing the cycles, seconds, Trace and every cms.Stats field of a
+// separate run under it, for the TM5600 and the TM5800 at each workload
+// miss rate's load latency and under a Timing that differs in every
+// field. The kernels run 5000 iterations, past every translation.
+func TestPricedKernelRunsMatchSeparateRuns(t *testing.T) {
+	const iters = 5000
+	for _, c := range []*Crusoe{NewTM5600(), NewTM5800()} {
+		var ts []vliw.Timing
+		for _, m := range calibrationModels(c, workloadRates...) {
+			ts = append(ts, m.(*Crusoe).Timing)
+		}
+		ts = append(ts, vliw.Timing{IntLatency: 2, MulLatency: 5, LoadLatency: 4, FPLatency: 3,
+			FDivLatency: 31, FSqrtLatency: 17, BranchPenalty: 3})
+		for _, k := range kernels.CalibKernels() {
+			prog, st, err := k.Build(iters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs, err := c.runPriced(prog, st, ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, tm := range ts {
+				sep := *c
+				sep.Timing = tm
+				prog, st, _ := k.Build(iters)
+				want, err := sep.RunKernel(prog, st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameRun(runs[i], want) {
+					t.Fatalf("%s/%s under %+v: priced\n%+v %+v\nseparate\n%+v %+v", c.Name(), k.Name, tm,
+						runs[i], *runs[i].CMS, want, *want.CMS)
 				}
 			}
 		}

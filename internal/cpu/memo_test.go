@@ -93,3 +93,66 @@ func TestCalibrateForUncachedBypassesMemo(t *testing.T) {
 		t.Fatalf("bypass touched the memo: hits=%d misses=%d", hits, misses)
 	}
 }
+
+// TestCalibrateForFillsCrusoeRatesTogether: the first CalibrateFor of a
+// Crusoe runs one calibration that fills every workload miss rate's
+// entry, so the other rates hit; a rate outside them misses once more.
+func TestCalibrateForFillsCrusoeRatesTogether(t *testing.T) {
+	ResetCalibCache()
+	defer ResetCalibCache()
+	p := NewTM5800()
+	for i, mr := range []float64{MissRateTree, MissRateClassW, MissRateSmall, MissRateTree} {
+		if _, err := CalibrateFor(p, mr); err != nil {
+			t.Fatal(err)
+		}
+		if hits, misses := calibCounters(); hits != uint64(i) || misses != 1 {
+			t.Fatalf("after call %d (rate %v): hits=%d misses=%d, want %d/1", i+1, mr, hits, misses, i)
+		}
+	}
+	if _, err := CalibrateFor(p, 0.0123); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := calibCounters(); hits != 3 || misses != 2 {
+		t.Fatalf("after a fifth rate: hits=%d misses=%d, want 3/2", hits, misses)
+	}
+}
+
+// TestCalibrateForCrusoeConcurrentRates calls CalibrateFor for one
+// Crusoe at the three workload miss rates from concurrent goroutines
+// (run under -race in CI): one calibration runs, and every caller gets
+// its rate's bits from an unmemoized calibration at the three rates
+// (which TestPricedKernelRunsMatchSeparateRuns holds to separate runs).
+func TestCalibrateForCrusoeConcurrentRates(t *testing.T) {
+	ResetCalibCache()
+	defer ResetCalibCache()
+	const perRate = 4
+	n := perRate * len(workloadRates)
+	results := make([]EffCosts, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range n {
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = CalibrateFor(NewTM5600(), workloadRates[i%len(workloadRates)])
+		}()
+	}
+	wg.Wait()
+	if hits, misses := calibCounters(); misses != 1 || hits != uint64(n-1) {
+		t.Fatalf("hits=%d misses=%d, want %d/1", hits, misses, n-1)
+	}
+	want, _, err := calibrateKernels(calibrationModels(NewTM5600(), workloadRates...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, mr := range workloadRates {
+		for i := j; i < n; i += len(workloadRates) {
+			if errs[i] != nil {
+				t.Fatalf("goroutine %d: %v", i, errs[i])
+			}
+			if !sameCosts(results[i], want[j]) {
+				t.Fatalf("goroutine %d at rate %v: %+v, want %+v", i, mr, results[i], want[j])
+			}
+		}
+	}
+}

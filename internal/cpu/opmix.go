@@ -6,6 +6,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/par"
+	"repro/internal/vliw"
 )
 
 // EffCosts is the coarse op-mix cost model: effective cycles per operation
@@ -33,40 +34,78 @@ const CalibIters = 200_000
 // width; if kernels fail, the error is the first failing kernel's in
 // kernel order.
 func Calibrate(p Processor) (EffCosts, error) {
-	e, _, err := calibrateKernels(p)
-	return e, err
+	costs, _, err := calibrateKernels(p)
+	return costs[0], err
 }
 
-// calibrateKernels is Calibrate, also returning each calibration
-// kernel's run in kernel order.
-func calibrateKernels(p Processor) (EffCosts, []RunResult, error) {
-	e := EffCosts{Processor: p.Name(), ClockMHz: p.ClockMHz()}
+// calibrateKernels is Calibrate for each of models, also returning each
+// model's calibration kernel runs in kernel order. The models are one
+// processor's (calibrationModels): Crusoes that differ in their Timing
+// alone run each kernel once through CMS, priced under every model's
+// Timing (Crusoe.runPriced); any other model runs each kernel itself.
+func calibrateKernels(models ...Processor) ([]EffCosts, [][]RunResult, error) {
 	ks := kernels.CalibKernels()
-	runs := make([]RunResult, len(ks))
+	run := kernelRunner(models)
+	runs := make([][]RunResult, len(ks)) // runs[i][j]: kernel i on models[j]
 	errs := make([]error, len(ks))
 	// Grain 1: each chunk is one kernel, i.
 	par.Default().For(len(ks), 1, func(i, _ int) {
-		k := ks[i]
-		prog, st, err := k.Build(CalibIters)
-		if err == nil {
-			runs[i], err = p.RunKernel(prog, st)
+		if runs[i], errs[i] = run(ks[i]); errs[i] != nil {
+			errs[i] = fmt.Errorf("cpu: calibrate %s/%s: %w", models[0].Name(), ks[i].Name, errs[i])
 		}
-		if err != nil {
-			errs[i] = fmt.Errorf("cpu: calibrate %s/%s: %w", p.Name(), k.Name, err)
-			return
-		}
-		e.Cost[k.Class] = runs[i].Cycles / float64(CalibIters*k.OpsPerIteration())
 	})
+	costs := make([]EffCosts, len(models))
+	byModel := make([][]RunResult, len(models))
 	for _, err := range errs {
 		if err != nil {
-			return e, runs, err
+			return costs, byModel, err
 		}
 	}
-	// Branches and nops ride along inside the calibration loop bodies;
-	// charge branches like simple ALU ops and nops free.
-	e.Cost[isa.ClassBranch] = e.Cost[isa.ClassIntALU]
-	e.Cost[isa.ClassNop] = 0
-	return e, runs, nil
+	for j, p := range models {
+		e := &costs[j]
+		e.Processor, e.ClockMHz = p.Name(), p.ClockMHz()
+		for i, k := range ks {
+			byModel[j] = append(byModel[j], runs[i][j])
+			e.Cost[k.Class] = runs[i][j].Cycles / float64(CalibIters*k.OpsPerIteration())
+		}
+		// Branches and nops ride along inside the calibration loop
+		// bodies; charge branches like simple ALU ops and nops free.
+		e.Cost[isa.ClassBranch] = e.Cost[isa.ClassIntALU]
+		e.Cost[isa.ClassNop] = 0
+	}
+	return costs, byModel, nil
+}
+
+// kernelRunner returns what runs one calibration kernel on every model:
+// one CMS run priced under each model's Timing when the models are
+// Crusoes, and a run of its own per model otherwise.
+func kernelRunner(models []Processor) func(kernels.CalibKernel) ([]RunResult, error) {
+	if c, ok := models[0].(*Crusoe); ok {
+		ts := make([]vliw.Timing, len(models))
+		for j, m := range models {
+			ts[j] = m.(*Crusoe).Timing
+		}
+		return func(k kernels.CalibKernel) ([]RunResult, error) {
+			prog, st, err := k.Build(CalibIters)
+			if err != nil {
+				return nil, err
+			}
+			return c.runPriced(prog, st, ts)
+		}
+	}
+	return func(k kernels.CalibKernel) ([]RunResult, error) {
+		runs := make([]RunResult, len(models))
+		for j, p := range models {
+			prog, st, err := k.Build(CalibIters)
+			if err == nil {
+				runs[j], err = p.RunKernel(prog, st)
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		return runs, nil
+	}
 }
 
 // Cycles returns the modelled cycle count for an operation mix.
@@ -115,6 +154,16 @@ func (e EffCosts) Mops(ops float64, mix *isa.Trace) float64 {
 // for ablations that must observe a fresh simulation.
 func CalibrateForUncached(p Processor, missRate float64) (EffCosts, error) {
 	return Calibrate(calibrationModel(p, missRate))
+}
+
+// calibrationModels returns calibrationModel(p, r) for each r in
+// missRates.
+func calibrationModels(p Processor, missRates ...float64) []Processor {
+	models := make([]Processor, len(missRates))
+	for i, r := range missRates {
+		models[i] = calibrationModel(p, r)
+	}
+	return models
 }
 
 // calibrationModel returns the model CalibrateForUncached runs: p with

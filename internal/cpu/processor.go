@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"slices"
+
 	"repro/internal/cms"
 	"repro/internal/isa"
 	"repro/internal/obs"
@@ -86,18 +88,40 @@ func (c *Crusoe) ClockMHz() float64 { return c.MHz }
 // RunKernel runs the program through a fresh CMS instance (cold
 // translation cache).
 func (c *Crusoe) RunKernel(p isa.Program, st *isa.State) (RunResult, error) {
-	m := cms.NewMachine(c.Params, c.Timing)
-	m.Tracer = c.Tracer
-	cycles, tr, err := m.Run(p, st, 0)
+	runs, err := c.runPriced(p, st, []vliw.Timing{c.Timing})
 	if err != nil {
 		return RunResult{}, err
 	}
-	res := RunResult{
-		Cycles: float64(cycles),
-		Trace:  tr,
+	return runs[0], nil
+}
+
+// runPriced runs the program once through a fresh CMS instance and
+// returns, for each Timing in ts, what RunKernel on c with that Timing
+// returns. CMS is timed under ts[0] and prices its run under each other
+// distinct Timing (see cms.NewMachine).
+func (c *Crusoe) runPriced(p isa.Program, st *isa.State, ts []vliw.Timing) ([]RunResult, error) {
+	// at[i] is the index of ts[i] among the distinct Timings.
+	var distinct []vliw.Timing
+	at := make([]int, len(ts))
+	for i, t := range ts {
+		if at[i] = slices.Index(distinct, t); at[i] < 0 {
+			at[i], distinct = len(distinct), append(distinct, t)
+		}
 	}
-	cst := m.Stats()
-	res.CMS = &cst
-	res.Seconds = res.Cycles / (c.MHz * 1e6)
-	return res, nil
+	m := cms.NewMachine(c.Params, distinct[0], distinct[1:]...)
+	m.Tracer = c.Tracer
+	_, tr, err := m.Run(p, st, 0)
+	if err != nil {
+		return nil, err
+	}
+	runs := make([]RunResult, len(ts))
+	for i, j := range at {
+		cst := m.Stats()
+		if j > 0 {
+			cst = m.StatsUnder(j - 1)
+		}
+		cycles := float64(cst.TotalCycles())
+		runs[i] = RunResult{Cycles: cycles, Seconds: cycles / (c.MHz * 1e6), Trace: tr, CMS: &cst}
+	}
+	return runs, nil
 }

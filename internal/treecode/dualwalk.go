@@ -27,12 +27,12 @@ import (
 // RMS-bounded, not bit-identical (accumulation order differs).
 
 // Selection restricts a force computation to a subset of target
-// particles — the block-timestep integrator's active rung. A nil
-// *Selection means every real target. The prefix counts over the
-// tree's key-sorted source order let traversals prune whole subtrees
-// with no selected target in O(1).
+// particles — the block-timestep integrator's active rung, or a LET
+// force tree's real targets. A nil *Selection means every real target.
+// The prefix counts over the tree's key-sorted source order let
+// traversals prune whole subtrees with no selected target in O(1).
 type Selection struct {
-	active []bool
+	active []bool // nil: every real target
 	pfx    []int32
 }
 
@@ -43,10 +43,24 @@ func (t *Tree) Select(active []bool, sel *Selection) *Selection {
 	if active == nil {
 		return nil
 	}
+	return t.fillSelection(active, sel)
+}
+
+// selectReal fills sel with every real target (Index >= 0) of the tree,
+// reusing sel's prefix buffer, and returns it. On a tree that holds
+// imported pseudo-particles it prunes the subtrees that hold only
+// those, which a nil selection walks down to their groups.
+func (t *Tree) selectReal(sel *Selection) *Selection {
+	return t.fillSelection(nil, sel)
+}
+
+// fillSelection fills sel with the real targets active selects, every
+// one for nil active.
+func (t *Tree) fillSelection(active []bool, sel *Selection) *Selection {
 	pfx := append(sel.pfx[:0], 0)
 	for i := range t.Sources {
 		c := pfx[i]
-		if s := &t.Sources[i]; s.Index >= 0 && active[s.Index] {
+		if s := &t.Sources[i]; s.Index >= 0 && (active == nil || active[s.Index]) {
 			c++
 		}
 		pfx = append(pfx, c)
@@ -55,9 +69,10 @@ func (t *Tree) Select(active []bool, sel *Selection) *Selection {
 	return sel
 }
 
-// count returns the selected targets among sorted sources [lo, hi) —
-// for a nil selection an upper bound (real-target filtering happens at
-// evaluation), which is all pruning needs.
+// count returns the selected targets among sorted sources [lo, hi).
+// A nil selection counts every source there, imported pseudo-particles
+// (Index < 0) too: an upper bound that prunes only empty ranges, as
+// real-target filtering happens per group.
 func (sel *Selection) count(lo, hi int32) int32 {
 	if sel == nil {
 		return hi - lo
@@ -70,7 +85,7 @@ func (sel *Selection) selected(s *Source) bool {
 	if s.Index < 0 {
 		return false
 	}
-	return sel == nil || sel.active[s.Index]
+	return sel == nil || sel.active == nil || sel.active[s.Index]
 }
 
 // DefaultGroupSize is the target-group granularity of the dual engine:

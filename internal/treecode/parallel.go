@@ -329,11 +329,17 @@ func parallelStep(w *mpi.World, s *nbody.System, cfg ParallelConfig, eval bool) 
 			// Dual-tree traversal over the rank's LET: targets are the
 			// rank's own particles (imported sources are Index < 0 and
 			// never evaluated), sources the whole local + imported tree.
+			// Selecting the real targets exactly prunes the subtrees
+			// that hold only imports.
 			var stats Stats
 			ar := sc.arena
+			var sel *Selection
+			if pruneImports {
+				sel = ft.selectReal(&sc.sel)
+			}
 			sc.tasks = ft.AppendGroups(sc.tasks[:0], DualTaskSize)
 			for _, ti := range sc.tasks {
-				ft.dualWalk(ti, cfg.Theta, cfg.Eps, nil, ar, &stats, eval)
+				ft.dualWalk(ti, cfg.Theta, cfg.Eps, sel, ar, &stats, eval)
 				for k := 0; k < ar.NumTargets(); k++ {
 					pi, ax, ay, az := ar.Target(k)
 					s.AX[pi] = s.G * ax
@@ -364,6 +370,11 @@ func parallelStep(w *mpi.World, s *nbody.System, cfg ParallelConfig, eval bool) 
 	}
 	return res, nil
 }
+
+// pruneImports selects a force phase's real targets for its walk; the
+// tests turn it off to hold the walk to one with a nil selection, which
+// refines import-only subtrees down to their groups.
+var pruneImports = true
 
 // The force gate bounds how many ranks, across every world in the
 // process, run a force phase at once: at most par.Workers(), read at

@@ -1,6 +1,7 @@
 package treecode
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -280,5 +281,37 @@ func TestDualParallelCostMatchesForces(t *testing.T) {
 	}
 	if !reflect.DeepEqual(s, nbody.NewPlummer(n, 1, seed)) {
 		t.Fatal("ParallelCost wrote into its system")
+	}
+}
+
+// TestDualRealTargetSelectionMatchesNil: the force phase's real-target
+// selection gives ParallelCost results and ParallelForces accelerations
+// bit-identical to a walk with a nil selection, at p = 1, 3, 8 and 24,
+// on a Plummer sphere with every third particle massless. It makes as
+// many MAC tests at p = 1, where no rank imports, and fewer at p >= 2,
+// where the walk stops refining subtrees that hold only imports.
+func TestDualRealTargetSelectionMatchesNil(t *testing.T) {
+	defer func() { pruneImports = true }()
+	steps := []struct {
+		name string
+		step func(*mpi.World, *nbody.System, ParallelConfig) (*ParallelResult, error)
+	}{{"cost", ParallelCost}, {"forces", ParallelForces}}
+	for _, p := range []int{1, 3, 8, 24} {
+		for _, st := range steps {
+			run := func(prune bool) (parallelRun, uint64) {
+				pruneImports = prune
+				s := masslessPlummer(6000, 2001, 3)
+				mac0 := dualMAC.Value()
+				r := runParallel(t, st.step, s, p, ParallelConfig{Theta: 0.7, Eps: s.Eps})
+				return r, dualMAC.Value() - mac0
+			}
+			want, wantMAC := run(false)
+			got, gotMAC := run(true)
+			label := fmt.Sprintf("%s p=%d", st.name, p)
+			requireSameRun(t, label, got, want)
+			if p == 1 && gotMAC != wantMAC || p > 1 && gotMAC >= wantMAC {
+				t.Fatalf("%s: %d MAC tests with the real-target selection, %d with a nil one", label, gotMAC, wantMAC)
+			}
+		}
 	}
 }

@@ -169,6 +169,7 @@ type forceScratch struct {
 	tree       Tree
 	arena      *WalkArena
 	tasks      []int32
+	sel        Selection
 }
 
 // build builds the tree over srcs into the scratch's tree; it is valid

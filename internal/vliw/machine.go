@@ -192,10 +192,36 @@ func (m *Machine) Time(t *Translation) error {
 		return err
 	}
 	steps := make([]step, len(t.Molecules))
+	var cycles, atoms uint64
+	var acc step
+	m.T.scoreboard(t, func(mi int, cyc uint64) {
+		for i := range t.Molecules[mi].Atoms {
+			op := t.Molecules[mi].Atoms[i].Op
+			acc.byClass[isa.ClassOf(op)]++
+			if isa.IsFlop(op) {
+				acc.flops++
+			}
+		}
+		cycles = cyc
+		atoms += uint64(len(t.Molecules[mi].Atoms))
+		acc.cycles, acc.atoms = uint32(cycles), uint32(atoms)
+		steps[mi] = acc
+	})
+	if cycles > math.MaxUint32 || atoms > math.MaxUint32 {
+		return fmt.Errorf("vliw: translation at pc %d: %d cycles, %d atoms exceed the timing table", t.EntryPC, cycles, atoms)
+	}
+	t.timing, t.steps = m.T, steps
+	return nil
+}
+
+// scoreboard runs the scoreboard over t's molecules from zero under
+// tm, calling f with each molecule's index and the cycles an execution
+// that leaves t there takes, before a taken branch's penalty: the
+// molecule's issue cycle, plus one.
+func (tm *Timing) scoreboard(t *Translation, f func(mi int, cycles uint64)) {
 	var regReadyR [NumIntRegs]uint64
 	var regReadyF [NumFPRegs]uint64
-	var fpuBusyUntil, cycle, atoms uint64
-	var acc step
+	var fpuBusyUntil, cycle uint64
 	for mi := range t.Molecules {
 		mol := &t.Molecules[mi]
 		var ops [maxMoleculeAtoms]isa.Operands
@@ -219,11 +245,9 @@ func (m *Machine) Time(t *Translation) error {
 				issue = fpuBusyUntil
 			}
 		}
-		// Scoreboard updates and per-class counts.
 		for i := range mol.Atoms {
-			op := mol.Atoms[i].Op
-			c := isa.ClassOf(op)
-			ready := issue + uint64(m.T.Latency(c))
+			c := isa.ClassOf(mol.Atoms[i].Op)
+			ready := issue + uint64(tm.Latency(c))
 			switch o := &ops[i]; o.Dst {
 			case isa.IntFile:
 				regReadyR[o.Rd] = ready
@@ -233,21 +257,10 @@ func (m *Machine) Time(t *Translation) error {
 			if c == isa.ClassFPDiv || c == isa.ClassFPSqrt {
 				fpuBusyUntil = ready
 			}
-			acc.byClass[c]++
-			if isa.IsFlop(op) {
-				acc.flops++
-			}
 		}
 		cycle = issue + 1
-		atoms += uint64(len(mol.Atoms))
-		acc.cycles, acc.atoms = uint32(cycle), uint32(atoms)
-		steps[mi] = acc
+		f(mi, cycle)
 	}
-	if cycle > math.MaxUint32 || atoms > math.MaxUint32 {
-		return fmt.Errorf("vliw: translation at pc %d: %d cycles, %d atoms exceed the timing table", t.EntryPC, cycle, atoms)
-	}
-	t.timing, t.steps = m.T, steps
-	return nil
 }
 
 // Execute runs the translation against st until a branch exits, the last
@@ -329,6 +342,20 @@ func (t *Translation) Fold(exits []uint64, c *Counts) {
 			c.ByClass[cl] += n * uint64(s.byClass[cl])
 		}
 	}
+}
+
+// Price returns the cycles that exits[k] executions leaving t at
+// molecule k take under u, summed over every k, before taken branches'
+// penalties: what Cycles sums on a machine timed under u. It runs the
+// scoreboard once under u and leaves t's own table alone, so t, timed
+// under any Timing, is priced under another without being re-timed.
+// exits has one entry per molecule.
+func (t *Translation) Price(u *Timing, exits []uint64) uint64 {
+	var sum uint64
+	u.scoreboard(t, func(mi int, cycles uint64) {
+		sum += exits[mi] * cycles
+	})
+	return sum
 }
 
 // HaltCode encodes a halt exit for a branch atom's Imm: the machine halts
